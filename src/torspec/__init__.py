@@ -56,7 +56,6 @@ from .kernels import (
     modulated_convolution,
     potential_from_csv,
     potential_from_function,
-    separable_kernel,
     step_potential,
     tail_mass,
     tophat_kernel,
@@ -69,13 +68,11 @@ from .discretize import (
     OperatorMatrix,
     assemble_B,
     assemble_birman_schwinger,
-    assemble_convolution_generator,
     assemble_generator,
     fourier_symbol,
 )
 from .eigen import (
     PerronResult,
-    adjoint_perron,
     collatz_wielandt_bounds,
     full_spectrum,
     operator_norm_2,

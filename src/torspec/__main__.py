@@ -1,0 +1,8 @@
+"""``python -m torspec``: the same command line as the ``torspec`` script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,11 +8,11 @@ is also emitted as a JSON diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime
 import json
 import os
 import sys
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,89 +27,74 @@ from .errors import (
 )
 from .evolution import check_extinction, evolve
 from .gapbound import gap_constants, verify_gap
+from .grid import TorusGrid
 from .jsonio import dump, write_trace_csv
-from .kernels import check_potential, jump_rate, kernel_stats
-from .spectral import analyze, max_eigenvalue_shifted_power
+from .kernels import (
+    GenericKernel,
+    Potential,
+    PotentialDiagnostics,
+    WoundKernel,
+    check_potential,
+    jump_rate,
+    kernel_stats,
+)
+from .spectral import SpectrumReport, analyze, max_eigenvalue_shifted_power
 
-COMMANDS = ("analyze", "bound", "evolve", "check-kernel")
+@dataclass(frozen=True)
+class _Model:
+    """What every command builds from its config before it does its own work."""
 
-
-def _metadata() -> dict:
-    return {
-        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "tool": f"torspec {__version__}",
-    }
-
-
-def _out_dir(config: RunConfig, override: str | None) -> str:
-    path = override if override is not None else config.output.directory
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
-def _gap_section(config: RunConfig, wound, potential, report) -> dict | None:
-    if wound is None:
-        return None
-    try:
-        bound = gap_constants(potential, wound)
-    except TorspecError:
-        return None
-    verdict = verify_gap(report, bound)
-    return {**bound.as_dict(), "verdict": verdict.as_dict()["verdict"], "margin": verdict.margin}
+    grid: TorusGrid
+    wound: WoundKernel | None
+    kernel: GenericKernel
+    potential: Potential
+    potential_check: PotentialDiagnostics
 
 
-def _run_analyze(config: RunConfig, out_dir: str) -> int:
+def _prepare(config: RunConfig) -> _Model:
     grid = config.build_grid()
     wound, kernel = config.build_kernel(grid)
     potential = config.build_potential(grid)
-    options = dataclasses.replace(config.analysis, diagnostic=True)
-    report = analyze(kernel, potential, grid, options)
-    body = report.to_dict()
-    document = {
-        "config_echo": config.echo(),
-        "essential": body["essential"],
-        "lambda": body["lambda"],
-        "lambda_by_method": body["lambda_by_method"],
-        "discrete_eigenvalues": body["discrete_eigenvalues"],
-        "ground_state_stats": body["ground_state_stats"],
-        "gap_bound": _gap_section(config, wound, potential, report),
-        "diagnostics": body["diagnostics"],
-        "metadata": _metadata(),
-    }
-    path = os.path.join(out_dir, "report.json")
-    dump(document, path)
-    print(path)
-    return 0 if report.diagnostics["conforming"] else 2
+    return _Model(grid, wound, kernel, potential, check_potential(potential))
 
 
-def _run_bound(config: RunConfig, out_dir: str) -> int:
-    grid = config.build_grid()
-    wound, kernel = config.build_kernel(grid)
-    if wound is None:
+def _gap_bound(model: _Model, report: SpectrumReport) -> dict:
+    """Gap constants merged with the verdict on the report's eigenvalue."""
+    bound = gap_constants(model.potential, model.wound)
+    return {**bound.as_dict(), **verify_gap(report, bound).as_dict()}
+
+
+def _run_analyze(config: RunConfig, model: _Model, out_dir: str) -> tuple[str, dict, int]:
+    options = replace(config.analysis, diagnostic=True)
+    report = analyze(model.kernel, model.potential, model.grid, options)
+    document = report.to_dict()
+    diagnostics = document.pop("diagnostics")
+    document["gap_bound"] = None
+    if model.wound is not None:
+        try:
+            gap = _gap_bound(model, report)
+        except TorspecError:
+            pass
+        else:
+            del gap["lambda"], gap["slack"]  # the report states lambda at top level
+            document["gap_bound"] = gap
+    document["diagnostics"] = diagnostics
+    return "report.json", document, 0 if report.diagnostics["conforming"] else 2
+
+
+def _run_bound(config: RunConfig, model: _Model, out_dir: str) -> tuple[str, dict, int]:
+    if model.wound is None:
         raise ValidationError("the gap bound applies only to convolution-form kernels")
-    potential = config.build_potential(grid)
-    report = analyze(kernel, potential, grid, config.analysis)
-    bound = gap_constants(potential, wound)
-    verdict = verify_gap(report, bound)
+    report = analyze(model.kernel, model.potential, model.grid, config.analysis)
     document = {
-        "config_echo": config.echo(),
-        "gap_bound": {**bound.as_dict(), **verdict.as_dict()},
+        "gap_bound": _gap_bound(model, report),
         "lambda_by_method": dict(report.lambda_by_method),
-        "metadata": _metadata(),
     }
-    path = os.path.join(out_dir, "gap_bound.json")
-    dump(document, path)
-    print(path)
-    return 0
+    return "gap_bound.json", document, 0
 
 
-def _run_evolve(config: RunConfig, out_dir: str) -> int:
-    grid = config.build_grid()
-    _, kernel = config.build_kernel(grid)
-    potential = config.build_potential(grid)
-    pot_diag = check_potential(potential)
-    generator = assemble_generator(kernel, potential, grid)
-
+def _run_evolve(config: RunConfig, model: _Model, out_dir: str) -> tuple[str, dict, int]:
+    generator = assemble_generator(model.kernel, model.potential, model.grid)
     estimate = max_eigenvalue_shifted_power(
         generator,
         generator.edge_sup,
@@ -122,52 +107,40 @@ def _run_evolve(config: RunConfig, out_dir: str) -> int:
         t_max = 40.0 / abs(estimate.lam) if abs(estimate.lam) > 1e-12 else 40.0
     trace = evolve(
         generator,
-        np.ones(grid.size),
+        np.ones(model.grid.size),
         t_max=t_max,
         dt=config.evolution.dt,
         method=config.evolution.method,
     )
-    summary = check_extinction(trace)
     trace_path = os.path.join(out_dir, "trace.csv")
     write_trace_csv(trace, trace_path)
+    print(trace_path)
     document = {
-        "config_echo": config.echo(),
         "t_max": t_max,
         "method": config.evolution.method,
         "lambda_estimate": estimate.lam,
         "decay_rate_fit": trace.decay_rate_fit,
         "fit_window": list(trace.fit_window),
         "min_value_seen": trace.min_value_seen,
-        "extinction": summary.as_dict(),
-        "metadata": _metadata(),
+        "extinction": check_extinction(trace).as_dict(),
     }
-    path = os.path.join(out_dir, "evolution.json")
-    dump(document, path)
-    print(trace_path)
-    print(path)
-    return 0 if pot_diag.eligible else 2
+    return "evolution.json", document, 0 if model.potential_check.eligible else 2
 
 
-def _run_check_kernel(config: RunConfig, out_dir: str) -> int:
-    grid = config.build_grid()
-    wound, kernel = config.build_kernel(grid)
-    potential = config.build_potential(grid)
-    pot_diag = check_potential(potential)
-    rates = jump_rate(kernel)
-
+def _run_check_kernel(config: RunConfig, model: _Model, out_dir: str) -> tuple[str, dict, int]:
+    rates = jump_rate(model.kernel)
     stats_section = None
     error_section = None
     code = 0
     try:
-        stats_section = kernel_stats(kernel, config.analysis.primitivity_max_power).as_dict()
+        stats_section = kernel_stats(model.kernel, config.analysis.primitivity_max_power).as_dict()
     except HYPOTHESIS_ERRORS as exc:
         error_section = {"error": type(exc).__name__, "message": str(exc)}
         code = 2
-    if not pot_diag.eligible:
+    if not model.potential_check.eligible:
         code = 2
-
+    wound = model.wound
     document = {
-        "config_echo": config.echo(),
         "kernel_stats": stats_section,
         "kernel_error": error_section,
         "jump_rate": {"min": float(rates.min()), "max": float(rates.max())},
@@ -176,19 +149,9 @@ def _run_check_kernel(config: RunConfig, out_dir: str) -> int:
             "wind_truncation": wound.wind_truncation,
             "tail_estimate": wound.tail_estimate,
         },
-        "potential": {
-            "max_sample": pot_diag.max_sample,
-            "fraction_negative": pot_diag.fraction_negative,
-            "norm_l1": pot_diag.norm_l1,
-            "norm_l2": pot_diag.norm_l2,
-            "eligible": pot_diag.eligible,
-        },
-        "metadata": _metadata(),
+        "potential": model.potential_check.as_dict(),
     }
-    path = os.path.join(out_dir, "kernel_check.json")
-    dump(document, path)
-    print(path)
-    return code
+    return "kernel_check.json", document, code
 
 
 _RUNNERS = {
@@ -200,10 +163,25 @@ _RUNNERS = {
 
 
 def run_command(command: str, config: RunConfig, out_dir: str | None = None) -> int:
-    """Dispatch one command against a validated config; returns the exit code."""
+    """Dispatch one command against a validated config; returns the exit code.
+
+    Every command writes one JSON document: the config echo, the command's
+    own sections, then run metadata.
+    """
     if command not in _RUNNERS:
         raise ValidationError(f"unknown command {command!r}")
-    return _RUNNERS[command](config, _out_dir(config, out_dir))
+    if out_dir is None:
+        out_dir = config.output.directory
+    os.makedirs(out_dir, exist_ok=True)
+    name, body, code = _RUNNERS[command](config, _prepare(config), out_dir)
+    metadata = {
+        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "tool": f"torspec {__version__}",
+    }
+    path = os.path.join(out_dir, name)
+    dump({"config_echo": config.echo(), **body, "metadata": metadata}, path)
+    print(path)
+    return code
 
 
 def _exit_code_for(exc: Exception) -> int:
@@ -234,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
         description="Spectra and density evolution of non-local jump operators "
         "with periodic potentials on the torus.",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=tuple(_RUNNERS))
     parser.add_argument("--config", required=True, help="path to a JSON run config")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, default=None, help="seed override")

@@ -8,6 +8,7 @@ together as one ValidationError.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 
@@ -180,7 +181,13 @@ def _number(raw: dict, key: str, context: str, default=None):
     value = raw[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{context}.{key} must be a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ParseError(f"{context}.{key} must be finite")
+    return number
 
 
 def _integer(raw: dict, key: str, context: str, default=None):
@@ -323,6 +330,10 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
         problems.append("analysis.max_iter must be at least 1")
     if options.primitivity_max_power < 1:
         problems.append("analysis.primitivity_max_power must be at least 1")
+    if dimension in (1, 2) and options.spectrum_order_cap < grid_n**dimension:
+        problems.append(
+            f"analysis.spectrum_order_cap must be at least the matrix order n^d = {grid_n**dimension}"
+        )
     if wind_tail_tol <= 0:
         problems.append("analysis.wind_tail_tol must be positive")
 

@@ -16,14 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, GridMismatch, MuBelowEdge
 from .grid import TorusGrid
-from .kernels import (
-    GenericKernel,
-    Potential,
-    WoundKernel,
-    convolution_kernel,
-    jump_rate,
-    serial_row_sums,
-)
+from .kernels import GenericKernel, Potential, WoundKernel, jump_rate, serial_row_sums
 
 MU_EDGE_MARGIN = 1e-12
 
@@ -32,9 +25,9 @@ MU_EDGE_MARGIN = 1e-12
 class OperatorMatrix:
     """Dense square matrix for one of the torus operators.
 
-    Roles: "M" (generator, generic kernel), "L" (generator, convolution
-    kernel), "B" (kernel part alone), "Q" (edge-shifted ratio operator),
-    or "custom".  ``edge_sup`` records sup(W - V) when the assembly knows it.
+    Roles: "M" (generator), "B" (kernel part alone), "Q" (edge-shifted
+    ratio operator), or "custom".  ``edge_sup`` records sup(W - V) when the
+    assembly knows it.
     """
 
     data: np.ndarray
@@ -56,7 +49,7 @@ class OperatorMatrix:
         if self.role in ("B", "Q"):
             if np.any(data < 0):
                 raise ValueError(f"role {self.role} requires entrywise nonnegative data")
-        elif self.role in ("M", "L"):
+        elif self.role == "M":
             off = data.copy()
             np.fill_diagonal(off, 0.0)
             if np.any(off < 0):
@@ -93,9 +86,6 @@ class OperatorMatrix:
         np.fill_diagonal(data, np.diagonal(data) + k)
         return OperatorMatrix(data, "custom", self.grid, self.shift + k)
 
-    def to_csv(self, path: str) -> None:
-        np.savetxt(path, self.data, delimiter=",", fmt="%.17g")
-
 
 def _check_pair(b, potential: Potential | None, grid: TorusGrid) -> None:
     for obj in (b, potential):
@@ -113,41 +103,14 @@ def assemble_B(b: GenericKernel, grid: TorusGrid) -> OperatorMatrix:
     return OperatorMatrix(grid.weight * b.samples, "B", grid)
 
 
-def _generator_data(b: GenericKernel, potential: Potential, grid: TorusGrid) -> np.ndarray:
-    scaled = grid.weight * b.samples
-    off = scaled.copy()
-    np.fill_diagonal(off, 0.0)
-    row = serial_row_sums(off)
-    data = off
-    np.fill_diagonal(data, potential.samples - row)
-    return data
-
-
 def assemble_generator(b: GenericKernel, potential: Potential, grid: TorusGrid) -> OperatorMatrix:
-    """Jump generator with a generic kernel: kernel part plus (V - W) on the diagonal."""
+    """Jump generator: kernel part plus (V - W) on the diagonal."""
     _check_pair(b, potential, grid)
     w = jump_rate(b)
-    return OperatorMatrix(
-        _generator_data(b, potential, grid),
-        "M",
-        grid,
-        edge_sup=float((w - potential.samples).max()),
-    )
-
-
-def assemble_convolution_generator(
-    wound: WoundKernel, potential: Potential, grid: TorusGrid
-) -> OperatorMatrix:
-    """Jump generator whose kernel part is the circulant of a wound kernel."""
-    _check_pair(wound, potential, grid)
-    b = convolution_kernel(wound, grid)
-    w = jump_rate(b)
-    return OperatorMatrix(
-        _generator_data(b, potential, grid),
-        "L",
-        grid,
-        edge_sup=float((w - potential.samples).max()),
-    )
+    data = grid.weight * b.samples
+    np.fill_diagonal(data, 0.0)
+    np.fill_diagonal(data, potential.samples - serial_row_sums(data))
+    return OperatorMatrix(data, "M", grid, edge_sup=float((w - potential.samples).max()))
 
 
 def assemble_birman_schwinger(

@@ -71,11 +71,6 @@ def perron(mat, tol: float = 1e-11, max_iter: int = 100_000, seed: int = 0) -> P
     raise NotConverged(f"certificate gap above {tol} after {max_iter} iterations")
 
 
-def adjoint_perron(mat, tol: float = 1e-11, max_iter: int = 100_000, seed: int = 0) -> PerronResult:
-    """Perron iteration on the transpose (same root, adjoint eigenvector)."""
-    return perron(_as_array(mat).T, tol=tol, max_iter=max_iter, seed=seed)
-
-
 def collatz_wielandt_bounds(mat, v: np.ndarray) -> tuple[float, float]:
     """min/max of (Av)_i / v_i over a positive vector: brackets the Perron root."""
     a = _as_array(mat)

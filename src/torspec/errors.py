@@ -97,20 +97,6 @@ HYPOTHESIS_ERRORS = (
     DegenerateSymbol,
 )
 
-NUMERICAL_ERRORS = (
-    TailNotResolved,
-    MuBelowEdge,
-    NegativeEntry,
-    NonPositiveVector,
-    NotConverged,
-    BracketFailure,
-    MethodDisagreement,
-    Unstable,
-    ZeroNorm,
-    GridMismatch,
-    DimensionMismatch,
-)
-
 
 # -- configuration ------------------------------------------------------------
 

@@ -7,7 +7,7 @@ unit L2 norm and unit mass regardless of resolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -149,12 +149,7 @@ class ExtinctionSummary:
     threshold: float
 
     def as_dict(self) -> dict:
-        return {
-            "extinct": self.extinct,
-            "ratio": self.ratio,
-            "monotone_from": self.monotone_from,
-            "threshold": self.threshold,
-        }
+        return asdict(self)
 
 
 def check_extinction(trace: EvolutionTrace, threshold: float = 1e-3) -> ExtinctionSummary:

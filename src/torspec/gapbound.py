@@ -9,7 +9,7 @@ applies only to convolution kernels of unit mass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .discretize import fourier_symbol
 from .errors import DegenerateSymbol, IneligiblePotential, NotNormalized
@@ -30,13 +30,7 @@ class GapBound:
     kappa: float
 
     def as_dict(self) -> dict:
-        return {
-            "c1": self.c1,
-            "norm_v2": self.norm_v2,
-            "gamma0": self.gamma0,
-            "c2": self.c2,
-            "kappa": self.kappa,
-        }
+        return asdict(self)
 
 
 def gap_constants(potential: Potential, wound: WoundKernel) -> GapBound:

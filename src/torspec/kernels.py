@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 from typing import Callable
 
@@ -223,15 +223,6 @@ def constant_kernel(grid: TorusGrid, value: float = 1.0) -> GenericKernel:
     )
 
 
-def separable_kernel(grid: TorusGrid, row_profile: np.ndarray, col_profile: np.ndarray) -> GenericKernel:
-    """b(x, y) = f(x) g(y) from per-node profiles."""
-    f = np.asarray(row_profile, dtype=float).ravel()
-    g = np.asarray(col_profile, dtype=float).ravel()
-    if f.size != grid.size or g.size != grid.size:
-        raise ValueError("profiles must have one value per grid node")
-    return GenericKernel(grid.dimension, grid.n, np.outer(f, g), "separable")
-
-
 def displacement_index(grid: TorusGrid) -> tuple[np.ndarray, ...]:
     """Index arrays mapping (x node, y node) to the torus displacement node.
 
@@ -342,6 +333,9 @@ class PotentialDiagnostics:
     norm_l2: float
     eligible: bool
 
+    def as_dict(self) -> dict:
+        return asdict(self)
+
 
 def check_potential(potential: Potential) -> PotentialDiagnostics:
     """Norms by grid quadrature plus eligibility for guaranteed-regime analysis.
@@ -393,13 +387,7 @@ class KernelStats:
     iterated_kernel_min: float
 
     def as_dict(self) -> dict:
-        return {
-            "row_integral_min": self.row_integral_min,
-            "row_integral_max": self.row_integral_max,
-            "col_integral_max": self.col_integral_max,
-            "primitive_power": self.primitive_power,
-            "iterated_kernel_min": self.iterated_kernel_min,
-        }
+        return asdict(self)
 
 
 def kernel_stats(b: GenericKernel, n_max: int = 16) -> KernelStats:
@@ -450,11 +438,18 @@ def tail_mass(b: GenericKernel, level: float) -> float:
 # CSV ingestion (tabulated kernels and potentials)
 
 
-def _node_index(value: str, n: int, path: str, line: int) -> int:
+def _csv_number(value: str, path: str, line: int) -> float:
     try:
         x = float(value)
     except ValueError as exc:
         raise ParseError(f"{path}:{line}: not a number: {value!r}") from exc
+    if not math.isfinite(x):
+        raise ValidationError(f"{path}:{line}: non-finite value {value!r}")
+    return x
+
+
+def _node_index(value: str, n: int, path: str, line: int) -> int:
+    x = _csv_number(value, path, line)
     i = int(round(x * n))
     if not (0 <= i < n) or abs(x - i / n) > 1e-12:
         raise ValidationError(f"{path}:{line}: coordinate {x!r} is not a grid node of n={n}")
@@ -495,10 +490,7 @@ def kernel_from_csv(path: str, grid: TorusGrid) -> GenericKernel:
         else:
             i = _node_index(row[0], n, path, line) * n + _node_index(row[1], n, path, line)
             j = _node_index(row[2], n, path, line) * n + _node_index(row[3], n, path, line)
-        try:
-            value = float(row[-1])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{line}: not a number: {row[-1]!r}") from exc
+        value = _csv_number(row[-1], path, line)
         if value < 0:
             raise ValidationError(f"{path}:{line}: negative kernel value {value!r}")
         if not np.isnan(samples[i, j]):
@@ -521,10 +513,7 @@ def potential_from_csv(path: str, grid: TorusGrid) -> Potential:
             i = _node_index(row[0], n, path, line)
         else:
             i = _node_index(row[0], n, path, line) * n + _node_index(row[1], n, path, line)
-        try:
-            value = float(row[-1])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{line}: not a number: {row[-1]!r}") from exc
+        value = _csv_number(row[-1], path, line)
         if value > 0:
             raise ValidationError(f"{path}:{line}: positive potential value {value!r}")
         if not np.isnan(samples[i]):

@@ -11,6 +11,7 @@ essential value set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -84,6 +85,21 @@ class AnalysisOptions:
     diagnostic: bool = False
 
 
+def _ratio_perron(
+    mu: float,
+    b: GenericKernel,
+    potential: Potential,
+    grid: TorusGrid,
+    tol: float,
+    max_iter: int,
+    seed: int,
+    adjoint: bool = False,
+) -> PerronResult:
+    """Perron pair of the ratio operator at shift mu (or of its adjoint)."""
+    q = assemble_birman_schwinger(b, potential, mu, grid, adjoint=adjoint)
+    return perron(q, tol=tol, max_iter=max_iter, seed=seed)
+
+
 def birman_schwinger_radius(
     mu: float,
     b: GenericKernel,
@@ -98,8 +114,7 @@ def birman_schwinger_radius(
     Continuous and strictly decreasing in mu above the essential edge, and
     decaying to zero as mu grows.
     """
-    q = assemble_birman_schwinger(b, potential, mu, grid)
-    return perron(q, tol=tol, max_iter=max_iter, seed=seed).rho
+    return _ratio_perron(mu, b, potential, grid, tol, max_iter, seed).rho
 
 
 @dataclass(frozen=True)
@@ -140,64 +155,51 @@ def max_eigenvalue_bisection(
     w = jump_rate(b)
     alpha1 = float((u + w).min())
     alpha0 = float((u + w).max())
-
-    def radius(mu: float) -> PerronResult:
-        q = assemble_birman_schwinger(b, potential, mu, grid)
-        return perron(q, tol=power_tol, max_iter=max_iter, seed=seed)
-
-    if not diag.eligible:
-        if not diagnostic:
-            raise IneligiblePotential(
-                "potential is zero on every node; enable diagnostic mode for a boundary report"
-            )
-        at_zero = radius(0.0)
-        if abs(at_zero.rho - 1.0) > 100 * power_tol:
-            raise BracketFailure(
-                f"vanishing potential should give unit radius at zero shift, got {at_zero.rho!r}"
-            )
-        adjoint = perron(
-            assemble_birman_schwinger(b, potential, 0.0, grid, adjoint=True),
-            tol=power_tol,
-            max_iter=max_iter,
-            seed=seed,
-        )
-        return BisectionResult(0.0, at_zero.vector, adjoint.vector, 0, at_zero.rho, (0.0, 0.0))
-
-    right = radius(0.0).rho
-    if right >= 1.0:
-        raise BracketFailure(f"radius at zero shift is {right!r}, expected below one")
-
-    eps = 0.01 * (alpha0 - alpha1 + 1.0)
-    mu_left = None
-    for _ in range(BRACKET_HALVINGS + 1):
-        candidate = -alpha1 + eps
-        if candidate < 0.0 and radius(candidate).rho > 1.0:
-            mu_left = candidate
-            break
-        eps *= 0.5
-    if mu_left is None:
-        raise BracketFailure(
-            "radius does not exceed one near the essential edge; "
-            "resolution too coarse or kernel mass too diffuse"
-        )
-
-    lo, hi = mu_left, 0.0
-    iterations = 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        iterations += 1
-        if radius(mid).rho >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    lam = 0.5 * (lo + hi)
-    at_lam = radius(lam)
-    adjoint = perron(
-        assemble_birman_schwinger(b, potential, lam, grid, adjoint=True),
-        tol=power_tol,
-        max_iter=max_iter,
-        seed=seed,
+    ratio = partial(
+        _ratio_perron, b=b, potential=potential, grid=grid,
+        tol=power_tol, max_iter=max_iter, seed=seed,
     )
+
+    if not diag.eligible and not diagnostic:
+        raise IneligiblePotential(
+            "potential is zero on every node; enable diagnostic mode for a boundary report"
+        )
+
+    lo = hi = 0.0  # a vanishing potential skips the scan: lambda = 0, bracket (0, 0)
+    iterations = 0
+    if diag.eligible:
+        right = ratio(0.0).rho
+        if right >= 1.0:
+            raise BracketFailure(f"radius at zero shift is {right!r}, expected below one")
+
+        eps = 0.01 * (alpha0 - alpha1 + 1.0)
+        for _ in range(BRACKET_HALVINGS + 1):
+            candidate = -alpha1 + eps
+            if candidate < 0.0 and ratio(candidate).rho > 1.0:
+                lo = candidate
+                break
+            eps *= 0.5
+        else:
+            raise BracketFailure(
+                "radius does not exceed one near the essential edge; "
+                "resolution too coarse or kernel mass too diffuse"
+            )
+
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            iterations += 1
+            if ratio(mid).rho >= 1.0:
+                lo = mid
+            else:
+                hi = mid
+
+    lam = 0.5 * (lo + hi)
+    at_lam = ratio(lam)
+    if not diag.eligible and abs(at_lam.rho - 1.0) > 100 * power_tol:
+        raise BracketFailure(
+            f"vanishing potential should give unit radius at zero shift, got {at_lam.rho!r}"
+        )
+    adjoint = ratio(lam, adjoint=True)
     return BisectionResult(lam, at_lam.vector, adjoint.vector, iterations, at_lam.rho, (lo, hi))
 
 
@@ -341,13 +343,7 @@ def analyze(
         "bisection_bracket": [bisected.bracket[0], bisected.bracket[1]],
         "radius_at_lambda": bisected.radius_at_lambda,
         "kernel_stats": stats.as_dict(),
-        "potential": {
-            "max_sample": pot_diag.max_sample,
-            "fraction_negative": pot_diag.fraction_negative,
-            "norm_l1": pot_diag.norm_l1,
-            "norm_l2": pot_diag.norm_l2,
-            "eligible": pot_diag.eligible,
-        },
+        "potential": pot_diag.as_dict(),
     }
     return SpectrumReport(
         essential=essential,

@@ -2,7 +2,9 @@
 
 import json
 import math
-
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import pytest
 import torspec as ts
 from torspec import jsonio
 from torspec.cli import main, run_command
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, REPO_ROOT
 
 
 def minimal_config(**overrides):
@@ -284,3 +286,85 @@ def test_bound_refuses_non_convolution_kernel():
     config = ts.config_from_dict(raw)
     with pytest.raises(ts.ValidationError, match="convolution"):
         run_command("bound", config, None)
+
+
+# -- non-finite input, order cap, module entry point, cross-command agreement -
+
+
+@pytest.mark.parametrize("command, kernel, potential, literal", [
+    ("analyze", {"family": "gaussian", "sigma": "BAD"}, {"family": "step"}, "Infinity"),
+    ("analyze", {"family": "constant"}, {"family": "step", "depth": "BAD"}, "NaN"),
+    ("check-kernel", {"family": "constant"}, {"family": "step", "depth": "BAD"}, "NaN"),
+    ("check-kernel", {"family": "constant"}, {"family": "constant", "depth": "BAD"}, "1e400"),
+], ids=["sigma-infinity", "depth-nan-analyze", "depth-nan-check-kernel", "depth-overflow"])
+def test_cli_rejects_non_finite_config_number(command, kernel, potential, literal, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(minimal_config(kernel=kernel, potential=potential)).replace('"BAD"', literal))
+    code = main([command, "--config", str(path), "--out", str(tmp_path)])
+    assert code == 1
+    diagnostic = json.loads(capsys.readouterr().err)
+    assert diagnostic["error"] == "ParseError"
+    assert "must be finite" in diagnostic["message"]
+
+
+@pytest.mark.parametrize("table, literal", [("kernel", "inf"), ("potential", "-inf")])
+def test_cli_rejects_non_finite_csv_value(table, literal, tmp_path, capsys):
+    n = 8
+    header, rows = {
+        "kernel": ("x,y,value", [f"{i / n},{j / n},1.0" for i in range(n) for j in range(n)]),
+        "potential": ("x,value", [f"{i / n},-0.5" for i in range(n)]),
+    }[table]
+    rows[5] = rows[5].rsplit(",", 1)[0] + f",{literal}"  # line 7 of the file
+    (tmp_path / f"{table}.csv").write_text("\n".join([header, *rows]) + "\n")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(minimal_config(grid_n=n, **{table: {"family": "csv", "path": f"{table}.csv"}})))
+    code = main(["check-kernel", "--config", str(path), "--out", str(tmp_path)])
+    assert code == 1
+    diagnostic = json.loads(capsys.readouterr().err)
+    assert diagnostic["error"] == "ValidationError"
+    assert f"{table}.csv:7: non-finite" in diagnostic["message"]
+
+
+def test_spectrum_order_cap_below_matrix_order_is_validation_error(tmp_path, capsys):
+    raw = minimal_config(grid_n=64)
+    raw["analysis"] = {"spectrum_order_cap": 10}
+    with pytest.raises(ts.ValidationError, match="spectrum_order_cap"):
+        ts.config_from_dict(raw)
+    raw["grid_n"] = 8  # valid as written, too small a cap once --grid-n raises the order
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    code = main(["analyze", "--config", str(path), "--out", str(tmp_path), "--grid-n", "64"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+
+
+def test_python_dash_m_torspec(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "torspec", "check-kernel",
+         "--config", str(FIXTURE_DIR / "f1.json"), "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.strip() == str(tmp_path / "kernel_check.json")
+
+
+def test_readme_python_api_block_runs():
+    readme = (REPO_ROOT / "README.md").read_text()
+    section = readme.split("## Python API", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+
+
+def test_commands_agree_on_shared_sections(tmp_path):
+    config = ts.load_config(str(FIXTURE_DIR / "f3.json"))
+    for command in ("check-kernel", "analyze", "bound"):
+        assert run_command(command, config, str(tmp_path)) == 0
+    check = json.loads((tmp_path / "kernel_check.json").read_text())
+    report = json.loads((tmp_path / "report.json").read_text())
+    bound = json.loads((tmp_path / "gap_bound.json").read_text())
+    assert check["potential"] == report["diagnostics"]["potential"]
+    for key in ("kappa", "margin"):
+        assert report["gap_bound"][key] == bound["gap_bound"][key]

