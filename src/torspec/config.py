@@ -328,6 +328,8 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
             problems.append(f"analysis.{name} must be positive")
     if options.max_iter < 1:
         problems.append("analysis.max_iter must be at least 1")
+    if options.seed < 0:
+        problems.append("analysis.seed must be non-negative")
     if options.primitivity_max_power < 1:
         problems.append("analysis.primitivity_max_power must be at least 1")
     if dimension in (1, 2) and options.spectrum_order_cap < grid_n**dimension:
@@ -391,4 +393,6 @@ def load_config(path: str) -> RunConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal beyond the int-conversion digit limit
+        raise ParseError(f"{path}: {exc}") from exc
     return config_from_dict(raw, base_dir=os.path.dirname(os.path.abspath(path)))

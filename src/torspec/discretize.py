@@ -113,6 +113,19 @@ def assemble_generator(b: GenericKernel, potential: Potential, grid: TorusGrid) 
     return OperatorMatrix(data, "M", grid, edge_sup=float((w - potential.samples).max()))
 
 
+def shift_denominator(b: GenericKernel, potential: Potential, grid: TorusGrid) -> np.ndarray:
+    """Row denominator U + W of the ratio operator at zero shift, U = -V."""
+    _check_pair(b, potential, grid)
+    return jump_rate(b) - potential.samples
+
+
+def check_shift(mu: float, denominator: np.ndarray) -> None:
+    """Reject a shift at or below the admissible edge -min(U + W)."""
+    alpha1 = float(denominator.min())
+    if mu <= -alpha1 + MU_EDGE_MARGIN:
+        raise MuBelowEdge(f"shift {mu!r} at or below admissible edge {-alpha1!r}")
+
+
 def assemble_birman_schwinger(
     b: GenericKernel,
     potential: Potential,
@@ -126,15 +139,10 @@ def assemble_birman_schwinger(
     generator.  ``adjoint`` transposes the kernel while keeping the same
     row denominators, yielding the adjoint-generator counterpart.
     """
-    _check_pair(b, potential, grid)
-    u = -potential.samples
-    w = jump_rate(b)
-    alpha1 = float((u + w).min())
-    if mu <= -alpha1 + MU_EDGE_MARGIN:
-        raise MuBelowEdge(f"shift {mu!r} at or below admissible edge {-alpha1!r}")
-    denom = u + w + mu
+    denom = shift_denominator(b, potential, grid)
+    check_shift(mu, denom)
     samples = b.samples.T if adjoint else b.samples
-    return OperatorMatrix(grid.weight * samples / denom[:, None], "Q", grid, shift=mu)
+    return OperatorMatrix(grid.weight * samples / (denom + mu)[:, None], "Q", grid, shift=mu)
 
 
 # ---------------------------------------------------------------------------

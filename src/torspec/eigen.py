@@ -43,20 +43,38 @@ def _start_vector(order: int, seed: int) -> np.ndarray:
     return rng.uniform(0.5, 1.5, size=order)
 
 
-def perron(mat, tol: float = 1e-11, max_iter: int = 100_000, seed: int = 0) -> PerronResult:
+def perron(
+    mat,
+    tol: float = 1e-11,
+    max_iter: int = 100_000,
+    seed: int = 0,
+    start: np.ndarray | None = None,
+    scale: np.ndarray | None = None,
+) -> PerronResult:
     """Power iteration for the Perron root of a nonnegative primitive matrix.
 
     Converges when the Collatz-Wielandt gap max_i (Av)_i/v_i - min_i (Av)_i/v_i
     drops to ``tol``; the returned value is the Rayleigh ratio at the final
-    iterate, which the certificate brackets.
+    iterate, which the certificate brackets.  ``start`` replaces the seeded
+    random start with a positive warm-start vector; a positive row ``scale``
+    makes the iterated operator diag(scale) A without forming it.
     """
     a = _as_array(mat)
-    if np.any(a < 0):
+    if a.min() < 0:
         raise NegativeEntry("matrix has a negative entry")
-    v = _start_vector(a.shape[0], seed)
+    if scale is not None and not scale.min() > 0:
+        raise NegativeEntry("row scale must be positive")
+    if start is None:
+        v = _start_vector(a.shape[0], seed)
+    else:
+        v = np.array(start, dtype=float)
+        if not v.min() > 0:
+            raise NonPositiveVector("start vector must be entrywise positive")
     v /= np.linalg.norm(v)
     for iteration in range(1, max_iter + 1):
         w = a @ v
+        if scale is not None:
+            w *= scale
         norm_w = np.linalg.norm(w)
         if norm_w == 0.0:
             raise NotConverged("iterate vanished; matrix is not primitive")

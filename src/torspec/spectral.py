@@ -2,16 +2,17 @@
 
 The maximum eigenvalue is located three independent ways: dense QR on the
 assembled generator, Perron iteration on a positive diagonal shift of it,
-and bisection on the shift parameter of the ratio operator whose spectral
-radius crosses one exactly at the eigenvalue.  The consolidated report
-cross-checks all three and classifies the rest of the spectrum against the
-essential value set.
+and a safeguarded root find (Illinois regula falsi with forced bisection
+steps) on the shift parameter of the ratio operator, whose spectral radius
+crosses one exactly at the eigenvalue; its radii come from matrix-free,
+warm-started Perron solves.  The consolidated report cross-checks all three
+and classifies the rest of the spectrum against the essential value set.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -19,6 +20,8 @@ from .discretize import (
     OperatorMatrix,
     assemble_birman_schwinger,
     assemble_generator,
+    check_shift,
+    shift_denominator,
 )
 from .eigen import PerronResult, full_spectrum, perron
 from .errors import (
@@ -94,10 +97,11 @@ def _ratio_perron(
     max_iter: int,
     seed: int,
     adjoint: bool = False,
+    start: np.ndarray | None = None,
 ) -> PerronResult:
-    """Perron pair of the ratio operator at shift mu (or of its adjoint)."""
+    """Perron pair of the assembled ratio operator at shift mu (or of its adjoint)."""
     q = assemble_birman_schwinger(b, potential, mu, grid, adjoint=adjoint)
-    return perron(q, tol=tol, max_iter=max_iter, seed=seed)
+    return perron(q, tol=tol, max_iter=max_iter, seed=seed, start=start)
 
 
 def birman_schwinger_radius(
@@ -119,7 +123,12 @@ def birman_schwinger_radius(
 
 @dataclass(frozen=True)
 class BisectionResult:
-    """Maximum eigenvalue located as the unit-radius crossing of the shift scan."""
+    """Maximum eigenvalue located as the unit-radius crossing of the shift scan.
+
+    ``iterations`` counts root-find steps after the bracket scan;
+    ``perron_iterations`` totals the power iterations of every radius
+    evaluation in the search (zero shift, scan and root find).
+    """
 
     lam: float
     ground_state: np.ndarray
@@ -127,9 +136,13 @@ class BisectionResult:
     iterations: int
     radius_at_lambda: float
     bracket: tuple[float, float]
+    perron_iterations: int
 
 
 BRACKET_HALVINGS = 20
+# a bisection step is forced when this many root-find steps in a row have
+# not halved the bracket
+STALL_STEPS = 3
 
 
 def max_eigenvalue_bisection(
@@ -142,42 +155,60 @@ def max_eigenvalue_bisection(
     seed: int = 0,
     diagnostic: bool = False,
 ) -> BisectionResult:
-    """Bisect the shift until the ratio operator has unit spectral radius.
+    """Find the shift at which the ratio operator has unit spectral radius.
 
     The left bracket starts a small offset above the essential edge (where
     the radius blows up) and the right bracket is zero shift (radius below
-    one for an eligible potential).  With a vanishing potential the radius
+    one for an eligible potential).  Illinois regula falsi on 1 - 1/radius,
+    which is affine in the shift when U + W is constant, shrinks the bracket
+    while keeping radius(lo) >= 1 > radius(hi), until it is at most ``tol``
+    wide (or as narrow as floating point allows); a bisection step is forced
+    whenever ``STALL_STEPS`` steps in a row fail to halve it.  Each radius
+    comes from a matrix-free Perron solve warm-started from the previous
+    vector; the state and adjoint at the returned eigenvalue are certified
+    on the assembled ratio operator.  With a vanishing potential the radius
     equals one at zero shift; in diagnostic mode that boundary case is
     reported as a zero eigenvalue instead of an error.
     """
     diag = check_potential(potential)
-    u = -potential.samples
-    w = jump_rate(b)
-    alpha1 = float((u + w).min())
-    alpha0 = float((u + w).max())
-    ratio = partial(
-        _ratio_perron, b=b, potential=potential, grid=grid,
-        tol=power_tol, max_iter=max_iter, seed=seed,
-    )
+    denom = shift_denominator(b, potential, grid)
+    alpha1 = float(denom.min())
+    alpha0 = float(denom.max())
 
     if not diag.eligible and not diagnostic:
         raise IneligiblePotential(
             "potential is zero on every node; enable diagnostic mode for a boundary report"
         )
 
+    vector = None
+    perron_iterations = 0
+
+    def radius(mu: float) -> float:
+        nonlocal vector, perron_iterations
+        check_shift(mu, denom)
+        result = perron(
+            b.samples, tol=power_tol, max_iter=max_iter, seed=seed,
+            start=vector, scale=grid.weight / (denom + mu),
+        )
+        vector = result.vector
+        perron_iterations += result.iterations
+        return result.rho
+
     lo = hi = 0.0  # a vanishing potential skips the scan: lambda = 0, bracket (0, 0)
     iterations = 0
     if diag.eligible:
-        right = ratio(0.0).rho
-        if right >= 1.0:
-            raise BracketFailure(f"radius at zero shift is {right!r}, expected below one")
+        rho_hi = radius(0.0)
+        if rho_hi >= 1.0:
+            raise BracketFailure(f"radius at zero shift is {rho_hi!r}, expected below one")
 
         eps = 0.01 * (alpha0 - alpha1 + 1.0)
         for _ in range(BRACKET_HALVINGS + 1):
             candidate = -alpha1 + eps
-            if candidate < 0.0 and ratio(candidate).rho > 1.0:
-                lo = candidate
-                break
+            if candidate < 0.0:
+                rho_lo = radius(candidate)
+                if rho_lo > 1.0:
+                    lo = candidate
+                    break
             eps *= 0.5
         else:
             raise BracketFailure(
@@ -185,22 +216,45 @@ def max_eigenvalue_bisection(
                 "resolution too coarse or kernel mass too diffuse"
             )
 
+        f_lo, f_hi = 1.0 - 1.0 / rho_lo, 1.0 - 1.0 / rho_hi
+        moved = None  # the end that moved last, for the Illinois down-weighting
+        widths = [math.inf] * STALL_STEPS  # bracket widths before the last steps
         while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
+            mu = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+            # step a quarter tolerance past the estimate, away from the nearer
+            # end, so that a converged estimate straddles the root
+            mu += 0.25 * tol if mu - lo < hi - mu else -0.25 * tol
+            mu = min(max(mu, lo + 0.25 * tol), hi - 0.25 * tol)
+            if hi - lo > 0.5 * widths[0] or not lo < mu < hi:
+                mu = 0.5 * (lo + hi)
+                if not lo < mu < hi:
+                    break  # the bracket is as narrow as floating point allows
             iterations += 1
-            if ratio(mid).rho >= 1.0:
-                lo = mid
+            widths = widths[1:] + [hi - lo]
+            rho = radius(mu)
+            if rho >= 1.0:
+                lo, f_lo = mu, 1.0 - 1.0 / rho
+                if moved == "lo":
+                    f_hi *= 0.5
+                moved = "lo"
             else:
-                hi = mid
+                hi, f_hi = mu, 1.0 - 1.0 / rho
+                if moved == "hi":
+                    f_lo *= 0.5
+                moved = "hi"
 
     lam = 0.5 * (lo + hi)
-    at_lam = ratio(lam)
+    at_lam = _ratio_perron(lam, b, potential, grid, power_tol, max_iter, seed, start=vector)
     if not diag.eligible and abs(at_lam.rho - 1.0) > 100 * power_tol:
         raise BracketFailure(
             f"vanishing potential should give unit radius at zero shift, got {at_lam.rho!r}"
         )
-    adjoint = ratio(lam, adjoint=True)
-    return BisectionResult(lam, at_lam.vector, adjoint.vector, iterations, at_lam.rho, (lo, hi))
+    adjoint = _ratio_perron(
+        lam, b, potential, grid, power_tol, max_iter, seed, adjoint=True, start=at_lam.vector,
+    )
+    return BisectionResult(
+        lam, at_lam.vector, adjoint.vector, iterations, at_lam.rho, (lo, hi), perron_iterations,
+    )
 
 
 @dataclass(frozen=True)
@@ -340,6 +394,7 @@ def analyze(
         "classification_tolerance": tol_ess,
         "perron_shift_iterations": shifted.perron.iterations,
         "bisection_iterations": bisected.iterations,
+        "ratio_perron_iterations": bisected.perron_iterations,
         "bisection_bracket": [bisected.bracket[0], bisected.bracket[1]],
         "radius_at_lambda": bisected.radius_at_lambda,
         "kernel_stats": stats.as_dict(),

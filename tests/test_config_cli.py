@@ -368,3 +368,41 @@ def test_commands_agree_on_shared_sections(tmp_path):
     assert check["potential"] == report["diagnostics"]["potential"]
     for key in ("kappa", "margin"):
         assert report["gap_bound"][key] == bound["gap_bound"][key]
+
+
+# -- negative seed, oversized integer literal, root-find diagnostics ---------
+
+
+def test_cli_rejects_negative_seed(tmp_path, capsys):
+    raw = minimal_config(grid_n=16)
+    raw["analysis"] = {"seed": -1}
+    with pytest.raises(ts.ValidationError, match="analysis.seed"):
+        ts.config_from_dict(raw)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(minimal_config(grid_n=16)))
+    code = main(["analyze", "--config", str(path), "--out", str(tmp_path), "--seed", "-1"])
+    assert code == 1
+    diagnostic = json.loads(capsys.readouterr().err)
+    assert diagnostic["error"] == "ValidationError"
+    assert "analysis.seed must be non-negative" in diagnostic["message"]
+
+
+def test_cli_rejects_integer_literal_beyond_digit_limit(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(minimal_config(grid_n="BAD")).replace('"BAD"', "2" * 5000))
+    with pytest.raises(ts.ParseError, match="config.json"):
+        ts.load_config(str(path))
+    code = main(["check-kernel", "--config", str(path), "--out", str(tmp_path)])
+    assert code == 1
+    diagnostic = json.loads(capsys.readouterr().err)
+    assert diagnostic["error"] == "ParseError"
+
+
+def test_analyze_reports_root_find_work(tmp_path):
+    config = ts.load_config(str(FIXTURE_DIR / "f3.json"))
+    assert run_command("analyze", config, str(tmp_path)) == 0
+    diagnostics = json.loads((tmp_path / "report.json").read_text())["diagnostics"]
+    assert 0 < diagnostics["bisection_iterations"] <= 20
+    assert diagnostics["ratio_perron_iterations"] >= diagnostics["bisection_iterations"]
+    lo, hi = diagnostics["bisection_bracket"]
+    assert 0.0 < hi - lo <= config.analysis.bisection_tol

@@ -28,6 +28,35 @@ def test_perron_rejects_negative_entries():
         ts.perron(np.array([[1.0, -0.1], [0.0, 1.0]]))
 
 
+def test_perron_start_equal_to_seeded_vector_is_bit_identical():
+    rng = np.random.default_rng(9)
+    mat = rng.uniform(0.1, 1.0, size=(10, 10))
+    seeded = ts.perron(mat, seed=3)
+    started = ts.perron(mat, start=np.random.default_rng(3).uniform(0.5, 1.5, size=10))
+    assert started.rho == seeded.rho
+    assert started.iterations == seeded.iterations
+    assert np.array_equal(started.vector, seeded.vector)
+
+
+def test_perron_row_scale_matches_scaled_matrix():
+    rng = np.random.default_rng(5)
+    mat = rng.uniform(0.1, 1.0, size=(16, 16))
+    scale = rng.uniform(0.5, 2.0, size=16)
+    free = ts.perron(mat, tol=1e-12, scale=scale)
+    dense = ts.perron(scale[:, None] * mat, tol=1e-12)
+    assert free.cw_lower <= free.rho <= free.cw_upper
+    assert abs(free.rho - dense.rho) < 1e-11
+    assert np.allclose(free.vector, dense.vector, atol=1e-9)
+
+
+def test_perron_rejects_non_positive_start_and_scale():
+    mat = np.ones((3, 3))
+    with pytest.raises(ts.NonPositiveVector):
+        ts.perron(mat, start=np.array([1.0, 0.0, 1.0]))
+    with pytest.raises(ts.NegativeEntry):
+        ts.perron(mat, scale=np.array([1.0, 0.0, 1.0]))
+
+
 def test_perron_zero_row_does_not_certify():
     mat = np.array([[0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(ts.NotConverged):

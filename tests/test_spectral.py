@@ -7,6 +7,7 @@ import torspec as ts
 from conftest import (
     make_f1,
     make_f2,
+    make_f3,
     make_f4,
     random_fixture,
     two_level_eigenvalue_oracle,
@@ -82,6 +83,22 @@ def test_bisection_two_level_fixture_against_oracle():
     profile = 1.0 / (result.lam + 1.0 - potential.samples)
     profile /= np.linalg.norm(profile)
     assert np.allclose(result.ground_state, profile, atol=1e-9)
+
+
+def test_root_find_work_count_on_gaussian_step_fixture():
+    # 40 plain bisection steps would be needed for a 1e-12 bracket
+    grid, kernel, potential = make_f3(n=256)
+    result = ts.max_eigenvalue_bisection(kernel, potential, grid)
+    assert result.iterations <= 20
+    assert result.bracket[1] - result.bracket[0] <= 1e-12
+
+
+def test_root_find_stops_at_floating_point_resolution():
+    grid, kernel, potential = make_f1(n=32)
+    result = ts.max_eigenvalue_bisection(kernel, potential, grid, tol=1e-300)
+    lo, hi = result.bracket
+    assert 0.0 < hi - lo <= 4 * np.spacing(abs(lo))
+    assert abs(result.lam + 0.3) < 1e-12
 
 
 def test_bisection_zero_potential_modes():
