@@ -55,7 +55,6 @@ from .kernels import (
     kernel_stats,
     modulated_convolution,
     potential_from_csv,
-    potential_from_function,
     step_potential,
     tail_mass,
     tophat_kernel,

@@ -35,7 +35,6 @@ from .kernels import (
     PotentialDiagnostics,
     WoundKernel,
     check_potential,
-    jump_rate,
     kernel_stats,
 )
 from .spectral import SpectrumReport, analyze, max_eigenvalue_shifted_power
@@ -128,7 +127,7 @@ def _run_evolve(config: RunConfig, model: _Model, out_dir: str) -> tuple[str, di
 
 
 def _run_check_kernel(config: RunConfig, model: _Model, out_dir: str) -> tuple[str, dict, int]:
-    rates = jump_rate(model.kernel)
+    rates = model.kernel.w
     stats_section = None
     error_section = None
     code = 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -36,23 +36,36 @@ from .kernels import (
 )
 from .spectral import AnalysisOptions
 
+# Each family's parameters with their defaults; None marks a required key.
 KERNEL_FAMILIES = {
-    "constant": {"value"},
-    "tophat": {"width"},
-    "gaussian": {"sigma"},
-    "exponential": {"scale"},
-    "sine": {"amplitude"},
-    "modulated": {"base", "epsilon"},
-    "csv": {"path"},
+    "constant": {"value": 1.0},
+    "tophat": {"width": 1.0},
+    "gaussian": {"sigma": 0.2},
+    "exponential": {"scale": 0.2},
+    "sine": {"amplitude": 0.5},
+    "modulated": {"base": None, "epsilon": 0.2},
+    "csv": {"path": None},
 }
 CONVOLUTION_FAMILIES = {"constant", "tophat", "gaussian", "exponential", "sine"}
 
 POTENTIAL_FAMILIES = {
-    "constant": {"depth"},
-    "step": {"depth", "width"},
-    "cosine": {"depth"},
-    "zero": set(),
-    "csv": {"path"},
+    "constant": {"depth": 1.0},
+    "step": {"depth": 1.0, "width": 0.5},
+    "cosine": {"depth": 1.0},
+    "zero": {},
+    "csv": {"path": None},
+}
+
+# Admissible values of each numeric family parameter.
+_RANGES = {
+    "kernel.value": (lambda x: x > 0, "must be positive"),
+    "kernel.width": (lambda x: x > 0, "must be positive"),
+    "kernel.sigma": (lambda x: x > 0, "must be positive"),
+    "kernel.scale": (lambda x: x > 0, "must be positive"),
+    "kernel.amplitude": (lambda x: abs(x) <= 1, "must lie in [-1, 1]"),
+    "kernel.epsilon": (lambda x: -1.0 < x < 1.0, "must lie in (-1, 1)"),
+    "potential.depth": (lambda x: x >= 0, "must be nonnegative"),
+    "potential.width": (lambda x: 0.0 < x <= 1.0, "must lie in (0, 1]"),
 }
 
 
@@ -60,7 +73,7 @@ POTENTIAL_FAMILIES = {
 class EvolutionSettings:
     t_max: float | None = None
     dt: float | None = None
-    method: str = "rk4"
+    method: str = field(default="rk4", metadata={"choices": ("rk4", "eigenexpansion")})
 
 
 @dataclass(frozen=True)
@@ -92,7 +105,7 @@ class RunConfig:
         family = self.kernel["family"]
         if family == "modulated":
             base = self._build_wound(grid, self.kernel["base"])
-            eps = float(self.kernel["epsilon"])
+            eps = self.kernel["epsilon"]
 
             def mu(x, y):
                 phase = 2.0 * np.pi * (x + y)
@@ -100,32 +113,24 @@ class RunConfig:
 
             return None, modulated_convolution(base, grid, mu)
         if family == "csv":
-            return None, kernel_from_csv(self._resolve(self.kernel["path"]), grid)
+            return None, kernel_from_csv(_resolve(self.base_dir, self.kernel["path"]), grid)
         assert wound is not None
         return wound, convolution_kernel(wound, grid)
 
     def _build_wound(self, grid: TorusGrid, spec: dict) -> WoundKernel | None:
         family = spec["family"]
         if family == "constant":
-            value = float(spec.get("value", 1.0))
+            value = spec["value"]
             return wound_from_function(lambda mesh: np.full(mesh.shape[:-1], value), grid)
+        d, tol = grid.dimension, self.wind_tail_tol
         if family == "tophat":
-            return wind_kernel(
-                tophat_kernel(grid.dimension, float(spec.get("width", 1.0))),
-                grid.n, self.wind_tail_tol,
-            )
+            return wind_kernel(tophat_kernel(d, spec["width"]), grid.n, tol)
         if family == "gaussian":
-            return wind_kernel(
-                gaussian_kernel(grid.dimension, float(spec.get("sigma", 0.2))),
-                grid.n, self.wind_tail_tol,
-            )
+            return wind_kernel(gaussian_kernel(d, spec["sigma"]), grid.n, tol)
         if family == "exponential":
-            return wind_kernel(
-                exponential_kernel(grid.dimension, float(spec.get("scale", 0.2))),
-                grid.n, self.wind_tail_tol,
-            )
+            return wind_kernel(exponential_kernel(d, spec["scale"]), grid.n, tol)
         if family == "sine":
-            amp = float(spec.get("amplitude", 0.5))
+            amp = spec["amplitude"]
             return wound_from_function(
                 lambda mesh: 1.0 + amp * np.sin(2.0 * np.pi * mesh[..., 0]), grid
             )
@@ -135,17 +140,14 @@ class RunConfig:
         spec = self.potential
         family = spec["family"]
         if family == "constant":
-            return constant_potential(grid, float(spec.get("depth", 1.0)))
+            return constant_potential(grid, spec["depth"])
         if family == "step":
-            return step_potential(grid, float(spec.get("depth", 1.0)), float(spec.get("width", 0.5)))
+            return step_potential(grid, spec["depth"], spec["width"])
         if family == "cosine":
-            return cosine_potential(grid, float(spec.get("depth", 1.0)))
+            return cosine_potential(grid, spec["depth"])
         if family == "zero":
             return zero_potential(grid)
-        return potential_from_csv(self._resolve(spec["path"]), grid)
-
-    def _resolve(self, path: str) -> str:
-        return path if os.path.isabs(path) else os.path.join(self.base_dir, path)
+        return potential_from_csv(_resolve(self.base_dir, spec["path"]), grid)
 
     def echo(self) -> dict:
         """Config with defaults filled; itself a valid config dict."""
@@ -199,83 +201,74 @@ def _integer(raw: dict, key: str, context: str, default=None):
     return int(value)
 
 
-def _kernel_spec(raw, problems: list) -> dict:
-    spec = _require_mapping(raw, "kernel")
-    family = spec.get("family")
-    if not isinstance(family, str) or family not in KERNEL_FAMILIES:
-        raise ParseError(
-            f"kernel.family must be one of {sorted(KERNEL_FAMILIES)}, got {family!r}"
-        )
-    _check_keys(spec, KERNEL_FAMILIES[family] | {"family"}, f"kernel ({family})")
-    out = {"family": family}
-    if family == "constant":
-        out["value"] = _number(spec, "value", "kernel", 1.0)
-        if out["value"] <= 0:
-            problems.append("kernel.value must be positive")
-    elif family == "tophat":
-        out["width"] = _number(spec, "width", "kernel", 1.0)
-        if out["width"] <= 0:
-            problems.append("kernel.width must be positive")
-    elif family == "gaussian":
-        out["sigma"] = _number(spec, "sigma", "kernel", 0.2)
-        if out["sigma"] <= 0:
-            problems.append("kernel.sigma must be positive")
-    elif family == "exponential":
-        out["scale"] = _number(spec, "scale", "kernel", 0.2)
-        if out["scale"] <= 0:
-            problems.append("kernel.scale must be positive")
-    elif family == "sine":
-        out["amplitude"] = _number(spec, "amplitude", "kernel", 0.5)
-        if abs(out["amplitude"]) > 1:
-            problems.append("kernel.amplitude must lie in [-1, 1]")
-    elif family == "modulated":
-        if "base" not in spec:
-            raise ParseError("kernel.base is required for the modulated family")
-        base = _kernel_spec(spec["base"], problems)
-        if base["family"] not in CONVOLUTION_FAMILIES:
-            problems.append("kernel.base must be a convolution-form family")
-        out["base"] = base
-        out["epsilon"] = _number(spec, "epsilon", "kernel", 0.2)
-        if not -1.0 < out["epsilon"] < 1.0:
-            problems.append("kernel.epsilon must lie in (-1, 1)")
-    elif family == "csv":
-        path = spec.get("path")
-        if not isinstance(path, str):
-            raise ParseError("kernel.path must be a string")
-        out["path"] = path
-    return out
+def _boolean(raw: dict, key: str, context: str):
+    value = raw[key]
+    if not isinstance(value, bool):
+        raise ParseError(f"{context}.{key} must be a boolean")
+    return value
 
 
-def _potential_spec(raw, problems: list) -> dict:
-    spec = _require_mapping(raw, "potential")
-    family = spec.get("family")
-    if not isinstance(family, str) or family not in POTENTIAL_FAMILIES:
-        raise ParseError(
-            f"potential.family must be one of {sorted(POTENTIAL_FAMILIES)}, got {family!r}"
-        )
-    _check_keys(spec, POTENTIAL_FAMILIES[family] | {"family"}, f"potential ({family})")
-    out = {"family": family}
-    if family in ("constant", "step", "cosine"):
-        out["depth"] = _number(spec, "depth", "potential", 1.0)
-        if out["depth"] < 0:
-            problems.append("potential.depth must be nonnegative")
-    if family == "step":
-        out["width"] = _number(spec, "width", "potential", 0.5)
-        if not 0.0 < out["width"] <= 1.0:
-            problems.append("potential.width must lie in (0, 1]")
-    if family == "csv":
-        path = spec.get("path")
-        if not isinstance(path, str):
-            raise ParseError("potential.path must be a string")
-        out["path"] = path
-    return out
+def _string(raw: dict, key: str, context: str):
+    value = raw.get(key)
+    if not isinstance(value, str):
+        raise ParseError(f"{context}.{key} must be a string")
+    return value
 
 
-_ANALYSIS_KEYS = {
-    "power_tol", "max_iter", "seed", "bisection_tol", "cross_tol",
-    "primitivity_max_power", "residual_tol", "spectrum_order_cap",
-    "diagnostic", "wind_tail_tol",
+_READERS = {
+    "float": _number, "float | None": _number, "int": _integer, "bool": _boolean, "str": _string,
 }
+
+
+def _settings(cls, raw, context: str, extra: set = frozenset()):
+    """Settings dataclass ``cls`` from a JSON object; the fields of ``cls``
+    name the keys (besides ``extra``), and give their types and defaults."""
+    raw = _require_mapping(raw, context)
+    _check_keys(raw, {f.name for f in fields(cls)} | extra, context)
+    values = {}
+    for f in fields(cls):
+        if f.name not in raw:
+            continue
+        choices = f.metadata.get("choices")
+        if choices is None:
+            values[f.name] = _READERS[f.type](raw, f.name, context)
+        elif raw[f.name] in choices:
+            values[f.name] = raw[f.name]
+        else:
+            raise ParseError(f"{context}.{f.name} must be {' or '.join(map(repr, choices))}")
+    return cls(**values)
+
+
+def _family_spec(raw, context: str, families: dict, problems: list) -> dict:
+    """Family parameters with defaults filled; range violations go to ``problems``."""
+    spec = _require_mapping(raw, context)
+    family = spec.get("family")
+    if not isinstance(family, str) or family not in families:
+        raise ParseError(
+            f"{context}.family must be one of {sorted(families)}, got {family!r}"
+        )
+    _check_keys(spec, families[family].keys() | {"family"}, f"{context} ({family})")
+    out = {"family": family}
+    for key, default in families[family].items():
+        name = f"{context}.{key}"
+        if key == "path":
+            out[key] = _string(spec, key, context)
+        elif key == "base":
+            if "base" not in spec:
+                raise ParseError("kernel.base is required for the modulated family")
+            out[key] = _family_spec(spec["base"], "kernel", KERNEL_FAMILIES, problems)
+            if out[key]["family"] not in CONVOLUTION_FAMILIES:
+                problems.append("kernel.base must be a convolution-form family")
+        else:
+            out[key] = _number(spec, key, context, default)
+            admissible, requirement = _RANGES[name]
+            if not admissible(out[key]):
+                problems.append(f"{name} {requirement}")
+    return out
+
+
+def _resolve(base_dir: str, path: str) -> str:
+    return path if os.path.isabs(path) else os.path.join(base_dir, path)
 
 
 def config_from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
@@ -303,26 +296,15 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
         raise ParseError("config.kernel is required")
     if "potential" not in raw:
         raise ParseError("config.potential is required")
-    kernel = _kernel_spec(raw["kernel"], problems)
-    potential = _potential_spec(raw["potential"], problems)
+    try:
+        kernel = _family_spec(raw["kernel"], "kernel", KERNEL_FAMILIES, problems)
+        potential = _family_spec(raw["potential"], "potential", POTENTIAL_FAMILIES, problems)
+    except RecursionError:  # a modulated base nested, or a value too deep to print
+        raise ParseError("kernel or potential nests too deeply") from None
 
-    analysis_raw = _require_mapping(raw.get("analysis", {}), "analysis")
-    _check_keys(analysis_raw, _ANALYSIS_KEYS, "analysis")
-    wind_tail_tol = _number(analysis_raw, "wind_tail_tol", "analysis", 1e-12)
-    diagnostic = analysis_raw.get("diagnostic", False)
-    if not isinstance(diagnostic, bool):
-        raise ParseError("analysis.diagnostic must be a boolean")
-    options = AnalysisOptions(
-        power_tol=_number(analysis_raw, "power_tol", "analysis", 1e-11),
-        max_iter=_integer(analysis_raw, "max_iter", "analysis", 100_000),
-        seed=_integer(analysis_raw, "seed", "analysis", 0),
-        bisection_tol=_number(analysis_raw, "bisection_tol", "analysis", 1e-12),
-        cross_tol=_number(analysis_raw, "cross_tol", "analysis", 1e-7),
-        primitivity_max_power=_integer(analysis_raw, "primitivity_max_power", "analysis", 16),
-        residual_tol=_number(analysis_raw, "residual_tol", "analysis", 1e-8),
-        spectrum_order_cap=_integer(analysis_raw, "spectrum_order_cap", "analysis", 4096),
-        diagnostic=diagnostic,
-    )
+    analysis_raw = raw.get("analysis", {})
+    options = _settings(AnalysisOptions, analysis_raw, "analysis", {"wind_tail_tol"})
+    wind_tail_tol = _number(analysis_raw, "wind_tail_tol", "analysis", RunConfig.wind_tail_tol)
     for name in ("power_tol", "bisection_tol", "cross_tol", "residual_tol"):
         if getattr(options, name) <= 0:
             problems.append(f"analysis.{name} must be positive")
@@ -339,33 +321,17 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
     if wind_tail_tol <= 0:
         problems.append("analysis.wind_tail_tol must be positive")
 
-    evolution_raw = _require_mapping(raw.get("evolution", {}), "evolution")
-    _check_keys(evolution_raw, {"t_max", "dt", "method"}, "evolution")
-    method = evolution_raw.get("method", "rk4")
-    if method not in ("rk4", "eigenexpansion"):
-        raise ParseError("evolution.method must be 'rk4' or 'eigenexpansion'")
-    evolution = EvolutionSettings(
-        t_max=_number(evolution_raw, "t_max", "evolution"),
-        dt=_number(evolution_raw, "dt", "evolution"),
-        method=method,
-    )
+    evolution = _settings(EvolutionSettings, raw.get("evolution", {}), "evolution")
     if evolution.t_max is not None and evolution.t_max <= 0:
         problems.append("evolution.t_max must be positive")
     if evolution.dt is not None and evolution.dt <= 0:
         problems.append("evolution.dt must be positive")
 
-    output_raw = _require_mapping(raw.get("output", {}), "output")
-    _check_keys(output_raw, {"directory"}, "output")
-    directory = output_raw.get("directory", ".")
-    if not isinstance(directory, str):
-        raise ParseError("output.directory must be a string")
+    output = _settings(OutputSettings, raw.get("output", {}), "output")
 
     for spec, label in ((kernel, "kernel"), (potential, "potential")):
-        if spec.get("family") == "csv":
-            path = spec["path"]
-            full = path if os.path.isabs(path) else os.path.join(base_dir, path)
-            if not os.path.isfile(full):
-                problems.append(f"{label}.path does not exist: {path}")
+        if spec["family"] == "csv" and not os.path.isfile(_resolve(base_dir, spec["path"])):
+            problems.append(f"{label}.path does not exist: {spec['path']}")
 
     if problems:
         raise ValidationError("; ".join(problems))
@@ -377,7 +343,7 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
         analysis=options,
         wind_tail_tol=wind_tail_tol,
         evolution=evolution,
-        output=OutputSettings(directory=directory),
+        output=output,
         base_dir=base_dir,
     )
 
@@ -395,4 +361,6 @@ def load_config(path: str) -> RunConfig:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # an integer literal beyond the int-conversion digit limit
         raise ParseError(f"{path}: {exc}") from exc
+    except RecursionError:
+        raise ParseError(f"{path}: arrays or objects nest too deeply") from None
     return config_from_dict(raw, base_dir=os.path.dirname(os.path.abspath(path)))

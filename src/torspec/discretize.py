@@ -5,7 +5,8 @@ of a generator carries V(x_i) minus the serial sum of the off-diagonal row.
 The kernel's own diagonal sample never enters, mirroring the difference
 structure b(x,y)(u(y) - u(x)) where it cancels identically.  With the
 matching serial reduction in ``apply`` the assembled generator annihilates
-constant vectors exactly, not merely to roundoff.
+constant vectors exactly, not merely to roundoff.  Every assembly reads the
+kernel's jump rate W from ``GenericKernel.w``; none recomputes it.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, GridMismatch, MuBelowEdge
+from .errors import DimensionMismatch, MuBelowEdge
 from .grid import TorusGrid
-from .kernels import GenericKernel, Potential, WoundKernel, jump_rate, serial_row_sums
+from .kernels import GenericKernel, Potential, WoundKernel, serial_row_sums
 
 MU_EDGE_MARGIN = 1e-12
 
@@ -33,7 +34,6 @@ class OperatorMatrix:
     data: np.ndarray
     role: str
     grid: TorusGrid
-    shift: float = 0.0
     edge_sup: float | None = None
 
     def __post_init__(self) -> None:
@@ -63,7 +63,8 @@ class OperatorMatrix:
         """Matrix-vector product with serial per-row reduction.
 
         Off-diagonal terms accumulate left to right, the diagonal term is
-        added last; this matches the assembly-time row sums bit for bit.
+        added last; this matches the assembly-time row sums bit for bit, so
+        a generator with V = 0 maps constants to exact zeros.
         """
         u = np.asarray(u, dtype=float).ravel()
         if u.size != self.order:
@@ -74,49 +75,44 @@ class OperatorMatrix:
         return serial_row_sums(off * u[None, :]) + diag * u
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
-        """Fast BLAS product for inner iteration loops (still deterministic)."""
+        """BLAS product for the RK4 and residual loops.
+
+        Far cheaper than ``apply`` and deterministic for a fixed numpy/BLAS
+        build and thread count, but the summation order is BLAS's own, so
+        constants map to roundoff rather than exact zeros; that exactness is
+        why ``apply`` remains as a second product.
+        """
         return self.data @ u
 
     def transpose(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.data.T.copy(), self.role, self.grid, self.shift, self.edge_sup)
+        return OperatorMatrix(self.data.T.copy(), self.role, self.grid, self.edge_sup)
 
     def shifted(self, k: float) -> "OperatorMatrix":
-        """Add k to the diagonal, tracking the accumulated shift."""
+        """Add k to the diagonal."""
         data = self.data.copy()
         np.fill_diagonal(data, np.diagonal(data) + k)
-        return OperatorMatrix(data, "custom", self.grid, self.shift + k)
-
-
-def _check_pair(b, potential: Potential | None, grid: TorusGrid) -> None:
-    for obj in (b, potential):
-        if obj is None:
-            continue
-        if obj.dimension != grid.dimension or obj.n != grid.n:
-            raise GridMismatch(
-                f"operand with d={obj.dimension}, n={obj.n} against grid d={grid.dimension}, n={grid.n}"
-            )
+        return OperatorMatrix(data, "custom", self.grid)
 
 
 def assemble_B(b: GenericKernel, grid: TorusGrid) -> OperatorMatrix:
     """Kernel part alone: (Bu)(x_i) = h^d sum_j b(x_i, y_j) u(y_j)."""
-    _check_pair(b, None, grid)
+    grid.require_match(b)
     return OperatorMatrix(grid.weight * b.samples, "B", grid)
 
 
 def assemble_generator(b: GenericKernel, potential: Potential, grid: TorusGrid) -> OperatorMatrix:
     """Jump generator: kernel part plus (V - W) on the diagonal."""
-    _check_pair(b, potential, grid)
-    w = jump_rate(b)
+    grid.require_match(b, potential)
     data = grid.weight * b.samples
     np.fill_diagonal(data, 0.0)
     np.fill_diagonal(data, potential.samples - serial_row_sums(data))
-    return OperatorMatrix(data, "M", grid, edge_sup=float((w - potential.samples).max()))
+    return OperatorMatrix(data, "M", grid, edge_sup=float((b.w - potential.samples).max()))
 
 
 def shift_denominator(b: GenericKernel, potential: Potential, grid: TorusGrid) -> np.ndarray:
     """Row denominator U + W of the ratio operator at zero shift, U = -V."""
-    _check_pair(b, potential, grid)
-    return jump_rate(b) - potential.samples
+    grid.require_match(b, potential)
+    return b.w - potential.samples
 
 
 def check_shift(mu: float, denominator: np.ndarray) -> None:
@@ -142,7 +138,7 @@ def assemble_birman_schwinger(
     denom = shift_denominator(b, potential, grid)
     check_shift(mu, denom)
     samples = b.samples.T if adjoint else b.samples
-    return OperatorMatrix(grid.weight * samples / (denom + mu)[:, None], "Q", grid, shift=mu)
+    return OperatorMatrix(grid.weight * samples / (denom + mu)[:, None], "Q", grid)
 
 
 # ---------------------------------------------------------------------------

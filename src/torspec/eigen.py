@@ -12,7 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeEntry, NonPositiveVector, NotConverged, QRNotConverged
+from .errors import (
+    DimensionMismatch,
+    NegativeEntry,
+    NonPositiveVector,
+    NotConverged,
+    QRNotConverged,
+)
 
 SPECTRUM_ORDER_CAP = 4096
 
@@ -109,7 +115,7 @@ def full_spectrum(mat, order_cap: int = SPECTRUM_ORDER_CAP) -> np.ndarray:
     """
     a = _as_array(mat)
     if a.shape[0] > order_cap:
-        raise ValueError(f"matrix order {a.shape[0]} exceeds the cap {order_cap}")
+        raise DimensionMismatch(f"matrix order {a.shape[0]} exceeds the cap {order_cap}")
     try:
         values = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:

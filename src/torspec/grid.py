@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import GridMismatch
+
 
 @dataclass(frozen=True)
 class TorusGrid:
@@ -24,6 +26,15 @@ class TorusGrid:
             raise ValueError("only dimensions 1 and 2 are supported")
         if self.n < 2:
             raise ValueError("grid resolution must be at least 2")
+
+    def require_match(self, *operands) -> None:
+        """Raise GridMismatch unless every operand is sampled on this grid."""
+        for obj in operands:
+            if obj.dimension != self.dimension or obj.n != self.n:
+                raise GridMismatch(
+                    f"operand sampled at d={obj.dimension}, n={obj.n}; "
+                    f"grid has d={self.dimension}, n={self.n}"
+                )
 
     @property
     def h(self) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from itertools import product
 from typing import Callable
 
@@ -38,6 +38,19 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 def serial_row_sums(a: np.ndarray) -> np.ndarray:
     """Left-to-right serial sum along the last axis (deterministic order)."""
     return np.cumsum(a, axis=-1)[..., -1]
+
+
+def _peak_density(base: float, exponent: float, tag: str) -> float:
+    """Normalization base**exponent of a kernel density on R^d.
+
+    A width so narrow that the peak leaves the float range raises
+    DegenerateKernel: on any grid such a kernel is a point mass, whose jump
+    part vanishes.
+    """
+    try:
+        return base**exponent
+    except (OverflowError, ZeroDivisionError):  # base underflowed to zero, or a huge peak
+        raise DegenerateKernel(f"{tag} kernel too narrow: its peak density overflows") from None
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +83,7 @@ def tophat_kernel(dimension: int = 1, width: float = 1.0) -> ContinuousKernel:
     """
     if width <= 0:
         raise ValueError("width must be positive")
-    value = (2.0 * width) ** (-dimension)
+    value = _peak_density(2.0 * width, -dimension, "tophat")
 
     def evaluate(pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
@@ -87,7 +100,7 @@ def gaussian_kernel(dimension: int = 1, sigma: float = 0.2) -> ContinuousKernel:
     """Product Gaussian density with per-axis standard deviation sigma."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    norm = (2.0 * math.pi * sigma**2) ** (-dimension / 2.0)
+    norm = _peak_density(2.0 * math.pi * sigma**2, -dimension / 2.0, "gaussian")
 
     def evaluate(pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
@@ -105,7 +118,7 @@ def exponential_kernel(dimension: int = 1, scale: float = 0.2) -> ContinuousKern
     """Product Laplace density with per-axis scale parameter."""
     if scale <= 0:
         raise ValueError("scale must be positive")
-    norm = (2.0 * scale) ** (-dimension)
+    norm = _peak_density(2.0 * scale, -dimension, "exponential")
 
     def evaluate(pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
@@ -190,13 +203,15 @@ class GenericKernel:
     """Two-point kernel b(x, y) on the tensor grid as an (n^d, n^d) array.
 
     Row index is the x node, column index the y node, both in the grid's
-    row-major node order.
+    row-major node order.  ``w`` is the jump-rate field W (``jump_rate``),
+    evaluated once at construction and read by every consumer.
     """
 
     dimension: int
     n: int
     samples: np.ndarray
     tag: str = "custom-tabulated"
+    w: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         samples = _freeze(np.asarray(self.samples, dtype=float))
@@ -208,6 +223,7 @@ class GenericKernel:
             raise DegenerateKernel("kernel samples must be nonnegative")
         if not np.any(samples > 0):
             raise DegenerateKernel("kernel is identically zero")
+        object.__setattr__(self, "w", _freeze(jump_rate(self)))
 
     @property
     def weight(self) -> float:
@@ -237,7 +253,7 @@ def displacement_index(grid: TorusGrid) -> tuple[np.ndarray, ...]:
 
 def convolution_kernel(wound: WoundKernel, grid: TorusGrid) -> GenericKernel:
     """Generic form b(x, y) = a(x - y) of a convolution kernel."""
-    _require_same_grid(wound, grid)
+    grid.require_match(wound)
     samples = wound.samples[displacement_index(grid)]
     return GenericKernel(grid.dimension, grid.n, samples, "modulated_convolution")
 
@@ -248,7 +264,7 @@ def modulated_convolution(
     modulation: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> GenericKernel:
     """b(x, y) = a(x - y) * mu(x, y) for a positive symmetric modulation mu."""
-    _require_same_grid(wound, grid)
+    grid.require_match(wound)
     base = wound.samples[displacement_index(grid)]
     coords = grid.coordinates()
     mu = np.asarray(modulation(coords[:, None, :], coords[None, :, :]), dtype=float)
@@ -259,15 +275,6 @@ def modulated_convolution(
     if not np.allclose(mu, mu.T, rtol=0.0, atol=1e-12):
         raise ValueError("modulation must be symmetric in (x, y)")
     return GenericKernel(grid.dimension, grid.n, base * mu, "modulated_convolution")
-
-
-def _require_same_grid(obj, grid: TorusGrid) -> None:
-    if obj.dimension != grid.dimension or obj.n != grid.n:
-        from .errors import GridMismatch
-
-        raise GridMismatch(
-            f"object sampled at d={obj.dimension}, n={obj.n}; grid has d={grid.dimension}, n={grid.n}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +302,6 @@ class Potential:
     @property
     def fraction_negative(self) -> float:
         return float(np.count_nonzero(self.samples < 0)) / self.samples.size
-
-
-def potential_from_function(f: Callable[[np.ndarray], np.ndarray], grid: TorusGrid) -> Potential:
-    values = np.asarray(f(grid.coordinates()), dtype=float).ravel()
-    return Potential(grid.dimension, grid.n, values)
 
 
 def constant_potential(grid: TorusGrid, depth: float) -> Potential:
@@ -365,8 +367,8 @@ def check_potential(potential: Potential) -> PotentialDiagnostics:
 def jump_rate(b: GenericKernel) -> np.ndarray:
     """Row quadrature of the kernel: W(x_i) = h^d * sum_j b(x_i, y_j).
 
-    Uses a serial per-row reduction; operator assembly reuses the same
-    quadrature so that the assembled generator annihilates constants.
+    Uses a serial per-row reduction.  ``GenericKernel`` calls this once at
+    construction and keeps the result as ``w``; read that field instead.
     """
     return serial_row_sums(b.samples * b.weight)
 
@@ -396,7 +398,7 @@ def kernel_stats(b: GenericKernel, n_max: int = 16) -> KernelStats:
     Raises DegenerateKernel when some row integral vanishes, NotPrimitive
     when no power up to ``n_max`` is entrywise positive at this resolution.
     """
-    rows = jump_rate(b)
+    rows = b.w
     cols = serial_row_sums(b.samples.T * b.weight)
     gamma1 = float(rows.min())
     if gamma1 <= 0:

@@ -23,7 +23,7 @@ from .discretize import (
     check_shift,
     shift_denominator,
 )
-from .eigen import PerronResult, full_spectrum, perron
+from .eigen import SPECTRUM_ORDER_CAP, PerronResult, full_spectrum, perron
 from .errors import (
     BracketFailure,
     DegenerateKernel,
@@ -33,13 +33,7 @@ from .errors import (
     NotConverged,
 )
 from .grid import TorusGrid
-from .kernels import (
-    GenericKernel,
-    Potential,
-    check_potential,
-    jump_rate,
-    kernel_stats,
-)
+from .kernels import GenericKernel, Potential, check_potential, kernel_stats
 
 
 @dataclass(frozen=True)
@@ -84,7 +78,7 @@ class AnalysisOptions:
     cross_tol: float = 1e-7
     primitivity_max_power: int = 16
     residual_tol: float = 1e-8
-    spectrum_order_cap: int = 4096
+    spectrum_order_cap: int = SPECTRUM_ORDER_CAP
     diagnostic: bool = False
 
 
@@ -335,8 +329,7 @@ def analyze(
     """
     pot_diag = check_potential(potential)
     stats = kernel_stats(b, options.primitivity_max_power)
-    w = jump_rate(b)
-    essential = essential_spectrum(potential, w)
+    essential = essential_spectrum(potential, b.w)
     eligible = pot_diag.eligible
     if not eligible and not options.diagnostic:
         raise IneligiblePotential(

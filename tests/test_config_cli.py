@@ -5,13 +5,17 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torspec as ts
 from torspec import jsonio
 from torspec.cli import main, run_command
+from torspec.config import EvolutionSettings, OutputSettings, RunConfig
 from conftest import FIXTURE_DIR, REPO_ROOT
 
 
@@ -406,3 +410,131 @@ def test_analyze_reports_root_find_work(tmp_path):
     assert diagnostics["ratio_perron_iterations"] >= diagnostics["bisection_iterations"]
     lo, hi = diagnostics["bisection_bracket"]
     assert 0.0 < hi - lo <= config.analysis.bisection_tol
+
+
+# -- degenerate widths, runaway RK4 runs, deep nesting, config fuzzing -------
+
+
+@pytest.mark.parametrize("command", ["analyze", "bound", "evolve", "check-kernel"])
+@pytest.mark.parametrize("kernel", [
+    {"family": "gaussian", "sigma": 1e-300},
+    {"family": "modulated", "base": {"family": "gaussian", "sigma": 1e-300}},
+], ids=["gaussian", "modulated-base"])
+def test_cli_kernel_too_narrow_is_hypothesis_error(command, kernel, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(minimal_config(grid_n=16, kernel=kernel)))
+    code = main([command, "--config", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "DegenerateKernel"
+    assert diagnostic["exit_code"] == 2
+
+
+@pytest.mark.parametrize("kernel, evolution", [
+    ({"family": "constant"}, {"dt": 1e-300}),
+    ({"family": "constant"}, {"t_max": 1e308}),
+    ({"family": "exponential", "scale": 1e-300}, {}),
+    ({"family": "tophat", "width": 1e-300}, {}),
+], ids=["dt", "t_max", "exponential", "tophat"])
+def test_cli_evolve_refuses_runaway_substep_count(kernel, evolution, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(minimal_config(grid_n=16, kernel=kernel, evolution=evolution)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "torspec", "evolve", "--config", str(path), "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 3
+    assert json.loads(proc.stderr.splitlines()[-1])["error"] == "NotConverged"
+
+
+def test_deeply_nested_config_is_config_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    with pytest.raises(ts.ParseError, match="deep.json"):
+        ts.load_config(str(path))
+    assert main(["analyze", "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+    spec = {"family": "constant"}
+    for _ in range(5000):
+        spec = {"family": "modulated", "base": spec}
+    with pytest.raises(ts.ConfigError):
+        ts.config_from_dict(minimal_config(kernel=spec))
+
+
+def test_minimal_config_yields_default_settings():
+    config = ts.config_from_dict(minimal_config())
+    assert config.analysis == ts.AnalysisOptions()
+    assert config.evolution == EvolutionSettings()
+    assert config.output == OutputSettings()
+    assert config.wind_tail_tol == RunConfig.wind_tail_tol
+    assert config.kernel == {"family": "constant", "value": 1.0}
+    assert config.potential == {"family": "step", "depth": 1.0, "width": 0.5}
+
+
+def _fuzz_bases():
+    """One config per kernel and per potential family, every key written out."""
+    kernels = [
+        {"family": "constant", "value": 1.0},
+        {"family": "tophat", "width": 0.25},
+        {"family": "gaussian", "sigma": 0.2},
+        {"family": "exponential", "scale": 0.2},
+        {"family": "sine", "amplitude": 0.5},
+        {"family": "modulated", "base": {"family": "gaussian", "sigma": 0.2}, "epsilon": 0.2},
+        {"family": "csv", "path": "table.csv"},
+    ]
+    potentials = [
+        {"family": "constant", "depth": 1.0},
+        {"family": "step", "depth": 1.0, "width": 0.5},
+        {"family": "cosine", "depth": 1.0},
+        {"family": "zero"},
+        {"family": "csv", "path": "table.csv"},
+    ]
+    configs = [minimal_config(grid_n=8, kernel=k) for k in kernels]
+    configs += [minimal_config(grid_n=8, potential=p) for p in potentials]
+    for config in configs:
+        config["analysis"] = {**asdict(ts.AnalysisOptions()), "wind_tail_tol": 1e-12}
+        config["evolution"] = {"t_max": 1.0, "dt": 0.01, "method": "rk4"}
+        config["output"] = {"directory": "."}
+    return configs
+
+
+def _key_paths(value, prefix=()):
+    yield prefix
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _key_paths(child, prefix + (key,))
+
+
+_FUZZ_CASES = [(config, path) for config in _fuzz_bases() for path in _key_paths(config)]
+_FUZZ_KEYS = sorted({path[-1] for _, path in _FUZZ_CASES if path})
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_FUZZ_CASES), _JSON_VALUES, st.sampled_from(_FUZZ_KEYS), st.booleans())
+def test_config_fuzz_gives_run_config_or_config_error(case, value, extra_key, add_key):
+    """Random JSON at any key, optionally also under a second, known key name."""
+    config, path = case
+    raw = json.loads(json.dumps(config))
+    if not path:
+        raw = value
+    else:
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        if add_key and isinstance(parent, dict):
+            parent.setdefault(extra_key, value)
+    try:
+        result = ts.config_from_dict(raw)
+    except ts.ConfigError:
+        return
+    assert isinstance(result, ts.RunConfig)

@@ -222,3 +222,18 @@ def test_edge_sup_metadata():
     grid, kernel, potential = make_f2(n=16)
     gen = ts.assemble_generator(kernel, potential, grid)
     assert abs(gen.edge_sup - 2.0) < 1e-14
+
+
+def test_grid_mismatch_reported_alike_by_kernels_and_assembly():
+    grid, kernel, potential = make_f1(n=16)
+    other = ts.TorusGrid(1, 32)
+    messages = set()
+    for build in (
+        lambda: ts.convolution_kernel(sine_wound(grid), other),
+        lambda: ts.assemble_B(kernel, other),
+        lambda: ts.assemble_birman_schwinger(kernel, potential, 0.0, other),
+    ):
+        with pytest.raises(ts.GridMismatch) as err:
+            build()
+        messages.add(str(err.value))
+    assert messages == {"operand sampled at d=1, n=16; grid has d=1, n=32"}

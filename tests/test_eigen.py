@@ -168,7 +168,7 @@ def test_full_spectrum_transpose_same_multiset():
 
 
 def test_full_spectrum_order_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ts.DimensionMismatch, match="exceeds the cap"):
         ts.full_spectrum(np.eye(10), order_cap=5)
 
 

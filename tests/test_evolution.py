@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import torspec as ts
+from torspec.evolution import RK4_SUBSTEP_CAP
 from conftest import make_f1, make_f2, two_level_eigenvalue_oracle
 
 
@@ -151,3 +152,21 @@ def test_default_step_from_edge_metadata():
     trace = ts.evolve(gen, np.ones(32), t_max=2.0)
     assert trace.times[0] == 0.0 and trace.times[-1] == 2.0
     assert len(trace.times) == 200
+
+
+def test_fit_window_with_one_snapshot_is_nan():
+    times = np.linspace(0.0, 4.0, 5)
+    trace = ts.EvolutionTrace(times, np.ones(5), np.ones(5), np.ones(5), 0.0, (0.0, 4.0), 1.0)
+    assert np.isnan(ts.fit_decay_rate(trace, (0.5, 1.5)))
+    assert np.isnan(ts.fit_decay_rate(trace, (1.2, 1.8)))
+
+
+def test_evolve_refuses_more_rk4_substeps_than_the_cap():
+    grid, kernel, potential = make_f1(n=16)
+    gen = ts.assemble_generator(kernel, potential, grid)
+    with pytest.raises(ts.NotConverged, match="substeps"):
+        ts.evolve(gen, np.ones(16), t_max=1.0, dt=0.5 / RK4_SUBSTEP_CAP)
+    with pytest.raises(ts.NotConverged, match="substeps"):
+        ts.evolve(gen, np.ones(16), t_max=1.0, dt=1e-300)
+    trace = ts.evolve(gen, np.ones(16), t_max=1.0, snapshots=2)
+    assert np.isnan(trace.decay_rate_fit)

@@ -319,3 +319,24 @@ def test_potential_csv_positive_value(tmp_path):
     path.write_text("x,value\n0.0,0.5\n0.5,-1.0\n")
     with pytest.raises(ts.ValidationError):
         ts.potential_from_csv(str(path), ts.TorusGrid(1, 2))
+
+
+# -- degenerate widths, the stored jump rate -----------------------------------
+
+
+@pytest.mark.parametrize("make, dimension, width", [
+    (ts.gaussian_kernel, 1, 1e-300),  # the variance underflows to zero
+    (ts.gaussian_kernel, 2, 1e-160),
+    (ts.exponential_kernel, 2, 1e-200),
+    (ts.tophat_kernel, 2, 1e-200),
+], ids=["gaussian-1d", "gaussian", "exponential", "tophat"])
+def test_kernel_too_narrow_for_floats_is_degenerate(make, dimension, width):
+    with pytest.raises(ts.DegenerateKernel, match="too narrow"):
+        make(dimension, width)
+
+
+def test_kernel_stores_its_jump_rate():
+    grid, kernel, _ = make_f2(n=32)
+    assert np.array_equal(kernel.w, ts.jump_rate(kernel))
+    assert not kernel.w.flags.writeable
+    assert np.array_equal(kernel.transpose().w, ts.jump_rate(kernel.transpose()))

@@ -1,5 +1,8 @@
 """Essential spectrum, radius scan, bisection, and the consolidated analysis."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
@@ -226,3 +229,28 @@ def test_analyze_not_converged_exit():
     grid, kernel, potential = make_f1(n=16)
     with pytest.raises(ts.NotConverged):
         ts.analyze(kernel, potential, grid, ts.AnalysisOptions(max_iter=1))
+
+
+def test_analyze_evaluates_no_jump_rate_once_the_kernel_is_built(monkeypatch):
+    real = ts.jump_rate
+    calls = []
+
+    def counted(b):
+        calls.append(b)
+        return real(b)
+
+    for info in pkgutil.iter_modules(ts.__path__):
+        module = importlib.import_module(f"torspec.{info.name}")
+        if getattr(module, "jump_rate", None) is real:
+            monkeypatch.setattr(module, "jump_rate", counted)
+    grid, kernel, potential = make_f3(n=64)
+    assert len(calls) == 1  # the construction itself
+    report = ts.analyze(kernel, potential, grid)
+    assert len(calls) == 1
+    assert report.essential.alpha1 == float((kernel.w - potential.samples).min())
+
+
+def test_analyze_order_above_cap_is_typed_error():
+    grid, kernel, potential = make_f2(n=16)
+    with pytest.raises(ts.DimensionMismatch, match="exceeds the cap 8"):
+        ts.analyze(kernel, potential, grid, ts.AnalysisOptions(spectrum_order_cap=8))
