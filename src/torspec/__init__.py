@@ -17,6 +17,7 @@ from .errors import (
     DegenerateKernel,
     DegenerateSymbol,
     DimensionMismatch,
+    FloatingPointFailure,
     GridMismatch,
     IneligiblePotential,
     MethodDisagreement,
@@ -43,7 +44,6 @@ from .kernels import (
     Potential,
     PotentialDiagnostics,
     WoundKernel,
-    check_potential,
     constant_kernel,
     constant_potential,
     convolution_kernel,

@@ -22,6 +22,7 @@ from .discretize import assemble_generator
 from .errors import (
     HYPOTHESIS_ERRORS,
     ConfigError,
+    FloatingPointFailure,
     TorspecError,
     ValidationError,
 )
@@ -29,14 +30,7 @@ from .evolution import check_extinction, evolve
 from .gapbound import gap_constants, verify_gap
 from .grid import TorusGrid
 from .jsonio import dump, write_trace_csv
-from .kernels import (
-    GenericKernel,
-    Potential,
-    PotentialDiagnostics,
-    WoundKernel,
-    check_potential,
-    kernel_stats,
-)
+from .kernels import GenericKernel, Potential, WoundKernel, kernel_stats
 from .spectral import SpectrumReport, analyze, max_eigenvalue_shifted_power
 
 @dataclass(frozen=True)
@@ -47,14 +41,12 @@ class _Model:
     wound: WoundKernel | None
     kernel: GenericKernel
     potential: Potential
-    potential_check: PotentialDiagnostics
 
 
 def _prepare(config: RunConfig) -> _Model:
     grid = config.build_grid()
     wound, kernel = config.build_kernel(grid)
-    potential = config.build_potential(grid)
-    return _Model(grid, wound, kernel, potential, check_potential(potential))
+    return _Model(grid, wound, kernel, config.build_potential(grid))
 
 
 def _gap_bound(model: _Model, report: SpectrumReport) -> dict:
@@ -123,7 +115,7 @@ def _run_evolve(config: RunConfig, model: _Model, out_dir: str) -> tuple[str, di
         "min_value_seen": trace.min_value_seen,
         "extinction": check_extinction(trace).as_dict(),
     }
-    return "evolution.json", document, 0 if model.potential_check.eligible else 2
+    return "evolution.json", document, 0 if model.potential.diagnostics.eligible else 2
 
 
 def _run_check_kernel(config: RunConfig, model: _Model, out_dir: str) -> tuple[str, dict, int]:
@@ -136,7 +128,7 @@ def _run_check_kernel(config: RunConfig, model: _Model, out_dir: str) -> tuple[s
     except HYPOTHESIS_ERRORS as exc:
         error_section = {"error": type(exc).__name__, "message": str(exc)}
         code = 2
-    if not model.potential_check.eligible:
+    if not model.potential.diagnostics.eligible:
         code = 2
     wound = model.wound
     document = {
@@ -148,7 +140,7 @@ def _run_check_kernel(config: RunConfig, model: _Model, out_dir: str) -> tuple[s
             "wind_truncation": wound.wind_truncation,
             "tail_estimate": wound.tail_estimate,
         },
-        "potential": model.potential_check.as_dict(),
+        "potential": model.potential.diagnostics.as_dict(),
     }
     return "kernel_check.json", document, code
 
@@ -165,14 +157,21 @@ def run_command(command: str, config: RunConfig, out_dir: str | None = None) -> 
     """Dispatch one command against a validated config; returns the exit code.
 
     Every command writes one JSON document: the config echo, the command's
-    own sections, then run metadata.
+    own sections, then run metadata.  The command runs with numpy's
+    overflow, invalid-value and division traps raised, so a non-finite
+    intermediate ends the run with a typed error instead of a warning:
+    FloatingPointFailure, or Unstable for an evolve trajectory.
     """
     if command not in _RUNNERS:
         raise ValidationError(f"unknown command {command!r}")
     if out_dir is None:
         out_dir = config.output.directory
     os.makedirs(out_dir, exist_ok=True)
-    name, body, code = _RUNNERS[command](config, _prepare(config), out_dir)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            name, body, code = _RUNNERS[command](config, _prepare(config), out_dir)
+    except FloatingPointError as exc:
+        raise FloatingPointFailure(str(exc)) from exc
     metadata = {
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "tool": f"torspec {__version__}",

@@ -36,36 +36,27 @@ from .kernels import (
 )
 from .spectral import AnalysisOptions
 
-# Each family's parameters with their defaults; None marks a required key.
+# Each family's parameters.  A number maps to (default, admissible,
+# requirement); None marks the required non-numeric ``base`` and ``path``.
+_POSITIVE = (lambda x: x > 0, "must be positive")
+_DEPTH = (1.0, lambda x: x >= 0, "must be nonnegative")
 KERNEL_FAMILIES = {
-    "constant": {"value": 1.0},
-    "tophat": {"width": 1.0},
-    "gaussian": {"sigma": 0.2},
-    "exponential": {"scale": 0.2},
-    "sine": {"amplitude": 0.5},
-    "modulated": {"base": None, "epsilon": 0.2},
+    "constant": {"value": (1.0, *_POSITIVE)},
+    "tophat": {"width": (1.0, *_POSITIVE)},
+    "gaussian": {"sigma": (0.2, *_POSITIVE)},
+    "exponential": {"scale": (0.2, *_POSITIVE)},
+    "sine": {"amplitude": (0.5, lambda x: abs(x) <= 1, "must lie in [-1, 1]")},
+    "modulated": {"base": None, "epsilon": (0.2, lambda x: -1.0 < x < 1.0, "must lie in (-1, 1)")},
     "csv": {"path": None},
 }
 CONVOLUTION_FAMILIES = {"constant", "tophat", "gaussian", "exponential", "sine"}
 
 POTENTIAL_FAMILIES = {
-    "constant": {"depth": 1.0},
-    "step": {"depth": 1.0, "width": 0.5},
-    "cosine": {"depth": 1.0},
+    "constant": {"depth": _DEPTH},
+    "step": {"depth": _DEPTH, "width": (0.5, lambda x: 0.0 < x <= 1.0, "must lie in (0, 1]")},
+    "cosine": {"depth": _DEPTH},
     "zero": {},
     "csv": {"path": None},
-}
-
-# Admissible values of each numeric family parameter.
-_RANGES = {
-    "kernel.value": (lambda x: x > 0, "must be positive"),
-    "kernel.width": (lambda x: x > 0, "must be positive"),
-    "kernel.sigma": (lambda x: x > 0, "must be positive"),
-    "kernel.scale": (lambda x: x > 0, "must be positive"),
-    "kernel.amplitude": (lambda x: abs(x) <= 1, "must lie in [-1, 1]"),
-    "kernel.epsilon": (lambda x: -1.0 < x < 1.0, "must lie in (-1, 1)"),
-    "potential.depth": (lambda x: x >= 0, "must be nonnegative"),
-    "potential.width": (lambda x: 0.0 < x <= 1.0, "must lie in (0, 1]"),
 }
 
 
@@ -249,8 +240,7 @@ def _family_spec(raw, context: str, families: dict, problems: list) -> dict:
         )
     _check_keys(spec, families[family].keys() | {"family"}, f"{context} ({family})")
     out = {"family": family}
-    for key, default in families[family].items():
-        name = f"{context}.{key}"
+    for key, number in families[family].items():
         if key == "path":
             out[key] = _string(spec, key, context)
         elif key == "base":
@@ -260,10 +250,10 @@ def _family_spec(raw, context: str, families: dict, problems: list) -> dict:
             if out[key]["family"] not in CONVOLUTION_FAMILIES:
                 problems.append("kernel.base must be a convolution-form family")
         else:
+            default, admissible, requirement = number
             out[key] = _number(spec, key, context, default)
-            admissible, requirement = _RANGES[name]
             if not admissible(out[key]):
-                problems.append(f"{name} {requirement}")
+                problems.append(f"{context}.{key} {requirement}")
     return out
 
 

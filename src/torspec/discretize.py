@@ -138,7 +138,9 @@ def assemble_birman_schwinger(
     denom = shift_denominator(b, potential, grid)
     check_shift(mu, denom)
     samples = b.samples.T if adjoint else b.samples
-    return OperatorMatrix(grid.weight * samples / (denom + mu)[:, None], "Q", grid)
+    data = np.multiply(samples, grid.weight, order="C")  # one C-ordered array, also for the adjoint
+    data /= (denom + mu)[:, None]
+    return OperatorMatrix(data, "Q", grid)
 
 
 # ---------------------------------------------------------------------------

@@ -81,9 +81,6 @@ def perron(
         w = a @ v
         if scale is not None:
             w *= scale
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            raise NotConverged("iterate vanished; matrix is not primitive")
         if v.min() > 0.0:
             ratios = w / v
             lower = float(ratios.min())
@@ -91,6 +88,11 @@ def perron(
             if upper - lower <= tol:
                 rho = float(v @ w / (v @ v))
                 return PerronResult(rho, v, lower, upper, iteration)
+        # normalized only when iterated on: a converged step never squares
+        # entries that may lie beyond the square root of the float range
+        norm_w = np.linalg.norm(w)
+        if norm_w == 0.0:
+            raise NotConverged("iterate vanished; matrix is not primitive")
         v = w / norm_w
     raise NotConverged(f"certificate gap above {tol} after {max_iter} iterations")
 

@@ -88,6 +88,10 @@ class ZeroNorm(TorspecError):
     """Trace norm vanished inside the requested fit window."""
 
 
+class FloatingPointFailure(TorspecError):
+    """A floating-point operation overflowed, divided by zero, or gave an invalid result."""
+
+
 HYPOTHESIS_ERRORS = (
     DegenerateKernel,
     NotPrimitive,

@@ -91,44 +91,48 @@ def evolve(
     states[0] = u0
     min_seen = float(u0.min())
 
-    if method == "rk4":
-        spans = np.diff(times)
-        counts = np.maximum(np.ceil(spans / dt - 1e-12), 1.0)
-        with np.errstate(over="ignore"):
-            total = counts.sum()
-        if total > RK4_SUBSTEP_CAP:
-            raise NotConverged(
-                f"RK4 would take {total:.3e} substeps of at most dt = {dt!r}, "
-                f"above the cap {RK4_SUBSTEP_CAP:.0e}; raise dt or lower t_max"
-            )
-        u = u0.copy()
-        for k, (span, substeps) in enumerate(zip(spans, counts.astype(int)), start=1):
-            h = span / substeps
-            for _ in range(substeps):
-                u = _rk4_step(generator, u, h)
+    unstable_message = (
+        f"trajectory norm grew beyond {GROWTH_GUARD} times its initial value; "
+        "reduce dt or check the operator"
+    )
+    try:
+        if method == "rk4":
+            spans = np.diff(times)
+            with np.errstate(over="ignore"):  # a count beyond the float range is above the cap too
+                counts = np.maximum(np.ceil(spans / dt - 1e-12), 1.0)
+                total = counts.sum()
+            if total > RK4_SUBSTEP_CAP:
+                raise NotConverged(
+                    f"RK4 would take {total:.3e} substeps of at most dt = {dt!r}, "
+                    f"above the cap {RK4_SUBSTEP_CAP:.0e}; raise dt or lower t_max"
+                )
+            u = u0.copy()
+            for k, (span, substeps) in enumerate(zip(spans, counts.astype(int)), start=1):
+                h = span / substeps
+                for _ in range(substeps):
+                    u = _rk4_step(generator, u, h)
+                    min_seen = min(min_seen, float(u.min()))
+                states[k] = u
+        else:
+            try:
+                evals, vectors = np.linalg.eig(generator.data)
+            except np.linalg.LinAlgError as exc:
+                raise QRNotConverged(str(exc)) from exc
+            coeff = np.linalg.solve(vectors, u0.astype(complex))
+            for k in range(1, snapshots):
+                u = (vectors @ (coeff * np.exp(evals * times[k]))).real
+                states[k] = u
                 min_seen = min(min_seen, float(u.min()))
-            states[k] = u
-    else:
-        try:
-            evals, vectors = np.linalg.eig(generator.data)
-        except np.linalg.LinAlgError as exc:
-            raise QRNotConverged(str(exc)) from exc
-        coeff = np.linalg.solve(vectors, u0.astype(complex))
-        for k in range(1, snapshots):
-            u = (vectors @ (coeff * np.exp(evals * times[k]))).real
-            states[k] = u
-            min_seen = min(min_seen, float(u.min()))
 
-    l2 = np.sqrt(weight * np.sum(states**2, axis=1))
-    sup = np.max(np.abs(states), axis=1)
-    masses = weight * np.sum(states, axis=1)
+        l2 = np.sqrt(weight * np.sum(states**2, axis=1))
+        sup = np.max(np.abs(states), axis=1)
+        masses = weight * np.sum(states, axis=1)
+    except FloatingPointError as exc:  # numpy traps overflow: the trajectory left the float range
+        raise Unstable(unstable_message) from exc
 
     initial = l2[0]
     if initial > 0 and np.any(l2 > GROWTH_GUARD * initial):
-        raise Unstable(
-            f"trajectory norm grew beyond {GROWTH_GUARD} times its initial value; "
-            "reduce dt or check the operator"
-        )
+        raise Unstable(unstable_message)
 
     window = (float(times[snapshots // 2]), float(times[-1]))
     try:

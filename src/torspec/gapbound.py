@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 from .discretize import fourier_symbol
 from .errors import DegenerateSymbol, IneligiblePotential, NotNormalized
-from .kernels import Potential, WoundKernel, check_potential
+from .kernels import Potential, WoundKernel
 from .spectral import SpectrumReport
 
 MASS_TOL = 1e-8
@@ -42,7 +42,7 @@ def gap_constants(potential: Potential, wound: WoundKernel) -> GapBound:
     mass = wound.quadrature_mass()
     if abs(mass - 1.0) > MASS_TOL:
         raise NotNormalized(f"kernel quadrature mass is {mass!r}, expected 1")
-    diag = check_potential(potential)
+    diag = potential.diagnostics
     if not diag.eligible:
         raise IneligiblePotential("gap bound needs a potential negative on some node")
 

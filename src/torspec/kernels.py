@@ -70,8 +70,6 @@ class ContinuousKernel:
 
     dimension: int
     evaluate: Callable[[np.ndarray], np.ndarray]
-    decay_radius: float
-    tag: str = "custom"
     tail_mass_bound: Callable[[int], float] | None = None
 
 
@@ -93,25 +91,29 @@ def tophat_kernel(dimension: int = 1, width: float = 1.0) -> ContinuousKernel:
     def tail(n_shift: int) -> float:
         return 0.0 if n_shift >= width else math.inf
 
-    return ContinuousKernel(dimension, evaluate, width, "tophat", tail)
+    return ContinuousKernel(dimension, evaluate, tail)
 
 
 def gaussian_kernel(dimension: int = 1, sigma: float = 0.2) -> ContinuousKernel:
     """Product Gaussian density with per-axis standard deviation sigma."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    norm = _peak_density(2.0 * math.pi * sigma**2, -dimension / 2.0, "gaussian")
+    try:
+        variance = sigma**2
+    except OverflowError:  # sigma beyond the square root of the float range
+        variance = math.inf
+    norm = _peak_density(2.0 * math.pi * variance, -dimension / 2.0, "gaussian")
 
     def evaluate(pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         sq = np.sum(pts**2, axis=-1)
-        return norm * np.exp(-sq / (2.0 * sigma**2))
+        return norm * np.exp(-sq / (2.0 * variance))
 
     def tail(n_shift: int) -> float:
         # union bound over axes; per-axis omitted mass beyond |t| >= N
         return dimension * math.erfc(n_shift / (sigma * math.sqrt(2.0)))
 
-    return ContinuousKernel(dimension, evaluate, 4.0 * sigma, "gaussian", tail)
+    return ContinuousKernel(dimension, evaluate, tail)
 
 
 def exponential_kernel(dimension: int = 1, scale: float = 0.2) -> ContinuousKernel:
@@ -128,7 +130,7 @@ def exponential_kernel(dimension: int = 1, scale: float = 0.2) -> ContinuousKern
     def tail(n_shift: int) -> float:
         return dimension * math.exp(-n_shift / scale)
 
-    return ContinuousKernel(dimension, evaluate, 8.0 * scale, "exponential", tail)
+    return ContinuousKernel(dimension, evaluate, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +179,6 @@ def wind_kernel(a: ContinuousKernel, n: int, tail_tol: float = 1e-12) -> WoundKe
     """
     if tail_tol <= 0:
         raise ValueError("tail_tol must be positive")
-    if not math.isfinite(a.decay_radius) or a.decay_radius < 0:
-        raise ValueError("kernel decay_radius must be finite and nonnegative")
     if a.tail_mass_bound is None:
         raise TailNotResolved("kernel supplies no tail mass bound; cannot wind")
 
@@ -210,7 +210,6 @@ class GenericKernel:
     dimension: int
     n: int
     samples: np.ndarray
-    tag: str = "custom-tabulated"
     w: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -230,13 +229,11 @@ class GenericKernel:
         return float(self.n) ** (-self.dimension)
 
     def transpose(self) -> "GenericKernel":
-        return GenericKernel(self.dimension, self.n, self.samples.T.copy(), self.tag)
+        return GenericKernel(self.dimension, self.n, self.samples.T.copy())
 
 
 def constant_kernel(grid: TorusGrid, value: float = 1.0) -> GenericKernel:
-    return GenericKernel(
-        grid.dimension, grid.n, np.full((grid.size, grid.size), float(value)), "constant"
-    )
+    return GenericKernel(grid.dimension, grid.n, np.full((grid.size, grid.size), float(value)))
 
 
 def displacement_index(grid: TorusGrid) -> tuple[np.ndarray, ...]:
@@ -255,7 +252,7 @@ def convolution_kernel(wound: WoundKernel, grid: TorusGrid) -> GenericKernel:
     """Generic form b(x, y) = a(x - y) of a convolution kernel."""
     grid.require_match(wound)
     samples = wound.samples[displacement_index(grid)]
-    return GenericKernel(grid.dimension, grid.n, samples, "modulated_convolution")
+    return GenericKernel(grid.dimension, grid.n, samples)
 
 
 def modulated_convolution(
@@ -274,7 +271,7 @@ def modulated_convolution(
         raise DegenerateKernel("modulation must be strictly positive")
     if not np.allclose(mu, mu.T, rtol=0.0, atol=1e-12):
         raise ValueError("modulation must be symmetric in (x, y)")
-    return GenericKernel(grid.dimension, grid.n, base * mu, "modulated_convolution")
+    return GenericKernel(grid.dimension, grid.n, base * mu)
 
 
 # ---------------------------------------------------------------------------
@@ -282,26 +279,52 @@ def modulated_convolution(
 
 
 @dataclass(frozen=True)
+class PotentialDiagnostics:
+    """Quadrature norms and strict-negativity eligibility of a potential.
+
+    Eligible means at least one node is strictly negative (the discrete
+    reading of negativity on a set of positive measure).
+    """
+
+    max_sample: float
+    fraction_negative: float
+    norm_l1: float
+    norm_l2: float
+    eligible: bool
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+
+@dataclass(frozen=True)
 class Potential:
-    """Nonpositive potential samples in grid node order (flat, length n^d)."""
+    """Nonpositive potential samples in grid node order (flat, length n^d).
+
+    ``diagnostics`` holds the potential's norms and eligibility, evaluated
+    once at construction and read by every consumer.
+    """
 
     dimension: int
     n: int
     samples: np.ndarray
+    diagnostics: PotentialDiagnostics = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        samples = _freeze(np.asarray(self.samples, dtype=float).ravel())
-        object.__setattr__(self, "samples", samples)
-        if samples.size != self.n ** self.dimension:
+        v = _freeze(np.asarray(self.samples, dtype=float).ravel())
+        object.__setattr__(self, "samples", v)
+        if v.size != self.n ** self.dimension:
             raise ValueError("potential needs one sample per grid node")
-        if np.any(samples > 0):
-            raise PositivePotential(
-                f"potential has a positive sample (max {samples.max():.6g})"
-            )
-
-    @property
-    def fraction_negative(self) -> float:
-        return float(np.count_nonzero(self.samples < 0)) / self.samples.size
+        if np.any(v > 0):
+            raise PositivePotential(f"potential has a positive sample (max {v.max():.6g})")
+        weight = float(self.n) ** (-self.dimension)
+        frac = float(np.count_nonzero(v < 0)) / v.size
+        object.__setattr__(self, "diagnostics", PotentialDiagnostics(
+            max_sample=float(v.max()),
+            fraction_negative=frac,
+            norm_l1=float(np.abs(v).sum() * weight),
+            norm_l2=float(math.sqrt((v**2).sum() * weight)),
+            eligible=bool(frac > 0),
+        ))
 
 
 def constant_potential(grid: TorusGrid, depth: float) -> Potential:
@@ -323,41 +346,6 @@ def cosine_potential(grid: TorusGrid, depth: float = 1.0) -> Potential:
     coords = grid.coordinates()
     prof = np.prod((1.0 + np.cos(2.0 * np.pi * coords)) / 2.0, axis=1)
     return Potential(grid.dimension, grid.n, -float(depth) * prof)
-
-
-@dataclass(frozen=True)
-class PotentialDiagnostics:
-    """Quadrature norms and strict-negativity eligibility of a potential."""
-
-    max_sample: float
-    fraction_negative: float
-    norm_l1: float
-    norm_l2: float
-    eligible: bool
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-def check_potential(potential: Potential) -> PotentialDiagnostics:
-    """Norms by grid quadrature plus eligibility for guaranteed-regime analysis.
-
-    Eligible means every sample is nonpositive and at least one node is
-    strictly negative (the discrete reading of negativity on a set of
-    positive measure).
-    """
-    v = potential.samples
-    if np.any(v > 0):
-        raise PositivePotential("potential has a positive sample")
-    weight = float(potential.n) ** (-potential.dimension)
-    frac = potential.fraction_negative
-    return PotentialDiagnostics(
-        max_sample=float(v.max()),
-        fraction_negative=frac,
-        norm_l1=float(np.abs(v).sum() * weight),
-        norm_l2=float(math.sqrt((v**2).sum() * weight)),
-        eligible=bool(frac > 0),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -458,69 +446,61 @@ def _node_index(value: str, n: int, path: str, line: int) -> int:
     return i
 
 
-def _read_rows(path: str, expected_header: list[str]) -> list[tuple[int, list[str]]]:
+def _read_table(
+    path: str, grid: TorusGrid, header: list[str], kind: str, sign: float, item: str
+) -> np.ndarray:
+    """Values of a CSV table keyed by grid nodes, in flat node order.
+
+    The coordinate columns (all but the last) fold into one flat index,
+    the first column most significant, so a two-point table fills the
+    (n^d, n^d) kernel array in row-major order.  Every index must appear
+    exactly once, and ``sign * value`` must be nonnegative; ``kind`` names
+    the value and ``item`` one row's node key in messages.  Header and field
+    counts are checked over the whole file before any row's values.
+    """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
+            found = next(reader)
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != expected_header:
-            raise ParseError(
-                f"{path}: expected header {','.join(expected_header)!r}, got {','.join(header)!r}"
-            )
+        if [h.strip() for h in found] != header:
+            raise ParseError(f"{path}: expected header {','.join(header)!r}, got {','.join(found)!r}")
         rows = []
         for line, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(expected_header):
-                raise ParseError(f"{path}:{line}: expected {len(expected_header)} fields")
+            if len(row) != len(header):
+                raise ParseError(f"{path}:{line}: expected {len(header)} fields")
             rows.append((line, row))
-    return rows
+    n = grid.n
+    samples = np.full(n ** (len(header) - 1), np.nan)
+    for line, row in rows:
+        flat = 0
+        for coordinate in row[:-1]:
+            flat = flat * n + _node_index(coordinate, n, path, line)
+        value = _csv_number(row[-1], path, line)
+        if sign * value < 0:
+            raise ValidationError(
+                f"{path}:{line}: {'negative' if sign > 0 else 'positive'} {kind} value {value!r}"
+            )
+        if not np.isnan(samples[flat]):
+            raise ValidationError(f"{path}:{line}: duplicate {item}")
+        samples[flat] = value
+    if np.isnan(samples).any():
+        raise ValidationError(f"{path}: {int(np.isnan(samples).sum())} grid {item}s missing")
+    return samples
 
 
 def kernel_from_csv(path: str, grid: TorusGrid) -> GenericKernel:
     """Read a tabulated two-point kernel; every grid node pair must appear once."""
     header = ["x", "y", "value"] if grid.dimension == 1 else ["x1", "x2", "y1", "y2", "value"]
-    rows = _read_rows(path, header)
-    n = grid.n
-    samples = np.full((grid.size, grid.size), np.nan)
-    for line, row in rows:
-        if grid.dimension == 1:
-            i = _node_index(row[0], n, path, line)
-            j = _node_index(row[1], n, path, line)
-        else:
-            i = _node_index(row[0], n, path, line) * n + _node_index(row[1], n, path, line)
-            j = _node_index(row[2], n, path, line) * n + _node_index(row[3], n, path, line)
-        value = _csv_number(row[-1], path, line)
-        if value < 0:
-            raise ValidationError(f"{path}:{line}: negative kernel value {value!r}")
-        if not np.isnan(samples[i, j]):
-            raise ValidationError(f"{path}:{line}: duplicate node pair")
-        samples[i, j] = value
-    if np.isnan(samples).any():
-        missing = int(np.isnan(samples).sum())
-        raise ValidationError(f"{path}: {missing} grid node pairs missing")
-    return GenericKernel(grid.dimension, grid.n, samples, "custom-tabulated")
+    samples = _read_table(path, grid, header, "kernel", 1.0, "node pair")
+    return GenericKernel(grid.dimension, grid.n, samples.reshape(grid.size, grid.size))
 
 
 def potential_from_csv(path: str, grid: TorusGrid) -> Potential:
     """Read a tabulated potential; every grid node must appear exactly once."""
     header = ["x", "value"] if grid.dimension == 1 else ["x1", "x2", "value"]
-    rows = _read_rows(path, header)
-    n = grid.n
-    samples = np.full(grid.size, np.nan)
-    for line, row in rows:
-        if grid.dimension == 1:
-            i = _node_index(row[0], n, path, line)
-        else:
-            i = _node_index(row[0], n, path, line) * n + _node_index(row[1], n, path, line)
-        value = _csv_number(row[-1], path, line)
-        if value > 0:
-            raise ValidationError(f"{path}:{line}: positive potential value {value!r}")
-        if not np.isnan(samples[i]):
-            raise ValidationError(f"{path}:{line}: duplicate node")
-        samples[i] = value
-    if np.isnan(samples).any():
-        raise ValidationError(f"{path}: {int(np.isnan(samples).sum())} grid nodes missing")
+    samples = _read_table(path, grid, header, "potential", -1.0, "node")
     return Potential(grid.dimension, grid.n, samples)

@@ -33,7 +33,7 @@ from .errors import (
     NotConverged,
 )
 from .grid import TorusGrid
-from .kernels import GenericKernel, Potential, check_potential, kernel_stats
+from .kernels import GenericKernel, Potential, kernel_stats
 
 
 @dataclass(frozen=True)
@@ -164,12 +164,12 @@ def max_eigenvalue_bisection(
     equals one at zero shift; in diagnostic mode that boundary case is
     reported as a zero eigenvalue instead of an error.
     """
-    diag = check_potential(potential)
+    eligible = potential.diagnostics.eligible
     denom = shift_denominator(b, potential, grid)
     alpha1 = float(denom.min())
     alpha0 = float(denom.max())
 
-    if not diag.eligible and not diagnostic:
+    if not eligible and not diagnostic:
         raise IneligiblePotential(
             "potential is zero on every node; enable diagnostic mode for a boundary report"
         )
@@ -190,7 +190,7 @@ def max_eigenvalue_bisection(
 
     lo = hi = 0.0  # a vanishing potential skips the scan: lambda = 0, bracket (0, 0)
     iterations = 0
-    if diag.eligible:
+    if eligible:
         rho_hi = radius(0.0)
         if rho_hi >= 1.0:
             raise BracketFailure(f"radius at zero shift is {rho_hi!r}, expected below one")
@@ -239,7 +239,7 @@ def max_eigenvalue_bisection(
 
     lam = 0.5 * (lo + hi)
     at_lam = _ratio_perron(lam, b, potential, grid, power_tol, max_iter, seed, start=vector)
-    if not diag.eligible and abs(at_lam.rho - 1.0) > 100 * power_tol:
+    if not eligible and abs(at_lam.rho - 1.0) > 100 * power_tol:
         raise BracketFailure(
             f"vanishing potential should give unit radius at zero shift, got {at_lam.rho!r}"
         )
@@ -327,10 +327,9 @@ def analyze(
     cross-check tolerance; a nonconforming (diagnostic) report is produced
     for a vanishing potential only when the diagnostic option is set.
     """
-    pot_diag = check_potential(potential)
     stats = kernel_stats(b, options.primitivity_max_power)
     essential = essential_spectrum(potential, b.w)
-    eligible = pot_diag.eligible
+    eligible = potential.diagnostics.eligible
     if not eligible and not options.diagnostic:
         raise IneligiblePotential(
             "potential is zero on every node; set diagnostic=True for a boundary report"
@@ -391,7 +390,7 @@ def analyze(
         "bisection_bracket": [bisected.bracket[0], bisected.bracket[1]],
         "radius_at_lambda": bisected.radius_at_lambda,
         "kernel_stats": stats.as_dict(),
-        "potential": pot_diag.as_dict(),
+        "potential": potential.diagnostics.as_dict(),
     }
     return SpectrumReport(
         essential=essential,

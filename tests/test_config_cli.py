@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 import torspec as ts
 from torspec import jsonio
 from torspec.cli import main, run_command
-from torspec.config import EvolutionSettings, OutputSettings, RunConfig
+from torspec.config import (
+    KERNEL_FAMILIES,
+    POTENTIAL_FAMILIES,
+    EvolutionSettings,
+    OutputSettings,
+    RunConfig,
+)
 from conftest import FIXTURE_DIR, REPO_ROOT
 
 
@@ -538,3 +544,122 @@ def test_config_fuzz_gives_run_config_or_config_error(case, value, extra_key, ad
     except ts.ConfigError:
         return
     assert isinstance(result, ts.RunConfig)
+
+
+# -- huge widths, floating-point traps, exit-3 failures ----------------------
+
+
+def _single_diagnostic(err: str) -> dict:
+    """The one JSON line a failed command leaves on stderr."""
+    assert err.count("\n") == 1
+    return json.loads(err)
+
+
+@pytest.mark.parametrize("command", ["analyze", "bound", "evolve", "check-kernel"])
+@pytest.mark.parametrize("kernel", [
+    {"family": "gaussian", "sigma": 1e200},
+    {"family": "modulated", "base": {"family": "gaussian", "sigma": 1e200}},
+    {"family": "exponential", "scale": 1e308},
+], ids=["gaussian", "modulated-base", "exponential"])
+def test_cli_kernel_too_wide_is_tail_not_resolved(command, kernel, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(minimal_config(grid_n=16, kernel=kernel)))
+    code = main([command, "--config", str(path), "--out", str(tmp_path)])
+    assert code == 3
+    diagnostic = _single_diagnostic(capsys.readouterr().err)
+    assert diagnostic["error"] == "TailNotResolved"
+    assert diagnostic["exit_code"] == 3
+
+
+@pytest.mark.parametrize("command, error", [
+    ("analyze", "FloatingPointFailure"),
+    ("check-kernel", "FloatingPointFailure"),
+    ("evolve", "NotConverged"),  # the RK4 substep cap, reached without an overflow
+])
+def test_cli_float_overflow_is_one_json_line(command, error, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(minimal_config(grid_n=16, kernel={"family": "exponential", "scale": 1e-300})))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "torspec", command, "--config", str(path), "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3
+    diagnostic = _single_diagnostic(proc.stderr)
+    assert diagnostic["error"] == error
+    assert diagnostic["exit_code"] == 3
+
+
+@pytest.mark.parametrize("evolution, error", [
+    ({"dt": 3.0, "t_max": 2000.0}, "Unstable"),  # RK4 beyond its stability interval overflows
+    ({"dt": 10.0, "t_max": 2000.0}, "Unstable"),
+    ({"dt": 5e-324}, "NotConverged"),  # the substep count itself leaves the float range
+], ids=["unstable-square", "unstable-multiply", "count-overflow"])
+def test_cli_evolve_overflow_keeps_its_typed_error(evolution, error, tmp_path, capsys):
+    raw = minimal_config(grid_n=16, potential={"family": "constant", "depth": 0.3}, evolution=evolution)
+    diagnostic = _exit_three("evolve", raw, tmp_path, capsys)
+    assert diagnostic["error"] == error
+
+
+def test_run_command_maps_floating_point_traps(tmp_path):
+    config = ts.config_from_dict(minimal_config(grid_n=16, kernel={"family": "exponential", "scale": 1e-300}))
+    with pytest.raises(ts.FloatingPointFailure, match="overflow encountered in matmul"):
+        run_command("check-kernel", config, str(tmp_path))
+
+
+def _exit_three(command, raw, tmp_path, capsys) -> dict:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 3
+    diagnostic = _single_diagnostic(capsys.readouterr().err)
+    assert diagnostic["exit_code"] == 3
+    return diagnostic
+
+
+def test_cli_method_disagreement_exits_three(tmp_path, capsys):
+    raw = json.loads((FIXTURE_DIR / "f3.json").read_text())
+    raw["analysis"] = {"cross_tol": 1e-300}
+    diagnostic = _exit_three("analyze", raw, tmp_path, capsys)
+    assert diagnostic["error"] == "MethodDisagreement"
+    assert "beyond 1e-300" in diagnostic["message"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "bound"])
+def test_cli_bracket_failure_exits_three(command, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(ts.spectral, "BRACKET_HALVINGS", -1)  # the edge scan tries no shift
+    diagnostic = _exit_three(command, minimal_config(grid_n=16), tmp_path, capsys)
+    assert diagnostic["error"] == "BracketFailure"
+
+
+@pytest.mark.parametrize("command, solver, evolution", [
+    ("analyze", "eigvals", {}),
+    ("evolve", "eig", {"method": "eigenexpansion"}),
+])
+def test_cli_dense_eigensolver_failure_exits_three(command, solver, evolution, monkeypatch, tmp_path, capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, solver, fail)
+    diagnostic = _exit_three(command, minimal_config(grid_n=16, evolution=evolution), tmp_path, capsys)
+    assert diagnostic["error"] == "QRNotConverged"
+    assert diagnostic["message"] == "Eigenvalues did not converge"
+
+
+@pytest.mark.parametrize("section, families", [
+    ("kernel", KERNEL_FAMILIES), ("potential", POTENTIAL_FAMILIES),
+])
+def test_family_tables_give_each_number_its_default_and_range(section, families):
+    for family, params in families.items():
+        for key, number in params.items():
+            if number is None:  # the modulated base or a csv path
+                continue
+            default, admissible, requirement = number
+            assert admissible(default)
+            spec = {"family": family, key: -5.0}  # outside every parameter's range
+            if family == "modulated":
+                spec["base"] = {"family": "constant"}
+            assert ts.config_from_dict(minimal_config(**{section: {**spec, key: default}}))
+            with pytest.raises(ts.ValidationError) as err:
+                ts.config_from_dict(minimal_config(**{section: spec}))
+            assert str(err.value) == f"{section}.{key} {requirement}"

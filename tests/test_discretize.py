@@ -1,6 +1,7 @@
 """Operator assembly, the ratio operator, Fourier symbols, apply semantics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,24 @@ def test_birman_schwinger_adjoint_spectrum_matches():
     rho = ts.perron(q).rho
     rho_star = ts.perron(q_star).rho
     assert abs(rho - rho_star) < 1e-10
+
+
+@pytest.mark.parametrize("adjoint", [False, True], ids=["state", "adjoint"])
+def test_birman_schwinger_assembly_holds_one_matrix(adjoint):
+    grid = ts.TorusGrid(1, 256)
+    kernel = ts.convolution_kernel(sine_wound(grid), grid)
+    potential = ts.step_potential(grid, 1.0, 0.5)
+    samples = kernel.samples.T if adjoint else kernel.samples
+    expected = grid.weight * samples / (kernel.w - potential.samples - 0.2)[:, None]
+    tracemalloc.start()
+    try:
+        q = ts.assemble_birman_schwinger(kernel, potential, -0.2, grid, adjoint=adjoint)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(q.data, expected)
+    # the entries are formed and scaled in one C-ordered N x N array
+    assert peak < 1.25 * q.data.nbytes
 
 
 # -- Fourier symbols ----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Kernel and potential construction, winding, statistics, diagnostics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -60,8 +61,6 @@ def test_wind_requires_resolvable_tail():
     heavy = ts.ContinuousKernel(
         dimension=1,
         evaluate=lambda pts: np.exp(-np.abs(pts[..., 0])),
-        decay_radius=1.0,
-        tag="custom",
         tail_mass_bound=lambda n_shift: 1.0,
     )
     with pytest.raises(ts.TailNotResolved):
@@ -69,7 +68,7 @@ def test_wind_requires_resolvable_tail():
 
 
 def test_wind_rejects_missing_tail_bound():
-    bare = ts.ContinuousKernel(1, lambda pts: np.zeros(pts.shape[:-1]), 1.0)
+    bare = ts.ContinuousKernel(1, lambda pts: np.zeros(pts.shape[:-1]))
     with pytest.raises(ts.TailNotResolved):
         ts.wind_kernel(bare, 16)
 
@@ -170,7 +169,7 @@ def test_chain_kernel_needs_higher_power():
 
 def test_check_potential_constant():
     grid = ts.TorusGrid(1, 64)
-    diag = ts.check_potential(ts.constant_potential(grid, 0.3))
+    diag = ts.constant_potential(grid, 0.3).diagnostics
     assert diag.eligible
     assert diag.fraction_negative == 1.0
     assert abs(diag.norm_l1 - 0.3) < 1e-15
@@ -179,14 +178,14 @@ def test_check_potential_constant():
 
 def test_check_potential_zero_is_ineligible_not_an_error():
     grid = ts.TorusGrid(1, 16)
-    diag = ts.check_potential(ts.zero_potential(grid))
+    diag = ts.zero_potential(grid).diagnostics
     assert not diag.eligible
     assert diag.norm_l1 == 0.0
 
 
 def test_check_potential_step_exact_norms():
     grid = ts.TorusGrid(1, 64)
-    diag = ts.check_potential(ts.step_potential(grid, 1.0, 0.5))
+    diag = ts.step_potential(grid, 1.0, 0.5).diagnostics
     assert diag.norm_l1 == 0.5
     assert diag.norm_l2 == math.sqrt(0.5)
     assert diag.fraction_negative == 0.5
@@ -257,7 +256,6 @@ def test_kernel_csv_round_trip(tmp_path):
                 handle.write(f"{i/n},{j/n},{float(samples[i, j])!r}\n")
     kernel = ts.kernel_from_csv(str(path), grid)
     assert np.allclose(kernel.samples, samples, rtol=0, atol=0)
-    assert kernel.tag == "custom-tabulated"
 
 
 def test_kernel_csv_two_dimensional(tmp_path):
@@ -340,3 +338,85 @@ def test_kernel_stores_its_jump_rate():
     assert np.array_equal(kernel.w, ts.jump_rate(kernel))
     assert not kernel.w.flags.writeable
     assert np.array_equal(kernel.transpose().w, ts.jump_rate(kernel.transpose()))
+
+
+# -- huge widths, potential diagnostics, dead fields, one CSV reader ----------
+
+
+@pytest.mark.parametrize("make, width", [
+    (ts.gaussian_kernel, 1e200),  # sigma**2 leaves the float range
+    (ts.exponential_kernel, 1e308),
+    (ts.tophat_kernel, 1e300),
+], ids=["gaussian", "exponential", "tophat"])
+def test_kernel_too_wide_to_wind_is_tail_not_resolved(make, width):
+    with pytest.raises(ts.TailNotResolved):
+        ts.wind_kernel(make(1, width), 16)
+
+
+def test_gaussian_variance_is_bit_identical_to_sigma_squared():
+    # sigma * sigma differs from sigma**2 in the last bit for this width
+    sigma = 0.9898385602834381
+    values = ts.gaussian_kernel(1, sigma).evaluate(np.array([[0.5]]))
+    expected = (2.0 * math.pi * sigma**2) ** -0.5 * np.exp(-0.25 / (2.0 * sigma**2))
+    assert values[0] == expected
+
+
+def test_potential_diagnostics_are_a_field_set_at_construction():
+    grid = ts.TorusGrid(2, 4)
+    potential = ts.cosine_potential(grid, 0.7)
+    field = {f.name: f for f in dataclasses.fields(ts.Potential)}["diagnostics"]
+    assert not field.init and not field.compare and not field.repr
+    v = potential.samples
+    assert potential.diagnostics == ts.PotentialDiagnostics(
+        max_sample=float(v.max()),
+        fraction_negative=float(np.count_nonzero(v < 0)) / v.size,
+        norm_l1=float(np.abs(v).sum() / 16),
+        norm_l2=float(math.sqrt((v**2).sum() / 16)),
+        eligible=True,
+    )
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        potential.diagnostics = None
+
+
+def test_kernels_carry_only_fields_that_are_read():
+    names = lambda cls: [f.name for f in dataclasses.fields(cls)]
+    assert names(ts.ContinuousKernel) == ["dimension", "evaluate", "tail_mass_bound"]
+    assert names(ts.GenericKernel) == ["dimension", "n", "samples", "w"]
+
+
+def _write(path, header, rows):
+    path.write_text("\n".join([header, *rows]) + "\n")
+    return str(path)
+
+
+def test_two_dimensional_csv_tables_fill_row_major_node_order(tmp_path):
+    n = 2
+    grid = ts.TorusGrid(2, n)
+    nodes = [(a, b) for a in range(n) for b in range(n)]
+    samples = np.arange(1.0, 17.0).reshape(4, 4)
+    rows = [f"{x[0] / n},{x[1] / n},{y[0] / n},{y[1] / n},{float(samples[i, j])!r}"
+            for i, x in enumerate(nodes) for j, y in enumerate(nodes)]
+    kernel = ts.kernel_from_csv(_write(tmp_path / "k.csv", "x1,x2,y1,y2,value", rows[::-1]), grid)
+    assert np.array_equal(kernel.samples, samples)
+    values = -np.arange(4.0)
+    rows = [f"{x[0] / n},{x[1] / n},{float(values[i])!r}" for i, x in enumerate(nodes)]
+    potential = ts.potential_from_csv(_write(tmp_path / "p.csv", "x1,x2,value", rows[::-1]), grid)
+    assert np.array_equal(potential.samples, values)
+
+
+@pytest.mark.parametrize("table, header, rows, error, message", [
+    ("kernel", "x,y,value", ["0,0,1", "0,0,2"], ts.ValidationError, "k.csv:3: duplicate node pair"),
+    ("kernel", "x,y,value", ["0,0,1"], ts.ValidationError, "k.csv: 3 grid node pairs missing"),
+    ("kernel", "x,y,value", ["0,0.5,-2.0"], ts.ValidationError, "k.csv:2: negative kernel value -2.0"),
+    ("kernel", "x,y,value", ["0,0,-1", "0,0"], ts.ParseError, "k.csv:3: expected 3 fields"),
+    ("kernel", "x1,x2,y1,y2,value", ["0,0,0,0,1"], ts.ParseError, "expected header 'x,y,value'"),
+    ("potential", "x,value", ["0,-1", "0,-1"], ts.ValidationError, "k.csv:3: duplicate node"),
+    ("potential", "x,value", ["0,-1"], ts.ValidationError, "k.csv: 1 grid nodes missing"),
+    ("potential", "x,value", ["0.5,2.0"], ts.ValidationError, "k.csv:2: positive potential value 2.0"),
+    ("potential", "x,value", ["0.25,-1"], ts.ValidationError, "k.csv:2: coordinate 0.25 is not a grid node"),
+], ids=["k-dup", "k-missing", "k-sign", "k-fields-first", "k-header",
+        "p-dup", "p-missing", "p-sign", "p-off-grid"])
+def test_csv_tables_share_checks_and_messages(table, header, rows, error, message, tmp_path):
+    read = ts.kernel_from_csv if table == "kernel" else ts.potential_from_csv
+    with pytest.raises(error, match=message):
+        read(_write(tmp_path / "k.csv", header, rows), ts.TorusGrid(1, 2))
