@@ -56,7 +56,6 @@ from .kernels import (
     modulated_convolution,
     potential_from_csv,
     step_potential,
-    tail_mass,
     tophat_kernel,
     wind_kernel,
     wound_from_function,

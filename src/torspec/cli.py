@@ -113,6 +113,7 @@ def _run_evolve(config: RunConfig, model: _Model, out_dir: str) -> tuple[str, di
         "decay_rate_fit": trace.decay_rate_fit,
         "fit_window": list(trace.fit_window),
         "min_value_seen": trace.min_value_seen,
+        "rk4_step_min": trace.rk4_step_min,
         "extinction": check_extinction(trace).as_dict(),
     }
     return "evolution.json", document, 0 if model.potential.diagnostics.eligible else 2

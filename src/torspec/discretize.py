@@ -22,7 +22,7 @@ from .kernels import GenericKernel, Potential, WoundKernel, serial_row_sums
 MU_EDGE_MARGIN = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
 class OperatorMatrix:
     """Dense square matrix for one of the torus operators.
 
@@ -75,7 +75,7 @@ class OperatorMatrix:
         return serial_row_sums(off * u[None, :]) + diag * u
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
-        """BLAS product for the RK4 and residual loops.
+        """BLAS product for the residual loops.
 
         Far cheaper than ``apply`` and deterministic for a fixed numpy/BLAS
         build and thread count, but the summation order is BLAS's own, so

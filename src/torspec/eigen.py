@@ -21,6 +21,9 @@ from .errors import (
 )
 
 SPECTRUM_ORDER_CAP = 4096
+# Collatz-Wielandt gap, in float spacings of the root, that rounding of the
+# ratios alone can leave: a tolerance below it could never be met
+ROUNDING_ULPS = 4
 
 
 def _as_array(mat) -> np.ndarray:
@@ -43,10 +46,29 @@ class PerronResult:
     iterations: int
 
 
+_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer on a uint64 array; array arithmetic wraps mod
+    2**64 without tripping numpy's overflow traps."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
 def _start_vector(order: int, seed: int) -> np.ndarray:
-    # strictly positive start: convergence for every primitive matrix
-    rng = np.random.default_rng(seed)
-    return rng.uniform(0.5, 1.5, size=order)
+    """Strictly positive start in [0.5, 1.5), so every primitive matrix converges.
+
+    Entry i is the top 52 bits of the splitmix64 stream keyed by the seed,
+    at counter i + 1.  The seed enters as a Python integer mod 2**64, so
+    any integer seed works and seeds equal mod 2**64 share a stream.
+    Drawing the vector this way keeps ``numpy.random``, and its memory,
+    out of the process.
+    """
+    key = _mix64(np.array([seed % 2**64], dtype=np.uint64))
+    counters = np.arange(1, order + 1, dtype=np.uint64)
+    return 0.5 + (_mix64(counters * _GOLDEN_GAMMA + key) >> np.uint64(12)) * 2.0**-52
 
 
 def perron(
@@ -60,8 +82,9 @@ def perron(
     """Power iteration for the Perron root of a nonnegative primitive matrix.
 
     Converges when the Collatz-Wielandt gap max_i (Av)_i/v_i - min_i (Av)_i/v_i
-    drops to ``tol``; the returned value is the Rayleigh ratio at the final
-    iterate, which the certificate brackets.  ``start`` replaces the seeded
+    drops to ``tol``, or to ``ROUNDING_ULPS`` float spacings of its upper
+    end, below which rounding alone can hold it; the returned value is the
+    Rayleigh ratio at the final iterate, which the certificate brackets.  ``start`` replaces the seeded
     random start with a positive warm-start vector; a positive row ``scale``
     makes the iterated operator diag(scale) A without forming it.
     """
@@ -85,7 +108,7 @@ def perron(
             ratios = w / v
             lower = float(ratios.min())
             upper = float(ratios.max())
-            if upper - lower <= tol:
+            if upper - lower <= max(tol, ROUNDING_ULPS * np.spacing(upper)):
                 rho = float(v @ w / (v @ v))
                 return PerronResult(rho, v, lower, upper, iteration)
         # normalized only when iterated on: a converged step never squares

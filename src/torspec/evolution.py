@@ -23,7 +23,13 @@ RK4_SUBSTEP_CAP = 10**7
 
 @dataclass(frozen=True)
 class EvolutionTrace:
-    """Norm history of one trajectory plus a default-window decay fit."""
+    """Norm history of one trajectory plus a default-window decay fit.
+
+    ``min_value_seen`` is the least entry over the snapshots;
+    ``rk4_step_min`` the least entry of the RK4 one-substep map (None for
+    the eigenexpansion).  When it and the initial state are nonnegative,
+    every substep stays nonnegative.
+    """
 
     times: np.ndarray
     l2_norms: np.ndarray
@@ -32,14 +38,47 @@ class EvolutionTrace:
     decay_rate_fit: float
     fit_window: tuple[float, float]
     min_value_seen: float
+    rk4_step_min: float | None = None
 
 
-def _rk4_step(mat: OperatorMatrix, u: np.ndarray, dt: float) -> np.ndarray:
-    k1 = mat.matvec(u)
-    k2 = mat.matvec(u + 0.5 * dt * k1)
-    k3 = mat.matvec(u + 0.5 * dt * k2)
-    k4 = mat.matvec(u + dt * k3)
-    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_propagator(m: np.ndarray, h: float, substeps: int) -> tuple[np.ndarray, float]:
+    """``P**substeps`` for the RK4 step map ``P = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24``,
+    and ``min(P)``.
+
+    P is built by Horner's rule and powered left to right by binary
+    digits; exactly three N x N buffers are live: P, the power and one
+    scratch, ping-ponged through ``matmul(out=)``.
+    """
+    order = m.shape[0]
+    p = np.multiply(m, h / 4.0)
+    scratch = np.empty_like(p)
+    p.reshape(-1)[:: order + 1] += 1.0
+    for c in (h / 3.0, h / 2.0, h):
+        np.matmul(m, p, out=scratch)
+        scratch *= c
+        scratch.reshape(-1)[:: order + 1] += 1.0
+        p, scratch = scratch, p
+    power = p.copy()
+    for digit in bin(substeps)[3:]:
+        np.matmul(power, power, out=scratch)
+        power, scratch = scratch, power
+        if digit == "1":
+            np.matmul(power, p, out=scratch)
+            power, scratch = scratch, power
+    return power, float(p.min())
+
+
+def _iterates(propagator: np.ndarray, u: np.ndarray, count: int):
+    """``propagator^k u`` for k = 1, ..., count, one matvec each."""
+    for _ in range(count):
+        u = propagator @ u
+        yield u
+
+
+def _norms(u: np.ndarray, weight: float) -> tuple[float, float, float]:
+    """Quadrature L2 norm, sup norm and mass of one state."""
+    l2 = np.sqrt(weight * np.sum(u**2))
+    return float(l2), float(np.max(np.abs(u))), float(weight * np.sum(u))
 
 
 def _log_slope(times: np.ndarray, l2: np.ndarray, window: tuple[float, float]) -> float:
@@ -66,8 +105,10 @@ def evolve(
     ``rk4`` takes fixed substeps of at most ``dt`` landing exactly on the
     output times (default dt is 0.01 over the operator's essential edge)
     and refuses, with NotConverged, a run of more than ``RK4_SUBSTEP_CAP``
-    substeps; ``eigenexpansion`` diagonalizes once and reconstructs exactly,
-    serving as the oracle for the integrator.
+    substeps.  Every interval has the same substep count, so the RK4 map
+    of one interval is formed once as a matrix and applied once per
+    snapshot.  ``eigenexpansion`` diagonalizes once and reconstructs
+    exactly, serving as the oracle for the integrator.
     """
     u0 = np.asarray(u0, dtype=float).ravel()
     if u0.size != generator.order:
@@ -87,48 +128,42 @@ def evolve(
 
     weight = generator.grid.weight
     times = np.linspace(0.0, t_max, snapshots)
-    states = np.empty((snapshots, u0.size))
-    states[0] = u0
     min_seen = float(u0.min())
+    step_min = None
 
     unstable_message = (
         f"trajectory norm grew beyond {GROWTH_GUARD} times its initial value; "
         "reduce dt or check the operator"
     )
+    if method == "rk4":
+        intervals = max(snapshots - 1, 1)
+        span = float(t_max) / intervals
+        # Python floats, untrapped: a count beyond the float range is inf, above the cap too
+        substeps = max(float(np.ceil(span / float(dt) - 1e-12)), 1.0)
+        total = substeps * intervals
+        if total > RK4_SUBSTEP_CAP:
+            raise NotConverged(
+                f"RK4 would take {total:.3e} substeps of at most dt = {dt!r}, "
+                f"above the cap {RK4_SUBSTEP_CAP:.0e}; raise dt or lower t_max"
+            )
     try:
+        rows = [_norms(u0, weight)]
         if method == "rk4":
-            spans = np.diff(times)
-            with np.errstate(over="ignore"):  # a count beyond the float range is above the cap too
-                counts = np.maximum(np.ceil(spans / dt - 1e-12), 1.0)
-                total = counts.sum()
-            if total > RK4_SUBSTEP_CAP:
-                raise NotConverged(
-                    f"RK4 would take {total:.3e} substeps of at most dt = {dt!r}, "
-                    f"above the cap {RK4_SUBSTEP_CAP:.0e}; raise dt or lower t_max"
-                )
-            u = u0.copy()
-            for k, (span, substeps) in enumerate(zip(spans, counts.astype(int)), start=1):
-                h = span / substeps
-                for _ in range(substeps):
-                    u = _rk4_step(generator, u, h)
-                    min_seen = min(min_seen, float(u.min()))
-                states[k] = u
+            propagator, step_min = _rk4_propagator(generator.data, span / substeps, int(substeps))
+            states = _iterates(propagator, u0, snapshots - 1)
         else:
             try:
                 evals, vectors = np.linalg.eig(generator.data)
             except np.linalg.LinAlgError as exc:
                 raise QRNotConverged(str(exc)) from exc
             coeff = np.linalg.solve(vectors, u0.astype(complex))
-            for k in range(1, snapshots):
-                u = (vectors @ (coeff * np.exp(evals * times[k]))).real
-                states[k] = u
-                min_seen = min(min_seen, float(u.min()))
-
-        l2 = np.sqrt(weight * np.sum(states**2, axis=1))
-        sup = np.max(np.abs(states), axis=1)
-        masses = weight * np.sum(states, axis=1)
+            states = ((vectors @ (coeff * np.exp(evals * t))).real for t in times[1:])
+        for u in states:
+            rows.append(_norms(u, weight))
+            min_seen = min(min_seen, float(u.min()))
     except FloatingPointError as exc:  # numpy traps overflow: the trajectory left the float range
         raise Unstable(unstable_message) from exc
+    l2, sup, masses = (np.array(column) for column in zip(*rows))
 
     initial = l2[0]
     if initial > 0 and np.any(l2 > GROWTH_GUARD * initial):
@@ -147,6 +182,7 @@ def evolve(
         decay_rate_fit=rate,
         fit_window=window,
         min_value_seen=min_seen,
+        rk4_step_min=step_min,
     )
 
 

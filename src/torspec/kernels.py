@@ -137,7 +137,7 @@ def exponential_kernel(dimension: int = 1, scale: float = 0.2) -> ContinuousKern
 # kernels on the torus
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
 class WoundKernel:
     """Convolution kernel on the torus: samples of sum_m a(z + m) at grid nodes.
 
@@ -198,7 +198,7 @@ def wind_kernel(a: ContinuousKernel, n: int, tail_tol: float = 1e-12) -> WoundKe
     return WoundKernel(a.dimension, n, acc, n_wind, float(a.tail_mass_bound(n_wind)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
 class GenericKernel:
     """Two-point kernel b(x, y) on the tensor grid as an (n^d, n^d) array.
 
@@ -296,7 +296,7 @@ class PotentialDiagnostics:
         return asdict(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
 class Potential:
     """Nonpositive potential samples in grid node order (flat, length n^d).
 
@@ -410,18 +410,6 @@ def kernel_stats(b: GenericKernel, n_max: int = 16) -> KernelStats:
         primitive_power=n_prim,
         iterated_kernel_min=float(power.min() / b.weight),
     )
-
-
-def tail_mass(b: GenericKernel, level: float) -> float:
-    """Worst-row quadrature mass carried by samples exceeding ``level``.
-
-    Diagnostic for uniform integrability: non-increasing in the level and at
-    most the largest row integral as the level vanishes.
-    """
-    if level <= 0:
-        raise ValueError("level must be positive")
-    clipped = np.where(b.samples > level, b.samples, 0.0)
-    return float(serial_row_sums(clipped * b.weight).max())
 
 
 # ---------------------------------------------------------------------------

@@ -602,6 +602,23 @@ def test_cli_evolve_overflow_keeps_its_typed_error(evolution, error, tmp_path, c
     assert diagnostic["error"] == error
 
 
+def test_cli_never_imports_numpy_random(tmp_path):
+    script = (
+        "import sys\n"
+        "from torspec.cli import main\n"
+        "for command in ('analyze', 'evolve'):\n"
+        "    assert main([command, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(FIXTURE_DIR / "f3.json"), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_run_command_maps_floating_point_traps(tmp_path):
     config = ts.config_from_dict(minimal_config(grid_n=16, kernel={"family": "exponential", "scale": 1e-300}))
     with pytest.raises(ts.FloatingPointFailure, match="overflow encountered in matmul"):

@@ -4,7 +4,24 @@ import numpy as np
 import pytest
 
 import torspec as ts
+from torspec.eigen import _start_vector
 from conftest import make_f1, make_f2, sine_wound, two_level_eigenvalue_oracle
+
+_MASK = 2**64 - 1
+
+
+def _mix64(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def _splitmix64_start(order, seed):
+    """Reference start vector in Python integers: the top 52 bits of the
+    splitmix64 stream keyed by the mixed seed, shifted into [0.5, 1.5)."""
+    key = _mix64(seed % 2**64)
+    return np.array([0.5 + (_mix64((key + i * 0x9E3779B97F4A7C15) & _MASK) >> 12) * 2.0**-52
+                     for i in range(1, order + 1)])
 
 
 def test_perron_rank_one_doubly_stochastic():
@@ -32,10 +49,35 @@ def test_perron_start_equal_to_seeded_vector_is_bit_identical():
     rng = np.random.default_rng(9)
     mat = rng.uniform(0.1, 1.0, size=(10, 10))
     seeded = ts.perron(mat, seed=3)
-    started = ts.perron(mat, start=np.random.default_rng(3).uniform(0.5, 1.5, size=10))
+    started = ts.perron(mat, start=_splitmix64_start(10, 3))
     assert started.rho == seeded.rho
     assert started.iterations == seeded.iterations
     assert np.array_equal(started.vector, seeded.vector)
+
+
+def test_start_vector_is_splitmix64_in_half_open_unit_band():
+    seeds = (0, 1, 2, 3, 2**63, 2**64 - 1, 2**64, 2**64 + 3, 10**30)
+    with np.errstate(all="raise"):  # the CLI runs under these traps
+        vectors = {seed: _start_vector(4096, seed) for seed in seeds}
+    for seed, v in vectors.items():
+        assert v.dtype == np.float64 and v.shape == (4096,)
+        assert v.min() >= 0.5 and v.max() < 1.5
+        assert np.array_equal(v[:16], _splitmix64_start(16, seed))
+    # distinct seeds mod 2**64 give distinct vectors, not shifted copies
+    distinct = [vectors[seed] for seed in seeds if seed < 2**64 or seed == 10**30]
+    for i, a in enumerate(distinct):
+        for b in distinct[i + 1:]:
+            assert not np.any(np.isin(a[:64], b))
+    assert np.array_equal(vectors[2**64], vectors[0])
+    assert np.array_equal(vectors[2**64 + 3], vectors[3])
+
+
+def test_perron_tolerance_below_rounding_stops_at_the_rounding_floor():
+    mat = np.random.default_rng(9).uniform(0.1, 1.0, size=(10, 10))
+    result = ts.perron(mat, tol=0.0, max_iter=2000)
+    assert result.iterations < 2000
+    assert result.cw_upper - result.cw_lower <= 4 * np.spacing(result.cw_upper)
+    assert result.cw_lower <= result.rho <= result.cw_upper
 
 
 def test_perron_row_scale_matches_scaled_matrix():

@@ -1,13 +1,35 @@
 """Time integration, decay-rate fits, positivity, extinction."""
 
-
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import torspec as ts
 from torspec.evolution import RK4_SUBSTEP_CAP
-from conftest import make_f1, make_f2, two_level_eigenvalue_oracle
+from conftest import make_f1, make_f2, make_f3, two_level_eigenvalue_oracle
+
+
+def _rk4_step(mat, u, dt):
+    k1 = mat.matvec(u)
+    k2 = mat.matvec(u + 0.5 * dt * k1)
+    k3 = mat.matvec(u + 0.5 * dt * k2)
+    k4 = mat.matvec(u + dt * k3)
+    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rk4_reference_states(gen, u0, t_max, dt, snapshots):
+    """Reference integrator: the RK4 formula applied substep by substep,
+    ceil(span / dt) substeps per output interval."""
+    times = np.linspace(0.0, t_max, snapshots)
+    states = [u0]
+    u = u0.copy()
+    for span in np.diff(times):
+        substeps = max(int(np.ceil(span / dt - 1e-12)), 1)
+        for _ in range(substeps):
+            u = _rk4_step(gen, u, span / substeps)
+        states.append(u)
+    return np.array(states)
 
 
 def test_constant_fixture_exact_exponential():
@@ -170,3 +192,53 @@ def test_evolve_refuses_more_rk4_substeps_than_the_cap():
         ts.evolve(gen, np.ones(16), t_max=1.0, dt=1e-300)
     trace = ts.evolve(gen, np.ones(16), t_max=1.0, snapshots=2)
     assert np.isnan(trace.decay_rate_fit)
+
+
+@pytest.mark.parametrize("make", [make_f2, make_f3], ids=["f2", "f3"])
+def test_rk4_propagator_matches_per_substep_reference(make):
+    grid, kernel, potential = make(n=32)
+    gen = ts.assemble_generator(kernel, potential, grid)
+    u0 = np.random.default_rng(4).uniform(0.5, 1.5, grid.size)
+    trace = ts.evolve(gen, u0, t_max=12.0, dt=0.07, snapshots=37)
+    states = _rk4_reference_states(gen, u0, 12.0, 0.07, 37)
+    reference = (
+        np.sqrt(grid.weight * np.sum(states**2, axis=1)),
+        np.max(np.abs(states), axis=1),
+        grid.weight * np.sum(states, axis=1),
+    )
+    for got, want in zip((trace.l2_norms, trace.sup_norms, trace.masses), reference):
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-11
+    # taken at the snapshots, as the reference is
+    assert abs(trace.min_value_seen - states.min()) <= 1e-11 * abs(states.min())
+
+
+def test_rk4_step_map_certificate():
+    for make in (make_f1, make_f2, make_f3):
+        grid, kernel, potential = make(n=32)
+        gen = ts.assemble_generator(kernel, potential, grid)
+        trace = ts.evolve(gen, np.ones(grid.size), t_max=20.0)
+        assert trace.rk4_step_min >= 0.0
+        assert trace.min_value_seen >= 0.0
+        exact = ts.evolve(gen, np.ones(grid.size), t_max=20.0, method="eigenexpansion")
+        assert exact.rk4_step_min is None
+    # one substep far past the positivity limit: the certificate fails, and
+    # the state does turn negative
+    grid, kernel, potential = make_f2(n=32)
+    gen = ts.assemble_generator(kernel, potential, grid)
+    coarse = ts.evolve(gen, np.ones(grid.size), t_max=2.5, dt=2.5, snapshots=2)
+    assert coarse.rk4_step_min < 0.0
+    assert coarse.min_value_seen < 0.0
+
+
+def test_rk4_propagator_holds_three_matrix_buffers():
+    grid, kernel, potential = make_f3(n=128)
+    gen = ts.assemble_generator(kernel, potential, grid)
+    u0 = np.ones(grid.size)
+    tracemalloc.start()
+    try:
+        ts.evolve(gen, u0, t_max=40.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the step map, its power and one scratch, plus room for vectors
+    assert peak <= 3.25 * gen.data.nbytes

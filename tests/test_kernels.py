@@ -197,47 +197,22 @@ def test_positive_potential_rejected():
         ts.Potential(1, 4, np.array([0.0, -1.0, 0.2, -0.5]))
 
 
-# -- tail mass ----------------------------------------------------------------
+# -- equality ------------------------------------------------------------------
 
 
-def test_tail_mass_trivial_levels():
-    grid = ts.TorusGrid(1, 32)
-    kernel = ts.constant_kernel(grid)
-    assert ts.tail_mass(kernel, 2.0) == 0.0
-    assert ts.tail_mass(kernel, 0.5) == 1.0
-
-
-def test_tail_mass_sine_kernel_brute_force():
-    n = 64
-    grid = ts.TorusGrid(1, n)
-    kernel = ts.convolution_kernel(sine_wound(grid), grid)
-    level = 1.25
-    # oracle: plain double loop over the grid
-    worst = 0.0
-    for i in range(n):
-        acc = 0.0
-        for j in range(n):
-            value = 1.0 + 0.5 * math.sin(2 * math.pi * ((i - j) % n) / n)
-            if value > level:
-                acc += value / n
-        worst = max(worst, acc)
-    assert abs(ts.tail_mass(kernel, level) - worst) <= 1e-13
-
-
-def test_tail_mass_monotone_and_bounded_by_row_max():
-    _, kernel, _ = random_fixture(3, n=32)
-    stats = ts.kernel_stats(kernel)
-    levels = [1e-12, 0.2, 0.5, 0.9, 1.2, 2.0]
-    values = [ts.tail_mass(kernel, level) for level in levels]
-    for low, high in zip(values[1:], values[:-1]):
-        assert low <= high + 1e-15
-    assert abs(values[0] - stats.row_integral_max) <= 1e-13
-
-
-def test_tail_mass_rejects_nonpositive_level():
+def test_model_objects_compare_by_identity():
     grid = ts.TorusGrid(1, 8)
-    with pytest.raises(ValueError):
-        ts.tail_mass(ts.constant_kernel(grid), 0.0)
+    builders = (
+        lambda: ts.step_potential(grid),
+        lambda: ts.constant_kernel(grid),
+        lambda: ts.wind_kernel(ts.gaussian_kernel(1, 0.2), 8),
+        lambda: ts.assemble_generator(ts.constant_kernel(grid), ts.step_potential(grid), grid),
+    )
+    for build in builders:
+        x, y = build(), build()
+        assert x == x
+        assert (x == y) is False
+        assert x != y
 
 
 # -- CSV ingestion ------------------------------------------------------------
