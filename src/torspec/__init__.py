@@ -64,16 +64,13 @@ from .kernels import (
 from .discretize import (
     FourierSymbol,
     OperatorMatrix,
-    assemble_B,
     assemble_birman_schwinger,
     assemble_generator,
     fourier_symbol,
 )
 from .eigen import (
     PerronResult,
-    collatz_wielandt_bounds,
     full_spectrum,
-    operator_norm_2,
     perron,
 )
 from .spectral import (
@@ -82,7 +79,6 @@ from .spectral import (
     EssentialSpectrum,
     SpectrumReport,
     analyze,
-    birman_schwinger_radius,
     essential_spectrum,
     max_eigenvalue_bisection,
     max_eigenvalue_shifted_power,

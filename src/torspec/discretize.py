@@ -15,20 +15,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, MuBelowEdge
+from .errors import DimensionMismatch, MuBelowEdge, NegativeEntry
 from .grid import TorusGrid
 from .kernels import GenericKernel, Potential, WoundKernel, serial_row_sums
 
 MU_EDGE_MARGIN = 1e-12
 
 
+def _has_negative(a: np.ndarray) -> bool:
+    """Whether some entry is below zero; NaN entries are skipped, and no copy is made."""
+    return bool(np.fmin.reduce(a, axis=None, initial=0.0) < 0)
+
+
 @dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
 class OperatorMatrix:
     """Dense square matrix for one of the torus operators.
 
-    Roles: "M" (generator), "B" (kernel part alone), "Q" (edge-shifted
-    ratio operator), or "custom".  ``edge_sup`` records sup(W - V) when the
-    assembly knows it.
+    Roles: "M" (generator), "Q" (edge-shifted ratio operator), or
+    "custom".  ``edge_sup`` records sup(W - V) when the assembly knows it.
     """
 
     data: np.ndarray
@@ -46,14 +50,14 @@ class OperatorMatrix:
             raise DimensionMismatch(
                 f"matrix order {data.shape[0]} does not match grid size {self.grid.size}"
             )
-        if self.role in ("B", "Q"):
-            if np.any(data < 0):
-                raise ValueError(f"role {self.role} requires entrywise nonnegative data")
-        elif self.role == "M":
-            off = data.copy()
-            np.fill_diagonal(off, 0.0)
-            if np.any(off < 0):
-                raise ValueError(f"role {self.role} requires nonnegative off-diagonal entries")
+        if self.role == "Q" and _has_negative(data):
+            raise NegativeEntry(f"role {self.role} requires entrywise nonnegative data")
+        if self.role == "M":
+            # the off-diagonal entries as a view: each row of the reshape runs
+            # from one past a diagonal entry up to the next diagonal entry
+            n = data.shape[0]
+            if _has_negative(data.ravel()[1:].reshape(n - 1, n + 1)[:, :-1]):
+                raise NegativeEntry(f"role {self.role} requires nonnegative off-diagonal entries")
 
     @property
     def order(self) -> int:
@@ -92,12 +96,6 @@ class OperatorMatrix:
         data = self.data.copy()
         np.fill_diagonal(data, np.diagonal(data) + k)
         return OperatorMatrix(data, "custom", self.grid)
-
-
-def assemble_B(b: GenericKernel, grid: TorusGrid) -> OperatorMatrix:
-    """Kernel part alone: (Bu)(x_i) = h^d sum_j b(x_i, y_j) u(y_j)."""
-    grid.require_match(b)
-    return OperatorMatrix(grid.weight * b.samples, "B", grid)
 
 
 def assemble_generator(b: GenericKernel, potential: Potential, grid: TorusGrid) -> OperatorMatrix:
@@ -147,7 +145,7 @@ def assemble_birman_schwinger(
 # Fourier symbols of convolution kernels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
 class FourierSymbol:
     """Fourier coefficients of a wound kernel on the resolved band |k_a| < n/2.
 

@@ -1,5 +1,5 @@
 """Eigenvalue machinery: Perron power iteration with Collatz-Wielandt
-certificates, dense nonsymmetric spectra, and operator 2-norm estimation.
+certificates, and dense nonsymmetric spectra.
 
 The power iteration is the positive-operator route; the dense solve
 (balanced Hessenberg QR via LAPACK) is the independent cross-check.  The
@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    FloatingPointFailure,
     NegativeEntry,
     NonPositiveVector,
     NotConverged,
@@ -31,7 +32,7 @@ def _as_array(mat) -> np.ndarray:
     return np.asarray(data, dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
 class PerronResult:
     """Dominant eigenpair of a nonnegative matrix with a certificate.
 
@@ -114,22 +115,12 @@ def perron(
         # normalized only when iterated on: a converged step never squares
         # entries that may lie beyond the square root of the float range
         norm_w = np.linalg.norm(w)
+        if not np.isfinite(norm_w):
+            raise FloatingPointFailure("power iterate overflowed; scale the matrix")
         if norm_w == 0.0:
             raise NotConverged("iterate vanished; matrix is not primitive")
         v = w / norm_w
     raise NotConverged(f"certificate gap above {tol} after {max_iter} iterations")
-
-
-def collatz_wielandt_bounds(mat, v: np.ndarray) -> tuple[float, float]:
-    """min/max of (Av)_i / v_i over a positive vector: brackets the Perron root."""
-    a = _as_array(mat)
-    if np.any(a < 0):
-        raise NegativeEntry("matrix has a negative entry")
-    v = np.asarray(v, dtype=float).ravel()
-    if v.min() <= 0:
-        raise NonPositiveVector("certificate vector must be entrywise positive")
-    ratios = (a @ v) / v
-    return float(ratios.min()), float(ratios.max())
 
 
 def full_spectrum(mat, order_cap: int = SPECTRUM_ORDER_CAP) -> np.ndarray:
@@ -148,26 +139,3 @@ def full_spectrum(mat, order_cap: int = SPECTRUM_ORDER_CAP) -> np.ndarray:
     order = np.lexsort((values.imag, -values.real))
     return values[order]
 
-
-def operator_norm_2(mat, tol: float = 1e-10, max_iter: int = 100_000, seed: int = 0) -> float:
-    """Largest singular value via power iteration on A^T A.
-
-    The Gram matrix is symmetric positive semidefinite, so the Rayleigh
-    estimate increases monotonically; iteration stops when its relative
-    change drops below ``tol``.
-    """
-    a = _as_array(mat)
-    v = _start_vector(a.shape[1], seed)
-    v /= np.linalg.norm(v)
-    sigma_sq = 0.0
-    for _ in range(max_iter):
-        g = a.T @ (a @ v)
-        new_sigma_sq = float(v @ g)
-        norm_g = np.linalg.norm(g)
-        if norm_g == 0.0:
-            return 0.0
-        v = g / norm_g
-        if abs(new_sigma_sq - sigma_sq) <= tol * max(new_sigma_sq, 1e-300):
-            return float(np.sqrt(max(new_sigma_sq, 0.0)))
-        sigma_sq = new_sigma_sq
-    raise NotConverged(f"singular-value estimate not settled after {max_iter} iterations")

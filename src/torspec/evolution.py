@@ -21,7 +21,7 @@ GROWTH_GUARD = 10.0
 RK4_SUBSTEP_CAP = 10**7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
 class EvolutionTrace:
     """Norm history of one trajectory plus a default-window decay fit.
 

@@ -37,10 +37,6 @@ class TorusGrid:
                 )
 
     @property
-    def h(self) -> float:
-        return 1.0 / self.n
-
-    @property
     def weight(self) -> float:
         """Quadrature weight per node, h^d."""
         return float(self.n) ** (-self.dimension)

@@ -236,23 +236,28 @@ def constant_kernel(grid: TorusGrid, value: float = 1.0) -> GenericKernel:
     return GenericKernel(grid.dimension, grid.n, np.full((grid.size, grid.size), float(value)))
 
 
-def displacement_index(grid: TorusGrid) -> tuple[np.ndarray, ...]:
-    """Index arrays mapping (x node, y node) to the torus displacement node.
+def _displacement_samples(wound: WoundKernel, grid: TorusGrid) -> np.ndarray:
+    """Samples a(x_i - y_j) as an (n^d, n^d) array in grid node order.
 
-    Pure integer arithmetic mod n; no floating-point wraparound.
+    One (n, n) table of axis displacements (i - j) mod n, in pure integer
+    arithmetic, indexes every axis; broadcast over the axis pairs, the
+    gather comes out shaped (x_1..x_d, y_1..y_d), so no (n^d, n^d) index
+    array is built.
     """
-    idx = grid.index_grid()
-    return tuple(
-        (idx[:, axis][:, None] - idx[:, axis][None, :]) % grid.n
-        for axis in range(grid.dimension)
-    )
+    grid.require_match(wound)
+    n, d = grid.n, grid.dimension
+    diff = (np.arange(n)[:, None] - np.arange(n)) % n
+    index = []
+    for axis in range(d):
+        shape = [1] * (2 * d)
+        shape[axis] = shape[d + axis] = n
+        index.append(diff.reshape(shape))
+    return wound.samples[tuple(index)].reshape(grid.size, grid.size)
 
 
 def convolution_kernel(wound: WoundKernel, grid: TorusGrid) -> GenericKernel:
     """Generic form b(x, y) = a(x - y) of a convolution kernel."""
-    grid.require_match(wound)
-    samples = wound.samples[displacement_index(grid)]
-    return GenericKernel(grid.dimension, grid.n, samples)
+    return GenericKernel(grid.dimension, grid.n, _displacement_samples(wound, grid))
 
 
 def modulated_convolution(
@@ -261,8 +266,7 @@ def modulated_convolution(
     modulation: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> GenericKernel:
     """b(x, y) = a(x - y) * mu(x, y) for a positive symmetric modulation mu."""
-    grid.require_match(wound)
-    base = wound.samples[displacement_index(grid)]
+    base = _displacement_samples(wound, grid)
     coords = grid.coordinates()
     mu = np.asarray(modulation(coords[:, None, :], coords[None, :, :]), dtype=float)
     if mu.shape != (grid.size, grid.size):

@@ -36,7 +36,7 @@ from .grid import TorusGrid
 from .kernels import GenericKernel, Potential, kernel_stats
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
 class EssentialSpectrum:
     """Distinct grid values of W - V; the essential spectrum is their negation.
 
@@ -82,40 +82,7 @@ class AnalysisOptions:
     diagnostic: bool = False
 
 
-def _ratio_perron(
-    mu: float,
-    b: GenericKernel,
-    potential: Potential,
-    grid: TorusGrid,
-    tol: float,
-    max_iter: int,
-    seed: int,
-    adjoint: bool = False,
-    start: np.ndarray | None = None,
-) -> PerronResult:
-    """Perron pair of the assembled ratio operator at shift mu (or of its adjoint)."""
-    q = assemble_birman_schwinger(b, potential, mu, grid, adjoint=adjoint)
-    return perron(q, tol=tol, max_iter=max_iter, seed=seed, start=start)
-
-
-def birman_schwinger_radius(
-    mu: float,
-    b: GenericKernel,
-    potential: Potential,
-    grid: TorusGrid,
-    tol: float = 1e-11,
-    max_iter: int = 100_000,
-    seed: int = 0,
-) -> float:
-    """Spectral radius of the ratio operator at shift mu.
-
-    Continuous and strictly decreasing in mu above the essential edge, and
-    decaying to zero as mu grows.
-    """
-    return _ratio_perron(mu, b, potential, grid, tol, max_iter, seed).rho
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
 class BisectionResult:
     """Maximum eigenvalue located as the unit-radius crossing of the shift scan.
 
@@ -238,25 +205,29 @@ def max_eigenvalue_bisection(
                 moved = "hi"
 
     lam = 0.5 * (lo + hi)
-    at_lam = _ratio_perron(lam, b, potential, grid, power_tol, max_iter, seed, start=vector)
+    at_lam = perron(
+        assemble_birman_schwinger(b, potential, lam, grid),
+        tol=power_tol, max_iter=max_iter, seed=seed, start=vector,
+    )
     if not eligible and abs(at_lam.rho - 1.0) > 100 * power_tol:
         raise BracketFailure(
             f"vanishing potential should give unit radius at zero shift, got {at_lam.rho!r}"
         )
-    adjoint = _ratio_perron(
-        lam, b, potential, grid, power_tol, max_iter, seed, adjoint=True, start=at_lam.vector,
+    adjoint = perron(
+        assemble_birman_schwinger(b, potential, lam, grid, adjoint=True),
+        tol=power_tol, max_iter=max_iter, seed=seed, start=at_lam.vector,
     )
     return BisectionResult(
         lam, at_lam.vector, adjoint.vector, iterations, at_lam.rho, (lo, hi), perron_iterations,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
 class ShiftedPowerResult:
-    """Maximum eigenvalue via Perron iteration on the positively shifted generator."""
+    """Maximum eigenvalue via Perron iteration on the positively shifted generator;
+    the ground state is ``perron.vector``."""
 
     lam: float
-    ground_state: np.ndarray
     perron: PerronResult
 
 
@@ -272,10 +243,10 @@ def max_eigenvalue_shifted_power(
     k = alpha0 + 1.0
     shifted = generator.shifted(k)
     result = perron(shifted, tol=tol, max_iter=max_iter, seed=seed)
-    return ShiftedPowerResult(result.rho - k, result.vector, result)
+    return ShiftedPowerResult(result.rho - k, result)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
 class SpectrumReport:
     """Cross-validated spectral picture of one assembled generator."""
 

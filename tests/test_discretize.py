@@ -178,8 +178,7 @@ def test_fourier_symbol_two_dimensional():
 def test_circulant_eigenvalues_match_symbol():
     grid = ts.TorusGrid(1, 64)
     wound = sine_wound(grid)
-    b_part = ts.assemble_B(ts.convolution_kernel(wound, grid), grid)
-    eigenvalues = np.linalg.eigvals(b_part.data)
+    eigenvalues = np.linalg.eigvals(grid.weight * ts.convolution_kernel(wound, grid).samples)
     # oracle: quadrature DFT of the kernel samples gives every circulant eigenvalue
     dft = np.fft.fft(wound.samples) / 64
     matched = sorted(eigenvalues, key=lambda z: (z.real, z.imag))
@@ -227,14 +226,36 @@ def test_grid_mismatch_rejected():
 def test_role_invariants_enforced():
     grid = ts.TorusGrid(1, 4)
     negative = -np.ones((4, 4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ts.NegativeEntry):
         ts.OperatorMatrix(negative, "Q", grid)
     metzler_violation = np.zeros((4, 4))
     metzler_violation[0, 1] = -1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ts.NegativeEntry):
         ts.OperatorMatrix(metzler_violation, "M", grid)
     # negative diagonal is fine for generators
     ts.OperatorMatrix(np.diag([-1.0, -2.0, -3.0, -4.0]), "M", grid)
+    # a NaN entry is skipped, but not a negative entry beside it
+    nan_entry = np.diag([-1.0, -2.0, -3.0, -4.0])
+    nan_entry[0, 1] = np.nan
+    ts.OperatorMatrix(nan_entry.copy(), "M", grid)
+    ts.OperatorMatrix(np.abs(nan_entry), "Q", grid)
+    nan_entry[2, 3] = -1.0
+    for role in ("M", "Q"):
+        with pytest.raises(ts.NegativeEntry):
+            ts.OperatorMatrix(nan_entry.copy(), role, grid)
+
+
+def test_generator_role_check_makes_no_copy():
+    # the reduction over the strided view buffers a fixed 64 KiB, not N x N
+    grid = ts.TorusGrid(1, 512)
+    data = np.full((512, 512), 0.5)
+    tracemalloc.start()
+    try:
+        ts.OperatorMatrix(data, "M", grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * data.nbytes
 
 
 def test_edge_sup_metadata():
@@ -249,7 +270,6 @@ def test_grid_mismatch_reported_alike_by_kernels_and_assembly():
     messages = set()
     for build in (
         lambda: ts.convolution_kernel(sine_wound(grid), other),
-        lambda: ts.assemble_B(kernel, other),
         lambda: ts.assemble_birman_schwinger(kernel, potential, 0.0, other),
     ):
         with pytest.raises(ts.GridMismatch) as err:

@@ -1,10 +1,13 @@
-"""Perron iteration, certificates, dense spectra, operator norms."""
+"""Perron iteration, certificates, dense spectra."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import torspec as ts
-from torspec.eigen import _start_vector
+from torspec.eigen import ROUNDING_ULPS, _start_vector
 from conftest import make_f1, make_f2, sine_wound, two_level_eigenvalue_oracle
 
 _MASK = 2**64 - 1
@@ -117,6 +120,37 @@ def test_perron_certificates_on_random_nonnegative_matrices():
         assert abs(result.rho - oracle) < 1e-10
 
 
+def test_perron_overflow_is_a_floating_point_failure():
+    mat = np.random.default_rng(3).uniform(0.5, 1.5, size=(10, 10))
+    with np.errstate(over="ignore"), pytest.raises(ts.FloatingPointFailure, match="overflowed"):
+        ts.perron(1e200 * mat)
+
+
+@st.composite
+def positive_matrices(draw):
+    """Orders 2-12, entries in [0.01, 1]: an entry ratio of at most 100 keeps
+    Birkhoff's contraction ratio below 99/101, so every draw converges."""
+    order = draw(st.integers(2, 12))
+    return draw(hnp.arrays(float, (order, order), elements=st.floats(0.01, 1.0)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(positive_matrices())
+def test_perron_bounds_bracket_the_root_and_lapack(mat):
+    """The Collatz-Wielandt bounds bracket the Rayleigh root and LAPACK's
+    spectral radius.  Slack: ``ROUNDING_ULPS`` spacings for the rounding of
+    the ratios and dot products, plus LAPACK's own eigenvalue error, of
+    order eps * order * ||A||_F (a constant matrix of 0.01s is already
+    5 spacings off)."""
+    result = ts.perron(mat)
+    lower = result.cw_lower - ROUNDING_ULPS * np.spacing(result.cw_lower)
+    upper = result.cw_upper + ROUNDING_ULPS * np.spacing(result.cw_upper)
+    assert lower <= result.rho <= upper
+    lapack = float(np.abs(np.linalg.eigvals(mat)).max())
+    slack = len(mat) * np.finfo(float).eps * np.linalg.norm(mat)
+    assert lower - slack <= lapack <= upper + slack
+
+
 def test_adjoint_perron_symmetric_agrees():
     rng = np.random.default_rng(4)
     raw = rng.uniform(0.1, 1.0, size=(12, 12))
@@ -153,14 +187,14 @@ def test_perron_rank_one_outer_product():
 
 def test_collatz_wielandt_bounds():
     mat = np.full((4, 4), 0.25)
-    lower, upper = ts.collatz_wielandt_bounds(mat, np.ones(4))
-    assert lower == upper == 1.0
+    result = ts.perron(mat, start=np.ones(4))
+    assert result.cw_lower == result.cw_upper == 1.0
     grid, kernel, potential = make_f1(n=16)
     q = ts.assemble_birman_schwinger(kernel, potential, 0.0, grid)
-    lower, upper = ts.collatz_wielandt_bounds(q, np.ones(16))
-    assert abs(lower - 1 / 1.3) < 1e-14 and abs(upper - 1 / 1.3) < 1e-14
+    result = ts.perron(q, start=np.ones(16))
+    assert abs(result.cw_lower - 1 / 1.3) < 1e-14 and abs(result.cw_upper - 1 / 1.3) < 1e-14
     with pytest.raises(ts.NonPositiveVector):
-        ts.collatz_wielandt_bounds(mat, np.array([1.0, 0.0, 1.0, 1.0]))
+        ts.perron(mat, start=np.array([1.0, 0.0, 1.0, 1.0]))
 
 
 def test_full_spectrum_rank_one_fixture():
@@ -227,26 +261,10 @@ def test_shifted_spectrum_matches_perron_root():
     assert abs(top.real - result.rho) < 1e-10
 
 
-def test_operator_norm_identity_and_rank_one():
-    grid = ts.TorusGrid(1, 16)
-    assert abs(ts.operator_norm_2(np.eye(16)) - 1.0) < 1e-12
-    b_ones = ts.assemble_B(ts.constant_kernel(grid), grid)
-    assert abs(ts.operator_norm_2(b_ones) - 1.0) < 1e-10
-
-
 def test_operator_norm_schur_bound_sine_kernel():
     grid = ts.TorusGrid(1, 64)
     kernel = ts.convolution_kernel(sine_wound(grid), grid)
     stats = ts.kernel_stats(kernel)
-    norm = ts.operator_norm_2(ts.assemble_B(kernel, grid))
+    norm = np.linalg.norm(grid.weight * kernel.samples, 2)
     bound = np.sqrt(stats.row_integral_max * stats.col_integral_max)
     assert norm <= bound * (1 + 1e-8)
-
-
-def test_operator_norm_against_svd_oracle():
-    rng = np.random.default_rng(23)
-    for _ in range(4):
-        mat = rng.normal(size=(25, 25))
-        mine = ts.operator_norm_2(mat, tol=1e-13)
-        oracle = np.linalg.norm(mat, 2)
-        assert abs(mine - oracle) < 1e-8 * oracle

@@ -164,6 +164,20 @@ def test_chain_kernel_needs_higher_power():
     assert stats.iterated_kernel_min > 0
 
 
+@pytest.mark.parametrize("dimension, n", [(1, 7), (1, 8), (2, 5), (2, 6)])
+def test_convolution_kernels_gather_torus_displacements(dimension, n):
+    grid = ts.TorusGrid(dimension, n)
+    rng = np.random.default_rng(n)
+    wound = ts.WoundKernel(dimension, n, rng.uniform(0.1, 1.0, size=(n,) * dimension))
+    nodes = grid.index_grid()
+    expected = np.array([[wound.samples[tuple((x - y) % n)] for y in nodes] for x in nodes])
+    assert np.array_equal(ts.convolution_kernel(wound, grid).samples, expected)
+    doubled = ts.modulated_convolution(
+        wound, grid, lambda x, y: np.full(np.broadcast_shapes(x.shape, y.shape)[:-1], 2.0)
+    )
+    assert np.array_equal(doubled.samples, 2.0 * expected)
+
+
 # -- potentials ---------------------------------------------------------------
 
 

@@ -49,8 +49,9 @@ def test_bracket_is_narrow_and_straddles_unit_radius(model):
     lo, hi = result.bracket
     assert 0.0 < hi - lo <= BISECTION_TOL
     assert lo < result.lam < hi
-    assert ts.birman_schwinger_radius(lo, kernel, potential, grid) >= 1.0 - POWER_TOL
-    assert ts.birman_schwinger_radius(hi, kernel, potential, grid) < 1.0 + POWER_TOL
+    radius = lambda mu: ts.perron(ts.assemble_birman_schwinger(kernel, potential, mu, grid)).rho
+    assert radius(lo) >= 1.0 - POWER_TOL
+    assert radius(hi) < 1.0 + POWER_TOL
 
 
 @PROPERTY

@@ -45,7 +45,7 @@ def test_essential_spectrum_zero_potential_edge_bounds():
 def test_radius_closed_forms_constant_fixture():
     grid, kernel, potential = make_f1(n=64)
     for mu, expected in ((0.0, 1 / 1.3), (-0.3, 1.0), (10.0, 1 / 11.3)):
-        rho = ts.birman_schwinger_radius(mu, kernel, potential, grid)
+        rho = ts.perron(ts.assemble_birman_schwinger(kernel, potential, mu, grid)).rho
         assert abs(rho - expected) < 1e-10
 
 
@@ -58,7 +58,7 @@ def test_radius_monotone_and_decaying():
         alpha0 = float((u + rates).max())
         gamma2 = float(rates.max())
         mus = np.linspace(-alpha1 + 0.05 * (alpha0 - alpha1 + 1.0), 10.0 * gamma2, 25)
-        radii = [ts.birman_schwinger_radius(m, kernel, potential, grid) for m in mus]
+        radii = [ts.perron(ts.assemble_birman_schwinger(kernel, potential, m, grid)).rho for m in mus]
         for nxt, prev in zip(radii[1:], radii[:-1]):
             assert nxt <= prev + 1e-9
         assert radii[-1] < 0.1
@@ -121,7 +121,7 @@ def test_shifted_power_constant_fixture():
     ess = ts.essential_spectrum(potential, ts.jump_rate(kernel))
     result = ts.max_eigenvalue_shifted_power(gen, ess.alpha0)
     assert abs(result.lam + 0.3) < 1e-10
-    assert np.std(result.ground_state) < 1e-9  # constant ground state
+    assert np.std(result.perron.vector) < 1e-9  # constant ground state
 
 
 def test_fixed_point_radius_at_returned_eigenvalue():
