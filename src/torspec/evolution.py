@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .discretize import OperatorMatrix
+from .eigen import _is_symmetric
 from .errors import DimensionMismatch, NotConverged, QRNotConverged, Unstable, ZeroNorm
 
 DEFAULT_SNAPSHOTS = 200
@@ -108,7 +109,9 @@ def evolve(
     substeps.  Every interval has the same substep count, so the RK4 map
     of one interval is formed once as a matrix and applied once per
     snapshot.  ``eigenexpansion`` diagonalizes once and reconstructs
-    exactly, serving as the oracle for the integrator.
+    exactly, serving as the oracle for the integrator: an exactly symmetric
+    generator takes ``eigh``, whose orthonormal eigenvectors V give the
+    coefficients V^T u0, any other ``eig`` and a linear solve.
     """
     u0 = np.asarray(u0, dtype=float).ravel()
     if u0.size != generator.order:
@@ -152,11 +155,12 @@ def evolve(
             propagator, step_min = _rk4_propagator(generator.data, span / substeps, int(substeps))
             states = _iterates(propagator, u0, snapshots - 1)
         else:
+            symmetric = _is_symmetric(generator.data)
             try:
-                evals, vectors = np.linalg.eig(generator.data)
+                evals, vectors = (np.linalg.eigh if symmetric else np.linalg.eig)(generator.data)
             except np.linalg.LinAlgError as exc:
                 raise QRNotConverged(str(exc)) from exc
-            coeff = np.linalg.solve(vectors, u0.astype(complex))
+            coeff = vectors.T @ u0 if symmetric else np.linalg.solve(vectors, u0.astype(complex))
             states = ((vectors @ (coeff * np.exp(evals * t))).real for t in times[1:])
         for u in states:
             rows.append(_norms(u, weight))

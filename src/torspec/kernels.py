@@ -35,9 +35,18 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def serial_row_sums(a: np.ndarray) -> np.ndarray:
-    """Left-to-right serial sum along the last axis (deterministic order)."""
-    return np.cumsum(a, axis=-1)[..., -1]
+def serial_row_sums(a: np.ndarray, weight: float | None = None) -> np.ndarray:
+    """Left-to-right serial sum along the last axis, of ``weight * a`` when
+    a weight is given.
+
+    The columns are added one at a time into one accumulator, so the order
+    is fixed (the bits equal ``np.cumsum``'s last column) and no array of
+    ``a``'s size is built, not even for a transposed view.
+    """
+    acc = a[..., 0].copy() if weight is None else a[..., 0] * weight
+    for j in range(1, a.shape[-1]):
+        acc += a[..., j] if weight is None else a[..., j] * weight
+    return acc
 
 
 def _peak_density(base: float, exponent: float, tag: str) -> float:
@@ -176,6 +185,15 @@ def wind_kernel(a: ContinuousKernel, n: int, tail_tol: float = 1e-12) -> WoundKe
 
     The truncation radius grows until the kernel's analytic tail bound drops
     below ``tail_tol``; the omitted mass estimate is recorded on the result.
+
+    An even kernel winds to exactly symmetric samples, ``a[k] == a[-k mod n]``
+    bit for bit.  The sum runs over centred displacements t in [-1/2, 1/2]^d
+    and adds each pair of opposite translates as ``a(t + m) + a(t - m)``
+    before accumulating, so the sums at t and -t take the same terms in the
+    same order.  On even n both signs of a half-period coordinate are
+    summed and the node keeps their mean.  A kernel whose centred sums still
+    come out asymmetric, such as the half-open tophat box on a grid with
+    nodes on its edge, is wound by the plain loop over the nodes i/n.
     """
     if tail_tol <= 0:
         raise ValueError("tail_tol must be positive")
@@ -190,12 +208,27 @@ def wind_kernel(a: ContinuousKernel, n: int, tail_tol: float = 1e-12) -> WoundKe
                 f"tail bound still {a.tail_mass_bound(WIND_CAP):.3e} at shift radius {WIND_CAP}"
             )
 
-    grid = TorusGrid(a.dimension, n)
-    mesh = grid.node_mesh()
-    acc = np.zeros((n,) * a.dimension)
-    for shift in product(range(-n_wind, n_wind + 1), repeat=a.dimension):
-        acc = acc + a.evaluate(mesh + np.asarray(shift, dtype=float))
-    return WoundKernel(a.dimension, n, acc, n_wind, float(a.tail_mass_bound(n_wind)))
+    d = a.dimension
+    shifts = list(product(range(-n_wind, n_wind + 1), repeat=d))
+    axis = np.arange(-(n // 2), n // 2 + 1) / n  # (-j)/n is exactly -(j/n)
+    centred = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1)
+    acc = a.evaluate(centred)
+    for shift in shifts:
+        if shift > (0,) * d:  # one of each pair +-m
+            m = np.asarray(shift, dtype=float)
+            acc = acc + (a.evaluate(centred + m) + a.evaluate(centred - m))
+    if np.array_equal(acc, np.flip(acc)):  # the flip maps t to -t
+        for k in range(d):  # fold each axis back to the nodes i/n
+            sums = np.moveaxis(acc, k, 0)
+            if n % 2 == 0:  # t = -1/2 and t = 1/2 are one node
+                sums = np.concatenate([0.5 * (sums[:1] + sums[-1:]), sums[1:-1]])
+            acc = np.moveaxis(np.roll(sums, -(n // 2), axis=0), 0, k)
+    else:
+        mesh = TorusGrid(d, n).node_mesh()
+        acc = np.zeros((n,) * d)
+        for shift in shifts:
+            acc = acc + a.evaluate(mesh + np.asarray(shift, dtype=float))
+    return WoundKernel(d, n, acc, n_wind, float(a.tail_mass_bound(n_wind)))
 
 
 @dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
@@ -322,11 +355,14 @@ class Potential:
             raise PositivePotential(f"potential has a positive sample (max {v.max():.6g})")
         weight = float(self.n) ** (-self.dimension)
         frac = float(np.count_nonzero(v < 0)) / v.size
+        # squared after scaling by max|V|, so no depth overflows or underflows the squares
+        peak = -float(v.min())
+        norm_l2 = peak * math.sqrt(float(((v / peak) ** 2).sum()) * weight) if peak > 0 else 0.0
         object.__setattr__(self, "diagnostics", PotentialDiagnostics(
             max_sample=float(v.max()),
             fraction_negative=frac,
             norm_l1=float(np.abs(v).sum() * weight),
-            norm_l2=float(math.sqrt((v**2).sum() * weight)),
+            norm_l2=norm_l2,
             eligible=bool(frac > 0),
         ))
 
@@ -362,7 +398,7 @@ def jump_rate(b: GenericKernel) -> np.ndarray:
     Uses a serial per-row reduction.  ``GenericKernel`` calls this once at
     construction and keeps the result as ``w``; read that field instead.
     """
-    return serial_row_sums(b.samples * b.weight)
+    return serial_row_sums(b.samples, b.weight)
 
 
 @dataclass(frozen=True)
@@ -391,7 +427,7 @@ def kernel_stats(b: GenericKernel, n_max: int = 16) -> KernelStats:
     when no power up to ``n_max`` is entrywise positive at this resolution.
     """
     rows = b.w
-    cols = serial_row_sums(b.samples.T * b.weight)
+    cols = serial_row_sums(b.samples.T, b.weight)
     gamma1 = float(rows.min())
     if gamma1 <= 0:
         raise DegenerateKernel("kernel row integral vanishes somewhere")

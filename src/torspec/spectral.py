@@ -23,7 +23,7 @@ from .discretize import (
     check_shift,
     shift_denominator,
 )
-from .eigen import SPECTRUM_ORDER_CAP, PerronResult, full_spectrum, perron
+from .eigen import SPECTRUM_ORDER_CAP, PerronResult, _is_symmetric, full_spectrum, perron
 from .errors import (
     BracketFailure,
     DegenerateKernel,
@@ -127,9 +127,12 @@ def max_eigenvalue_bisection(
     whenever ``STALL_STEPS`` steps in a row fail to halve it.  Each radius
     comes from a matrix-free Perron solve warm-started from the previous
     vector; the state and adjoint at the returned eigenvalue are certified
-    on the assembled ratio operator.  With a vanishing potential the radius
-    equals one at zero shift; in diagnostic mode that boundary case is
-    reported as a zero eigenvalue instead of an error.
+    on the assembled ratio operator.  A kernel whose samples are exactly
+    symmetric has that operator as its own adjoint counterpart, so its
+    ground state is returned as the adjoint state without a second solve.
+    With a vanishing potential the radius equals one at zero shift; in
+    diagnostic mode that boundary case is reported as a zero eigenvalue
+    instead of an error.
     """
     eligible = potential.diagnostics.eligible
     denom = shift_denominator(b, potential, grid)
@@ -213,12 +216,15 @@ def max_eigenvalue_bisection(
         raise BracketFailure(
             f"vanishing potential should give unit radius at zero shift, got {at_lam.rho!r}"
         )
-    adjoint = perron(
-        assemble_birman_schwinger(b, potential, lam, grid, adjoint=True),
-        tol=power_tol, max_iter=max_iter, seed=seed, start=at_lam.vector,
-    )
+    if _is_symmetric(b.samples):  # the adjoint ratio operator is the assembled one
+        adjoint_state = at_lam.vector
+    else:
+        adjoint_state = perron(
+            assemble_birman_schwinger(b, potential, lam, grid, adjoint=True),
+            tol=power_tol, max_iter=max_iter, seed=seed, start=at_lam.vector,
+        ).vector
     return BisectionResult(
-        lam, at_lam.vector, adjoint.vector, iterations, at_lam.rho, (lo, hi), perron_iterations,
+        lam, at_lam.vector, adjoint_state, iterations, at_lam.rho, (lo, hi), perron_iterations,
     )
 
 

@@ -602,6 +602,15 @@ def test_cli_evolve_overflow_keeps_its_typed_error(evolution, error, tmp_path, c
     assert diagnostic["error"] == error
 
 
+def test_cli_check_kernel_takes_a_potential_deeper_than_the_square_root_of_the_float_range(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(minimal_config(grid_n=16, potential={"family": "constant", "depth": 1e200})))
+    assert main(["check-kernel", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "kernel_check.json").read_text())
+    assert report["potential"]["norm_l2"] == 1e200
+
+
 def test_cli_never_imports_numpy_random(tmp_path):
     script = (
         "import sys\n"
@@ -652,13 +661,19 @@ def test_cli_bracket_failure_exits_three(command, monkeypatch, tmp_path, capsys)
 @pytest.mark.parametrize("command, solver, evolution", [
     ("analyze", "eigvals", {}),
     ("evolve", "eig", {"method": "eigenexpansion"}),
+    ("analyze", "eigvalsh", {}),
+    ("evolve", "eigh", {"method": "eigenexpansion"}),
 ])
 def test_cli_dense_eigensolver_failure_exits_three(command, solver, evolution, monkeypatch, tmp_path, capsys):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, solver, fail)
-    diagnostic = _exit_three(command, minimal_config(grid_n=16, evolution=evolution), tmp_path, capsys)
+    # the symmetric solvers see the constant kernel's exactly symmetric
+    # generator, the general ones the sine kernel's nonsymmetric one
+    kernel = {"family": "constant"} if solver.endswith("h") else {"family": "sine"}
+    raw = minimal_config(grid_n=16, kernel=kernel, evolution=evolution)
+    diagnostic = _exit_three(command, raw, tmp_path, capsys)
     assert diagnostic["error"] == "QRNotConverged"
     assert diagnostic["message"] == "Eigenvalues did not converge"
 

@@ -1,5 +1,7 @@
 """Perron iteration, certificates, dense spectra."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import torspec as ts
-from torspec.eigen import ROUNDING_ULPS, _start_vector
-from conftest import make_f1, make_f2, sine_wound, two_level_eigenvalue_oracle
+from torspec.eigen import ROUNDING_ULPS, SYMMETRY_TILE, _is_symmetric, _start_vector
+from conftest import make_f1, make_f2, make_f3, make_f4, sine_wound, two_level_eigenvalue_oracle
 
 _MASK = 2**64 - 1
 
@@ -268,3 +270,67 @@ def test_operator_norm_schur_bound_sine_kernel():
     norm = np.linalg.norm(grid.weight * kernel.samples, 2)
     bound = np.sqrt(stats.row_integral_max * stats.col_integral_max)
     assert norm <= bound * (1 + 1e-8)
+
+
+def _wound_model(kernel, dimension, n):
+    grid = ts.TorusGrid(dimension, n)
+    wound = ts.wind_kernel(kernel, n)
+    return grid, ts.convolution_kernel(wound, grid), ts.step_potential(grid)
+
+
+DISPATCH_MODELS = {
+    "f1": (lambda: make_f1(n=32), "eigvalsh"),
+    "f2": (lambda: make_f2(n=32), "eigvalsh"),
+    "f3": (lambda: make_f3(n=64), "eigvalsh"),
+    "gaussian-2d": (lambda: _wound_model(ts.gaussian_kernel(2, 0.2), 2, 16), "eigvalsh"),
+    "exponential-2d": (lambda: _wound_model(ts.exponential_kernel(2, 0.2), 2, 10), "eigvalsh"),
+    "f4": (lambda: make_f4(n=32), "eigvals"),
+    # 2 w n is an integer: the half-open box puts a node on one edge only
+    "tophat": (lambda: _wound_model(ts.tophat_kernel(1, 0.125), 1, 64), "eigvals"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DISPATCH_MODELS))
+def test_full_spectrum_takes_eigvalsh_only_on_exactly_symmetric_input(name, monkeypatch):
+    make, expected = DISPATCH_MODELS[name]
+    grid, kernel, potential = make()
+    data = ts.assemble_generator(kernel, potential, grid).data
+    reference = np.linalg.eigvals(data)
+    calls = []
+    for solver in ("eigvals", "eigvalsh"):
+        def recorded(a, _solver=solver, _real=getattr(np.linalg, solver)):
+            calls.append(_solver)
+            return _real(a)
+
+        monkeypatch.setattr(np.linalg, solver, recorded)
+    values = ts.full_spectrum(data)
+    assert calls == [expected]
+    if expected == "eigvalsh":
+        assert not np.iscomplexobj(values)
+        scale = np.abs(data).max() * data.shape[0] * np.finfo(float).eps
+        assert np.allclose(values, np.sort(reference.real)[::-1], rtol=0.0, atol=100 * scale)
+
+
+def test_symmetry_test_finds_one_ulp_in_any_tile():
+    order = 2 * SYMMETRY_TILE + 5
+    rng = np.random.default_rng(7)
+    raw = rng.uniform(size=(order, order))
+    mat = raw + raw.T
+    assert _is_symmetric(mat)
+    for i, j in ((0, 1), (3, SYMMETRY_TILE + 2), (order - 1, order - 2), (SYMMETRY_TILE, 2 * SYMMETRY_TILE)):
+        bent = mat.copy()
+        bent[i, j] = np.nextafter(bent[i, j], np.inf)
+        assert not _is_symmetric(bent)
+        assert not _is_symmetric(bent.T)
+
+
+def test_symmetry_test_builds_no_array_of_the_matrix_size():
+    raw = np.random.default_rng(8).uniform(size=(1024, 1024))
+    mat = raw + raw.T
+    tracemalloc.start()
+    try:
+        assert _is_symmetric(mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.05 * mat.nbytes

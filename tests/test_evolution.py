@@ -91,7 +91,7 @@ def test_two_level_fixture_decay_rate_window():
 
 
 def test_rk4_matches_eigenexpansion_oracle():
-    for make in (make_f1, make_f2):
+    for make in (make_f1, make_f2, make_f3):
         grid, kernel, potential = make(n=64)
         gen = ts.assemble_generator(kernel, potential, grid)
         u0 = np.ones(grid.size)

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -78,6 +80,43 @@ def test_wind_rejects_bad_tolerance():
         ts.wind_kernel(ts.tophat_kernel(), 16, 0.0)
 
 
+def _shift_loop(kernel, n, radius):
+    """Reference winding: the plain loop over the nodes i/n and every shift."""
+    mesh = ts.TorusGrid(kernel.dimension, n).node_mesh()
+    acc = np.zeros((n,) * kernel.dimension)
+    for shift in product(range(-radius, radius + 1), repeat=kernel.dimension):
+        acc = acc + kernel.evaluate(mesh + np.asarray(shift, dtype=float))
+    return acc
+
+
+def _mirror(samples):
+    """samples[-k mod n] along every axis."""
+    n = samples.shape[0]
+    return samples[np.ix_(*[(-np.arange(n)) % n] * samples.ndim)]
+
+
+@pytest.mark.parametrize("make", [ts.gaussian_kernel, ts.exponential_kernel])
+@pytest.mark.parametrize("dimension, n", [(1, 7), (1, 8), (1, 256), (2, 7), (2, 10), (2, 48)])
+def test_even_kernels_wind_to_bit_symmetric_samples(make, dimension, n):
+    kernel = make(dimension, 0.2)
+    wound = ts.wind_kernel(kernel, n)
+    assert np.array_equal(wound.samples, _mirror(wound.samples))
+    # each node keeps its own displacement: the centred sums differ from the
+    # plain loop only by rounding and by the translates each one truncates
+    reference = _shift_loop(kernel, n, wound.wind_truncation)
+    assert np.allclose(wound.samples, reference, rtol=0.0, atol=1e-10 * reference.max())
+
+
+@pytest.mark.parametrize("dimension, n, width", [
+    (1, 512, 0.125), (1, 8, 0.125), (2, 48, 0.125), (1, 10, 0.3), (1, 64, 0.45),
+    (1, 33, 1.0), (2, 8, 1.0), (2, 10, 1.7),
+])
+def test_tophat_winds_bit_identical_to_the_shift_loop(dimension, n, width):
+    kernel = ts.tophat_kernel(dimension, width)
+    wound = ts.wind_kernel(kernel, n)
+    assert np.array_equal(wound.samples, _shift_loop(kernel, n, wound.wind_truncation))
+
+
 # -- jump rate ---------------------------------------------------------------
 
 
@@ -103,6 +142,32 @@ def test_jump_rate_half_supported_rows_rejected_downstream():
     assert np.all(rates[x >= 0.5] == 0.0)
     with pytest.raises(ts.DegenerateKernel):
         ts.kernel_stats(kernel)
+
+
+@pytest.mark.parametrize("shape", [(7,), (5, 9), (64, 64), (3, 4, 6)])
+def test_serial_row_sums_bit_equal_to_cumsum(shape):
+    rng = np.random.default_rng(len(shape))
+    a = rng.uniform(-1.0, 1.0, size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+    weight = 1.0 / 3.0
+    for view in (a, a.T):
+        assert np.array_equal(ts.kernels.serial_row_sums(view), np.cumsum(view, axis=-1)[..., -1])
+        assert np.array_equal(
+            ts.kernels.serial_row_sums(view, weight), np.cumsum(view * weight, axis=-1)[..., -1]
+        )
+
+
+def test_row_and_column_sums_build_no_array_of_the_kernels_size():
+    grid, kernel, _ = random_fixture(5, n=512)
+    tracemalloc.start()
+    try:
+        rows = ts.jump_rate(kernel)
+        cols = ts.kernels.serial_row_sums(kernel.samples.T, kernel.weight)  # as kernel_stats takes them
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(rows, np.cumsum(kernel.samples * kernel.weight, axis=-1)[:, -1])
+    assert np.array_equal(cols, np.cumsum(kernel.samples.T * kernel.weight, axis=-1)[:, -1])
+    assert peak <= 0.05 * kernel.samples.nbytes
 
 
 # -- kernel statistics --------------------------------------------------------
@@ -204,6 +269,15 @@ def test_check_potential_step_exact_norms():
     assert diag.norm_l2 == math.sqrt(0.5)
     assert diag.fraction_negative == 0.5
     assert diag.eligible
+
+
+@pytest.mark.parametrize("depth", [1e200, 1e-200])
+def test_potential_norms_of_extreme_depths(depth):
+    grid = ts.TorusGrid(1, 64)
+    with np.errstate(over="raise", under="raise"):
+        diag = ts.step_potential(grid, depth, 0.5).diagnostics
+    assert diag.norm_l1 == 0.5 * depth
+    assert diag.norm_l2 == depth * math.sqrt(0.5)
 
 
 def test_positive_potential_rejected():

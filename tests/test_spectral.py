@@ -254,3 +254,23 @@ def test_analyze_order_above_cap_is_typed_error():
     grid, kernel, potential = make_f2(n=16)
     with pytest.raises(ts.DimensionMismatch, match="exceeds the cap 8"):
         ts.analyze(kernel, potential, grid, ts.AnalysisOptions(spectrum_order_cap=8))
+
+
+@pytest.mark.parametrize("make, symmetric", [(make_f3, True), (make_f4, False)], ids=["f3", "f4"])
+def test_adjoint_state_is_solved_only_for_a_nonsymmetric_kernel(make, symmetric, monkeypatch):
+    real = ts.spectral.assemble_birman_schwinger
+    adjoint_calls = []
+
+    def recorded(*args, adjoint=False, **kwargs):
+        adjoint_calls.append(adjoint)
+        return real(*args, adjoint=adjoint, **kwargs)
+
+    monkeypatch.setattr(ts.spectral, "assemble_birman_schwinger", recorded)
+    grid, kernel, potential = make(n=64)
+    result = ts.max_eigenvalue_bisection(kernel, potential, grid)
+    assert adjoint_calls == ([False] if symmetric else [False, True])
+    assert (result.adjoint_state is result.ground_state) == symmetric
+    generator = ts.assemble_generator(kernel, potential, grid)
+    phi = result.adjoint_state
+    assert np.linalg.norm(generator.data.T @ phi - result.lam * phi) <= 1e-8
+    assert phi.min() > 0
