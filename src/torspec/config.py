@@ -96,13 +96,7 @@ class RunConfig:
         family = self.kernel["family"]
         if family == "modulated":
             base = self._build_wound(grid, self.kernel["base"])
-            eps = self.kernel["epsilon"]
-
-            def mu(x, y):
-                phase = 2.0 * np.pi * (x + y)
-                return 1.0 + eps * np.prod(np.cos(phase), axis=-1)
-
-            return None, modulated_convolution(base, grid, mu)
+            return None, modulated_convolution(base, grid, self.kernel["epsilon"])
         if family == "csv":
             return None, kernel_from_csv(_resolve(self.base_dir, self.kernel["path"]), grid)
         assert wound is not None

@@ -3,10 +3,11 @@
 Assembly convention: off-diagonal entries hold h^d b(x_i, y_j); the diagonal
 of a generator carries V(x_i) minus the serial sum of the off-diagonal row.
 The kernel's own diagonal sample never enters, mirroring the difference
-structure b(x,y)(u(y) - u(x)) where it cancels identically.  With the
-matching serial reduction in ``apply`` the assembled generator annihilates
-constant vectors exactly, not merely to roundoff.  Every assembly reads the
-kernel's jump rate W from ``GenericKernel.w``; none recomputes it.
+structure b(x,y)(u(y) - u(x)) where it cancels identically.  When V = 0 the
+diagonal is exactly minus the serial off-diagonal row sum, so each row of
+the assembled generator sums to zero bit for bit in that order.  Every
+assembly reads the kernel's jump rate W from ``GenericKernel.w``; none
+recomputes it.
 """
 
 from __future__ import annotations
@@ -15,28 +16,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, MuBelowEdge, NegativeEntry
+from .errors import DimensionMismatch, MuBelowEdge
 from .grid import TorusGrid
 from .kernels import GenericKernel, Potential, WoundKernel, serial_row_sums
 
 MU_EDGE_MARGIN = 1e-12
 
 
-def _has_negative(a: np.ndarray) -> bool:
-    """Whether some entry is below zero; NaN entries are skipped, and no copy is made."""
-    return bool(np.fmin.reduce(a, axis=None, initial=0.0) < 0)
-
-
 @dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
 class OperatorMatrix:
-    """Dense square matrix for one of the torus operators.
-
-    Roles: "M" (generator), "Q" (edge-shifted ratio operator), or
-    "custom".  ``edge_sup`` records sup(W - V) when the assembly knows it.
-    """
+    """Dense square matrix of a torus operator: the generator M, the ratio
+    operator Q_mu, or a diagonal shift of M.  ``edge_sup`` records
+    sup(W - V) when the assembly knows it."""
 
     data: np.ndarray
-    role: str
     grid: TorusGrid
     edge_sup: float | None = None
 
@@ -50,52 +43,22 @@ class OperatorMatrix:
             raise DimensionMismatch(
                 f"matrix order {data.shape[0]} does not match grid size {self.grid.size}"
             )
-        if self.role == "Q" and _has_negative(data):
-            raise NegativeEntry(f"role {self.role} requires entrywise nonnegative data")
-        if self.role == "M":
-            # the off-diagonal entries as a view: each row of the reshape runs
-            # from one past a diagonal entry up to the next diagonal entry
-            n = data.shape[0]
-            if _has_negative(data.ravel()[1:].reshape(n - 1, n + 1)[:, :-1]):
-                raise NegativeEntry(f"role {self.role} requires nonnegative off-diagonal entries")
-
-    @property
-    def order(self) -> int:
-        return self.data.shape[0]
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        """Matrix-vector product with serial per-row reduction.
-
-        Off-diagonal terms accumulate left to right, the diagonal term is
-        added last; this matches the assembly-time row sums bit for bit, so
-        a generator with V = 0 maps constants to exact zeros.
-        """
-        u = np.asarray(u, dtype=float).ravel()
-        if u.size != self.order:
-            raise DimensionMismatch(f"vector of length {u.size} against order {self.order}")
-        diag = np.diagonal(self.data)
-        off = self.data.copy()
-        np.fill_diagonal(off, 0.0)
-        return serial_row_sums(off * u[None, :]) + diag * u
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
-        """BLAS product for the residual loops.
+        """The matrix-vector product, by BLAS.
 
-        Far cheaper than ``apply`` and deterministic for a fixed numpy/BLAS
-        build and thread count, but the summation order is BLAS's own, so
-        constants map to roundoff rather than exact zeros; that exactness is
-        why ``apply`` remains as a second product.
+        Deterministic for a fixed numpy/BLAS build and thread count.  Its
+        summation order is BLAS's own, so a generator with V = 0 maps
+        constants to roundoff; the exact cancellation lives in the
+        assembled entries (see the module docstring).
         """
         return self.data @ u
-
-    def transpose(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.data.T.copy(), self.role, self.grid, self.edge_sup)
 
     def shifted(self, k: float) -> "OperatorMatrix":
         """Add k to the diagonal."""
         data = self.data.copy()
         np.fill_diagonal(data, np.diagonal(data) + k)
-        return OperatorMatrix(data, "custom", self.grid)
+        return OperatorMatrix(data, self.grid)
 
 
 def assemble_generator(b: GenericKernel, potential: Potential, grid: TorusGrid) -> OperatorMatrix:
@@ -104,7 +67,7 @@ def assemble_generator(b: GenericKernel, potential: Potential, grid: TorusGrid) 
     data = grid.weight * b.samples
     np.fill_diagonal(data, 0.0)
     np.fill_diagonal(data, potential.samples - serial_row_sums(data))
-    return OperatorMatrix(data, "M", grid, edge_sup=float((b.w - potential.samples).max()))
+    return OperatorMatrix(data, grid, edge_sup=float((b.w - potential.samples).max()))
 
 
 def shift_denominator(b: GenericKernel, potential: Potential, grid: TorusGrid) -> np.ndarray:
@@ -138,7 +101,7 @@ def assemble_birman_schwinger(
     samples = b.samples.T if adjoint else b.samples
     data = np.multiply(samples, grid.weight, order="C")  # one C-ordered array, also for the adjoint
     data /= (denom + mu)[:, None]
-    return OperatorMatrix(data, "Q", grid)
+    return OperatorMatrix(data, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -103,9 +103,11 @@ def perron(
     Converges when the Collatz-Wielandt gap max_i (Av)_i/v_i - min_i (Av)_i/v_i
     drops to ``tol``, or to ``ROUNDING_ULPS`` float spacings of its upper
     end, below which rounding alone can hold it; the returned value is the
-    Rayleigh ratio at the final iterate, which the certificate brackets.  ``start`` replaces the seeded
-    random start with a positive warm-start vector; a positive row ``scale``
-    makes the iterated operator diag(scale) A without forming it.
+    Rayleigh ratio at the final iterate, clamped into the certificate's
+    bracket, which rounding of the ratio alone can leave by a float spacing.
+    ``start`` replaces the seeded random start with a positive warm-start
+    vector; a positive row ``scale`` makes the iterated operator
+    diag(scale) A without forming it.
     """
     a = _as_array(mat)
     if a.min() < 0:
@@ -128,7 +130,7 @@ def perron(
             lower = float(ratios.min())
             upper = float(ratios.max())
             if upper - lower <= max(tol, ROUNDING_ULPS * np.spacing(upper)):
-                rho = float(v @ w / (v @ v))
+                rho = min(max(float(v @ w / (v @ v)), lower), upper)
                 return PerronResult(rho, v, lower, upper, iteration)
         # normalized only when iterated on: a converged step never squares
         # entries that may lie beyond the square root of the float range

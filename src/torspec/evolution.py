@@ -114,8 +114,8 @@ def evolve(
     coefficients V^T u0, any other ``eig`` and a linear solve.
     """
     u0 = np.asarray(u0, dtype=float).ravel()
-    if u0.size != generator.order:
-        raise DimensionMismatch(f"initial vector length {u0.size} against order {generator.order}")
+    if u0.size != generator.grid.size:
+        raise DimensionMismatch(f"initial vector length {u0.size} against order {generator.grid.size}")
     if not np.any(u0 != 0.0):
         raise ValueError("initial density is identically zero")
     if t_max <= 0:

@@ -261,9 +261,6 @@ class GenericKernel:
     def weight(self) -> float:
         return float(self.n) ** (-self.dimension)
 
-    def transpose(self) -> "GenericKernel":
-        return GenericKernel(self.dimension, self.n, self.samples.T.copy())
-
 
 def constant_kernel(grid: TorusGrid, value: float = 1.0) -> GenericKernel:
     return GenericKernel(grid.dimension, grid.n, np.full((grid.size, grid.size), float(value)))
@@ -293,22 +290,18 @@ def convolution_kernel(wound: WoundKernel, grid: TorusGrid) -> GenericKernel:
     return GenericKernel(grid.dimension, grid.n, _displacement_samples(wound, grid))
 
 
-def modulated_convolution(
-    wound: WoundKernel,
-    grid: TorusGrid,
-    modulation: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> GenericKernel:
-    """b(x, y) = a(x - y) * mu(x, y) for a positive symmetric modulation mu."""
+def modulated_convolution(wound: WoundKernel, grid: TorusGrid, epsilon: float) -> GenericKernel:
+    """b(x, y) = a(x - y) (1 + epsilon prod_a cos(2 pi (x_a + y_a))), |epsilon| < 1.
+
+    The modulation is symmetric in (x, y) and, with |epsilon| < 1, positive.
+    """
+    if not abs(epsilon) < 1.0:
+        raise ValueError("modulation amplitude epsilon must satisfy |epsilon| < 1")
     base = _displacement_samples(wound, grid)
     coords = grid.coordinates()
-    mu = np.asarray(modulation(coords[:, None, :], coords[None, :, :]), dtype=float)
-    if mu.shape != (grid.size, grid.size):
-        raise ValueError("modulation must produce an (n^d, n^d) array")
-    if np.any(mu <= 0):
-        raise DegenerateKernel("modulation must be strictly positive")
-    if not np.allclose(mu, mu.T, rtol=0.0, atol=1e-12):
-        raise ValueError("modulation must be symmetric in (x, y)")
-    return GenericKernel(grid.dimension, grid.n, base * mu)
+    phase = 2.0 * np.pi * (coords[:, None, :] + coords[None, :, :])
+    modulation = 1.0 + epsilon * np.prod(np.cos(phase), axis=-1)
+    return GenericKernel(grid.dimension, grid.n, base * modulation)
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,7 @@ def test_criterion_05_sign_location_and_adjoint_on_random_fixtures():
         ))
         worst_residual = max(worst_residual, residual)
         lam_direct = ts.max_eigenvalue_shifted_power(generator, alpha0).lam
-        lam_adjoint = ts.max_eigenvalue_shifted_power(generator.transpose(), alpha0).lam
+        lam_adjoint = ts.max_eigenvalue_shifted_power(ts.OperatorMatrix(generator.data.T, grid), alpha0).lam
         worst_adjoint_gap = max(worst_adjoint_gap, abs(lam_direct - lam_adjoint))
         worst_adjoint_gap = max(worst_adjoint_gap, abs(lam_direct - result.lam))
     ok = located and positive and worst_residual <= 1e-8 and worst_adjoint_gap <= 1e-8

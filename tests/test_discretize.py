@@ -1,27 +1,52 @@
-"""Operator assembly, the ratio operator, Fourier symbols, apply semantics."""
+"""Operator assembly, the ratio operator, Fourier symbols."""
 
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torspec as ts
 from conftest import make_f1, make_f2, sine_wound
 
 
+def _assert_conservative(kernel, grid):
+    # with V = 0 the diagonal is minus the serial off-diagonal row sum, bit
+    # for bit, so each row adds up to exactly zero in that order
+    data = ts.assemble_generator(kernel, ts.zero_potential(grid), grid).data
+    for i, row in enumerate(data.tolist()):
+        off_sum = 0.0
+        for j, entry in enumerate(row):
+            if j != i:
+                off_sum += entry
+        assert row[i] == -off_sum
+        assert off_sum + row[i] == 0.0
+
+
 def test_generator_conservative_exactly():
-    # with zero potential the assembled generator annihilates constants
-    # exactly, including for irrational kernel samples
+    # irrational kernel samples included
     for n in (16, 50):
         grid = ts.TorusGrid(1, n)
         for kernel in (
             ts.constant_kernel(grid),
             ts.convolution_kernel(sine_wound(grid), grid),
         ):
-            gen = ts.assemble_generator(kernel, ts.zero_potential(grid), grid)
-            result = gen.apply(np.ones(grid.size))
-            assert np.all(result == 0.0)
+            _assert_conservative(kernel, grid)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([(1, 2), (1, 7), (1, 16), (1, 33), (2, 3), (2, 6)]), st.integers(0, 2**32 - 1))
+def test_generator_conservative_exactly_on_random_kernels(shape, seed):
+    # nonnegative samples spread over twelve orders of magnitude, some zero
+    dimension, n = shape
+    grid = ts.TorusGrid(dimension, n)
+    rng = np.random.default_rng(seed)
+    samples = rng.random((grid.size, grid.size)) * 10.0 ** rng.uniform(-6, 6, (grid.size, grid.size))
+    samples[rng.random(samples.shape) < 0.2] = 0.0
+    samples[0, 0] = 1.0  # not identically zero
+    _assert_conservative(ts.GenericKernel(dimension, n, samples), grid)
 
 
 def test_generator_constant_kernel_matrix():
@@ -190,30 +215,7 @@ def test_circulant_eigenvalues_match_symbol():
         assert nearest < 1e-10
 
 
-# -- apply and housekeeping ---------------------------------------------------
-
-
-def test_apply_identity_and_zero():
-    grid = ts.TorusGrid(1, 8)
-    u = np.arange(8, dtype=float) + 1.0
-    identity = ts.OperatorMatrix(np.eye(8), "custom", grid)
-    assert np.array_equal(identity.apply(u), u)
-    zero = ts.OperatorMatrix(np.zeros((8, 8)), "custom", grid)
-    assert np.all(zero.apply(u) == 0.0)
-
-
-def test_apply_constant_fixture_row_sums():
-    grid, kernel, potential = make_f1(n=128)
-    gen = ts.assemble_generator(kernel, potential, grid)
-    result = gen.apply(np.ones(128))
-    assert np.max(np.abs(result + 0.3)) < 1e-14
-
-
-def test_apply_dimension_mismatch():
-    grid = ts.TorusGrid(1, 8)
-    gen = ts.OperatorMatrix(np.eye(8), "custom", grid)
-    with pytest.raises(ts.DimensionMismatch):
-        gen.apply(np.ones(9))
+# -- housekeeping -------------------------------------------------------------
 
 
 def test_grid_mismatch_rejected():
@@ -221,41 +223,6 @@ def test_grid_mismatch_rejected():
     other = ts.TorusGrid(1, 32)
     with pytest.raises(ts.GridMismatch):
         ts.assemble_generator(kernel, ts.constant_potential(other, 0.3), other)
-
-
-def test_role_invariants_enforced():
-    grid = ts.TorusGrid(1, 4)
-    negative = -np.ones((4, 4))
-    with pytest.raises(ts.NegativeEntry):
-        ts.OperatorMatrix(negative, "Q", grid)
-    metzler_violation = np.zeros((4, 4))
-    metzler_violation[0, 1] = -1.0
-    with pytest.raises(ts.NegativeEntry):
-        ts.OperatorMatrix(metzler_violation, "M", grid)
-    # negative diagonal is fine for generators
-    ts.OperatorMatrix(np.diag([-1.0, -2.0, -3.0, -4.0]), "M", grid)
-    # a NaN entry is skipped, but not a negative entry beside it
-    nan_entry = np.diag([-1.0, -2.0, -3.0, -4.0])
-    nan_entry[0, 1] = np.nan
-    ts.OperatorMatrix(nan_entry.copy(), "M", grid)
-    ts.OperatorMatrix(np.abs(nan_entry), "Q", grid)
-    nan_entry[2, 3] = -1.0
-    for role in ("M", "Q"):
-        with pytest.raises(ts.NegativeEntry):
-            ts.OperatorMatrix(nan_entry.copy(), role, grid)
-
-
-def test_generator_role_check_makes_no_copy():
-    # the reduction over the strided view buffers a fixed 64 KiB, not N x N
-    grid = ts.TorusGrid(1, 512)
-    data = np.full((512, 512), 0.5)
-    tracemalloc.start()
-    try:
-        ts.OperatorMatrix(data, "M", grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.1 * data.nbytes
 
 
 def test_edge_sup_metadata():

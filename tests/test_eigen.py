@@ -170,7 +170,7 @@ def test_adjoint_perron_nonsymmetric_same_radius():
     kernel = ts.convolution_kernel(sine_wound(grid), grid)
     q = ts.assemble_birman_schwinger(kernel, ts.step_potential(grid), 0.0, grid)
     forward = ts.perron(q)
-    backward = ts.perron(q.transpose())
+    backward = ts.perron(ts.OperatorMatrix(q.data.T, grid))
     assert abs(forward.rho - backward.rho) < 1e-10
     assert not np.allclose(forward.vector, backward.vector, atol=1e-6)
 
@@ -199,6 +199,19 @@ def test_collatz_wielandt_bounds():
         ts.perron(mat, start=np.array([1.0, 0.0, 1.0, 1.0]))
 
 
+@pytest.mark.parametrize("make, n, shift", [
+    (make_f1, 32, -0.30000000000000004),
+    (make_f1, 128, -0.3000000000000004),
+    (make_f2, 8, -0.29289321881345265),
+])
+def test_perron_root_lies_in_its_certificate(make, n, shift):
+    # cold solves on Q at a root-find shift, where the Rayleigh ratio alone
+    # rounds one float spacing outside the Collatz-Wielandt bracket
+    grid, kernel, potential = make(n=n)
+    result = ts.perron(ts.assemble_birman_schwinger(kernel, potential, shift, grid))
+    assert result.cw_lower <= result.rho <= result.cw_upper
+
+
 def test_full_spectrum_rank_one_fixture():
     grid, kernel, potential = make_f1(n=64)
     gen = ts.assemble_generator(kernel, potential, grid)
@@ -212,7 +225,7 @@ def test_full_spectrum_rank_one_fixture():
 def test_full_spectrum_diagonal_matrix_exact():
     grid = ts.TorusGrid(1, 8)
     diag = np.diag(np.linspace(-2.0, -0.5, 8))
-    values = ts.full_spectrum(ts.OperatorMatrix(diag, "custom", grid))
+    values = ts.full_spectrum(ts.OperatorMatrix(diag, grid))
     assert np.allclose(sorted(values.real, reverse=True), sorted(np.diagonal(diag), reverse=True),
                        rtol=0, atol=1e-14)
     assert np.all(values.imag == 0.0)

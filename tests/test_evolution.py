@@ -43,7 +43,7 @@ def test_constant_fixture_exact_exponential():
 
 def test_zero_operator_constant_trace():
     grid = ts.TorusGrid(1, 16)
-    zero = ts.OperatorMatrix(np.zeros((16, 16)), "custom", grid)
+    zero = ts.OperatorMatrix(np.zeros((16, 16)), grid)
     trace = ts.evolve(zero, np.ones(16), t_max=5.0, dt=0.1)
     assert np.all(trace.l2_norms == trace.l2_norms[0])
     assert np.all(trace.masses == trace.masses[0])
@@ -118,7 +118,7 @@ def test_mass_derivative_identity_at_start():
     grid, kernel, potential = make_f2(n=64)
     gen = ts.assemble_generator(kernel, potential, grid)
     u0 = np.ones(grid.size)
-    derivative = grid.weight * gen.apply(u0).sum()
+    derivative = grid.weight * gen.matvec(u0).sum()
     quadrature_v = grid.weight * potential.samples.sum()
     assert abs(derivative - quadrature_v) < 1e-13
 
@@ -163,7 +163,7 @@ def test_evolve_input_validation():
         ts.evolve(gen, np.zeros(16), t_max=1.0)
     with pytest.raises(ValueError):
         ts.evolve(gen, np.ones(16), t_max=1.0, method="verlet")
-    bare = ts.OperatorMatrix(np.zeros((16, 16)), "custom", grid)
+    bare = ts.OperatorMatrix(np.zeros((16, 16)), grid)
     with pytest.raises(ValueError):
         ts.evolve(bare, np.ones(16), t_max=1.0)  # no edge metadata, no dt
 

@@ -211,7 +211,7 @@ def test_kernel_stats_block_kernel_not_primitive():
 def test_kernel_stats_transpose_swaps_row_and_column_bounds():
     _, kernel, _ = random_fixture(7, n=32)
     stats = ts.kernel_stats(kernel)
-    swapped = ts.kernel_stats(kernel.transpose())
+    swapped = ts.kernel_stats(ts.GenericKernel(1, 32, kernel.samples.T))
     assert math.isclose(stats.col_integral_max, swapped.row_integral_max, rel_tol=0, abs_tol=1e-14)
     assert math.isclose(stats.row_integral_max, swapped.col_integral_max, rel_tol=0, abs_tol=1e-14)
 
@@ -237,10 +237,14 @@ def test_convolution_kernels_gather_torus_displacements(dimension, n):
     nodes = grid.index_grid()
     expected = np.array([[wound.samples[tuple((x - y) % n)] for y in nodes] for x in nodes])
     assert np.array_equal(ts.convolution_kernel(wound, grid).samples, expected)
-    doubled = ts.modulated_convolution(
-        wound, grid, lambda x, y: np.full(np.broadcast_shapes(x.shape, y.shape)[:-1], 2.0)
-    )
-    assert np.array_equal(doubled.samples, 2.0 * expected)
+    assert np.array_equal(ts.modulated_convolution(wound, grid, 0.0).samples, expected)
+    coords = grid.coordinates()
+    modulation = np.array([[1.0 + 0.5 * np.prod(np.cos(2.0 * np.pi * (x + y))) for y in coords] for x in coords])
+    modulated = ts.modulated_convolution(wound, grid, 0.5)
+    assert np.allclose(modulated.samples, expected * modulation, rtol=1e-15, atol=0.0)
+    for epsilon in (1.0, -1.0, 1.5, np.nan):
+        with pytest.raises(ValueError, match="epsilon"):
+            ts.modulated_convolution(wound, grid, epsilon)
 
 
 # -- potentials ---------------------------------------------------------------
@@ -400,7 +404,8 @@ def test_kernel_stores_its_jump_rate():
     grid, kernel, _ = make_f2(n=32)
     assert np.array_equal(kernel.w, ts.jump_rate(kernel))
     assert not kernel.w.flags.writeable
-    assert np.array_equal(kernel.transpose().w, ts.jump_rate(kernel.transpose()))
+    transposed = ts.GenericKernel(1, 32, kernel.samples.T)
+    assert np.array_equal(transposed.w, ts.jump_rate(transposed))
 
 
 # -- huge widths, potential diagnostics, dead fields, one CSV reader ----------

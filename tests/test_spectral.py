@@ -160,6 +160,21 @@ def test_analyze_two_level_fixture_report():
     assert -report.essential.alpha1 < report.max_eigenvalue < 0.0
 
 
+@pytest.mark.parametrize("depth", [1e-3, 1e-6, 1e-9, 1e-12])
+def test_analyze_shallow_step_potential(depth):
+    # lambda -> 0-: about -depth/2, within bisection_tol of the scalar oracle
+    # even where the root find cannot resolve it any finer (depth 1e-12)
+    grid = ts.TorusGrid(1, 64)
+    options = ts.AnalysisOptions()
+    report = ts.analyze(ts.constant_kernel(grid), ts.step_potential(grid, depth, 0.5), grid, options)
+    assert report.diagnostics["conforming"]
+    assert report.max_eigenvalue < 0.0
+    values = report.lambda_by_method.values()
+    assert max(values) - min(values) <= options.cross_tol
+    oracle = two_level_eigenvalue_oracle((-depth, 0.0), shifts=(1.0 + depth, 1.0))
+    assert abs(report.lambda_by_method["q_bisection"] - oracle) <= options.bisection_tol
+
+
 def test_analyze_nonsymmetric_fixture():
     grid, kernel, potential = make_f4()
     report = ts.analyze(kernel, potential, grid)
@@ -191,7 +206,7 @@ def test_analyze_adjoint_consistency():
         gen = ts.assemble_generator(kernel, potential, grid)
         ess = ts.essential_spectrum(potential, ts.jump_rate(kernel))
         lam = ts.max_eigenvalue_shifted_power(gen, ess.alpha0).lam
-        lam_adj = ts.max_eigenvalue_shifted_power(gen.transpose(), ess.alpha0).lam
+        lam_adj = ts.max_eigenvalue_shifted_power(ts.OperatorMatrix(gen.data.T, grid), ess.alpha0).lam
         assert abs(lam - lam_adj) < 1e-8
 
 
