@@ -46,21 +46,11 @@ class TorusGrid:
         """Total node count n^d."""
         return self.n ** self.dimension
 
-    def axis_nodes(self) -> np.ndarray:
-        return np.arange(self.n) / self.n
-
-    def index_grid(self) -> np.ndarray:
-        """Integer node indices, shape (size, dimension)."""
-        axes = [np.arange(self.n)] * self.dimension
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-
-    def coordinates(self) -> np.ndarray:
-        """Node coordinates, shape (size, dimension)."""
-        return self.index_grid() / self.n
-
     def node_mesh(self) -> np.ndarray:
         """Node coordinates shaped (n,)*d + (d,), for samplers on axis grids."""
-        axes = [self.axis_nodes()] * self.dimension
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
+        axes = [np.arange(self.n) / self.n] * self.dimension
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+    def coordinates(self) -> np.ndarray:
+        """Node coordinates, shape (size, dimension), in node order."""
+        return self.node_mesh().reshape(self.size, self.dimension)

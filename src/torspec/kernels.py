@@ -86,7 +86,11 @@ def tophat_kernel(dimension: int = 1, width: float = 1.0) -> ContinuousKernel:
     """Uniform density (2w)^-d on the half-open box [-w, w)^d.
 
     The half-open support makes winding exact on left-endpoint grids: no
-    boundary node is double counted.
+    boundary node is double counted.  ``wind_kernel`` evaluates the box at
+    exact displacements j/n, so when 2wn is an integer and w <= 1/2 the
+    wound kernel keeps all (2wn)^d nodes, with unit quadrature mass.  For
+    w < 1/2 those samples are not symmetric: the node at -w lies in the box,
+    the one at w does not.
     """
     if width <= 0:
         raise ValueError("width must be positive")
@@ -186,14 +190,13 @@ def wind_kernel(a: ContinuousKernel, n: int, tail_tol: float = 1e-12) -> WoundKe
     The truncation radius grows until the kernel's analytic tail bound drops
     below ``tail_tol``; the omitted mass estimate is recorded on the result.
 
-    An even kernel winds to exactly symmetric samples, ``a[k] == a[-k mod n]``
-    bit for bit.  The sum runs over centred displacements t in [-1/2, 1/2]^d
-    and adds each pair of opposite translates as ``a(t + m) + a(t - m)``
-    before accumulating, so the sums at t and -t take the same terms in the
-    same order.  On even n both signs of a half-period coordinate are
-    summed and the node keeps their mean.  A kernel whose centred sums still
-    come out asymmetric, such as the half-open tophat box on a grid with
-    nodes on its edge, is wound by the plain loop over the nodes i/n.
+    The sum runs over the centred displacements t = j/n in [-1/2, 1/2]^d,
+    which are exact, and adds each pair of opposite translates as
+    ``a(t + m) + a(t - m)`` before accumulating.  Each axis is then folded
+    back to the nodes i/n; on even n, t = -1/2 and t = 1/2 are one node,
+    which keeps the mean of its two sums.  An even kernel therefore winds to
+    exactly symmetric samples, ``a[k] == a[-k mod n]`` bit for bit: the sums
+    at t and -t take the same terms in the same order.
     """
     if tail_tol <= 0:
         raise ValueError("tail_tol must be positive")
@@ -209,25 +212,18 @@ def wind_kernel(a: ContinuousKernel, n: int, tail_tol: float = 1e-12) -> WoundKe
             )
 
     d = a.dimension
-    shifts = list(product(range(-n_wind, n_wind + 1), repeat=d))
     axis = np.arange(-(n // 2), n // 2 + 1) / n  # (-j)/n is exactly -(j/n)
     centred = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1)
     acc = a.evaluate(centred)
-    for shift in shifts:
+    for shift in product(range(-n_wind, n_wind + 1), repeat=d):
         if shift > (0,) * d:  # one of each pair +-m
             m = np.asarray(shift, dtype=float)
             acc = acc + (a.evaluate(centred + m) + a.evaluate(centred - m))
-    if np.array_equal(acc, np.flip(acc)):  # the flip maps t to -t
-        for k in range(d):  # fold each axis back to the nodes i/n
-            sums = np.moveaxis(acc, k, 0)
-            if n % 2 == 0:  # t = -1/2 and t = 1/2 are one node
-                sums = np.concatenate([0.5 * (sums[:1] + sums[-1:]), sums[1:-1]])
-            acc = np.moveaxis(np.roll(sums, -(n // 2), axis=0), 0, k)
-    else:
-        mesh = TorusGrid(d, n).node_mesh()
-        acc = np.zeros((n,) * d)
-        for shift in shifts:
-            acc = acc + a.evaluate(mesh + np.asarray(shift, dtype=float))
+    for k in range(d):  # fold each axis back to the nodes i/n
+        sums = np.moveaxis(acc, k, 0)
+        if n % 2 == 0:  # t = -1/2 and t = 1/2 are one node
+            sums = np.concatenate([0.5 * (sums[:1] + sums[-1:]), sums[1:-1]])
+        acc = np.moveaxis(np.roll(sums, -(n // 2), axis=0), 0, k)
     return WoundKernel(d, n, acc, n_wind, float(a.tail_mass_bound(n_wind)))
 
 
@@ -461,7 +457,7 @@ def _csv_number(value: str, path: str, line: int) -> float:
 
 def _node_index(value: str, n: int, path: str, line: int) -> int:
     x = _csv_number(value, path, line)
-    i = int(round(x * n))
+    i = int(round(x * n)) if 0.0 <= x < 1.0 else -1  # x * n may overflow off the torus
     if not (0 <= i < n) or abs(x - i / n) > 1e-12:
         raise ValidationError(f"{path}:{line}: coordinate {x!r} is not a grid node of n={n}")
     return i

@@ -63,7 +63,7 @@ def random_convolution_fixture(seed, n=64):
     """Random positive unit-mass convolution kernel plus an eligible potential."""
     rng = np.random.default_rng(seed)
     grid = ts.TorusGrid(1, n)
-    z = grid.axis_nodes()
+    z = grid.coordinates()[:, 0]
     coef = rng.uniform(-1.0, 1.0, size=(3, 2))
     coef *= 0.9 / max(1.0, float(np.abs(coef).sum()))
     samples = np.ones(n)

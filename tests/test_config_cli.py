@@ -142,6 +142,15 @@ def test_run_bound_two_level(tmp_path):
     assert abs(section["margin"] - (-0.268)) < 1e-3
 
 
+def test_bound_passes_on_edge_aligned_tophat(tmp_path):
+    raw = minimal_config(grid_n=100, kernel={"family": "tophat", "width": 0.3})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["bound", "--config", str(path), "--out", str(tmp_path)]) == 0
+    section = json.loads((tmp_path / "gap_bound.json").read_text())["gap_bound"]
+    assert section["verdict"] == "pass"
+
+
 def test_run_evolve_writes_trace(tmp_path):
     raw = minimal_config(grid_n=64)
     raw["potential"] = {"family": "constant", "depth": 0.3}

@@ -81,7 +81,11 @@ def test_wind_rejects_bad_tolerance():
 
 
 def _shift_loop(kernel, n, radius):
-    """Reference winding: the plain loop over the nodes i/n and every shift."""
+    """Reference winding: the plain loop over the nodes i/n and every shift.
+
+    It rounds i/n + m twice, so it can drop a node on a box edge; the
+    tophats compared with it below have no node it drops.
+    """
     mesh = ts.TorusGrid(kernel.dimension, n).node_mesh()
     acc = np.zeros((n,) * kernel.dimension)
     for shift in product(range(-radius, radius + 1), repeat=kernel.dimension):
@@ -108,13 +112,23 @@ def test_even_kernels_wind_to_bit_symmetric_samples(make, dimension, n):
 
 
 @pytest.mark.parametrize("dimension, n, width", [
-    (1, 512, 0.125), (1, 8, 0.125), (2, 48, 0.125), (1, 10, 0.3), (1, 64, 0.45),
+    (1, 512, 0.125), (1, 8, 0.125), (2, 48, 0.125), (1, 64, 0.45),
     (1, 33, 1.0), (2, 8, 1.0), (2, 10, 1.7),
 ])
 def test_tophat_winds_bit_identical_to_the_shift_loop(dimension, n, width):
     kernel = ts.tophat_kernel(dimension, width)
     wound = ts.wind_kernel(kernel, n)
     assert np.array_equal(wound.samples, _shift_loop(kernel, n, wound.wind_truncation))
+
+
+@pytest.mark.parametrize("dimension, n", [(1, 10), (1, 20), (1, 30), (1, 100), (2, 10)])
+def test_edge_aligned_tophat_keeps_every_box_node(dimension, n):
+    # w = k/(2n) puts nodes on both box edges; the node at -w is inside, and
+    # evaluating at i/n + m (rounded twice: 0.7 - 1.0 != -0.3) would drop it
+    for k in range(1, n + 1):
+        wound = ts.wind_kernel(ts.tophat_kernel(dimension, k / (2 * n)), n)
+        assert np.count_nonzero(wound.samples) == k**dimension, k
+        assert abs(wound.quadrature_mass() - 1.0) <= 1e-15, k
 
 
 # -- jump rate ---------------------------------------------------------------
@@ -189,7 +203,6 @@ def test_kernel_stats_sine_kernel_row_integrals():
     kernel = ts.convolution_kernel(sine_wound(grid), grid)
     stats = ts.kernel_stats(kernel)
     # oracle: direct quadrature of one row integral
-    z = grid.axis_nodes()
     row0 = sum(1.0 + 0.5 * math.sin(2 * math.pi * ((0 - j) / n)) for j in range(n)) / n
     assert abs(row0 - 1.0) < 1e-13
     assert abs(stats.row_integral_min - 1.0) < 1e-13
@@ -234,7 +247,7 @@ def test_convolution_kernels_gather_torus_displacements(dimension, n):
     grid = ts.TorusGrid(dimension, n)
     rng = np.random.default_rng(n)
     wound = ts.WoundKernel(dimension, n, rng.uniform(0.1, 1.0, size=(n,) * dimension))
-    nodes = grid.index_grid()
+    nodes = np.rint(grid.coordinates() * n).astype(int)
     expected = np.array([[wound.samples[tuple((x - y) % n)] for y in nodes] for x in nodes])
     assert np.array_equal(ts.convolution_kernel(wound, grid).samples, expected)
     assert np.array_equal(ts.modulated_convolution(wound, grid, 0.0).samples, expected)
@@ -482,8 +495,10 @@ def test_two_dimensional_csv_tables_fill_row_major_node_order(tmp_path):
     ("potential", "x,value", ["0,-1"], ts.ValidationError, "k.csv: 1 grid nodes missing"),
     ("potential", "x,value", ["0.5,2.0"], ts.ValidationError, "k.csv:2: positive potential value 2.0"),
     ("potential", "x,value", ["0.25,-1"], ts.ValidationError, "k.csv:2: coordinate 0.25 is not a grid node"),
+    ("kernel", "x,y,value", ["0,-1e308,1"], ts.ValidationError, "k.csv:2: coordinate -1e\\+308 is not a grid node"),
+    ("potential", "x,value", ["0,-1", "1e308,-1"], ts.ValidationError, "k.csv:3: coordinate 1e\\+308 is not a grid node"),
 ], ids=["k-dup", "k-missing", "k-sign", "k-fields-first", "k-header",
-        "p-dup", "p-missing", "p-sign", "p-off-grid"])
+        "p-dup", "p-missing", "p-sign", "p-off-grid", "k-huge", "p-huge"])
 def test_csv_tables_share_checks_and_messages(table, header, rows, error, message, tmp_path):
     read = ts.kernel_from_csv if table == "kernel" else ts.potential_from_csv
     with pytest.raises(error, match=message):
