@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .evolution import check_extinction, evolve
-from .gapbound import gap_constants, verify_gap
+from .gapbound import GapBound, gap_constants, verify_gap
 from .grid import TorusGrid
 from .jsonio import dump, write_trace_csv
 from .kernels import GenericKernel, Potential, WoundKernel, kernel_stats
@@ -49,9 +49,8 @@ def _prepare(config: RunConfig) -> _Model:
     return _Model(grid, wound, kernel, config.build_potential(grid))
 
 
-def _gap_bound(model: _Model, report: SpectrumReport) -> dict:
+def _gap_section(bound: GapBound, report: SpectrumReport) -> dict:
     """Gap constants merged with the verdict on the report's eigenvalue."""
-    bound = gap_constants(model.potential, model.wound)
     return {**bound.as_dict(), **verify_gap(report, bound).as_dict()}
 
 
@@ -63,10 +62,11 @@ def _run_analyze(config: RunConfig, model: _Model, out_dir: str) -> tuple[str, d
     document["gap_bound"] = None
     if model.wound is not None:
         try:
-            gap = _gap_bound(model, report)
+            bound = gap_constants(model.potential, model.wound)
         except TorspecError:
             pass
         else:
+            gap = _gap_section(bound, report)
             del gap["lambda"], gap["slack"]  # the report states lambda at top level
             document["gap_bound"] = gap
     document["diagnostics"] = diagnostics
@@ -76,9 +76,10 @@ def _run_analyze(config: RunConfig, model: _Model, out_dir: str) -> tuple[str, d
 def _run_bound(config: RunConfig, model: _Model, out_dir: str) -> tuple[str, dict, int]:
     if model.wound is None:
         raise ValidationError("the gap bound applies only to convolution-form kernels")
+    bound = gap_constants(model.potential, model.wound)  # its hypotheses, checked before the solve
     report = analyze(model.kernel, model.potential, model.grid, config.analysis)
     document = {
-        "gap_bound": _gap_bound(model, report),
+        "gap_bound": _gap_section(bound, report),
         "lambda_by_method": dict(report.lambda_by_method),
     }
     return "gap_bound.json", document, 0
@@ -86,13 +87,7 @@ def _run_bound(config: RunConfig, model: _Model, out_dir: str) -> tuple[str, dic
 
 def _run_evolve(config: RunConfig, model: _Model, out_dir: str) -> tuple[str, dict, int]:
     generator = assemble_generator(model.kernel, model.potential, model.grid)
-    estimate = max_eigenvalue_shifted_power(
-        generator,
-        generator.edge_sup,
-        tol=config.analysis.power_tol,
-        max_iter=config.analysis.max_iter,
-        seed=config.analysis.seed,
-    )
+    estimate = max_eigenvalue_shifted_power(generator, config.analysis)
     t_max = config.evolution.t_max
     if t_max is None:
         t_max = 40.0 / abs(estimate.lam) if abs(estimate.lam) > 1e-12 else 40.0
@@ -161,24 +156,29 @@ def run_command(command: str, config: RunConfig, out_dir: str | None = None) -> 
     own sections, then run metadata.  The command runs with numpy's
     overflow, invalid-value and division traps raised, so a non-finite
     intermediate ends the run with a typed error instead of a warning:
-    FloatingPointFailure, or Unstable for an evolve trajectory.
+    FloatingPointFailure, or Unstable for an evolve trajectory.  A file
+    that cannot be read or written ends it with a ValidationError naming
+    that file.
     """
     if command not in _RUNNERS:
         raise ValidationError(f"unknown command {command!r}")
     if out_dir is None:
         out_dir = config.output.directory
-    os.makedirs(out_dir, exist_ok=True)
     try:
+        os.makedirs(out_dir, exist_ok=True)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             name, body, code = _RUNNERS[command](config, _prepare(config), out_dir)
+        metadata = {
+            "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "tool": f"torspec {__version__}",
+        }
+        path = os.path.join(out_dir, name)
+        dump({"config_echo": config.echo(), **body, "metadata": metadata}, path)
     except FloatingPointError as exc:
         raise FloatingPointFailure(str(exc)) from exc
-    metadata = {
-        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "tool": f"torspec {__version__}",
-    }
-    path = os.path.join(out_dir, name)
-    dump({"config_echo": config.echo(), **body, "metadata": metadata}, path)
+    except OSError as exc:
+        where = f"{exc.filename}: " if exc.filename else ""
+        raise ValidationError(f"{where}{exc.strerror or exc}") from exc
     print(path)
     return code
 

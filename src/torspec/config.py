@@ -335,10 +335,12 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
 def load_config(path: str) -> RunConfig:
     """Read and validate a JSON config file."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise ValidationError(f"config file not readable: {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -473,23 +473,27 @@ def _read_table(
     (n^d, n^d) kernel array in row-major order.  Every index must appear
     exactly once, and ``sign * value`` must be nonnegative; ``kind`` names
     the value and ``item`` one row's node key in messages.  Header and field
-    counts are checked over the whole file before any row's values.
+    counts are checked over the whole file before any row's values.  A byte
+    that is not UTF-8 reaches its field as a lone surrogate and fails that
+    field's number check; a record the csv module refuses names its line.
     """
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as handle:
         reader = csv.reader(handle)
         try:
             found = next(reader)
+            if [h.strip() for h in found] != header:
+                raise ParseError(f"{path}: expected header {','.join(header)!r}, got {','.join(found)!r}")
+            rows = []
+            for line, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ParseError(f"{path}:{line}: expected {len(header)} fields")
+                rows.append((line, row))
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
-        if [h.strip() for h in found] != header:
-            raise ParseError(f"{path}: expected header {','.join(header)!r}, got {','.join(found)!r}")
-        rows = []
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"{path}:{line}: expected {len(header)} fields")
-            rows.append((line, row))
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
     n = grid.n
     samples = np.full(n ** (len(header) - 1), np.nan)
     for line, row in rows:

@@ -100,6 +100,11 @@ class BisectionResult:
     perron_iterations: int
 
 
+def _perron(matrix, options: AnalysisOptions, **kwargs) -> PerronResult:
+    """``perron`` with the options' tolerance, cap and seed."""
+    return perron(matrix, tol=options.power_tol, max_iter=options.max_iter, seed=options.seed, **kwargs)
+
+
 BRACKET_HALVINGS = 20
 # a bisection step is forced when this many root-find steps in a row have
 # not halved the bracket
@@ -110,11 +115,7 @@ def max_eigenvalue_bisection(
     b: GenericKernel,
     potential: Potential,
     grid: TorusGrid,
-    tol: float = 1e-12,
-    power_tol: float = 1e-11,
-    max_iter: int = 100_000,
-    seed: int = 0,
-    diagnostic: bool = False,
+    options: AnalysisOptions = AnalysisOptions(),
 ) -> BisectionResult:
     """Find the shift at which the ratio operator has unit spectral radius.
 
@@ -122,24 +123,25 @@ def max_eigenvalue_bisection(
     the radius blows up) and the right bracket is zero shift (radius below
     one for an eligible potential).  Illinois regula falsi on 1 - 1/radius,
     which is affine in the shift when U + W is constant, shrinks the bracket
-    while keeping radius(lo) >= 1 > radius(hi), until it is at most ``tol``
-    wide (or as narrow as floating point allows); a bisection step is forced
-    whenever ``STALL_STEPS`` steps in a row fail to halve it.  Each radius
-    comes from a matrix-free Perron solve warm-started from the previous
-    vector; the state and adjoint at the returned eigenvalue are certified
-    on the assembled ratio operator.  A kernel whose samples are exactly
-    symmetric has that operator as its own adjoint counterpart, so its
-    ground state is returned as the adjoint state without a second solve.
-    With a vanishing potential the radius equals one at zero shift; in
-    diagnostic mode that boundary case is reported as a zero eigenvalue
-    instead of an error.
+    while keeping radius(lo) >= 1 > radius(hi), until it is at most
+    ``options.bisection_tol`` wide (or as narrow as floating point allows);
+    a bisection step is forced whenever ``STALL_STEPS`` steps in a row fail
+    to halve it.  Each radius comes from a matrix-free Perron solve
+    warm-started from the previous vector; the state and adjoint at the
+    returned eigenvalue are certified on the assembled ratio operator.
+    Every Perron solve takes the options' ``power_tol``, ``max_iter`` and
+    ``seed``.  A kernel whose samples are exactly symmetric has that
+    operator as its own adjoint counterpart, so its ground state is
+    returned as the adjoint state without a second solve.  With a vanishing
+    potential the radius equals one at zero shift; in diagnostic mode that
+    boundary case is reported as a zero eigenvalue instead of an error.
     """
     eligible = potential.diagnostics.eligible
     denom = shift_denominator(b, potential, grid)
     alpha1 = float(denom.min())
-    alpha0 = float(denom.max())
+    tol = options.bisection_tol
 
-    if not eligible and not diagnostic:
+    if not eligible and not options.diagnostic:
         raise IneligiblePotential(
             "potential is zero on every node; enable diagnostic mode for a boundary report"
         )
@@ -150,10 +152,7 @@ def max_eigenvalue_bisection(
     def radius(mu: float) -> float:
         nonlocal vector, perron_iterations
         check_shift(mu, denom)
-        result = perron(
-            b.samples, tol=power_tol, max_iter=max_iter, seed=seed,
-            start=vector, scale=grid.weight / (denom + mu),
-        )
+        result = _perron(b.samples, options, start=vector, scale=grid.weight / (denom + mu))
         vector = result.vector
         perron_iterations += result.iterations
         return result.rho
@@ -165,7 +164,7 @@ def max_eigenvalue_bisection(
         if rho_hi >= 1.0:
             raise BracketFailure(f"radius at zero shift is {rho_hi!r}, expected below one")
 
-        eps = 0.01 * (alpha0 - alpha1 + 1.0)
+        eps = 0.01 * (float(denom.max()) - alpha1 + 1.0)
         for _ in range(BRACKET_HALVINGS + 1):
             candidate = -alpha1 + eps
             if candidate < 0.0:
@@ -208,21 +207,16 @@ def max_eigenvalue_bisection(
                 moved = "hi"
 
     lam = 0.5 * (lo + hi)
-    at_lam = perron(
-        assemble_birman_schwinger(b, potential, lam, grid),
-        tol=power_tol, max_iter=max_iter, seed=seed, start=vector,
-    )
-    if not eligible and abs(at_lam.rho - 1.0) > 100 * power_tol:
+    at_lam = _perron(assemble_birman_schwinger(b, potential, lam, grid), options, start=vector)
+    if not eligible and abs(at_lam.rho - 1.0) > 100 * options.power_tol:
         raise BracketFailure(
             f"vanishing potential should give unit radius at zero shift, got {at_lam.rho!r}"
         )
     if _is_symmetric(b.samples):  # the adjoint ratio operator is the assembled one
         adjoint_state = at_lam.vector
     else:
-        adjoint_state = perron(
-            assemble_birman_schwinger(b, potential, lam, grid, adjoint=True),
-            tol=power_tol, max_iter=max_iter, seed=seed, start=at_lam.vector,
-        ).vector
+        adjoint = assemble_birman_schwinger(b, potential, lam, grid, adjoint=True)
+        adjoint_state = _perron(adjoint, options, start=at_lam.vector).vector
     return BisectionResult(
         lam, at_lam.vector, adjoint_state, iterations, at_lam.rho, (lo, hi), perron_iterations,
     )
@@ -238,17 +232,14 @@ class ShiftedPowerResult:
 
 
 def max_eigenvalue_shifted_power(
-    generator: OperatorMatrix,
-    alpha0: float,
-    tol: float = 1e-11,
-    max_iter: int = 100_000,
-    seed: int = 0,
+    generator: OperatorMatrix, options: AnalysisOptions = AnalysisOptions()
 ) -> ShiftedPowerResult:
-    """Shift the generator by alpha0 + 1 to make it entrywise nonnegative,
-    take its Perron root, and shift back."""
-    k = alpha0 + 1.0
-    shifted = generator.shifted(k)
-    result = perron(shifted, tol=tol, max_iter=max_iter, seed=seed)
+    """Shift the generator by its essential edge sup(W - V) plus one to make
+    it entrywise nonnegative, take its Perron root, and shift back."""
+    if generator.edge_sup is None:
+        raise ValueError("the operator carries no essential edge")
+    k = generator.edge_sup + 1.0
+    result = _perron(generator.shifted(k), options)
     return ShiftedPowerResult(result.rho - k, result)
 
 
@@ -316,14 +307,8 @@ def analyze(
     eigenvalues = full_spectrum(generator, options.spectrum_order_cap)
     lam_qr = float(eigenvalues[0].real)
 
-    shifted = max_eigenvalue_shifted_power(
-        generator, essential.alpha0, tol=options.power_tol,
-        max_iter=options.max_iter, seed=options.seed,
-    )
-    bisected = max_eigenvalue_bisection(
-        b, potential, grid, tol=options.bisection_tol, power_tol=options.power_tol,
-        max_iter=options.max_iter, seed=options.seed, diagnostic=options.diagnostic,
-    )
+    shifted = max_eigenvalue_shifted_power(generator, options)
+    bisected = max_eigenvalue_bisection(b, potential, grid, options)
 
     lambda_by_method = {
         "direct_qr": lam_qr,

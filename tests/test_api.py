@@ -41,7 +41,7 @@ def _records():
         "SpectrumReport": ts.analyze(kernel, potential, grid),
         "EssentialSpectrum": ts.essential_spectrum(potential, kernel.w),
         "BisectionResult": ts.max_eigenvalue_bisection(kernel, potential, grid),
-        "ShiftedPowerResult": ts.max_eigenvalue_shifted_power(generator, generator.edge_sup),
+        "ShiftedPowerResult": ts.max_eigenvalue_shifted_power(generator),
         "EvolutionTrace": ts.evolve(generator, np.ones(grid.size), 1.0, snapshots=4),
         "FourierSymbol": ts.fourier_symbol(sine_wound(grid)),
     }

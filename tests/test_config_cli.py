@@ -1,5 +1,6 @@
 """Config parsing/validation, command dispatch, serialization, exit codes."""
 
+import ast
 import json
 import math
 import os
@@ -295,6 +296,28 @@ def test_modulated_kernel_config_analyzes():
     assert -report.essential.alpha1 < report.max_eigenvalue < 0
 
 
+@pytest.mark.parametrize("diagnostic", [False, True])
+def test_bound_on_zero_potential_gives_the_gap_bound_message(diagnostic, tmp_path, capsys):
+    raw = minimal_config(grid_n=16, potential={"family": "zero"}, analysis={"diagnostic": diagnostic})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["bound", "--config", str(path), "--out", str(tmp_path)]) == 2
+    error = _single_diagnostic(capsys.readouterr().err)
+    assert error["error"] == "IneligiblePotential"
+    assert error["message"] == "gap bound needs a potential negative on some node"
+
+
+def test_bound_refuses_unnormalized_kernel_before_solving(monkeypatch, tmp_path, capsys):
+    def solve(*args, **kwargs):
+        raise AssertionError("full_spectrum called")
+
+    monkeypatch.setattr(ts.spectral, "full_spectrum", solve)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(minimal_config(dimension=2, grid_n=16, kernel={"family": "constant", "value": 2.0})))
+    assert main(["bound", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert _single_diagnostic(capsys.readouterr().err)["error"] == "NotNormalized"
+
+
 def test_bound_refuses_non_convolution_kernel():
     raw = {
         "dimension": 1,
@@ -344,6 +367,62 @@ def test_cli_rejects_non_finite_csv_value(table, literal, tmp_path, capsys):
     assert f"{table}.csv:7: non-finite" in diagnostic["message"]
 
 
+# -- undecodable input and unwritable output ----------------------------------
+
+
+def test_cli_rejects_config_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(minimal_config()).encode())
+    with pytest.raises(ts.ParseError, match="config.json"):
+        ts.load_config(str(path))
+    assert main(["analyze", "--config", str(path), "--out", str(tmp_path)]) == 1
+    diagnostic = _single_diagnostic(capsys.readouterr().err)
+    assert diagnostic["error"] == "ParseError"
+    assert "config.json: 'utf-8' codec can't decode" in diagnostic["message"]
+
+
+@pytest.mark.parametrize("table", ["kernel", "potential"])
+@pytest.mark.parametrize("field, message", [
+    (b"\xff", "not a number: '\\udcff'"),  # the undecodable byte, escaped
+    (b"1" * 200_000, "field larger than field limit"),
+], ids=["invalid-byte", "long-field"])
+def test_cli_rejects_undecodable_csv_record(table, field, message, tmp_path, capsys):
+    n = 8
+    header, rows = {
+        "kernel": (b"x,y,value", [b"%r,%r,1.0" % (i / n, j / n) for i in range(n) for j in range(n)]),
+        "potential": (b"x,value", [b"%r,-0.5" % (i / n) for i in range(n)]),
+    }[table]
+    rows[5] = rows[5].rsplit(b",", 1)[0] + b"," + field  # line 7 of the file
+    (tmp_path / f"{table}.csv").write_bytes(b"\n".join([header, *rows]) + b"\n")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(minimal_config(grid_n=n, **{table: {"family": "csv", "path": f"{table}.csv"}})))
+    assert main(["check-kernel", "--config", str(path), "--out", str(tmp_path)]) == 1
+    diagnostic = _single_diagnostic(capsys.readouterr().err)
+    assert diagnostic["error"] == "ParseError"
+    assert f"{table}.csv:7: {message}" in diagnostic["message"]
+
+
+@pytest.mark.parametrize("command, blocked", [
+    ("analyze", None),  # --out names an existing file
+    ("analyze", "report.json"),
+    ("evolve", "trace.csv"),
+])
+def test_cli_unwritable_output_is_validation_error(command, blocked, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(minimal_config(grid_n=16, potential={"family": "constant", "depth": 0.3})))
+    out = tmp_path / "out"
+    if blocked is None:
+        out.write_text("")
+        target = out
+    else:
+        target = out / blocked
+        target.mkdir(parents=True)
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    diagnostic = _single_diagnostic(capsys.readouterr().err)
+    assert diagnostic["error"] == "ValidationError"
+    assert diagnostic["message"].startswith(f"{target}: ")
+
+
 def test_spectrum_order_cap_below_matrix_order_is_validation_error(tmp_path, capsys):
     raw = minimal_config(grid_n=64)
     raw["analysis"] = {"spectrum_order_cap": 10}
@@ -374,7 +453,11 @@ def test_readme_python_api_block_runs():
     readme = (REPO_ROOT / "README.md").read_text()
     section = readme.split("## Python API", 1)[1]
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
-    exec(compile(block, "README.md", "exec"), {})
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    line = next(line for line in block.splitlines() if "spectrum_points" in line)
+    stated = ast.literal_eval(line.split("#", 1)[1].strip())
+    assert namespace["report"].essential.spectrum_points.tolist() == stated
 
 
 def test_commands_agree_on_shared_sections(tmp_path):

@@ -1,12 +1,15 @@
 """Essential spectrum, radius scan, bisection, and the consolidated analysis."""
 
 import importlib
+import json
 import pkgutil
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import torspec as ts
+from torspec.cli import run_command
 from conftest import (
     make_f1,
     make_f2,
@@ -70,7 +73,7 @@ def test_radius_monotone_and_decaying():
 
 def test_bisection_constant_fixture_exact():
     grid, kernel, potential = make_f1()
-    result = ts.max_eigenvalue_bisection(kernel, potential, grid, tol=1e-12)
+    result = ts.max_eigenvalue_bisection(kernel, potential, grid, ts.AnalysisOptions(bisection_tol=1e-12))
     assert abs(result.lam + 0.3) < 1e-11
     assert result.ground_state.min() > 0
     assert result.adjoint_state.min() > 0
@@ -80,7 +83,7 @@ def test_bisection_constant_fixture_exact():
 def test_bisection_two_level_fixture_against_oracle():
     lam_oracle = two_level_eigenvalue_oracle((-0.999, -1e-6))
     grid, kernel, potential = make_f2()
-    result = ts.max_eigenvalue_bisection(kernel, potential, grid, tol=1e-12)
+    result = ts.max_eigenvalue_bisection(kernel, potential, grid, ts.AnalysisOptions(bisection_tol=1e-12))
     assert abs(result.lam - lam_oracle) < 1e-10
     # two-level ground state profile: proportional to 1/(lam + 1 - V)
     profile = 1.0 / (result.lam + 1.0 - potential.samples)
@@ -98,7 +101,7 @@ def test_root_find_work_count_on_gaussian_step_fixture():
 
 def test_root_find_stops_at_floating_point_resolution():
     grid, kernel, potential = make_f1(n=32)
-    result = ts.max_eigenvalue_bisection(kernel, potential, grid, tol=1e-300)
+    result = ts.max_eigenvalue_bisection(kernel, potential, grid, ts.AnalysisOptions(bisection_tol=1e-300))
     lo, hi = result.bracket
     assert 0.0 < hi - lo <= 4 * np.spacing(abs(lo))
     assert abs(result.lam + 0.3) < 1e-12
@@ -110,7 +113,7 @@ def test_bisection_zero_potential_modes():
     potential = ts.zero_potential(grid)
     with pytest.raises(ts.IneligiblePotential):
         ts.max_eigenvalue_bisection(kernel, potential, grid)
-    boundary = ts.max_eigenvalue_bisection(kernel, potential, grid, diagnostic=True)
+    boundary = ts.max_eigenvalue_bisection(kernel, potential, grid, ts.AnalysisOptions(diagnostic=True))
     assert boundary.lam == 0.0
     assert boundary.ground_state.min() > 0
 
@@ -118,8 +121,7 @@ def test_bisection_zero_potential_modes():
 def test_shifted_power_constant_fixture():
     grid, kernel, potential = make_f1()
     gen = ts.assemble_generator(kernel, potential, grid)
-    ess = ts.essential_spectrum(potential, ts.jump_rate(kernel))
-    result = ts.max_eigenvalue_shifted_power(gen, ess.alpha0)
+    result = ts.max_eigenvalue_shifted_power(gen)
     assert abs(result.lam + 0.3) < 1e-10
     assert np.std(result.perron.vector) < 1e-9  # constant ground state
 
@@ -129,7 +131,7 @@ def test_fixed_point_radius_at_returned_eigenvalue():
     for seed in (0, 1, 2):
         grid, kernel, potential = random_fixture(seed)
         result = ts.max_eigenvalue_bisection(
-            kernel, potential, grid, tol=1e-12, power_tol=1e-13
+            kernel, potential, grid, ts.AnalysisOptions(bisection_tol=1e-12, power_tol=1e-13)
         )
         assert abs(result.radius_at_lambda - 1.0) <= 1e-11
 
@@ -204,9 +206,8 @@ def test_analyze_adjoint_consistency():
     for make in (make_f1, make_f2):
         grid, kernel, potential = make(n=64)
         gen = ts.assemble_generator(kernel, potential, grid)
-        ess = ts.essential_spectrum(potential, ts.jump_rate(kernel))
-        lam = ts.max_eigenvalue_shifted_power(gen, ess.alpha0).lam
-        lam_adj = ts.max_eigenvalue_shifted_power(ts.OperatorMatrix(gen.data.T, grid), ess.alpha0).lam
+        lam = ts.max_eigenvalue_shifted_power(gen).lam
+        lam_adj = ts.max_eigenvalue_shifted_power(ts.OperatorMatrix(gen.data.T, grid, gen.edge_sup)).lam
         assert abs(lam - lam_adj) < 1e-8
 
 
@@ -289,3 +290,43 @@ def test_adjoint_state_is_solved_only_for_a_nonsymmetric_kernel(make, symmetric,
     phi = result.adjoint_state
     assert np.linalg.norm(generator.data.T @ phi - result.lam * phi) <= 1e-8
     assert phi.min() > 0
+
+
+NON_DEFAULT = ts.AnalysisOptions(seed=7, power_tol=1e-13, bisection_tol=1e-10, max_iter=5000)
+
+
+def test_analyze_hands_its_options_to_both_solvers():
+    grid, kernel, potential = make_f4(n=64)  # nonsymmetric: the bisection solves the adjoint too
+    generator = ts.assemble_generator(kernel, potential, grid)
+    records = []
+    for options in (NON_DEFAULT, ts.AnalysisOptions()):
+        report = ts.analyze(kernel, potential, grid, options)
+        bisected = ts.max_eigenvalue_bisection(kernel, potential, grid, options)
+        shifted = ts.max_eigenvalue_shifted_power(generator, options)
+        assert report.lambda_by_method["q_bisection"] == bisected.lam
+        assert report.lambda_by_method["perron_shift"] == shifted.lam
+        assert report.diagnostics["ratio_perron_iterations"] == bisected.perron_iterations
+        assert report.diagnostics["perron_shift_iterations"] == shifted.perron.iterations
+        records.append((bisected.perron_iterations, shifted.perron.iterations))
+    assert records[0][0] != records[1][0] and records[0][1] != records[1][1]  # the settings bite
+
+
+def test_evolve_estimate_takes_the_analysis_options(tmp_path):
+    raw = {"dimension": 1, "grid_n": 64, "kernel": {"family": "sine"},
+           "potential": {"family": "step", "depth": 1.0}, "analysis": asdict(NON_DEFAULT)}
+    config = ts.config_from_dict(raw)
+    assert config.analysis == NON_DEFAULT
+    assert run_command("evolve", config, str(tmp_path)) == 0
+    summary = json.loads((tmp_path / "evolution.json").read_text())
+    grid = config.build_grid()
+    generator = ts.assemble_generator(config.build_kernel(grid)[1], config.build_potential(grid), grid)
+    assert summary["lambda_estimate"] == ts.max_eigenvalue_shifted_power(generator, config.analysis).lam
+
+
+def test_shifted_power_and_evolve_refuse_an_operator_without_its_edge():
+    grid, kernel, potential = make_f1(n=16)
+    bare = ts.OperatorMatrix(ts.assemble_generator(kernel, potential, grid).data, grid)
+    with pytest.raises(ValueError, match="the operator carries no essential edge"):
+        ts.max_eigenvalue_shifted_power(bare)
+    with pytest.raises(ValueError, match="the operator carries no essential edge"):
+        ts.evolve(bare, np.ones(grid.size), 1.0)
