@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import errno
 import json
 import os
 import sys
@@ -28,7 +29,6 @@ from .errors import (
 )
 from .evolution import check_extinction, evolve
 from .gapbound import GapBound, gap_constants, verify_gap
-from .grid import TorusGrid
 from .jsonio import dump, write_trace_csv
 from .kernels import GenericKernel, Potential, WoundKernel, kernel_stats
 from .spectral import SpectrumReport, analyze, max_eigenvalue_shifted_power
@@ -37,7 +37,6 @@ from .spectral import SpectrumReport, analyze, max_eigenvalue_shifted_power
 class _Model:
     """What every command builds from its config before it does its own work."""
 
-    grid: TorusGrid
     wound: WoundKernel | None
     kernel: GenericKernel
     potential: Potential
@@ -46,7 +45,7 @@ class _Model:
 def _prepare(config: RunConfig) -> _Model:
     grid = config.build_grid()
     wound, kernel = config.build_kernel(grid)
-    return _Model(grid, wound, kernel, config.build_potential(grid))
+    return _Model(wound, kernel, config.build_potential(grid))
 
 
 def _gap_section(bound: GapBound, report: SpectrumReport) -> dict:
@@ -54,9 +53,9 @@ def _gap_section(bound: GapBound, report: SpectrumReport) -> dict:
     return {**bound.as_dict(), **verify_gap(report, bound).as_dict()}
 
 
-def _run_analyze(config: RunConfig, model: _Model, out_dir: str) -> tuple[str, dict, int]:
+def _run_analyze(config: RunConfig, model: _Model, out_dir: str) -> tuple[dict, int]:
     options = replace(config.analysis, diagnostic=True)
-    report = analyze(model.kernel, model.potential, model.grid, options)
+    report = analyze(model.kernel, model.potential, options)
     document = report.to_dict()
     diagnostics = document.pop("diagnostics")
     document["gap_bound"] = None
@@ -70,30 +69,30 @@ def _run_analyze(config: RunConfig, model: _Model, out_dir: str) -> tuple[str, d
             del gap["lambda"], gap["slack"]  # the report states lambda at top level
             document["gap_bound"] = gap
     document["diagnostics"] = diagnostics
-    return "report.json", document, 0 if report.diagnostics["conforming"] else 2
+    return document, 0 if report.diagnostics["conforming"] else 2
 
 
-def _run_bound(config: RunConfig, model: _Model, out_dir: str) -> tuple[str, dict, int]:
+def _run_bound(config: RunConfig, model: _Model, out_dir: str) -> tuple[dict, int]:
     if model.wound is None:
         raise ValidationError("the gap bound applies only to convolution-form kernels")
     bound = gap_constants(model.potential, model.wound)  # its hypotheses, checked before the solve
-    report = analyze(model.kernel, model.potential, model.grid, config.analysis)
+    report = analyze(model.kernel, model.potential, config.analysis)
     document = {
         "gap_bound": _gap_section(bound, report),
         "lambda_by_method": dict(report.lambda_by_method),
     }
-    return "gap_bound.json", document, 0
+    return document, 0
 
 
-def _run_evolve(config: RunConfig, model: _Model, out_dir: str) -> tuple[str, dict, int]:
-    generator = assemble_generator(model.kernel, model.potential, model.grid)
+def _run_evolve(config: RunConfig, model: _Model, out_dir: str) -> tuple[dict, int]:
+    generator = assemble_generator(model.kernel, model.potential)
     estimate = max_eigenvalue_shifted_power(generator, config.analysis)
     t_max = config.evolution.t_max
     if t_max is None:
         t_max = 40.0 / abs(estimate.lam) if abs(estimate.lam) > 1e-12 else 40.0
     trace = evolve(
         generator,
-        np.ones(model.grid.size),
+        np.ones(generator.grid.size),
         t_max=t_max,
         dt=config.evolution.dt,
         method=config.evolution.method,
@@ -111,10 +110,10 @@ def _run_evolve(config: RunConfig, model: _Model, out_dir: str) -> tuple[str, di
         "rk4_step_min": trace.rk4_step_min,
         "extinction": check_extinction(trace).as_dict(),
     }
-    return "evolution.json", document, 0 if model.potential.diagnostics.eligible else 2
+    return document, 0 if model.potential.diagnostics.eligible else 2
 
 
-def _run_check_kernel(config: RunConfig, model: _Model, out_dir: str) -> tuple[str, dict, int]:
+def _run_check_kernel(config: RunConfig, model: _Model, out_dir: str) -> tuple[dict, int]:
     rates = model.kernel.w
     stats_section = None
     error_section = None
@@ -138,14 +137,15 @@ def _run_check_kernel(config: RunConfig, model: _Model, out_dir: str) -> tuple[s
         },
         "potential": model.potential.diagnostics.as_dict(),
     }
-    return "kernel_check.json", document, code
+    return document, code
 
 
+# each command's runner and the files it writes, its JSON document first
 _RUNNERS = {
-    "analyze": _run_analyze,
-    "bound": _run_bound,
-    "evolve": _run_evolve,
-    "check-kernel": _run_check_kernel,
+    "analyze": (_run_analyze, ("report.json",)),
+    "bound": (_run_bound, ("gap_bound.json",)),
+    "evolve": (_run_evolve, ("evolution.json", "trace.csv")),
+    "check-kernel": (_run_check_kernel, ("kernel_check.json",)),
 }
 
 
@@ -158,28 +158,33 @@ def run_command(command: str, config: RunConfig, out_dir: str | None = None) -> 
     intermediate ends the run with a typed error instead of a warning:
     FloatingPointFailure, or Unstable for an evolve trajectory.  A file
     that cannot be read or written ends it with a ValidationError naming
-    that file.
+    that file; an output path that is a directory does so before the
+    model is built, so nothing is written or printed.
     """
     if command not in _RUNNERS:
         raise ValidationError(f"unknown command {command!r}")
     if out_dir is None:
         out_dir = config.output.directory
+    runner, names = _RUNNERS[command]
+    paths = [os.path.join(out_dir, name) for name in names]
     try:
         os.makedirs(out_dir, exist_ok=True)
+        for path in paths:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            name, body, code = _RUNNERS[command](config, _prepare(config), out_dir)
+            body, code = runner(config, _prepare(config), out_dir)
         metadata = {
             "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "tool": f"torspec {__version__}",
         }
-        path = os.path.join(out_dir, name)
-        dump({"config_echo": config.echo(), **body, "metadata": metadata}, path)
+        dump({"config_echo": config.echo(), **body, "metadata": metadata}, paths[0])
     except FloatingPointError as exc:
         raise FloatingPointFailure(str(exc)) from exc
     except OSError as exc:
         where = f"{exc.filename}: " if exc.filename else ""
         raise ValidationError(f"{where}{exc.strerror or exc}") from exc
-    print(path)
+    print(paths[0])
     return code
 
 

@@ -96,11 +96,11 @@ class RunConfig:
         family = self.kernel["family"]
         if family == "modulated":
             base = self._build_wound(grid, self.kernel["base"])
-            return None, modulated_convolution(base, grid, self.kernel["epsilon"])
+            return None, modulated_convolution(base, self.kernel["epsilon"])
         if family == "csv":
             return None, kernel_from_csv(_resolve(self.base_dir, self.kernel["path"]), grid)
         assert wound is not None
-        return wound, convolution_kernel(wound, grid)
+        return wound, convolution_kernel(wound)
 
     def _build_wound(self, grid: TorusGrid, spec: dict) -> WoundKernel | None:
         family = spec["family"]

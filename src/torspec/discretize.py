@@ -7,7 +7,10 @@ structure b(x,y)(u(y) - u(x)) where it cancels identically.  When V = 0 the
 diagonal is exactly minus the serial off-diagonal row sum, so each row of
 the assembled generator sums to zero bit for bit in that order.  Every
 assembly reads the kernel's jump rate W from ``GenericKernel.w``; none
-recomputes it.
+recomputes it.  Kernel and potential meet in ``shift_denominator``, which
+checks that they carry one grid; the generator takes the kernel's grid and
+its ``symmetric`` flag, since off-diagonal entries h^d b and a diagonal
+are symmetric exactly when b is.
 """
 
 from __future__ import annotations
@@ -27,11 +30,14 @@ MU_EDGE_MARGIN = 1e-12
 class OperatorMatrix:
     """Dense square matrix of a torus operator: the generator M, the ratio
     operator Q_mu, or a diagonal shift of M.  ``edge_sup`` records
-    sup(W - V) when the assembly knows it."""
+    sup(W - V) when the assembly knows it; ``symmetric`` is set by
+    ``assemble_generator`` from the kernel, and is False on any matrix
+    built otherwise, which then takes the general dense solvers."""
 
     data: np.ndarray
     grid: TorusGrid
     edge_sup: float | None = None
+    symmetric: bool = False
 
     def __post_init__(self) -> None:
         data = np.ascontiguousarray(self.data, dtype=float)
@@ -61,18 +67,18 @@ class OperatorMatrix:
         return OperatorMatrix(data, self.grid)
 
 
-def assemble_generator(b: GenericKernel, potential: Potential, grid: TorusGrid) -> OperatorMatrix:
+def assemble_generator(b: GenericKernel, potential: Potential) -> OperatorMatrix:
     """Jump generator: kernel part plus (V - W) on the diagonal."""
-    grid.require_match(b, potential)
-    data = grid.weight * b.samples
+    edge_sup = float(shift_denominator(b, potential).max())
+    data = b.grid.weight * b.samples
     np.fill_diagonal(data, 0.0)
     np.fill_diagonal(data, potential.samples - serial_row_sums(data))
-    return OperatorMatrix(data, grid, edge_sup=float((b.w - potential.samples).max()))
+    return OperatorMatrix(data, b.grid, edge_sup=edge_sup, symmetric=b.symmetric)
 
 
-def shift_denominator(b: GenericKernel, potential: Potential, grid: TorusGrid) -> np.ndarray:
+def shift_denominator(b: GenericKernel, potential: Potential) -> np.ndarray:
     """Row denominator U + W of the ratio operator at zero shift, U = -V."""
-    grid.require_match(b, potential)
+    b.grid.require_match(potential.grid)
     return b.w - potential.samples
 
 
@@ -87,7 +93,6 @@ def assemble_birman_schwinger(
     b: GenericKernel,
     potential: Potential,
     mu: float,
-    grid: TorusGrid,
     adjoint: bool = False,
 ) -> OperatorMatrix:
     """Ratio operator h^d b(x_i, y_j) / (U(x_i) + W(x_i) + mu), U = -V.
@@ -96,12 +101,12 @@ def assemble_birman_schwinger(
     generator.  ``adjoint`` transposes the kernel while keeping the same
     row denominators, yielding the adjoint-generator counterpart.
     """
-    denom = shift_denominator(b, potential, grid)
+    denom = shift_denominator(b, potential)
     check_shift(mu, denom)
     samples = b.samples.T if adjoint else b.samples
-    data = np.multiply(samples, grid.weight, order="C")  # one C-ordered array, also for the adjoint
+    data = np.multiply(samples, b.grid.weight, order="C")  # one C-ordered array, also for the adjoint
     data /= (denom + mu)[:, None]
-    return OperatorMatrix(data, grid)
+    return OperatorMatrix(data, b.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +150,8 @@ class FourierSymbol:
 
 def fourier_symbol(wound: WoundKernel) -> FourierSymbol:
     """Quadrature Fourier coefficients a_k = h^d sum_i a(z_i) exp(-2 pi i k.z_i)."""
-    n = wound.n
-    d = wound.dimension
-    full = np.fft.fftn(wound.samples) * float(n) ** (-d)
+    n, d = wound.grid.n, wound.grid.dimension
+    full = np.fft.fftn(wound.samples) * wound.grid.weight
     half = (n - 1) // 2  # excludes the unmatched Nyquist mode for even n
     order = np.arange(-half, half + 1) % n
     coeff = full[np.ix_(*([order] * d))] if d > 1 else full[order]

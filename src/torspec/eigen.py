@@ -2,9 +2,9 @@
 certificates, and dense spectra.
 
 The power iteration is the positive-operator route; the dense solve
-(LAPACK: symmetric tridiagonal QR on an exactly symmetric matrix, balanced
-Hessenberg QR otherwise) is the independent cross-check.  The two must
-agree or the caller aborts, so neither silently wins.
+(LAPACK: symmetric tridiagonal QR on a generator flagged ``symmetric``,
+balanced Hessenberg QR otherwise) is the independent cross-check.  The two
+must agree or the caller aborts, so neither silently wins.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .discretize import OperatorMatrix
 from .errors import (
     DimensionMismatch,
     FloatingPointFailure,
@@ -23,31 +24,9 @@ from .errors import (
 )
 
 SPECTRUM_ORDER_CAP = 4096
-SYMMETRY_TILE = 256  # side of the square blocks the symmetry test compares
 # Collatz-Wielandt gap, in float spacings of the root, that rounding of the
 # ratios alone can leave: a tolerance below it could never be met
 ROUNDING_ULPS = 4
-
-
-def _as_array(mat) -> np.ndarray:
-    data = getattr(mat, "data", mat)
-    return np.asarray(data, dtype=float)
-
-
-def _is_symmetric(a: np.ndarray) -> bool:
-    """Whether the square array equals its transpose bit for bit.
-
-    Each tile on or above the diagonal is compared with its mirror tile,
-    so no temporary larger than one tile is built, and the first
-    mismatching tile ends the test.
-    """
-    order = a.shape[0]
-    for i in range(0, order, SYMMETRY_TILE):
-        for j in range(i, order, SYMMETRY_TILE):
-            rows, cols = slice(i, i + SYMMETRY_TILE), slice(j, j + SYMMETRY_TILE)
-            if not np.array_equal(a[rows, cols], a[cols, rows].T):
-                return False
-    return True
 
 
 @dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
@@ -91,7 +70,7 @@ def _start_vector(order: int, seed: int) -> np.ndarray:
 
 
 def perron(
-    mat,
+    a: np.ndarray,
     tol: float = 1e-11,
     max_iter: int = 100_000,
     seed: int = 0,
@@ -109,7 +88,6 @@ def perron(
     vector; a positive row ``scale`` makes the iterated operator
     diag(scale) A without forming it.
     """
-    a = _as_array(mat)
     if a.min() < 0:
         raise NegativeEntry("matrix has a negative entry")
     if scale is not None and not scale.min() > 0:
@@ -143,20 +121,21 @@ def perron(
     raise NotConverged(f"certificate gap above {tol} after {max_iter} iterations")
 
 
-def full_spectrum(mat, order_cap: int = SPECTRUM_ORDER_CAP) -> np.ndarray:
+def full_spectrum(generator: OperatorMatrix, order_cap: int = SPECTRUM_ORDER_CAP) -> np.ndarray:
     """All eigenvalues by LAPACK QR with deflation.
 
-    An exactly symmetric matrix (bit for bit) takes the symmetric
-    tridiagonal QR (``eigvalsh``), whose eigenvalues are real; any other
-    takes balanced Hessenberg QR (``eigvals``).  Ordered by descending real
-    part, ties by ascending imaginary part; complex eigenvalues of real
-    input come in conjugate pairs.  LAPACK's failure to converge raises
+    A matrix flagged ``symmetric`` (by ``assemble_generator``, from an
+    exactly symmetric kernel) takes the symmetric tridiagonal QR
+    (``eigvalsh``), whose eigenvalues are real; any other takes balanced
+    Hessenberg QR (``eigvals``).  Ordered by descending real part, ties by
+    ascending imaginary part; complex eigenvalues of real input come in
+    conjugate pairs.  LAPACK's failure to converge raises
     QRNotConverged.
     """
-    a = _as_array(mat)
+    a = generator.data
     if a.shape[0] > order_cap:
         raise DimensionMismatch(f"matrix order {a.shape[0]} exceeds the cap {order_cap}")
-    solver = np.linalg.eigvalsh if _is_symmetric(a) else np.linalg.eigvals
+    solver = np.linalg.eigvalsh if generator.symmetric else np.linalg.eigvals
     try:
         values = solver(a)
     except np.linalg.LinAlgError as exc:

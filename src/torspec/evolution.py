@@ -12,7 +12,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .discretize import OperatorMatrix
-from .eigen import _is_symmetric
 from .errors import DimensionMismatch, NotConverged, QRNotConverged, Unstable, ZeroNorm
 
 DEFAULT_SNAPSHOTS = 200
@@ -20,6 +19,7 @@ GROWTH_GUARD = 10.0
 # most RK4 substeps one trajectory may take; about 270 times the 37,014 of
 # an RK4 run on the wound Gaussian fixture at n = 512
 RK4_SUBSTEP_CAP = 10**7
+EXTINCTION_THRESHOLD = 1e-3  # final-to-initial L2 ratio below which a trajectory is extinct
 
 
 @dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
@@ -109,8 +109,8 @@ def evolve(
     substeps.  Every interval has the same substep count, so the RK4 map
     of one interval is formed once as a matrix and applied once per
     snapshot.  ``eigenexpansion`` diagonalizes once and reconstructs
-    exactly, serving as the oracle for the integrator: an exactly symmetric
-    generator takes ``eigh``, whose orthonormal eigenvectors V give the
+    exactly, serving as the oracle for the integrator: a generator flagged
+    ``symmetric`` takes ``eigh``, whose orthonormal eigenvectors V give the
     coefficients V^T u0, any other ``eig`` and a linear solve.
     """
     u0 = np.asarray(u0, dtype=float).ravel()
@@ -155,12 +155,11 @@ def evolve(
             propagator, step_min = _rk4_propagator(generator.data, span / substeps, int(substeps))
             states = _iterates(propagator, u0, snapshots - 1)
         else:
-            symmetric = _is_symmetric(generator.data)
             try:
-                evals, vectors = (np.linalg.eigh if symmetric else np.linalg.eig)(generator.data)
+                evals, vectors = (np.linalg.eigh if generator.symmetric else np.linalg.eig)(generator.data)
             except np.linalg.LinAlgError as exc:
                 raise QRNotConverged(str(exc)) from exc
-            coeff = vectors.T @ u0 if symmetric else np.linalg.solve(vectors, u0.astype(complex))
+            coeff = vectors.T @ u0 if generator.symmetric else np.linalg.solve(vectors, u0.astype(complex))
             states = ((vectors @ (coeff * np.exp(evals * t))).real for t in times[1:])
         for u in states:
             rows.append(_norms(u, weight))
@@ -212,9 +211,9 @@ class ExtinctionSummary:
         return asdict(self)
 
 
-def check_extinction(trace: EvolutionTrace, threshold: float = 1e-3) -> ExtinctionSummary:
+def check_extinction(trace: EvolutionTrace) -> ExtinctionSummary:
     """Extinct when the norms are eventually non-increasing and the final
-    norm has dropped below ``threshold`` times the initial one."""
+    norm has dropped below ``EXTINCTION_THRESHOLD`` times the initial one."""
     l2 = trace.l2_norms
     decreasing = l2[1:] <= l2[:-1] * (1.0 + 1e-12)
     onset = len(l2) - 1
@@ -226,8 +225,8 @@ def check_extinction(trace: EvolutionTrace, threshold: float = 1e-3) -> Extincti
     monotone_tail = onset < len(l2) - 1
     ratio = float(l2[-1] / l2[0]) if l2[0] > 0 else math.inf
     return ExtinctionSummary(
-        extinct=bool(monotone_tail and ratio < threshold),
+        extinct=bool(monotone_tail and ratio < EXTINCTION_THRESHOLD),
         ratio=ratio,
         monotone_from=float(trace.times[onset]),
-        threshold=threshold,
+        threshold=EXTINCTION_THRESHOLD,
     )

@@ -17,6 +17,7 @@ from .kernels import Potential, WoundKernel
 from .spectral import SpectrumReport
 
 MASS_TOL = 1e-8
+GAP_SLACK = 1e-9  # solver slack the verdict allows on lambda <= -kappa
 
 
 @dataclass(frozen=True)
@@ -78,13 +79,13 @@ class GapVerdict:
         }
 
 
-def verify_gap(report: SpectrumReport, bound: GapBound, slack: float = 1e-9) -> GapVerdict:
-    """Check lambda <= -kappa up to solver slack; the margin is lambda + kappa."""
+def verify_gap(report: SpectrumReport, bound: GapBound) -> GapVerdict:
+    """Check lambda <= -kappa up to ``GAP_SLACK``; the margin is lambda + kappa."""
     lam = report.max_eigenvalue
     return GapVerdict(
-        passed=bool(lam <= -bound.kappa + slack),
+        passed=bool(lam <= -bound.kappa + GAP_SLACK),
         margin=float(lam + bound.kappa),
         lam=float(lam),
         kappa=float(bound.kappa),
-        slack=float(slack),
+        slack=GAP_SLACK,
     )

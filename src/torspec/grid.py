@@ -27,14 +27,13 @@ class TorusGrid:
         if self.n < 2:
             raise ValueError("grid resolution must be at least 2")
 
-    def require_match(self, *operands) -> None:
-        """Raise GridMismatch unless every operand is sampled on this grid."""
-        for obj in operands:
-            if obj.dimension != self.dimension or obj.n != self.n:
-                raise GridMismatch(
-                    f"operand sampled at d={obj.dimension}, n={obj.n}; "
-                    f"grid has d={self.dimension}, n={self.n}"
-                )
+    def require_match(self, other: "TorusGrid") -> None:
+        """Raise GridMismatch unless ``other`` is this grid."""
+        if other != self:
+            raise GridMismatch(
+                f"operand sampled at d={other.dimension}, n={other.n}; "
+                f"grid has d={self.dimension}, n={self.n}"
+            )
 
     @property
     def weight(self) -> float:

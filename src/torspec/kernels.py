@@ -3,7 +3,9 @@
 Two kernel representations coexist.  A convolution kernel lives on the torus
 as samples of a single function of the displacement (wound from a kernel on
 the full space when necessary); a generic two-point kernel is a dense array
-of samples b(x_i, y_j).  Potentials are nonpositive node samples.
+of samples b(x_i, y_j).  Potentials are nonpositive node samples.  Every
+record carries the ``TorusGrid`` it is sampled on, and a generic kernel
+decides once, when it is built, whether its samples are exactly symmetric.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .errors import (
 from .grid import TorusGrid
 
 WIND_CAP = 64  # largest one-sided shift radius tried while winding
+SYMMETRY_TILE = 256  # side of the square blocks the symmetry test compares
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -47,6 +50,22 @@ def serial_row_sums(a: np.ndarray, weight: float | None = None) -> np.ndarray:
     for j in range(1, a.shape[-1]):
         acc += a[..., j] if weight is None else a[..., j] * weight
     return acc
+
+
+def _is_symmetric(a: np.ndarray) -> bool:
+    """Whether the square array equals its transpose bit for bit.
+
+    Each tile on or above the diagonal is compared with its mirror tile,
+    so no temporary larger than one tile is built, and the first
+    mismatching tile ends the test.
+    """
+    order = a.shape[0]
+    for i in range(0, order, SYMMETRY_TILE):
+        for j in range(i, order, SYMMETRY_TILE):
+            rows, cols = slice(i, i + SYMMETRY_TILE), slice(j, j + SYMMETRY_TILE)
+            if not np.array_equal(a[rows, cols], a[cols, rows].T):
+                return False
+    return True
 
 
 def _peak_density(base: float, exponent: float, tag: str) -> float:
@@ -158,8 +177,7 @@ class WoundKernel:
     integer index arithmetic.
     """
 
-    dimension: int
-    n: int
+    grid: TorusGrid
     samples: np.ndarray
     wind_truncation: int = 0
     tail_estimate: float = 0.0
@@ -167,7 +185,7 @@ class WoundKernel:
     def __post_init__(self) -> None:
         samples = _freeze(np.asarray(self.samples, dtype=float))
         object.__setattr__(self, "samples", samples)
-        if samples.shape != (self.n,) * self.dimension:
+        if samples.shape != (self.grid.n,) * self.grid.dimension:
             raise ValueError("samples must be shaped (n,)*d")
         if np.any(samples < 0):
             raise ValueError("wound kernel samples must be nonnegative")
@@ -175,13 +193,13 @@ class WoundKernel:
             raise DegenerateKernel("wound kernel has zero quadrature mass")
 
     def quadrature_mass(self) -> float:
-        return float(self.samples.sum()) * float(self.n) ** (-self.dimension)
+        return float(self.samples.sum()) * self.grid.weight
 
 
 def wound_from_function(f: Callable[[np.ndarray], np.ndarray], grid: TorusGrid) -> WoundKernel:
     """Sample a function already periodic on the torus as a convolution kernel."""
     values = np.asarray(f(grid.node_mesh()), dtype=float)
-    return WoundKernel(grid.dimension, grid.n, values)
+    return WoundKernel(grid, values)
 
 
 def wind_kernel(a: ContinuousKernel, n: int, tail_tol: float = 1e-12) -> WoundKernel:
@@ -224,7 +242,7 @@ def wind_kernel(a: ContinuousKernel, n: int, tail_tol: float = 1e-12) -> WoundKe
         if n % 2 == 0:  # t = -1/2 and t = 1/2 are one node
             sums = np.concatenate([0.5 * (sums[:1] + sums[-1:]), sums[1:-1]])
         acc = np.moveaxis(np.roll(sums, -(n // 2), axis=0), 0, k)
-    return WoundKernel(d, n, acc, n_wind, float(a.tail_mass_bound(n_wind)))
+    return WoundKernel(TorusGrid(d, n), acc, n_wind, float(a.tail_mass_bound(n_wind)))
 
 
 @dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
@@ -232,37 +250,34 @@ class GenericKernel:
     """Two-point kernel b(x, y) on the tensor grid as an (n^d, n^d) array.
 
     Row index is the x node, column index the y node, both in the grid's
-    row-major node order.  ``w`` is the jump-rate field W (``jump_rate``),
-    evaluated once at construction and read by every consumer.
+    row-major node order.  ``w`` is the jump-rate field W (``jump_rate``)
+    and ``symmetric`` whether the samples equal their transpose bit for
+    bit; both are evaluated once at construction and read by every consumer.
     """
 
-    dimension: int
-    n: int
+    grid: TorusGrid
     samples: np.ndarray
     w: np.ndarray = field(init=False, repr=False, compare=False)
+    symmetric: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         samples = _freeze(np.asarray(self.samples, dtype=float))
         object.__setattr__(self, "samples", samples)
-        size = self.n ** self.dimension
-        if samples.shape != (size, size):
+        if samples.shape != (self.grid.size, self.grid.size):
             raise ValueError("samples must be an (n^d, n^d) array")
         if np.any(samples < 0):
             raise DegenerateKernel("kernel samples must be nonnegative")
         if not np.any(samples > 0):
             raise DegenerateKernel("kernel is identically zero")
         object.__setattr__(self, "w", _freeze(jump_rate(self)))
-
-    @property
-    def weight(self) -> float:
-        return float(self.n) ** (-self.dimension)
+        object.__setattr__(self, "symmetric", _is_symmetric(samples))
 
 
 def constant_kernel(grid: TorusGrid, value: float = 1.0) -> GenericKernel:
-    return GenericKernel(grid.dimension, grid.n, np.full((grid.size, grid.size), float(value)))
+    return GenericKernel(grid, np.full((grid.size, grid.size), float(value)))
 
 
-def _displacement_samples(wound: WoundKernel, grid: TorusGrid) -> np.ndarray:
+def _displacement_samples(wound: WoundKernel) -> np.ndarray:
     """Samples a(x_i - y_j) as an (n^d, n^d) array in grid node order.
 
     One (n, n) table of axis displacements (i - j) mod n, in pure integer
@@ -270,7 +285,7 @@ def _displacement_samples(wound: WoundKernel, grid: TorusGrid) -> np.ndarray:
     gather comes out shaped (x_1..x_d, y_1..y_d), so no (n^d, n^d) index
     array is built.
     """
-    grid.require_match(wound)
+    grid = wound.grid
     n, d = grid.n, grid.dimension
     diff = (np.arange(n)[:, None] - np.arange(n)) % n
     index = []
@@ -281,23 +296,23 @@ def _displacement_samples(wound: WoundKernel, grid: TorusGrid) -> np.ndarray:
     return wound.samples[tuple(index)].reshape(grid.size, grid.size)
 
 
-def convolution_kernel(wound: WoundKernel, grid: TorusGrid) -> GenericKernel:
+def convolution_kernel(wound: WoundKernel) -> GenericKernel:
     """Generic form b(x, y) = a(x - y) of a convolution kernel."""
-    return GenericKernel(grid.dimension, grid.n, _displacement_samples(wound, grid))
+    return GenericKernel(wound.grid, _displacement_samples(wound))
 
 
-def modulated_convolution(wound: WoundKernel, grid: TorusGrid, epsilon: float) -> GenericKernel:
+def modulated_convolution(wound: WoundKernel, epsilon: float) -> GenericKernel:
     """b(x, y) = a(x - y) (1 + epsilon prod_a cos(2 pi (x_a + y_a))), |epsilon| < 1.
 
     The modulation is symmetric in (x, y) and, with |epsilon| < 1, positive.
     """
     if not abs(epsilon) < 1.0:
         raise ValueError("modulation amplitude epsilon must satisfy |epsilon| < 1")
-    base = _displacement_samples(wound, grid)
-    coords = grid.coordinates()
+    base = _displacement_samples(wound)
+    coords = wound.grid.coordinates()
     phase = 2.0 * np.pi * (coords[:, None, :] + coords[None, :, :])
     modulation = 1.0 + epsilon * np.prod(np.cos(phase), axis=-1)
-    return GenericKernel(grid.dimension, grid.n, base * modulation)
+    return GenericKernel(wound.grid, base * modulation)
 
 
 # ---------------------------------------------------------------------------
@@ -330,19 +345,18 @@ class Potential:
     once at construction and read by every consumer.
     """
 
-    dimension: int
-    n: int
+    grid: TorusGrid
     samples: np.ndarray
     diagnostics: PotentialDiagnostics = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         v = _freeze(np.asarray(self.samples, dtype=float).ravel())
         object.__setattr__(self, "samples", v)
-        if v.size != self.n ** self.dimension:
+        if v.size != self.grid.size:
             raise ValueError("potential needs one sample per grid node")
         if np.any(v > 0):
             raise PositivePotential(f"potential has a positive sample (max {v.max():.6g})")
-        weight = float(self.n) ** (-self.dimension)
+        weight = self.grid.weight
         frac = float(np.count_nonzero(v < 0)) / v.size
         # squared after scaling by max|V|, so no depth overflows or underflows the squares
         peak = -float(v.min())
@@ -357,24 +371,24 @@ class Potential:
 
 
 def constant_potential(grid: TorusGrid, depth: float) -> Potential:
-    return Potential(grid.dimension, grid.n, np.full(grid.size, -float(depth)))
+    return Potential(grid, np.full(grid.size, -float(depth)))
 
 
 def zero_potential(grid: TorusGrid) -> Potential:
-    return Potential(grid.dimension, grid.n, np.zeros(grid.size))
+    return Potential(grid, np.zeros(grid.size))
 
 
 def step_potential(grid: TorusGrid, depth: float = 1.0, width: float = 0.5) -> Potential:
     """-depth where the first coordinate lies in [0, width), zero elsewhere."""
     x0 = grid.coordinates()[:, 0]
-    return Potential(grid.dimension, grid.n, np.where(x0 < width, -float(depth), 0.0))
+    return Potential(grid, np.where(x0 < width, -float(depth), 0.0))
 
 
 def cosine_potential(grid: TorusGrid, depth: float = 1.0) -> Potential:
     """Smooth well -depth * prod_axes (1 + cos(2 pi x_a)) / 2, zero only at x_a = 1/2."""
     coords = grid.coordinates()
     prof = np.prod((1.0 + np.cos(2.0 * np.pi * coords)) / 2.0, axis=1)
-    return Potential(grid.dimension, grid.n, -float(depth) * prof)
+    return Potential(grid, -float(depth) * prof)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +401,7 @@ def jump_rate(b: GenericKernel) -> np.ndarray:
     Uses a serial per-row reduction.  ``GenericKernel`` calls this once at
     construction and keeps the result as ``w``; read that field instead.
     """
-    return serial_row_sums(b.samples, b.weight)
+    return serial_row_sums(b.samples, b.grid.weight)
 
 
 @dataclass(frozen=True)
@@ -416,12 +430,12 @@ def kernel_stats(b: GenericKernel, n_max: int = 16) -> KernelStats:
     when no power up to ``n_max`` is entrywise positive at this resolution.
     """
     rows = b.w
-    cols = serial_row_sums(b.samples.T, b.weight)
+    cols = serial_row_sums(b.samples.T, b.grid.weight)
     gamma1 = float(rows.min())
     if gamma1 <= 0:
         raise DegenerateKernel("kernel row integral vanishes somewhere")
 
-    quad = b.weight * b.samples
+    quad = b.grid.weight * b.samples
     power = quad
     n_prim = 0
     for k in range(1, max(1, n_max) + 1):
@@ -437,7 +451,7 @@ def kernel_stats(b: GenericKernel, n_max: int = 16) -> KernelStats:
         row_integral_max=float(rows.max()),
         col_integral_max=float(cols.max()),
         primitive_power=n_prim,
-        iterated_kernel_min=float(power.min() / b.weight),
+        iterated_kernel_min=float(power.min() / b.grid.weight),
     )
 
 
@@ -517,11 +531,11 @@ def kernel_from_csv(path: str, grid: TorusGrid) -> GenericKernel:
     """Read a tabulated two-point kernel; every grid node pair must appear once."""
     header = ["x", "y", "value"] if grid.dimension == 1 else ["x1", "x2", "y1", "y2", "value"]
     samples = _read_table(path, grid, header, "kernel", 1.0, "node pair")
-    return GenericKernel(grid.dimension, grid.n, samples.reshape(grid.size, grid.size))
+    return GenericKernel(grid, samples.reshape(grid.size, grid.size))
 
 
 def potential_from_csv(path: str, grid: TorusGrid) -> Potential:
     """Read a tabulated potential; every grid node must appear exactly once."""
     header = ["x", "value"] if grid.dimension == 1 else ["x1", "x2", "value"]
     samples = _read_table(path, grid, header, "potential", -1.0, "node")
-    return Potential(grid.dimension, grid.n, samples)
+    return Potential(grid, samples)

@@ -23,16 +23,14 @@ from .discretize import (
     check_shift,
     shift_denominator,
 )
-from .eigen import SPECTRUM_ORDER_CAP, PerronResult, _is_symmetric, full_spectrum, perron
+from .eigen import SPECTRUM_ORDER_CAP, PerronResult, full_spectrum, perron
 from .errors import (
     BracketFailure,
     DegenerateKernel,
-    GridMismatch,
     IneligiblePotential,
     MethodDisagreement,
     NotConverged,
 )
-from .grid import TorusGrid
 from .kernels import GenericKernel, Potential, kernel_stats
 
 
@@ -53,12 +51,9 @@ class EssentialSpectrum:
         return -self.values
 
 
-def essential_spectrum(potential: Potential, w: np.ndarray) -> EssentialSpectrum:
+def essential_spectrum(b: GenericKernel, potential: Potential) -> EssentialSpectrum:
     """Essential spectrum of the generator from the multiplier range of V - W."""
-    w = np.asarray(w, dtype=float).ravel()
-    if w.size != potential.samples.size:
-        raise GridMismatch("jump-rate field and potential sampled on different grids")
-    values = np.unique(w - potential.samples)
+    values = np.unique(shift_denominator(b, potential))
     values.flags.writeable = False
     alpha1 = float(values[0])
     alpha0 = float(values[-1])
@@ -100,7 +95,7 @@ class BisectionResult:
     perron_iterations: int
 
 
-def _perron(matrix, options: AnalysisOptions, **kwargs) -> PerronResult:
+def _perron(matrix: np.ndarray, options: AnalysisOptions, **kwargs) -> PerronResult:
     """``perron`` with the options' tolerance, cap and seed."""
     return perron(matrix, tol=options.power_tol, max_iter=options.max_iter, seed=options.seed, **kwargs)
 
@@ -114,7 +109,6 @@ STALL_STEPS = 3
 def max_eigenvalue_bisection(
     b: GenericKernel,
     potential: Potential,
-    grid: TorusGrid,
     options: AnalysisOptions = AnalysisOptions(),
 ) -> BisectionResult:
     """Find the shift at which the ratio operator has unit spectral radius.
@@ -130,14 +124,14 @@ def max_eigenvalue_bisection(
     warm-started from the previous vector; the state and adjoint at the
     returned eigenvalue are certified on the assembled ratio operator.
     Every Perron solve takes the options' ``power_tol``, ``max_iter`` and
-    ``seed``.  A kernel whose samples are exactly symmetric has that
-    operator as its own adjoint counterpart, so its ground state is
-    returned as the adjoint state without a second solve.  With a vanishing
-    potential the radius equals one at zero shift; in diagnostic mode that
-    boundary case is reported as a zero eigenvalue instead of an error.
+    ``seed``.  A kernel flagged ``symmetric`` has that operator as its own
+    adjoint counterpart, so its ground state is returned as the adjoint
+    state without a second solve.  With a vanishing potential the radius
+    equals one at zero shift; in diagnostic mode that boundary case is
+    reported as a zero eigenvalue instead of an error.
     """
     eligible = potential.diagnostics.eligible
-    denom = shift_denominator(b, potential, grid)
+    denom = shift_denominator(b, potential)
     alpha1 = float(denom.min())
     tol = options.bisection_tol
 
@@ -152,7 +146,7 @@ def max_eigenvalue_bisection(
     def radius(mu: float) -> float:
         nonlocal vector, perron_iterations
         check_shift(mu, denom)
-        result = _perron(b.samples, options, start=vector, scale=grid.weight / (denom + mu))
+        result = _perron(b.samples, options, start=vector, scale=b.grid.weight / (denom + mu))
         vector = result.vector
         perron_iterations += result.iterations
         return result.rho
@@ -207,16 +201,16 @@ def max_eigenvalue_bisection(
                 moved = "hi"
 
     lam = 0.5 * (lo + hi)
-    at_lam = _perron(assemble_birman_schwinger(b, potential, lam, grid), options, start=vector)
+    at_lam = _perron(assemble_birman_schwinger(b, potential, lam).data, options, start=vector)
     if not eligible and abs(at_lam.rho - 1.0) > 100 * options.power_tol:
         raise BracketFailure(
             f"vanishing potential should give unit radius at zero shift, got {at_lam.rho!r}"
         )
-    if _is_symmetric(b.samples):  # the adjoint ratio operator is the assembled one
+    if b.symmetric:  # the adjoint ratio operator is the assembled one
         adjoint_state = at_lam.vector
     else:
-        adjoint = assemble_birman_schwinger(b, potential, lam, grid, adjoint=True)
-        adjoint_state = _perron(adjoint, options, start=at_lam.vector).vector
+        adjoint = assemble_birman_schwinger(b, potential, lam, adjoint=True)
+        adjoint_state = _perron(adjoint.data, options, start=at_lam.vector).vector
     return BisectionResult(
         lam, at_lam.vector, adjoint_state, iterations, at_lam.rho, (lo, hi), perron_iterations,
     )
@@ -239,7 +233,7 @@ def max_eigenvalue_shifted_power(
     if generator.edge_sup is None:
         raise ValueError("the operator carries no essential edge")
     k = generator.edge_sup + 1.0
-    result = _perron(generator.shifted(k), options)
+    result = _perron(generator.shifted(k).data, options)
     return ShiftedPowerResult(result.rho - k, result)
 
 
@@ -286,7 +280,6 @@ def classification_tolerance(n: int) -> float:
 def analyze(
     b: GenericKernel,
     potential: Potential,
-    grid: TorusGrid,
     options: AnalysisOptions = AnalysisOptions(),
 ) -> SpectrumReport:
     """Run all three maximum-eigenvalue methods and consolidate the report.
@@ -296,19 +289,19 @@ def analyze(
     for a vanishing potential only when the diagnostic option is set.
     """
     stats = kernel_stats(b, options.primitivity_max_power)
-    essential = essential_spectrum(potential, b.w)
+    essential = essential_spectrum(b, potential)
     eligible = potential.diagnostics.eligible
     if not eligible and not options.diagnostic:
         raise IneligiblePotential(
             "potential is zero on every node; set diagnostic=True for a boundary report"
         )
 
-    generator = assemble_generator(b, potential, grid)
+    generator = assemble_generator(b, potential)
     eigenvalues = full_spectrum(generator, options.spectrum_order_cap)
     lam_qr = float(eigenvalues[0].real)
 
     shifted = max_eigenvalue_shifted_power(generator, options)
-    bisected = max_eigenvalue_bisection(b, potential, grid, options)
+    bisected = max_eigenvalue_bisection(b, potential, options)
 
     lambda_by_method = {
         "direct_qr": lam_qr,
@@ -335,7 +328,7 @@ def analyze(
             f"maximum eigenvalue {lam!r} outside the open interval (-alpha1, 0)"
         )
 
-    tol_ess = classification_tolerance(grid.n)
+    tol_ess = classification_tolerance(b.grid.n)
     ess_points = essential.spectrum_points
     distances = np.min(np.abs(eigenvalues[:, None] - ess_points[None, :]), axis=1)
     discrete = eigenvalues[distances > tol_ess]

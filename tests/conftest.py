@@ -26,7 +26,7 @@ def make_f3(n=256):
     """Wound Gaussian kernel (sigma 0.2), step potential."""
     grid = ts.TorusGrid(1, n)
     wound = ts.wind_kernel(ts.gaussian_kernel(1, 0.2), n, 1e-12)
-    return grid, ts.convolution_kernel(wound, grid), ts.step_potential(grid, 1.0, 0.5)
+    return grid, ts.convolution_kernel(wound), ts.step_potential(grid, 1.0, 0.5)
 
 
 def sine_wound(grid, amplitude=0.5):
@@ -38,7 +38,7 @@ def sine_wound(grid, amplitude=0.5):
 def make_f4(n=128):
     """Non-symmetric sine-modulated convolution kernel, constant potential -0.3."""
     grid = ts.TorusGrid(1, n)
-    return grid, ts.convolution_kernel(sine_wound(grid), grid), ts.constant_potential(grid, 0.3)
+    return grid, ts.convolution_kernel(sine_wound(grid)), ts.constant_potential(grid, 0.3)
 
 
 def random_potential(rng, n):
@@ -48,14 +48,14 @@ def random_potential(rng, n):
     if np.count_nonzero(values < 0) < need:
         idx = rng.choice(n, size=need, replace=False)
         values[idx] = -rng.uniform(0.1, 1.0, size=need)
-    return ts.Potential(1, n, values)
+    return ts.Potential(ts.TorusGrid(1, n), values)
 
 
 def random_fixture(seed, n=64):
     """Random strictly positive two-point kernel plus an eligible potential."""
     rng = np.random.default_rng(seed)
     grid = ts.TorusGrid(1, n)
-    kernel = ts.GenericKernel(1, n, rng.uniform(0.5, 1.5, size=(n, n)))
+    kernel = ts.GenericKernel(ts.TorusGrid(1, n), rng.uniform(0.5, 1.5, size=(n, n)))
     return grid, kernel, random_potential(rng, n)
 
 
@@ -70,7 +70,7 @@ def random_convolution_fixture(seed, n=64):
     for k in range(3):
         samples = samples + coef[k, 0] * np.cos(2 * np.pi * (k + 1) * z)
         samples = samples + coef[k, 1] * np.sin(2 * np.pi * (k + 1) * z)
-    wound = ts.WoundKernel(1, n, samples)
+    wound = ts.WoundKernel(ts.TorusGrid(1, n), samples)
     return grid, wound, random_potential(rng, n)
 
 

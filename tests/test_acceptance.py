@@ -33,7 +33,7 @@ def _verdict(number, ok, detail):
 def test_criterion_01_constant_fixture_three_methods():
     start = time.perf_counter()
     grid, kernel, potential = make_f1(n=128)
-    report = ts.analyze(kernel, potential, grid)
+    report = ts.analyze(kernel, potential)
     elapsed = time.perf_counter() - start
     errors = {name: abs(value + 0.3) for name, value in report.lambda_by_method.items()}
     ok = (
@@ -49,7 +49,7 @@ def test_criterion_02_two_level_fixture_against_oracle():
     lam_top = two_level_eigenvalue_oracle((-0.999, -1e-6))
     lam_bottom = two_level_eigenvalue_oracle((-1.999, -1.001))
     grid, kernel, potential = make_f2(n=256)
-    report = ts.analyze(kernel, potential, grid)
+    report = ts.analyze(kernel, potential)
     found = sorted(z.real for z in report.discrete_eigenvalues)
     ok = (
         abs(report.max_eigenvalue - lam_top) <= 1e-6
@@ -65,7 +65,7 @@ def test_criterion_02_two_level_fixture_against_oracle():
 def test_criterion_03_gap_bound_two_level_fixture():
     grid, kernel, potential = make_f2(n=256)
     wound = ts.wound_from_function(lambda mesh: np.ones(mesh.shape[:-1]), grid)
-    report = ts.analyze(kernel, potential, grid)
+    report = ts.analyze(kernel, potential)
     bound = ts.gap_constants(potential, wound)
     verdict = ts.verify_gap(report, bound)
     ok = (
@@ -94,7 +94,7 @@ def test_criterion_04_radius_scan_monotone_on_random_fixtures():
         gamma2 = float(rates.max())
         mus = np.linspace(-alpha1 + 0.05 * (alpha0 - alpha1 + 1.0), 10.0 * gamma2, 50)
         radii = np.array([
-            ts.perron(ts.assemble_birman_schwinger(kernel, potential, mu, grid)).rho for mu in mus
+            ts.perron(ts.assemble_birman_schwinger(kernel, potential, mu).data).rho for mu in mus
         ])
         worst_violation = max(worst_violation, float(np.max(radii[1:] - radii[:-1])))
         worst_tail = max(worst_tail, float(radii[-1]))
@@ -111,12 +111,12 @@ def test_criterion_05_sign_location_and_adjoint_on_random_fixtures():
     positive = True
     for seed in range(N_RANDOM_FIXTURES):
         grid, kernel, potential = random_fixture(seed, n=64)
-        result = ts.max_eigenvalue_bisection(kernel, potential, grid)
+        result = ts.max_eigenvalue_bisection(kernel, potential)
         rates = ts.jump_rate(kernel)
         alpha1 = float((-potential.samples + rates).min())
         located = located and (-alpha1 < result.lam < 0.0)
         positive = positive and result.ground_state.min() > 0 and result.adjoint_state.min() > 0
-        generator = ts.assemble_generator(kernel, potential, grid)
+        generator = ts.assemble_generator(kernel, potential)
         residual = float(np.linalg.norm(
             generator.matvec(result.ground_state) - result.lam * result.ground_state
         ))
@@ -158,13 +158,13 @@ def test_criterion_07_winding_and_symbol():
 
 def test_criterion_08_evolution_decay_and_oracle_agreement():
     grid1, kernel1, potential1 = make_f1(n=128)
-    gen1 = ts.assemble_generator(kernel1, potential1, grid1)
+    gen1 = ts.assemble_generator(kernel1, potential1)
     trace1 = ts.evolve(gen1, np.ones(grid1.size), t_max=10.0)
     exact1 = ts.evolve(gen1, np.ones(grid1.size), t_max=10.0, method="eigenexpansion")
 
     lam = two_level_eigenvalue_oracle((-0.999, -1e-6))
     grid2, kernel2, potential2 = make_f2(n=256)
-    gen2 = ts.assemble_generator(kernel2, potential2, grid2)
+    gen2 = ts.assemble_generator(kernel2, potential2)
     trace2 = ts.evolve(gen2, np.ones(grid2.size), t_max=20.0)
     exact2 = ts.evolve(gen2, np.ones(grid2.size), t_max=20.0, method="eigenexpansion")
 
@@ -204,7 +204,7 @@ def test_criterion_09_analyze_is_deterministic(tmp_path):
 def test_criterion_10_two_dimensional_smoke():
     start = time.perf_counter()
     grid = ts.TorusGrid(2, 24)
-    report = ts.analyze(ts.constant_kernel(grid), ts.constant_potential(grid, 0.3), grid)
+    report = ts.analyze(ts.constant_kernel(grid), ts.constant_potential(grid, 0.3))
     elapsed = time.perf_counter() - start
     errors = {name: abs(value + 0.3) for name, value in report.lambda_by_method.items()}
     ok = all(err <= 1e-8 for err in errors.values()) and elapsed < 30.0

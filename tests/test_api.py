@@ -1,6 +1,9 @@
-"""The public surface: every export is used, and result records compare by identity."""
+"""The public surface: every export is used, no function restates a record's
+grid, and result records compare by identity."""
 
+import importlib
 import inspect
+import pkgutil
 import re
 
 import numpy as np
@@ -32,15 +35,32 @@ def test_every_export_is_used_by_the_package_or_the_readme():
     assert unused == []
 
 
+RECORD = re.compile(r"\b(GenericKernel|WoundKernel|Potential)\b")
+
+
+def test_no_function_takes_a_grid_beside_a_sampled_record():
+    """Kernels and potentials carry their grid; a separate one could only disagree."""
+    redundant = []
+    for info in pkgutil.iter_modules(ts.__path__):
+        module = importlib.import_module(f"torspec.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not inspect.isfunction(obj) or obj.__module__ != module.__name__:
+                continue
+            params = inspect.signature(obj).parameters.values()
+            if "grid" in {p.name for p in params} and any(RECORD.search(str(p.annotation)) for p in params):
+                redundant.append(f"{module.__name__}.{name}")
+    assert redundant == []
+
+
 def _records():
     """One instance of each result record, computed afresh on every call."""
     grid, kernel, potential = make_f2(n=8)
-    generator = ts.assemble_generator(kernel, potential, grid)
+    generator = ts.assemble_generator(kernel, potential)
     return {
         "PerronResult": ts.perron(np.full((3, 3), 1.0)),
-        "SpectrumReport": ts.analyze(kernel, potential, grid),
-        "EssentialSpectrum": ts.essential_spectrum(potential, kernel.w),
-        "BisectionResult": ts.max_eigenvalue_bisection(kernel, potential, grid),
+        "SpectrumReport": ts.analyze(kernel, potential),
+        "EssentialSpectrum": ts.essential_spectrum(kernel, potential),
+        "BisectionResult": ts.max_eigenvalue_bisection(kernel, potential),
         "ShiftedPowerResult": ts.max_eigenvalue_shifted_power(generator),
         "EvolutionTrace": ts.evolve(generator, np.ones(grid.size), 1.0, snapshots=4),
         "FourierSymbol": ts.fourier_symbol(sine_wound(grid)),

@@ -292,7 +292,7 @@ def test_modulated_kernel_config_analyzes():
     wound, kernel = config.build_kernel(grid)
     assert wound is None
     assert np.allclose(kernel.samples, kernel.samples.T)  # symmetric modulation of ones
-    report = ts.analyze(kernel, config.build_potential(grid), grid)
+    report = ts.analyze(kernel, config.build_potential(grid))
     assert -report.essential.alpha1 < report.max_eigenvalue < 0
 
 
@@ -421,6 +421,39 @@ def test_cli_unwritable_output_is_validation_error(command, blocked, tmp_path, c
     diagnostic = _single_diagnostic(capsys.readouterr().err)
     assert diagnostic["error"] == "ValidationError"
     assert diagnostic["message"].startswith(f"{target}: ")
+
+
+@pytest.mark.parametrize("command, blocked", [
+    ("analyze", "report.json"),
+    ("bound", "gap_bound.json"),
+    ("evolve", "evolution.json"),
+    ("evolve", "trace.csv"),
+    ("check-kernel", "kernel_check.json"),
+])
+def test_output_path_that_is_a_directory_is_refused_before_the_run(command, blocked, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(minimal_config(grid_n=8)))
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diagnostic = _single_diagnostic(captured.err)
+    assert diagnostic["error"] == "ValidationError"
+    assert diagnostic["message"] == f"{out / blocked}: Is a directory"
+    assert [entry.name for entry in out.iterdir()] == [blocked]  # no trace.csv left behind
+
+
+def test_analyze_is_not_run_when_its_report_cannot_be_written(monkeypatch, tmp_path, capsys):
+    def solve(*args, **kwargs):
+        raise AssertionError("analyze called")
+
+    monkeypatch.setattr(ts.cli, "analyze", solve)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(minimal_config(grid_n=8)))
+    (tmp_path / "out" / "report.json").mkdir(parents=True)
+    assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert _single_diagnostic(capsys.readouterr().err)["error"] == "ValidationError"
 
 
 def test_spectrum_order_cap_below_matrix_order_is_validation_error(tmp_path, capsys):

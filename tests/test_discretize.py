@@ -15,7 +15,7 @@ from conftest import make_f1, make_f2, sine_wound
 def _assert_conservative(kernel, grid):
     # with V = 0 the diagonal is minus the serial off-diagonal row sum, bit
     # for bit, so each row adds up to exactly zero in that order
-    data = ts.assemble_generator(kernel, ts.zero_potential(grid), grid).data
+    data = ts.assemble_generator(kernel, ts.zero_potential(grid)).data
     for i, row in enumerate(data.tolist()):
         off_sum = 0.0
         for j, entry in enumerate(row):
@@ -31,7 +31,7 @@ def test_generator_conservative_exactly():
         grid = ts.TorusGrid(1, n)
         for kernel in (
             ts.constant_kernel(grid),
-            ts.convolution_kernel(sine_wound(grid), grid),
+            ts.convolution_kernel(sine_wound(grid)),
         ):
             _assert_conservative(kernel, grid)
 
@@ -46,12 +46,12 @@ def test_generator_conservative_exactly_on_random_kernels(shape, seed):
     samples = rng.random((grid.size, grid.size)) * 10.0 ** rng.uniform(-6, 6, (grid.size, grid.size))
     samples[rng.random(samples.shape) < 0.2] = 0.0
     samples[0, 0] = 1.0  # not identically zero
-    _assert_conservative(ts.GenericKernel(dimension, n, samples), grid)
+    _assert_conservative(ts.GenericKernel(ts.TorusGrid(dimension, n), samples), grid)
 
 
 def test_generator_constant_kernel_matrix():
     grid = ts.TorusGrid(1, 4)
-    gen = ts.assemble_generator(ts.constant_kernel(grid), ts.constant_potential(grid, 0.3), grid)
+    gen = ts.assemble_generator(ts.constant_kernel(grid), ts.constant_potential(grid, 0.3))
     expected = np.full((4, 4), 0.25)
     np.fill_diagonal(expected, 0.25 - 1.3)
     assert np.allclose(gen.data, expected, rtol=0, atol=1e-15)
@@ -60,7 +60,7 @@ def test_generator_constant_kernel_matrix():
 def test_generator_step_diagonal_hand_evaluated():
     # hand evaluation of the assembly formula at n=8: diagonal h + V - W
     grid = ts.TorusGrid(1, 8)
-    gen = ts.assemble_generator(ts.constant_kernel(grid), ts.step_potential(grid), grid)
+    gen = ts.assemble_generator(ts.constant_kernel(grid), ts.step_potential(grid))
     diag = np.diagonal(gen.data)
     assert np.all(diag[:4] == 0.125 - 1.0 - 1.0)
     assert np.all(diag[4:] == 0.125 - 1.0)
@@ -73,16 +73,16 @@ def test_convolution_generator_matches_generic_assembly():
     grid = ts.TorusGrid(1, 32)
     ones = ts.wound_from_function(lambda mesh: np.ones(mesh.shape[:-1]), grid)
     potential = ts.constant_potential(grid, 0.3)
-    from_wound = ts.assemble_generator(ts.convolution_kernel(ones, grid), potential, grid)
-    from_generic = ts.assemble_generator(ts.constant_kernel(grid), potential, grid)
+    from_wound = ts.assemble_generator(ts.convolution_kernel(ones), potential)
+    from_generic = ts.assemble_generator(ts.constant_kernel(grid), potential)
     assert np.array_equal(from_wound.data, from_generic.data)
 
 
 def test_convolution_generator_rank_one_spectrum():
     grid = ts.TorusGrid(1, 32)
     ones = ts.wound_from_function(lambda mesh: np.ones(mesh.shape[:-1]), grid)
-    kernel = ts.convolution_kernel(ones, grid)
-    gen = ts.assemble_generator(kernel, ts.constant_potential(grid, 0.3), grid)
+    kernel = ts.convolution_kernel(ones)
+    gen = ts.assemble_generator(kernel, ts.constant_potential(grid, 0.3))
     values = np.sort(np.linalg.eigvals(gen.data).real)
     assert abs(values[-1] + 0.3) < 1e-12
     assert np.allclose(values[:-1], -1.3, rtol=0, atol=1e-12)
@@ -90,28 +90,28 @@ def test_convolution_generator_rank_one_spectrum():
 
 def test_birman_schwinger_rank_one_fixture():
     grid, kernel, potential = make_f1(n=4)
-    q = ts.assemble_birman_schwinger(kernel, potential, 0.0, grid)
+    q = ts.assemble_birman_schwinger(kernel, potential, 0.0)
     assert np.allclose(q.data, 0.25 / 1.3, rtol=0, atol=1e-15)
-    rho = ts.perron(q).rho
+    rho = ts.perron(q.data).rho
     assert abs(rho - 1.0 / 1.3) < 1e-11
 
 
 def test_birman_schwinger_unit_radius_at_eigenvalue():
     grid, kernel, potential = make_f1(n=64)
-    rho = ts.perron(ts.assemble_birman_schwinger(kernel, potential, -0.3, grid)).rho
+    rho = ts.perron(ts.assemble_birman_schwinger(kernel, potential, -0.3).data).rho
     assert abs(rho - 1.0) < 1e-10
 
 
 def test_birman_schwinger_rejects_edge_shift():
     grid, kernel, potential = make_f1(n=16)
     with pytest.raises(ts.MuBelowEdge):
-        ts.assemble_birman_schwinger(kernel, potential, -1.3, grid)
+        ts.assemble_birman_schwinger(kernel, potential, -1.3)
 
 
 def test_birman_schwinger_entries_are_scaled_kernel_rows():
     grid, kernel, potential = make_f2(n=16)
     mu = -0.4
-    q = ts.assemble_birman_schwinger(kernel, potential, mu, grid)
+    q = ts.assemble_birman_schwinger(kernel, potential, mu)
     rates = ts.jump_rate(kernel)
     denom = -potential.samples + rates + mu
     recomputed = grid.weight * kernel.samples / denom[:, None]
@@ -120,25 +120,25 @@ def test_birman_schwinger_entries_are_scaled_kernel_rows():
 
 def test_birman_schwinger_adjoint_spectrum_matches():
     grid = ts.TorusGrid(1, 32)
-    kernel = ts.convolution_kernel(sine_wound(grid), grid)
+    kernel = ts.convolution_kernel(sine_wound(grid))
     potential = ts.constant_potential(grid, 0.3)
-    q = ts.assemble_birman_schwinger(kernel, potential, -0.1, grid)
-    q_star = ts.assemble_birman_schwinger(kernel, potential, -0.1, grid, adjoint=True)
-    rho = ts.perron(q).rho
-    rho_star = ts.perron(q_star).rho
+    q = ts.assemble_birman_schwinger(kernel, potential, -0.1)
+    q_star = ts.assemble_birman_schwinger(kernel, potential, -0.1, adjoint=True)
+    rho = ts.perron(q.data).rho
+    rho_star = ts.perron(q_star.data).rho
     assert abs(rho - rho_star) < 1e-10
 
 
 @pytest.mark.parametrize("adjoint", [False, True], ids=["state", "adjoint"])
 def test_birman_schwinger_assembly_holds_one_matrix(adjoint):
     grid = ts.TorusGrid(1, 256)
-    kernel = ts.convolution_kernel(sine_wound(grid), grid)
+    kernel = ts.convolution_kernel(sine_wound(grid))
     potential = ts.step_potential(grid, 1.0, 0.5)
     samples = kernel.samples.T if adjoint else kernel.samples
     expected = grid.weight * samples / (kernel.w - potential.samples - 0.2)[:, None]
     tracemalloc.start()
     try:
-        q = ts.assemble_birman_schwinger(kernel, potential, -0.2, grid, adjoint=adjoint)
+        q = ts.assemble_birman_schwinger(kernel, potential, -0.2, adjoint=adjoint)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -182,7 +182,7 @@ def test_fourier_symbol_wound_gaussian_against_heat_decay():
 def test_fourier_symbol_conjugate_symmetry():
     grid = ts.TorusGrid(1, 32)
     rng = np.random.default_rng(2)
-    wound = ts.WoundKernel(1, 32, rng.uniform(0.1, 1.0, 32))
+    wound = ts.WoundKernel(ts.TorusGrid(1, 32), rng.uniform(0.1, 1.0, 32))
     symbol = ts.fourier_symbol(wound)
     for k in range(1, 16):
         assert abs(symbol.coefficient(-k) - np.conj(symbol.coefficient(k))) < 1e-14
@@ -203,7 +203,7 @@ def test_fourier_symbol_two_dimensional():
 def test_circulant_eigenvalues_match_symbol():
     grid = ts.TorusGrid(1, 64)
     wound = sine_wound(grid)
-    eigenvalues = np.linalg.eigvals(grid.weight * ts.convolution_kernel(wound, grid).samples)
+    eigenvalues = np.linalg.eigvals(grid.weight * ts.convolution_kernel(wound).samples)
     # oracle: quadrature DFT of the kernel samples gives every circulant eigenvalue
     dft = np.fft.fft(wound.samples) / 64
     matched = sorted(eigenvalues, key=lambda z: (z.real, z.imag))
@@ -222,24 +222,26 @@ def test_grid_mismatch_rejected():
     grid, kernel, _ = make_f1(n=16)
     other = ts.TorusGrid(1, 32)
     with pytest.raises(ts.GridMismatch):
-        ts.assemble_generator(kernel, ts.constant_potential(other, 0.3), other)
+        ts.assemble_generator(kernel, ts.constant_potential(other, 0.3))
 
 
 def test_edge_sup_metadata():
     grid, kernel, potential = make_f2(n=16)
-    gen = ts.assemble_generator(kernel, potential, grid)
+    gen = ts.assemble_generator(kernel, potential)
     assert abs(gen.edge_sup - 2.0) < 1e-14
 
 
-def test_grid_mismatch_reported_alike_by_kernels_and_assembly():
-    grid, kernel, potential = make_f1(n=16)
-    other = ts.TorusGrid(1, 32)
+def test_grid_mismatch_reported_alike_wherever_kernel_meets_potential():
+    _, kernel, _ = make_f1(n=16)
+    potential = ts.constant_potential(ts.TorusGrid(1, 32), 0.3)
     messages = set()
     for build in (
-        lambda: ts.convolution_kernel(sine_wound(grid), other),
-        lambda: ts.assemble_birman_schwinger(kernel, potential, 0.0, other),
+        lambda: ts.assemble_generator(kernel, potential),
+        lambda: ts.assemble_birman_schwinger(kernel, potential, 0.0),
+        lambda: ts.essential_spectrum(kernel, potential),
+        lambda: ts.analyze(kernel, potential),
     ):
         with pytest.raises(ts.GridMismatch) as err:
             build()
         messages.add(str(err.value))
-    assert messages == {"operand sampled at d=1, n=16; grid has d=1, n=32"}
+    assert messages == {"operand sampled at d=1, n=32; grid has d=1, n=16"}

@@ -1,7 +1,5 @@
 """Perron iteration, certificates, dense spectra."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import torspec as ts
-from torspec.eigen import ROUNDING_ULPS, SYMMETRY_TILE, _is_symmetric, _start_vector
+from torspec.eigen import ROUNDING_ULPS, _start_vector
 from conftest import make_f1, make_f2, make_f3, make_f4, sine_wound, two_level_eigenvalue_oracle
 
 _MASK = 2**64 - 1
@@ -39,8 +37,8 @@ def test_perron_rank_one_doubly_stochastic():
 
 def test_perron_ratio_operator_closed_form():
     grid, kernel, potential = make_f1(n=64)
-    q = ts.assemble_birman_schwinger(kernel, potential, 0.0, grid)
-    result = ts.perron(q)
+    q = ts.assemble_birman_schwinger(kernel, potential, 0.0)
+    result = ts.perron(q.data)
     assert abs(result.rho - 1.0 / 1.3) < 1e-11
     assert result.vector.min() > 0
 
@@ -167,10 +165,10 @@ def test_adjoint_perron_nonsymmetric_same_radius():
     # non-constant denominators break the circulant symmetry, so the adjoint
     # eigenvector genuinely differs while the radius coincides
     grid = ts.TorusGrid(1, 32)
-    kernel = ts.convolution_kernel(sine_wound(grid), grid)
-    q = ts.assemble_birman_schwinger(kernel, ts.step_potential(grid), 0.0, grid)
-    forward = ts.perron(q)
-    backward = ts.perron(ts.OperatorMatrix(q.data.T, grid))
+    kernel = ts.convolution_kernel(sine_wound(grid))
+    q = ts.assemble_birman_schwinger(kernel, ts.step_potential(grid), 0.0)
+    forward = ts.perron(q.data)
+    backward = ts.perron(q.data.T)
     assert abs(forward.rho - backward.rho) < 1e-10
     assert not np.allclose(forward.vector, backward.vector, atol=1e-6)
 
@@ -192,8 +190,8 @@ def test_collatz_wielandt_bounds():
     result = ts.perron(mat, start=np.ones(4))
     assert result.cw_lower == result.cw_upper == 1.0
     grid, kernel, potential = make_f1(n=16)
-    q = ts.assemble_birman_schwinger(kernel, potential, 0.0, grid)
-    result = ts.perron(q, start=np.ones(16))
+    q = ts.assemble_birman_schwinger(kernel, potential, 0.0)
+    result = ts.perron(q.data, start=np.ones(16))
     assert abs(result.cw_lower - 1 / 1.3) < 1e-14 and abs(result.cw_upper - 1 / 1.3) < 1e-14
     with pytest.raises(ts.NonPositiveVector):
         ts.perron(mat, start=np.array([1.0, 0.0, 1.0, 1.0]))
@@ -208,13 +206,13 @@ def test_perron_root_lies_in_its_certificate(make, n, shift):
     # cold solves on Q at a root-find shift, where the Rayleigh ratio alone
     # rounds one float spacing outside the Collatz-Wielandt bracket
     grid, kernel, potential = make(n=n)
-    result = ts.perron(ts.assemble_birman_schwinger(kernel, potential, shift, grid))
+    result = ts.perron(ts.assemble_birman_schwinger(kernel, potential, shift).data)
     assert result.cw_lower <= result.rho <= result.cw_upper
 
 
 def test_full_spectrum_rank_one_fixture():
     grid, kernel, potential = make_f1(n=64)
-    gen = ts.assemble_generator(kernel, potential, grid)
+    gen = ts.assemble_generator(kernel, potential)
     values = ts.full_spectrum(gen)
     assert abs(values[0] - (-0.3)) < 1e-12
     assert np.allclose(values[1:], -1.3, rtol=0, atol=1e-12)
@@ -237,7 +235,7 @@ def test_full_spectrum_two_level_fixture_against_scalar_oracle():
     assert abs(lam_top - (-1 + 1 / np.sqrt(2))) < 1e-12
     assert abs(lam_bottom - (-1 - 1 / np.sqrt(2))) < 1e-12
     grid, kernel, potential = make_f2(n=64)
-    values = ts.full_spectrum(ts.assemble_generator(kernel, potential, grid))
+    values = ts.full_spectrum(ts.assemble_generator(kernel, potential))
     assert abs(values[0] - lam_top) < 1e-10
     assert np.min(np.abs(values - lam_bottom)) < 1e-10
     rest = values[np.abs(values - lam_top) > 1e-9]
@@ -250,8 +248,9 @@ def test_full_spectrum_two_level_fixture_against_scalar_oracle():
 def test_full_spectrum_transpose_same_multiset():
     rng = np.random.default_rng(17)
     mat = rng.normal(size=(30, 30))
-    forward = ts.full_spectrum(mat)
-    backward = ts.full_spectrum(mat.T)
+    grid = ts.TorusGrid(1, 30)
+    forward = ts.full_spectrum(ts.OperatorMatrix(mat, grid))
+    backward = ts.full_spectrum(ts.OperatorMatrix(mat.T, grid))
     key = lambda z: (round(z.real, 10), round(z.imag, 10))
     assert np.allclose(
         sorted(forward, key=key), sorted(backward, key=key), rtol=0, atol=1e-8
@@ -260,17 +259,17 @@ def test_full_spectrum_transpose_same_multiset():
 
 def test_full_spectrum_order_cap():
     with pytest.raises(ts.DimensionMismatch, match="exceeds the cap"):
-        ts.full_spectrum(np.eye(10), order_cap=5)
+        ts.full_spectrum(ts.OperatorMatrix(np.eye(10), ts.TorusGrid(1, 10)), order_cap=5)
 
 
 def test_shifted_spectrum_matches_perron_root():
     grid, kernel, potential = make_f2(n=64)
-    gen = ts.assemble_generator(kernel, potential, grid)
+    gen = ts.assemble_generator(kernel, potential)
     rates = ts.jump_rate(kernel)
     alpha0 = float((rates - potential.samples).max())
     shifted = gen.shifted(alpha0 + 1.0)
     assert np.all(shifted.data >= 0)
-    result = ts.perron(shifted)
+    result = ts.perron(shifted.data)
     top = ts.full_spectrum(shifted)[0]
     assert abs(top.imag) < 1e-12
     assert abs(top.real - result.rho) < 1e-10
@@ -278,7 +277,7 @@ def test_shifted_spectrum_matches_perron_root():
 
 def test_operator_norm_schur_bound_sine_kernel():
     grid = ts.TorusGrid(1, 64)
-    kernel = ts.convolution_kernel(sine_wound(grid), grid)
+    kernel = ts.convolution_kernel(sine_wound(grid))
     stats = ts.kernel_stats(kernel)
     norm = np.linalg.norm(grid.weight * kernel.samples, 2)
     bound = np.sqrt(stats.row_integral_max * stats.col_integral_max)
@@ -288,7 +287,7 @@ def test_operator_norm_schur_bound_sine_kernel():
 def _wound_model(kernel, dimension, n):
     grid = ts.TorusGrid(dimension, n)
     wound = ts.wind_kernel(kernel, n)
-    return grid, ts.convolution_kernel(wound, grid), ts.step_potential(grid)
+    return grid, ts.convolution_kernel(wound), ts.step_potential(grid)
 
 
 DISPATCH_MODELS = {
@@ -303,12 +302,7 @@ DISPATCH_MODELS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(DISPATCH_MODELS))
-def test_full_spectrum_takes_eigvalsh_only_on_exactly_symmetric_input(name, monkeypatch):
-    make, expected = DISPATCH_MODELS[name]
-    grid, kernel, potential = make()
-    data = ts.assemble_generator(kernel, potential, grid).data
-    reference = np.linalg.eigvals(data)
+def _record_solvers(monkeypatch):
     calls = []
     for solver in ("eigvals", "eigvalsh"):
         def recorded(a, _solver=solver, _real=getattr(np.linalg, solver)):
@@ -316,7 +310,18 @@ def test_full_spectrum_takes_eigvalsh_only_on_exactly_symmetric_input(name, monk
             return _real(a)
 
         monkeypatch.setattr(np.linalg, solver, recorded)
-    values = ts.full_spectrum(data)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(DISPATCH_MODELS))
+def test_full_spectrum_takes_eigvalsh_only_on_exactly_symmetric_input(name, monkeypatch):
+    make, expected = DISPATCH_MODELS[name]
+    grid, kernel, potential = make()
+    generator = ts.assemble_generator(kernel, potential)
+    data = generator.data
+    reference = np.linalg.eigvals(data)
+    calls = _record_solvers(monkeypatch)
+    values = ts.full_spectrum(generator)
     assert calls == [expected]
     if expected == "eigvalsh":
         assert not np.iscomplexobj(values)
@@ -324,26 +329,12 @@ def test_full_spectrum_takes_eigvalsh_only_on_exactly_symmetric_input(name, monk
         assert np.allclose(values, np.sort(reference.real)[::-1], rtol=0.0, atol=100 * scale)
 
 
-def test_symmetry_test_finds_one_ulp_in_any_tile():
-    order = 2 * SYMMETRY_TILE + 5
-    rng = np.random.default_rng(7)
-    raw = rng.uniform(size=(order, order))
-    mat = raw + raw.T
-    assert _is_symmetric(mat)
-    for i, j in ((0, 1), (3, SYMMETRY_TILE + 2), (order - 1, order - 2), (SYMMETRY_TILE, 2 * SYMMETRY_TILE)):
-        bent = mat.copy()
-        bent[i, j] = np.nextafter(bent[i, j], np.inf)
-        assert not _is_symmetric(bent)
-        assert not _is_symmetric(bent.T)
-
-
-def test_symmetry_test_builds_no_array_of_the_matrix_size():
-    raw = np.random.default_rng(8).uniform(size=(1024, 1024))
-    mat = raw + raw.T
-    tracemalloc.start()
-    try:
-        assert _is_symmetric(mat)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.05 * mat.nbytes
+def test_hand_built_operator_takes_the_general_solver(monkeypatch):
+    grid, kernel, potential = make_f2(n=16)
+    generator = ts.assemble_generator(kernel, potential)
+    assert generator.symmetric and kernel.symmetric
+    bare = ts.OperatorMatrix(generator.data, grid)
+    assert bare.symmetric is False
+    calls = _record_solvers(monkeypatch)
+    ts.full_spectrum(bare)
+    assert calls == ["eigvals"]

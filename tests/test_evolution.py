@@ -34,7 +34,7 @@ def _rk4_reference_states(gen, u0, t_max, dt, snapshots):
 
 def test_constant_fixture_exact_exponential():
     grid, kernel, potential = make_f1()
-    gen = ts.assemble_generator(kernel, potential, grid)
+    gen = ts.assemble_generator(kernel, potential)
     trace = ts.evolve(gen, np.ones(grid.size), t_max=10.0)
     assert np.max(np.abs(trace.l2_norms - np.exp(-0.3 * trace.times))) < 1e-9
     assert abs(trace.decay_rate_fit + 0.3) < 1e-9
@@ -84,7 +84,7 @@ def test_fit_zero_norm_rejected():
 def test_two_level_fixture_decay_rate_window():
     lam = two_level_eigenvalue_oracle((-0.999, -1e-6))
     grid, kernel, potential = make_f2()
-    gen = ts.assemble_generator(kernel, potential, grid)
+    gen = ts.assemble_generator(kernel, potential)
     trace = ts.evolve(gen, np.ones(grid.size), t_max=20.0)
     assert abs(ts.fit_decay_rate(trace, (10.0, 20.0)) - lam) < 1e-3
     assert trace.min_value_seen >= -1e-10
@@ -93,7 +93,7 @@ def test_two_level_fixture_decay_rate_window():
 def test_rk4_matches_eigenexpansion_oracle():
     for make in (make_f1, make_f2, make_f3):
         grid, kernel, potential = make(n=64)
-        gen = ts.assemble_generator(kernel, potential, grid)
+        gen = ts.assemble_generator(kernel, potential)
         u0 = np.ones(grid.size)
         integrated = ts.evolve(gen, u0, t_max=20.0, method="rk4")
         exact = ts.evolve(gen, u0, t_max=20.0, method="eigenexpansion")
@@ -107,7 +107,7 @@ def test_rk4_matches_eigenexpansion_oracle():
 
 def test_positivity_preserved_from_nonnegative_start():
     grid, kernel, potential = make_f2(n=64)
-    gen = ts.assemble_generator(kernel, potential, grid)
+    gen = ts.assemble_generator(kernel, potential)
     rng = np.random.default_rng(1)
     u0 = rng.uniform(0.0, 2.0, grid.size)
     trace = ts.evolve(gen, u0, t_max=15.0)
@@ -116,7 +116,7 @@ def test_positivity_preserved_from_nonnegative_start():
 
 def test_mass_derivative_identity_at_start():
     grid, kernel, potential = make_f2(n=64)
-    gen = ts.assemble_generator(kernel, potential, grid)
+    gen = ts.assemble_generator(kernel, potential)
     u0 = np.ones(grid.size)
     derivative = grid.weight * gen.matvec(u0).sum()
     quadrature_v = grid.weight * potential.samples.sum()
@@ -125,20 +125,20 @@ def test_mass_derivative_identity_at_start():
 
 def test_extinction_verdicts():
     grid, kernel, potential = make_f1()
-    gen = ts.assemble_generator(kernel, potential, grid)
+    gen = ts.assemble_generator(kernel, potential)
     trace = ts.evolve(gen, np.ones(grid.size), t_max=40.0 / 0.3, method="eigenexpansion")
     summary = ts.check_extinction(trace)
     assert summary.extinct
     assert summary.ratio < 1e-3
 
     grid2, kernel2, potential2 = make_f2(n=128)
-    gen2 = ts.assemble_generator(kernel2, potential2, grid2)
+    gen2 = ts.assemble_generator(kernel2, potential2)
     lam = two_level_eigenvalue_oracle((-0.999, -1e-6))
     trace2 = ts.evolve(gen2, np.ones(grid2.size), t_max=40.0 / abs(lam),
                        method="eigenexpansion")
     assert ts.check_extinction(trace2).extinct
 
-    conservative = ts.assemble_generator(kernel, ts.zero_potential(grid), grid)
+    conservative = ts.assemble_generator(kernel, ts.zero_potential(grid))
     flat = ts.evolve(conservative, np.ones(grid.size), t_max=10.0)
     summary_flat = ts.check_extinction(flat)
     assert not summary_flat.extinct
@@ -147,7 +147,7 @@ def test_extinction_verdicts():
 
 def test_unstable_step_size_detected():
     grid, kernel, potential = make_f1(n=32)
-    gen = ts.assemble_generator(kernel, potential, grid)
+    gen = ts.assemble_generator(kernel, potential)
     rng = np.random.default_rng(0)
     u0 = rng.uniform(0.5, 1.5, grid.size)
     with pytest.raises(ts.Unstable):
@@ -156,7 +156,7 @@ def test_unstable_step_size_detected():
 
 def test_evolve_input_validation():
     grid, kernel, potential = make_f1(n=16)
-    gen = ts.assemble_generator(kernel, potential, grid)
+    gen = ts.assemble_generator(kernel, potential)
     with pytest.raises(ts.DimensionMismatch):
         ts.evolve(gen, np.ones(3), t_max=1.0)
     with pytest.raises(ValueError):
@@ -170,7 +170,7 @@ def test_evolve_input_validation():
 
 def test_default_step_from_edge_metadata():
     grid, kernel, potential = make_f1(n=32)
-    gen = ts.assemble_generator(kernel, potential, grid)
+    gen = ts.assemble_generator(kernel, potential)
     trace = ts.evolve(gen, np.ones(32), t_max=2.0)
     assert trace.times[0] == 0.0 and trace.times[-1] == 2.0
     assert len(trace.times) == 200
@@ -185,7 +185,7 @@ def test_fit_window_with_one_snapshot_is_nan():
 
 def test_evolve_refuses_more_rk4_substeps_than_the_cap():
     grid, kernel, potential = make_f1(n=16)
-    gen = ts.assemble_generator(kernel, potential, grid)
+    gen = ts.assemble_generator(kernel, potential)
     with pytest.raises(ts.NotConverged, match="substeps"):
         ts.evolve(gen, np.ones(16), t_max=1.0, dt=0.5 / RK4_SUBSTEP_CAP)
     with pytest.raises(ts.NotConverged, match="substeps"):
@@ -197,7 +197,7 @@ def test_evolve_refuses_more_rk4_substeps_than_the_cap():
 @pytest.mark.parametrize("make", [make_f2, make_f3], ids=["f2", "f3"])
 def test_rk4_propagator_matches_per_substep_reference(make):
     grid, kernel, potential = make(n=32)
-    gen = ts.assemble_generator(kernel, potential, grid)
+    gen = ts.assemble_generator(kernel, potential)
     u0 = np.random.default_rng(4).uniform(0.5, 1.5, grid.size)
     trace = ts.evolve(gen, u0, t_max=12.0, dt=0.07, snapshots=37)
     states = _rk4_reference_states(gen, u0, 12.0, 0.07, 37)
@@ -215,7 +215,7 @@ def test_rk4_propagator_matches_per_substep_reference(make):
 def test_rk4_step_map_certificate():
     for make in (make_f1, make_f2, make_f3):
         grid, kernel, potential = make(n=32)
-        gen = ts.assemble_generator(kernel, potential, grid)
+        gen = ts.assemble_generator(kernel, potential)
         trace = ts.evolve(gen, np.ones(grid.size), t_max=20.0)
         assert trace.rk4_step_min >= 0.0
         assert trace.min_value_seen >= 0.0
@@ -224,7 +224,7 @@ def test_rk4_step_map_certificate():
     # one substep far past the positivity limit: the certificate fails, and
     # the state does turn negative
     grid, kernel, potential = make_f2(n=32)
-    gen = ts.assemble_generator(kernel, potential, grid)
+    gen = ts.assemble_generator(kernel, potential)
     coarse = ts.evolve(gen, np.ones(grid.size), t_max=2.5, dt=2.5, snapshots=2)
     assert coarse.rk4_step_min < 0.0
     assert coarse.min_value_seen < 0.0
@@ -232,7 +232,7 @@ def test_rk4_step_map_certificate():
 
 def test_rk4_propagator_holds_three_matrix_buffers():
     grid, kernel, potential = make_f3(n=128)
-    gen = ts.assemble_generator(kernel, potential, grid)
+    gen = ts.assemble_generator(kernel, potential)
     u0 = np.ones(grid.size)
     tracemalloc.start()
     try:

@@ -44,7 +44,7 @@ def test_potential_scaling_identities():
     wound = unit_wound(grid)
     reference = ts.gap_constants(potential, wound)
     for t in (0.25, 0.5, 0.75, 1.0):
-        scaled = ts.Potential(1, 64, t * potential.samples)
+        scaled = ts.Potential(ts.TorusGrid(1, 64), t * potential.samples)
         bound = ts.gap_constants(scaled, wound)
         assert abs(bound.c1 - t * reference.c1) < 1e-14
         assert abs(bound.norm_v2 - t * reference.norm_v2) < 1e-14
@@ -56,7 +56,7 @@ def test_contraction_matches_circulant_second_modulus():
     grid = ts.TorusGrid(1, 64)
     for wound in (sine_wound(grid), random_convolution_fixture(3, n=64)[1]):
         bound_c2 = 1.0 - ts.fourier_symbol(wound).max_offzero_modulus()
-        b_part = grid.weight * ts.convolution_kernel(wound, grid).samples
+        b_part = grid.weight * ts.convolution_kernel(wound).samples
         moduli = np.sort(np.abs(np.linalg.eigvals(b_part)))[::-1]
         assert abs(bound_c2 - (1.0 - moduli[1])) < 1e-10
 
@@ -78,7 +78,7 @@ def test_concentrated_kernel_degenerate_symbol():
     n = 32
     samples = np.zeros(n)
     samples[0] = n  # unit mass, all concentrated at one node
-    wound = ts.WoundKernel(1, n, samples)
+    wound = ts.WoundKernel(ts.TorusGrid(1, n), samples)
     grid = ts.TorusGrid(1, n)
     with pytest.raises(ts.DegenerateSymbol):
         ts.gap_constants(ts.constant_potential(grid, 0.3), wound)
@@ -86,7 +86,7 @@ def test_concentrated_kernel_degenerate_symbol():
 
 def test_verdicts_including_adversarial_report():
     grid, kernel, potential = make_f2()
-    report = ts.analyze(kernel, potential, grid)
+    report = ts.analyze(kernel, potential)
     bound = ts.gap_constants(potential, unit_wound(grid))
     verdict = ts.verify_gap(report, bound)
     assert verdict.passed
@@ -98,8 +98,8 @@ def test_verdicts_including_adversarial_report():
 def test_gap_bound_holds_on_random_convolution_fixtures():
     for seed in range(8):
         grid, wound, potential = random_convolution_fixture(seed)
-        kernel = ts.convolution_kernel(wound, grid)
-        report = ts.analyze(kernel, potential, grid)
+        kernel = ts.convolution_kernel(wound)
+        report = ts.analyze(kernel, potential)
         bound = ts.gap_constants(potential, wound)
         verdict = ts.verify_gap(report, bound)
         assert verdict.passed, f"seed {seed}: margin {verdict.margin}"

@@ -1,6 +1,7 @@
 """Kernel and potential construction, winding, statistics, diagnostics."""
 
 import dataclasses
+import json
 import math
 import tracemalloc
 from itertools import product
@@ -10,6 +11,7 @@ import pytest
 from scipy.integrate import quad
 
 import torspec as ts
+from torspec.kernels import SYMMETRY_TILE, _is_symmetric
 from conftest import make_f2, random_fixture, sine_wound
 
 
@@ -56,7 +58,7 @@ def test_winding_mass_equals_box_quadrature():
 
 def test_zero_kernel_rejected():
     with pytest.raises(ts.DegenerateKernel):
-        ts.WoundKernel(1, 8, np.zeros(8))
+        ts.WoundKernel(ts.TorusGrid(1, 8), np.zeros(8))
 
 
 def test_wind_requires_resolvable_tail():
@@ -143,14 +145,14 @@ def test_jump_rate_constant_kernel():
 def test_jump_rate_convolution_of_ones():
     grid = ts.TorusGrid(1, 16)
     ones = ts.wound_from_function(lambda mesh: np.ones(mesh.shape[:-1]), grid)
-    rates = ts.jump_rate(ts.convolution_kernel(ones, grid))
+    rates = ts.jump_rate(ts.convolution_kernel(ones))
     assert np.all(rates == 1.0)
 
 
 def test_jump_rate_half_supported_rows_rejected_downstream():
     grid = ts.TorusGrid(1, 16)
     x = grid.coordinates()[:, 0]
-    kernel = ts.GenericKernel(1, 16, np.outer(np.where(x < 0.5, 2.0, 0.0), np.ones(grid.size)))
+    kernel = ts.GenericKernel(ts.TorusGrid(1, 16), np.outer(np.where(x < 0.5, 2.0, 0.0), np.ones(grid.size)))
     rates = ts.jump_rate(kernel)
     assert np.all(rates[x < 0.5] == 2.0)
     assert np.all(rates[x >= 0.5] == 0.0)
@@ -175,12 +177,12 @@ def test_row_and_column_sums_build_no_array_of_the_kernels_size():
     tracemalloc.start()
     try:
         rows = ts.jump_rate(kernel)
-        cols = ts.kernels.serial_row_sums(kernel.samples.T, kernel.weight)  # as kernel_stats takes them
+        cols = ts.kernels.serial_row_sums(kernel.samples.T, kernel.grid.weight)  # as kernel_stats takes them
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(rows, np.cumsum(kernel.samples * kernel.weight, axis=-1)[:, -1])
-    assert np.array_equal(cols, np.cumsum(kernel.samples.T * kernel.weight, axis=-1)[:, -1])
+    assert np.array_equal(rows, np.cumsum(kernel.samples * kernel.grid.weight, axis=-1)[:, -1])
+    assert np.array_equal(cols, np.cumsum(kernel.samples.T * kernel.grid.weight, axis=-1)[:, -1])
     assert peak <= 0.05 * kernel.samples.nbytes
 
 
@@ -200,7 +202,7 @@ def test_kernel_stats_constant():
 def test_kernel_stats_sine_kernel_row_integrals():
     n = 64
     grid = ts.TorusGrid(1, n)
-    kernel = ts.convolution_kernel(sine_wound(grid), grid)
+    kernel = ts.convolution_kernel(sine_wound(grid))
     stats = ts.kernel_stats(kernel)
     # oracle: direct quadrature of one row integral
     row0 = sum(1.0 + 0.5 * math.sin(2 * math.pi * ((0 - j) / n)) for j in range(n)) / n
@@ -216,7 +218,7 @@ def test_kernel_stats_block_kernel_not_primitive():
     samples = np.zeros((n, n))
     samples[:half, :half] = 1.0
     samples[half:, half:] = 1.0
-    kernel = ts.GenericKernel(1, n, samples)
+    kernel = ts.GenericKernel(ts.TorusGrid(1, n), samples)
     with pytest.raises(ts.NotPrimitive):
         ts.kernel_stats(kernel)
 
@@ -224,7 +226,7 @@ def test_kernel_stats_block_kernel_not_primitive():
 def test_kernel_stats_transpose_swaps_row_and_column_bounds():
     _, kernel, _ = random_fixture(7, n=32)
     stats = ts.kernel_stats(kernel)
-    swapped = ts.kernel_stats(ts.GenericKernel(1, 32, kernel.samples.T))
+    swapped = ts.kernel_stats(ts.GenericKernel(ts.TorusGrid(1, 32), kernel.samples.T))
     assert math.isclose(stats.col_integral_max, swapped.row_integral_max, rel_tol=0, abs_tol=1e-14)
     assert math.isclose(stats.row_integral_max, swapped.col_integral_max, rel_tol=0, abs_tol=1e-14)
 
@@ -236,7 +238,7 @@ def test_chain_kernel_needs_higher_power():
     for i in range(n):
         samples[i, i] = 1.0
         samples[i, (i + 1) % n] = 1.0
-    kernel = ts.GenericKernel(1, n, samples)
+    kernel = ts.GenericKernel(ts.TorusGrid(1, n), samples)
     stats = ts.kernel_stats(kernel, n_max=8)
     assert stats.primitive_power == n - 1
     assert stats.iterated_kernel_min > 0
@@ -246,18 +248,18 @@ def test_chain_kernel_needs_higher_power():
 def test_convolution_kernels_gather_torus_displacements(dimension, n):
     grid = ts.TorusGrid(dimension, n)
     rng = np.random.default_rng(n)
-    wound = ts.WoundKernel(dimension, n, rng.uniform(0.1, 1.0, size=(n,) * dimension))
+    wound = ts.WoundKernel(ts.TorusGrid(dimension, n), rng.uniform(0.1, 1.0, size=(n,) * dimension))
     nodes = np.rint(grid.coordinates() * n).astype(int)
     expected = np.array([[wound.samples[tuple((x - y) % n)] for y in nodes] for x in nodes])
-    assert np.array_equal(ts.convolution_kernel(wound, grid).samples, expected)
-    assert np.array_equal(ts.modulated_convolution(wound, grid, 0.0).samples, expected)
+    assert np.array_equal(ts.convolution_kernel(wound).samples, expected)
+    assert np.array_equal(ts.modulated_convolution(wound, 0.0).samples, expected)
     coords = grid.coordinates()
     modulation = np.array([[1.0 + 0.5 * np.prod(np.cos(2.0 * np.pi * (x + y))) for y in coords] for x in coords])
-    modulated = ts.modulated_convolution(wound, grid, 0.5)
+    modulated = ts.modulated_convolution(wound, 0.5)
     assert np.allclose(modulated.samples, expected * modulation, rtol=1e-15, atol=0.0)
     for epsilon in (1.0, -1.0, 1.5, np.nan):
         with pytest.raises(ValueError, match="epsilon"):
-            ts.modulated_convolution(wound, grid, epsilon)
+            ts.modulated_convolution(wound, epsilon)
 
 
 # -- potentials ---------------------------------------------------------------
@@ -299,7 +301,7 @@ def test_potential_norms_of_extreme_depths(depth):
 
 def test_positive_potential_rejected():
     with pytest.raises(ts.PositivePotential):
-        ts.Potential(1, 4, np.array([0.0, -1.0, 0.2, -0.5]))
+        ts.Potential(ts.TorusGrid(1, 4), np.array([0.0, -1.0, 0.2, -0.5]))
 
 
 # -- equality ------------------------------------------------------------------
@@ -311,7 +313,7 @@ def test_model_objects_compare_by_identity():
         lambda: ts.step_potential(grid),
         lambda: ts.constant_kernel(grid),
         lambda: ts.wind_kernel(ts.gaussian_kernel(1, 0.2), 8),
-        lambda: ts.assemble_generator(ts.constant_kernel(grid), ts.step_potential(grid), grid),
+        lambda: ts.assemble_generator(ts.constant_kernel(grid), ts.step_potential(grid)),
     )
     for build in builders:
         x, y = build(), build()
@@ -417,7 +419,7 @@ def test_kernel_stores_its_jump_rate():
     grid, kernel, _ = make_f2(n=32)
     assert np.array_equal(kernel.w, ts.jump_rate(kernel))
     assert not kernel.w.flags.writeable
-    transposed = ts.GenericKernel(1, 32, kernel.samples.T)
+    transposed = ts.GenericKernel(ts.TorusGrid(1, 32), kernel.samples.T)
     assert np.array_equal(transposed.w, ts.jump_rate(transposed))
 
 
@@ -462,7 +464,7 @@ def test_potential_diagnostics_are_a_field_set_at_construction():
 def test_kernels_carry_only_fields_that_are_read():
     names = lambda cls: [f.name for f in dataclasses.fields(cls)]
     assert names(ts.ContinuousKernel) == ["dimension", "evaluate", "tail_mass_bound"]
-    assert names(ts.GenericKernel) == ["dimension", "n", "samples", "w"]
+    assert names(ts.GenericKernel) == ["grid", "samples", "w", "symmetric"]
 
 
 def _write(path, header, rows):
@@ -503,3 +505,91 @@ def test_csv_tables_share_checks_and_messages(table, header, rows, error, messag
     read = ts.kernel_from_csv if table == "kernel" else ts.potential_from_csv
     with pytest.raises(error, match=message):
         read(_write(tmp_path / "k.csv", header, rows), ts.TorusGrid(1, 2))
+
+
+# -- symmetry, decided once per kernel ------------------------------------------
+
+
+def test_symmetry_test_finds_one_ulp_in_any_tile():
+    order = 2 * SYMMETRY_TILE + 5
+    rng = np.random.default_rng(7)
+    raw = rng.uniform(size=(order, order))
+    mat = raw + raw.T
+    assert _is_symmetric(mat)
+    for i, j in ((0, 1), (3, SYMMETRY_TILE + 2), (order - 1, order - 2), (SYMMETRY_TILE, 2 * SYMMETRY_TILE)):
+        bent = mat.copy()
+        bent[i, j] = np.nextafter(bent[i, j], np.inf)
+        assert not _is_symmetric(bent)
+        assert not _is_symmetric(bent.T)
+
+
+def test_symmetry_test_builds_no_array_of_the_matrix_size():
+    raw = np.random.default_rng(8).uniform(size=(1024, 1024))
+    mat = raw + raw.T
+    tracemalloc.start()
+    try:
+        assert _is_symmetric(mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.05 * mat.nbytes
+
+
+def _csv_kernel(grid, tmp_path):
+    rng = np.random.default_rng(5)
+    rows = [f"{i / grid.n},{j / grid.n},{rng.uniform(0.5, 1.5)!r}" for i in range(grid.n) for j in range(grid.n)]
+    return ts.kernel_from_csv(_write(tmp_path / "k.csv", "x,y,value", rows), grid)
+
+
+SYMMETRY_BY_FAMILY = {
+    "constant": (lambda grid, tmp_path: ts.constant_kernel(grid, 2.0), True),
+    "gaussian": (lambda grid, tmp_path: ts.convolution_kernel(ts.wind_kernel(ts.gaussian_kernel(1, 0.2), grid.n)), True),
+    "exponential": (lambda grid, tmp_path: ts.convolution_kernel(ts.wind_kernel(ts.exponential_kernel(1, 0.2), grid.n)), True),
+    "modulated": (lambda grid, tmp_path: ts.modulated_convolution(ts.wind_kernel(ts.gaussian_kernel(1, 0.2), grid.n), 0.3), True),
+    "sine": (lambda grid, tmp_path: ts.convolution_kernel(sine_wound(grid)), False),
+    # 2 w n is an integer: the half-open box puts a node on one edge only
+    "tophat": (lambda grid, tmp_path: ts.convolution_kernel(ts.wind_kernel(ts.tophat_kernel(1, 0.125), grid.n)), False),
+    "csv": (_csv_kernel, False),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SYMMETRY_BY_FAMILY))
+def test_kernel_decides_its_symmetry_at_construction(family, tmp_path):
+    build, symmetric = SYMMETRY_BY_FAMILY[family]
+    grid = ts.TorusGrid(1, 16)
+    kernel = build(grid, tmp_path)
+    assert kernel.symmetric is symmetric
+    assert kernel.symmetric == np.array_equal(kernel.samples, kernel.samples.T)
+    assert ts.assemble_generator(kernel, ts.step_potential(grid)).symmetric is symmetric
+
+
+def _count_symmetry_tests(monkeypatch):
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return _is_symmetric(a)
+
+    monkeypatch.setattr(ts.kernels, "_is_symmetric", counted)
+    return calls
+
+
+def test_analyze_tests_symmetry_once(monkeypatch):
+    calls = _count_symmetry_tests(monkeypatch)
+    grid = ts.TorusGrid(2, 8)
+    kernel = ts.convolution_kernel(ts.wind_kernel(ts.gaussian_kernel(2, 0.2), 8))
+    ts.analyze(kernel, ts.step_potential(grid))
+    assert calls == [(64, 64)]
+
+
+def test_eigenexpansion_evolve_tests_symmetry_once(monkeypatch, tmp_path, capsys):
+    calls = _count_symmetry_tests(monkeypatch)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "dimension": 1, "grid_n": 16,
+        "kernel": {"family": "gaussian", "sigma": 0.2},
+        "potential": {"family": "step", "depth": 1.0},
+        "evolution": {"method": "eigenexpansion"},
+    }))
+    assert ts.main(["evolve", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert calls == [(16, 16)]

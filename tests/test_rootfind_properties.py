@@ -25,15 +25,15 @@ def build(model):
     if family == "generic":
         return random_fixture(seed, n)
     grid, wound, potential = random_convolution_fixture(seed, n)
-    return grid, ts.convolution_kernel(wound, grid), potential
+    return grid, ts.convolution_kernel(wound), potential
 
 
 @PROPERTY
 @given(models)
 def test_root_find_agrees_with_direct_qr(model):
     grid, kernel, potential = build(model)
-    result = ts.max_eigenvalue_bisection(kernel, potential, grid)
-    lam_qr = ts.full_spectrum(ts.assemble_generator(kernel, potential, grid))[0].real
+    result = ts.max_eigenvalue_bisection(kernel, potential)
+    lam_qr = ts.full_spectrum(ts.assemble_generator(kernel, potential))[0].real
     assert abs(result.lam - lam_qr) <= CROSS_TOL
     assert result.ground_state.min() > 0 and result.adjoint_state.min() > 0
 
@@ -45,11 +45,11 @@ def test_bracket_is_narrow_and_straddles_unit_radius(model):
     solve on the assembled operator agrees with them to the Perron tolerance,
     the resolution at which either estimate can tell the radius from one."""
     grid, kernel, potential = build(model)
-    result = ts.max_eigenvalue_bisection(kernel, potential, grid)
+    result = ts.max_eigenvalue_bisection(kernel, potential)
     lo, hi = result.bracket
     assert 0.0 < hi - lo <= BISECTION_TOL
     assert lo < result.lam < hi
-    radius = lambda mu: ts.perron(ts.assemble_birman_schwinger(kernel, potential, mu, grid)).rho
+    radius = lambda mu: ts.perron(ts.assemble_birman_schwinger(kernel, potential, mu).data).rho
     assert radius(lo) >= 1.0 - POWER_TOL
     assert radius(hi) < 1.0 + POWER_TOL
 
@@ -60,9 +60,9 @@ def test_deepening_the_potential_does_not_raise_lambda(model, depth_seed):
     grid, kernel, potential = build(model)
     rng = np.random.default_rng(depth_seed)
     extra = rng.uniform(0.0, 0.5, grid.size) * (rng.random(grid.size) < 0.5)
-    deeper = ts.Potential(1, grid.n, potential.samples - extra)
-    lam = ts.max_eigenvalue_bisection(kernel, potential, grid).lam
-    lam_deeper = ts.max_eigenvalue_bisection(kernel, deeper, grid).lam
+    deeper = ts.Potential(grid, potential.samples - extra)
+    lam = ts.max_eigenvalue_bisection(kernel, potential).lam
+    lam_deeper = ts.max_eigenvalue_bisection(kernel, deeper).lam
     assert lam_deeper <= lam + 10 * BISECTION_TOL
 
 
@@ -70,9 +70,9 @@ def test_deepening_the_potential_does_not_raise_lambda(model, depth_seed):
 @given(models)
 def test_perron_warm_start_from_its_own_vector_stops_at_once(model):
     grid, kernel, potential = build(model)
-    lam = ts.max_eigenvalue_bisection(kernel, potential, grid).lam
-    q = ts.assemble_birman_schwinger(kernel, potential, lam, grid)
-    cold = ts.perron(q, tol=POWER_TOL)
-    warm = ts.perron(q, tol=POWER_TOL, start=cold.vector)
+    lam = ts.max_eigenvalue_bisection(kernel, potential).lam
+    q = ts.assemble_birman_schwinger(kernel, potential, lam)
+    cold = ts.perron(q.data, tol=POWER_TOL)
+    warm = ts.perron(q.data, tol=POWER_TOL, start=cold.vector)
     assert warm.iterations == 1
     assert abs(warm.rho - cold.rho) <= POWER_TOL
