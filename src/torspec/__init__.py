@@ -62,7 +62,6 @@ from .kernels import (
     zero_potential,
 )
 from .discretize import (
-    FourierSymbol,
     OperatorMatrix,
     assemble_birman_schwinger,
     assemble_generator,

@@ -1,8 +1,8 @@
 """Command-line front end: analyze, bound, evolve, check-kernel.
 
 Exit codes: 0 success, 1 configuration error, 2 model-hypothesis violation
-(including diagnostic-mode completions), 3 numerical failure.  Every error
-is also emitted as a JSON diagnostic on stderr.
+(including the boundary report of a vanishing potential), 3 numerical
+failure.  Every error is also emitted as a JSON diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import errno
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,8 +54,7 @@ def _gap_section(bound: GapBound, report: SpectrumReport) -> dict:
 
 
 def _run_analyze(config: RunConfig, model: _Model, out_dir: str) -> tuple[dict, int]:
-    options = replace(config.analysis, diagnostic=True)
-    report = analyze(model.kernel, model.potential, options)
+    report = analyze(model.kernel, model.potential, config.analysis)
     document = report.to_dict()
     diagnostics = document.pop("diagnostics")
     document["gap_bound"] = None

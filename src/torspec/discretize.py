@@ -1,4 +1,4 @@
-"""Dense collocation matrices for the torus operators, and Fourier symbols.
+"""Dense collocation matrices for the torus operators, and the Fourier symbol.
 
 Assembly convention: off-diagonal entries hold h^d b(x_i, y_j); the diagonal
 of a generator carries V(x_i) minus the serial sum of the off-diagonal row.
@@ -10,7 +10,9 @@ assembly reads the kernel's jump rate W from ``GenericKernel.w``; none
 recomputes it.  Kernel and potential meet in ``shift_denominator``, which
 checks that they carry one grid; the generator takes the kernel's grid and
 its ``symmetric`` flag, since off-diagonal entries h^d b and a diagonal
-are symmetric exactly when b is.
+are symmetric exactly when b is.  The Fourier symbol of a wound kernel is
+h^d times the DFT of its samples on every grid wavevector: the eigenvalues
+of the circulant h^d B, with no band cut and no Nyquist exclusion.
 """
 
 from __future__ import annotations
@@ -110,53 +112,15 @@ def assemble_birman_schwinger(
 
 
 # ---------------------------------------------------------------------------
-# Fourier symbols of convolution kernels
+# Fourier symbol of a convolution kernel: the circulant's eigenvalues
 
 
-@dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
-class FourierSymbol:
-    """Fourier coefficients of a wound kernel on the resolved band |k_a| < n/2.
-
-    ``coefficients`` is shaped (len(wavenumbers),)*d with axes ordered like
-    ``wavenumbers`` (ascending, symmetric about zero).
-    """
-
-    dimension: int
-    n: int
-    wavenumbers: np.ndarray
-    coefficients: np.ndarray
-
-    @property
-    def mass(self) -> float:
-        """Zeroth coefficient: the quadrature mass of the kernel."""
-        return float(np.real(self.coefficient((0,) * self.dimension)))
-
-    def coefficient(self, k) -> complex:
-        k = np.atleast_1d(np.asarray(k, dtype=int))
-        if k.size != self.dimension:
-            raise DimensionMismatch("wavevector length must equal the dimension")
-        half = (len(self.wavenumbers) - 1) // 2
-        if np.any(np.abs(k) > half):
-            raise ValueError("wavevector outside the resolved band")
-        return complex(self.coefficients[tuple(k + half)])
-
-    def max_offzero_modulus(self) -> float:
-        """Largest |a_k| over nonzero wavevectors in the resolved band."""
-        mods = np.abs(self.coefficients).copy()
-        half = (len(self.wavenumbers) - 1) // 2
-        mods[(half,) * self.dimension] = -1.0
-        return float(mods.max())
-
-
-def fourier_symbol(wound: WoundKernel) -> FourierSymbol:
-    """Quadrature Fourier coefficients a_k = h^d sum_i a(z_i) exp(-2 pi i k.z_i)."""
-    n, d = wound.grid.n, wound.grid.dimension
-    full = np.fft.fftn(wound.samples) * wound.grid.weight
-    half = (n - 1) // 2  # excludes the unmatched Nyquist mode for even n
-    order = np.arange(-half, half + 1) % n
-    coeff = full[np.ix_(*([order] * d))] if d > 1 else full[order]
-    coeff = np.ascontiguousarray(coeff)
-    coeff.flags.writeable = False
-    waves = np.arange(-half, half + 1)
-    waves.flags.writeable = False
-    return FourierSymbol(d, n, waves, coeff)
+def fourier_symbol(wound: WoundKernel) -> np.ndarray:
+    """Quadrature Fourier coefficients a_k = h^d sum_i a(z_i) exp(-2 pi i k.z_i)
+    for every k in (Z/n)^d, as a read-only (n,)*d array in FFT order, so
+    ``symbol[k]`` is a_k and a negative index gives -k.  These are exactly
+    the eigenvalues of the circulant h^d B that the kernel assembles to,
+    the Nyquist mode of even n included."""
+    symbol = np.fft.fftn(wound.samples) * wound.grid.weight
+    symbol.flags.writeable = False
+    return symbol

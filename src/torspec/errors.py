@@ -25,7 +25,7 @@ class PositivePotential(TorspecError):
 
 
 class IneligiblePotential(TorspecError):
-    """Analysis requires a potential that is strictly negative somewhere."""
+    """The gap bound requires a potential that is strictly negative somewhere."""
 
 
 class NotNormalized(TorspecError):

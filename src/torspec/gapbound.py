@@ -2,7 +2,9 @@
 
 The bound combines potential norms with the contraction of the kernel symbol
 away from the zero mode: with c1 the L1 norm of the potential, gamma0 =
-(2/9) c1 / ||V||_2, and c2 = 1 - max_{k != 0} |a_k|, the maximum eigenvalue
+(2/9) c1 / ||V||_2, and c2 = 1 - max_{k != 0} |a_k| over every nonzero
+wavevector of the grid (the Nyquist modes of even n included, since the a_k
+are the eigenvalues of the assembled circulant), the maximum eigenvalue
 satisfies lambda <= -kappa where kappa = min(c2 gamma0^2, c1 / 2).  It
 applies only to convolution kernels of unit mass.
 """
@@ -10,6 +12,8 @@ applies only to convolution kernels of unit mass.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from .discretize import fourier_symbol
 from .errors import DegenerateSymbol, IneligiblePotential, NotNormalized
@@ -47,8 +51,9 @@ def gap_constants(potential: Potential, wound: WoundKernel) -> GapBound:
     if not diag.eligible:
         raise IneligiblePotential("gap bound needs a potential negative on some node")
 
-    symbol = fourier_symbol(wound)
-    c2 = 1.0 - symbol.max_offzero_modulus()
+    moduli = np.abs(fourier_symbol(wound))
+    moduli.flat[0] = 0.0  # the zero mode a_0 is the mass
+    c2 = 1.0 - float(moduli.max())
     if c2 <= 0:
         raise DegenerateSymbol(
             "kernel symbol has a nonzero mode of modulus >= 1 (mass concentrated)"

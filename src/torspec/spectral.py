@@ -27,7 +27,6 @@ from .eigen import SPECTRUM_ORDER_CAP, PerronResult, full_spectrum, perron
 from .errors import (
     BracketFailure,
     DegenerateKernel,
-    IneligiblePotential,
     MethodDisagreement,
     NotConverged,
 )
@@ -74,7 +73,6 @@ class AnalysisOptions:
     primitivity_max_power: int = 16
     residual_tol: float = 1e-8
     spectrum_order_cap: int = SPECTRUM_ORDER_CAP
-    diagnostic: bool = False
 
 
 @dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
@@ -127,18 +125,13 @@ def max_eigenvalue_bisection(
     ``seed``.  A kernel flagged ``symmetric`` has that operator as its own
     adjoint counterpart, so its ground state is returned as the adjoint
     state without a second solve.  With a vanishing potential the radius
-    equals one at zero shift; in diagnostic mode that boundary case is
-    reported as a zero eigenvalue instead of an error.
+    equals one at zero shift, and that boundary case is reported as a zero
+    eigenvalue with bracket (0, 0).
     """
     eligible = potential.diagnostics.eligible
     denom = shift_denominator(b, potential)
     alpha1 = float(denom.min())
     tol = options.bisection_tol
-
-    if not eligible and not options.diagnostic:
-        raise IneligiblePotential(
-            "potential is zero on every node; enable diagnostic mode for a boundary report"
-        )
 
     vector = None
     perron_iterations = 0
@@ -285,17 +278,12 @@ def analyze(
     """Run all three maximum-eigenvalue methods and consolidate the report.
 
     Raises MethodDisagreement when any two methods differ beyond the
-    cross-check tolerance; a nonconforming (diagnostic) report is produced
-    for a vanishing potential only when the diagnostic option is set.
+    cross-check tolerance.  A vanishing potential gives the boundary report:
+    lambda = 0 with ``diagnostics["conforming"]`` false.
     """
     stats = kernel_stats(b, options.primitivity_max_power)
     essential = essential_spectrum(b, potential)
     eligible = potential.diagnostics.eligible
-    if not eligible and not options.diagnostic:
-        raise IneligiblePotential(
-            "potential is zero on every node; set diagnostic=True for a boundary report"
-        )
-
     generator = assemble_generator(b, potential)
     eigenvalues = full_spectrum(generator, options.spectrum_order_cap)
     lam_qr = float(eigenvalues[0].real)

@@ -10,17 +10,22 @@ import numpy as np
 import pytest
 
 import torspec as ts
-from conftest import REPO_ROOT, make_f2, sine_wound
+from conftest import REPO_ROOT, make_f2
 
 
-def test_every_export_is_used_by_the_package_or_the_readme():
-    """A public name that neither the package nor the README reads is dead API."""
+def _package_lines() -> list[str]:
+    """Every source line of the package, its export list aside."""
     sources = [
         path.read_text()
         for path in sorted((REPO_ROOT / "src" / "torspec").glob("*.py"))
         if path.name != "__init__.py"
     ]
-    lines = [line for text in sources for line in text.splitlines()]
+    return [line for text in sources for line in text.splitlines()]
+
+
+def test_every_export_is_used_by_the_package_or_the_readme():
+    """A public name that neither the package nor the README reads is dead API."""
+    lines = _package_lines()
     readme = (REPO_ROOT / "README.md").read_text()
     unused = []
     for name in dir(ts):
@@ -32,6 +37,28 @@ def test_every_export_is_used_by_the_package_or_the_readme():
             word.search(line) and not own.match(line) for line in lines
         ):
             unused.append(name)
+    assert unused == []
+
+
+def test_every_public_method_is_read_by_the_package_or_the_readme():
+    """A method or property of an exported class that nothing reads as
+    ``.name`` is dead API, even when its class is used."""
+    lines = _package_lines()
+    readme = (REPO_ROOT / "README.md").read_text()
+    unused = []
+    for class_name in dir(ts):
+        cls = getattr(ts, class_name)
+        if not inspect.isclass(cls) or issubclass(cls, BaseException):
+            continue
+        for name, member in vars(cls).items():
+            if name.startswith("_") or not (inspect.isfunction(member) or isinstance(member, property)):
+                continue
+            read = re.compile(rf"\.{name}\b")
+            own = re.compile(rf"^\s*def {name}\b")
+            if not read.search(readme) and not any(
+                read.search(line) and not own.match(line) for line in lines
+            ):
+                unused.append(f"{class_name}.{name}")
     assert unused == []
 
 
@@ -63,7 +90,6 @@ def _records():
         "BisectionResult": ts.max_eigenvalue_bisection(kernel, potential),
         "ShiftedPowerResult": ts.max_eigenvalue_shifted_power(generator),
         "EvolutionTrace": ts.evolve(generator, np.ones(grid.size), 1.0, snapshots=4),
-        "FourierSymbol": ts.fourier_symbol(sine_wound(grid)),
     }
 
 

@@ -296,15 +296,56 @@ def test_modulated_kernel_config_analyzes():
     assert -report.essential.alpha1 < report.max_eigenvalue < 0
 
 
-@pytest.mark.parametrize("diagnostic", [False, True])
-def test_bound_on_zero_potential_gives_the_gap_bound_message(diagnostic, tmp_path, capsys):
-    raw = minimal_config(grid_n=16, potential={"family": "zero"}, analysis={"diagnostic": diagnostic})
+def test_bound_on_zero_potential_gives_the_gap_bound_message(tmp_path, capsys):
+    raw = minimal_config(grid_n=16, potential={"family": "zero"})
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
     assert main(["bound", "--config", str(path), "--out", str(tmp_path)]) == 2
     error = _single_diagnostic(capsys.readouterr().err)
     assert error["error"] == "IneligiblePotential"
     assert error["message"] == "gap bound needs a potential negative on some node"
+
+
+@pytest.mark.parametrize("value", [False, True])
+def test_analysis_diagnostic_key_is_refused(value, tmp_path, capsys):
+    raw = minimal_config(grid_n=16, potential={"family": "zero"}, analysis={"diagnostic": value})
+    with pytest.raises(ts.ParseError, match="unknown key 'diagnostic' in analysis"):
+        ts.config_from_dict(raw)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["analyze", "--config", str(path), "--out", str(tmp_path)]) == 1
+    error = _single_diagnostic(capsys.readouterr().err)
+    assert error["error"] == "ParseError"
+    assert "'diagnostic'" in error["message"]
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_bound_at_two_nodes_takes_c2_over_the_whole_grid(dimension, tmp_path):
+    # the constant kernel's circulant at n = 2 has eigenvalues 1 and 0, so c2 = 1 exactly
+    raw = minimal_config(dimension=dimension, grid_n=2)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["bound", "--config", str(path), "--out", str(tmp_path)]) == 0
+    section = json.loads((tmp_path / "gap_bound.json").read_text())["gap_bound"]
+    assert section["c2"] == 1.0
+    assert section["kappa"] == min(section["gamma0"] ** 2, 0.5 * section["c1"])
+    assert section["verdict"] == "pass"
+
+
+def test_exponential_kernel_has_no_gap_bound_at_documented_sizes(tmp_path, capsys):
+    # node sampling misses the Laplace cusp, so the wound mass is 1 + 5.1e-4 at n = 64
+    raw = minimal_config(grid_n=64, kernel={"family": "exponential"})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["bound", "--config", str(path), "--out", str(tmp_path)]) == 2
+    error = _single_diagnostic(capsys.readouterr().err)
+    assert error["error"] == "NotNormalized"
+    assert not (tmp_path / "gap_bound.json").exists()
+    assert main(["analyze", "--config", str(path), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["gap_bound"] is None
+    assert report["diagnostics"]["conforming"] is True
 
 
 def test_bound_refuses_unnormalized_kernel_before_solving(monkeypatch, tmp_path, capsys):

@@ -152,23 +152,25 @@ def test_birman_schwinger_assembly_holds_one_matrix(adjoint):
 
 def test_fourier_symbol_constant():
     grid = ts.TorusGrid(1, 16)
-    symbol = ts.fourier_symbol(ts.wound_from_function(lambda m: np.ones(m.shape[:-1]), grid))
-    assert symbol.mass == 1.0
-    assert abs(symbol.coefficient(0) - 1.0) == 0.0
+    wound = ts.wound_from_function(lambda m: np.ones(m.shape[:-1]), grid)
+    symbol = ts.fourier_symbol(wound)
+    assert symbol[0].real == 1.0
+    assert abs(symbol[0] - 1.0) == 0.0
     for k in range(1, 8):
-        assert abs(symbol.coefficient(k)) < 1e-15
-    assert symbol.max_offzero_modulus() < 1e-15
+        assert abs(symbol[k]) < 1e-15
+    assert 1.0 - ts.gap_constants(ts.constant_potential(grid, 0.3), wound).c2 < 1e-15
 
 
 def test_fourier_symbol_sine_modes():
     grid = ts.TorusGrid(1, 64)
-    symbol = ts.fourier_symbol(sine_wound(grid))
+    wound = sine_wound(grid)
+    symbol = ts.fourier_symbol(wound)
     # analytic expansion: the sine contributes -+ i/4 at the first modes
-    assert abs(symbol.coefficient(1) - (-0.25j)) < 1e-14
-    assert abs(symbol.coefficient(-1) - (0.25j)) < 1e-14
-    assert abs(symbol.max_offzero_modulus() - 0.25) < 1e-14
+    assert abs(symbol[1] - (-0.25j)) < 1e-14
+    assert abs(symbol[-1] - (0.25j)) < 1e-14
+    assert abs((1.0 - ts.gap_constants(ts.constant_potential(grid, 0.3), wound).c2) - 0.25) < 1e-14
     for k in (2, 3, 5, 11):
-        assert abs(symbol.coefficient(k)) < 1e-14
+        assert abs(symbol[k]) < 1e-14
 
 
 def test_fourier_symbol_wound_gaussian_against_heat_decay():
@@ -176,7 +178,7 @@ def test_fourier_symbol_wound_gaussian_against_heat_decay():
     symbol = ts.fourier_symbol(wound)
     for k in (1, 2, 3):
         analytic = math.exp(-2.0 * math.pi**2 * 0.04 * k * k)
-        assert abs(symbol.coefficient(k) - analytic) < 1e-12
+        assert abs(symbol[k] - analytic) < 1e-12
 
 
 def test_fourier_symbol_conjugate_symmetry():
@@ -185,8 +187,8 @@ def test_fourier_symbol_conjugate_symmetry():
     wound = ts.WoundKernel(ts.TorusGrid(1, 32), rng.uniform(0.1, 1.0, 32))
     symbol = ts.fourier_symbol(wound)
     for k in range(1, 16):
-        assert abs(symbol.coefficient(-k) - np.conj(symbol.coefficient(k))) < 1e-14
-    assert abs(symbol.mass - wound.quadrature_mass()) < 1e-14
+        assert abs(symbol[-k] - np.conj(symbol[k])) < 1e-14
+    assert abs(symbol[0].real - wound.quadrature_mass()) < 1e-14
 
 
 def test_fourier_symbol_two_dimensional():
@@ -195,9 +197,11 @@ def test_fourier_symbol_two_dimensional():
         lambda mesh: 1.0 + 0.25 * np.cos(2 * np.pi * mesh[..., 0]), grid
     )
     symbol = ts.fourier_symbol(wound)
-    assert abs(symbol.coefficient((0, 0)) - 1.0) < 1e-14
-    assert abs(symbol.coefficient((1, 0)) - 0.125) < 1e-14
-    assert abs(symbol.coefficient((0, 1))) < 1e-14
+    assert symbol.shape == (8, 8)
+    assert not symbol.flags.writeable
+    assert abs(symbol[0, 0] - 1.0) < 1e-14
+    assert abs(symbol[1, 0] - 0.125) < 1e-14
+    assert abs(symbol[0, 1]) < 1e-14
 
 
 def test_circulant_eigenvalues_match_symbol():
@@ -211,8 +215,11 @@ def test_circulant_eigenvalues_match_symbol():
     assert np.allclose(matched, expected, rtol=0, atol=1e-10)
     symbol = ts.fourier_symbol(wound)
     for k in (-2, -1, 0, 1, 2):
-        nearest = min(abs(eigenvalues - symbol.coefficient(k)))
+        nearest = min(abs(eigenvalues - symbol[k]))
         assert nearest < 1e-10
+    # the symbol holds every circulant eigenvalue, the Nyquist mode k = 32 included
+    assert symbol.shape == (64,)
+    assert np.allclose(sorted(symbol, key=lambda z: (z.real, z.imag)), matched, rtol=0, atol=1e-10)
 
 
 # -- housekeeping -------------------------------------------------------------

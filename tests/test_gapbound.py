@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torspec as ts
 from conftest import make_f2, random_convolution_fixture, sine_wound
@@ -54,8 +56,9 @@ def test_potential_scaling_identities():
 
 def test_contraction_matches_circulant_second_modulus():
     grid = ts.TorusGrid(1, 64)
+    potential = ts.constant_potential(grid, 0.3)
     for wound in (sine_wound(grid), random_convolution_fixture(3, n=64)[1]):
-        bound_c2 = 1.0 - ts.fourier_symbol(wound).max_offzero_modulus()
+        bound_c2 = ts.gap_constants(potential, wound).c2
         b_part = grid.weight * ts.convolution_kernel(wound).samples
         moduli = np.sort(np.abs(np.linalg.eigvals(b_part)))[::-1]
         assert abs(bound_c2 - (1.0 - moduli[1])) < 1e-10
@@ -103,3 +106,45 @@ def test_gap_bound_holds_on_random_convolution_fixtures():
         bound = ts.gap_constants(potential, wound)
         verdict = ts.verify_gap(report, bound)
         assert verdict.passed, f"seed {seed}: margin {verdict.margin}"
+
+
+def unit_mass(grid, samples):
+    return ts.WoundKernel(grid, samples / (grid.weight * samples.sum()))
+
+
+def test_nyquist_mode_enters_the_contraction():
+    # every mode in |k| < n/2 vanishes; the Nyquist mode k = 4 carries 0.98 of the mass
+    grid = ts.TorusGrid(1, 8)
+    wound = unit_mass(grid, np.where(np.arange(8) % 2 == 0, 1.0, 0.01))
+    potential = ts.Potential(grid, np.where(np.isin(np.arange(8), (0, 2)), -1.0, 0.0))
+    bound = ts.gap_constants(potential, wound)
+    assert abs(bound.c2 - 0.02 / 1.01) < 1e-12  # 1 - |a_4| = 1 - 0.99/1.01
+    report = ts.analyze(ts.convolution_kernel(wound), potential)
+    verdict = ts.verify_gap(report, bound)
+    assert verdict.passed, f"margin {verdict.margin}"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from([(1, n) for n in range(2, 13)] + [(2, n) for n in range(2, 6)]),
+    st.booleans(),
+    st.floats(1e-3, 5.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_gap_bound_holds_for_random_unit_mass_wounds(shape, damp_odd, depth, seed):
+    dimension, n = shape
+    grid = ts.TorusGrid(dimension, n)
+    rng = np.random.default_rng(seed)
+    samples = rng.uniform(0.05, 1.0, (n,) * dimension)
+    if damp_odd:  # weight the Nyquist modes, which lie outside |k| < n/2
+        samples[np.indices(samples.shape).sum(axis=0) % 2 == 1] *= 0.01
+    values = -depth * rng.random(grid.size) * (rng.random(grid.size) < 0.6)
+    values[rng.integers(grid.size)] = -depth
+    wound, potential = unit_mass(grid, samples), ts.Potential(grid, values)
+    try:
+        bound = ts.gap_constants(potential, wound)
+        report = ts.analyze(ts.convolution_kernel(wound), potential)
+    except ts.TorspecError:
+        return
+    verdict = ts.verify_gap(report, bound)
+    assert verdict.passed, f"margin {verdict.margin}"

@@ -111,9 +111,7 @@ def test_bisection_zero_potential_modes():
     grid = ts.TorusGrid(1, 32)
     kernel = ts.constant_kernel(grid)
     potential = ts.zero_potential(grid)
-    with pytest.raises(ts.IneligiblePotential):
-        ts.max_eigenvalue_bisection(kernel, potential)
-    boundary = ts.max_eigenvalue_bisection(kernel, potential, ts.AnalysisOptions(diagnostic=True))
+    boundary = ts.max_eigenvalue_bisection(kernel, potential)
     assert boundary.lam == 0.0
     assert boundary.ground_state.min() > 0
 
@@ -215,9 +213,7 @@ def test_analyze_zero_potential_diagnostic_mode():
     grid = ts.TorusGrid(1, 32)
     kernel = ts.constant_kernel(grid)
     potential = ts.zero_potential(grid)
-    with pytest.raises(ts.IneligiblePotential):
-        ts.analyze(kernel, potential)
-    report = ts.analyze(kernel, potential, ts.AnalysisOptions(diagnostic=True))
+    report = ts.analyze(kernel, potential)
     assert report.max_eigenvalue == 0.0
     assert not report.diagnostics["conforming"]
     for value in report.lambda_by_method.values():
