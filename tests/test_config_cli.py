@@ -296,8 +296,11 @@ def test_modulated_kernel_config_analyzes():
     assert -report.essential.alpha1 < report.max_eigenvalue < 0
 
 
-def test_bound_on_zero_potential_gives_the_gap_bound_message(tmp_path, capsys):
+@pytest.mark.parametrize("explicit_analysis", [False, True])
+def test_bound_on_zero_potential_gives_the_gap_bound_message(explicit_analysis, tmp_path, capsys):
     raw = minimal_config(grid_n=16, potential={"family": "zero"})
+    if explicit_analysis:  # spelled-out analysis options leave the refusal as it is
+        raw["analysis"] = {"seed": 0, "power_tol": 1e-11, "bisection_tol": 1e-12}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
     assert main(["bound", "--config", str(path), "--out", str(tmp_path)]) == 2
