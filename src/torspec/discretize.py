@@ -10,7 +10,11 @@ assembly reads the kernel's jump rate W from ``GenericKernel.w``; none
 recomputes it.  Kernel and potential meet in ``shift_denominator``, which
 checks that they carry one grid; the generator takes the kernel's grid and
 its ``symmetric`` flag, since off-diagonal entries h^d b and a diagonal
-are symmetric exactly when b is.  The Fourier symbol of a wound kernel is
+are symmetric exactly when b is, and the kernel's invariant axes along
+which the potential samples are bit-equal too.  Along those axes the
+off-diagonal entries and V are exactly invariant, but the diagonal's
+serial row sums may differ in the last bits; ``diagonal_defect`` measures
+by how much.  The Fourier symbol of a wound kernel is
 h^d times the DFT of its samples on every grid wavevector: the eigenvalues
 of the circulant h^d B, with no band cut and no Nyquist exclusion.
 """
@@ -32,14 +36,16 @@ MU_EDGE_MARGIN = 1e-12
 class OperatorMatrix:
     """Dense square matrix of a torus operator: the generator M, the ratio
     operator Q_mu, or a diagonal shift of M.  ``edge_sup`` records
-    sup(W - V) when the assembly knows it; ``symmetric`` is set by
-    ``assemble_generator`` from the kernel, and is False on any matrix
-    built otherwise, which then takes the general dense solvers."""
+    sup(W - V) when the assembly knows it; ``symmetric`` and
+    ``invariant_axes`` are set by ``assemble_generator`` from the kernel
+    and the potential, and are False and () on any matrix built otherwise,
+    which then takes the general dense solvers on the whole matrix."""
 
     data: np.ndarray
     grid: TorusGrid
     edge_sup: float | None = None
     symmetric: bool = False
+    invariant_axes: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         data = np.ascontiguousarray(self.data, dtype=float)
@@ -62,6 +68,19 @@ class OperatorMatrix:
         """
         return self.data @ u
 
+    @property
+    def diagonal_defect(self) -> float:
+        """max |diag - diag on the slab x_a = 0 of the invariant axes a|.
+
+        The block solve takes the diagonal from that slab; since a generator
+        is Metzler, its top eigenvalue then moves by at most this much.
+        Zero when there are no invariant axes.
+        """
+        n, d = self.grid.n, self.grid.dimension
+        diagonal = np.diagonal(self.data).reshape((n,) * d)
+        slab = diagonal[tuple(slice(0, 1) if a in self.invariant_axes else slice(None) for a in range(d))]
+        return float(np.abs(diagonal - slab).max())
+
     def shifted(self, k: float) -> "OperatorMatrix":
         """Add k to the diagonal."""
         data = self.data.copy()
@@ -70,12 +89,18 @@ class OperatorMatrix:
 
 
 def assemble_generator(b: GenericKernel, potential: Potential) -> OperatorMatrix:
-    """Jump generator: kernel part plus (V - W) on the diagonal."""
+    """Jump generator: kernel part plus (V - W) on the diagonal.
+
+    Its invariant axes are the kernel's along which the potential samples
+    are bit-equal as well.
+    """
     edge_sup = float(shift_denominator(b, potential).max())
     data = b.grid.weight * b.samples
     np.fill_diagonal(data, 0.0)
     np.fill_diagonal(data, potential.samples - serial_row_sums(data))
-    return OperatorMatrix(data, b.grid, edge_sup=edge_sup, symmetric=b.symmetric)
+    v = potential.samples.reshape((b.grid.n,) * b.grid.dimension)
+    axes = tuple(a for a in b.invariant_axes if np.array_equal(v, np.roll(v, 1, axis=a)))
+    return OperatorMatrix(data, b.grid, edge_sup=edge_sup, symmetric=b.symmetric, invariant_axes=axes)
 
 
 def shift_denominator(b: GenericKernel, potential: Potential) -> np.ndarray:

@@ -4,7 +4,11 @@ certificates, and dense spectra.
 The power iteration is the positive-operator route; the dense solve
 (LAPACK: symmetric tridiagonal QR on a generator flagged ``symmetric``,
 balanced Hessenberg QR otherwise) is the independent cross-check.  The two
-must agree or the caller aborts, so neither silently wins.
+must agree or the caller aborts, so neither silently wins.  A generator
+that commutes with grid translations along some axes is split by a DFT
+along them into independent blocks (the discrete Floquet-Bloch reduction;
+block-circulant diagonalization, Davis, *Circulant Matrices*, 1979), and
+the dense solve runs block by block.
 """
 
 from __future__ import annotations
@@ -121,13 +125,41 @@ def perron(
     raise NotConverged(f"certificate gap above {tol} after {max_iter} iterations")
 
 
+def _bloch_spectrum(generator: OperatorMatrix, solver) -> np.ndarray:
+    """Eigenvalues of the generator with the diagonal of its slab x_S = 0,
+    S its invariant axes, block by block.
+
+    The rows at x_S = 0, transformed by a DFT along the y_S column axes,
+    give n^|S| blocks of order n^(d - |S|), one per wavevector k on S.
+    Block -k is the conjugate of block k, so one of each pair is solved
+    and its eigenvalues are appended conjugated; a self-conjugate block
+    (k = -k mod n) is real and is solved as a real matrix.
+    """
+    grid, axes = generator.grid, generator.invariant_axes
+    n, d, s = grid.n, grid.dimension, len(axes)
+    rows = generator.data.reshape((n,) * (2 * d))[tuple(0 if a in axes else slice(None) for a in range(d))]
+    y_axes = [d - s + a for a in axes]  # rows keeps the d - s free x axes, then every y axis
+    blocks = np.moveaxis(np.fft.fftn(rows, axes=y_axes), y_axes, range(s))
+    order = grid.size // n**s
+    blocks = blocks.reshape(n**s, order, order)
+    k = np.arange(n**s)
+    mirror = np.ravel_multi_index((-np.indices((n,) * s).reshape(s, -1)) % n, (n,) * s)
+    real = solver(blocks[k == mirror].real).ravel()
+    pairs = solver(blocks[k < mirror]).ravel()
+    return np.concatenate([real, pairs, pairs.conj()])
+
+
 def full_spectrum(generator: OperatorMatrix, order_cap: int = SPECTRUM_ORDER_CAP) -> np.ndarray:
     """All eigenvalues by LAPACK QR with deflation.
 
     A matrix flagged ``symmetric`` (by ``assemble_generator``, from an
     exactly symmetric kernel) takes the symmetric tridiagonal QR
     (``eigvalsh``), whose eigenvalues are real; any other takes balanced
-    Hessenberg QR (``eigvals``).  Ordered by descending real part, ties by
+    Hessenberg QR (``eigvals``).  A matrix with ``invariant_axes`` is
+    solved block by block (``_bloch_spectrum``) with the diagonal of its
+    slab at the origin of those axes, which differs from its own by
+    ``generator.diagonal_defect``; the order cap applies to the whole
+    matrix either way.  Ordered by descending real part, ties by
     ascending imaginary part; complex eigenvalues of real input come in
     conjugate pairs.  LAPACK's failure to converge raises
     QRNotConverged.
@@ -137,9 +169,8 @@ def full_spectrum(generator: OperatorMatrix, order_cap: int = SPECTRUM_ORDER_CAP
         raise DimensionMismatch(f"matrix order {a.shape[0]} exceeds the cap {order_cap}")
     solver = np.linalg.eigvalsh if generator.symmetric else np.linalg.eigvals
     try:
-        values = solver(a)
+        values = _bloch_spectrum(generator, solver) if generator.invariant_axes else solver(a)
     except np.linalg.LinAlgError as exc:
         raise QRNotConverged(str(exc)) from exc
     order = np.lexsort((values.imag, -values.real))
     return values[order]
-

@@ -5,7 +5,8 @@ as samples of a single function of the displacement (wound from a kernel on
 the full space when necessary); a generic two-point kernel is a dense array
 of samples b(x_i, y_j).  Potentials are nonpositive node samples.  Every
 record carries the ``TorusGrid`` it is sampled on, and a generic kernel
-decides once, when it is built, whether its samples are exactly symmetric.
+decides once, when it is built, whether its samples are exactly symmetric
+and along which axes they are exactly translation-invariant.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
 from .grid import TorusGrid
 
 WIND_CAP = 64  # largest one-sided shift radius tried while winding
-SYMMETRY_TILE = 256  # side of the square blocks the symmetry test compares
+SYMMETRY_TILE = 256  # side of the symmetry test's square tiles; its square caps a shift-test run
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -66,6 +67,38 @@ def _is_symmetric(a: np.ndarray) -> bool:
             if not np.array_equal(a[rows, cols], a[cols, rows].T):
                 return False
     return True
+
+
+def _invariant_axes(samples: np.ndarray, grid: TorusGrid) -> tuple[int, ...]:
+    """Axes a along which b(x + e_a, y + e_a) == b(x, y) bit for bit.
+
+    A run of slabs x_a = i + 1, ..., i + r is compared with the slabs
+    x_a = i, ..., i + r - 1 one node back along y_a, in two views of each.
+    A run holds one slab, or as many as fit in ``SYMMETRY_TILE**2``
+    entries when slabs are smaller (a 1-D slab is one row), so no
+    temporary of the kernel's size is built, and the first mismatching run
+    ends that axis's test.  The slabs i < n - 1 suffice: n shifts along
+    y_a close the cycle.
+    """
+    n, d = grid.n, grid.dimension
+    b = samples.reshape((n,) * (2 * d))
+    run = max(1, SYMMETRY_TILE**2 * n // samples.size)  # a slab holds samples.size / n entries
+
+    def view(axis: int, xs: slice, ys: int | slice) -> np.ndarray:
+        index: list = [slice(None)] * (2 * d)
+        index[axis], index[d + axis] = xs, ys
+        return b[tuple(index)]
+
+    def shifted_run_matches(axis: int, i: int) -> bool:
+        stop = min(i + run, n - 1)
+        ahead, here = slice(i + 1, stop + 1), slice(i, stop)
+        return (np.array_equal(view(axis, ahead, slice(1, None)), view(axis, here, slice(None, -1)))
+                and np.array_equal(view(axis, ahead, 0), view(axis, here, -1)))
+
+    return tuple(
+        axis for axis in range(d)
+        if all(shifted_run_matches(axis, i) for i in range(0, n - 1, run))
+    )
 
 
 def _peak_density(base: float, exponent: float, tag: str) -> float:
@@ -250,15 +283,18 @@ class GenericKernel:
     """Two-point kernel b(x, y) on the tensor grid as an (n^d, n^d) array.
 
     Row index is the x node, column index the y node, both in the grid's
-    row-major node order.  ``w`` is the jump-rate field W (``jump_rate``)
-    and ``symmetric`` whether the samples equal their transpose bit for
-    bit; both are evaluated once at construction and read by every consumer.
+    row-major node order.  ``w`` is the jump-rate field W (``jump_rate``),
+    ``symmetric`` whether the samples equal their transpose bit for bit,
+    and ``invariant_axes`` the axes a along which b(x + e_a, y + e_a) ==
+    b(x, y) bit for bit; all three are evaluated once at construction and
+    read by every consumer.
     """
 
     grid: TorusGrid
     samples: np.ndarray
     w: np.ndarray = field(init=False, repr=False, compare=False)
     symmetric: bool = field(init=False, repr=False, compare=False)
+    invariant_axes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         samples = _freeze(np.asarray(self.samples, dtype=float))
@@ -269,6 +305,7 @@ class GenericKernel:
             raise DegenerateKernel("kernel samples must be nonnegative")
         if not np.any(samples > 0):
             raise DegenerateKernel("kernel is identically zero")
+        object.__setattr__(self, "invariant_axes", _invariant_axes(samples, self.grid))
         object.__setattr__(self, "w", _freeze(jump_rate(self)))
         object.__setattr__(self, "symmetric", _is_symmetric(samples))
 
@@ -398,10 +435,17 @@ def cosine_potential(grid: TorusGrid, depth: float = 1.0) -> Potential:
 def jump_rate(b: GenericKernel) -> np.ndarray:
     """Row quadrature of the kernel: W(x_i) = h^d * sum_j b(x_i, y_j).
 
-    Uses a serial per-row reduction.  ``GenericKernel`` calls this once at
-    construction and keeps the result as ``w``; read that field instead.
+    Uses a serial per-row reduction.  Along the kernel's invariant axes the
+    rows are permutations of each other, whose serial sums can differ in
+    the last bits, so only the slab of rows at x_a = 0 is summed and its
+    sums are broadcast: W is then exactly invariant too.  ``GenericKernel``
+    calls this once at construction and keeps the result as ``w``; read
+    that field instead.
     """
-    return serial_row_sums(b.samples, b.grid.weight)
+    n, d = b.grid.n, b.grid.dimension
+    rows = b.samples.reshape((n,) * d + (b.grid.size,))
+    slab = rows[tuple(slice(0, 1) if a in b.invariant_axes else slice(None) for a in range(d))]
+    return np.broadcast_to(serial_row_sums(slab, b.grid.weight), (n,) * d).ravel()
 
 
 @dataclass(frozen=True)

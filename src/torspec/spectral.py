@@ -321,11 +321,17 @@ def analyze(
     distances = np.min(np.abs(eigenvalues[:, None] - ess_points[None, :]), axis=1)
     discrete = eigenvalues[distances > tol_ess]
 
+    blocks = b.grid.n ** len(generator.invariant_axes)
     diagnostics = {
         "conforming": eligible,
         "ground_state_residual": residual_psi,
         "adjoint_state_residual": residual_phi,
         "method_spread": spread,
+        "qr": {
+            "blocks": blocks,
+            "block_order": b.grid.size // blocks,
+            "diagonal_defect": generator.diagonal_defect,
+        },
         "classification_tolerance": tol_ess,
         "perron_shift_iterations": shifted.perron.iterations,
         "bisection_iterations": bisected.iterations,

@@ -464,7 +464,7 @@ def test_potential_diagnostics_are_a_field_set_at_construction():
 def test_kernels_carry_only_fields_that_are_read():
     names = lambda cls: [f.name for f in dataclasses.fields(cls)]
     assert names(ts.ContinuousKernel) == ["dimension", "evaluate", "tail_mass_bound"]
-    assert names(ts.GenericKernel) == ["grid", "samples", "w", "symmetric"]
+    assert names(ts.GenericKernel) == ["grid", "samples", "w", "symmetric", "invariant_axes"]
 
 
 def _write(path, header, rows):
