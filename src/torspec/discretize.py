@@ -76,10 +76,8 @@ class OperatorMatrix:
         is Metzler, its top eigenvalue then moves by at most this much.
         Zero when there are no invariant axes.
         """
-        n, d = self.grid.n, self.grid.dimension
-        diagonal = np.diagonal(self.data).reshape((n,) * d)
-        slab = diagonal[tuple(slice(0, 1) if a in self.invariant_axes else slice(None) for a in range(d))]
-        return float(np.abs(diagonal - slab).max())
+        diagonal = np.diagonal(self.data).reshape((self.grid.n,) * self.grid.dimension)
+        return float(np.abs(diagonal - diagonal[self.grid.origin_slab(self.invariant_axes)]).max())
 
     def shifted(self, k: float) -> "OperatorMatrix":
         """Add k to the diagonal."""

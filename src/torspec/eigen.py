@@ -125,28 +125,41 @@ def perron(
     raise NotConverged(f"certificate gap above {tol} after {max_iter} iterations")
 
 
+def block_shape(generator: OperatorMatrix) -> tuple[int, int]:
+    """Number and order of the generator's Bloch blocks: n^|S| blocks of
+    order n^(d - |S|), S its invariant axes; 1 and N when it has none."""
+    blocks = generator.grid.n ** len(generator.invariant_axes)
+    return blocks, generator.grid.size // blocks
+
+
 def _bloch_spectrum(generator: OperatorMatrix, solver) -> np.ndarray:
     """Eigenvalues of the generator with the diagonal of its slab x_S = 0,
     S its invariant axes, block by block.
 
     The rows at x_S = 0, transformed by a DFT along the y_S column axes,
-    give n^|S| blocks of order n^(d - |S|), one per wavevector k on S.
-    Block -k is the conjugate of block k, so one of each pair is solved
-    and its eigenvalues are appended conjugated; a self-conjugate block
-    (k = -k mod n) is real and is solved as a real matrix.
+    give one block C_k per wavevector k on S.  Block -k is the conjugate
+    of block k, so a real DFT keeps one of each pair, and the pair is
+    solved as the real matrix [[Re C_k, -Im C_k], [Im C_k, Re C_k]] of
+    twice the order, whose eigenvalues are those of C_k and of its
+    conjugate; a self-conjugate block (k = -k mod n) is real.  Every solve
+    is real, as on the whole matrix, so complex eigenvalues come in exact
+    conjugate pairs.
     """
     grid, axes = generator.grid, generator.invariant_axes
     n, d, s = grid.n, grid.dimension, len(axes)
-    rows = generator.data.reshape((n,) * (2 * d))[tuple(0 if a in axes else slice(None) for a in range(d))]
-    y_axes = [d - s + a for a in axes]  # rows keeps the d - s free x axes, then every y axis
-    blocks = np.moveaxis(np.fft.fftn(rows, axes=y_axes), y_axes, range(s))
-    order = grid.size // n**s
-    blocks = blocks.reshape(n**s, order, order)
-    k = np.arange(n**s)
-    mirror = np.ravel_multi_index((-np.indices((n,) * s).reshape(s, -1)) % n, (n,) * s)
-    real = solver(blocks[k == mirror].real).ravel()
-    pairs = solver(blocks[k < mirror]).ravel()
-    return np.concatenate([real, pairs, pairs.conj()])
+    m = block_shape(generator)[1]
+    rows = generator.data.reshape((n,) * (2 * d))[grid.origin_slab(axes)]
+    y_axes = [d + a for a in axes]
+    blocks = np.fft.rfftn(np.moveaxis(rows, y_axes, range(s)), axes=tuple(range(s))).reshape(-1, m, m)
+    half = np.indices((n,) * (s - 1) + (n // 2 + 1,)).reshape(s, -1)  # the k rfftn keeps
+    k, mirror = (np.ravel_multi_index(q % n, (n,) * s) for q in (half, -half))
+    own = k == mirror
+    pairs = blocks[~own & ((k < mirror) | (-half[-1] % n > n // 2))]  # -k dropped, or k first
+    doubled = np.empty((len(pairs), 2 * m, 2 * m))
+    doubled[:, :m, :m] = doubled[:, m:, m:] = pairs.real
+    doubled[:, m:, :m] = pairs.imag
+    np.negative(pairs.imag, out=doubled[:, :m, m:])
+    return np.concatenate([solver(blocks[own].real).ravel(), solver(doubled).ravel()])
 
 
 def full_spectrum(generator: OperatorMatrix, order_cap: int = SPECTRUM_ORDER_CAP) -> np.ndarray:

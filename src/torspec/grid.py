@@ -35,6 +35,11 @@ class TorusGrid:
                 f"grid has d={self.dimension}, n={self.n}"
             )
 
+    def origin_slab(self, axes: tuple[int, ...]) -> tuple[slice, ...]:
+        """Index of the nodes at x_a = 0 for every a in ``axes`` into an array
+        whose leading axes are (n,)*d; those axes keep length 1."""
+        return tuple(slice(0, 1) if a in axes else slice(None) for a in range(self.dimension))
+
     @property
     def weight(self) -> float:
         """Quadrature weight per node, h^d."""

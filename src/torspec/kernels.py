@@ -442,10 +442,9 @@ def jump_rate(b: GenericKernel) -> np.ndarray:
     calls this once at construction and keeps the result as ``w``; read
     that field instead.
     """
-    n, d = b.grid.n, b.grid.dimension
-    rows = b.samples.reshape((n,) * d + (b.grid.size,))
-    slab = rows[tuple(slice(0, 1) if a in b.invariant_axes else slice(None) for a in range(d))]
-    return np.broadcast_to(serial_row_sums(slab, b.grid.weight), (n,) * d).ravel()
+    shape = (b.grid.n,) * b.grid.dimension
+    slab = b.samples.reshape(shape + (b.grid.size,))[b.grid.origin_slab(b.invariant_axes)]
+    return np.broadcast_to(serial_row_sums(slab, b.grid.weight), shape).ravel()
 
 
 @dataclass(frozen=True)

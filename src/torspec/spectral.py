@@ -23,7 +23,7 @@ from .discretize import (
     check_shift,
     shift_denominator,
 )
-from .eigen import SPECTRUM_ORDER_CAP, PerronResult, full_spectrum, perron
+from .eigen import SPECTRUM_ORDER_CAP, PerronResult, block_shape, full_spectrum, perron
 from .errors import (
     BracketFailure,
     DegenerateKernel,
@@ -321,7 +321,7 @@ def analyze(
     distances = np.min(np.abs(eigenvalues[:, None] - ess_points[None, :]), axis=1)
     discrete = eigenvalues[distances > tol_ess]
 
-    blocks = b.grid.n ** len(generator.invariant_axes)
+    blocks, block_order = block_shape(generator)
     diagnostics = {
         "conforming": eligible,
         "ground_state_residual": residual_psi,
@@ -329,7 +329,7 @@ def analyze(
         "method_spread": spread,
         "qr": {
             "blocks": blocks,
-            "block_order": b.grid.size // blocks,
+            "block_order": block_order,
             "diagonal_defect": generator.diagonal_defect,
         },
         "classification_tolerance": tol_ess,

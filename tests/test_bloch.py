@@ -12,6 +12,7 @@ from scipy.optimize import linear_sum_assignment
 
 import torspec as ts
 from torspec.cli import run_command
+from torspec.eigen import block_shape
 from torspec.kernels import SYMMETRY_TILE, _invariant_axes
 from conftest import FIXTURE_DIR, make_f3
 
@@ -29,10 +30,6 @@ def _matched_distance(a, b):
 def _dense(generator):
     """The same matrix without its invariant axes: the whole-matrix solve."""
     return ts.OperatorMatrix(generator.data, generator.grid, symmetric=generator.symmetric)
-
-
-def _slab(shape, axes):
-    return tuple(slice(0, 1) if a in axes else slice(None) for a in range(len(shape)))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -56,7 +53,7 @@ def test_block_spectrum_matches_the_whole_matrix(shape, symmetric, axes, depth, 
     assert kernel.symmetric is (symmetric or n == 2)  # a[k] is a[-k] at n = 2
     assert kernel.invariant_axes == tuple(range(dimension))
     field = -depth * rng.random((n,) * dimension) * (rng.random((n,) * dimension) < 0.6)
-    field = np.broadcast_to(field[_slab(field.shape, axes)], field.shape)
+    field = np.broadcast_to(field[grid.origin_slab(axes)], field.shape)
     generator = ts.assemble_generator(kernel, ts.Potential(grid, field.ravel()))
     assert set(axes) <= set(generator.invariant_axes)
 
@@ -115,10 +112,10 @@ def test_only_invariant_models_take_blocks(name, tmp_path, monkeypatch):
         monkeypatch.setattr(np.linalg, solver, recorded)
     ts.full_spectrum(generator)
     blocks, order = grid.n ** len(axes), grid.size // grid.n ** len(axes)
+    assert block_shape(generator) == (blocks, order)
     if axes:
-        assert all(len(s) == 3 and s[1:] == (order, order) for s in shapes)
-        self_conjugate = 2 ** len(axes)  # k_a in {0, n/2} on every axis, n even
-        assert sum(s[0] for s in shapes) == (blocks + self_conjugate) // 2  # one of each pair
+        own = 2 ** len(axes)  # k_a in {0, n/2} on every axis, n even
+        assert shapes == [(own, order, order), ((blocks - own) // 2, 2 * order, 2 * order)]
     else:
         assert shapes == [(grid.size, grid.size)]
     report = ts.analyze(kernel, potential)

@@ -322,7 +322,7 @@ def test_full_spectrum_takes_eigvalsh_only_on_exactly_symmetric_input(name, monk
     reference = np.linalg.eigvals(data)
     calls = _record_solvers(monkeypatch)
     values = ts.full_spectrum(generator)
-    assert calls and set(calls) == {expected}  # one call per block stack on the block route
+    assert calls == [expected] * (2 if generator.invariant_axes else 1)  # self-conjugate and pair stacks
     if expected == "eigvalsh":
         assert not np.iscomplexobj(values)
         scale = np.abs(data).max() * data.shape[0] * np.finfo(float).eps
