@@ -186,13 +186,6 @@ def _integer(raw: dict, key: str, context: str, default=None):
     return int(value)
 
 
-def _boolean(raw: dict, key: str, context: str):
-    value = raw[key]
-    if not isinstance(value, bool):
-        raise ParseError(f"{context}.{key} must be a boolean")
-    return value
-
-
 def _string(raw: dict, key: str, context: str):
     value = raw.get(key)
     if not isinstance(value, str):
@@ -200,9 +193,7 @@ def _string(raw: dict, key: str, context: str):
     return value
 
 
-_READERS = {
-    "float": _number, "float | None": _number, "int": _integer, "bool": _boolean, "str": _string,
-}
+_READERS = {"float": _number, "float | None": _number, "int": _integer, "str": _string}
 
 
 def _settings(cls, raw, context: str, extra: set = frozenset()):

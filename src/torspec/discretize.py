@@ -5,18 +5,19 @@ of a generator carries V(x_i) minus the serial sum of the off-diagonal row.
 The kernel's own diagonal sample never enters, mirroring the difference
 structure b(x,y)(u(y) - u(x)) where it cancels identically.  When V = 0 the
 diagonal is exactly minus the serial off-diagonal row sum, so each row of
-the assembled generator sums to zero bit for bit in that order.  Every
-assembly reads the kernel's jump rate W from ``GenericKernel.w``; none
-recomputes it.  Kernel and potential meet in ``shift_denominator``, which
-checks that they carry one grid; the generator takes the kernel's grid and
-its ``symmetric`` flag, since off-diagonal entries h^d b and a diagonal
-are symmetric exactly when b is, and the kernel's invariant axes along
-which the potential samples are bit-equal too.  Along those axes the
-off-diagonal entries and V are exactly invariant, but the diagonal's
-serial row sums may differ in the last bits; ``diagonal_defect`` measures
-by how much.  The Fourier symbol of a wound kernel is
-h^d times the DFT of its samples on every grid wavevector: the eigenvalues
-of the circulant h^d B, with no band cut and no Nyquist exclusion.
+the assembled generator sums to zero bit for bit in that order.  The ratio
+operator reads the kernel's jump rate W from ``GenericKernel.w`` and does
+not recompute it.  Kernel and potential must carry one grid wherever they
+meet; the generator takes that grid and the kernel's ``symmetric`` flag,
+since off-diagonal entries h^d b and a diagonal are symmetric exactly
+when b is, and the kernel's invariant axes along which the potential
+samples are bit-equal too.  Along those axes the off-diagonal entries and
+V are exactly invariant, but the diagonal's serial row sums may differ in
+the last bits; ``diagonal_defect`` measures by how much.  The generator
+is Metzler, so its diagonal alone gives the shift that makes it
+nonnegative.  The Fourier symbol of a wound kernel is h^d times the DFT
+of its samples on every grid wavevector: the eigenvalues of the
+circulant h^d B, with no band cut and no Nyquist exclusion.
 """
 
 from __future__ import annotations
@@ -35,15 +36,13 @@ MU_EDGE_MARGIN = 1e-12
 @dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
 class OperatorMatrix:
     """Dense square matrix of a torus operator: the generator M, the ratio
-    operator Q_mu, or a diagonal shift of M.  ``edge_sup`` records
-    sup(W - V) when the assembly knows it; ``symmetric`` and
+    operator Q_mu, or a diagonal shift of M.  ``symmetric`` and
     ``invariant_axes`` are set by ``assemble_generator`` from the kernel
     and the potential, and are False and () on any matrix built otherwise,
     which then takes the general dense solvers on the whole matrix."""
 
     data: np.ndarray
     grid: TorusGrid
-    edge_sup: float | None = None
     symmetric: bool = False
     invariant_axes: tuple[int, ...] = ()
 
@@ -92,13 +91,13 @@ def assemble_generator(b: GenericKernel, potential: Potential) -> OperatorMatrix
     Its invariant axes are the kernel's along which the potential samples
     are bit-equal as well.
     """
-    edge_sup = float(shift_denominator(b, potential).max())
+    b.grid.require_match(potential.grid)
     data = b.grid.weight * b.samples
     np.fill_diagonal(data, 0.0)
     np.fill_diagonal(data, potential.samples - serial_row_sums(data))
     v = potential.samples.reshape((b.grid.n,) * b.grid.dimension)
     axes = tuple(a for a in b.invariant_axes if np.array_equal(v, np.roll(v, 1, axis=a)))
-    return OperatorMatrix(data, b.grid, edge_sup=edge_sup, symmetric=b.symmetric, invariant_axes=axes)
+    return OperatorMatrix(data, b.grid, symmetric=b.symmetric, invariant_axes=axes)
 
 
 def shift_denominator(b: GenericKernel, potential: Potential) -> np.ndarray:

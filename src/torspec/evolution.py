@@ -104,7 +104,7 @@ def evolve(
     """Integrate du/dt = generator u and record norms at uniform output times.
 
     ``rk4`` takes fixed substeps of at most ``dt`` landing exactly on the
-    output times (default dt is 0.01 over the operator's essential edge)
+    output times (default dt is 0.01 over the largest -M_ii)
     and refuses, with NotConverged, a run of more than ``RK4_SUBSTEP_CAP``
     substeps.  Every interval has the same substep count, so the RK4 map
     of one interval is formed once as a matrix and applied once per
@@ -123,9 +123,10 @@ def evolve(
     if method not in ("rk4", "eigenexpansion"):
         raise ValueError(f"unknown method {method!r}")
     if dt is None:
-        if generator.edge_sup is None or generator.edge_sup <= 0:
-            raise ValueError("dt not given and the operator carries no essential edge")
-        dt = 0.01 / generator.edge_sup
+        stiffness = float(-np.diagonal(generator.data).min())
+        if stiffness <= 0:
+            raise ValueError("dt not given and the operator has no negative diagonal entry")
+        dt = 0.01 / stiffness
     if dt <= 0:
         raise ValueError("dt must be positive")
 

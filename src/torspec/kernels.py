@@ -478,23 +478,27 @@ def kernel_stats(b: GenericKernel, n_max: int = 16) -> KernelStats:
     if gamma1 <= 0:
         raise DegenerateKernel("kernel row integral vanishes somewhere")
 
-    quad = b.grid.weight * b.samples
-    power = quad
-    n_prim = 0
-    for k in range(1, max(1, n_max) + 1):
-        if np.all(power > 0):
-            n_prim = k
-            break
-        power = power @ quad
-    else:
-        raise NotPrimitive(f"no power up to {n_max} is entrywise positive at this resolution")
+    # rounding is monotone, so this is the least entry of h^d b bit for bit;
+    # h^d b itself is formed only when a higher power is needed
+    least = b.grid.weight * b.samples.min()
+    n_prim = 1
+    if not least > 0:
+        quad = b.grid.weight * b.samples
+        power = quad
+        for n_prim in range(2, max(1, n_max) + 1):
+            power = power @ quad
+            least = power.min()
+            if least > 0:
+                break
+        else:
+            raise NotPrimitive(f"no power up to {n_max} is entrywise positive at this resolution")
 
     return KernelStats(
         row_integral_min=gamma1,
         row_integral_max=float(rows.max()),
         col_integral_max=float(cols.max()),
         primitive_power=n_prim,
-        iterated_kernel_min=float(power.min() / b.grid.weight),
+        iterated_kernel_min=float(least / b.grid.weight),
     )
 
 

@@ -112,10 +112,12 @@ def max_eigenvalue_bisection(
     """Find the shift at which the ratio operator has unit spectral radius.
 
     The left bracket starts a small offset above the essential edge (where
-    the radius blows up) and the right bracket is zero shift (radius below
-    one for an eligible potential).  Illinois regula falsi on 1 - 1/radius,
-    which is affine in the shift when U + W is constant, shrinks the bracket
-    while keeping radius(lo) >= 1 > radius(hi), until it is at most
+    the radius blows up), halved until the shift is negative and then at
+    most ``BRACKET_HALVINGS`` more times until the radius exceeds one; the
+    right bracket is zero shift (radius below one for an eligible
+    potential).  Illinois regula falsi on 1 - 1/radius, which is affine in
+    the shift when U + W is constant, shrinks the bracket while keeping
+    radius(lo) >= 1 > radius(hi), until it is at most
     ``options.bisection_tol`` wide (or as narrow as floating point allows);
     a bisection step is forced whenever ``STALL_STEPS`` steps in a row fail
     to halve it.  Each radius comes from a matrix-free Perron solve
@@ -152,6 +154,8 @@ def max_eigenvalue_bisection(
             raise BracketFailure(f"radius at zero shift is {rho_hi!r}, expected below one")
 
         eps = 0.01 * (float(denom.max()) - alpha1 + 1.0)
+        while 0.0 < alpha1 <= eps:  # halvings to a negative shift use no try
+            eps *= 0.5
         for _ in range(BRACKET_HALVINGS + 1):
             candidate = -alpha1 + eps
             if candidate < 0.0:
@@ -221,11 +225,10 @@ class ShiftedPowerResult:
 def max_eigenvalue_shifted_power(
     generator: OperatorMatrix, options: AnalysisOptions = AnalysisOptions()
 ) -> ShiftedPowerResult:
-    """Shift the generator by its essential edge sup(W - V) plus one to make
-    it entrywise nonnegative, take its Perron root, and shift back."""
-    if generator.edge_sup is None:
-        raise ValueError("the operator carries no essential edge")
-    k = generator.edge_sup + 1.0
+    """Shift the generator by max(-M_ii) plus one, take the Perron root of
+    the shifted matrix, and shift back.  For a Metzler generator that is the
+    least shift making it entrywise nonnegative, plus a unit margin."""
+    k = float(-np.diagonal(generator.data).min()) + 1.0
     result = _perron(generator.shifted(k).data, options)
     return ShiftedPowerResult(result.rho - k, result)
 

@@ -122,7 +122,7 @@ def test_criterion_05_sign_location_and_adjoint_on_random_fixtures():
         ))
         worst_residual = max(worst_residual, residual)
         lam_direct = ts.max_eigenvalue_shifted_power(generator).lam
-        transposed = ts.OperatorMatrix(generator.data.T, grid, generator.edge_sup)
+        transposed = ts.OperatorMatrix(generator.data.T, grid)
         lam_adjoint = ts.max_eigenvalue_shifted_power(transposed).lam
         worst_adjoint_gap = max(worst_adjoint_gap, abs(lam_direct - lam_adjoint))
         worst_adjoint_gap = max(worst_adjoint_gap, abs(lam_direct - result.lam))

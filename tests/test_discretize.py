@@ -235,7 +235,11 @@ def test_grid_mismatch_rejected():
 def test_edge_sup_metadata():
     grid, kernel, potential = make_f2(n=16)
     gen = ts.assemble_generator(kernel, potential)
-    assert abs(gen.edge_sup - 2.0) < 1e-14
+    assert not hasattr(gen, "edge_sup")
+    edge_sup = float((kernel.w - potential.samples).max())
+    assert abs(edge_sup - 2.0) < 1e-14
+    # the diagonal carries the edge less the kernel's own sample h^d b(x, x)
+    assert float(-np.diagonal(gen.data).min()) == edge_sup - grid.weight * kernel.samples[0, 0]
 
 
 def test_grid_mismatch_reported_alike_wherever_kernel_meets_potential():

@@ -165,7 +165,7 @@ def test_evolve_input_validation():
         ts.evolve(gen, np.ones(16), t_max=1.0, method="verlet")
     bare = ts.OperatorMatrix(np.zeros((16, 16)), grid)
     with pytest.raises(ValueError):
-        ts.evolve(bare, np.ones(16), t_max=1.0)  # no edge metadata, no dt
+        ts.evolve(bare, np.ones(16), t_max=1.0)  # zero diagonal, no default dt
 
 
 def test_default_step_from_edge_metadata():

@@ -199,6 +199,21 @@ def test_kernel_stats_constant():
     assert stats.iterated_kernel_min == 1.0
 
 
+def test_kernel_stats_of_a_positive_kernel_builds_no_array_of_its_size():
+    grid = ts.TorusGrid(2, 24)
+    kernel = ts.convolution_kernel(ts.wind_kernel(ts.gaussian_kernel(2, 0.2), grid.n))
+    tracemalloc.start()
+    try:
+        stats = ts.kernel_stats(kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= kernel.samples.nbytes / grid.n  # one slab
+    quad = grid.weight * kernel.samples
+    assert stats.primitive_power == 1
+    assert stats.iterated_kernel_min == float(quad.min() / grid.weight)
+
+
 def test_kernel_stats_sine_kernel_row_integrals():
     n = 64
     grid = ts.TorusGrid(1, n)

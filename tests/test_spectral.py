@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import math
 import pkgutil
 from dataclasses import asdict
 
@@ -107,6 +108,16 @@ def test_root_find_stops_at_floating_point_resolution():
     assert abs(result.lam + 0.3) < 1e-12
 
 
+@pytest.mark.parametrize("depth", [1e8, 1e10, 1e12, 1e14])
+def test_root_find_brackets_deep_step_potentials(depth):
+    # rank-one kernel: half(1/a + 1/(a + D)) = 1 with a = lambda + 1, whose
+    # positive root is 2D / ((2D - 2) + sqrt((2D - 2)^2 + 8D)) without cancellation
+    grid = ts.TorusGrid(1, 16)
+    result = ts.max_eigenvalue_bisection(ts.constant_kernel(grid), ts.step_potential(grid, depth))
+    a = 2 * depth / ((2 * depth - 2) + math.sqrt((2 * depth - 2) ** 2 + 8 * depth))
+    assert abs(result.lam - (a - 1.0)) <= ts.AnalysisOptions().bisection_tol
+
+
 def test_bisection_zero_potential_modes():
     grid = ts.TorusGrid(1, 32)
     kernel = ts.constant_kernel(grid)
@@ -205,7 +216,7 @@ def test_analyze_adjoint_consistency():
         grid, kernel, potential = make(n=64)
         gen = ts.assemble_generator(kernel, potential)
         lam = ts.max_eigenvalue_shifted_power(gen).lam
-        lam_adj = ts.max_eigenvalue_shifted_power(ts.OperatorMatrix(gen.data.T, grid, gen.edge_sup)).lam
+        lam_adj = ts.max_eigenvalue_shifted_power(ts.OperatorMatrix(gen.data.T, grid)).lam
         assert abs(lam - lam_adj) < 1e-8
 
 
@@ -320,9 +331,32 @@ def test_evolve_estimate_takes_the_analysis_options(tmp_path):
 
 
 def test_shifted_power_and_evolve_refuse_an_operator_without_its_edge():
-    grid, kernel, potential = make_f1(n=16)
-    bare = ts.OperatorMatrix(ts.assemble_generator(kernel, potential).data, grid)
-    with pytest.raises(ValueError, match="the operator carries no essential edge"):
-        ts.max_eigenvalue_shifted_power(bare)
-    with pytest.raises(ValueError, match="the operator carries no essential edge"):
-        ts.evolve(bare, np.ones(grid.size), 1.0)
+    # a zero diagonal gives no stiffness to take the default step from; the
+    # shifted power needs none and returns the zero matrix's eigenvalue
+    grid = ts.TorusGrid(1, 16)
+    flat = ts.OperatorMatrix(np.zeros((grid.size, grid.size)), grid)
+    with pytest.raises(ValueError, match="no negative diagonal entry"):
+        ts.evolve(flat, np.ones(grid.size), 1.0)
+    assert np.all(ts.evolve(flat, np.ones(grid.size), 1.0, dt=0.1).sup_norms == 1.0)
+    assert ts.max_eigenvalue_shifted_power(flat).lam == 0.0
+
+
+def test_a_bare_matrix_gives_the_shifted_power_and_default_step_of_the_generator():
+    grid, kernel, potential = make_f4(n=32)
+    generator = ts.assemble_generator(kernel, potential)
+    bare = ts.OperatorMatrix(generator.data, grid)
+    shifted, bare_shifted = (ts.max_eigenvalue_shifted_power(m) for m in (generator, bare))
+    assert bare_shifted.lam == shifted.lam
+    assert bare_shifted.perron.iterations == shifted.perron.iterations
+    assert np.array_equal(bare_shifted.perron.vector, shifted.perron.vector)
+    u0 = np.linspace(0.5, 1.5, grid.size)
+    trace, bare_trace = (ts.evolve(m, u0, t_max=2.0) for m in (generator, bare))
+    for name in ("times", "l2_norms", "sup_norms", "masses"):
+        assert np.array_equal(getattr(bare_trace, name), getattr(trace, name))
+    assert bare_trace.rk4_step_min == trace.rk4_step_min
+    assert bare_trace.decay_rate_fit == trace.decay_rate_fit
+
+    transposed = ts.OperatorMatrix(generator.data.T, grid)
+    assert not np.array_equal(transposed.data, generator.data)
+    assert abs(ts.max_eigenvalue_shifted_power(transposed).lam - shifted.lam) <= ts.AnalysisOptions().cross_tol
+    assert ts.evolve(transposed, u0, t_max=2.0).rk4_step_min > 0

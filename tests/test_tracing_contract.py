@@ -1,9 +1,9 @@
 """The benchmark's traced run still finds every torspec layer it wraps.
 
 ``perfbench/tracing.py`` wraps functions and methods by name; a refactor that
-renames or removes one of them breaks ``perfbench/run.py --trace 1``.  The
-check runs in a fresh interpreter, so the wrapping does not leak into the
-other tests.
+renames or removes one of them, or stops calling it, breaks
+``perfbench/run.py --trace 1`` or its ``--self-test``.  The checks run in a
+fresh interpreter, so the wrapping does not leak into the other tests.
 """
 
 import os
@@ -35,12 +35,47 @@ if stale:
     sys.exit(f"per-layer metrics that name no torspec layer: {stale}")
 """
 
+# every smoke command of every workload, traced as the benchmark's worker
+# traces it; a per-layer metric they all leave at 0 names a layer no longer called
+CALLED = """
+import sys
+import tempfile
 
-def test_perfbench_tracer_installs_and_names_live_layers():
+from tracing import PER_LAYER, Recorder, layer_metrics
+from workloads import WORKLOADS, build_plan
+from torspec import cli
+
+recorder = Recorder()
+recorder.install()
+with tempfile.TemporaryDirectory() as work_dir:
+    for workload in WORKLOADS:
+        for command in build_plan(workload, 1, f"{work_dir}/{workload}", smoke=True):
+            recorder.command = f"{workload}:{command['id']}"
+            argv = [arg.replace("{pass}", "0") for arg in command["argv"]]
+            code = recorder.span(f"command.{command['kind']}", cli.main)(argv)
+            if code != 0:
+                sys.exit(f"{argv[:3]} exited {code}")
+metrics = layer_metrics(recorder.dump())
+idle = [m for m in PER_LAYER if m != "trace.overhead_s" and not metrics.get(m)]
+if idle:
+    sys.exit(f"per-layer metrics that no smoke command sets: {idle}")
+"""
+
+
+def _run(script):
     env = dict(os.environ)
     paths = [str(REPO_ROOT / "perfbench"), str(REPO_ROOT / "src"), env.get("PYTHONPATH")]
     env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
-    proc = subprocess.run(
-        [sys.executable, "-c", CHECK], env=env, capture_output=True, text=True, timeout=120
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def test_perfbench_tracer_installs_and_names_live_layers():
+    proc = _run(CHECK)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_smoke_workloads_call_every_traced_layer():
+    proc = _run(CALLED)
     assert proc.returncode == 0, proc.stderr
