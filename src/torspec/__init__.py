@@ -40,7 +40,6 @@ from .grid import TorusGrid
 from .kernels import (
     ContinuousKernel,
     GenericKernel,
-    KernelStats,
     Potential,
     PotentialDiagnostics,
     WoundKernel,
@@ -82,10 +81,9 @@ from .spectral import (
     max_eigenvalue_bisection,
     max_eigenvalue_shifted_power,
 )
-from .gapbound import GapBound, GapVerdict, gap_constants, verify_gap
+from .gapbound import gap_constants, verify_gap
 from .evolution import (
     EvolutionTrace,
-    ExtinctionSummary,
     check_extinction,
     evolve,
     fit_decay_rate,

@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .evolution import check_extinction, evolve
-from .gapbound import GapBound, gap_constants, verify_gap
+from .gapbound import gap_constants, verify_gap
 from .jsonio import dump, write_trace_csv
 from .kernels import GenericKernel, Potential, WoundKernel, kernel_stats
 from .spectral import SpectrumReport, analyze, max_eigenvalue_shifted_power
@@ -48,9 +48,9 @@ def _prepare(config: RunConfig) -> _Model:
     return _Model(wound, kernel, config.build_potential(grid))
 
 
-def _gap_section(bound: GapBound, report: SpectrumReport) -> dict:
+def _gap_section(bound: dict, report: SpectrumReport) -> dict:
     """Gap constants merged with the verdict on the report's eigenvalue."""
-    return {**bound.as_dict(), **verify_gap(report, bound).as_dict()}
+    return {**bound, **verify_gap(report, bound)}
 
 
 def _run_analyze(config: RunConfig, model: _Model, out_dir: str) -> tuple[dict, int]:
@@ -88,7 +88,7 @@ def _run_evolve(config: RunConfig, model: _Model, out_dir: str) -> tuple[dict, i
     estimate = max_eigenvalue_shifted_power(generator, config.analysis)
     t_max = config.evolution.t_max
     if t_max is None:
-        t_max = 40.0 / abs(estimate.lam) if abs(estimate.lam) > 1e-12 else 40.0
+        t_max = 40.0 / abs(estimate.rho) if abs(estimate.rho) > 1e-12 else 40.0
     trace = evolve(
         generator,
         np.ones(generator.grid.size),
@@ -102,12 +102,12 @@ def _run_evolve(config: RunConfig, model: _Model, out_dir: str) -> tuple[dict, i
     document = {
         "t_max": t_max,
         "method": config.evolution.method,
-        "lambda_estimate": estimate.lam,
+        "lambda_estimate": estimate.rho,
         "decay_rate_fit": trace.decay_rate_fit,
         "fit_window": list(trace.fit_window),
         "min_value_seen": trace.min_value_seen,
         "rk4_step_min": trace.rk4_step_min,
-        "extinction": check_extinction(trace).as_dict(),
+        "extinction": check_extinction(trace),
     }
     return document, 0 if model.potential.diagnostics.eligible else 2
 
@@ -118,7 +118,7 @@ def _run_check_kernel(config: RunConfig, model: _Model, out_dir: str) -> tuple[d
     error_section = None
     code = 0
     try:
-        stats_section = kernel_stats(model.kernel, config.analysis.primitivity_max_power).as_dict()
+        stats_section = kernel_stats(model.kernel, config.analysis.primitivity_max_power)
     except HYPOTHESIS_ERRORS as exc:
         error_section = {"error": type(exc).__name__, "message": str(exc)}
         code = 2

@@ -38,7 +38,9 @@ class PerronResult:
     """Dominant eigenpair of a nonnegative matrix with a certificate.
 
     The Collatz-Wielandt bounds sandwich the spectral radius; their gap at
-    convergence is at most the requested tolerance.
+    convergence is at most the requested tolerance.  For a Metzler
+    generator, ``max_eigenvalue_shifted_power`` returns ``rho`` and both
+    bounds shifted back onto the generator itself.
     """
 
     rho: float

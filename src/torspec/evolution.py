@@ -7,12 +7,12 @@ unit L2 norm and unit mass regardless of resolution.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .discretize import OperatorMatrix
-from .errors import DimensionMismatch, NotConverged, QRNotConverged, Unstable, ZeroNorm
+from .errors import DegenerateKernel, DimensionMismatch, NotConverged, QRNotConverged, Unstable, ZeroNorm
 
 DEFAULT_SNAPSHOTS = 200
 GROWTH_GUARD = 10.0
@@ -104,8 +104,8 @@ def evolve(
     """Integrate du/dt = generator u and record norms at uniform output times.
 
     ``rk4`` takes fixed substeps of at most ``dt`` landing exactly on the
-    output times (default dt is 0.01 over the largest -M_ii)
-    and refuses, with NotConverged, a run of more than ``RK4_SUBSTEP_CAP``
+    output times (default dt is 0.01 over the largest -M_ii, and
+    DegenerateKernel when no M_ii is negative) and refuses, with NotConverged, a run of more than ``RK4_SUBSTEP_CAP``
     substeps.  Every interval has the same substep count, so the RK4 map
     of one interval is formed once as a matrix and applied once per
     snapshot.  ``eigenexpansion`` diagonalizes once and reconstructs
@@ -124,8 +124,8 @@ def evolve(
         raise ValueError(f"unknown method {method!r}")
     if dt is None:
         stiffness = float(-np.diagonal(generator.data).min())
-        if stiffness <= 0:
-            raise ValueError("dt not given and the operator has no negative diagonal entry")
+        if stiffness <= 0:  # a Metzler generator with no negative M_ii is zero
+            raise DegenerateKernel("dt not given and the operator has no negative diagonal entry")
         dt = 0.01 / stiffness
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -199,21 +199,11 @@ def fit_decay_rate(trace: EvolutionTrace, window: tuple[float, float]) -> float:
     return _log_slope(trace.times, trace.l2_norms, window)
 
 
-@dataclass(frozen=True)
-class ExtinctionSummary:
-    """Whether the trajectory died out, with the supporting numbers."""
+def check_extinction(trace: EvolutionTrace) -> dict:
+    """Whether the trajectory died out (``extinct``), with the supporting
+    ``ratio``, ``monotone_from`` and ``threshold``.
 
-    extinct: bool
-    ratio: float
-    monotone_from: float
-    threshold: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-def check_extinction(trace: EvolutionTrace) -> ExtinctionSummary:
-    """Extinct when the norms are eventually non-increasing and the final
+    Extinct when the norms are eventually non-increasing and the final
     norm has dropped below ``EXTINCTION_THRESHOLD`` times the initial one."""
     l2 = trace.l2_norms
     decreasing = l2[1:] <= l2[:-1] * (1.0 + 1e-12)
@@ -225,9 +215,9 @@ def check_extinction(trace: EvolutionTrace) -> ExtinctionSummary:
             break
     monotone_tail = onset < len(l2) - 1
     ratio = float(l2[-1] / l2[0]) if l2[0] > 0 else math.inf
-    return ExtinctionSummary(
-        extinct=bool(monotone_tail and ratio < EXTINCTION_THRESHOLD),
-        ratio=ratio,
-        monotone_from=float(trace.times[onset]),
-        threshold=EXTINCTION_THRESHOLD,
-    )
+    return {
+        "extinct": bool(monotone_tail and ratio < EXTINCTION_THRESHOLD),
+        "ratio": ratio,
+        "monotone_from": float(trace.times[onset]),
+        "threshold": EXTINCTION_THRESHOLD,
+    }

@@ -11,8 +11,6 @@ applies only to convolution kernels of unit mass.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
 import numpy as np
 
 from .discretize import fourier_symbol
@@ -24,22 +22,9 @@ MASS_TOL = 1e-8
 GAP_SLACK = 1e-9  # solver slack the verdict allows on lambda <= -kappa
 
 
-@dataclass(frozen=True)
-class GapBound:
-    """Constants of the explicit spectral-gap bound."""
-
-    c1: float
-    norm_v2: float
-    gamma0: float
-    c2: float
-    kappa: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-def gap_constants(potential: Potential, wound: WoundKernel) -> GapBound:
-    """Evaluate the bound constants by grid quadrature and the kernel symbol.
+def gap_constants(potential: Potential, wound: WoundKernel) -> dict:
+    """The bound constants ``c1``, ``norm_v2``, ``gamma0``, ``c2`` and
+    ``kappa``, by grid quadrature and the kernel symbol.
 
     Requires a unit-mass kernel and a potential that is strictly negative
     somewhere (otherwise c1 vanishes and the bound is void).
@@ -61,36 +46,18 @@ def gap_constants(potential: Potential, wound: WoundKernel) -> GapBound:
     c1 = diag.norm_l1
     gamma0 = (2.0 / 9.0) * c1 / diag.norm_l2
     kappa = min(c2 * gamma0**2, 0.5 * c1)
-    return GapBound(c1=c1, norm_v2=diag.norm_l2, gamma0=gamma0, c2=c2, kappa=kappa)
+    return {"c1": c1, "norm_v2": diag.norm_l2, "gamma0": gamma0, "c2": c2, "kappa": kappa}
 
 
-@dataclass(frozen=True)
-class GapVerdict:
-    """Outcome of checking the computed maximum eigenvalue against the bound."""
-
-    passed: bool
-    margin: float
-    lam: float
-    kappa: float
-    slack: float
-
-    def as_dict(self) -> dict:
-        return {
-            "verdict": "pass" if self.passed else "fail",
-            "margin": self.margin,
-            "lambda": self.lam,
-            "kappa": self.kappa,
-            "slack": self.slack,
-        }
-
-
-def verify_gap(report: SpectrumReport, bound: GapBound) -> GapVerdict:
-    """Check lambda <= -kappa up to ``GAP_SLACK``; the margin is lambda + kappa."""
+def verify_gap(report: SpectrumReport, bound: dict) -> dict:
+    """Check lambda <= -kappa up to ``GAP_SLACK``: the ``verdict`` ("pass" or
+    "fail"), the ``margin`` lambda + kappa, ``lambda``, ``kappa`` and ``slack``."""
     lam = report.max_eigenvalue
-    return GapVerdict(
-        passed=bool(lam <= -bound.kappa + GAP_SLACK),
-        margin=float(lam + bound.kappa),
-        lam=float(lam),
-        kappa=float(bound.kappa),
-        slack=GAP_SLACK,
-    )
+    kappa = bound["kappa"]
+    return {
+        "verdict": "pass" if lam <= -kappa + GAP_SLACK else "fail",
+        "margin": float(lam + kappa),
+        "lambda": float(lam),
+        "kappa": float(kappa),
+        "slack": GAP_SLACK,
+    }

@@ -447,28 +447,13 @@ def jump_rate(b: GenericKernel) -> np.ndarray:
     return np.broadcast_to(serial_row_sums(slab, b.grid.weight), shape).ravel()
 
 
-@dataclass(frozen=True)
-class KernelStats:
-    """Row/column integral bounds and the primitivity certificate.
+def kernel_stats(b: GenericKernel, n_max: int = 16) -> dict:
+    """Row/column integral bounds (``row_integral_min``, ``row_integral_max``,
+    ``col_integral_max``) and the primitivity certificate.
 
     ``primitive_power`` is the smallest k for which the k-th power of the
     quadrature matrix h^d b is entrywise positive; ``iterated_kernel_min``
     is the minimum of that power rescaled back to kernel normalization.
-    """
-
-    row_integral_min: float
-    row_integral_max: float
-    col_integral_max: float
-    primitive_power: int
-    iterated_kernel_min: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-def kernel_stats(b: GenericKernel, n_max: int = 16) -> KernelStats:
-    """Integral bounds, primitivity power, and iterated-kernel floor.
-
     Raises DegenerateKernel when some row integral vanishes, NotPrimitive
     when no power up to ``n_max`` is entrywise positive at this resolution.
     """
@@ -493,13 +478,13 @@ def kernel_stats(b: GenericKernel, n_max: int = 16) -> KernelStats:
         else:
             raise NotPrimitive(f"no power up to {n_max} is entrywise positive at this resolution")
 
-    return KernelStats(
-        row_integral_min=gamma1,
-        row_integral_max=float(rows.max()),
-        col_integral_max=float(cols.max()),
-        primitive_power=n_prim,
-        iterated_kernel_min=float(least / b.grid.weight),
-    )
+    return {
+        "row_integral_min": gamma1,
+        "row_integral_max": float(rows.max()),
+        "col_integral_max": float(cols.max()),
+        "primitive_power": n_prim,
+        "iterated_kernel_min": float(least / b.grid.weight),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -213,24 +213,17 @@ def max_eigenvalue_bisection(
     )
 
 
-@dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
-class ShiftedPowerResult:
-    """Maximum eigenvalue via Perron iteration on the positively shifted generator;
-    the ground state is ``perron.vector``."""
-
-    lam: float
-    perron: PerronResult
-
-
 def max_eigenvalue_shifted_power(
     generator: OperatorMatrix, options: AnalysisOptions = AnalysisOptions()
-) -> ShiftedPowerResult:
+) -> PerronResult:
     """Shift the generator by max(-M_ii) plus one, take the Perron root of
     the shifted matrix, and shift back.  For a Metzler generator that is the
-    least shift making it entrywise nonnegative, plus a unit margin."""
+    least shift making it entrywise nonnegative, plus a unit margin.  The
+    result is the generator's own: ``rho`` is its maximum eigenvalue and
+    the Collatz-Wielandt bounds bracket it."""
     k = float(-np.diagonal(generator.data).min()) + 1.0
-    result = _perron(generator.shifted(k).data, options)
-    return ShiftedPowerResult(result.rho - k, result)
+    r = _perron(generator.shifted(k).data, options)
+    return PerronResult(r.rho - k, r.vector, r.cw_lower - k, r.cw_upper - k, r.iterations)
 
 
 @dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
@@ -296,7 +289,7 @@ def analyze(
 
     lambda_by_method = {
         "direct_qr": lam_qr,
-        "perron_shift": shifted.lam,
+        "perron_shift": shifted.rho,
         "q_bisection": bisected.lam,
     }
     spread = max(lambda_by_method.values()) - min(lambda_by_method.values())
@@ -336,12 +329,12 @@ def analyze(
             "diagonal_defect": generator.diagonal_defect,
         },
         "classification_tolerance": tol_ess,
-        "perron_shift_iterations": shifted.perron.iterations,
+        "perron_shift_iterations": shifted.iterations,
         "bisection_iterations": bisected.iterations,
         "ratio_perron_iterations": bisected.perron_iterations,
         "bisection_bracket": [bisected.bracket[0], bisected.bracket[1]],
         "radius_at_lambda": bisected.radius_at_lambda,
-        "kernel_stats": stats.as_dict(),
+        "kernel_stats": stats,
         "potential": potential.diagnostics.as_dict(),
     }
     return SpectrumReport(

@@ -69,16 +69,16 @@ def test_criterion_03_gap_bound_two_level_fixture():
     bound = ts.gap_constants(potential, wound)
     verdict = ts.verify_gap(report, bound)
     ok = (
-        abs(bound.kappa - 0.0246914) <= 1e-6
-        and bound.c1 == 0.5
-        and abs(bound.norm_v2 - math.sqrt(0.5)) <= 1e-12
-        and abs(bound.gamma0 - 0.157135) <= 1e-6
-        and abs(bound.c2 - 1.0) <= 1e-12
-        and verdict.passed
-        and abs(verdict.margin - (-0.268)) <= 1e-3
+        abs(bound["kappa"] - 0.0246914) <= 1e-6
+        and bound["c1"] == 0.5
+        and abs(bound["norm_v2"] - math.sqrt(0.5)) <= 1e-12
+        and abs(bound["gamma0"] - 0.157135) <= 1e-6
+        and abs(bound["c2"] - 1.0) <= 1e-12
+        and verdict["verdict"] == "pass"
+        and abs(verdict["margin"] - (-0.268)) <= 1e-3
     )
-    _verdict(3, ok, f"kappa {bound.kappa!r}, margin {verdict.margin!r}, verdict "
-                    f"{'pass' if verdict.passed else 'fail'}")
+    _verdict(3, ok, f"kappa {bound['kappa']!r}, margin {verdict['margin']!r}, verdict "
+                    f"{verdict['verdict']}")
 
 
 def test_criterion_04_radius_scan_monotone_on_random_fixtures():
@@ -121,9 +121,9 @@ def test_criterion_05_sign_location_and_adjoint_on_random_fixtures():
             generator.matvec(result.ground_state) - result.lam * result.ground_state
         ))
         worst_residual = max(worst_residual, residual)
-        lam_direct = ts.max_eigenvalue_shifted_power(generator).lam
+        lam_direct = ts.max_eigenvalue_shifted_power(generator).rho
         transposed = ts.OperatorMatrix(generator.data.T, grid)
-        lam_adjoint = ts.max_eigenvalue_shifted_power(transposed).lam
+        lam_adjoint = ts.max_eigenvalue_shifted_power(transposed).rho
         worst_adjoint_gap = max(worst_adjoint_gap, abs(lam_direct - lam_adjoint))
         worst_adjoint_gap = max(worst_adjoint_gap, abs(lam_direct - result.lam))
     ok = located and positive and worst_residual <= 1e-8 and worst_adjoint_gap <= 1e-8
@@ -138,7 +138,7 @@ def test_criterion_06_schur_bound_all_fixtures():
     for grid, kernel, _ in cases:
         stats = ts.kernel_stats(kernel)
         norm = np.linalg.norm(grid.weight * kernel.samples, 2)
-        bound = math.sqrt(stats.row_integral_max * stats.col_integral_max)
+        bound = math.sqrt(stats["row_integral_max"] * stats["col_integral_max"])
         worst_ratio = max(worst_ratio, norm / bound)
     ok = worst_ratio <= 1.0 + 1e-8
     _verdict(6, ok, f"{len(cases)} kernels, worst norm/bound ratio {worst_ratio:.12f}")

@@ -88,7 +88,6 @@ def _records():
         "SpectrumReport": ts.analyze(kernel, potential),
         "EssentialSpectrum": ts.essential_spectrum(kernel, potential),
         "BisectionResult": ts.max_eigenvalue_bisection(kernel, potential),
-        "ShiftedPowerResult": ts.max_eigenvalue_shifted_power(generator),
         "EvolutionTrace": ts.evolve(generator, np.ones(grid.size), 1.0, snapshots=4),
     }
 

@@ -549,6 +549,30 @@ def test_commands_agree_on_shared_sections(tmp_path):
         assert report["gap_bound"][key] == bound["gap_bound"][key]
 
 
+KERNEL_STATS_KEYS = ["row_integral_min", "row_integral_max", "col_integral_max",
+                     "primitive_power", "iterated_kernel_min"]
+POTENTIAL_KEYS = ["max_sample", "fraction_negative", "norm_l1", "norm_l2", "eligible"]
+GAP_BOUND_KEYS = ["c1", "norm_v2", "gamma0", "c2", "kappa", "verdict", "margin"]
+
+
+@pytest.mark.parametrize("fixture", ["f1", "f2", "f3", "f4"])
+def test_report_sections_keep_their_key_order(fixture, tmp_path):
+    """The keys of each computed section, in the order the reports write them."""
+    config = ts.load_config(str(FIXTURE_DIR / f"{fixture}.json"))
+    for command in ("analyze", "bound", "evolve", "check-kernel"):
+        assert run_command(command, config, str(tmp_path)) == 0
+    report, bound, evolution, check = (
+        json.loads((tmp_path / name).read_text())
+        for name in ("report.json", "gap_bound.json", "evolution.json", "kernel_check.json")
+    )
+    for document in (report["diagnostics"], check):
+        assert list(document["kernel_stats"]) == KERNEL_STATS_KEYS
+        assert list(document["potential"]) == POTENTIAL_KEYS
+    assert list(report["gap_bound"]) == GAP_BOUND_KEYS
+    assert list(bound["gap_bound"]) == GAP_BOUND_KEYS + ["lambda", "slack"]
+    assert list(evolution["extinction"]) == ["extinct", "ratio", "monotone_from", "threshold"]
+
+
 # -- negative seed, oversized integer literal, root-find diagnostics ---------
 
 
@@ -769,6 +793,23 @@ def test_cli_evolve_overflow_keeps_its_typed_error(evolution, error, tmp_path, c
     raw = minimal_config(grid_n=16, potential={"family": "constant", "depth": 0.3}, evolution=evolution)
     diagnostic = _exit_three("evolve", raw, tmp_path, capsys)
     assert diagnostic["error"] == error
+
+
+def test_cli_evolve_on_a_zero_generator_is_degenerate_kernel(tmp_path, capsys):
+    # all mass on the diagonal and no potential: M = 0 has no step to default to
+    n = 4
+    rows = [f"{i / n},{j / n},{1.0 if i == j else 0.0}" for i in range(n) for j in range(n)]
+    (tmp_path / "kernel.csv").write_text("\n".join(["x,y,value", *rows]) + "\n")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(minimal_config(
+        grid_n=n, kernel={"family": "csv", "path": "kernel.csv"}, potential={"family": "zero"},
+    )))
+    assert main(["evolve", "--config", str(path), "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    diagnostic = _single_diagnostic(err)
+    assert diagnostic["error"] == "DegenerateKernel"
+    assert diagnostic["exit_code"] == 2
+    assert out == "" and not (tmp_path / "trace.csv").exists()
 
 
 def test_cli_check_kernel_takes_a_potential_deeper_than_the_square_root_of_the_float_range(tmp_path, capsys):

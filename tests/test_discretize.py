@@ -158,7 +158,7 @@ def test_fourier_symbol_constant():
     assert abs(symbol[0] - 1.0) == 0.0
     for k in range(1, 8):
         assert abs(symbol[k]) < 1e-15
-    assert 1.0 - ts.gap_constants(ts.constant_potential(grid, 0.3), wound).c2 < 1e-15
+    assert 1.0 - ts.gap_constants(ts.constant_potential(grid, 0.3), wound)["c2"] < 1e-15
 
 
 def test_fourier_symbol_sine_modes():
@@ -168,7 +168,7 @@ def test_fourier_symbol_sine_modes():
     # analytic expansion: the sine contributes -+ i/4 at the first modes
     assert abs(symbol[1] - (-0.25j)) < 1e-14
     assert abs(symbol[-1] - (0.25j)) < 1e-14
-    assert abs((1.0 - ts.gap_constants(ts.constant_potential(grid, 0.3), wound).c2) - 0.25) < 1e-14
+    assert abs((1.0 - ts.gap_constants(ts.constant_potential(grid, 0.3), wound)["c2"]) - 0.25) < 1e-14
     for k in (2, 3, 5, 11):
         assert abs(symbol[k]) < 1e-14
 

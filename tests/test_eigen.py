@@ -280,7 +280,7 @@ def test_operator_norm_schur_bound_sine_kernel():
     kernel = ts.convolution_kernel(sine_wound(grid))
     stats = ts.kernel_stats(kernel)
     norm = np.linalg.norm(grid.weight * kernel.samples, 2)
-    bound = np.sqrt(stats.row_integral_max * stats.col_integral_max)
+    bound = np.sqrt(stats["row_integral_max"] * stats["col_integral_max"])
     assert norm <= bound * (1 + 1e-8)
 
 

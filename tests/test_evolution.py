@@ -128,21 +128,21 @@ def test_extinction_verdicts():
     gen = ts.assemble_generator(kernel, potential)
     trace = ts.evolve(gen, np.ones(grid.size), t_max=40.0 / 0.3, method="eigenexpansion")
     summary = ts.check_extinction(trace)
-    assert summary.extinct
-    assert summary.ratio < 1e-3
+    assert summary["extinct"]
+    assert summary["ratio"] < 1e-3
 
     grid2, kernel2, potential2 = make_f2(n=128)
     gen2 = ts.assemble_generator(kernel2, potential2)
     lam = two_level_eigenvalue_oracle((-0.999, -1e-6))
     trace2 = ts.evolve(gen2, np.ones(grid2.size), t_max=40.0 / abs(lam),
                        method="eigenexpansion")
-    assert ts.check_extinction(trace2).extinct
+    assert ts.check_extinction(trace2)["extinct"]
 
     conservative = ts.assemble_generator(kernel, ts.zero_potential(grid))
     flat = ts.evolve(conservative, np.ones(grid.size), t_max=10.0)
     summary_flat = ts.check_extinction(flat)
-    assert not summary_flat.extinct
-    assert abs(summary_flat.ratio - 1.0) < 1e-9
+    assert not summary_flat["extinct"]
+    assert abs(summary_flat["ratio"] - 1.0) < 1e-9
 
 
 def test_unstable_step_size_detected():
@@ -164,7 +164,7 @@ def test_evolve_input_validation():
     with pytest.raises(ValueError):
         ts.evolve(gen, np.ones(16), t_max=1.0, method="verlet")
     bare = ts.OperatorMatrix(np.zeros((16, 16)), grid)
-    with pytest.raises(ValueError):
+    with pytest.raises(ts.DegenerateKernel):
         ts.evolve(bare, np.ones(16), t_max=1.0)  # zero diagonal, no default dt
 
 

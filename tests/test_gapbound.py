@@ -19,26 +19,26 @@ def unit_wound(grid):
 def test_constants_two_level_fixture():
     grid, _, potential = make_f2()
     bound = ts.gap_constants(potential, unit_wound(grid))
-    assert bound.c1 == 0.5
-    assert bound.norm_v2 == math.sqrt(0.5)
-    assert abs(bound.gamma0 - 0.157135) < 1e-6
-    assert abs(bound.c2 - 1.0) < 1e-12
-    assert abs(bound.kappa - 2.0 / 81.0) < 1e-12
+    assert bound["c1"] == 0.5
+    assert bound["norm_v2"] == math.sqrt(0.5)
+    assert abs(bound["gamma0"] - 0.157135) < 1e-6
+    assert abs(bound["c2"] - 1.0) < 1e-12
+    assert abs(bound["kappa"] - 2.0 / 81.0) < 1e-12
 
 
 def test_constants_constant_potential():
     grid = ts.TorusGrid(1, 64)
     bound = ts.gap_constants(ts.constant_potential(grid, 0.3), unit_wound(grid))
-    assert abs(bound.c1 - 0.3) < 1e-15
-    assert abs(bound.gamma0 - 2.0 / 9.0) < 1e-14
-    assert abs(bound.kappa - (2.0 / 9.0) ** 2) < 1e-14  # the quadratic branch wins
+    assert abs(bound["c1"] - 0.3) < 1e-15
+    assert abs(bound["gamma0"] - 2.0 / 9.0) < 1e-14
+    assert abs(bound["kappa"] - (2.0 / 9.0) ** 2) < 1e-14  # the quadratic branch wins
 
 
 def test_constants_sine_kernel_contraction():
     grid = ts.TorusGrid(1, 128)
     bound = ts.gap_constants(ts.constant_potential(grid, 0.3), sine_wound(grid))
-    assert abs(bound.c2 - 0.75) < 1e-12
-    assert abs(bound.kappa - 0.75 * (2.0 / 9.0) ** 2) < 1e-12
+    assert abs(bound["c2"] - 0.75) < 1e-12
+    assert abs(bound["kappa"] - 0.75 * (2.0 / 9.0) ** 2) < 1e-12
 
 
 def test_potential_scaling_identities():
@@ -48,17 +48,17 @@ def test_potential_scaling_identities():
     for t in (0.25, 0.5, 0.75, 1.0):
         scaled = ts.Potential(ts.TorusGrid(1, 64), t * potential.samples)
         bound = ts.gap_constants(scaled, wound)
-        assert abs(bound.c1 - t * reference.c1) < 1e-14
-        assert abs(bound.norm_v2 - t * reference.norm_v2) < 1e-14
-        assert abs(bound.gamma0 - reference.gamma0) < 1e-13  # scale invariant
-        assert abs(bound.kappa - min(bound.c2 * bound.gamma0**2, 0.5 * t * reference.c1)) < 1e-15
+        assert abs(bound["c1"] - t * reference["c1"]) < 1e-14
+        assert abs(bound["norm_v2"] - t * reference["norm_v2"]) < 1e-14
+        assert abs(bound["gamma0"] - reference["gamma0"]) < 1e-13  # scale invariant
+        assert abs(bound["kappa"] - min(bound["c2"] * bound["gamma0"]**2, 0.5 * t * reference["c1"])) < 1e-15
 
 
 def test_contraction_matches_circulant_second_modulus():
     grid = ts.TorusGrid(1, 64)
     potential = ts.constant_potential(grid, 0.3)
     for wound in (sine_wound(grid), random_convolution_fixture(3, n=64)[1]):
-        bound_c2 = ts.gap_constants(potential, wound).c2
+        bound_c2 = ts.gap_constants(potential, wound)["c2"]
         b_part = grid.weight * ts.convolution_kernel(wound).samples
         moduli = np.sort(np.abs(np.linalg.eigvals(b_part)))[::-1]
         assert abs(bound_c2 - (1.0 - moduli[1])) < 1e-10
@@ -92,10 +92,10 @@ def test_verdicts_including_adversarial_report():
     report = ts.analyze(kernel, potential)
     bound = ts.gap_constants(potential, unit_wound(grid))
     verdict = ts.verify_gap(report, bound)
-    assert verdict.passed
-    assert abs(verdict.margin - (report.max_eigenvalue + bound.kappa)) < 1e-15
+    assert verdict["verdict"] == "pass"
+    assert abs(verdict["margin"] - (report.max_eigenvalue + bound["kappa"])) < 1e-15
     forged = dataclasses.replace(report, max_eigenvalue=-0.01)
-    assert not ts.verify_gap(forged, bound).passed
+    assert ts.verify_gap(forged, bound)["verdict"] == "fail"
 
 
 def test_gap_bound_holds_on_random_convolution_fixtures():
@@ -105,7 +105,7 @@ def test_gap_bound_holds_on_random_convolution_fixtures():
         report = ts.analyze(kernel, potential)
         bound = ts.gap_constants(potential, wound)
         verdict = ts.verify_gap(report, bound)
-        assert verdict.passed, f"seed {seed}: margin {verdict.margin}"
+        assert verdict["verdict"] == "pass", f"seed {seed}: margin {verdict['margin']}"
 
 
 def unit_mass(grid, samples):
@@ -118,10 +118,10 @@ def test_nyquist_mode_enters_the_contraction():
     wound = unit_mass(grid, np.where(np.arange(8) % 2 == 0, 1.0, 0.01))
     potential = ts.Potential(grid, np.where(np.isin(np.arange(8), (0, 2)), -1.0, 0.0))
     bound = ts.gap_constants(potential, wound)
-    assert abs(bound.c2 - 0.02 / 1.01) < 1e-12  # 1 - |a_4| = 1 - 0.99/1.01
+    assert abs(bound["c2"] - 0.02 / 1.01) < 1e-12  # 1 - |a_4| = 1 - 0.99/1.01
     report = ts.analyze(ts.convolution_kernel(wound), potential)
     verdict = ts.verify_gap(report, bound)
-    assert verdict.passed, f"margin {verdict.margin}"
+    assert verdict["verdict"] == "pass", f"margin {verdict['margin']}"
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -147,4 +147,4 @@ def test_gap_bound_holds_for_random_unit_mass_wounds(shape, damp_odd, depth, see
     except ts.TorspecError:
         return
     verdict = ts.verify_gap(report, bound)
-    assert verdict.passed, f"margin {verdict.margin}"
+    assert verdict["verdict"] == "pass", f"margin {verdict['margin']}"

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torspec as ts
+from torspec.eigen import ROUNDING_ULPS
 from conftest import random_convolution_fixture, random_fixture
 
 CROSS_TOL = ts.AnalysisOptions().cross_tol
@@ -76,3 +77,17 @@ def test_perron_warm_start_from_its_own_vector_stops_at_once(model):
     warm = ts.perron(q.data, tol=POWER_TOL, start=cold.vector)
     assert warm.iterations == 1
     assert abs(warm.rho - cold.rho) <= POWER_TOL
+
+
+@PROPERTY
+@given(models)
+def test_shifted_power_brackets_the_dense_eigenvalue(model):
+    """The shifted power's Collatz-Wielandt bounds are shifted back onto M
+    itself; taking off k = max(-M_ii) + 1 rounds each by a spacing of k."""
+    grid, kernel, potential = build(model)
+    generator = ts.assemble_generator(kernel, potential)
+    result = ts.max_eigenvalue_shifted_power(generator)
+    lam_qr = ts.full_spectrum(generator)[0].real
+    slack = ROUNDING_ULPS * np.spacing(float(-np.diagonal(generator.data).min()) + 1.0)
+    assert result.cw_lower - slack <= lam_qr <= result.cw_upper + slack
+    assert result.cw_lower <= result.rho <= result.cw_upper

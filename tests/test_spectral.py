@@ -42,8 +42,8 @@ def test_essential_spectrum_zero_potential_edge_bounds():
     stats = ts.kernel_stats(kernel)
     ess = ts.essential_spectrum(kernel, ts.zero_potential(grid))
     assert list(ess.values) == [1.0]
-    assert ess.alpha1 >= stats.row_integral_min
-    assert ess.alpha0 >= stats.row_integral_max - 1e-15
+    assert ess.alpha1 >= stats["row_integral_min"]
+    assert ess.alpha0 >= stats["row_integral_max"] - 1e-15
 
 
 def test_radius_closed_forms_constant_fixture():
@@ -131,8 +131,8 @@ def test_shifted_power_constant_fixture():
     grid, kernel, potential = make_f1()
     gen = ts.assemble_generator(kernel, potential)
     result = ts.max_eigenvalue_shifted_power(gen)
-    assert abs(result.lam + 0.3) < 1e-10
-    assert np.std(result.perron.vector) < 1e-9  # constant ground state
+    assert abs(result.rho + 0.3) < 1e-10
+    assert np.std(result.vector) < 1e-9  # constant ground state
 
 
 def test_fixed_point_radius_at_returned_eigenvalue():
@@ -212,12 +212,17 @@ def test_analyze_sign_location_properties_random():
 
 
 def test_analyze_adjoint_consistency():
-    for make in (make_f1, make_f2):
+    def sine_step(n):  # f4's non-symmetric kernel under f2's step potential
+        grid, kernel, _ = make_f4(n)
+        return grid, kernel, make_f2(n)[2]
+
+    for make in (make_f1, make_f2, sine_step):
         grid, kernel, potential = make(n=64)
         gen = ts.assemble_generator(kernel, potential)
-        lam = ts.max_eigenvalue_shifted_power(gen).lam
-        lam_adj = ts.max_eigenvalue_shifted_power(ts.OperatorMatrix(gen.data.T, grid)).lam
+        lam = ts.max_eigenvalue_shifted_power(gen).rho
+        lam_adj = ts.max_eigenvalue_shifted_power(ts.OperatorMatrix(gen.data.T, grid)).rho
         assert abs(lam - lam_adj) < 1e-8
+    assert np.abs(gen.data - gen.data.T).max() > 0.01  # the last generator is not self-adjoint
 
 
 def test_analyze_zero_potential_diagnostic_mode():
@@ -311,10 +316,10 @@ def test_analyze_hands_its_options_to_both_solvers():
         bisected = ts.max_eigenvalue_bisection(kernel, potential, options)
         shifted = ts.max_eigenvalue_shifted_power(generator, options)
         assert report.lambda_by_method["q_bisection"] == bisected.lam
-        assert report.lambda_by_method["perron_shift"] == shifted.lam
+        assert report.lambda_by_method["perron_shift"] == shifted.rho
         assert report.diagnostics["ratio_perron_iterations"] == bisected.perron_iterations
-        assert report.diagnostics["perron_shift_iterations"] == shifted.perron.iterations
-        records.append((bisected.perron_iterations, shifted.perron.iterations))
+        assert report.diagnostics["perron_shift_iterations"] == shifted.iterations
+        records.append((bisected.perron_iterations, shifted.iterations))
     assert records[0][0] != records[1][0] and records[0][1] != records[1][1]  # the settings bite
 
 
@@ -327,7 +332,7 @@ def test_evolve_estimate_takes_the_analysis_options(tmp_path):
     summary = json.loads((tmp_path / "evolution.json").read_text())
     grid = config.build_grid()
     generator = ts.assemble_generator(config.build_kernel(grid)[1], config.build_potential(grid))
-    assert summary["lambda_estimate"] == ts.max_eigenvalue_shifted_power(generator, config.analysis).lam
+    assert summary["lambda_estimate"] == ts.max_eigenvalue_shifted_power(generator, config.analysis).rho
 
 
 def test_shifted_power_and_evolve_refuse_an_operator_without_its_edge():
@@ -335,10 +340,10 @@ def test_shifted_power_and_evolve_refuse_an_operator_without_its_edge():
     # shifted power needs none and returns the zero matrix's eigenvalue
     grid = ts.TorusGrid(1, 16)
     flat = ts.OperatorMatrix(np.zeros((grid.size, grid.size)), grid)
-    with pytest.raises(ValueError, match="no negative diagonal entry"):
+    with pytest.raises(ts.DegenerateKernel, match="no negative diagonal entry"):
         ts.evolve(flat, np.ones(grid.size), 1.0)
     assert np.all(ts.evolve(flat, np.ones(grid.size), 1.0, dt=0.1).sup_norms == 1.0)
-    assert ts.max_eigenvalue_shifted_power(flat).lam == 0.0
+    assert ts.max_eigenvalue_shifted_power(flat).rho == 0.0
 
 
 def test_a_bare_matrix_gives_the_shifted_power_and_default_step_of_the_generator():
@@ -346,9 +351,9 @@ def test_a_bare_matrix_gives_the_shifted_power_and_default_step_of_the_generator
     generator = ts.assemble_generator(kernel, potential)
     bare = ts.OperatorMatrix(generator.data, grid)
     shifted, bare_shifted = (ts.max_eigenvalue_shifted_power(m) for m in (generator, bare))
-    assert bare_shifted.lam == shifted.lam
-    assert bare_shifted.perron.iterations == shifted.perron.iterations
-    assert np.array_equal(bare_shifted.perron.vector, shifted.perron.vector)
+    assert bare_shifted.rho == shifted.rho
+    assert bare_shifted.iterations == shifted.iterations
+    assert np.array_equal(bare_shifted.vector, shifted.vector)
     u0 = np.linspace(0.5, 1.5, grid.size)
     trace, bare_trace = (ts.evolve(m, u0, t_max=2.0) for m in (generator, bare))
     for name in ("times", "l2_norms", "sup_norms", "masses"):
@@ -358,5 +363,5 @@ def test_a_bare_matrix_gives_the_shifted_power_and_default_step_of_the_generator
 
     transposed = ts.OperatorMatrix(generator.data.T, grid)
     assert not np.array_equal(transposed.data, generator.data)
-    assert abs(ts.max_eigenvalue_shifted_power(transposed).lam - shifted.lam) <= ts.AnalysisOptions().cross_tol
+    assert abs(ts.max_eigenvalue_shifted_power(transposed).rho - shifted.rho) <= ts.AnalysisOptions().cross_tol
     assert ts.evolve(transposed, u0, t_max=2.0).rk4_step_min > 0
