@@ -15,9 +15,11 @@ samples are bit-equal too.  Along those axes the off-diagonal entries and
 V are exactly invariant, but the diagonal's serial row sums may differ in
 the last bits; ``diagonal_defect`` measures by how much.  The generator
 is Metzler, so its diagonal alone gives the shift that makes it
-nonnegative.  The Fourier symbol of a wound kernel is h^d times the DFT
-of its samples on every grid wavevector: the eigenvalues of the
-circulant h^d B, with no band cut and no Nyquist exclusion.
+nonnegative.  The Bloch fibre k = 0 of a model invariant along some
+axes is a model on the torus of the remaining axes.  The Fourier symbol
+of a wound kernel is h^d times the DFT of its samples on every grid
+wavevector: the eigenvalues of the circulant h^d B, with no band cut and
+no Nyquist exclusion.
 """
 
 from __future__ import annotations
@@ -98,6 +100,30 @@ def assemble_generator(b: GenericKernel, potential: Potential) -> OperatorMatrix
     v = potential.samples.reshape((b.grid.n,) * b.grid.dimension)
     axes = tuple(a for a in b.invariant_axes if np.array_equal(v, np.roll(v, 1, axis=a)))
     return OperatorMatrix(data, b.grid, symmetric=b.symmetric, invariant_axes=axes)
+
+
+def fibre_model(
+    b: GenericKernel, potential: Potential, axes: tuple[int, ...]
+) -> tuple[GenericKernel, Potential]:
+    """The Bloch fibre k = 0 of a model invariant along ``axes`` S.
+
+    It is the model on ``TorusGrid(d - |S|, n)`` with the kernel
+    b'(x, y) = h^|S| sum_{y_S} b((x, 0_S), (y, y_S)), summed from the slab
+    rows x_S = 0, and the potential V on that slab.  Its generator and
+    ratio operator are the blocks k = 0 of the model's own, which hold the
+    Perron eigenvectors: those are constant along S.  When S is empty, or
+    every axis (a 0-D grid does not exist), the model is returned as it is.
+    """
+    grid = b.grid
+    n, d, s = grid.n, grid.dimension, len(axes)
+    if not 0 < s < d:
+        return b, potential
+    slab = grid.origin_slab(axes)
+    rows = b.samples.reshape((n,) * (2 * d))[slab]
+    fibre = TorusGrid(d - s, n)
+    samples = rows.sum(axis=tuple(d + a for a in axes)) * float(n) ** -s
+    kernel = GenericKernel(fibre, samples.reshape(fibre.size, fibre.size))
+    return kernel, Potential(fibre, potential.samples.reshape((n,) * d)[slab])
 
 
 def shift_denominator(b: GenericKernel, potential: Potential) -> np.ndarray:

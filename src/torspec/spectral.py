@@ -5,8 +5,10 @@ assembled generator, Perron iteration on a positive diagonal shift of it,
 and a safeguarded root find (Illinois regula falsi with forced bisection
 steps) on the shift parameter of the ratio operator, whose spectral radius
 crosses one exactly at the eigenvalue; its radii come from matrix-free,
-warm-started Perron solves.  The consolidated report cross-checks all three
-and classifies the rest of the spectrum against the essential value set.
+warm-started Perron solves.  On a model invariant along some axes, the two
+Perron methods run on its Bloch fibre k = 0, which holds the ground state.
+The consolidated report cross-checks all three and classifies the rest of
+the spectrum against the essential value set.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .discretize import (
     assemble_birman_schwinger,
     assemble_generator,
     check_shift,
+    fibre_model,
     shift_denominator,
 )
 from .eigen import SPECTRUM_ORDER_CAP, PerronResult, block_shape, full_spectrum, perron
@@ -30,6 +33,7 @@ from .errors import (
     MethodDisagreement,
     NotConverged,
 )
+from .grid import TorusGrid
 from .kernels import GenericKernel, Potential, kernel_stats
 
 
@@ -266,6 +270,13 @@ def classification_tolerance(n: int) -> float:
     return max(10.0 / n, 1e-6)
 
 
+def _lift(state: np.ndarray, grid: TorusGrid, axes: tuple[int, ...]) -> np.ndarray:
+    """A fibre state broadcast along ``axes`` onto ``grid``, at unit 2-norm."""
+    shape = tuple(1 if a in axes else grid.n for a in range(grid.dimension))
+    lifted = np.broadcast_to(state.reshape(shape), (grid.n,) * grid.dimension).ravel()
+    return lifted / np.linalg.norm(lifted)
+
+
 def analyze(
     b: GenericKernel,
     potential: Potential,
@@ -276,6 +287,11 @@ def analyze(
     Raises MethodDisagreement when any two methods differ beyond the
     cross-check tolerance.  A vanishing potential gives the boundary report:
     lambda = 0 with ``diagnostics["conforming"]`` false.
+
+    The two Perron methods run on the model's Bloch fibre k = 0
+    (``fibre_model``) along the generator's invariant axes; their states
+    are lifted back along those axes and renormalised, and the residuals
+    are taken on the whole generator.
     """
     stats = kernel_stats(b, options.primitivity_max_power)
     essential = essential_spectrum(b, potential)
@@ -284,8 +300,13 @@ def analyze(
     eigenvalues = full_spectrum(generator, options.spectrum_order_cap)
     lam_qr = float(eigenvalues[0].real)
 
-    shifted = max_eigenvalue_shifted_power(generator, options)
-    bisected = max_eigenvalue_bisection(b, potential, options)
+    axes = generator.invariant_axes
+    fibre_b, fibre_v = fibre_model(b, potential, axes)
+    reduced = fibre_b is not b
+    shifted = max_eigenvalue_shifted_power(
+        assemble_generator(fibre_b, fibre_v) if reduced else generator, options
+    )
+    bisected = max_eigenvalue_bisection(fibre_b, fibre_v, options)
 
     lambda_by_method = {
         "direct_qr": lam_qr,
@@ -301,6 +322,8 @@ def analyze(
     lam = bisected.lam
     psi = bisected.ground_state
     phi = bisected.adjoint_state
+    if reduced:
+        psi, phi = (_lift(u, b.grid, axes) for u in (psi, phi))
     residual_psi = float(np.linalg.norm(generator.matvec(psi) - lam * psi))
     residual_phi = float(np.linalg.norm(generator.data.T @ phi - lam * phi))
     if max(residual_psi, residual_phi) > options.residual_tol:
@@ -329,6 +352,7 @@ def analyze(
             "diagonal_defect": generator.diagonal_defect,
         },
         "classification_tolerance": tol_ess,
+        "perron_order": fibre_b.grid.size,
         "perron_shift_iterations": shifted.iterations,
         "bisection_iterations": bisected.iterations,
         "ratio_perron_iterations": bisected.perron_iterations,

@@ -12,6 +12,7 @@ from scipy.optimize import linear_sum_assignment
 
 import torspec as ts
 from torspec.cli import run_command
+from torspec.discretize import fibre_model
 from torspec.eigen import block_shape
 from torspec.kernels import SYMMETRY_TILE, _invariant_axes
 from conftest import FIXTURE_DIR, make_f3
@@ -198,3 +199,97 @@ def test_deep_constant_potential_is_exact_on_scalar_blocks():
     modulated = ts.modulated_convolution(ts.wind_kernel(ts.gaussian_kernel(1, 0.2), 16), 0.2)
     with pytest.raises(ts.NotConverged, match="ground-state residual"):
         ts.analyze(modulated, potential)  # the whole-matrix limit the README states
+
+
+# -- the Perron methods on the Bloch fibre k = 0 ------------------------------
+
+
+def _fibre_case(seed, axis, kernel_kind, n=12):
+    """A 2-D model whose potential varies only along ``axis``, so the
+    generator is invariant along the other axis."""
+    grid = ts.TorusGrid(2, n)
+    rng = np.random.default_rng(seed)
+    if kernel_kind == "gaussian":
+        kernel = _gaussian(grid)
+    else:
+        kernel = ts.convolution_kernel(ts.WoundKernel(grid, rng.random((n, n)) + 0.1))
+    profile = -rng.uniform(0.0, 2.0, n)
+    shape = [1, 1]
+    shape[axis] = n
+    field = np.broadcast_to(profile.reshape(shape), (n, n))
+    return grid, kernel, ts.Potential(grid, field.ravel())
+
+
+@pytest.mark.parametrize("kernel_kind", ["gaussian", "random"])
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("seed", range(4))
+def test_fibre_agrees_with_the_whole_model(seed, axis, kernel_kind):
+    grid, kernel, potential = _fibre_case(seed, axis, kernel_kind)
+    invariant = (1 - axis,)
+    options = ts.AnalysisOptions()
+    generator = ts.assemble_generator(kernel, potential)
+    assert generator.invariant_axes == invariant
+    assert kernel.symmetric is (kernel_kind == "gaussian")
+
+    report = ts.analyze(kernel, potential, options)
+    assert report.diagnostics["perron_order"] == grid.n
+    whole = [ts.max_eigenvalue_bisection(kernel, potential, options).lam,
+             ts.max_eigenvalue_shifted_power(generator, options).rho]
+    assert max(abs(report.max_eigenvalue - lam) for lam in whole) <= options.cross_tol
+    assert report.diagnostics["ground_state_residual"] <= options.residual_tol
+    assert report.diagnostics["adjoint_state_residual"] <= options.residual_tol
+    for state in (report.ground_state, report.adjoint_ground_state):
+        assert state.shape == (grid.size,) and state.min() > 0.0
+        assert abs(np.linalg.norm(state) - 1.0) <= 1e-14
+        field = state.reshape(grid.n, grid.n)
+        assert np.array_equal(field, np.broadcast_to(field[grid.origin_slab(invariant)], field.shape))
+
+
+FIBRE_ORDERS = {
+    "step-2d": (lambda: ts.TorusGrid(2, 8), ts.step_potential, 8),
+    "constant-2d": (lambda: ts.TorusGrid(2, 8), lambda g: ts.constant_potential(g, 0.3), 64),
+    "step-1d": (lambda: ts.TorusGrid(1, 16), ts.step_potential, 16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIBRE_ORDERS))
+def test_perron_methods_run_on_the_fibre_only_when_it_is_smaller(name, monkeypatch):
+    make_grid, make_potential, order = FIBRE_ORDERS[name]
+    grid = make_grid()
+    kernel, potential = _gaussian(grid), make_potential(grid)
+    orders = []
+
+    def perron(a, *args, _real=ts.spectral.perron, **kwargs):
+        orders.append(a.shape[0])
+        return _real(a, *args, **kwargs)
+
+    def assemble(*args, _real=ts.spectral.assemble_birman_schwinger, **kwargs):
+        matrix = _real(*args, **kwargs)
+        orders.append(matrix.data.shape[0])
+        return matrix
+
+    monkeypatch.setattr(ts.spectral, "perron", perron)
+    monkeypatch.setattr(ts.spectral, "assemble_birman_schwinger", assemble)
+    report = ts.analyze(kernel, potential)
+    assert orders and set(orders) == {order}
+    assert report.diagnostics["perron_order"] == order
+    assert report.ground_state.shape == (grid.size,)
+
+
+def test_fibre_model_is_summed_from_the_slab_rows():
+    grid = ts.TorusGrid(2, 32)
+    kernel, potential = _gaussian(grid), ts.step_potential(grid)
+    for axes in ((), (0, 1)):
+        assert fibre_model(kernel, potential, axes) == (kernel, potential)
+    tracemalloc.start()
+    try:
+        fibre, fibre_potential = fibre_model(kernel, potential, (1,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= kernel.samples.nbytes / grid.n  # one slab
+    assert fibre.grid == fibre_potential.grid == ts.TorusGrid(1, 32)
+    rows = kernel.samples.reshape(32, 32, 32, 32)[:, 0]
+    assert np.array_equal(fibre.samples, rows.sum(axis=-1) / 32)
+    assert np.array_equal(fibre_potential.samples, potential.samples.reshape(32, 32)[:, 0])
+    assert fibre.symmetric and fibre.w.min() == fibre.w.max()

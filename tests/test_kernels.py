@@ -594,7 +594,8 @@ def test_analyze_tests_symmetry_once(monkeypatch):
     grid = ts.TorusGrid(2, 8)
     kernel = ts.convolution_kernel(ts.wind_kernel(ts.gaussian_kernel(2, 0.2), 8))
     ts.analyze(kernel, ts.step_potential(grid))
-    assert calls == [(64, 64)]
+    # the whole kernel once, and the order-8 kernel of its Bloch fibre k = 0 once
+    assert calls == [(64, 64), (8, 8)]
 
 
 def test_eigenexpansion_evolve_tests_symmetry_once(monkeypatch, tmp_path, capsys):
@@ -608,3 +609,27 @@ def test_eigenexpansion_evolve_tests_symmetry_once(monkeypatch, tmp_path, capsys
     }))
     assert ts.main(["evolve", "--config", str(path), "--out", str(tmp_path)]) == 0
     assert calls == [(16, 16)]
+
+
+def test_narrow_tophat_is_primitive_at_the_power_cap(tmp_path):
+    # 2 w n = 5 nodes of mass 1/5: the k-th power covers 4k + 1 of the 64 nodes
+    n, width = 64, 5 / 128
+    grid = ts.TorusGrid(1, n)
+    kernel = ts.convolution_kernel(ts.wind_kernel(ts.tophat_kernel(1, width), n))
+    assert kernel.w.min() == kernel.w.max() == 1.0
+    assert ts.kernel_stats(kernel)["primitive_power"] == 16
+    options = ts.AnalysisOptions()
+    report = ts.analyze(kernel, ts.step_potential(grid), options)
+    assert report.diagnostics["method_spread"] <= options.cross_tol
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "dimension": 1, "grid_n": n,
+        "kernel": {"family": "tophat", "width": width},
+        "potential": {"family": "step", "depth": 1.0},
+        "analysis": {"primitivity_max_power": 15},
+    }))
+    assert ts.main(["check-kernel", "--config", str(path), "--out", str(tmp_path)]) == 2
+    document = json.loads((tmp_path / "kernel_check.json").read_text())
+    assert document["kernel_stats"] is None
+    assert document["kernel_error"]["error"] == "NotPrimitive"
