@@ -13,7 +13,6 @@ import errno
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,60 +30,55 @@ from .evolution import check_extinction, evolve
 from .gapbound import gap_constants, verify_gap
 from .jsonio import dump, write_trace_csv
 from .kernels import GenericKernel, Potential, WoundKernel, kernel_stats
-from .spectral import SpectrumReport, analyze, max_eigenvalue_shifted_power
-
-@dataclass(frozen=True)
-class _Model:
-    """What every command builds from its config before it does its own work."""
-
-    wound: WoundKernel | None
-    kernel: GenericKernel
-    potential: Potential
+from .spectral import analyze, max_eigenvalue_shifted_power
 
 
-def _prepare(config: RunConfig) -> _Model:
+def _prepare(config: RunConfig) -> tuple[WoundKernel | None, GenericKernel, Potential]:
+    """What every command builds from its config before it does its own
+    work: the convolution form (or None), the kernel and the potential."""
     grid = config.build_grid()
     wound, kernel = config.build_kernel(grid)
-    return _Model(wound, kernel, config.build_potential(grid))
+    return wound, kernel, config.build_potential(grid)
 
 
-def _gap_section(bound: dict, report: SpectrumReport) -> dict:
-    """Gap constants merged with the verdict on the report's eigenvalue."""
-    return {**bound, **verify_gap(report, bound)}
-
-
-def _run_analyze(config: RunConfig, model: _Model, out_dir: str) -> tuple[dict, int]:
-    report = analyze(model.kernel, model.potential, config.analysis)
+def _run_analyze(
+    config: RunConfig, wound: WoundKernel | None, kernel: GenericKernel, potential: Potential, out_dir: str
+) -> tuple[dict, int]:
+    report = analyze(kernel, potential, config.analysis)
     document = report.to_dict()
     diagnostics = document.pop("diagnostics")
     document["gap_bound"] = None
-    if model.wound is not None:
+    if wound is not None:
         try:
-            bound = gap_constants(model.potential, model.wound)
+            bound = gap_constants(potential, wound)
         except TorspecError:
             pass
         else:
-            gap = _gap_section(bound, report)
+            gap = {**bound, **verify_gap(report, bound)}
             del gap["lambda"], gap["slack"]  # the report states lambda at top level
             document["gap_bound"] = gap
     document["diagnostics"] = diagnostics
     return document, 0 if report.diagnostics["conforming"] else 2
 
 
-def _run_bound(config: RunConfig, model: _Model, out_dir: str) -> tuple[dict, int]:
-    if model.wound is None:
+def _run_bound(
+    config: RunConfig, wound: WoundKernel | None, kernel: GenericKernel, potential: Potential, out_dir: str
+) -> tuple[dict, int]:
+    if wound is None:
         raise ValidationError("the gap bound applies only to convolution-form kernels")
-    bound = gap_constants(model.potential, model.wound)  # its hypotheses, checked before the solve
-    report = analyze(model.kernel, model.potential, config.analysis)
+    bound = gap_constants(potential, wound)  # its hypotheses, checked before the solve
+    report = analyze(kernel, potential, config.analysis)
     document = {
-        "gap_bound": _gap_section(bound, report),
+        "gap_bound": {**bound, **verify_gap(report, bound)},
         "lambda_by_method": dict(report.lambda_by_method),
     }
     return document, 0
 
 
-def _run_evolve(config: RunConfig, model: _Model, out_dir: str) -> tuple[dict, int]:
-    generator = assemble_generator(model.kernel, model.potential)
+def _run_evolve(
+    config: RunConfig, wound: WoundKernel | None, kernel: GenericKernel, potential: Potential, out_dir: str
+) -> tuple[dict, int]:
+    generator = assemble_generator(kernel, potential)
     estimate = max_eigenvalue_shifted_power(generator, config.analysis)
     t_max = config.evolution.t_max
     if t_max is None:
@@ -109,22 +103,23 @@ def _run_evolve(config: RunConfig, model: _Model, out_dir: str) -> tuple[dict, i
         "rk4_step_min": trace.rk4_step_min,
         "extinction": check_extinction(trace),
     }
-    return document, 0 if model.potential.diagnostics.eligible else 2
+    return document, 0 if potential.diagnostics.eligible else 2
 
 
-def _run_check_kernel(config: RunConfig, model: _Model, out_dir: str) -> tuple[dict, int]:
-    rates = model.kernel.w
+def _run_check_kernel(
+    config: RunConfig, wound: WoundKernel | None, kernel: GenericKernel, potential: Potential, out_dir: str
+) -> tuple[dict, int]:
+    rates = kernel.w
     stats_section = None
     error_section = None
     code = 0
     try:
-        stats_section = kernel_stats(model.kernel, config.analysis.primitivity_max_power)
+        stats_section = kernel_stats(kernel, config.analysis.primitivity_max_power)
     except HYPOTHESIS_ERRORS as exc:
         error_section = {"error": type(exc).__name__, "message": str(exc)}
         code = 2
-    if not model.potential.diagnostics.eligible:
+    if not potential.diagnostics.eligible:
         code = 2
-    wound = model.wound
     document = {
         "kernel_stats": stats_section,
         "kernel_error": error_section,
@@ -134,7 +129,7 @@ def _run_check_kernel(config: RunConfig, model: _Model, out_dir: str) -> tuple[d
             "wind_truncation": wound.wind_truncation,
             "tail_estimate": wound.tail_estimate,
         },
-        "potential": model.potential.diagnostics.as_dict(),
+        "potential": potential.diagnostics.as_dict(),
     }
     return document, code
 
@@ -157,8 +152,9 @@ def run_command(command: str, config: RunConfig, out_dir: str | None = None) -> 
     intermediate ends the run with a typed error instead of a warning:
     FloatingPointFailure, or Unstable for an evolve trajectory.  A file
     that cannot be read or written ends it with a ValidationError naming
-    that file; an output path that is a directory does so before the
-    model is built, so nothing is written or printed.
+    that file, and a model too large to allocate with one naming n^d; an
+    output path that is a directory does so before the model is built, so
+    nothing is written or printed.
     """
     if command not in _RUNNERS:
         raise ValidationError(f"unknown command {command!r}")
@@ -172,7 +168,7 @@ def run_command(command: str, config: RunConfig, out_dir: str | None = None) -> 
             if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            body, code = runner(config, _prepare(config), out_dir)
+            body, code = runner(config, *_prepare(config), out_dir)
         metadata = {
             "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "tool": f"torspec {__version__}",
@@ -180,6 +176,8 @@ def run_command(command: str, config: RunConfig, out_dir: str | None = None) -> 
         dump({"config_echo": config.echo(), **body, "metadata": metadata}, paths[0])
     except FloatingPointError as exc:
         raise FloatingPointFailure(str(exc)) from exc
+    except MemoryError as exc:
+        raise ValidationError(f"n^d = {config.grid_n}^{config.dimension} is too large to allocate") from exc
     except OSError as exc:
         where = f"{exc.filename}: " if exc.filename else ""
         raise ValidationError(f"{where}{exc.strerror or exc}") from exc

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -289,6 +290,10 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
         problems.append("analysis.seed must be non-negative")
     if options.primitivity_max_power < 1:
         problems.append("analysis.primitivity_max_power must be at least 1")
+    if dimension in (1, 2) and 8 * grid_n ** (2 * dimension) > sys.maxsize:
+        problems.append(
+            f"grid_n^dimension = {grid_n}^{dimension} is too large: its dense float64 matrix cannot be addressed"
+        )
     if dimension in (1, 2) and options.spectrum_order_cap < grid_n**dimension:
         problems.append(
             f"analysis.spectrum_order_cap must be at least the matrix order n^d = {grid_n**dimension}"

@@ -3,23 +3,25 @@
 Assembly convention: off-diagonal entries hold h^d b(x_i, y_j); the diagonal
 of a generator carries V(x_i) minus the serial sum of the off-diagonal row.
 The kernel's own diagonal sample never enters, mirroring the difference
-structure b(x,y)(u(y) - u(x)) where it cancels identically.  When V = 0 the
-diagonal is exactly minus the serial off-diagonal row sum, so each row of
-the assembled generator sums to zero bit for bit in that order.  The ratio
-operator reads the kernel's jump rate W from ``GenericKernel.w`` and does
-not recompute it.  Kernel and potential must carry one grid wherever they
-meet; the generator takes that grid and the kernel's ``symmetric`` flag,
-since off-diagonal entries h^d b and a diagonal are symmetric exactly
-when b is, and the kernel's invariant axes along which the potential
-samples are bit-equal too.  Along those axes the off-diagonal entries and
-V are exactly invariant, but the diagonal's serial row sums may differ in
-the last bits; ``diagonal_defect`` measures by how much.  The generator
-is Metzler, so its diagonal alone gives the shift that makes it
-nonnegative.  The Bloch fibre k = 0 of a model invariant along some
-axes is a model on the torus of the remaining axes.  The Fourier symbol
-of a wound kernel is h^d times the DFT of its samples on every grid
-wavevector: the eigenvalues of the circulant h^d B, with no band cut and
-no Nyquist exclusion.
+structure b(x,y)(u(y) - u(x)) where it cancels identically.  Along the
+kernel's invariant axes the off-diagonal part is invariant, so one row-sum
+rule (``kernels.slab_row_sums``) sums only the slab rows x_a = 0 and
+broadcasts them, as it does for the jump rate W: the generator is then
+exactly invariant along its invariant axes, diagonal included.  When
+V = 0 each row sums to exactly zero, bit for bit, when it is added in the
+column order of its slab representative, translated with it; without
+invariant axes that order is left to right.  The ratio operator reads W
+from ``GenericKernel.w`` and does not recompute it.  Kernel and potential
+must carry one grid wherever they meet; the generator takes that grid and
+the kernel's ``symmetric`` flag, since off-diagonal entries h^d b and a
+diagonal are symmetric exactly when b is, and the kernel's invariant axes
+along which the potential samples are bit-equal too.  The generator is
+Metzler, so its diagonal alone gives the shift that makes it nonnegative.
+The Bloch fibre k = 0 of a model invariant along some axes is a model on
+the torus of the remaining axes.  The Fourier symbol of a wound kernel is
+h^d times the DFT of its samples on every grid wavevector: the
+eigenvalues of the circulant h^d B, with no band cut and no Nyquist
+exclusion.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, MuBelowEdge
 from .grid import TorusGrid
-from .kernels import GenericKernel, Potential, WoundKernel, serial_row_sums
+from .kernels import GenericKernel, Potential, WoundKernel, slab_row_sums
 
 MU_EDGE_MARGIN = 1e-12
 
@@ -69,17 +71,6 @@ class OperatorMatrix:
         """
         return self.data @ u
 
-    @property
-    def diagonal_defect(self) -> float:
-        """max |diag - diag on the slab x_a = 0 of the invariant axes a|.
-
-        The block solve takes the diagonal from that slab; since a generator
-        is Metzler, its top eigenvalue then moves by at most this much.
-        Zero when there are no invariant axes.
-        """
-        diagonal = np.diagonal(self.data).reshape((self.grid.n,) * self.grid.dimension)
-        return float(np.abs(diagonal - diagonal[self.grid.origin_slab(self.invariant_axes)]).max())
-
     def shifted(self, k: float) -> "OperatorMatrix":
         """Add k to the diagonal."""
         data = self.data.copy()
@@ -90,13 +81,14 @@ class OperatorMatrix:
 def assemble_generator(b: GenericKernel, potential: Potential) -> OperatorMatrix:
     """Jump generator: kernel part plus (V - W) on the diagonal.
 
-    Its invariant axes are the kernel's along which the potential samples
-    are bit-equal as well.
+    The off-diagonal row sums come from ``slab_row_sums``.  Its invariant
+    axes are the kernel's along which the potential samples are bit-equal
+    as well.
     """
     b.grid.require_match(potential.grid)
     data = b.grid.weight * b.samples
     np.fill_diagonal(data, 0.0)
-    np.fill_diagonal(data, potential.samples - serial_row_sums(data))
+    np.fill_diagonal(data, potential.samples - slab_row_sums(data, b))
     v = potential.samples.reshape((b.grid.n,) * b.grid.dimension)
     axes = tuple(a for a in b.invariant_axes if np.array_equal(v, np.roll(v, 1, axis=a)))
     return OperatorMatrix(data, b.grid, symmetric=b.symmetric, invariant_axes=axes)

@@ -135,8 +135,8 @@ def block_shape(generator: OperatorMatrix) -> tuple[int, int]:
 
 
 def _bloch_spectrum(generator: OperatorMatrix, solver) -> np.ndarray:
-    """Eigenvalues of the generator with the diagonal of its slab x_S = 0,
-    S its invariant axes, block by block.
+    """Eigenvalues of the generator, block by block along its invariant
+    axes S, along which it is exactly invariant, diagonal included.
 
     The rows at x_S = 0, transformed by a DFT along the y_S column axes,
     give one block C_k per wavevector k on S.  Block -k is the conjugate
@@ -171,10 +171,9 @@ def full_spectrum(generator: OperatorMatrix, order_cap: int = SPECTRUM_ORDER_CAP
     exactly symmetric kernel) takes the symmetric tridiagonal QR
     (``eigvalsh``), whose eigenvalues are real; any other takes balanced
     Hessenberg QR (``eigvals``).  A matrix with ``invariant_axes`` is
-    solved block by block (``_bloch_spectrum``) with the diagonal of its
-    slab at the origin of those axes, which differs from its own by
-    ``generator.diagonal_defect``; the order cap applies to the whole
-    matrix either way.  Ordered by descending real part, ties by
+    exactly invariant along them and is solved block by block
+    (``_bloch_spectrum``); the order cap applies to the whole matrix
+    either way.  Ordered by descending real part, ties by
     ascending imaginary part; complex eigenvalues of real input come in
     conjugate pairs.  LAPACK's failure to converge raises
     QRNotConverged.

@@ -432,19 +432,27 @@ def cosine_potential(grid: TorusGrid, depth: float = 1.0) -> Potential:
 # kernel statistics
 
 
-def jump_rate(b: GenericKernel) -> np.ndarray:
-    """Row quadrature of the kernel: W(x_i) = h^d * sum_j b(x_i, y_j).
+def slab_row_sums(a: np.ndarray, b: GenericKernel, weight: float | None = None) -> np.ndarray:
+    """Serial row sums (``serial_row_sums``) of an (N, N) array that is
+    invariant along the kernel's invariant axes, as ``b.samples`` is.
 
-    Uses a serial per-row reduction.  Along the kernel's invariant axes the
-    rows are permutations of each other, whose serial sums can differ in
-    the last bits, so only the slab of rows at x_a = 0 is summed and its
-    sums are broadcast: W is then exactly invariant too.  ``GenericKernel``
-    calls this once at construction and keeps the result as ``w``; read
-    that field instead.
+    Along those axes the rows are permutations of each other, whose serial
+    sums can differ in the last bits, so only the slab of rows x_a = 0 is
+    summed and its sums are broadcast: the sums are then exactly invariant
+    too.  With no invariant axes every row is summed.
     """
     shape = (b.grid.n,) * b.grid.dimension
-    slab = b.samples.reshape(shape + (b.grid.size,))[b.grid.origin_slab(b.invariant_axes)]
-    return np.broadcast_to(serial_row_sums(slab, b.grid.weight), shape).ravel()
+    slab = a.reshape(shape + (b.grid.size,))[b.grid.origin_slab(b.invariant_axes)]
+    return np.broadcast_to(serial_row_sums(slab, weight), shape).ravel()
+
+
+def jump_rate(b: GenericKernel) -> np.ndarray:
+    """Row quadrature of the kernel: W(x_i) = h^d * sum_j b(x_i, y_j), by
+    ``slab_row_sums``, so W is exactly invariant along the kernel's
+    invariant axes.  ``GenericKernel`` calls this once at construction and
+    keeps the result as ``w``; read that field instead.
+    """
+    return slab_row_sums(b.samples, b, b.grid.weight)
 
 
 def kernel_stats(b: GenericKernel, n_max: int = 16) -> dict:
@@ -458,7 +466,7 @@ def kernel_stats(b: GenericKernel, n_max: int = 16) -> dict:
     when no power up to ``n_max`` is entrywise positive at this resolution.
     """
     rows = b.w
-    cols = serial_row_sums(b.samples.T, b.grid.weight)
+    cols = slab_row_sums(b.samples.T, b, b.grid.weight)  # b^T is invariant along the same axes
     gamma1 = float(rows.min())
     if gamma1 <= 0:
         raise DegenerateKernel("kernel row integral vanishes somewhere")

@@ -346,11 +346,7 @@ def analyze(
         "ground_state_residual": residual_psi,
         "adjoint_state_residual": residual_phi,
         "method_spread": spread,
-        "qr": {
-            "blocks": blocks,
-            "block_order": block_order,
-            "diagonal_defect": generator.diagonal_defect,
-        },
+        "qr": {"blocks": blocks, "block_order": block_order},
         "classification_tolerance": tol_ess,
         "perron_order": fibre_b.grid.size,
         "perron_shift_iterations": shifted.iterations,

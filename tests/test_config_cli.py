@@ -513,6 +513,44 @@ def test_spectrum_order_cap_below_matrix_order_is_validation_error(tmp_path, cap
     assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
 
 
+@pytest.mark.parametrize("grid_n", [2**40, 2**62, 2**63, 10**20])
+def test_grid_too_large_to_address_is_validation_error(grid_n, tmp_path, capsys):
+    # refused from the config alone, before anything is allocated
+    raw = minimal_config(grid_n=8, kernel={"family": "gaussian"}, analysis={"spectrum_order_cap": 2**130})
+    with pytest.raises(ts.ValidationError, match="cannot be addressed"):
+        ts.config_from_dict({**raw, "grid_n": grid_n})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["analyze", "--config", str(path), "--out", str(tmp_path), "--grid-n", str(grid_n)]) == 1
+    diagnostic = _single_diagnostic(capsys.readouterr().err)
+    assert diagnostic["error"] == "ValidationError"
+    assert f"{grid_n}^1 is too large" in diagnostic["message"]
+
+
+@pytest.mark.parametrize("dimension, largest", [(1, 2**30 - 2), (2, 2**15 - 2)])
+def test_largest_addressable_grid_is_accepted(dimension, largest):
+    # the dense float64 matrix of order N = n^d takes 8 N^2 bytes
+    cap = {"spectrum_order_cap": 2**62}
+    raw = minimal_config(dimension=dimension, grid_n=largest, analysis=cap)
+    assert ts.config_from_dict(raw).grid_n == largest
+    with pytest.raises(ts.ValidationError, match="cannot be addressed"):
+        ts.config_from_dict({**raw, "grid_n": largest + 2})
+
+
+@pytest.mark.parametrize("command", ["analyze", "bound", "evolve", "check-kernel"])
+def test_model_too_large_to_allocate_is_validation_error(command, monkeypatch, tmp_path, capsys):
+    def build_kernel(self, grid):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+    monkeypatch.setattr(RunConfig, "build_kernel", build_kernel)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(minimal_config(grid_n=16)))
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
+    diagnostic = _single_diagnostic(capsys.readouterr().err)
+    assert diagnostic["error"] == "ValidationError"
+    assert diagnostic["message"] == "n^d = 16^1 is too large to allocate"
+
+
 def test_python_dash_m_torspec(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))

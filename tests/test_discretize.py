@@ -13,26 +13,34 @@ from conftest import make_f1, make_f2, sine_wound
 
 
 def _assert_conservative(kernel, grid):
-    # with V = 0 the diagonal is minus the serial off-diagonal row sum, bit
-    # for bit, so each row adds up to exactly zero in that order
+    # with V = 0 the diagonal is minus the serial off-diagonal row sum of the
+    # row's slab representative (x_a = 0 on each invariant axis a), bit for
+    # bit, so each row adds up to exactly zero in that representative's
+    # column order, translated with the row: left to right when the kernel
+    # has no invariant axes
     data = ts.assemble_generator(kernel, ts.zero_potential(grid)).data
+    n, d = grid.n, grid.dimension
+    nodes = np.indices((n,) * d).reshape(d, -1)
+    along = np.isin(np.arange(d), kernel.invariant_axes)[:, None]
     for i, row in enumerate(data.tolist()):
+        order = np.ravel_multi_index((nodes + along * nodes[:, i:i + 1]) % n, (n,) * d)
         off_sum = 0.0
-        for j, entry in enumerate(row):
+        for j in order.tolist():
             if j != i:
-                off_sum += entry
+                off_sum += row[j]
         assert row[i] == -off_sum
         assert off_sum + row[i] == 0.0
 
 
 def test_generator_conservative_exactly():
-    # irrational kernel samples included
+    # irrational kernel samples included; both are invariant along x
     for n in (16, 50):
         grid = ts.TorusGrid(1, n)
         for kernel in (
             ts.constant_kernel(grid),
             ts.convolution_kernel(sine_wound(grid)),
         ):
+            assert kernel.invariant_axes == (0,)
             _assert_conservative(kernel, grid)
 
 
@@ -46,7 +54,9 @@ def test_generator_conservative_exactly_on_random_kernels(shape, seed):
     samples = rng.random((grid.size, grid.size)) * 10.0 ** rng.uniform(-6, 6, (grid.size, grid.size))
     samples[rng.random(samples.shape) < 0.2] = 0.0
     samples[0, 0] = 1.0  # not identically zero
-    _assert_conservative(ts.GenericKernel(ts.TorusGrid(dimension, n), samples), grid)
+    kernel = ts.GenericKernel(ts.TorusGrid(dimension, n), samples)
+    assert kernel.invariant_axes == ()  # so each row is added left to right
+    _assert_conservative(kernel, grid)
 
 
 def test_generator_constant_kernel_matrix():

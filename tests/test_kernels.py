@@ -174,10 +174,11 @@ def test_serial_row_sums_bit_equal_to_cumsum(shape):
 
 def test_row_and_column_sums_build_no_array_of_the_kernels_size():
     grid, kernel, _ = random_fixture(5, n=512)
+    assert kernel.invariant_axes == ()  # so every row is summed
     tracemalloc.start()
     try:
         rows = ts.jump_rate(kernel)
-        cols = ts.kernels.serial_row_sums(kernel.samples.T, kernel.grid.weight)  # as kernel_stats takes them
+        cols = ts.kernels.slab_row_sums(kernel.samples.T, kernel, kernel.grid.weight)  # as kernel_stats takes them
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

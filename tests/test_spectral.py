@@ -186,6 +186,20 @@ def test_analyze_shallow_step_potential(depth):
     assert abs(report.lambda_by_method["q_bisection"] - oracle) <= options.bisection_tol
 
 
+@pytest.mark.parametrize("n, exact", [(64, -7 / 8), (256, -15 / 16)])
+def test_analyze_near_the_edge(n, exact):
+    # a step of depth 1 on n - 1 of the n nodes: the ratio operator is rank
+    # one, and ((n - 1)/n)/(2 + lam) + (1/n)/(1 + lam) = 1 gives
+    # lam = -1 + 1/sqrt(n), which tends to the edge -alpha1 = -1
+    grid = ts.TorusGrid(1, n)
+    options = ts.AnalysisOptions()
+    report = ts.analyze(ts.constant_kernel(grid), ts.step_potential(grid, 1.0, 1.0 - 1.0 / n), options)
+    assert report.essential.alpha1 == 1.0
+    assert exact == -1.0 + 1.0 / math.sqrt(n)
+    for value in report.lambda_by_method.values():
+        assert abs(value - exact) <= options.cross_tol
+
+
 def test_analyze_nonsymmetric_fixture():
     grid, kernel, potential = make_f4()
     report = ts.analyze(kernel, potential)
