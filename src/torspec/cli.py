@@ -80,22 +80,22 @@ def _run_evolve(
 ) -> tuple[dict, int]:
     generator = assemble_generator(kernel, potential)
     estimate = max_eigenvalue_shifted_power(generator, config.analysis)
-    t_max = config.evolution.t_max
+    t_max = config.evolution["t_max"]
     if t_max is None:
         t_max = 40.0 / abs(estimate.rho) if abs(estimate.rho) > 1e-12 else 40.0
     trace = evolve(
         generator,
         np.ones(generator.grid.size),
         t_max=t_max,
-        dt=config.evolution.dt,
-        method=config.evolution.method,
+        dt=config.evolution["dt"],
+        method=config.evolution["method"],
     )
     trace_path = os.path.join(out_dir, "trace.csv")
     write_trace_csv(trace, trace_path)
     print(trace_path)
     document = {
         "t_max": t_max,
-        "method": config.evolution.method,
+        "method": config.evolution["method"],
         "lambda_estimate": estimate.rho,
         "decay_rate_fit": trace.decay_rate_fit,
         "fit_window": list(trace.fit_window),
@@ -159,7 +159,7 @@ def run_command(command: str, config: RunConfig, out_dir: str | None = None) -> 
     if command not in _RUNNERS:
         raise ValidationError(f"unknown command {command!r}")
     if out_dir is None:
-        out_dir = config.output.directory
+        out_dir = config.output["directory"]
     runner, names = _RUNNERS[command]
     paths = [os.path.join(out_dir, name) for name in names]
     try:

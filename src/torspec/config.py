@@ -11,7 +11,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,119 +37,6 @@ from .kernels import (
 )
 from .spectral import AnalysisOptions
 
-# Each family's parameters.  A number maps to (default, admissible,
-# requirement); None marks the required non-numeric ``base`` and ``path``.
-_POSITIVE = (lambda x: x > 0, "must be positive")
-_DEPTH = (1.0, lambda x: x >= 0, "must be nonnegative")
-KERNEL_FAMILIES = {
-    "constant": {"value": (1.0, *_POSITIVE)},
-    "tophat": {"width": (1.0, *_POSITIVE)},
-    "gaussian": {"sigma": (0.2, *_POSITIVE)},
-    "exponential": {"scale": (0.2, *_POSITIVE)},
-    "sine": {"amplitude": (0.5, lambda x: abs(x) <= 1, "must lie in [-1, 1]")},
-    "modulated": {"base": None, "epsilon": (0.2, lambda x: -1.0 < x < 1.0, "must lie in (-1, 1)")},
-    "csv": {"path": None},
-}
-CONVOLUTION_FAMILIES = {"constant", "tophat", "gaussian", "exponential", "sine"}
-
-POTENTIAL_FAMILIES = {
-    "constant": {"depth": _DEPTH},
-    "step": {"depth": _DEPTH, "width": (0.5, lambda x: 0.0 < x <= 1.0, "must lie in (0, 1]")},
-    "cosine": {"depth": _DEPTH},
-    "zero": {},
-    "csv": {"path": None},
-}
-
-
-@dataclass(frozen=True)
-class EvolutionSettings:
-    t_max: float | None = None
-    dt: float | None = None
-    method: str = field(default="rk4", metadata={"choices": ("rk4", "eigenexpansion")})
-
-
-@dataclass(frozen=True)
-class OutputSettings:
-    directory: str = "."
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully validated run description with defaults filled in."""
-
-    dimension: int
-    grid_n: int
-    kernel: dict
-    potential: dict
-    analysis: AnalysisOptions = AnalysisOptions()
-    wind_tail_tol: float = 1e-12
-    evolution: EvolutionSettings = EvolutionSettings()
-    output: OutputSettings = OutputSettings()
-    base_dir: str = "."
-
-    def build_grid(self) -> TorusGrid:
-        return TorusGrid(self.dimension, self.grid_n)
-
-    def build_kernel(self, grid: TorusGrid) -> tuple[WoundKernel | None, GenericKernel]:
-        """Construct the kernel; the first element is its convolution form
-        when one exists (used by the gap bound), else None."""
-        wound = self._build_wound(grid, self.kernel)
-        family = self.kernel["family"]
-        if family == "modulated":
-            base = self._build_wound(grid, self.kernel["base"])
-            return None, modulated_convolution(base, self.kernel["epsilon"])
-        if family == "csv":
-            return None, kernel_from_csv(_resolve(self.base_dir, self.kernel["path"]), grid)
-        assert wound is not None
-        return wound, convolution_kernel(wound)
-
-    def _build_wound(self, grid: TorusGrid, spec: dict) -> WoundKernel | None:
-        family = spec["family"]
-        if family == "constant":
-            value = spec["value"]
-            return wound_from_function(lambda mesh: np.full(mesh.shape[:-1], value), grid)
-        d, tol = grid.dimension, self.wind_tail_tol
-        if family == "tophat":
-            return wind_kernel(tophat_kernel(d, spec["width"]), grid.n, tol)
-        if family == "gaussian":
-            return wind_kernel(gaussian_kernel(d, spec["sigma"]), grid.n, tol)
-        if family == "exponential":
-            return wind_kernel(exponential_kernel(d, spec["scale"]), grid.n, tol)
-        if family == "sine":
-            amp = spec["amplitude"]
-            return wound_from_function(
-                lambda mesh: 1.0 + amp * np.sin(2.0 * np.pi * mesh[..., 0]), grid
-            )
-        return None
-
-    def build_potential(self, grid: TorusGrid) -> Potential:
-        spec = self.potential
-        family = spec["family"]
-        if family == "constant":
-            return constant_potential(grid, spec["depth"])
-        if family == "step":
-            return step_potential(grid, spec["depth"], spec["width"])
-        if family == "cosine":
-            return cosine_potential(grid, spec["depth"])
-        if family == "zero":
-            return zero_potential(grid)
-        return potential_from_csv(_resolve(self.base_dir, spec["path"]), grid)
-
-    def echo(self) -> dict:
-        """Config with defaults filled; itself a valid config dict."""
-        analysis = asdict(self.analysis)
-        analysis["wind_tail_tol"] = self.wind_tail_tol
-        evolution = {k: v for k, v in asdict(self.evolution).items() if v is not None}
-        return {
-            "dimension": self.dimension,
-            "grid_n": self.grid_n,
-            "kernel": dict(self.kernel),
-            "potential": dict(self.potential),
-            "analysis": analysis,
-            "evolution": evolution,
-            "output": asdict(self.output),
-        }
-
 
 def _require_mapping(raw, context: str) -> dict:
     if not isinstance(raw, dict):
@@ -157,7 +44,7 @@ def _require_mapping(raw, context: str) -> dict:
     return raw
 
 
-def _check_keys(raw: dict, allowed: set, context: str) -> None:
+def _check_keys(raw: dict, allowed, context: str) -> None:
     for key in raw:
         if key not in allowed:
             raise ParseError(f"unknown key {key!r} in {context}")
@@ -187,33 +74,167 @@ def _integer(raw: dict, key: str, context: str, default=None):
     return int(value)
 
 
-def _string(raw: dict, key: str, context: str):
-    value = raw.get(key)
-    if not isinstance(value, str):
-        raise ParseError(f"{context}.{key} must be a string")
-    return value
+def _string(*choices):
+    """Reader of a string, which must be one of ``choices`` if any are given."""
+
+    def read(raw: dict, key: str, context: str, default=None):
+        value = raw.get(key, default)
+        if choices and value not in choices:
+            raise ParseError(f"{context}.{key} must be {' or '.join(map(repr, choices))}")
+        if not isinstance(value, str):
+            raise ParseError(f"{context}.{key} must be a string")
+        return value
+
+    return read
 
 
-_READERS = {"float": _number, "float | None": _number, "int": _integer, "str": _string}
+def _winding(continuous, key: str):
+    """Wound constructor of a kernel family on R^d with the one parameter ``key``."""
+    return lambda spec, grid, config: wind_kernel(
+        continuous(grid.dimension, spec[key]), grid.n, config.wind_tail_tol
+    )
 
 
-def _settings(cls, raw, context: str, extra: set = frozenset()):
-    """Settings dataclass ``cls`` from a JSON object; the fields of ``cls``
-    name the keys (besides ``extra``), and give their types and defaults."""
-    raw = _require_mapping(raw, context)
-    _check_keys(raw, {f.name for f in fields(cls)} | extra, context)
+# Every key of a family or a settings section: (reader taking (raw, key,
+# context, default), default, admissible test or None, requirement).  A None
+# reader marks the modulated family's base, a kernel spec read as kernel.base.
+_POSITIVE = (lambda x: x > 0, "must be positive")
+_AT_LEAST_ONE = (lambda x: x >= 1, "must be at least 1")
+_DEPTH = (_number, 1.0, lambda x: x >= 0, "must be nonnegative")
+_PATH = (_string(), None, None, None)
+
+# Each kernel family: (keys, wound constructor, kernel constructor), each taking
+# (spec, grid, config); a convolution family is one with a wound constructor.
+KERNEL_FAMILIES = {
+    "constant": (
+        {"value": (_number, 1.0, *_POSITIVE)},
+        lambda spec, grid, config: WoundKernel(grid, np.full((grid.n,) * grid.dimension, spec["value"])),
+        None,
+    ),
+    "tophat": ({"width": (_number, 1.0, *_POSITIVE)}, _winding(tophat_kernel, "width"), None),
+    "gaussian": ({"sigma": (_number, 0.2, *_POSITIVE)}, _winding(gaussian_kernel, "sigma"), None),
+    "exponential": ({"scale": (_number, 0.2, *_POSITIVE)}, _winding(exponential_kernel, "scale"), None),
+    "sine": (
+        {"amplitude": (_number, 0.5, lambda x: abs(x) <= 1, "must lie in [-1, 1]")},
+        lambda spec, grid, config: wound_from_function(
+            lambda mesh: 1.0 + spec["amplitude"] * np.sin(2.0 * np.pi * mesh[..., 0]), grid
+        ),
+        None,
+    ),
+    "modulated": (
+        {
+            "base": (None, None, lambda base: KERNEL_FAMILIES[base["family"]][1] is not None,
+                     "must be a convolution-form family"),
+            "epsilon": (_number, 0.2, lambda x: -1.0 < x < 1.0, "must lie in (-1, 1)"),
+        },
+        None,
+        lambda spec, grid, config: modulated_convolution(
+            KERNEL_FAMILIES[spec["base"]["family"]][1](spec["base"], grid, config), spec["epsilon"]
+        ),
+    ),
+    "csv": (
+        {"path": _PATH},
+        None,
+        lambda spec, grid, config: kernel_from_csv(os.path.join(config.base_dir, spec["path"]), grid),
+    ),
+}
+
+# Each potential family: (keys, constructor taking (spec, grid, config)).
+POTENTIAL_FAMILIES = {
+    "constant": ({"depth": _DEPTH}, lambda spec, grid, config: constant_potential(grid, spec["depth"])),
+    "step": (
+        {"depth": _DEPTH, "width": (_number, 0.5, lambda x: 0.0 < x <= 1.0, "must lie in (0, 1]")},
+        lambda spec, grid, config: step_potential(grid, spec["depth"], spec["width"]),
+    ),
+    "cosine": ({"depth": _DEPTH}, lambda spec, grid, config: cosine_potential(grid, spec["depth"])),
+    "zero": ({}, lambda spec, grid, config: zero_potential(grid)),
+    "csv": (
+        {"path": _PATH},
+        lambda spec, grid, config: potential_from_csv(os.path.join(config.base_dir, spec["path"]), grid),
+    ),
+}
+
+# The settings sections; AnalysisOptions states the analysis defaults.
+_OPTIONS = AnalysisOptions()
+SETTINGS = {
+    "analysis": {
+        "power_tol": (_number, _OPTIONS.power_tol, *_POSITIVE),
+        "max_iter": (_integer, _OPTIONS.max_iter, *_AT_LEAST_ONE),
+        "seed": (_integer, _OPTIONS.seed, lambda x: x >= 0, "must be non-negative"),
+        "bisection_tol": (_number, _OPTIONS.bisection_tol, *_POSITIVE),
+        "cross_tol": (_number, _OPTIONS.cross_tol, *_POSITIVE),
+        "primitivity_max_power": (_integer, _OPTIONS.primitivity_max_power, *_AT_LEAST_ONE),
+        "residual_tol": (_number, _OPTIONS.residual_tol, *_POSITIVE),
+        "spectrum_order_cap": (_integer, _OPTIONS.spectrum_order_cap, None, None),
+        "wind_tail_tol": (_number, 1e-12, *_POSITIVE),
+    },
+    "evolution": {
+        "t_max": (_number, None, *_POSITIVE),
+        "dt": (_number, None, *_POSITIVE),
+        "method": (_string("rk4", "eigenexpansion"), "rk4", None, None),
+    },
+    "output": {"directory": (_string(), ".", None, None)},
+}
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Fully validated run description with defaults filled in."""
+
+    dimension: int
+    grid_n: int
+    kernel: dict
+    potential: dict
+    analysis: AnalysisOptions
+    wind_tail_tol: float
+    evolution: dict
+    output: dict
+    base_dir: str = "."
+
+    def build_grid(self) -> TorusGrid:
+        return TorusGrid(self.dimension, self.grid_n)
+
+    def build_kernel(self, grid: TorusGrid) -> tuple[WoundKernel | None, GenericKernel]:
+        """Construct the kernel; the first element is its convolution form
+        when one exists (used by the gap bound), else None."""
+        _, wind, build = KERNEL_FAMILIES[self.kernel["family"]]
+        if wind is None:
+            return None, build(self.kernel, grid, self)
+        wound = wind(self.kernel, grid, self)
+        return wound, convolution_kernel(wound)
+
+    def build_potential(self, grid: TorusGrid) -> Potential:
+        return POTENTIAL_FAMILIES[self.potential["family"]][1](self.potential, grid, self)
+
+    def echo(self) -> dict:
+        """Config with defaults filled; itself a valid config dict."""
+        return {
+            "dimension": self.dimension,
+            "grid_n": self.grid_n,
+            "kernel": dict(self.kernel),
+            "potential": dict(self.potential),
+            "analysis": {**asdict(self.analysis), "wind_tail_tol": self.wind_tail_tol},
+            "evolution": {k: v for k, v in self.evolution.items() if v is not None},
+            "output": dict(self.output),
+        }
+
+
+def _read(raw, table: dict, context: str, problems: list, where: str | None = None) -> dict:
+    """The values of ``table``'s keys in the JSON object ``raw`` with defaults
+    filled; each value its admissible test refuses adds its requirement to
+    ``problems``.  An unknown key is named as in ``where`` (default ``context``)."""
+    _check_keys(_require_mapping(raw, context), table, where or context)
     values = {}
-    for f in fields(cls):
-        if f.name not in raw:
-            continue
-        choices = f.metadata.get("choices")
-        if choices is None:
-            values[f.name] = _READERS[f.type](raw, f.name, context)
-        elif raw[f.name] in choices:
-            values[f.name] = raw[f.name]
+    for key, (read, default, admissible, requirement) in table.items():
+        if read is not None:
+            values[key] = read(raw, key, context, default)
+        elif key in raw:
+            values[key] = _family_spec(raw[key], f"{context}.{key}", KERNEL_FAMILIES, problems)
         else:
-            raise ParseError(f"{context}.{f.name} must be {' or '.join(map(repr, choices))}")
-    return cls(**values)
+            raise ParseError(f"{context}.{key} is required for the modulated family")
+        if admissible is not None and values[key] is not None and not admissible(values[key]):
+            problems.append(f"{context}.{key} {requirement}")
+    return values
 
 
 def _family_spec(raw, context: str, families: dict, problems: list) -> dict:
@@ -221,40 +242,15 @@ def _family_spec(raw, context: str, families: dict, problems: list) -> dict:
     spec = _require_mapping(raw, context)
     family = spec.get("family")
     if not isinstance(family, str) or family not in families:
-        raise ParseError(
-            f"{context}.family must be one of {sorted(families)}, got {family!r}"
-        )
-    _check_keys(spec, families[family].keys() | {"family"}, f"{context} ({family})")
-    out = {"family": family}
-    for key, number in families[family].items():
-        if key == "path":
-            out[key] = _string(spec, key, context)
-        elif key == "base":
-            if "base" not in spec:
-                raise ParseError("kernel.base is required for the modulated family")
-            out[key] = _family_spec(spec["base"], "kernel", KERNEL_FAMILIES, problems)
-            if out[key]["family"] not in CONVOLUTION_FAMILIES:
-                problems.append("kernel.base must be a convolution-form family")
-        else:
-            default, admissible, requirement = number
-            out[key] = _number(spec, key, context, default)
-            if not admissible(out[key]):
-                problems.append(f"{context}.{key} {requirement}")
-    return out
-
-
-def _resolve(base_dir: str, path: str) -> str:
-    return path if os.path.isabs(path) else os.path.join(base_dir, path)
+        raise ParseError(f"{context}.family must be one of {sorted(families)}, got {family!r}")
+    params = {key: value for key, value in spec.items() if key != "family"}
+    return {"family": family, **_read(params, families[family][0], context, problems, f"{context} ({family})")}
 
 
 def config_from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
     """Validate a raw mapping and produce a RunConfig with defaults filled."""
     raw = _require_mapping(raw, "config")
-    _check_keys(
-        raw,
-        {"dimension", "grid_n", "kernel", "potential", "analysis", "evolution", "output"},
-        "config",
-    )
+    _check_keys(raw, {"dimension", "grid_n", "kernel", "potential", *SETTINGS}, "config")
     problems: list[str] = []
 
     dimension = _integer(raw, "dimension", "config")
@@ -268,64 +264,34 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
     if grid_n < 2 or grid_n % 2 != 0:
         problems.append("grid_n must be a positive even integer")
 
-    if "kernel" not in raw:
-        raise ParseError("config.kernel is required")
-    if "potential" not in raw:
-        raise ParseError("config.potential is required")
+    for name in ("kernel", "potential"):
+        if name not in raw:
+            raise ParseError(f"config.{name} is required")
     try:
         kernel = _family_spec(raw["kernel"], "kernel", KERNEL_FAMILIES, problems)
         potential = _family_spec(raw["potential"], "potential", POTENTIAL_FAMILIES, problems)
     except RecursionError:  # a modulated base nested, or a value too deep to print
         raise ParseError("kernel or potential nests too deeply") from None
 
-    analysis_raw = raw.get("analysis", {})
-    options = _settings(AnalysisOptions, analysis_raw, "analysis", {"wind_tail_tol"})
-    wind_tail_tol = _number(analysis_raw, "wind_tail_tol", "analysis", RunConfig.wind_tail_tol)
-    for name in ("power_tol", "bisection_tol", "cross_tol", "residual_tol"):
-        if getattr(options, name) <= 0:
-            problems.append(f"analysis.{name} must be positive")
-    if options.max_iter < 1:
-        problems.append("analysis.max_iter must be at least 1")
-    if options.seed < 0:
-        problems.append("analysis.seed must be non-negative")
-    if options.primitivity_max_power < 1:
-        problems.append("analysis.primitivity_max_power must be at least 1")
-    if dimension in (1, 2) and 8 * grid_n ** (2 * dimension) > sys.maxsize:
-        problems.append(
-            f"grid_n^dimension = {grid_n}^{dimension} is too large: its dense float64 matrix cannot be addressed"
-        )
-    if dimension in (1, 2) and options.spectrum_order_cap < grid_n**dimension:
-        problems.append(
-            f"analysis.spectrum_order_cap must be at least the matrix order n^d = {grid_n**dimension}"
-        )
-    if wind_tail_tol <= 0:
-        problems.append("analysis.wind_tail_tol must be positive")
+    settings = {name: _read(raw.get(name, {}), table, name, problems) for name, table in SETTINGS.items()}
+    wind_tail_tol = settings["analysis"].pop("wind_tail_tol")
+    options = AnalysisOptions(**settings["analysis"])
 
-    evolution = _settings(EvolutionSettings, raw.get("evolution", {}), "evolution")
-    if evolution.t_max is not None and evolution.t_max <= 0:
-        problems.append("evolution.t_max must be positive")
-    if evolution.dt is not None and evolution.dt <= 0:
-        problems.append("evolution.dt must be positive")
-
-    output = _settings(OutputSettings, raw.get("output", {}), "output")
-
+    if dimension in (1, 2):
+        order = grid_n**dimension
+        if 8 * order**2 > sys.maxsize:
+            problems.append(f"grid_n^dimension = {grid_n}^{dimension} is too large: "
+                            "its dense float64 matrix cannot be addressed")
+        if options.spectrum_order_cap < order:
+            problems.append(f"analysis.spectrum_order_cap must be at least the matrix order n^d = {order}")
     for spec, label in ((kernel, "kernel"), (potential, "potential")):
-        if spec["family"] == "csv" and not os.path.isfile(_resolve(base_dir, spec["path"])):
+        if spec["family"] == "csv" and not os.path.isfile(os.path.join(base_dir, spec["path"])):
             problems.append(f"{label}.path does not exist: {spec['path']}")
 
     if problems:
         raise ValidationError("; ".join(problems))
-    return RunConfig(
-        dimension=dimension,
-        grid_n=grid_n,
-        kernel=kernel,
-        potential=potential,
-        analysis=options,
-        wind_tail_tol=wind_tail_tol,
-        evolution=evolution,
-        output=output,
-        base_dir=base_dir,
-    )
+    return RunConfig(dimension, grid_n, kernel, potential, options, wind_tail_tol,
+                     settings["evolution"], settings["output"], base_dir)
 
 
 def load_config(path: str) -> RunConfig:

@@ -138,11 +138,11 @@ def tophat_kernel(dimension: int = 1, width: float = 1.0) -> ContinuousKernel:
     """Uniform density (2w)^-d on the half-open box [-w, w)^d.
 
     The half-open support makes winding exact on left-endpoint grids: no
-    boundary node is double counted.  ``wind_kernel`` evaluates the box at
-    exact displacements j/n, so when 2wn is an integer and w <= 1/2 the
-    wound kernel keeps all (2wn)^d nodes, with unit quadrature mass.  For
-    w < 1/2 those samples are not symmetric: the node at -w lies in the box,
-    the one at w does not.
+    boundary node is double counted.  ``wind_kernel`` evaluates each
+    translate at the float nearest its exact displacement, so when 2wn is an
+    integer the wound kernel counts (2wn)^d nodes, with multiplicity, and has
+    unit quadrature mass.  Unless 2w is an integer those samples are not
+    symmetric: the node at -w lies in the box, the one at w does not.
     """
     if width <= 0:
         raise ValueError("width must be positive")
@@ -241,13 +241,15 @@ def wind_kernel(a: ContinuousKernel, n: int, tail_tol: float = 1e-12) -> WoundKe
     The truncation radius grows until the kernel's analytic tail bound drops
     below ``tail_tol``; the omitted mass estimate is recorded on the result.
 
-    The sum runs over the centred displacements t = j/n in [-1/2, 1/2]^d,
-    which are exact, and adds each pair of opposite translates as
-    ``a(t + m) + a(t - m)`` before accumulating.  Each axis is then folded
-    back to the nodes i/n; on even n, t = -1/2 and t = 1/2 are one node,
-    which keeps the mean of its two sums.  An even kernel therefore winds to
-    exactly symmetric samples, ``a[k] == a[-k mod n]`` bit for bit: the sums
-    at t and -t take the same terms in the same order.
+    The sum runs over the centred displacements t = j/n in [-1/2, 1/2]^d
+    and adds each pair of opposite translates as ``a(t + m) + a(t - m)``
+    before accumulating.  Each point t + m is evaluated as (j + m n)/n,
+    formed in integers and rounded once, so it is the float nearest the
+    exact point for every m.  Each axis is then folded back to the nodes
+    i/n; on even n, t = -1/2 and t = 1/2 are one node, which keeps the mean
+    of its two sums.  An even kernel therefore winds to exactly symmetric
+    samples, ``a[k] == a[-k mod n]`` bit for bit: the sums at t and -t take
+    the same terms in the same order.
     """
     if tail_tol <= 0:
         raise ValueError("tail_tol must be positive")
@@ -263,13 +265,13 @@ def wind_kernel(a: ContinuousKernel, n: int, tail_tol: float = 1e-12) -> WoundKe
             )
 
     d = a.dimension
-    axis = np.arange(-(n // 2), n // 2 + 1) / n  # (-j)/n is exactly -(j/n)
-    centred = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1)
-    acc = a.evaluate(centred)
+    axis = np.arange(-(n // 2), n // 2 + 1)
+    centred = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1)  # integer j
+    acc = a.evaluate(centred / n)  # (-j)/n is exactly -(j/n)
     for shift in product(range(-n_wind, n_wind + 1), repeat=d):
         if shift > (0,) * d:  # one of each pair +-m
-            m = np.asarray(shift, dtype=float)
-            acc = acc + (a.evaluate(centred + m) + a.evaluate(centred - m))
+            m = n * np.asarray(shift)
+            acc = acc + (a.evaluate((centred + m) / n) + a.evaluate((centred - m) / n))
     for k in range(d):  # fold each axis back to the nodes i/n
         sums = np.moveaxis(acc, k, 0)
         if n % 2 == 0:  # t = -1/2 and t = 1/2 are one node

@@ -4,9 +4,10 @@ import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -16,13 +17,7 @@ from hypothesis import strategies as st
 import torspec as ts
 from torspec import jsonio
 from torspec.cli import main, run_command
-from torspec.config import (
-    KERNEL_FAMILIES,
-    POTENTIAL_FAMILIES,
-    EvolutionSettings,
-    OutputSettings,
-    RunConfig,
-)
+from torspec.config import KERNEL_FAMILIES, POTENTIAL_FAMILIES, SETTINGS, RunConfig
 from conftest import FIXTURE_DIR, REPO_ROOT
 
 
@@ -44,8 +39,8 @@ def test_minimal_config_defaults():
     assert config.potential["width"] == 0.5
     assert config.analysis.power_tol == 1e-11
     assert config.analysis.seed == 0
-    assert config.evolution.method == "rk4"
-    assert config.output.directory == "."
+    assert config.evolution["method"] == "rk4"
+    assert config.output["directory"] == "."
 
 
 def test_config_echo_round_trips():
@@ -705,11 +700,30 @@ def test_deeply_nested_config_is_config_error(tmp_path, capsys):
 def test_minimal_config_yields_default_settings():
     config = ts.config_from_dict(minimal_config())
     assert config.analysis == ts.AnalysisOptions()
-    assert config.evolution == EvolutionSettings()
-    assert config.output == OutputSettings()
-    assert config.wind_tail_tol == RunConfig.wind_tail_tol
+    assert config.evolution == {"t_max": None, "dt": None, "method": "rk4"}
+    assert config.output == {"directory": "."}
+    assert config.wind_tail_tol == 1e-12
     assert config.kernel == {"family": "constant", "value": 1.0}
     assert config.potential == {"family": "step", "depth": 1.0, "width": 0.5}
+
+
+def test_errors_inside_a_modulated_base_name_its_path(tmp_path, capsys):
+    def modulated(base):
+        return minimal_config(kernel={"family": "modulated", "base": base})
+
+    with pytest.raises(ts.ValidationError) as err:
+        ts.config_from_dict(modulated({"family": "gaussian", "sigma": -1}))
+    assert str(err.value) == "kernel.base.sigma must be positive"
+    with pytest.raises(ts.ParseError) as err:
+        ts.config_from_dict(modulated({"family": "gaussian", "zz": 1}))
+    assert str(err.value) == "unknown key 'zz' in kernel.base (gaussian)"
+    # a base that is not a convolution family is still refused, exit 1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(modulated({"family": "modulated", "base": {"family": "constant"}})))
+    assert main(["check-kernel", "--config", str(path), "--out", str(tmp_path)]) == 1
+    diagnostic = json.loads(capsys.readouterr().err)
+    assert diagnostic["error"] == "ValidationError"
+    assert diagnostic["message"] == "kernel.base must be a convolution-form family"
 
 
 def _fuzz_bases():
@@ -930,11 +944,10 @@ def test_cli_dense_eigensolver_failure_exits_three(command, solver, evolution, m
     ("kernel", KERNEL_FAMILIES), ("potential", POTENTIAL_FAMILIES),
 ])
 def test_family_tables_give_each_number_its_default_and_range(section, families):
-    for family, params in families.items():
-        for key, number in params.items():
-            if number is None:  # the modulated base or a csv path
+    for family, (params, *_constructors) in families.items():
+        for key, (_read, default, admissible, requirement) in params.items():
+            if admissible is None or key == "base":  # a csv path or the modulated base
                 continue
-            default, admissible, requirement = number
             assert admissible(default)
             spec = {"family": family, key: -5.0}  # outside every parameter's range
             if family == "modulated":
@@ -943,3 +956,24 @@ def test_family_tables_give_each_number_its_default_and_range(section, families)
             with pytest.raises(ts.ValidationError) as err:
                 ts.config_from_dict(minimal_config(**{section: spec}))
             assert str(err.value) == f"{section}.{key} {requirement}"
+
+
+def test_analysis_table_reads_every_option():
+    # the table is not read off the dataclass, so a new option needs its entry
+    fields_then_tail_tol = [f.name for f in fields(ts.AnalysisOptions)] + ["wind_tail_tol"]
+    assert list(SETTINGS["analysis"]) == fields_then_tail_tol
+
+
+def test_readme_lists_every_family_key_with_its_default():
+    readme = (REPO_ROOT / "README.md").read_text()
+    section = readme.split("\n## Configuration\n")[1].split("\n## ")[0]
+    for label, families in (("kernel", KERNEL_FAMILIES), ("potential", POTENTIAL_FAMILIES)):
+        bullet = section.split(f"\n- `{label}.family`:")[1].split("\n- ")[0]
+        for family, (params, *_constructors) in families.items():
+            assert f"`{family}`" in bullet, family
+            for key, (_read, default, _admissible, _requirement) in params.items():
+                stated = re.findall(rf"`{key}`(?:: ([^;,)\s]+))?", bullet)
+                assert stated, f"{label}.{key}"
+                if default is not None:  # every number the bullet gives is the default
+                    numbers = [float(text) for text in stated if text]
+                    assert numbers and all(number == default for number in numbers), (family, key, numbers)

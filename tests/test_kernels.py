@@ -133,6 +133,17 @@ def test_edge_aligned_tophat_keeps_every_box_node(dimension, n):
         assert abs(wound.quadrature_mass() - 1.0) <= 1e-15, k
 
 
+@pytest.mark.parametrize("dimension, sizes", [(1, (6, 12, 24, 48, 64, 128, 512)), (2, (6, 12, 24, 48))])
+def test_wide_edge_aligned_tophat_has_unit_mass(dimension, sizes):
+    # with n < k < 2n the box [-w, w) is wider than the torus, so translates
+    # m != 0 reach its edges; evaluated at j/n + m they round twice (1/3 - 1
+    # != -2/3) and an edge node falls in or out: 1-D n = 6, w = 2/3 had mass 0.875
+    for n in sizes:
+        for k in range(n + 1, 2 * n):
+            wound = ts.wind_kernel(ts.tophat_kernel(dimension, k / (2 * n)), n)
+            assert abs(wound.quadrature_mass() - 1.0) <= 1e-12, (n, k)
+
+
 # -- jump rate ---------------------------------------------------------------
 
 

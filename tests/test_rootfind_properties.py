@@ -91,3 +91,30 @@ def test_shifted_power_brackets_the_dense_eigenvalue(model):
     slack = ROUNDING_ULPS * np.spacing(float(-np.diagonal(generator.data).min()) + 1.0)
     assert result.cw_lower - slack <= lam_qr <= result.cw_upper + slack
     assert result.cw_lower <= result.rho <= result.cw_upper
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+@PROPERTY
+@given(models)
+def test_adjoint_model_has_the_same_lambda(model):
+    """M and its transpose share the maximum eigenvalue, and each one's
+    ground state is the other's adjoint state.  The reflected convolution
+    kernel b(y, x) has the same jump rate, so its generator is the
+    transpose; a generic kernel's transpose changes W, so the shifted power
+    runs on the transposed generator itself."""
+    grid, kernel, potential = build(model)
+    report = ts.analyze(kernel, potential)
+    if model[2] == "convolution":
+        reflected = ts.analyze(ts.GenericKernel(grid, kernel.samples.T), potential)
+        assert abs(reflected.max_eigenvalue - report.max_eigenvalue) <= CROSS_TOL
+        for state, adjoint in ((report.ground_state, reflected.adjoint_ground_state),
+                               (reflected.ground_state, report.adjoint_ground_state)):
+            assert np.allclose(_unit(state), _unit(adjoint), rtol=0.0, atol=1e-9)
+    else:
+        generator = ts.assemble_generator(kernel, potential)
+        adjoint = ts.max_eigenvalue_shifted_power(ts.OperatorMatrix(generator.data.T, grid))
+        assert abs(adjoint.rho - report.max_eigenvalue) <= CROSS_TOL
+        assert np.allclose(_unit(adjoint.vector), _unit(report.adjoint_ground_state), rtol=0.0, atol=1e-9)
