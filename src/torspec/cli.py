@@ -18,11 +18,12 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, config_from_dict, load_config
-from .discretize import assemble_generator
+from .discretize import assemble_generator, fibre_model
 from .errors import (
     HYPOTHESIS_ERRORS,
     ConfigError,
     FloatingPointFailure,
+    NotConverged,
     TorspecError,
     ValidationError,
 )
@@ -78,11 +79,14 @@ def _run_bound(
 def _run_evolve(
     config: RunConfig, wound: WoundKernel | None, kernel: GenericKernel, potential: Potential, out_dir: str
 ) -> tuple[dict, int]:
-    generator = assemble_generator(kernel, potential)
+    generator = assemble_generator(*fibre_model(kernel, potential))  # u0 = 1 lies in the Bloch fibre k = 0
     estimate = max_eigenvalue_shifted_power(generator, config.analysis)
     t_max = config.evolution["t_max"]
-    if t_max is None:
-        t_max = 40.0 / abs(estimate.rho) if abs(estimate.rho) > 1e-12 else 40.0
+    if t_max is None:  # 40/|lambda|, or 40 for a vanishing potential, whose lambda is 0
+        t_max = 40.0 / -estimate.rho if estimate.rho < 0 else np.inf
+        t_max = t_max if potential.diagnostics.eligible else 40.0
+        if not np.isfinite(t_max):
+            raise NotConverged(f"lambda estimate {estimate.rho!r} gives no horizon 40/|lambda|; set t_max")
     trace = evolve(
         generator,
         np.ones(generator.grid.size),

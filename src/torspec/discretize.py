@@ -78,26 +78,27 @@ class OperatorMatrix:
         return OperatorMatrix(data, self.grid)
 
 
+def model_axes(b: GenericKernel, potential: Potential) -> tuple[int, ...]:
+    """The model's invariant axes S: the kernel's, where the potential samples are bit-equal too."""
+    b.grid.require_match(potential.grid)
+    v = potential.samples.reshape((b.grid.n,) * b.grid.dimension)
+    return tuple(a for a in b.invariant_axes if np.array_equal(v, np.roll(v, 1, axis=a)))
+
+
 def assemble_generator(b: GenericKernel, potential: Potential) -> OperatorMatrix:
     """Jump generator: kernel part plus (V - W) on the diagonal.
 
-    The off-diagonal row sums come from ``slab_row_sums``.  Its invariant
-    axes are the kernel's along which the potential samples are bit-equal
-    as well.
+    Its off-diagonal row sums come from ``slab_row_sums``, its invariant axes from ``model_axes``.
     """
-    b.grid.require_match(potential.grid)
+    axes = model_axes(b, potential)
     data = b.grid.weight * b.samples
     np.fill_diagonal(data, 0.0)
     np.fill_diagonal(data, potential.samples - slab_row_sums(data, b))
-    v = potential.samples.reshape((b.grid.n,) * b.grid.dimension)
-    axes = tuple(a for a in b.invariant_axes if np.array_equal(v, np.roll(v, 1, axis=a)))
     return OperatorMatrix(data, b.grid, symmetric=b.symmetric, invariant_axes=axes)
 
 
-def fibre_model(
-    b: GenericKernel, potential: Potential, axes: tuple[int, ...]
-) -> tuple[GenericKernel, Potential]:
-    """The Bloch fibre k = 0 of a model invariant along ``axes`` S.
+def fibre_model(b: GenericKernel, potential: Potential) -> tuple[GenericKernel, Potential]:
+    """The Bloch fibre k = 0 of a model invariant along its ``model_axes`` S.
 
     It is the model on ``TorusGrid(d - |S|, n)`` with the kernel
     b'(x, y) = h^|S| sum_{y_S} b((x, 0_S), (y, y_S)), summed from the slab
@@ -106,7 +107,7 @@ def fibre_model(
     Perron eigenvectors: those are constant along S.  When S is empty, or
     every axis (a 0-D grid does not exist), the model is returned as it is.
     """
-    grid = b.grid
+    grid, axes = b.grid, model_axes(b, potential)
     n, d, s = grid.n, grid.dimension, len(axes)
     if not 0 < s < d:
         return b, potential

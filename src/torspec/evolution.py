@@ -29,7 +29,8 @@ class EvolutionTrace:
     ``min_value_seen`` is the least entry over the snapshots;
     ``rk4_step_min`` the least entry of the RK4 one-substep map (None for
     the eigenexpansion).  When it and the initial state are nonnegative,
-    every substep stays nonnegative.
+    every substep stays nonnegative.  On the Bloch fibre k = 0, where the CLI evolves,
+    the guarantee covers a start constant along the model's invariant axes, as u0 = 1 is.
     """
 
     times: np.ndarray

@@ -434,18 +434,21 @@ def cosine_potential(grid: TorusGrid, depth: float = 1.0) -> Potential:
 # kernel statistics
 
 
+def slab_rows(a: np.ndarray, b: GenericKernel) -> np.ndarray:
+    """The rows x_S = 0 of an (N, N) array, S = ``b.invariant_axes`` (every row when S is
+    empty): a view shaped (n or 1,)*d + (N,)."""
+    return a.reshape((b.grid.n,) * b.grid.dimension + (b.grid.size,))[b.grid.origin_slab(b.invariant_axes)]
+
+
 def slab_row_sums(a: np.ndarray, b: GenericKernel, weight: float | None = None) -> np.ndarray:
     """Serial row sums (``serial_row_sums``) of an (N, N) array that is
     invariant along the kernel's invariant axes, as ``b.samples`` is.
 
-    Along those axes the rows are permutations of each other, whose serial
-    sums can differ in the last bits, so only the slab of rows x_a = 0 is
-    summed and its sums are broadcast: the sums are then exactly invariant
-    too.  With no invariant axes every row is summed.
+    Along those axes rows are permutations of the ``slab_rows``, whose serial sums are
+    broadcast: permuted sums can differ in the last bits, these are exactly invariant.
     """
     shape = (b.grid.n,) * b.grid.dimension
-    slab = a.reshape(shape + (b.grid.size,))[b.grid.origin_slab(b.invariant_axes)]
-    return np.broadcast_to(serial_row_sums(slab, weight), shape).ravel()
+    return np.broadcast_to(serial_row_sums(slab_rows(a, b), weight), shape).ravel()
 
 
 def jump_rate(b: GenericKernel) -> np.ndarray:
@@ -464,6 +467,7 @@ def kernel_stats(b: GenericKernel, n_max: int = 16) -> dict:
     ``primitive_power`` is the smallest k for which the k-th power of the
     quadrature matrix h^d b is entrywise positive; ``iterated_kernel_min``
     is the minimum of that power rescaled back to kernel normalization.
+    The powers are invariant as b is, so only their ``slab_rows`` are formed, each the previous times h^d b.
     Raises DegenerateKernel when some row integral vanishes, NotPrimitive
     when no power up to ``n_max`` is entrywise positive at this resolution.
     """
@@ -479,7 +483,7 @@ def kernel_stats(b: GenericKernel, n_max: int = 16) -> dict:
     n_prim = 1
     if not least > 0:
         quad = b.grid.weight * b.samples
-        power = quad
+        power = slab_rows(quad, b).reshape(-1, b.grid.size)
         for n_prim in range(2, max(1, n_max) + 1):
             power = power @ quad
             least = power.min()

@@ -24,6 +24,7 @@ from .discretize import (
     assemble_generator,
     check_shift,
     fibre_model,
+    model_axes,
     shift_denominator,
 )
 from .eigen import SPECTRUM_ORDER_CAP, PerronResult, block_shape, full_spectrum, perron
@@ -289,7 +290,7 @@ def analyze(
     lambda = 0 with ``diagnostics["conforming"]`` false.
 
     The two Perron methods run on the model's Bloch fibre k = 0
-    (``fibre_model``) along the generator's invariant axes; their states
+    (``fibre_model``) along the model's invariant axes; their states
     are lifted back along those axes and renormalised, and the residuals
     are taken on the whole generator.
     """
@@ -300,8 +301,7 @@ def analyze(
     eigenvalues = full_spectrum(generator, options.spectrum_order_cap)
     lam_qr = float(eigenvalues[0].real)
 
-    axes = generator.invariant_axes
-    fibre_b, fibre_v = fibre_model(b, potential, axes)
+    fibre_b, fibre_v = fibre_model(b, potential)
     reduced = fibre_b is not b
     shifted = max_eigenvalue_shifted_power(
         assemble_generator(fibre_b, fibre_v) if reduced else generator, options
@@ -323,7 +323,7 @@ def analyze(
     psi = bisected.ground_state
     phi = bisected.adjoint_state
     if reduced:
-        psi, phi = (_lift(u, b.grid, axes) for u in (psi, phi))
+        psi, phi = (_lift(u, b.grid, model_axes(b, potential)) for u in (psi, phi))
     residual_psi = float(np.linalg.norm(generator.matvec(psi) - lam * psi))
     residual_phi = float(np.linalg.norm(generator.data.T @ phi - lam * phi))
     if max(residual_psi, residual_phi) > options.residual_tol:

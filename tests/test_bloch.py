@@ -12,7 +12,7 @@ from scipy.optimize import linear_sum_assignment
 
 import torspec as ts
 from torspec.cli import run_command
-from torspec.discretize import fibre_model
+from torspec.discretize import fibre_model, model_axes
 from torspec.eigen import block_shape
 from torspec.kernels import SYMMETRY_TILE, _invariant_axes
 from conftest import FIXTURE_DIR, make_f3
@@ -316,11 +316,12 @@ def test_perron_methods_run_on_the_fibre_only_when_it_is_smaller(name, monkeypat
 def test_fibre_model_is_summed_from_the_slab_rows():
     grid = ts.TorusGrid(2, 32)
     kernel, potential = _gaussian(grid), ts.step_potential(grid)
-    for axes in ((), (0, 1)):
-        assert fibre_model(kernel, potential, axes) == (kernel, potential)
+    for whole in (ts.cosine_potential(grid), ts.constant_potential(grid, 0.3)):  # S = (), (0, 1)
+        assert fibre_model(kernel, whole) == (kernel, whole)
+    assert model_axes(kernel, potential) == (1,)
     tracemalloc.start()
     try:
-        fibre, fibre_potential = fibre_model(kernel, potential, (1,))
+        fibre, fibre_potential = fibre_model(kernel, potential)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -330,3 +331,33 @@ def test_fibre_model_is_summed_from_the_slab_rows():
     assert np.array_equal(fibre.samples, rows.sum(axis=-1) / 32)
     assert np.array_equal(fibre_potential.samples, potential.samples.reshape(32, 32)[:, 0])
     assert fibre.symmetric and fibre.w.min() == fibre.w.max()
+
+
+@pytest.mark.parametrize("method", ["rk4", "eigenexpansion"])
+def test_cli_evolve_runs_on_the_fibre(method, tmp_path, monkeypatch):
+    raw = {"dimension": 2, "grid_n": 16, "kernel": {"family": "gaussian", "sigma": 0.2},
+           "potential": {"family": "step"}, "evolution": {"method": method}}
+    orders = []
+
+    def evolve(generator, *args, _real=ts.cli.evolve, **kwargs):
+        orders.append(generator.grid.size)
+        return _real(generator, *args, **kwargs)
+
+    monkeypatch.setattr(ts.cli, "evolve", evolve)
+    config = ts.config_from_dict(raw)
+    assert run_command("evolve", config, str(tmp_path)) == 0
+    assert orders == [16]
+    summary = json.loads((tmp_path / "evolution.json").read_text())
+    trace = np.loadtxt(tmp_path / "trace.csv", delimiter=",", skiprows=1)
+
+    grid = ts.TorusGrid(2, 16)
+    generator = ts.assemble_generator(_gaussian(grid), ts.step_potential(grid))
+    whole = ts.evolve(generator, np.ones(grid.size), t_max=summary["t_max"], method=method)
+    for column, norms in zip(trace.T[1:], (whole.l2_norms, whole.sup_norms, whole.masses)):
+        assert np.allclose(column, norms, rtol=1e-10, atol=0)
+    estimate = ts.max_eigenvalue_shifted_power(generator, config.analysis).rho
+    assert abs(summary["lambda_estimate"] - estimate) <= config.analysis.cross_tol
+
+    raw["potential"] = {"family": "cosine"}  # invariant along no axis: the whole generator
+    assert run_command("evolve", ts.config_from_dict(raw), str(tmp_path)) == 0
+    assert orders == [16, grid.size]

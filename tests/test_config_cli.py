@@ -847,6 +847,40 @@ def test_cli_evolve_overflow_keeps_its_typed_error(evolution, error, tmp_path, c
     assert diagnostic["error"] == error
 
 
+@pytest.mark.parametrize("depth", [1e-12, 1e-13])
+def test_cli_evolve_default_horizon_reaches_extinction_on_a_shallow_step(depth, tmp_path, capsys):
+    # the default t_max is 40/|lambda| for every eligible potential, however shallow
+    raw = minimal_config(grid_n=64, potential={"family": "step", "depth": depth},
+                         evolution={"method": "eigenexpansion"})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["evolve", "--config", str(path), "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "evolution.json").read_text())
+    assert summary["t_max"] == 40.0 / -summary["lambda_estimate"]
+    assert summary["extinction"]["extinct"] is True
+    raw["evolution"] = {"method": "rk4"}  # that horizon is beyond the RK4 substep cap
+    assert "substeps" in _exit_three("evolve", raw, tmp_path, capsys)["message"]
+
+
+@pytest.mark.parametrize("method", ["rk4", "eigenexpansion"])
+@pytest.mark.parametrize("depth", [1e-300, 5e-324])
+def test_cli_evolve_has_no_default_horizon_without_a_negative_estimate(depth, method, tmp_path, capsys):
+    raw = minimal_config(grid_n=64, potential={"family": "step", "depth": depth},
+                         evolution={"method": method})
+    diagnostic = _exit_three("evolve", raw, tmp_path, capsys)
+    assert diagnostic["error"] == "NotConverged"
+    assert "no horizon" in diagnostic["message"]
+
+
+def test_cli_evolve_on_a_vanishing_potential_keeps_the_horizon_forty(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(minimal_config(grid_n=16, potential={"family": "zero"})))
+    assert main(["evolve", "--config", str(path), "--out", str(tmp_path)]) == 2
+    summary = json.loads((tmp_path / "evolution.json").read_text())
+    assert summary["t_max"] == 40.0
+    assert summary["extinction"]["extinct"] is False
+
+
 def test_cli_evolve_on_a_zero_generator_is_degenerate_kernel(tmp_path, capsys):
     # all mass on the diagonal and no potential: M = 0 has no step to default to
     n = 4

@@ -271,6 +271,61 @@ def test_chain_kernel_needs_higher_power():
     assert stats["iterated_kernel_min"] > 0
 
 
+def _dense_primitivity(kernel, n_max=16):
+    """Primitive power and least entry of whole-matrix powers of h^d b."""
+    quad = kernel.grid.weight * kernel.samples
+    power = quad
+    for k in range(1, n_max + 1):
+        if k > 1:
+            power = power @ quad
+        if power.min() > 0:
+            return k, float(power.min() / kernel.grid.weight)
+    raise AssertionError("not primitive")
+
+
+def _tophat(dimension, n, width):
+    return ts.convolution_kernel(ts.wind_kernel(ts.tophat_kernel(dimension, width), n))
+
+
+def _invariant_along_one_axis(n, width, seed=5):
+    """b((x0, x1), (y0, y1)) = a(x0 - y0) c(x1, y1): a 1-D tophat along
+    axis 0 times a random positive table along axis 1."""
+    a = _tophat(1, n, width).samples
+    c = np.random.default_rng(seed).uniform(0.5, 1.5, (n, n))
+    return ts.GenericKernel(ts.TorusGrid(2, n), np.kron(a, c))
+
+
+@pytest.mark.parametrize("make, axes", [
+    (lambda: _tophat(1, 512, 0.125), (0,)),  # the sweep's tophat, power 5
+    (lambda: _tophat(1, 64, 5 / 128), (0,)),
+    (lambda: _tophat(2, 24, 0.125), (0, 1)),
+    (lambda: _tophat(2, 16, 0.1875), (0, 1)),
+    (lambda: _invariant_along_one_axis(16, 0.125), (0,)),
+    (lambda: ts.modulated_convolution(ts.wind_kernel(ts.tophat_kernel(1, 0.125), 64), 0.3), ()),
+], ids=["1d-512", "1d-64", "2d-24", "2d-16", "one-axis", "no-axis"])
+def test_primitivity_powers_on_the_slab_rows_match_the_whole_matrix(make, axes):
+    kernel = make()
+    assert kernel.invariant_axes == axes
+    stats = ts.kernel_stats(kernel)
+    power, least = _dense_primitivity(kernel)
+    assert stats["primitive_power"] == power > 1
+    assert math.isclose(stats["iterated_kernel_min"], least, rel_tol=1e-12)
+    if not axes:  # the slab is every row: the same products
+        assert stats["iterated_kernel_min"] == least
+
+
+def test_primitivity_powers_of_an_invariant_kernel_build_one_array_of_its_size():
+    kernel = _tophat(2, 24, 0.125)
+    tracemalloc.start()
+    try:
+        stats = ts.kernel_stats(kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats["primitive_power"] == 5
+    assert peak <= 1.5 * kernel.samples.nbytes  # h^d b, and slab rows of its powers
+
+
 @pytest.mark.parametrize("dimension, n", [(1, 7), (1, 8), (2, 5), (2, 6)])
 def test_convolution_kernels_gather_torus_displacements(dimension, n):
     grid = ts.TorusGrid(dimension, n)
