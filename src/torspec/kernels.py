@@ -4,20 +4,23 @@ Two kernel representations coexist.  A convolution kernel lives on the torus
 as samples of a single function of the displacement (wound from a kernel on
 the full space when necessary); a generic two-point kernel is a dense array
 of samples b(x_i, y_j).  Potentials are nonpositive node samples.  Every
-record carries the ``TorusGrid`` it is sampled on, and a generic kernel
-decides once, when it is built, whether its samples are exactly symmetric
-and along which axes they are exactly translation-invariant.
+record carries the ``TorusGrid`` it is sampled on, and every sample must be
+finite.  A generic kernel decides once, when it is built, whether its
+samples are exactly symmetric and along which axes they are exactly
+translation-invariant: a convolution kernel reads both off its wound
+samples, any other kernel tests its (n^d, n^d) array bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field
 from itertools import product
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegenerateKernel,
@@ -37,6 +40,15 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     a.flags.writeable = False
     return a
+
+
+def _finite_range(a: np.ndarray, what: str) -> tuple[float, float]:
+    """The least and greatest sample; both passes propagate NaN, so any
+    non-finite sample raises ValidationError, as in a CSV table."""
+    lo, hi = float(a.min()), float(a.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError(f"{what} samples must be finite")
+    return lo, hi
 
 
 def serial_row_sums(a: np.ndarray, weight: float | None = None) -> np.ndarray:
@@ -220,7 +232,7 @@ class WoundKernel:
         object.__setattr__(self, "samples", samples)
         if samples.shape != (self.grid.n,) * self.grid.dimension:
             raise ValueError("samples must be shaped (n,)*d")
-        if np.any(samples < 0):
+        if _finite_range(samples, "wound kernel")[0] < 0:
             raise ValueError("wound kernel samples must be nonnegative")
         if self.quadrature_mass() <= 0:
             raise DegenerateKernel("wound kernel has zero quadrature mass")
@@ -289,27 +301,33 @@ class GenericKernel:
     ``symmetric`` whether the samples equal their transpose bit for bit,
     and ``invariant_axes`` the axes a along which b(x + e_a, y + e_a) ==
     b(x, y) bit for bit; all three are evaluated once at construction and
-    read by every consumer.
+    read by every consumer.  ``GenericKernel(grid, samples)`` bit-tests its
+    samples for both flags; ``convolution_kernel`` passes them, read off
+    the wound samples, as ``_structure`` = (symmetric, invariant_axes),
+    which is taken as given.
     """
 
     grid: TorusGrid
     samples: np.ndarray
+    _structure: InitVar[tuple[bool, tuple[int, ...]] | None] = None
     w: np.ndarray = field(init=False, repr=False, compare=False)
     symmetric: bool = field(init=False, repr=False, compare=False)
     invariant_axes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _structure: tuple[bool, tuple[int, ...]] | None) -> None:
         samples = _freeze(np.asarray(self.samples, dtype=float))
         object.__setattr__(self, "samples", samples)
         if samples.shape != (self.grid.size, self.grid.size):
             raise ValueError("samples must be an (n^d, n^d) array")
-        if np.any(samples < 0):
+        lo, hi = _finite_range(samples, "kernel")
+        if lo < 0:
             raise DegenerateKernel("kernel samples must be nonnegative")
-        if not np.any(samples > 0):
+        if not hi > 0:
             raise DegenerateKernel("kernel is identically zero")
-        object.__setattr__(self, "invariant_axes", _invariant_axes(samples, self.grid))
+        symmetric, axes = _structure or (_is_symmetric(samples), _invariant_axes(samples, self.grid))
+        object.__setattr__(self, "symmetric", symmetric)
+        object.__setattr__(self, "invariant_axes", axes)
         object.__setattr__(self, "w", _freeze(jump_rate(self)))
-        object.__setattr__(self, "symmetric", _is_symmetric(samples))
 
 
 def constant_kernel(grid: TorusGrid, value: float = 1.0) -> GenericKernel:
@@ -317,27 +335,34 @@ def constant_kernel(grid: TorusGrid, value: float = 1.0) -> GenericKernel:
 
 
 def _displacement_samples(wound: WoundKernel) -> np.ndarray:
-    """Samples a(x_i - y_j) as an (n^d, n^d) array in grid node order.
+    """Samples a(x_i - y_j) as an (n^d, n^d) array in grid node order, by
+    one strided copy.
 
-    One (n, n) table of axis displacements (i - j) mod n, in pure integer
-    arithmetic, indexes every axis; broadcast over the axis pairs, the
-    gather comes out shaped (x_1..x_d, y_1..y_d), so no (n^d, n^d) index
-    array is built.
+    The flipped periodic extension f, (2n)^d entries, holds
+    f[m] = a[(-1 - m) mod n] on each axis, so its window of side n at
+    p = n - 1 - i holds a[(i - j) mod n] at offset j.  The windows at
+    p = n - 1, ..., 0 form an (x_1..x_d, y_1..y_d) view whose rows are
+    contiguous in f, and one copy makes it the (n^d, n^d) array.
     """
     grid = wound.grid
     n, d = grid.n, grid.dimension
-    diff = (np.arange(n)[:, None] - np.arange(n)) % n
-    index = []
-    for axis in range(d):
-        shape = [1] * (2 * d)
-        shape[axis] = shape[d + axis] = n
-        index.append(diff.reshape(shape))
-    return wound.samples[tuple(index)].reshape(grid.size, grid.size)
+    flipped = np.tile(np.flip(wound.samples), (2,) * d)
+    windows = sliding_window_view(flipped, (n,) * d)[(slice(n - 1, None, -1),) * d]
+    return np.ascontiguousarray(windows).reshape(grid.size, grid.size)
 
 
 def convolution_kernel(wound: WoundKernel) -> GenericKernel:
-    """Generic form b(x, y) = a(x - y) of a convolution kernel."""
-    return GenericKernel(wound.grid, _displacement_samples(wound))
+    """Generic form b(x, y) = a(x - y) of a convolution kernel.
+
+    Its structure is read off the n^d wound samples, not bit-tested on
+    the (n^d, n^d) array.  The gather only copies samples, so b is exactly
+    invariant along every axis; and b equals its transpose bit for bit
+    exactly when a[k] == a[-k mod n] for every k, the samples being finite.
+    """
+    a = wound.samples
+    axes = tuple(range(a.ndim))
+    even = np.array_equal(a, np.roll(np.flip(a), 1, axis=axes))
+    return GenericKernel(wound.grid, _displacement_samples(wound), _structure=(even, axes))
 
 
 def modulated_convolution(wound: WoundKernel, epsilon: float) -> GenericKernel:
@@ -393,15 +418,16 @@ class Potential:
         object.__setattr__(self, "samples", v)
         if v.size != self.grid.size:
             raise ValueError("potential needs one sample per grid node")
-        if np.any(v > 0):
-            raise PositivePotential(f"potential has a positive sample (max {v.max():.6g})")
+        lo, hi = _finite_range(v, "potential")
+        if hi > 0:
+            raise PositivePotential(f"potential has a positive sample (max {hi:.6g})")
         weight = self.grid.weight
         frac = float(np.count_nonzero(v < 0)) / v.size
         # squared after scaling by max|V|, so no depth overflows or underflows the squares
-        peak = -float(v.min())
+        peak = -lo
         norm_l2 = peak * math.sqrt(float(((v / peak) ** 2).sum()) * weight) if peak > 0 else 0.0
         object.__setattr__(self, "diagnostics", PotentialDiagnostics(
-            max_sample=float(v.max()),
+            max_sample=hi,
             fraction_negative=frac,
             norm_l1=float(np.abs(v).sum() * weight),
             norm_l2=norm_l2,

@@ -8,10 +8,12 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import torspec as ts
-from torspec.kernels import SYMMETRY_TILE, _is_symmetric
+from torspec.kernels import SYMMETRY_TILE, _displacement_samples, _invariant_axes, _is_symmetric
 from conftest import make_f2, random_fixture, sine_wound
 
 
@@ -661,8 +663,9 @@ def test_analyze_tests_symmetry_once(monkeypatch):
     grid = ts.TorusGrid(2, 8)
     kernel = ts.convolution_kernel(ts.wind_kernel(ts.gaussian_kernel(2, 0.2), 8))
     ts.analyze(kernel, ts.step_potential(grid))
-    # the whole kernel once, and the order-8 kernel of its Bloch fibre k = 0 once
-    assert calls == [(64, 64), (8, 8)]
+    # the convolution kernel reads its flag off the wound samples; only the
+    # order-8 kernel of its Bloch fibre k = 0 is bit-tested, once
+    assert calls == [(8, 8)]
 
 
 def test_eigenexpansion_evolve_tests_symmetry_once(monkeypatch, tmp_path, capsys):
@@ -675,7 +678,79 @@ def test_eigenexpansion_evolve_tests_symmetry_once(monkeypatch, tmp_path, capsys
         "evolution": {"method": "eigenexpansion"},
     }))
     assert ts.main(["evolve", "--config", str(path), "--out", str(tmp_path)]) == 0
-    assert calls == [(16, 16)]
+    # the step potential leaves no invariant axis, so no fibre kernel is
+    # built, and the convolution kernel is never bit-tested
+    assert calls == []
+
+
+def test_hand_built_kernel_runs_both_bit_tests(monkeypatch):
+    wound = ts.wind_kernel(ts.gaussian_kernel(2, 0.2), 6)
+    convolution = ts.convolution_kernel(wound)
+    symmetry = _count_symmetry_tests(monkeypatch)
+    shifts = []
+
+    def counted(samples, grid):
+        shifts.append(samples.shape)
+        return _invariant_axes(samples, grid)
+
+    monkeypatch.setattr(ts.kernels, "_invariant_axes", counted)
+    kernel = ts.GenericKernel(wound.grid, convolution.samples)
+    assert symmetry == shifts == [(36, 36)]
+    assert (kernel.symmetric, kernel.invariant_axes) == (convolution.symmetric, convolution.invariant_axes) == (True, (0, 1))
+    assert np.array_equal(kernel.w, convolution.w)
+
+
+def _reflected(a):
+    """a[-k mod n] along every axis."""
+    return np.roll(np.flip(a), 1, axis=tuple(range(a.ndim)))
+
+
+def _fancy_index_gather(wound):
+    """Reference gather a((i - j) mod n): one (n, n) displacement table
+    indexes every axis, broadcast over the axis pairs."""
+    n, d = wound.grid.n, wound.grid.dimension
+    diff = (np.arange(n)[:, None] - np.arange(n)) % n
+    index = []
+    for axis in range(d):
+        shape = [1] * (2 * d)
+        shape[axis] = shape[d + axis] = n
+        index.append(diff.reshape(shape))
+    return wound.samples[tuple(index)].reshape(wound.grid.size, wound.grid.size)
+
+
+PALETTE = np.array([0.0, -0.0, 0.25, 1.0, 3.0, 1e-300])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([1, 2]), st.integers(2, 24), st.integers(0, 2**32 - 1),
+       st.sampled_from(["uniform", "palette"]), st.booleans())
+def test_strided_gather_and_wound_flags_match_the_bit_tests(dimension, n, seed, draw, even):
+    rng = np.random.default_rng(seed)
+    shape = (n,) * dimension
+    a = rng.uniform(0.0, 2.0, shape) if draw == "uniform" else rng.choice(PALETTE, shape)
+    a[(0,) * dimension] += 1.0  # positive quadrature mass
+    if even:
+        a = a + _reflected(a)
+    wound = ts.WoundKernel(ts.TorusGrid(dimension, n), a)
+    gathered = _displacement_samples(wound)
+    assert gathered.flags.c_contiguous
+    assert gathered.tobytes() == _fancy_index_gather(wound).tobytes()
+    kernel = ts.convolution_kernel(wound)
+    assert kernel.symmetric is _is_symmetric(kernel.samples)
+    assert kernel.invariant_axes == _invariant_axes(kernel.samples, wound.grid) == tuple(range(dimension))
+    if even:
+        assert kernel.symmetric
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("record", ["wound", "generic", "potential"])
+def test_non_finite_samples_are_refused(record, bad):
+    grid = ts.TorusGrid(1, 8)
+    samples = {"wound": np.ones(8), "generic": np.ones((8, 8)), "potential": -np.ones(8)}[record]
+    samples.flat[3] = bad
+    build = {"wound": ts.WoundKernel, "generic": ts.GenericKernel, "potential": ts.Potential}[record]
+    with pytest.raises(ts.ValidationError, match="samples must be finite"):
+        build(grid, samples)
 
 
 def test_narrow_tophat_is_primitive_at_the_power_cap(tmp_path):
