@@ -1,27 +1,22 @@
 """Dense collocation matrices for the torus operators, and the Fourier symbol.
 
 Assembly convention: off-diagonal entries hold h^d b(x_i, y_j); the diagonal
-of a generator carries V(x_i) minus the serial sum of the off-diagonal row.
-The kernel's own diagonal sample never enters, mirroring the difference
-structure b(x,y)(u(y) - u(x)) where it cancels identically.  Along the
-kernel's invariant axes the off-diagonal part is invariant, so one row-sum
-rule (``kernels.slab_row_sums``) sums only the slab rows x_a = 0 and
-broadcasts them, as it does for the jump rate W: the generator is then
-exactly invariant along its invariant axes, diagonal included.  When
-V = 0 each row sums to exactly zero, bit for bit, when it is added in the
-column order of its slab representative, translated with it; without
-invariant axes that order is left to right.  The ratio operator reads W
-from ``GenericKernel.w`` and does not recompute it.  Kernel and potential
-must carry one grid wherever they meet; the generator takes that grid and
-the kernel's ``symmetric`` flag, since off-diagonal entries h^d b and a
-diagonal are symmetric exactly when b is, and the kernel's invariant axes
-along which the potential samples are bit-equal too.  The generator is
-Metzler, so its diagonal alone gives the shift that makes it nonnegative.
-The Bloch fibre k = 0 of a model invariant along some axes is a model on
-the torus of the remaining axes.  The Fourier symbol of a wound kernel is
-h^d times the DFT of its samples on every grid wavevector: the
-eigenvalues of the circulant h^d B, with no band cut and no Nyquist
-exclusion.
+of a generator carries V(x_i) minus the serial sum of the off-diagonal row,
+so the kernel's own diagonal sample never enters, as in b(x,y)(u(y) - u(x)).
+``generator_rows`` forms the rows x_S = 0 over a slab of invariant axes S,
+or every row, and sums only the kernel's slab rows x_a = 0 along its
+invariant axes, broadcast as for W (``kernels.slab_row_sums``): the
+generator is exactly invariant along those axes, diagonal included, and
+with V = 0 each row sums to exactly zero in the column order of its slab
+representative.  The ratio operator reads W from ``GenericKernel.w``.
+Kernel and potential must carry one grid wherever they meet.  The generator
+takes the kernel's ``symmetric`` flag and its invariant axes along which the
+potential samples are bit-equal too; it is Metzler, so its
+diagonal alone gives the shift that makes it nonnegative.  The Bloch fibre
+k = 0 of a model invariant along some axes is a model on the torus of the
+remaining axes.  The Fourier symbol of a wound kernel is h^d times the DFT
+of its samples on every grid wavevector: the eigenvalues of the circulant
+h^d B, with no band cut and no Nyquist exclusion.
 """
 
 from __future__ import annotations
@@ -39,11 +34,14 @@ MU_EDGE_MARGIN = 1e-12
 
 @dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
 class OperatorMatrix:
-    """Dense square matrix of a torus operator: the generator M, the ratio
+    """Dense matrix of a torus operator: the generator M, the ratio
     operator Q_mu, or a diagonal shift of M.  ``symmetric`` and
     ``invariant_axes`` are set by ``assemble_generator`` from the kernel
     and the potential, and are False and () on any matrix built otherwise,
-    which then takes the general dense solvers on the whole matrix."""
+    which then takes the general dense solvers on the whole matrix.
+    ``data`` is the square matrix or, in ``analyze`` of an invariant model, its
+    rows x_S = 0 only (S = ``slab_axes``, see ``invariant_axes``), which ``shifted`` rejects.
+    """
 
     data: np.ndarray
     grid: TorusGrid
@@ -54,15 +52,21 @@ class OperatorMatrix:
         data = np.ascontiguousarray(self.data, dtype=float)
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
-        if data.ndim != 2 or data.shape[0] != data.shape[1]:
-            raise DimensionMismatch("operator matrix must be square")
-        if data.shape[0] != self.grid.size:
+        slab = self.grid.size // self.grid.n ** len(self.invariant_axes)
+        if data.ndim != 2 or data.shape[0] not in (data.shape[1], slab):
+            raise DimensionMismatch("operator matrix must be square, or hold its slab rows")
+        if data.shape[1] != self.grid.size:
             raise DimensionMismatch(
-                f"matrix order {data.shape[0]} does not match grid size {self.grid.size}"
+                f"matrix order {data.shape[1]} does not match grid size {self.grid.size}"
             )
 
+    @property
+    def slab_axes(self) -> tuple[int, ...]:
+        """The axes S of the rows x_S = 0 that ``data`` holds: () on a square matrix."""
+        return () if self.data.shape[0] == self.data.shape[1] else self.invariant_axes
+
     def matvec(self, u: np.ndarray) -> np.ndarray:
-        """The matrix-vector product, by BLAS.
+        """The matrix-vector product, by BLAS, at the rows ``data`` holds.
 
         Deterministic for a fixed numpy/BLAS build and thread count.  Its
         summation order is BLAS's own, so a generator with V = 0 maps
@@ -85,16 +89,25 @@ def model_axes(b: GenericKernel, potential: Potential) -> tuple[int, ...]:
     return tuple(a for a in b.invariant_axes if np.array_equal(v, np.roll(v, 1, axis=a)))
 
 
-def assemble_generator(b: GenericKernel, potential: Potential) -> OperatorMatrix:
-    """Jump generator: kernel part plus (V - W) on the diagonal.
+def generator_rows(b: GenericKernel, potential: Potential, axes: tuple[int, ...] = ()) -> np.ndarray:
+    """The generator's rows x_S = 0 as one (n^(d - |S|), N) array, S = ``axes`` within the
+    kernel's invariant axes: h^d b, and V minus ``slab_row_sums`` of it on the diagonal."""
+    grid, slab = b.grid, b.grid.origin_slab(axes)
+    nodes = np.arange(grid.size).reshape(grid.slab_shape(()))[slab].ravel()
+    rows = grid.weight * b.samples.reshape(grid.slab_shape(()) + (-1,))[slab].reshape(nodes.size, -1)
+    diagonal = (np.arange(nodes.size), nodes)
+    rows[diagonal] = 0.0
+    rows[diagonal] = potential.samples[nodes] - slab_row_sums(rows, b, axes=axes)
+    return rows
 
-    Its off-diagonal row sums come from ``slab_row_sums``, its invariant axes from ``model_axes``.
+
+def assemble_generator(b: GenericKernel, potential: Potential) -> OperatorMatrix:
+    """Jump generator, the whole square matrix: kernel part plus (V - W) on the diagonal.
+
+    Its entries come from ``generator_rows``, its invariant axes from ``model_axes``.
     """
     axes = model_axes(b, potential)
-    data = b.grid.weight * b.samples
-    np.fill_diagonal(data, 0.0)
-    np.fill_diagonal(data, potential.samples - slab_row_sums(data, b))
-    return OperatorMatrix(data, b.grid, symmetric=b.symmetric, invariant_axes=axes)
+    return OperatorMatrix(generator_rows(b, potential), b.grid, symmetric=b.symmetric, invariant_axes=axes)
 
 
 def fibre_model(b: GenericKernel, potential: Potential) -> tuple[GenericKernel, Potential]:

@@ -138,19 +138,19 @@ def _bloch_spectrum(generator: OperatorMatrix, solver) -> np.ndarray:
     """Eigenvalues of the generator, block by block along its invariant
     axes S, along which it is exactly invariant, diagonal included.
 
-    The rows at x_S = 0, transformed by a DFT along the y_S column axes,
-    give one block C_k per wavevector k on S.  Block -k is the conjugate
-    of block k, so a real DFT keeps one of each pair, and the pair is
-    solved as the real matrix [[Re C_k, -Im C_k], [Im C_k, Re C_k]] of
-    twice the order, whose eigenvalues are those of C_k and of its
-    conjugate; a self-conjugate block (k = -k mod n) is real.  Every solve
-    is real, as on the whole matrix, so complex eigenvalues come in exact
-    conjugate pairs.
+    The rows at x_S = 0 (all ``data`` may hold), transformed by a DFT along
+    the y_S column axes, give one block C_k per wavevector k on S.  Block
+    -k is the conjugate of block k, so a real DFT keeps one of each pair,
+    and the pair is solved as the real matrix [[Re C_k, -Im C_k],
+    [Im C_k, Re C_k]] of twice the order, whose eigenvalues are those of
+    C_k and of its conjugate; a self-conjugate block (k = -k mod n) is
+    real.  Every solve is real, as on the whole matrix, so complex
+    eigenvalues come in exact conjugate pairs.
     """
     grid, axes = generator.grid, generator.invariant_axes
     n, d, s = grid.n, grid.dimension, len(axes)
     m = block_shape(generator)[1]
-    rows = generator.data.reshape((n,) * (2 * d))[grid.origin_slab(axes)]
+    rows = generator.data.reshape(grid.slab_shape(generator.slab_axes) + (n,) * d)[grid.origin_slab(axes)]
     y_axes = [d + a for a in axes]
     blocks = np.fft.rfftn(np.moveaxis(rows, y_axes, range(s)), axes=tuple(range(s))).reshape(-1, m, m)
     half = np.indices((n,) * (s - 1) + (n // 2 + 1,)).reshape(s, -1)  # the k rfftn keeps
@@ -172,18 +172,17 @@ def full_spectrum(generator: OperatorMatrix, order_cap: int = SPECTRUM_ORDER_CAP
     (``eigvalsh``), whose eigenvalues are real; any other takes balanced
     Hessenberg QR (``eigvals``).  A matrix with ``invariant_axes`` is
     exactly invariant along them and is solved block by block
-    (``_bloch_spectrum``); the order cap applies to the whole matrix
-    either way.  Ordered by descending real part, ties by
-    ascending imaginary part; complex eigenvalues of real input come in
-    conjugate pairs.  LAPACK's failure to converge raises
+    (``_bloch_spectrum``) from its rows x_S = 0, all it may hold; the order
+    cap applies to the whole matrix either way.  Ordered by descending real
+    part, ties by ascending imaginary part; complex eigenvalues of real
+    input come in conjugate pairs.  LAPACK's failure to converge raises
     QRNotConverged.
     """
-    a = generator.data
-    if a.shape[0] > order_cap:
-        raise DimensionMismatch(f"matrix order {a.shape[0]} exceeds the cap {order_cap}")
+    if generator.grid.size > order_cap:
+        raise DimensionMismatch(f"matrix order {generator.grid.size} exceeds the cap {order_cap}")
     solver = np.linalg.eigvalsh if generator.symmetric else np.linalg.eigvals
     try:
-        values = _bloch_spectrum(generator, solver) if generator.invariant_axes else solver(a)
+        values = _bloch_spectrum(generator, solver) if generator.invariant_axes else solver(generator.data)
     except np.linalg.LinAlgError as exc:
         raise QRNotConverged(str(exc)) from exc
     order = np.lexsort((values.imag, -values.real))

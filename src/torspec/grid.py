@@ -40,6 +40,10 @@ class TorusGrid:
         whose leading axes are (n,)*d; those axes keep length 1."""
         return tuple(slice(0, 1) if a in axes else slice(None) for a in range(self.dimension))
 
+    def slab_shape(self, axes: tuple[int, ...]) -> tuple[int, ...]:
+        """Shape of the nodes at x_a = 0 for every a in ``axes``: (n or 1,)*d."""
+        return tuple(1 if a in axes else self.n for a in range(self.dimension))
+
     @property
     def weight(self) -> float:
         """Quadrature weight per node, h^d."""

@@ -34,6 +34,8 @@ from .grid import TorusGrid
 
 WIND_CAP = 64  # largest one-sided shift radius tried while winding
 SYMMETRY_TILE = 256  # side of the symmetry test's square tiles; its square caps a shift-test run
+ROW_SUM_CHUNK = 16384  # entries in one chunk of serial_row_sums
+ROW_SUM_MIN_COLUMNS = 64  # chunks of fewer columns are slower than the column loop
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -53,16 +55,26 @@ def _finite_range(a: np.ndarray, what: str) -> tuple[float, float]:
 
 def serial_row_sums(a: np.ndarray, weight: float | None = None) -> np.ndarray:
     """Left-to-right serial sum along the last axis, of ``weight * a`` when
-    a weight is given.
-
-    The columns are added one at a time into one accumulator, so the order
-    is fixed (the bits equal ``np.cumsum``'s last column) and no array of
-    ``a``'s size is built, not even for a transposed view.
-    """
-    acc = a[..., 0].copy() if weight is None else a[..., 0] * weight
-    for j in range(1, a.shape[-1]):
-        acc += a[..., j] if weight is None else a[..., j] * weight
-    return acc
+    a weight is given: the bits equal ``np.cumsum``'s last column, and no
+    array of ``a``'s size is built, not even for a transposed view.  Chunks
+    of columns, after one that carries the running sum, are accumulated in
+    place by the sequential ``np.cumsum``; columns of too tall an ``a`` are
+    added one at a time."""
+    columns = a.shape[-1]
+    width = min(columns - 1, ROW_SUM_CHUNK // max(1, math.prod(a.shape[:-1])))
+    if width < min(ROW_SUM_MIN_COLUMNS, columns - 1) or columns == 1:
+        acc = a[..., 0].copy() if weight is None else a[..., 0] * weight
+        for j in range(1, columns):
+            acc += a[..., j] if weight is None else a[..., j] * weight
+        return acc
+    buffer = np.empty(a.shape[:-1] + (width + 1,))
+    buffer[..., 0] = a[..., 0] if weight is None else a[..., 0] * weight
+    for j in range(1, columns, width):
+        part, chunk = buffer[..., : min(width, columns - j) + 1], a[..., j : j + width]
+        part[..., 1:] = chunk if weight is None else chunk * weight
+        np.cumsum(part, axis=-1, out=part)
+        part[..., 0] = part[..., -1]
+    return buffer[..., 0].copy()
 
 
 def _is_symmetric(a: np.ndarray) -> bool:
@@ -369,14 +381,20 @@ def modulated_convolution(wound: WoundKernel, epsilon: float) -> GenericKernel:
     """b(x, y) = a(x - y) (1 + epsilon prod_a cos(2 pi (x_a + y_a))), |epsilon| < 1.
 
     The modulation is symmetric in (x, y) and, with |epsilon| < 1, positive.
+    Its factors come from one (n, n) table of a single axis, in axis order;
+    it is formed, then scaled by the displacement samples, in place.
     """
     if not abs(epsilon) < 1.0:
         raise ValueError("modulation amplitude epsilon must satisfy |epsilon| < 1")
-    base = _displacement_samples(wound)
-    coords = wound.grid.coordinates()
-    phase = 2.0 * np.pi * (coords[:, None, :] + coords[None, :, :])
-    modulation = 1.0 + epsilon * np.prod(np.cos(phase), axis=-1)
-    return GenericKernel(wound.grid, base * modulation)
+    grid = wound.grid
+    nodes = np.arange(grid.n) / grid.n
+    table = np.cos(2.0 * np.pi * (nodes[:, None] + nodes[None, :]))
+    samples = table if grid.dimension == 1 else table[:, None, :, None] * table[None, :, None, :]
+    samples *= epsilon
+    samples += 1.0
+    samples = samples.reshape(grid.size, grid.size)
+    samples *= _displacement_samples(wound)
+    return GenericKernel(grid, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -460,21 +478,23 @@ def cosine_potential(grid: TorusGrid, depth: float = 1.0) -> Potential:
 # kernel statistics
 
 
-def slab_rows(a: np.ndarray, b: GenericKernel) -> np.ndarray:
-    """The rows x_S = 0 of an (N, N) array, S = ``b.invariant_axes`` (every row when S is
-    empty): a view shaped (n or 1,)*d + (N,)."""
-    return a.reshape((b.grid.n,) * b.grid.dimension + (b.grid.size,))[b.grid.origin_slab(b.invariant_axes)]
+def slab_rows(a: np.ndarray, b: GenericKernel, axes: tuple[int, ...] = ()) -> np.ndarray:
+    """The rows x_K = 0, K = ``b.invariant_axes`` (every row when K is empty), of an (N, N)
+    array, as a view shaped (n or 1,)*d + (N,).  ``a`` holds that array's rows x_S = 0,
+    S = ``axes`` within K: by default every row."""
+    return a.reshape(b.grid.slab_shape(axes) + (b.grid.size,))[b.grid.origin_slab(b.invariant_axes)]
 
 
-def slab_row_sums(a: np.ndarray, b: GenericKernel, weight: float | None = None) -> np.ndarray:
+def slab_row_sums(
+    a: np.ndarray, b: GenericKernel, weight: float | None = None, axes: tuple[int, ...] = ()
+) -> np.ndarray:
     """Serial row sums (``serial_row_sums``) of an (N, N) array that is
-    invariant along the kernel's invariant axes, as ``b.samples`` is.
+    invariant along the kernel's invariant axes, as ``b.samples`` is, at the rows ``a`` holds.
 
     Along those axes rows are permutations of the ``slab_rows``, whose serial sums are
     broadcast: permuted sums can differ in the last bits, these are exactly invariant.
     """
-    shape = (b.grid.n,) * b.grid.dimension
-    return np.broadcast_to(serial_row_sums(slab_rows(a, b), weight), shape).ravel()
+    return np.broadcast_to(serial_row_sums(slab_rows(a, b, axes), weight), b.grid.slab_shape(axes)).ravel()
 
 
 def jump_rate(b: GenericKernel) -> np.ndarray:

@@ -24,6 +24,7 @@ from .discretize import (
     assemble_generator,
     check_shift,
     fibre_model,
+    generator_rows,
     model_axes,
     shift_denominator,
 )
@@ -273,8 +274,7 @@ def classification_tolerance(n: int) -> float:
 
 def _lift(state: np.ndarray, grid: TorusGrid, axes: tuple[int, ...]) -> np.ndarray:
     """A fibre state broadcast along ``axes`` onto ``grid``, at unit 2-norm."""
-    shape = tuple(1 if a in axes else grid.n for a in range(grid.dimension))
-    lifted = np.broadcast_to(state.reshape(shape), (grid.n,) * grid.dimension).ravel()
+    lifted = np.broadcast_to(state.reshape(grid.slab_shape(axes)), (grid.n,) * grid.dimension).ravel()
     return lifted / np.linalg.norm(lifted)
 
 
@@ -290,19 +290,22 @@ def analyze(
     lambda = 0 with ``diagnostics["conforming"]`` false.
 
     The two Perron methods run on the model's Bloch fibre k = 0
-    (``fibre_model``) along the model's invariant axes; their states
-    are lifted back along those axes and renormalised, and the residuals
-    are taken on the whole generator.
+    (``fibre_model``) along its invariant axes S; their states are lifted back
+    along S and renormalised.  The generator is then formed only at its rows
+    x_S = 0 (``generator_rows``), and the residuals of M and M^T come from those
+    rows times sqrt(n^|S|), exact for the lifted states, constant along S.
     """
     stats = kernel_stats(b, options.primitivity_max_power)
     essential = essential_spectrum(b, potential)
     eligible = potential.diagnostics.eligible
-    generator = assemble_generator(b, potential)
+    axes = model_axes(b, potential)
+    fibre_b, fibre_v = fibre_model(b, potential)
+    reduced = fibre_b is not b
+    generator = (OperatorMatrix(generator_rows(b, potential, axes), b.grid, b.symmetric, axes)
+                 if reduced else assemble_generator(b, potential))
     eigenvalues = full_spectrum(generator, options.spectrum_order_cap)
     lam_qr = float(eigenvalues[0].real)
 
-    fibre_b, fibre_v = fibre_model(b, potential)
-    reduced = fibre_b is not b
     shifted = max_eigenvalue_shifted_power(
         assemble_generator(fibre_b, fibre_v) if reduced else generator, options
     )
@@ -323,9 +326,14 @@ def analyze(
     psi = bisected.ground_state
     phi = bisected.adjoint_state
     if reduced:
-        psi, phi = (_lift(u, b.grid, model_axes(b, potential)) for u in (psi, phi))
-    residual_psi = float(np.linalg.norm(generator.matvec(psi) - lam * psi))
-    residual_phi = float(np.linalg.norm(generator.data.T @ phi - lam * phi))
+        psi, phi = (_lift(u, b.grid, axes) for u in (psi, phi))
+    rows, held, nodes = generator.data, generator.slab_axes, b.grid.slab_shape(())
+    psi_slab, phi_slab = (u.reshape(nodes)[b.grid.origin_slab(held)].ravel() for u in (psi, phi))
+    summed = (rows.reshape(rows.shape[:1] + nodes).sum(tuple(1 + a for a in held)).reshape(len(rows), -1)
+              if held else rows)  # over y_S
+    scale = math.sqrt(b.grid.size // len(rows))
+    residual_psi = scale * float(np.linalg.norm(generator.matvec(psi) - lam * psi_slab))
+    residual_phi = scale * float(np.linalg.norm(summed.T @ phi_slab - lam * phi_slab))
     if max(residual_psi, residual_phi) > options.residual_tol:
         raise NotConverged(
             f"ground-state residual {max(residual_psi, residual_phi):.3e} above {options.residual_tol:.0e}"

@@ -12,7 +12,7 @@ from scipy.optimize import linear_sum_assignment
 
 import torspec as ts
 from torspec.cli import run_command
-from torspec.discretize import fibre_model, model_axes
+from torspec.discretize import fibre_model, generator_rows, model_axes
 from torspec.eigen import block_shape
 from torspec.kernels import SYMMETRY_TILE, _invariant_axes
 from conftest import FIXTURE_DIR, make_f3
@@ -331,6 +331,90 @@ def test_fibre_model_is_summed_from_the_slab_rows():
     assert np.array_equal(fibre.samples, rows.sum(axis=-1) / 32)
     assert np.array_equal(fibre_potential.samples, potential.samples.reshape(32, 32)[:, 0])
     assert fibre.symmetric and fibre.w.min() == fibre.w.max()
+
+
+# -- the generator's slab rows --------------------------------------------------
+
+
+def _slab_case(axes, kernel_kind, n=16):
+    """A 2-D model invariant along ``axes``: a ``step`` for (1,), a potential
+    that varies along axis 1 only for (0,)."""
+    grid = ts.TorusGrid(2, n)
+    rng = np.random.default_rng(n)
+    if kernel_kind == "gaussian":
+        kernel = _gaussian(grid)
+    else:
+        kernel = ts.convolution_kernel(ts.WoundKernel(grid, rng.random((n, n)) + 0.1))
+    if axes == (1,):
+        potential = ts.step_potential(grid)
+    else:
+        profile = -rng.uniform(0.0, 2.0, n)
+        potential = ts.Potential(grid, np.broadcast_to(profile, (n, n)).ravel())
+    assert model_axes(kernel, potential) == axes and kernel.symmetric is (kernel_kind == "gaussian")
+    return grid, kernel, potential
+
+
+SLAB_CASES = [((1,), "gaussian"), ((1,), "random"), ((0,), "gaussian"), ((0,), "random")]
+
+
+def _whole_generator(kernel, potential):
+    """The reference: the whole generator filled in place, as before the slab-row routine."""
+    data = kernel.grid.weight * kernel.samples
+    np.fill_diagonal(data, 0.0)
+    np.fill_diagonal(data, potential.samples - ts.kernels.slab_row_sums(data, kernel))
+    return data
+
+
+@pytest.mark.parametrize("axes, kernel_kind", SLAB_CASES)
+def test_slab_rows_give_the_whole_generators_spectrum_bit_for_bit(axes, kernel_kind):
+    grid, kernel, potential = _slab_case(axes, kernel_kind)
+    whole = ts.assemble_generator(kernel, potential)
+    rows = ts.OperatorMatrix(generator_rows(kernel, potential, axes), grid, kernel.symmetric, axes)
+    assert rows.data.shape == (grid.n, grid.size) and rows.slab_axes == axes
+    assert whole.slab_axes == () and whole.invariant_axes == axes
+    assert whole.data.tobytes() == _whole_generator(kernel, potential).tobytes()
+    slab = whole.data.reshape(grid.slab_shape(()) + (grid.size,))[grid.origin_slab(axes)]
+    assert rows.data.tobytes() == np.ascontiguousarray(slab).tobytes()
+    assert ts.full_spectrum(rows).tobytes() == ts.full_spectrum(whole).tobytes()
+    assert block_shape(rows) == block_shape(whole) == (grid.n, grid.n)
+
+
+@pytest.mark.parametrize("axes, kernel_kind", SLAB_CASES)
+def test_slab_row_residuals_match_the_whole_matrix(axes, kernel_kind):
+    grid, kernel, potential = _slab_case(axes, kernel_kind)
+    report = ts.analyze(kernel, potential)
+    whole = ts.assemble_generator(kernel, potential).data
+    lam, psi, phi = report.max_eigenvalue, report.ground_state, report.adjoint_ground_state
+    references = (np.linalg.norm(whole @ psi - lam * psi), np.linalg.norm(whole.T @ phi - lam * phi))
+    measured = (report.diagnostics["ground_state_residual"], report.diagnostics["adjoint_state_residual"])
+    for residual, reference in zip(measured, references):
+        assert abs(residual - reference) <= max(1e-3 * reference, 1e-15)
+
+
+def test_analyze_forms_only_the_slab_rows_of_an_invariant_generator():
+    small = ts.TorusGrid(2, 8)
+    ts.analyze(_gaussian(small), ts.step_potential(small))  # loads what numpy loads lazily
+    grid = ts.TorusGrid(2, 24)
+    kernel, potential = _gaussian(grid), ts.step_potential(grid)
+    tracemalloc.start()
+    try:
+        report = ts.analyze(kernel, potential)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.diagnostics["qr"] == {"blocks": grid.n, "block_order": grid.n}
+    assert peak <= 0.25 * kernel.samples.nbytes
+
+
+def test_slab_rows_of_a_non_square_matrix_need_invariant_axes():
+    grid, kernel, potential = _slab_case((1,), "gaussian")
+    rows = generator_rows(kernel, potential, (1,))
+    with pytest.raises(ts.DimensionMismatch, match="slab rows"):
+        ts.OperatorMatrix(rows, grid)
+    with pytest.raises(ts.DimensionMismatch, match="slab rows"):
+        ts.OperatorMatrix(rows[:-1], grid, invariant_axes=(1,))
+    with pytest.raises(ts.DimensionMismatch):  # a shift needs the square matrix
+        ts.OperatorMatrix(rows, grid, invariant_axes=(1,)).shifted(1.0)
 
 
 @pytest.mark.parametrize("method", ["rk4", "eigenexpansion"])

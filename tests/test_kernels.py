@@ -185,6 +185,43 @@ def test_serial_row_sums_bit_equal_to_cumsum(shape):
         )
 
 
+def _column_loop_row_sums(a, weight=None):
+    """The reference: one column at a time into one accumulator, left to right."""
+    acc = a[..., 0].copy() if weight is None else a[..., 0] * weight
+    for j in range(1, a.shape[-1]):
+        acc += a[..., j] if weight is None else a[..., j] * weight
+    return acc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 64),
+    st.integers(1, 600),
+    st.sampled_from(["rows", "transposed", "slab", "transposed-slab"]),
+    st.sampled_from([None, 1.0 / 3.0, 2.0**-12, 1.0 / 2304.0, 0.7]),
+    st.integers(0, 2**32 - 1),
+)
+def test_serial_row_sums_bit_equal_to_the_column_loop(rows, columns, layout, weight, seed):
+    rng = np.random.default_rng(seed)
+    if layout.endswith("slab"):  # the (n or 1,)*d + (N,) views that slab_rows passes
+        n = int(np.ceil(np.sqrt(rows)))
+        shape = (n * n, columns)
+    else:
+        shape = (rows, columns)
+    if layout.startswith("transposed"):
+        shape = shape[::-1]
+    values = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-300.0, 300.0, shape)
+    values[rng.random(shape) < 0.1] = -0.0
+    values[rng.random(shape) < 0.05] = 0.0
+    a = values.T if layout.startswith("transposed") else values
+    if layout.endswith("slab"):
+        a = a.reshape(n, n, columns)[(slice(None), slice(0, 1)) if seed % 2 else (slice(0, 1),)]
+    sums = ts.kernels.serial_row_sums(a, weight)
+    reference = _column_loop_row_sums(a, weight)
+    assert sums.shape == reference.shape
+    assert sums.tobytes() == reference.tobytes()
+
+
 def test_row_and_column_sums_build_no_array_of_the_kernels_size():
     grid, kernel, _ = random_fixture(5, n=512)
     assert kernel.invariant_axes == ()  # so every row is summed
@@ -198,6 +235,29 @@ def test_row_and_column_sums_build_no_array_of_the_kernels_size():
     assert np.array_equal(rows, np.cumsum(kernel.samples * kernel.grid.weight, axis=-1)[:, -1])
     assert np.array_equal(cols, np.cumsum(kernel.samples.T * kernel.grid.weight, axis=-1)[:, -1])
     assert peak <= 0.05 * kernel.samples.nbytes
+
+
+@pytest.mark.parametrize("dimension, n", [(1, 64), (1, 512), (2, 12), (2, 24)])
+def test_modulated_convolution_is_bit_equal_to_the_phase_product(dimension, n):
+    wound = ts.wind_kernel(ts.gaussian_kernel(dimension, 0.2), n)
+    coords = wound.grid.coordinates()
+    phase = 2.0 * np.pi * (coords[:, None, :] + coords[None, :, :])
+    for epsilon in (0.3, -0.7):
+        reference = _displacement_samples(wound) * (1.0 + epsilon * np.prod(np.cos(phase), axis=-1))
+        kernel = ts.modulated_convolution(wound, epsilon)
+        assert kernel.samples.tobytes() == reference.tobytes()
+        assert kernel.symmetric and kernel.invariant_axes == ()
+
+
+def test_modulated_convolution_builds_one_array_next_to_the_kernel():
+    wound = ts.wind_kernel(ts.gaussian_kernel(2, 0.2), 24)
+    tracemalloc.start()
+    try:
+        kernel = ts.modulated_convolution(wound, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * kernel.samples.nbytes  # the kernel and its modulation
 
 
 # -- kernel statistics --------------------------------------------------------
