@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, MuBelowEdge
 from .grid import TorusGrid
-from .kernels import GenericKernel, Potential, WoundKernel, slab_row_sums
+from .kernels import GenericKernel, Potential, WoundKernel, convolution_kernel, slab_row_sums
 
 MU_EDGE_MARGIN = 1e-12
 
@@ -91,10 +91,12 @@ def model_axes(b: GenericKernel, potential: Potential) -> tuple[int, ...]:
 
 def generator_rows(b: GenericKernel, potential: Potential, axes: tuple[int, ...] = ()) -> np.ndarray:
     """The generator's rows x_S = 0 as one (n^(d - |S|), N) array, S = ``axes`` within the
-    kernel's invariant axes: h^d b, and V minus ``slab_row_sums`` of it on the diagonal."""
+    kernel's invariant axes: h^d times ``b.rows(S)``, scaled in place, and V minus
+    ``slab_row_sums`` of it on the diagonal."""
     grid, slab = b.grid, b.grid.origin_slab(axes)
     nodes = np.arange(grid.size).reshape(grid.slab_shape(()))[slab].ravel()
-    rows = grid.weight * b.samples.reshape(grid.slab_shape(()) + (-1,))[slab].reshape(nodes.size, -1)
+    rows = b.rows(axes)
+    rows *= grid.weight
     diagonal = (np.arange(nodes.size), nodes)
     rows[diagonal] = 0.0
     rows[diagonal] = potential.samples[nodes] - slab_row_sums(rows, b, axes=axes)
@@ -114,22 +116,28 @@ def fibre_model(b: GenericKernel, potential: Potential) -> tuple[GenericKernel, 
     """The Bloch fibre k = 0 of a model invariant along its ``model_axes`` S.
 
     It is the model on ``TorusGrid(d - |S|, n)`` with the kernel
-    b'(x, y) = h^|S| sum_{y_S} b((x, 0_S), (y, y_S)), summed from the slab
-    rows x_S = 0, and the potential V on that slab.  Its generator and
-    ratio operator are the blocks k = 0 of the model's own, which hold the
-    Perron eigenvectors: those are constant along S.  When S is empty, or
-    every axis (a 0-D grid does not exist), the model is returned as it is.
+    b'(x, y) = h^|S| sum_{y_S} b((x, 0_S), (y, y_S)), and the potential V
+    on the slab x_S = 0.  Its rows x_{K - S} = 0 are ``b.slab`` summed over
+    y_S in order (pairwise along a last axis, sequentially along a leading
+    one): O(n^d) for a convolution kernel, whose row gives the fibre's own.
+    Its generator and ratio operator are the blocks k = 0 of the model's
+    own, which hold the Perron eigenvectors: those are constant along S.
+    When S is empty, or every axis (a 0-D grid does not exist), the model
+    is returned as it is.
     """
     grid, axes = b.grid, model_axes(b, potential)
     n, d, s = grid.n, grid.dimension, len(axes)
     if not 0 < s < d:
         return b, potential
-    slab = grid.origin_slab(axes)
-    rows = b.samples.reshape((n,) * (2 * d))[slab]
     fibre = TorusGrid(d - s, n)
-    samples = rows.sum(axis=tuple(d + a for a in axes)) * float(n) ** -s
-    kernel = GenericKernel(fibre, samples.reshape(fibre.size, fibre.size))
-    return kernel, Potential(fibre, potential.samples.reshape((n,) * d)[slab])
+    slab = b.slab.reshape(grid.slab_shape(b.invariant_axes) + (n,) * d)
+    samples = slab.sum(axis=tuple(d + a for a in axes)) * float(n) ** -s
+    if len(b.invariant_axes) == d:  # the fibre's row b'(0, y) = a'(-y)
+        row = samples.reshape((n,) * fibre.dimension)
+        kernel = convolution_kernel(WoundKernel(fibre, np.roll(np.flip(row), 1, axis=tuple(range(row.ndim)))))
+    else:
+        kernel = GenericKernel(fibre, samples.reshape(fibre.size, fibre.size))
+    return kernel, Potential(fibre, potential.samples.reshape((n,) * d)[grid.origin_slab(axes)])
 
 
 def shift_denominator(b: GenericKernel, potential: Potential) -> np.ndarray:

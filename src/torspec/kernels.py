@@ -1,9 +1,10 @@
 """Kernels and potentials on the torus: winding, sampling, validation, statistics.
 
-Two kernel representations coexist.  A convolution kernel lives on the torus
-as samples of a single function of the displacement (wound from a kernel on
-the full space when necessary); a generic two-point kernel is a dense array
-of samples b(x_i, y_j).  Potentials are nonpositive node samples.  Every
+A convolution kernel lives on the torus as samples of a single function of
+the displacement (wound from a kernel on the full space when necessary);
+every kernel, convolution or not, is a ``GenericKernel``: samples b(x_i, y_j)
+kept as the rows that its translation invariance does not repeat, one row
+for a convolution kernel.  Potentials are nonpositive node samples.  Every
 record carries the ``TorusGrid`` it is sampled on, and every sample must be
 finite.  A generic kernel decides once, when it is built, whether its
 samples are exactly symmetric and along which axes they are exactly
@@ -16,6 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import InitVar, asdict, dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Callable
 
@@ -306,75 +308,94 @@ def wind_kernel(a: ContinuousKernel, n: int, tail_tol: float = 1e-12) -> WoundKe
 
 @dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
 class GenericKernel:
-    """Two-point kernel b(x, y) on the tensor grid as an (n^d, n^d) array.
+    """Two-point kernel b(x, y) on the tensor grid, kept as its rows x_K = 0.
 
     Row index is the x node, column index the y node, both in the grid's
     row-major node order.  ``w`` is the jump-rate field W (``jump_rate``),
-    ``symmetric`` whether the samples equal their transpose bit for bit,
-    and ``invariant_axes`` the axes a along which b(x + e_a, y + e_a) ==
+    ``symmetric`` whether b equals its transpose bit for bit, and
+    ``invariant_axes`` the axes K along which b(x + e_a, y + e_a) ==
     b(x, y) bit for bit; all three are evaluated once at construction and
-    read by every consumer.  ``GenericKernel(grid, samples)`` bit-tests its
-    samples for both flags; ``convolution_kernel`` passes them, read off
-    the wound samples, as ``_structure`` = (symmetric, invariant_axes),
-    which is taken as given.
+    read by every consumer.  Every row translates one of the rows x_K = 0,
+    so ``slab`` keeps only those: one row b(0, y) for a convolution kernel.
+    ``samples``, the (n^d, n^d) array, is gathered on first read and kept.
+    ``GenericKernel(grid, samples)`` bit-tests every row for both flags;
+    ``convolution_kernel`` passes its row and the flags read off the wound
+    samples, ``_structure`` = (symmetric, invariant_axes), taken as given.
     """
 
     grid: TorusGrid
-    samples: np.ndarray
+    slab: np.ndarray
     _structure: InitVar[tuple[bool, tuple[int, ...]] | None] = None
     w: np.ndarray = field(init=False, repr=False, compare=False)
     symmetric: bool = field(init=False, repr=False, compare=False)
     invariant_axes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, _structure: tuple[bool, tuple[int, ...]] | None) -> None:
-        samples = _freeze(np.asarray(self.samples, dtype=float))
-        object.__setattr__(self, "samples", samples)
-        if samples.shape != (self.grid.size, self.grid.size):
+        grid = self.grid
+        slab = _freeze(np.asarray(self.slab, dtype=float))
+        if _structure is None and slab.shape != (grid.size, grid.size):
             raise ValueError("samples must be an (n^d, n^d) array")
-        lo, hi = _finite_range(samples, "kernel")
+        lo, hi = _finite_range(slab, "kernel")
         if lo < 0:
             raise DegenerateKernel("kernel samples must be nonnegative")
         if not hi > 0:
             raise DegenerateKernel("kernel is identically zero")
-        symmetric, axes = _structure or (_is_symmetric(samples), _invariant_axes(samples, self.grid))
-        object.__setattr__(self, "symmetric", symmetric)
-        object.__setattr__(self, "invariant_axes", axes)
+        if _structure is None:
+            _structure = (_is_symmetric(slab), _invariant_axes(slab, grid))
+            slab = _freeze(slab.reshape(grid.slab_shape(()) + (-1,))[grid.origin_slab(_structure[1])])
+        object.__setattr__(self, "slab", slab.reshape(-1, grid.size))
+        object.__setattr__(self, "symmetric", _structure[0])
+        object.__setattr__(self, "invariant_axes", _structure[1])
         object.__setattr__(self, "w", _freeze(jump_rate(self)))
+
+    def rows(self, axes: tuple[int, ...] = ()) -> np.ndarray:
+        """The rows x_S = 0, S = ``axes`` within K (by default every row), as a new
+        (n^(d - |S|), n^d) array.  Along each axis a of K not in S, ``slab`` tiled twice
+        along y_a holds b(x, y) = b(x - x_a e_a, y - x_a e_a) in its window of side n at
+        the offset n - x_a; one strided copy gathers them.
+        """
+        grid, held = self.grid, self.invariant_axes
+        n, d = grid.n, grid.dimension
+        moving = tuple(a for a in held if a not in axes)
+        if not moving:
+            return self.slab.copy()
+        ys = tuple(d + a for a in moving)
+        tiled = np.tile(self.slab.reshape(grid.slab_shape(held) + (n,) * d), [1 + (k in ys) for k in range(2 * d)])
+        windows = sliding_window_view(tiled, (n,) * len(moving), axis=ys)
+        windows = windows[tuple(slice(n, 0, -1) if k in ys else slice(None) for k in range(2 * d))]
+        # the offsets take the place of x_a, whose length-1 axis goes first, and the windows that of y_a
+        order = [*moving, *(d + a if a in moving else a for a in range(d)),
+                 *(2 * d + moving.index(a) if a in moving else d + a for a in range(d))]
+        return np.ascontiguousarray(windows.transpose(order)).reshape(-1, grid.size)
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        """The whole (n^d, n^d) array: ``slab`` when K is empty, else ``rows()``, kept."""
+        return _freeze(self.rows()) if self.invariant_axes else self.slab
 
 
 def constant_kernel(grid: TorusGrid, value: float = 1.0) -> GenericKernel:
-    return GenericKernel(grid, np.full((grid.size, grid.size), float(value)))
+    return convolution_kernel(WoundKernel(grid, np.full((grid.n,) * grid.dimension, float(value))))
 
 
 def _displacement_samples(wound: WoundKernel) -> np.ndarray:
-    """Samples a(x_i - y_j) as an (n^d, n^d) array in grid node order, by
-    one strided copy.
-
-    The flipped periodic extension f, (2n)^d entries, holds
-    f[m] = a[(-1 - m) mod n] on each axis, so its window of side n at
-    p = n - 1 - i holds a[(i - j) mod n] at offset j.  The windows at
-    p = n - 1, ..., 0 form an (x_1..x_d, y_1..y_d) view whose rows are
-    contiguous in f, and one copy makes it the (n^d, n^d) array.
-    """
-    grid = wound.grid
-    n, d = grid.n, grid.dimension
-    flipped = np.tile(np.flip(wound.samples), (2,) * d)
-    windows = sliding_window_view(flipped, (n,) * d)[(slice(n - 1, None, -1),) * d]
-    return np.ascontiguousarray(windows).reshape(grid.size, grid.size)
+    """Samples a(x_i - y_j) as a new (n^d, n^d) array in grid node order."""
+    return convolution_kernel(wound).rows()
 
 
 def convolution_kernel(wound: WoundKernel) -> GenericKernel:
-    """Generic form b(x, y) = a(x - y) of a convolution kernel.
+    """Generic form b(x, y) = a(x - y) of a convolution kernel, kept as its
+    row b(0, y) = a(-y), of which every row is a translate.
 
-    Its structure is read off the n^d wound samples, not bit-tested on
-    the (n^d, n^d) array.  The gather only copies samples, so b is exactly
-    invariant along every axis; and b equals its transpose bit for bit
-    exactly when a[k] == a[-k mod n] for every k, the samples being finite.
+    Its structure is read off the n^d wound samples, not bit-tested on the
+    (n^d, n^d) array: b is exactly invariant along every axis, and it
+    equals its transpose bit for bit exactly when a[k] == a[-k mod n] for
+    every k, the samples being finite.
     """
     a = wound.samples
     axes = tuple(range(a.ndim))
-    even = np.array_equal(a, np.roll(np.flip(a), 1, axis=axes))
-    return GenericKernel(wound.grid, _displacement_samples(wound), _structure=(even, axes))
+    row = np.roll(np.flip(a), 1, axis=axes)  # a[-k mod n]
+    return GenericKernel(wound.grid, row, _structure=(np.array_equal(a, row), axes))
 
 
 def modulated_convolution(wound: WoundKernel, epsilon: float) -> GenericKernel:
@@ -489,7 +510,7 @@ def slab_row_sums(
     a: np.ndarray, b: GenericKernel, weight: float | None = None, axes: tuple[int, ...] = ()
 ) -> np.ndarray:
     """Serial row sums (``serial_row_sums``) of an (N, N) array that is
-    invariant along the kernel's invariant axes, as ``b.samples`` is, at the rows ``a`` holds.
+    invariant along the kernel's invariant axes, as b is, at the rows ``a`` holds.
 
     Along those axes rows are permutations of the ``slab_rows``, whose serial sums are
     broadcast: permuted sums can differ in the last bits, these are exactly invariant.
@@ -499,11 +520,12 @@ def slab_row_sums(
 
 def jump_rate(b: GenericKernel) -> np.ndarray:
     """Row quadrature of the kernel: W(x_i) = h^d * sum_j b(x_i, y_j), by
-    ``slab_row_sums``, so W is exactly invariant along the kernel's
-    invariant axes.  ``GenericKernel`` calls this once at construction and
-    keeps the result as ``w``; read that field instead.
+    the rule of ``slab_row_sums`` on ``b.slab``, so W is exactly invariant
+    along the kernel's invariant axes.  ``GenericKernel`` calls this once at
+    construction and keeps the result as ``w``; read that field instead.
     """
-    return slab_row_sums(b.samples, b, b.grid.weight)
+    sums = serial_row_sums(slab_rows(b.slab, b, b.invariant_axes), b.grid.weight)
+    return np.broadcast_to(sums, b.grid.slab_shape(())).ravel()
 
 
 def kernel_stats(b: GenericKernel, n_max: int = 16) -> dict:
@@ -513,23 +535,32 @@ def kernel_stats(b: GenericKernel, n_max: int = 16) -> dict:
     ``primitive_power`` is the smallest k for which the k-th power of the
     quadrature matrix h^d b is entrywise positive; ``iterated_kernel_min``
     is the minimum of that power rescaled back to kernel normalization.
-    The powers are invariant as b is, so only their ``slab_rows`` are formed, each the previous times h^d b.
+    The powers are invariant as b is, so only their ``slab_rows`` are formed, each the previous
+    times h^d b, gathered once (``b.rows()``) and scaled in place.
     Raises DegenerateKernel when some row integral vanishes, NotPrimitive
     when no power up to ``n_max`` is entrywise positive at this resolution.
     """
+    grid, axes = b.grid, b.invariant_axes
+    n, d = grid.n, grid.dimension
     rows = b.w
-    cols = slab_row_sums(b.samples.T, b, b.grid.weight)  # b^T is invariant along the same axes
+    # the rows x_K = 0 of b^T, invariant along K as b is: the slab with y_K -> -y_K mod n, then
+    # x and y swapped off K; for a convolution kernel, the wound samples
+    ys, cols = tuple(d + a for a in axes), b.slab.reshape(grid.slab_shape(axes) + (n,) * d)
+    cols = np.roll(np.flip(cols, ys), 1, ys) if axes else cols
+    swap = [a if a in axes else d + a for a in range(d)] + [d + a if a in axes else a for a in range(d)]
+    cols = serial_row_sums(cols.transpose(swap).reshape(grid.slab_shape(axes) + (-1,)), grid.weight)
     gamma1 = float(rows.min())
     if gamma1 <= 0:
         raise DegenerateKernel("kernel row integral vanishes somewhere")
 
     # rounding is monotone, so this is the least entry of h^d b bit for bit;
     # h^d b itself is formed only when a higher power is needed
-    least = b.grid.weight * b.samples.min()
+    least = grid.weight * b.slab.min()
     n_prim = 1
     if not least > 0:
-        quad = b.grid.weight * b.samples
-        power = slab_rows(quad, b).reshape(-1, b.grid.size)
+        quad = b.rows()
+        quad *= grid.weight
+        power = slab_rows(quad, b).reshape(-1, grid.size)
         for n_prim in range(2, max(1, n_max) + 1):
             power = power @ quad
             least = power.min()
@@ -543,7 +574,7 @@ def kernel_stats(b: GenericKernel, n_max: int = 16) -> dict:
         "row_integral_max": float(rows.max()),
         "col_integral_max": float(cols.max()),
         "primitive_power": n_prim,
-        "iterated_kernel_min": float(least / b.grid.weight),
+        "iterated_kernel_min": float(least / grid.weight),
     }
 
 

@@ -14,7 +14,7 @@ import torspec as ts
 from torspec.cli import run_command
 from torspec.discretize import fibre_model, generator_rows, model_axes
 from torspec.eigen import block_shape
-from torspec.kernels import SYMMETRY_TILE, _invariant_axes
+from torspec.kernels import SYMMETRY_TILE, _invariant_axes, _is_symmetric
 from conftest import FIXTURE_DIR, make_f3
 
 EPS = np.finfo(float).eps
@@ -331,6 +331,37 @@ def test_fibre_model_is_summed_from_the_slab_rows():
     assert np.array_equal(fibre.samples, rows.sum(axis=-1) / 32)
     assert np.array_equal(fibre_potential.samples, potential.samples.reshape(32, 32)[:, 0])
     assert fibre.symmetric and fibre.w.min() == fibre.w.max()
+
+
+def test_fibre_model_along_a_leading_axis_is_summed_from_the_row():
+    n = 24  # neither 1/n nor the pairwise sum of n terms is exact
+    grid = ts.TorusGrid(2, n)
+    rng = np.random.default_rng(24)
+    kernel = ts.convolution_kernel(ts.WoundKernel(grid, rng.uniform(0.1, 1.0, (n, n))))
+    potential = ts.Potential(grid, np.broadcast_to(-rng.uniform(0.0, 2.0, n), (n, n)).ravel())
+    assert model_axes(kernel, potential) == (0,) and not kernel.symmetric
+    fibre, fibre_potential = fibre_model(kernel, potential)
+    rows = kernel.samples.reshape((n,) * 4)[:1]  # the slab rows x_0 = 0, summed over y_0 as before
+    assert fibre.samples.tobytes() == (rows.sum(axis=2) * float(n) ** -1).reshape(n, n).tobytes()
+    assert np.array_equal(fibre_potential.samples, potential.samples.reshape(n, n)[0])
+    assert fibre.symmetric is _is_symmetric(fibre.samples) is False
+    assert fibre.invariant_axes == _invariant_axes(fibre.samples, fibre.grid) == (0,)
+
+
+@pytest.mark.parametrize("command", ["analyze", "check-kernel"])
+def test_an_invariant_convolution_model_forms_no_array_of_the_kernels_size(command, tmp_path):
+    raw = {"dimension": 2, "grid_n": 8, "kernel": {"family": "gaussian", "sigma": 0.2},
+           "potential": {"family": "step"}}
+    assert run_command(command, ts.config_from_dict(raw), str(tmp_path)) == 0  # loads what numpy loads lazily
+    raw["grid_n"] = 24
+    config = ts.config_from_dict(raw)
+    tracemalloc.start()
+    try:  # the kernel is built inside the command
+        assert run_command(command, config, str(tmp_path)) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * 8 * (24**2) ** 2  # a quarter of one N x N array
 
 
 # -- the generator's slab rows --------------------------------------------------

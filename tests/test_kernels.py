@@ -4,7 +4,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -608,7 +608,7 @@ def test_potential_diagnostics_are_a_field_set_at_construction():
 def test_kernels_carry_only_fields_that_are_read():
     names = lambda cls: [f.name for f in dataclasses.fields(cls)]
     assert names(ts.ContinuousKernel) == ["dimension", "evaluate", "tail_mass_bound"]
-    assert names(ts.GenericKernel) == ["grid", "samples", "w", "symmetric", "invariant_axes"]
+    assert names(ts.GenericKernel) == ["grid", "slab", "w", "symmetric", "invariant_axes"]
 
 
 def _write(path, header, rows):
@@ -723,9 +723,9 @@ def test_analyze_tests_symmetry_once(monkeypatch):
     grid = ts.TorusGrid(2, 8)
     kernel = ts.convolution_kernel(ts.wind_kernel(ts.gaussian_kernel(2, 0.2), 8))
     ts.analyze(kernel, ts.step_potential(grid))
-    # the convolution kernel reads its flag off the wound samples; only the
-    # order-8 kernel of its Bloch fibre k = 0 is bit-tested, once
-    assert calls == [(8, 8)]
+    # the convolution kernel reads its flag off the wound samples, and so
+    # does the kernel of its Bloch fibre k = 0, built by convolution_kernel
+    assert calls == []
 
 
 def test_eigenexpansion_evolve_tests_symmetry_once(monkeypatch, tmp_path, capsys):
@@ -800,6 +800,49 @@ def test_strided_gather_and_wound_flags_match_the_bit_tests(dimension, n, seed, 
     assert kernel.invariant_axes == _invariant_axes(kernel.samples, wound.grid) == tuple(range(dimension))
     if even:
         assert kernel.symmetric
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([1, 2]), st.integers(2, 9), st.integers(0, 2**32 - 1))
+def test_rows_of_a_convolution_kernel_are_the_rows_of_the_full_gather(dimension, n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, 2.0, (n,) * dimension)  # not even, but for n = 2 every a is
+    a[(0,) * dimension] += 1.0
+    wound = ts.WoundKernel(ts.TorusGrid(dimension, n), a)
+    kernel = ts.convolution_kernel(wound)
+    assert kernel.slab.shape == (1, wound.grid.size) and kernel.symmetric is (n == 2)
+    full = _fancy_index_gather(wound)
+    for size in range(dimension + 1):
+        for axes in combinations(range(dimension), size):
+            rows = kernel.rows(axes)
+            expected = full.reshape((n,) * dimension + (-1,))[wound.grid.origin_slab(axes)]
+            assert rows.flags.c_contiguous and rows.flags.writeable
+            assert rows.tobytes() == expected.tobytes()
+    assert kernel.samples.tobytes() == full.tobytes() and not kernel.samples.flags.writeable
+
+
+@pytest.mark.parametrize("axes", [(), (0,)])
+def test_rows_of_a_kernel_invariant_along_one_axis_are_its_rows(axes):
+    n = 7
+    a = _tophat(1, n, 0.25).samples
+    samples = np.kron(a, np.random.default_rng(n).uniform(0.5, 1.5, (n, n)))
+    kernel = ts.GenericKernel(ts.TorusGrid(2, n), samples.copy())
+    assert kernel.invariant_axes == (0,) and kernel.slab.shape == (n, n * n)
+    expected = samples.reshape(n, n, -1)[kernel.grid.origin_slab(axes)]
+    assert kernel.rows(axes).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dimension, n", [(1, 16), (2, 6)])
+def test_constant_kernel_is_bit_equal_to_the_hand_built_one(dimension, n):
+    grid = ts.TorusGrid(dimension, n)
+    for value in (1.0, 0.3, 2.5):
+        kernel = ts.constant_kernel(grid, value)
+        hand_built = ts.GenericKernel(grid, np.full((grid.size, grid.size), value))
+        assert kernel.slab.shape == (1, grid.size)
+        assert kernel.samples.tobytes() == hand_built.samples.tobytes()
+        assert kernel.w.tobytes() == hand_built.w.tobytes()
+        assert kernel.symmetric is hand_built.symmetric is True
+        assert kernel.invariant_axes == hand_built.invariant_axes == tuple(range(dimension))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
