@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, config_from_dict, load_config
-from .discretize import assemble_generator, fibre_model
+from .discretize import assemble_generator, even_sector, fibre_model, model_reflection
 from .errors import (
     HYPOTHESIS_ERRORS,
     ConfigError,
@@ -27,7 +27,7 @@ from .errors import (
     TorspecError,
     ValidationError,
 )
-from .evolution import check_extinction, evolve
+from .evolution import check_extinction, default_dt, evolve
 from .gapbound import gap_constants, verify_gap
 from .jsonio import dump, write_trace_csv
 from .kernels import GenericKernel, Potential, WoundKernel, kernel_stats
@@ -79,7 +79,12 @@ def _run_bound(
 def _run_evolve(
     config: RunConfig, wound: WoundKernel | None, kernel: GenericKernel, potential: Potential, out_dir: str
 ) -> tuple[dict, int]:
-    generator = assemble_generator(*fibre_model(kernel, potential))  # u0 = 1 lies in the Bloch fibre k = 0
+    kernel, potential = fibre_model(kernel, potential)  # u0 = 1 lies in the Bloch fibre k = 0
+    generator = assemble_generator(kernel, potential)
+    dt = default_dt(generator) if config.evolution["dt"] is None else config.evolution["dt"]
+    point = model_reflection(kernel, potential)
+    if point is not None:  # and in the even sector of a point reflection
+        generator = even_sector(generator, point)
     estimate = max_eigenvalue_shifted_power(generator, config.analysis)
     t_max = config.evolution["t_max"]
     if t_max is None:  # 40/|lambda|, or 40 for a vanishing potential, whose lambda is 0
@@ -91,7 +96,7 @@ def _run_evolve(
         generator,
         np.ones(generator.grid.size),
         t_max=t_max,
-        dt=config.evolution["dt"],
+        dt=dt,
         method=config.evolution["method"],
     )
     trace_path = os.path.join(out_dir, "trace.csv")
@@ -100,6 +105,7 @@ def _run_evolve(
     document = {
         "t_max": t_max,
         "method": config.evolution["method"],
+        "order": generator.data.shape[0],
         "lambda_estimate": estimate.rho,
         "decay_rate_fit": trace.decay_rate_fit,
         "fit_window": list(trace.fit_window),

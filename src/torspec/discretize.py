@@ -41,12 +41,15 @@ class OperatorMatrix:
     which then takes the general dense solvers on the whole matrix.
     ``data`` is the square matrix or, in ``analyze`` of an invariant model, its
     rows x_S = 0 only (S = ``slab_axes``, see ``invariant_axes``), which ``shifted`` rejects.
+    ``orbits``, set by ``even_sector`` only, maps each grid node to its row of a reflection's
+    even sector, which ``data`` then holds.
     """
 
     data: np.ndarray
     grid: TorusGrid
     symmetric: bool = False
     invariant_axes: tuple[int, ...] = ()
+    orbits: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         data = np.ascontiguousarray(self.data, dtype=float)
@@ -55,10 +58,9 @@ class OperatorMatrix:
         slab = self.grid.size // self.grid.n ** len(self.invariant_axes)
         if data.ndim != 2 or data.shape[0] not in (data.shape[1], slab):
             raise DimensionMismatch("operator matrix must be square, or hold its slab rows")
-        if data.shape[1] != self.grid.size:
-            raise DimensionMismatch(
-                f"matrix order {data.shape[1]} does not match grid size {self.grid.size}"
-            )
+        order = self.grid.size if self.orbits is None else int(self.orbits.max()) + 1
+        if data.shape[1] != order:
+            raise DimensionMismatch(f"matrix order {data.shape[1]} does not match grid size {order}")
 
     @property
     def slab_axes(self) -> tuple[int, ...]:
@@ -79,7 +81,7 @@ class OperatorMatrix:
         """Add k to the diagonal."""
         data = self.data.copy()
         np.fill_diagonal(data, np.diagonal(data) + k)
-        return OperatorMatrix(data, self.grid)
+        return OperatorMatrix(data, self.grid, orbits=self.orbits)
 
 
 def model_axes(b: GenericKernel, potential: Potential) -> tuple[int, ...]:
@@ -87,6 +89,27 @@ def model_axes(b: GenericKernel, potential: Potential) -> tuple[int, ...]:
     b.grid.require_match(potential.grid)
     v = potential.samples.reshape((b.grid.n,) * b.grid.dimension)
     return tuple(a for a in b.invariant_axes if np.array_equal(v, np.roll(v, 1, axis=a)))
+
+
+def _reflect(a: np.ndarray, s: tuple[int, ...]) -> np.ndarray:
+    """a[(s - x) mod n] on every axis of an (n,)*d array: a flipped, then rolled by s + 1."""
+    return np.roll(np.flip(a), np.add(s, 1), tuple(range(a.ndim)))
+
+
+def model_reflection(b: GenericKernel, potential: Potential) -> tuple[int, ...] | None:
+    """A point s whose reflection r(x) = (s - x) mod n on every axis leaves the model exactly
+    invariant, or None: b must be invariant along every axis, b(x, y) = b(x - y, 0), and
+    ``symmetric``, and V[r] == V bit for bit.  Each s with V[s] == V[0] is tested in turn,
+    those that fix no node (n even, some s_a odd) first.
+    """
+    grid = b.grid
+    grid.require_match(potential.grid)
+    if not (b.symmetric and len(b.invariant_axes) == grid.dimension):
+        return None
+    v = potential.samples.reshape((grid.n,) * grid.dimension)
+    candidates = sorted((tuple(map(int, s)) for s in np.argwhere(v == v.flat[0])),
+                        key=lambda s: grid.n % 2 == 1 or not any(a % 2 for a in s))  # fixing a node last
+    return next((s for s in candidates if np.array_equal(_reflect(v, s), v)), None)
 
 
 def generator_rows(b: GenericKernel, potential: Potential, axes: tuple[int, ...] = ()) -> np.ndarray:
@@ -112,14 +135,35 @@ def assemble_generator(b: GenericKernel, potential: Potential) -> OperatorMatrix
     return OperatorMatrix(generator_rows(b, potential), b.grid, symmetric=b.symmetric, invariant_axes=axes)
 
 
+def even_sector(generator: OperatorMatrix, s: tuple[int, ...]) -> OperatorMatrix:
+    """The generator M on the even sector of a reflection r (``model_reflection``) that leaves
+    it invariant: one coordinate c = q u(x), q = sqrt(|orbit| / 2), per orbit {x, r x}, in the
+    order of its least node x, which ``orbits`` maps each node to.  The entries
+    q_i q_j (M_ij + M_{i, r j}) at least nodes i, j are symmetric bit for bit when M is, and
+    with no node fixed (q = 1) are those sums alone.
+    """
+    grid = generator.grid
+    nodes = np.arange(grid.size)
+    mirror = _reflect(nodes.reshape((grid.n,) * grid.dimension), s).ravel()
+    least, orbits = np.unique(np.minimum(nodes, mirror), return_inverse=True)
+    orbits.flags.writeable = False
+    data = generator.data[np.ix_(least, least)]
+    data += generator.data[np.ix_(least, mirror[least])]
+    if least.size > grid.size / 2:  # some orbit is a fixed node
+        q = np.sqrt(np.bincount(orbits) / 2.0)
+        data *= np.outer(q, q)
+    return OperatorMatrix(data, grid, generator.symmetric, orbits=orbits)
+
+
 def fibre_model(b: GenericKernel, potential: Potential) -> tuple[GenericKernel, Potential]:
     """The Bloch fibre k = 0 of a model invariant along its ``model_axes`` S.
 
     It is the model on ``TorusGrid(d - |S|, n)`` with the kernel
     b'(x, y) = h^|S| sum_{y_S} b((x, 0_S), (y, y_S)), and the potential V
     on the slab x_S = 0.  Its rows x_{K - S} = 0 are ``b.slab`` summed over
-    y_S in order (pairwise along a last axis, sequentially along a leading
-    one): O(n^d) for a convolution kernel, whose row gives the fibre's own.
+    y_S in mirror pairs, t(y_S) + t(-y_S) first, as winding adds them, then
+    halved, so the fibre of a symmetric kernel is symmetric bit for bit:
+    O(n^d) for a convolution kernel, whose row gives the fibre's own.
     Its generator and ratio operator are the blocks k = 0 of the model's
     own, which hold the Perron eigenvectors: those are constant along S.
     When S is empty, or every axis (a 0-D grid does not exist), the model
@@ -130,11 +174,12 @@ def fibre_model(b: GenericKernel, potential: Potential) -> tuple[GenericKernel, 
     if not 0 < s < d:
         return b, potential
     fibre = TorusGrid(d - s, n)
-    slab = b.slab.reshape(grid.slab_shape(b.invariant_axes) + (n,) * d)
-    samples = slab.sum(axis=tuple(d + a for a in axes)) * float(n) ** -s
+    ys, slab = tuple(d + a for a in axes), b.slab.reshape(grid.slab_shape(b.invariant_axes) + (n,) * d)
+    pairs = slab + np.roll(np.flip(slab, ys), 1, ys)  # t(y_S) + t(-y_S), which mirroring y_S leaves as it is
+    samples = pairs.sum(axis=ys) * (0.5 * float(n) ** -s)
     if len(b.invariant_axes) == d:  # the fibre's row b'(0, y) = a'(-y)
         row = samples.reshape((n,) * fibre.dimension)
-        kernel = convolution_kernel(WoundKernel(fibre, np.roll(np.flip(row), 1, axis=tuple(range(row.ndim)))))
+        kernel = convolution_kernel(WoundKernel(fibre, _reflect(row, (0,) * row.ndim)))
     else:
         kernel = GenericKernel(fibre, samples.reshape(fibre.size, fibre.size))
     return kernel, Potential(fibre, potential.samples.reshape((n,) * d)[grid.origin_slab(axes)])

@@ -16,8 +16,8 @@ from .errors import DegenerateKernel, DimensionMismatch, NotConverged, QRNotConv
 
 DEFAULT_SNAPSHOTS = 200
 GROWTH_GUARD = 10.0
-# most RK4 substeps one trajectory may take; about 270 times the 37,014 of
-# an RK4 run on the wound Gaussian fixture at n = 512
+# most RK4 substeps one trajectory may take; about 270 times the 36,815
+# (185 in each of 199 intervals) of an RK4 run on the wound Gaussian fixture at n = 512
 RK4_SUBSTEP_CAP = 10**7
 EXTINCTION_THRESHOLD = 1e-3  # final-to-initial L2 ratio below which a trajectory is extinct
 
@@ -30,7 +30,9 @@ class EvolutionTrace:
     ``rk4_step_min`` the least entry of the RK4 one-substep map (None for
     the eigenexpansion).  When it and the initial state are nonnegative,
     every substep stays nonnegative.  On the Bloch fibre k = 0, where the CLI evolves,
-    the guarantee covers a start constant along the model's invariant axes, as u0 = 1 is.
+    the guarantee covers a start constant along the model's invariant axes, as u0 = 1 is;
+    on a reflection's even sector (``discretize.even_sector``) the map is the sector's,
+    and it covers a start that is also even under the reflection.
     """
 
     times: np.ndarray
@@ -94,6 +96,14 @@ def _log_slope(times: np.ndarray, l2: np.ndarray, window: tuple[float, float]) -
     return float(np.polyfit(times[mask], np.log(l2[mask]), 1)[0])
 
 
+def default_dt(generator: OperatorMatrix) -> float:
+    """0.01 over the largest -M_ii; DegenerateKernel when no M_ii is negative: the generator is zero."""
+    stiffness = float(-np.diagonal(generator.data).min())
+    if stiffness <= 0:
+        raise DegenerateKernel("dt not given and the operator has no negative diagonal entry")
+    return 0.01 / stiffness
+
+
 def evolve(
     generator: OperatorMatrix,
     u0: np.ndarray,
@@ -104,15 +114,17 @@ def evolve(
 ) -> EvolutionTrace:
     """Integrate du/dt = generator u and record norms at uniform output times.
 
-    ``rk4`` takes fixed substeps of at most ``dt`` landing exactly on the
-    output times (default dt is 0.01 over the largest -M_ii, and
-    DegenerateKernel when no M_ii is negative) and refuses, with NotConverged, a run of more than ``RK4_SUBSTEP_CAP``
+    ``rk4`` takes fixed substeps of at most ``dt`` (by default
+    ``default_dt`` of ``generator``) landing exactly on the output times,
+    and refuses, with NotConverged, a run of more than ``RK4_SUBSTEP_CAP``
     substeps.  Every interval has the same substep count, so the RK4 map
     of one interval is formed once as a matrix and applied once per
     snapshot.  ``eigenexpansion`` diagonalizes once and reconstructs
     exactly, serving as the oracle for the integrator: a generator flagged
     ``symmetric`` takes ``eigh``, whose orthonormal eigenvectors V give the
-    coefficients V^T u0, any other ``eig`` and a linear solve.
+    coefficients V^T u0, any other ``eig`` and a linear solve.  On an even
+    sector (``generator.orbits`` set) u0 must be even; it is folded into the
+    sector's coordinates, and each state lifted back to the grid for its norms.
     """
     u0 = np.asarray(u0, dtype=float).ravel()
     if u0.size != generator.grid.size:
@@ -124,10 +136,7 @@ def evolve(
     if method not in ("rk4", "eigenexpansion"):
         raise ValueError(f"unknown method {method!r}")
     if dt is None:
-        stiffness = float(-np.diagonal(generator.data).min())
-        if stiffness <= 0:  # a Metzler generator with no negative M_ii is zero
-            raise DegenerateKernel("dt not given and the operator has no negative diagonal entry")
-        dt = 0.01 / stiffness
+        dt = default_dt(generator)
     if dt <= 0:
         raise ValueError("dt must be positive")
 
@@ -135,6 +144,13 @@ def evolve(
     times = np.linspace(0.0, t_max, snapshots)
     min_seen = float(u0.min())
     step_min = None
+    c0, orbits = u0, generator.orbits  # the start in the coordinates ``data`` acts on
+    if orbits is not None:
+        least = np.unique(orbits, return_index=True)[1]
+        if not np.array_equal(u0[least][orbits], u0):
+            raise ValueError("initial density is not even under the generator's reflection")
+        scale = np.sqrt(np.bincount(orbits) / 2.0)
+        c0 = u0[least] * scale
 
     unstable_message = (
         f"trajectory norm grew beyond {GROWTH_GUARD} times its initial value; "
@@ -155,15 +171,16 @@ def evolve(
         rows = [_norms(u0, weight)]
         if method == "rk4":
             propagator, step_min = _rk4_propagator(generator.data, span / substeps, int(substeps))
-            states = _iterates(propagator, u0, snapshots - 1)
+            states = _iterates(propagator, c0, snapshots - 1)
         else:
             try:
                 evals, vectors = (np.linalg.eigh if generator.symmetric else np.linalg.eig)(generator.data)
             except np.linalg.LinAlgError as exc:
                 raise QRNotConverged(str(exc)) from exc
-            coeff = vectors.T @ u0 if generator.symmetric else np.linalg.solve(vectors, u0.astype(complex))
+            coeff = vectors.T @ c0 if generator.symmetric else np.linalg.solve(vectors, c0.astype(complex))
             states = ((vectors @ (coeff * np.exp(evals * t))).real for t in times[1:])
         for u in states:
+            u = u if orbits is None else (u / scale)[orbits]
             rows.append(_norms(u, weight))
             min_seen = min(min_seen, float(u.min()))
     except FloatingPointError as exc:  # numpy traps overflow: the trajectory left the float range

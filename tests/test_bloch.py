@@ -313,6 +313,11 @@ def test_perron_methods_run_on_the_fibre_only_when_it_is_smaller(name, monkeypat
     assert report.ground_state.shape == (grid.size,)
 
 
+def _mirror_pair_sum(a, axis):
+    """The fibre's sum along one axis: each entry plus its mirror -k mod n, summed, halved."""
+    return (a + np.roll(np.flip(a, axis), 1, axis)).sum(axis=axis) * 0.5
+
+
 def test_fibre_model_is_summed_from_the_slab_rows():
     grid = ts.TorusGrid(2, 32)
     kernel, potential = _gaussian(grid), ts.step_potential(grid)
@@ -328,7 +333,7 @@ def test_fibre_model_is_summed_from_the_slab_rows():
     assert peak <= kernel.samples.nbytes / grid.n  # one slab
     assert fibre.grid == fibre_potential.grid == ts.TorusGrid(1, 32)
     rows = kernel.samples.reshape(32, 32, 32, 32)[:, 0]
-    assert np.array_equal(fibre.samples, rows.sum(axis=-1) / 32)
+    assert fibre.samples.tobytes() == (_mirror_pair_sum(rows, -1) / 32).tobytes()
     assert np.array_equal(fibre_potential.samples, potential.samples.reshape(32, 32)[:, 0])
     assert fibre.symmetric and fibre.w.min() == fibre.w.max()
 
@@ -341,8 +346,8 @@ def test_fibre_model_along_a_leading_axis_is_summed_from_the_row():
     potential = ts.Potential(grid, np.broadcast_to(-rng.uniform(0.0, 2.0, n), (n, n)).ravel())
     assert model_axes(kernel, potential) == (0,) and not kernel.symmetric
     fibre, fibre_potential = fibre_model(kernel, potential)
-    rows = kernel.samples.reshape((n,) * 4)[:1]  # the slab rows x_0 = 0, summed over y_0 as before
-    assert fibre.samples.tobytes() == (rows.sum(axis=2) * float(n) ** -1).reshape(n, n).tobytes()
+    rows = kernel.samples.reshape((n,) * 4)[:1]  # the slab rows x_0 = 0, summed over y_0 in mirror pairs
+    assert fibre.samples.tobytes() == (_mirror_pair_sum(rows, 2) * float(n) ** -1).reshape(n, n).tobytes()
     assert np.array_equal(fibre_potential.samples, potential.samples.reshape(n, n)[0])
     assert fibre.symmetric is _is_symmetric(fibre.samples) is False
     assert fibre.invariant_axes == _invariant_axes(fibre.samples, fibre.grid) == (0,)
@@ -455,14 +460,15 @@ def test_cli_evolve_runs_on_the_fibre(method, tmp_path, monkeypatch):
     orders = []
 
     def evolve(generator, *args, _real=ts.cli.evolve, **kwargs):
-        orders.append(generator.grid.size)
+        orders.append(generator.data.shape[0])
         return _real(generator, *args, **kwargs)
 
     monkeypatch.setattr(ts.cli, "evolve", evolve)
     config = ts.config_from_dict(raw)
     assert run_command("evolve", config, str(tmp_path)) == 0
-    assert orders == [16]
+    assert orders == [8]  # the fibre's even sector under x -> 7/16 - x
     summary = json.loads((tmp_path / "evolution.json").read_text())
+    assert summary["order"] == 8
     trace = np.loadtxt(tmp_path / "trace.csv", delimiter=",", skiprows=1)
 
     grid = ts.TorusGrid(2, 16)
@@ -473,6 +479,19 @@ def test_cli_evolve_runs_on_the_fibre(method, tmp_path, monkeypatch):
     estimate = ts.max_eigenvalue_shifted_power(generator, config.analysis).rho
     assert abs(summary["lambda_estimate"] - estimate) <= config.analysis.cross_tol
 
-    raw["potential"] = {"family": "cosine"}  # invariant along no axis: the whole generator
+    raw["potential"] = {"family": "cosine"}  # no invariant axis, mirror off by ulps: the whole generator
     assert run_command("evolve", ts.config_from_dict(raw), str(tmp_path)) == 0
-    assert orders == [16, grid.size]
+    assert orders == [8, grid.size]
+    assert json.loads((tmp_path / "evolution.json").read_text())["order"] == grid.size
+
+
+@pytest.mark.parametrize("family", [ts.gaussian_kernel, ts.exponential_kernel])
+@pytest.mark.parametrize("n", [15, 16, 24, 48, 64])
+def test_the_fibre_of_a_symmetric_kernel_is_symmetric(family, n):
+    grid = ts.TorusGrid(2, n)
+    kernel = ts.convolution_kernel(ts.wind_kernel(family(2, 0.2), n))
+    assert kernel.symmetric
+    step = ts.step_potential(grid).samples.reshape(n, n)
+    for potential in (ts.Potential(grid, step), ts.Potential(grid, step.T)):  # S = (1,), (0,)
+        fibre = fibre_model(kernel, potential)[0]
+        assert fibre.grid.dimension == 1 and fibre.symmetric
