@@ -25,7 +25,6 @@ from .errors import (
     NegativeEntry,
     NonPositiveVector,
     NotConverged,
-    NotNormalized,
     NotPrimitive,
     ParseError,
     PositivePotential,

@@ -28,10 +28,6 @@ class IneligiblePotential(TorspecError):
     """The gap bound requires a potential that is strictly negative somewhere."""
 
 
-class NotNormalized(TorspecError):
-    """Convolution kernel does not carry unit quadrature mass."""
-
-
 class DegenerateSymbol(TorspecError):
     """All mass of the kernel symbol is concentrated: no nonzero-mode contraction."""
 
@@ -97,7 +93,6 @@ HYPOTHESIS_ERRORS = (
     NotPrimitive,
     PositivePotential,
     IneligiblePotential,
-    NotNormalized,
     DegenerateSymbol,
 )
 

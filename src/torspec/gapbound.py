@@ -1,12 +1,13 @@
 """Explicit lower bound on the spectral gap of the convolution-kernel generator.
 
 The bound combines potential norms with the contraction of the kernel symbol
-away from the zero mode: with c1 the L1 norm of the potential, gamma0 =
-(2/9) c1 / ||V||_2, and c2 = 1 - max_{k != 0} |a_k| over every nonzero
-wavevector of the grid (the Nyquist modes of even n included, since the a_k
-are the eigenvalues of the assembled circulant), the maximum eigenvalue
-satisfies lambda <= -kappa where kappa = min(c2 gamma0^2, c1 / 2).  It
-applies only to convolution kernels of unit mass.
+away from the zero mode: with m = a_0 the quadrature mass of the kernel, c1
+the L1 norm of the potential, gamma0 = (2/9) c1 / ||V||_2, and c2 = 1 -
+max_{k != 0} |a_k| / m over every nonzero wavevector of the grid (the
+Nyquist modes of even n included, since the a_k are the eigenvalues of the
+assembled circulant), the maximum eigenvalue satisfies lambda <= -kappa
+where kappa = min(m c2 gamma0^2, c1 / 2).  This is the unit-mass bound
+applied to M = m (L~ + V/m), L~ the generator of the kernel a/m.
 """
 
 from __future__ import annotations
@@ -14,11 +15,10 @@ from __future__ import annotations
 import numpy as np
 
 from .discretize import fourier_symbol
-from .errors import DegenerateSymbol, IneligiblePotential, NotNormalized
+from .errors import DegenerateSymbol, IneligiblePotential
 from .kernels import Potential, WoundKernel
 from .spectral import SpectrumReport
 
-MASS_TOL = 1e-8
 GAP_SLACK = 1e-9  # solver slack the verdict allows on lambda <= -kappa
 
 
@@ -26,26 +26,25 @@ def gap_constants(potential: Potential, wound: WoundKernel) -> dict:
     """The bound constants ``c1``, ``norm_v2``, ``gamma0``, ``c2`` and
     ``kappa``, by grid quadrature and the kernel symbol.
 
-    Requires a unit-mass kernel and a potential that is strictly negative
+    Requires a potential on the kernel's grid that is strictly negative
     somewhere (otherwise c1 vanishes and the bound is void).
     """
-    mass = wound.quadrature_mass()
-    if abs(mass - 1.0) > MASS_TOL:
-        raise NotNormalized(f"kernel quadrature mass is {mass!r}, expected 1")
+    wound.grid.require_match(potential.grid)
     diag = potential.diagnostics
     if not diag.eligible:
         raise IneligiblePotential("gap bound needs a potential negative on some node")
 
+    mass = wound.quadrature_mass()
     moduli = np.abs(fourier_symbol(wound))
     moduli.flat[0] = 0.0  # the zero mode a_0 is the mass
-    c2 = 1.0 - float(moduli.max())
+    c2 = 1.0 - float(moduli.max()) / mass
     if c2 <= 0:
         raise DegenerateSymbol(
-            "kernel symbol has a nonzero mode of modulus >= 1 (mass concentrated)"
+            "kernel symbol has a nonzero mode of modulus >= the kernel's mass (mass concentrated)"
         )
     c1 = diag.norm_l1
     gamma0 = (2.0 / 9.0) * c1 / diag.norm_l2
-    kappa = min(c2 * gamma0**2, 0.5 * c1)
+    kappa = min(mass * c2 * gamma0**2, 0.5 * c1)
     return {"c1": c1, "norm_v2": diag.norm_l2, "gamma0": gamma0, "c2": c2, "kappa": kappa}
 
 

@@ -378,11 +378,6 @@ def constant_kernel(grid: TorusGrid, value: float = 1.0) -> GenericKernel:
     return convolution_kernel(WoundKernel(grid, np.full((grid.n,) * grid.dimension, float(value))))
 
 
-def _displacement_samples(wound: WoundKernel) -> np.ndarray:
-    """Samples a(x_i - y_j) as a new (n^d, n^d) array in grid node order."""
-    return convolution_kernel(wound).rows()
-
-
 def convolution_kernel(wound: WoundKernel) -> GenericKernel:
     """Generic form b(x, y) = a(x - y) of a convolution kernel, kept as its
     row b(0, y) = a(-y), of which every row is a translate.
@@ -414,7 +409,7 @@ def modulated_convolution(wound: WoundKernel, epsilon: float) -> GenericKernel:
     samples *= epsilon
     samples += 1.0
     samples = samples.reshape(grid.size, grid.size)
-    samples *= _displacement_samples(wound)
+    samples *= convolution_kernel(wound).rows()
     return GenericKernel(grid, samples)
 
 

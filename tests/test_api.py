@@ -62,6 +62,21 @@ def test_every_public_method_is_read_by_the_package_or_the_readme():
     assert unused == []
 
 
+def test_every_error_type_is_raised_or_is_a_base():
+    """An exception class that nothing raises and nothing derives from is dead."""
+    classes = [
+        cls for cls in vars(ts.errors).values()
+        if inspect.isclass(cls) and issubclass(cls, BaseException) and cls.__module__ == ts.errors.__name__
+    ]
+    lines = _package_lines()
+    dead = [
+        cls.__name__ for cls in classes
+        if not any(re.search(rf"\braise {cls.__name__}\b", line) for line in lines)
+        and not any(other is not cls and issubclass(other, cls) for other in classes)
+    ]
+    assert dead == []
+
+
 RECORD = re.compile(r"\b(GenericKernel|WoundKernel|Potential)\b")
 
 

@@ -331,30 +331,44 @@ def test_bound_at_two_nodes_takes_c2_over_the_whole_grid(dimension, tmp_path):
     assert section["verdict"] == "pass"
 
 
-def test_exponential_kernel_has_no_gap_bound_at_documented_sizes(tmp_path, capsys):
-    # node sampling misses the Laplace cusp, so the wound mass is 1 + 5.1e-4 at n = 64
-    raw = minimal_config(grid_n=64, kernel={"family": "exponential"})
+@pytest.mark.parametrize("dimension, n", [(1, 64), (1, 512), (2, 48)])
+def test_exponential_kernel_has_a_gap_bound_at_documented_sizes(dimension, n, tmp_path):
+    # node sampling misses the Laplace cusp, so the wound mass is 1 + 5.1e-4 at 1-D n = 64
+    raw = minimal_config(dimension=dimension, grid_n=n, kernel={"family": "exponential"})
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
-    assert main(["bound", "--config", str(path), "--out", str(tmp_path)]) == 2
-    error = _single_diagnostic(capsys.readouterr().err)
-    assert error["error"] == "NotNormalized"
-    assert not (tmp_path / "gap_bound.json").exists()
+    assert main(["bound", "--config", str(path), "--out", str(tmp_path)]) == 0
+    bound = json.loads((tmp_path / "gap_bound.json").read_text())["gap_bound"]
+    assert bound["verdict"] == "pass"
+    assert 0.0 < bound["kappa"] < -bound["lambda"]
     assert main(["analyze", "--config", str(path), "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
-    assert report["gap_bound"] is None
     assert report["diagnostics"]["conforming"] is True
+    assert report["gap_bound"]["kappa"] == bound["kappa"]
+    assert report["gap_bound"]["verdict"] == "pass"
 
 
-def test_bound_refuses_unnormalized_kernel_before_solving(monkeypatch, tmp_path, capsys):
+def test_bound_refuses_degenerate_symbol_before_solving(monkeypatch, tmp_path, capsys):
     def solve(*args, **kwargs):
         raise AssertionError("full_spectrum called")
 
     monkeypatch.setattr(ts.spectral, "full_spectrum", solve)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(minimal_config(dimension=2, grid_n=16, kernel={"family": "constant", "value": 2.0})))
+    # a tophat of width 1/32 at n = 16 holds one node: a point mass, whose every |a_k| is its mass
+    kernel = {"family": "tophat", "width": 1.0 / 32.0}
+    path.write_text(json.dumps(minimal_config(dimension=2, grid_n=16, kernel=kernel)))
     assert main(["bound", "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert _single_diagnostic(capsys.readouterr().err)["error"] == "NotNormalized"
+    assert _single_diagnostic(capsys.readouterr().err)["error"] == "DegenerateSymbol"
+
+
+@pytest.mark.parametrize("value, error", [(1e-300, "MuBelowEdge"), (1e300, "FloatingPointFailure")])
+def test_bound_at_extreme_kernel_mass_fails_in_the_solve(value, error, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(minimal_config(dimension=2, grid_n=16, kernel={"family": "constant", "value": value})))
+    assert main(["bound", "--config", str(path), "--out", str(tmp_path)]) == 3
+    assert _single_diagnostic(capsys.readouterr().err)["error"] == error
+    assert main(["analyze", "--config", str(path), "--out", str(tmp_path)]) == 3
+    assert _single_diagnostic(capsys.readouterr().err)["error"] == error
 
 
 def test_bound_refuses_non_convolution_kernel():

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import torspec as ts
@@ -64,11 +64,39 @@ def test_contraction_matches_circulant_second_modulus():
         assert abs(bound_c2 - (1.0 - moduli[1])) < 1e-10
 
 
-def test_requires_unit_mass():
+def test_doubled_kernel_scales_the_bound_by_its_mass():
     grid = ts.TorusGrid(1, 32)
     doubled = ts.wound_from_function(lambda mesh: np.full(mesh.shape[:-1], 2.0), grid)
-    with pytest.raises(ts.NotNormalized):
-        ts.gap_constants(ts.constant_potential(grid, 0.3), doubled)
+    potential = ts.step_potential(grid)
+    mass = doubled.quadrature_mass()
+    assert mass == 2.0
+    bound = ts.gap_constants(potential, doubled)
+    assert bound["c2"] == 1.0  # every nonzero mode of a constant vanishes
+    assert bound["kappa"] == min(mass * bound["c2"] * bound["gamma0"] ** 2, 0.5 * bound["c1"])
+    assert bound["kappa"] > ts.gap_constants(potential, unit_wound(grid))["kappa"]
+    verdict = ts.verify_gap(ts.analyze(ts.convolution_kernel(doubled), potential), bound)
+    assert verdict["verdict"] == "pass", f"margin {verdict['margin']}"
+
+
+@pytest.mark.parametrize("wound", [
+    ts.WoundKernel(ts.TorusGrid(1, 32), np.ones(32)),
+    ts.wind_kernel(ts.gaussian_kernel(1, 0.2), 64),
+    ts.wind_kernel(ts.gaussian_kernel(1, 0.2), 512),
+    ts.wind_kernel(ts.tophat_kernel(1, 0.125), 512),
+], ids=["constant", "gaussian-64", "gaussian-512", "tophat-512"])
+def test_unit_mass_kernels_keep_the_unscaled_constants_bit_for_bit(wound):
+    assert wound.quadrature_mass() == 1.0
+    moduli = np.abs(ts.fourier_symbol(wound))
+    moduli.flat[0] = 0.0
+    bound = ts.gap_constants(ts.step_potential(wound.grid), wound)
+    assert bound["c2"] == 1.0 - float(moduli.max())
+    assert bound["kappa"] == min(bound["c2"] * bound["gamma0"] ** 2, 0.5 * bound["c1"])
+
+
+def test_requires_kernel_and_potential_on_one_grid():
+    wound = ts.wind_kernel(ts.gaussian_kernel(1, 0.2), 64)
+    with pytest.raises(ts.GridMismatch):
+        ts.gap_constants(ts.step_potential(ts.TorusGrid(2, 8)), wound)
 
 
 def test_requires_negative_somewhere():
@@ -146,5 +174,32 @@ def test_gap_bound_holds_for_random_unit_mass_wounds(shape, damp_odd, depth, see
         report = ts.analyze(ts.convolution_kernel(wound), potential)
     except ts.TorspecError:
         return
+    verdict = ts.verify_gap(report, bound)
+    assert verdict["verdict"] == "pass", f"margin {verdict['margin']}"
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 32),
+    st.floats(-2.0, 2.0),
+    st.floats(-3.0, 1.0),
+    st.floats(1.0, 8.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_gap_bound_holds_for_wounds_of_any_mass(half_n, log_mass, log_depth, peak, seed):
+    n = 2 * half_n
+    grid = ts.TorusGrid(1, n)
+    rng = np.random.default_rng(seed)
+    samples = rng.uniform(0.01, 1.0, n) ** peak  # strictly positive; a large power peaks it
+    wound = ts.WoundKernel(grid, samples * (10.0**log_mass / (grid.weight * samples.sum())))
+    depth = 10.0**log_depth
+    values = -depth * rng.random(n) * (rng.random(n) < 0.6)
+    values[rng.integers(n)] = -depth
+    potential = ts.Potential(grid, values)
+    try:
+        bound = ts.gap_constants(potential, wound)
+        report = ts.analyze(ts.convolution_kernel(wound), potential)
+    except (ts.NotPrimitive, ts.DegenerateSymbol, ts.NotConverged):
+        assume(False)
     verdict = ts.verify_gap(report, bound)
     assert verdict["verdict"] == "pass", f"margin {verdict['margin']}"

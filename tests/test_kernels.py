@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import torspec as ts
-from torspec.kernels import SYMMETRY_TILE, _displacement_samples, _invariant_axes, _is_symmetric
+from torspec.kernels import SYMMETRY_TILE, _invariant_axes, _is_symmetric
 from conftest import make_f2, random_fixture, sine_wound
 
 
@@ -243,7 +243,7 @@ def test_modulated_convolution_is_bit_equal_to_the_phase_product(dimension, n):
     coords = wound.grid.coordinates()
     phase = 2.0 * np.pi * (coords[:, None, :] + coords[None, :, :])
     for epsilon in (0.3, -0.7):
-        reference = _displacement_samples(wound) * (1.0 + epsilon * np.prod(np.cos(phase), axis=-1))
+        reference = ts.convolution_kernel(wound).rows() * (1.0 + epsilon * np.prod(np.cos(phase), axis=-1))
         kernel = ts.modulated_convolution(wound, epsilon)
         assert kernel.samples.tobytes() == reference.tobytes()
         assert kernel.symmetric and kernel.invariant_axes == ()
@@ -792,7 +792,7 @@ def test_strided_gather_and_wound_flags_match_the_bit_tests(dimension, n, seed, 
     if even:
         a = a + _reflected(a)
     wound = ts.WoundKernel(ts.TorusGrid(dimension, n), a)
-    gathered = _displacement_samples(wound)
+    gathered = ts.convolution_kernel(wound).rows()
     assert gathered.flags.c_contiguous
     assert gathered.tobytes() == _fancy_index_gather(wound).tobytes()
     kernel = ts.convolution_kernel(wound)
