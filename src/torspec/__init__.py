@@ -61,6 +61,7 @@ from .kernels import (
 )
 from .discretize import (
     OperatorMatrix,
+    ReducedModel,
     assemble_birman_schwinger,
     assemble_generator,
     fourier_symbol,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, config_from_dict, load_config
-from .discretize import assemble_generator, even_sector, fibre_model, model_reflection
+from .discretize import ReducedModel, assemble_generator
 from .errors import (
     HYPOTHESIS_ERRORS,
     ConfigError,
@@ -79,12 +79,10 @@ def _run_bound(
 def _run_evolve(
     config: RunConfig, wound: WoundKernel | None, kernel: GenericKernel, potential: Potential, out_dir: str
 ) -> tuple[dict, int]:
-    kernel, potential = fibre_model(kernel, potential)  # u0 = 1 lies in the Bloch fibre k = 0
-    generator = assemble_generator(kernel, potential)
+    model = ReducedModel(kernel, potential)  # u0 = 1 lies in its range
+    generator = assemble_generator(kernel, potential, model.axes)
     dt = default_dt(generator) if config.evolution["dt"] is None else config.evolution["dt"]
-    point = model_reflection(kernel, potential)
-    if point is not None:  # and in the even sector of a point reflection
-        generator = even_sector(generator, point)
+    generator = model.reduce(generator)
     estimate = max_eigenvalue_shifted_power(generator, config.analysis)
     t_max = config.evolution["t_max"]
     if t_max is None:  # 40/|lambda|, or 40 for a vanishing potential, whose lambda is 0
@@ -94,7 +92,7 @@ def _run_evolve(
             raise NotConverged(f"lambda estimate {estimate.rho!r} gives no horizon 40/|lambda|; set t_max")
     trace = evolve(
         generator,
-        np.ones(generator.grid.size),
+        np.ones(kernel.grid.size),
         t_max=t_max,
         dt=dt,
         method=config.evolution["method"],
@@ -105,7 +103,7 @@ def _run_evolve(
     document = {
         "t_max": t_max,
         "method": config.evolution["method"],
-        "order": generator.data.shape[0],
+        "order": model.order,
         "lambda_estimate": estimate.rho,
         "decay_rate_fit": trace.decay_rate_fit,
         "fit_window": list(trace.fit_window),

@@ -1,33 +1,36 @@
-"""Dense collocation matrices for the torus operators, and the Fourier symbol.
+"""Dense collocation matrices for the torus operators, the reduced model, and the Fourier symbol.
 
 Assembly convention: off-diagonal entries hold h^d b(x_i, y_j); the diagonal
 of a generator carries V(x_i) minus the serial sum of the off-diagonal row,
 so the kernel's own diagonal sample never enters, as in b(x,y)(u(y) - u(x)).
-``generator_rows`` forms the rows x_S = 0 over a slab of invariant axes S,
-or every row, and sums only the kernel's slab rows x_a = 0 along its
+``assemble_generator`` forms the rows x_S = 0 over a slab of invariant axes
+S, or every row, and sums only the kernel's slab rows x_a = 0 along its
 invariant axes, broadcast as for W (``kernels.slab_row_sums``): the
 generator is exactly invariant along those axes, diagonal included, and
 with V = 0 each row sums to exactly zero in the column order of its slab
-representative.  The ratio operator reads W from ``GenericKernel.w``.
-Kernel and potential must carry one grid wherever they meet.  The generator
-takes the kernel's ``symmetric`` flag and its invariant axes along which the
-potential samples are bit-equal too; it is Metzler, so its
-diagonal alone gives the shift that makes it nonnegative.  The Bloch fibre
-k = 0 of a model invariant along some axes is a model on the torus of the
-remaining axes.  The Fourier symbol of a wound kernel is h^d times the DFT
-of its samples on every grid wavevector: the eigenvalues of the circulant
-h^d B, with no band cut and no Nyquist exclusion.
+representative.  Kernel and potential must carry one grid wherever they
+meet.  The generator takes the kernel's ``symmetric`` flag and its
+invariant axes along which the potential samples are bit-equal too; it is
+Metzler, so its diagonal alone gives the shift that makes it nonnegative.
+``ReducedModel`` decides once the block that holds a model's ground state
+and the start u0 = 1: the Bloch fibre k = 0 along the invariant axes, and
+in it the even sector of a point reflection.  The shifted power, the ratio
+operator Q_mu and the density evolution all run there.  The Fourier symbol
+of a wound kernel is h^d times the DFT of its samples on every grid
+wavevector: the eigenvalues of the circulant h^d B, with no band cut and no
+Nyquist exclusion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch, MuBelowEdge
 from .grid import TorusGrid
-from .kernels import GenericKernel, Potential, WoundKernel, convolution_kernel, slab_row_sums
+from .kernels import GenericKernel, Potential, WoundKernel, slab_row_sums
 
 MU_EDGE_MARGIN = 1e-12
 
@@ -39,17 +42,16 @@ class OperatorMatrix:
     ``invariant_axes`` are set by ``assemble_generator`` from the kernel
     and the potential, and are False and () on any matrix built otherwise,
     which then takes the general dense solvers on the whole matrix.
-    ``data`` is the square matrix or, in ``analyze`` of an invariant model, its
-    rows x_S = 0 only (S = ``slab_axes``, see ``invariant_axes``), which ``shifted`` rejects.
-    ``orbits``, set by ``even_sector`` only, maps each grid node to its row of a reflection's
-    even sector, which ``data`` then holds.
+    ``data`` is the square matrix or, as ``assemble_generator`` forms it on an invariant model,
+    its rows x_S = 0 only (S = ``slab_axes``, see ``invariant_axes``), which ``shifted`` rejects.
+    A matrix of a ``ReducedModel`` has that model's order and the model as ``reduction``.
     """
 
     data: np.ndarray
     grid: TorusGrid
     symmetric: bool = False
     invariant_axes: tuple[int, ...] = ()
-    orbits: np.ndarray | None = None
+    reduction: "ReducedModel | None" = None
 
     def __post_init__(self) -> None:
         data = np.ascontiguousarray(self.data, dtype=float)
@@ -58,7 +60,7 @@ class OperatorMatrix:
         slab = self.grid.size // self.grid.n ** len(self.invariant_axes)
         if data.ndim != 2 or data.shape[0] not in (data.shape[1], slab):
             raise DimensionMismatch("operator matrix must be square, or hold its slab rows")
-        order = self.grid.size if self.orbits is None else int(self.orbits.max()) + 1
+        order = self.grid.size if self.reduction is None else self.reduction.order
         if data.shape[1] != order:
             raise DimensionMismatch(f"matrix order {data.shape[1]} does not match grid size {order}")
 
@@ -66,6 +68,12 @@ class OperatorMatrix:
     def slab_axes(self) -> tuple[int, ...]:
         """The axes S of the rows x_S = 0 that ``data`` holds: () on a square matrix."""
         return () if self.data.shape[0] == self.data.shape[1] else self.invariant_axes
+
+    @property
+    def diagonal(self) -> np.ndarray:
+        """M_xx at the rows ``data`` holds."""
+        held = self.slab_axes
+        return self.data[np.arange(len(self.data)), self.grid.slab_nodes(held)] if held else np.diagonal(self.data)
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
         """The matrix-vector product, by BLAS, at the rows ``data`` holds.
@@ -81,7 +89,7 @@ class OperatorMatrix:
         """Add k to the diagonal."""
         data = self.data.copy()
         np.fill_diagonal(data, np.diagonal(data) + k)
-        return OperatorMatrix(data, self.grid, orbits=self.orbits)
+        return OperatorMatrix(data, self.grid, reduction=self.reduction)
 
 
 def model_axes(b: GenericKernel, potential: Potential) -> tuple[int, ...]:
@@ -96,93 +104,120 @@ def _reflect(a: np.ndarray, s: tuple[int, ...]) -> np.ndarray:
     return np.roll(np.flip(a), np.add(s, 1), tuple(range(a.ndim)))
 
 
-def model_reflection(b: GenericKernel, potential: Potential) -> tuple[int, ...] | None:
-    """A point s whose reflection r(x) = (s - x) mod n on every axis leaves the model exactly
-    invariant, or None: b must be invariant along every axis, b(x, y) = b(x - y, 0), and
-    ``symmetric``, and V[r] == V bit for bit.  Each s with V[s] == V[0] is tested in turn,
-    those that fix no node (n even, some s_a odd) first.
-    """
-    grid = b.grid
-    grid.require_match(potential.grid)
-    if not (b.symmetric and len(b.invariant_axes) == grid.dimension):
-        return None
-    v = potential.samples.reshape((grid.n,) * grid.dimension)
-    candidates = sorted((tuple(map(int, s)) for s in np.argwhere(v == v.flat[0])),
-                        key=lambda s: grid.n % 2 == 1 or not any(a % 2 for a in s))  # fixing a node last
-    return next((s for s in candidates if np.array_equal(_reflect(v, s), v)), None)
-
-
-def generator_rows(b: GenericKernel, potential: Potential, axes: tuple[int, ...] = ()) -> np.ndarray:
-    """The generator's rows x_S = 0 as one (n^(d - |S|), N) array, S = ``axes`` within the
-    kernel's invariant axes: h^d times ``b.rows(S)``, scaled in place, and V minus
-    ``slab_row_sums`` of it on the diagonal."""
-    grid, slab = b.grid, b.grid.origin_slab(axes)
-    nodes = np.arange(grid.size).reshape(grid.slab_shape(()))[slab].ravel()
+def assemble_generator(b: GenericKernel, potential: Potential, axes: tuple[int, ...] = ()) -> OperatorMatrix:
+    """Jump generator, kernel part plus (V - W) on the diagonal, at its rows x_S = 0 for S = ``axes``
+    (() for every row, or the model's invariant axes, ``model_axes``, which the matrix takes): h^d
+    times ``b.rows(S)``, scaled in place, with V minus ``slab_row_sums`` of it on the diagonal."""
+    grid, nodes, invariant = b.grid, b.grid.slab_nodes(axes), model_axes(b, potential)
     rows = b.rows(axes)
     rows *= grid.weight
     diagonal = (np.arange(nodes.size), nodes)
     rows[diagonal] = 0.0
     rows[diagonal] = potential.samples[nodes] - slab_row_sums(rows, b, axes=axes)
-    return rows
+    return OperatorMatrix(rows, grid, symmetric=b.symmetric, invariant_axes=invariant)
 
 
-def assemble_generator(b: GenericKernel, potential: Potential) -> OperatorMatrix:
-    """Jump generator, the whole square matrix: kernel part plus (V - W) on the diagonal.
+class ReducedModel:
+    """The block of a model that holds its ground state and the start u0 = 1, decided once.
 
-    Its entries come from ``generator_rows``, its invariant axes from ``model_axes``.
+    Along the model's invariant axes S (``axes``, ``model_axes``) its matrices have a Bloch
+    block k = 0 on the fibre x_S = 0, of order n^(d - |S|), 1 when S is every axis.  With a
+    kernel ``symmetric`` and invariant along every axis, and a fibre potential equal to its
+    mirror under r(x) = (s - x) mod n bit for bit (``point`` = s; each s with V[s] == V[0] in
+    turn, those that fix no node first), the block's even sector under r has one coordinate
+    c = q u(x) per orbit {x, r x}, q = sqrt(|orbit| / 2) (``scale``, None when every q is 1).
+    ``order`` counts the orbits, ``nodes`` holds the least grid node of each, ``orbit`` the
+    orbit of every node, ``denominator`` W - V at ``nodes``.  Unreduced, the order is n^d.
     """
-    axes = model_axes(b, potential)
-    return OperatorMatrix(generator_rows(b, potential), b.grid, symmetric=b.symmetric, invariant_axes=axes)
 
+    def __init__(self, kernel: GenericKernel, potential: Potential) -> None:
+        grid, self.kernel, self.potential = kernel.grid, kernel, potential
+        n, d = grid.n, grid.dimension
+        self.axes = model_axes(kernel, potential)
+        fibre, slab = (n,) * (d - len(self.axes)), grid.slab_nodes(self.axes)
+        v = potential.samples[slab].reshape(fibre)
+        self.point = None
+        if fibre and kernel.symmetric and len(kernel.invariant_axes) == d:  # then b(r x, r y) == b(x, y)
+            c = np.argwhere(v == v.flat[0])
+            fixing = (c % 2 == 0).all(axis=1) | (n % 2 == 1)  # the points that fix a node go last
+            w = np.tile(np.flip(v), (2,) * v.ndim)  # its window at (n - 1 - s) mod n is v[(s - x) mod n]
+            self.point = next((tuple(map(int, s)) for s in np.concatenate([c[~fixing], c[fixing]])
+                               if np.array_equal(w[tuple(slice(o, o + n) for o in (n - 1 - s) % n)], v)), None)
+        index = np.arange(slab.size)
+        mirror = index if self.point is None else _reflect(index.reshape(fibre), self.point).ravel()
+        rep = np.minimum(index, mirror)  # the least node of each node's orbit
+        least, orbits = np.flatnonzero(rep == index), (np.cumsum(rep == index) - 1)[rep]
+        self.order, self.nodes, self._sector = least.size, slab[least], (least, mirror[least])
+        self.orbit = np.broadcast_to(orbits.reshape(grid.slab_shape(self.axes)), grid.slab_shape(())).ravel()
+        self.scale = np.sqrt(np.bincount(orbits) / 2.0) if self.point and (mirror == index).any() else None
+        self.denominator = shift_denominator(kernel, potential)[self.nodes]
 
-def even_sector(generator: OperatorMatrix, s: tuple[int, ...]) -> OperatorMatrix:
-    """The generator M on the even sector of a reflection r (``model_reflection``) that leaves
-    it invariant: one coordinate c = q u(x), q = sqrt(|orbit| / 2), per orbit {x, r x}, in the
-    order of its least node x, which ``orbits`` maps each node to.  The entries
-    q_i q_j (M_ij + M_{i, r j}) at least nodes i, j are symmetric bit for bit when M is, and
-    with no node fixed (q = 1) are those sums alone.
-    """
-    grid = generator.grid
-    nodes = np.arange(grid.size)
-    mirror = _reflect(nodes.reshape((grid.n,) * grid.dimension), s).ravel()
-    least, orbits = np.unique(np.minimum(nodes, mirror), return_inverse=True)
-    orbits.flags.writeable = False
-    data = generator.data[np.ix_(least, least)]
-    data += generator.data[np.ix_(least, mirror[least])]
-    if least.size > grid.size / 2:  # some orbit is a fixed node
-        q = np.sqrt(np.bincount(orbits) / 2.0)
-        data *= np.outer(q, q)
-    return OperatorMatrix(data, grid, generator.symmetric, orbits=orbits)
+    def fold(self, rows: np.ndarray, diagonal: np.ndarray | None = None) -> np.ndarray:
+        """The reduced block of a matrix with the model's symmetries from its rows x_S = 0, with
+        ``diagonal`` (a value per row), if given, in place of its own: the rows summed over y_S in
+        mirror pairs, t(y_S) + t(-y_S) first, into F, symmetric bit for bit when the matrix is; then
+        q_i q_j (F_ij + F_{i,r j}) at the orbits' least nodes.  Unreduced, with no ``diagonal``, ``rows``."""
+        grid, (least, mirrored) = self.kernel.grid, self._sector
+        f, s = rows, len(self.axes)
+        if rows.shape != (grid.size // grid.n**s, grid.size):
+            raise DimensionMismatch(f"fold takes the {grid.size // grid.n**s} rows x_S = 0, S = {self.axes}")
+        if self.order == grid.size and diagonal is not None:
+            f = rows.copy()
+            np.fill_diagonal(f, diagonal)
+        elif s:
+            n, d = grid.n, grid.dimension
+            t = np.moveaxis(rows.reshape((len(rows),) + (n,) * d), [1 + a for a in self.axes], range(s))
+            t = t.reshape(n**s, len(rows), -1)  # t[y_S], y_S = 0 first: the only one on the diagonal
+            f = t[0].copy()
+            if diagonal is not None:
+                np.fill_diagonal(f, diagonal)
+            index = np.arange(n**s)
+            minus = _reflect(index.reshape((n,) * s), (0,) * s).ravel()
+            for j in np.flatnonzero(index <= minus)[1:]:
+                f += t[j] if minus[j] == j else t[j] + t[minus[j]]
+        if self.point is not None:
+            f, g = f[np.ix_(least, least)], f[np.ix_(least, mirrored)]
+            if diagonal is not None and not s:  # the whole matrix's diagonal, at the least nodes
+                np.fill_diagonal(f, diagonal[least])
+                fixed = np.flatnonzero(least == mirrored)
+                g[fixed, fixed] = diagonal[least[fixed]]
+            f += g
+            if self.scale is not None:
+                f *= np.outer(self.scale, self.scale)
+        return f
 
+    def lift(self, c: np.ndarray) -> np.ndarray:
+        """A reduced state on the grid, c_i / q_i at every node of orbit i; unreduced, ``c``."""
+        if self.order == self.kernel.grid.size:
+            return c
+        return (c if self.scale is None else c / self.scale)[self.orbit]
 
-def fibre_model(b: GenericKernel, potential: Potential) -> tuple[GenericKernel, Potential]:
-    """The Bloch fibre k = 0 of a model invariant along its ``model_axes`` S.
+    def reduce(self, generator: OperatorMatrix) -> OperatorMatrix:
+        """The generator on the reduced model: its rows x_S = 0 with the diagonal off, folded once, plus
+        that diagonal per orbit (unreduced, the rows), kept with the fold's diagonal for ``kernel_part``."""
+        data, off = generator.data, None
+        if self.order < generator.grid.size:
+            data = self.fold(data, np.zeros(len(data)))
+            off = np.diagonal(data).copy()
+            data[np.diag_indices(self.order)] += generator.diagonal[self._sector[0]]
+        self._folded = data, off
+        return OperatorMatrix(data, generator.grid, generator.symmetric, reduction=self)
 
-    It is the model on ``TorusGrid(d - |S|, n)`` with the kernel
-    b'(x, y) = h^|S| sum_{y_S} b((x, 0_S), (y, y_S)), and the potential V
-    on the slab x_S = 0.  Its rows x_{K - S} = 0 are ``b.slab`` summed over
-    y_S in mirror pairs, t(y_S) + t(-y_S) first, as winding adds them, then
-    halved, so the fibre of a symmetric kernel is symmetric bit for bit:
-    O(n^d) for a convolution kernel, whose row gives the fibre's own.
-    Its generator and ratio operator are the blocks k = 0 of the model's
-    own, which hold the Perron eigenvectors: those are constant along S.
-    When S is empty, or every axis (a 0-D grid does not exist), the model
-    is returned as it is.
-    """
-    grid, axes = b.grid, model_axes(b, potential)
-    n, d, s = grid.n, grid.dimension, len(axes)
-    if not 0 < s < d:
-        return b, potential
-    fibre = TorusGrid(d - s, n)
-    ys, slab = tuple(d + a for a in axes), b.slab.reshape(grid.slab_shape(b.invariant_axes) + (n,) * d)
-    pairs = slab + np.roll(np.flip(slab, ys), 1, ys)  # t(y_S) + t(-y_S), which mirroring y_S leaves as it is
-    samples = pairs.sum(axis=ys) * (0.5 * float(n) ** -s)
-    if len(b.invariant_axes) == d:  # the fibre's row b'(0, y) = a'(-y)
-        row = samples.reshape((n,) * fibre.dimension)
-        kernel = convolution_kernel(WoundKernel(fibre, _reflect(row, (0,) * row.ndim)))
-    else:
-        kernel = GenericKernel(fibre, samples.reshape(fibre.size, fibre.size))
-    return kernel, Potential(fibre, potential.samples.reshape((n,) * d)[grid.origin_slab(axes)])
+    @cached_property
+    def kernel_part(self) -> np.ndarray:
+        """The folded kernel part h^d B: the off-diagonal entries ``reduce`` folded (from a generator of
+        its own if none), their diagonal plus h^d b(x, x) per orbit, no diagonal formed from another."""
+        b, grid = self.kernel, self.kernel.grid
+        if not hasattr(self, "_folded"):
+            self.reduce(assemble_generator(b, self.potential, self.axes))
+        (data, off), held = self._folded, b.invariant_axes
+        del self._folded
+        own = b.slab[np.arange(len(b.slab)), grid.slab_nodes(held)].reshape(grid.slab_shape(held))
+        own = grid.weight * np.broadcast_to(own, grid.slab_shape(())).flat[self.nodes]  # h^d b(x, x) per orbit
+        kernel = data.copy()
+        np.fill_diagonal(kernel, own if off is None else off + own)
+        kernel.flags.writeable = False
+        return kernel
 
 
 def shift_denominator(b: GenericKernel, potential: Potential) -> np.ndarray:
@@ -198,24 +233,18 @@ def check_shift(mu: float, denominator: np.ndarray) -> None:
         raise MuBelowEdge(f"shift {mu!r} at or below admissible edge {-alpha1!r}")
 
 
-def assemble_birman_schwinger(
-    b: GenericKernel,
-    potential: Potential,
-    mu: float,
-    adjoint: bool = False,
-) -> OperatorMatrix:
-    """Ratio operator h^d b(x_i, y_j) / (U(x_i) + W(x_i) + mu), U = -V.
+def assemble_birman_schwinger(model: ReducedModel, mu: float, adjoint: bool = False) -> OperatorMatrix:
+    """Ratio operator h^d b(x_i, y_j) / (U(x_i) + W(x_i) + mu), U = -V, on the reduced
+    model: ``model.kernel_part`` over ``model.denominator`` + mu, row by row.
 
     Its spectral radius crosses one exactly at the maximum eigenvalue of the
-    generator.  ``adjoint`` transposes the kernel while keeping the same
+    generator.  ``adjoint`` transposes the kernel part while keeping the same
     row denominators, yielding the adjoint-generator counterpart.
     """
-    denom = shift_denominator(b, potential)
-    check_shift(mu, denom)
-    samples = b.samples.T if adjoint else b.samples
-    data = np.multiply(samples, b.grid.weight, order="C")  # one C-ordered array, also for the adjoint
-    data /= (denom + mu)[:, None]
-    return OperatorMatrix(data, b.grid)
+    check_shift(mu, model.denominator)
+    data = np.array(model.kernel_part.T if adjoint else model.kernel_part, order="C")
+    data /= (model.denominator + mu)[:, None]
+    return OperatorMatrix(data, model.kernel.grid, reduction=model)
 
 
 # ---------------------------------------------------------------------------

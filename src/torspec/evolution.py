@@ -1,7 +1,10 @@
 """Density evolution under the assembled generator and extinction diagnostics.
 
 Norms use the grid quadrature (weight h^d), so a unit initial density has
-unit L2 norm and unit mass regardless of resolution.
+unit L2 norm and unit mass regardless of resolution.  A generator of a
+``ReducedModel`` (``OperatorMatrix.reduction``) evolves in the model's
+coordinates, one per orbit, and each state is lifted back to the grid for
+its norms.
 """
 
 from __future__ import annotations
@@ -29,10 +32,9 @@ class EvolutionTrace:
     ``min_value_seen`` is the least entry over the snapshots;
     ``rk4_step_min`` the least entry of the RK4 one-substep map (None for
     the eigenexpansion).  When it and the initial state are nonnegative,
-    every substep stays nonnegative.  On the Bloch fibre k = 0, where the CLI evolves,
-    the guarantee covers a start constant along the model's invariant axes, as u0 = 1 is;
-    on a reflection's even sector (``discretize.even_sector``) the map is the sector's,
-    and it covers a start that is also even under the reflection.
+    every substep stays nonnegative.  On a reduced model, where the CLI evolves, the map is
+    the model's and the guarantee covers a start in its range: constant along the model's
+    invariant axes and even under its reflection, as u0 = 1 is.
     """
 
     times: np.ndarray
@@ -98,7 +100,7 @@ def _log_slope(times: np.ndarray, l2: np.ndarray, window: tuple[float, float]) -
 
 def default_dt(generator: OperatorMatrix) -> float:
     """0.01 over the largest -M_ii; DegenerateKernel when no M_ii is negative: the generator is zero."""
-    stiffness = float(-np.diagonal(generator.data).min())
+    stiffness = float(-generator.diagonal.min())
     if stiffness <= 0:
         raise DegenerateKernel("dt not given and the operator has no negative diagonal entry")
     return 0.01 / stiffness
@@ -122,9 +124,10 @@ def evolve(
     snapshot.  ``eigenexpansion`` diagonalizes once and reconstructs
     exactly, serving as the oracle for the integrator: a generator flagged
     ``symmetric`` takes ``eigh``, whose orthonormal eigenvectors V give the
-    coefficients V^T u0, any other ``eig`` and a linear solve.  On an even
-    sector (``generator.orbits`` set) u0 must be even; it is folded into the
-    sector's coordinates, and each state lifted back to the grid for its norms.
+    coefficients V^T u0, any other ``eig`` and a linear solve.  On a reduced
+    model (``generator.reduction``) u0 must lie in the model's range; each state
+    is lifted back to the grid (``ReducedModel.lift``) for its norms.  Fewer than
+    two ``snapshots`` give no interval and raise ValueError.
     """
     u0 = np.asarray(u0, dtype=float).ravel()
     if u0.size != generator.grid.size:
@@ -133,6 +136,8 @@ def evolve(
         raise ValueError("initial density is identically zero")
     if t_max <= 0:
         raise ValueError("t_max must be positive")
+    if snapshots < 2:
+        raise ValueError(f"snapshots must be at least 2, got {snapshots!r}")
     if method not in ("rk4", "eigenexpansion"):
         raise ValueError(f"unknown method {method!r}")
     if dt is None:
@@ -144,24 +149,22 @@ def evolve(
     times = np.linspace(0.0, t_max, snapshots)
     min_seen = float(u0.min())
     step_min = None
-    c0, orbits = u0, generator.orbits  # the start in the coordinates ``data`` acts on
-    if orbits is not None:
-        least = np.unique(orbits, return_index=True)[1]
-        if not np.array_equal(u0[least][orbits], u0):
-            raise ValueError("initial density is not even under the generator's reflection")
-        scale = np.sqrt(np.bincount(orbits) / 2.0)
-        c0 = u0[least] * scale
+    c0, model = u0, generator.reduction  # the start in the coordinates ``data`` acts on
+    if model is not None:
+        c0 = u0[model.nodes]
+        if not np.array_equal(c0[model.orbit], u0):
+            raise ValueError("initial density is not even under the generator's symmetries")
+        c0 = c0 if model.scale is None else c0 * model.scale
 
     unstable_message = (
         f"trajectory norm grew beyond {GROWTH_GUARD} times its initial value; "
         "reduce dt or check the operator"
     )
     if method == "rk4":
-        intervals = max(snapshots - 1, 1)
-        span = float(t_max) / intervals
+        span = float(t_max) / (snapshots - 1)
         # Python floats, untrapped: a count beyond the float range is inf, above the cap too
         substeps = max(float(np.ceil(span / float(dt) - 1e-12)), 1.0)
-        total = substeps * intervals
+        total = substeps * (snapshots - 1)
         if total > RK4_SUBSTEP_CAP:
             raise NotConverged(
                 f"RK4 would take {total:.3e} substeps of at most dt = {dt!r}, "
@@ -180,7 +183,7 @@ def evolve(
             coeff = vectors.T @ c0 if generator.symmetric else np.linalg.solve(vectors, c0.astype(complex))
             states = ((vectors @ (coeff * np.exp(evals * t))).real for t in times[1:])
         for u in states:
-            u = u if orbits is None else (u / scale)[orbits]
+            u = u if model is None else model.lift(u)
             rows.append(_norms(u, weight))
             min_seen = min(min_seen, float(u.min()))
     except FloatingPointError as exc:  # numpy traps overflow: the trajectory left the float range
@@ -196,16 +199,7 @@ def evolve(
         rate = _log_slope(times, l2, window)
     except ZeroNorm:
         rate = math.nan
-    return EvolutionTrace(
-        times=times,
-        l2_norms=l2,
-        sup_norms=sup,
-        masses=masses,
-        decay_rate_fit=rate,
-        fit_window=window,
-        min_value_seen=min_seen,
-        rk4_step_min=step_min,
-    )
+    return EvolutionTrace(times, l2, sup, masses, rate, window, min_seen, step_min)
 
 
 def fit_decay_rate(trace: EvolutionTrace, window: tuple[float, float]) -> float:

@@ -5,10 +5,10 @@ assembled generator, Perron iteration on a positive diagonal shift of it,
 and a safeguarded root find (Illinois regula falsi with forced bisection
 steps) on the shift parameter of the ratio operator, whose spectral radius
 crosses one exactly at the eigenvalue; its radii come from matrix-free,
-warm-started Perron solves.  On a model invariant along some axes, the two
-Perron methods run on its Bloch fibre k = 0, which holds the ground state.
-The consolidated report cross-checks all three and classifies the rest of
-the spectrum against the essential value set.
+warm-started Perron solves.  Both Perron methods run on the model's
+``ReducedModel``, the block that holds the ground state, and QR on every
+block.  The consolidated report cross-checks all three and classifies the
+rest of the spectrum against the essential value set.
 """
 
 from __future__ import annotations
@@ -20,12 +20,10 @@ import numpy as np
 
 from .discretize import (
     OperatorMatrix,
+    ReducedModel,
     assemble_birman_schwinger,
     assemble_generator,
     check_shift,
-    fibre_model,
-    generator_rows,
-    model_axes,
     shift_denominator,
 )
 from .eigen import SPECTRUM_ORDER_CAP, PerronResult, block_shape, full_spectrum, perron
@@ -35,7 +33,6 @@ from .errors import (
     MethodDisagreement,
     NotConverged,
 )
-from .grid import TorusGrid
 from .kernels import GenericKernel, Potential, kernel_stats
 
 
@@ -85,6 +82,7 @@ class AnalysisOptions:
 class BisectionResult:
     """Maximum eigenvalue located as the unit-radius crossing of the shift scan.
 
+    ``ground_state`` and ``adjoint_state`` are on the grid, at unit 2-norm.
     ``iterations`` counts root-find steps after the bracket scan;
     ``perron_iterations`` totals the power iterations of every radius
     evaluation in the search (zero shift, scan and root find).
@@ -110,11 +108,7 @@ BRACKET_HALVINGS = 20
 STALL_STEPS = 3
 
 
-def max_eigenvalue_bisection(
-    b: GenericKernel,
-    potential: Potential,
-    options: AnalysisOptions = AnalysisOptions(),
-) -> BisectionResult:
+def max_eigenvalue_bisection(model: ReducedModel, options: AnalysisOptions = AnalysisOptions()) -> BisectionResult:
     """Find the shift at which the ratio operator has unit spectral radius.
 
     The left bracket starts a small offset above the essential edge (where
@@ -126,9 +120,10 @@ def max_eigenvalue_bisection(
     radius(lo) >= 1 > radius(hi), until it is at most
     ``options.bisection_tol`` wide (or as narrow as floating point allows);
     a bisection step is forced whenever ``STALL_STEPS`` steps in a row fail
-    to halve it.  Each radius comes from a matrix-free Perron solve
-    warm-started from the previous vector; the state and adjoint at the
-    returned eigenvalue are certified on the assembled ratio operator.
+    to halve it.  Each radius comes from a matrix-free Perron solve on the
+    reduced model's kernel part, warm-started from the previous vector; the
+    state and adjoint at the returned eigenvalue are certified on the
+    assembled ratio operator and lifted to the grid at unit 2-norm.
     Every Perron solve takes the options' ``power_tol``, ``max_iter`` and
     ``seed``.  A kernel flagged ``symmetric`` has that operator as its own
     adjoint counterpart, so its ground state is returned as the adjoint
@@ -136,8 +131,8 @@ def max_eigenvalue_bisection(
     equals one at zero shift, and that boundary case is reported as a zero
     eigenvalue with bracket (0, 0).
     """
-    eligible = potential.diagnostics.eligible
-    denom = shift_denominator(b, potential)
+    eligible = model.potential.diagnostics.eligible
+    denom = model.denominator
     alpha1 = float(denom.min())
     tol = options.bisection_tol
 
@@ -147,7 +142,7 @@ def max_eigenvalue_bisection(
     def radius(mu: float) -> float:
         nonlocal vector, perron_iterations
         check_shift(mu, denom)
-        result = _perron(b.samples, options, start=vector, scale=b.grid.weight / (denom + mu))
+        result = _perron(model.kernel_part, options, start=vector, scale=1.0 / (denom + mu))
         vector = result.vector
         perron_iterations += result.iterations
         return result.rho
@@ -204,19 +199,19 @@ def max_eigenvalue_bisection(
                 moved = "hi"
 
     lam = 0.5 * (lo + hi)
-    at_lam = _perron(assemble_birman_schwinger(b, potential, lam).data, options, start=vector)
+    at_lam = _perron(assemble_birman_schwinger(model, lam).data, options, start=vector)
     if not eligible and abs(at_lam.rho - 1.0) > 100 * options.power_tol:
-        raise BracketFailure(
-            f"vanishing potential should give unit radius at zero shift, got {at_lam.rho!r}"
-        )
-    if b.symmetric:  # the adjoint ratio operator is the assembled one
-        adjoint_state = at_lam.vector
-    else:
-        adjoint = assemble_birman_schwinger(b, potential, lam, adjoint=True)
-        adjoint_state = _perron(adjoint.data, options, start=at_lam.vector).vector
-    return BisectionResult(
-        lam, at_lam.vector, adjoint_state, iterations, at_lam.rho, (lo, hi), perron_iterations,
-    )
+        raise BracketFailure(f"vanishing potential should give unit radius at zero shift, got {at_lam.rho!r}")
+
+    def lifted(c: np.ndarray) -> np.ndarray:  # a Perron vector already has unit norm
+        u = model.lift(c)
+        return u if u is c else u / np.linalg.norm(u)
+
+    ground_state = adjoint_state = lifted(at_lam.vector)
+    if not model.kernel.symmetric:  # else the adjoint ratio operator is the assembled one
+        adjoint = assemble_birman_schwinger(model, lam, adjoint=True)
+        adjoint_state = lifted(_perron(adjoint.data, options, start=at_lam.vector).vector)
+    return BisectionResult(lam, ground_state, adjoint_state, iterations, at_lam.rho, (lo, hi), perron_iterations)
 
 
 def max_eigenvalue_shifted_power(
@@ -227,7 +222,7 @@ def max_eigenvalue_shifted_power(
     least shift making it entrywise nonnegative, plus a unit margin.  The
     result is the generator's own: ``rho`` is its maximum eigenvalue and
     the Collatz-Wielandt bounds bracket it."""
-    k = float(-np.diagonal(generator.data).min()) + 1.0
+    k = float(-generator.diagonal.min()) + 1.0
     r = _perron(generator.shifted(k).data, options)
     return PerronResult(r.rho - k, r.vector, r.cw_lower - k, r.cw_upper - k, r.iterations)
 
@@ -272,12 +267,6 @@ def classification_tolerance(n: int) -> float:
     return max(10.0 / n, 1e-6)
 
 
-def _lift(state: np.ndarray, grid: TorusGrid, axes: tuple[int, ...]) -> np.ndarray:
-    """A fibre state broadcast along ``axes`` onto ``grid``, at unit 2-norm."""
-    lifted = np.broadcast_to(state.reshape(grid.slab_shape(axes)), (grid.n,) * grid.dimension).ravel()
-    return lifted / np.linalg.norm(lifted)
-
-
 def analyze(
     b: GenericKernel,
     potential: Potential,
@@ -289,27 +278,21 @@ def analyze(
     cross-check tolerance.  A vanishing potential gives the boundary report:
     lambda = 0 with ``diagnostics["conforming"]`` false.
 
-    The two Perron methods run on the model's Bloch fibre k = 0
-    (``fibre_model``) along its invariant axes S; their states are lifted back
-    along S and renormalised.  The generator is then formed only at its rows
-    x_S = 0 (``generator_rows``), and the residuals of M and M^T come from those
-    rows times sqrt(n^|S|), exact for the lifted states, constant along S.
+    The generator is formed only at its rows x_S = 0, from which the dense
+    solve reads its Bloch blocks and the model folds the matrices of the two
+    Perron methods.  The residuals of M and M^T come from those rows and the
+    lifted states, constant along S, times sqrt(n^|S|).
     """
     stats = kernel_stats(b, options.primitivity_max_power)
     essential = essential_spectrum(b, potential)
     eligible = potential.diagnostics.eligible
-    axes = model_axes(b, potential)
-    fibre_b, fibre_v = fibre_model(b, potential)
-    reduced = fibre_b is not b
-    generator = (OperatorMatrix(generator_rows(b, potential, axes), b.grid, b.symmetric, axes)
-                 if reduced else assemble_generator(b, potential))
+    model = ReducedModel(b, potential)
+    generator = assemble_generator(b, potential, model.axes)
     eigenvalues = full_spectrum(generator, options.spectrum_order_cap)
     lam_qr = float(eigenvalues[0].real)
 
-    shifted = max_eigenvalue_shifted_power(
-        assemble_generator(fibre_b, fibre_v) if reduced else generator, options
-    )
-    bisected = max_eigenvalue_bisection(fibre_b, fibre_v, options)
+    shifted = max_eigenvalue_shifted_power(model.reduce(generator), options)
+    bisected = max_eigenvalue_bisection(model, options)
 
     lambda_by_method = {
         "direct_qr": lam_qr,
@@ -322,13 +305,9 @@ def analyze(
             f"eigenvalue methods spread {spread:.3e} beyond {options.cross_tol:.0e}: {lambda_by_method}"
         )
 
-    lam = bisected.lam
-    psi = bisected.ground_state
-    phi = bisected.adjoint_state
-    if reduced:
-        psi, phi = (_lift(u, b.grid, axes) for u in (psi, phi))
+    lam, psi, phi = bisected.lam, bisected.ground_state, bisected.adjoint_state
     rows, held, nodes = generator.data, generator.slab_axes, b.grid.slab_shape(())
-    psi_slab, phi_slab = (u.reshape(nodes)[b.grid.origin_slab(held)].ravel() for u in (psi, phi))
+    psi_slab, phi_slab = (u[b.grid.slab_nodes(held)] for u in (psi, phi))
     summed = (rows.reshape(rows.shape[:1] + nodes).sum(tuple(1 + a for a in held)).reshape(len(rows), -1)
               if held else rows)  # over y_S
     scale = math.sqrt(b.grid.size // len(rows))
@@ -356,7 +335,7 @@ def analyze(
         "method_spread": spread,
         "qr": {"blocks": blocks, "block_order": block_order},
         "classification_tolerance": tol_ess,
-        "perron_order": fibre_b.grid.size,
+        "perron_order": model.order,
         "perron_shift_iterations": shifted.iterations,
         "bisection_iterations": bisected.iterations,
         "ratio_perron_iterations": bisected.perron_iterations,
@@ -365,12 +344,4 @@ def analyze(
         "kernel_stats": stats,
         "potential": potential.diagnostics.as_dict(),
     }
-    return SpectrumReport(
-        essential=essential,
-        max_eigenvalue=lam,
-        ground_state=psi,
-        adjoint_ground_state=phi,
-        lambda_by_method=lambda_by_method,
-        discrete_eigenvalues=discrete,
-        diagnostics=diagnostics,
-    )
+    return SpectrumReport(essential, lam, psi, phi, lambda_by_method, discrete, diagnostics)

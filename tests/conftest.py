@@ -74,6 +74,34 @@ def random_convolution_fixture(seed, n=64):
     return grid, wound, random_potential(rng, n)
 
 
+def mirror_fixture(seed, n=64):
+    """Even cosine-series convolution kernel and the eligible potential v + v o r, r(x) =
+    (s - x) mod n for a random s: a model exactly invariant under the point reflection r."""
+    rng = np.random.default_rng(seed)
+    grid = ts.TorusGrid(1, n)
+    z = np.minimum(np.arange(n), n - np.arange(n)) / n  # folded, so a[k] == a[-k mod n] bit for bit
+    coef = rng.uniform(-1.0, 1.0, 3)
+    coef *= 0.9 / max(1.0, float(np.abs(coef).sum()))
+    samples = 1.0 + sum(c * np.cos(2 * np.pi * (k + 1) * z) for k, c in enumerate(coef))
+    v = random_potential(rng, n).samples
+    s = int(rng.integers(n))
+    return grid, ts.WoundKernel(grid, samples), ts.Potential(grid, v + v[(s - np.arange(n)) % n])
+
+
+def constant_fixture(seed, n=64):
+    """Random positive convolution kernel (``random_convolution_fixture``) and a constant
+    potential of random depth: a model invariant along every axis."""
+    grid, wound, _ = random_convolution_fixture(seed, n)
+    depth = np.random.default_rng(seed).uniform(0.1, 1.0)
+    return grid, wound, ts.constant_potential(grid, depth)
+
+
+def whole_ratio_operator(kernel, potential, mu):
+    """The ratio operator Q_mu on the whole grid, without the model's reduction:
+    h^d b(x, y) / (W(x) - V(x) + mu), an (N, N) array."""
+    return np.multiply(kernel.samples, kernel.grid.weight) / (kernel.w - potential.samples + mu)[:, None]
+
+
 def two_level_eigenvalue_oracle(bracket, weights=(0.5, 0.5), shifts=(2.0, 1.0)):
     """Scalar self-consistency root for a constant kernel over a two-level
     potential: sum_i w_i / (lam + shift_i) = 1, solved by plain bisection.

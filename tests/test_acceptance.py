@@ -94,7 +94,7 @@ def test_criterion_04_radius_scan_monotone_on_random_fixtures():
         gamma2 = float(rates.max())
         mus = np.linspace(-alpha1 + 0.05 * (alpha0 - alpha1 + 1.0), 10.0 * gamma2, 50)
         radii = np.array([
-            ts.perron(ts.assemble_birman_schwinger(kernel, potential, mu).data).rho for mu in mus
+            ts.perron(ts.assemble_birman_schwinger(ts.ReducedModel(kernel, potential), mu).data).rho for mu in mus
         ])
         worst_violation = max(worst_violation, float(np.max(radii[1:] - radii[:-1])))
         worst_tail = max(worst_tail, float(radii[-1]))
@@ -111,7 +111,7 @@ def test_criterion_05_sign_location_and_adjoint_on_random_fixtures():
     positive = True
     for seed in range(N_RANDOM_FIXTURES):
         grid, kernel, potential = random_fixture(seed, n=64)
-        result = ts.max_eigenvalue_bisection(kernel, potential)
+        result = ts.max_eigenvalue_bisection(ts.ReducedModel(kernel, potential))
         rates = ts.jump_rate(kernel)
         alpha1 = float((-potential.samples + rates).min())
         located = located and (-alpha1 < result.lam < 0.0)

@@ -12,7 +12,7 @@ from scipy.optimize import linear_sum_assignment
 
 import torspec as ts
 from torspec.cli import run_command
-from torspec.discretize import fibre_model, generator_rows, model_axes
+from torspec.discretize import model_axes
 from torspec.eigen import block_shape
 from torspec.kernels import SYMMETRY_TILE, _invariant_axes, _is_symmetric
 from conftest import FIXTURE_DIR, make_f3
@@ -238,7 +238,7 @@ def test_deep_constant_potential_is_exact_on_scalar_blocks():
         ts.analyze(modulated, potential)  # the whole-matrix limit the README states
 
 
-# -- the Perron methods on the Bloch fibre k = 0 ------------------------------
+# -- the Perron methods on the Bloch fibre k = 0 of the reduced model ----------
 
 
 def _fibre_case(seed, axis, kernel_kind, n=12):
@@ -270,8 +270,7 @@ def test_fibre_agrees_with_the_whole_model(seed, axis, kernel_kind):
 
     report = ts.analyze(kernel, potential, options)
     assert report.diagnostics["perron_order"] == grid.n
-    whole = [ts.max_eigenvalue_bisection(kernel, potential, options).lam,
-             ts.max_eigenvalue_shifted_power(generator, options).rho]
+    whole = [np.linalg.eigvals(generator.data).real.max(), ts.max_eigenvalue_shifted_power(generator, options).rho]
     assert max(abs(report.max_eigenvalue - lam) for lam in whole) <= options.cross_tol
     assert report.diagnostics["ground_state_residual"] <= options.residual_tol
     assert report.diagnostics["adjoint_state_residual"] <= options.residual_tol
@@ -282,10 +281,11 @@ def test_fibre_agrees_with_the_whole_model(seed, axis, kernel_kind):
         assert np.array_equal(field, np.broadcast_to(field[grid.origin_slab(invariant)], field.shape))
 
 
+# the fibre's even sector under x -> 3/8 - x; one mode; the even sector under x -> 7/16 - x
 FIBRE_ORDERS = {
-    "step-2d": (lambda: ts.TorusGrid(2, 8), ts.step_potential, 8),
-    "constant-2d": (lambda: ts.TorusGrid(2, 8), lambda g: ts.constant_potential(g, 0.3), 64),
-    "step-1d": (lambda: ts.TorusGrid(1, 16), ts.step_potential, 16),
+    "step-2d": (lambda: ts.TorusGrid(2, 8), ts.step_potential, 4),
+    "constant-2d": (lambda: ts.TorusGrid(2, 8), lambda g: ts.constant_potential(g, 0.3), 1),
+    "step-1d": (lambda: ts.TorusGrid(1, 16), ts.step_potential, 8),
 }
 
 
@@ -313,44 +313,51 @@ def test_perron_methods_run_on_the_fibre_only_when_it_is_smaller(name, monkeypat
     assert report.ground_state.shape == (grid.size,)
 
 
-def _mirror_pair_sum(a, axis):
-    """The fibre's sum along one axis: each entry plus its mirror -k mod n, summed, halved."""
-    return (a + np.roll(np.flip(a, axis), 1, axis)).sum(axis=axis) * 0.5
+def _bloch_block(rows, axis):
+    """The Bloch block k = 0 from the rows x_S = 0, S = (axis,), of a 2-D matrix, summed plainly."""
+    n = rows.shape[0]
+    return rows.reshape(n, n, n).sum(axis=1 + axis)
 
 
-def test_fibre_model_is_summed_from_the_slab_rows():
+def test_the_reduced_model_folds_the_slab_rows_in_mirror_pairs():
     grid = ts.TorusGrid(2, 32)
     kernel, potential = _gaussian(grid), ts.step_potential(grid)
-    for whole in (ts.cosine_potential(grid), ts.constant_potential(grid, 0.3)):  # S = (), (0, 1)
-        assert fibre_model(kernel, whole) == (kernel, whole)
-    assert model_axes(kernel, potential) == (1,)
+    assert ts.ReducedModel(kernel, ts.cosine_potential(grid)).order == grid.size  # S = (), mirror off by ulps
+    assert ts.ReducedModel(kernel, ts.constant_potential(grid, 0.3)).order == 1  # S = (0, 1)
+    model = ts.ReducedModel(kernel, potential)
+    assert (model.axes, model.point, model.order) == ((1,), (15,), 16)
+    rows = grid.weight * kernel.rows((1,))
     tracemalloc.start()
     try:
-        fibre, fibre_potential = fibre_model(kernel, potential)
+        sector = model.fold(rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= kernel.samples.nbytes / grid.n  # one slab
-    assert fibre.grid == fibre_potential.grid == ts.TorusGrid(1, 32)
-    rows = kernel.samples.reshape(32, 32, 32, 32)[:, 0]
-    assert fibre.samples.tobytes() == (_mirror_pair_sum(rows, -1) / 32).tobytes()
-    assert np.array_equal(fibre_potential.samples, potential.samples.reshape(32, 32)[:, 0])
-    assert fibre.symmetric and fibre.w.min() == fibre.w.max()
+    assert peak <= 4 * rows.nbytes / grid.n  # four arrays of the Bloch block's size, no copy of the rows
+    block = _bloch_block(rows, 1)
+    least = np.r_[0:8, 16:24]  # the orbits {x, 15 - x mod 32}, by their least node
+    assert np.allclose(sector, block[np.ix_(least, least)] + block[np.ix_(least, (15 - least) % 32)], rtol=1e-14, atol=0)
+    assert np.array_equal(sector, sector.T)  # symmetric bit for bit, as the kernel is
+    assert np.array_equal(model.nodes, least * 32)
+    assert np.array_equal(model.denominator, (kernel.w - potential.samples)[model.nodes])
+    with pytest.raises(ts.DimensionMismatch, match="32 rows"):  # the whole matrix is not its slab rows
+        model.reduce(ts.assemble_generator(kernel, potential))
 
 
-def test_fibre_model_along_a_leading_axis_is_summed_from_the_row():
+def test_the_fibre_along_a_leading_axis_is_folded_from_the_rows():
     n = 24  # neither 1/n nor the pairwise sum of n terms is exact
     grid = ts.TorusGrid(2, n)
     rng = np.random.default_rng(24)
     kernel = ts.convolution_kernel(ts.WoundKernel(grid, rng.uniform(0.1, 1.0, (n, n))))
     potential = ts.Potential(grid, np.broadcast_to(-rng.uniform(0.0, 2.0, n), (n, n)).ravel())
-    assert model_axes(kernel, potential) == (0,) and not kernel.symmetric
-    fibre, fibre_potential = fibre_model(kernel, potential)
-    rows = kernel.samples.reshape((n,) * 4)[:1]  # the slab rows x_0 = 0, summed over y_0 in mirror pairs
-    assert fibre.samples.tobytes() == (_mirror_pair_sum(rows, 2) * float(n) ** -1).reshape(n, n).tobytes()
-    assert np.array_equal(fibre_potential.samples, potential.samples.reshape(n, n)[0])
-    assert fibre.symmetric is _is_symmetric(fibre.samples) is False
-    assert fibre.invariant_axes == _invariant_axes(fibre.samples, fibre.grid) == (0,)
+    model = ts.ReducedModel(kernel, potential)
+    assert (model.axes, model.point, model.order) == ((0,), None, n) and not kernel.symmetric
+    rows = kernel.rows((0,))  # the slab rows x_0 = 0
+    fibre = model.fold(rows)
+    assert np.allclose(fibre, _bloch_block(rows, 0), rtol=1e-14, atol=0)
+    assert not _is_symmetric(fibre)
+    assert _invariant_axes(fibre, ts.TorusGrid(1, n)) == (0,)  # a convolution kernel on the fibre
+    assert np.array_equal(model.denominator, (kernel.w - potential.samples)[: n])
 
 
 @pytest.mark.parametrize("command", ["analyze", "check-kernel"])
@@ -405,7 +412,7 @@ def _whole_generator(kernel, potential):
 def test_slab_rows_give_the_whole_generators_spectrum_bit_for_bit(axes, kernel_kind):
     grid, kernel, potential = _slab_case(axes, kernel_kind)
     whole = ts.assemble_generator(kernel, potential)
-    rows = ts.OperatorMatrix(generator_rows(kernel, potential, axes), grid, kernel.symmetric, axes)
+    rows = ts.assemble_generator(kernel, potential, axes)
     assert rows.data.shape == (grid.n, grid.size) and rows.slab_axes == axes
     assert whole.slab_axes == () and whole.invariant_axes == axes
     assert whole.data.tobytes() == _whole_generator(kernel, potential).tobytes()
@@ -444,7 +451,7 @@ def test_analyze_forms_only_the_slab_rows_of_an_invariant_generator():
 
 def test_slab_rows_of_a_non_square_matrix_need_invariant_axes():
     grid, kernel, potential = _slab_case((1,), "gaussian")
-    rows = generator_rows(kernel, potential, (1,))
+    rows = ts.assemble_generator(kernel, potential, (1,)).data
     with pytest.raises(ts.DimensionMismatch, match="slab rows"):
         ts.OperatorMatrix(rows, grid)
     with pytest.raises(ts.DimensionMismatch, match="slab rows"):
@@ -485,6 +492,31 @@ def test_cli_evolve_runs_on_the_fibre(method, tmp_path, monkeypatch):
     assert json.loads((tmp_path / "evolution.json").read_text())["order"] == grid.size
 
 
+ONE_MODE = {  # invariant along every axis: u0 = 1 stays constant, and the trace is exp(lambda t)
+    "f1": {"dimension": 1, "grid_n": 128, "kernel": {"family": "constant"},
+           "potential": {"family": "constant", "depth": 0.3}},
+    "gauss2d": {"dimension": 2, "grid_n": 16, "kernel": {"family": "gaussian", "sigma": 0.2},
+                "potential": {"family": "constant", "depth": 0.3}},
+}
+
+
+@pytest.mark.parametrize("method", ["rk4", "eigenexpansion"])
+@pytest.mark.parametrize("name", sorted(ONE_MODE))
+def test_a_model_invariant_along_every_axis_has_order_one(name, method, tmp_path):
+    # t_max 10: RK4's own error, about |lambda| t (h lambda)^4 / 120, is 5e-13 there
+    # and 1e-11 at the default horizon 40/|lambda|
+    raw = {**ONE_MODE[name], "evolution": {"method": method, "t_max": 10.0}}
+    config = ts.config_from_dict(raw)
+    assert run_command("evolve", config, str(tmp_path)) == 0
+    summary = json.loads((tmp_path / "evolution.json").read_text())
+    assert summary["order"] == 1 and abs(summary["lambda_estimate"] + 0.3) <= 1e-15
+    times, l2 = np.loadtxt(tmp_path / "trace.csv", delimiter=",", skiprows=1).T[:2]
+    assert np.max(np.abs(l2 / np.exp(summary["lambda_estimate"] * times) - 1.0)) <= 1e-12
+    grid = config.build_grid()
+    report = ts.analyze(config.build_kernel(grid)[1], config.build_potential(grid))
+    assert report.diagnostics["perron_order"] == 1
+
+
 @pytest.mark.parametrize("family", [ts.gaussian_kernel, ts.exponential_kernel])
 @pytest.mark.parametrize("n", [15, 16, 24, 48, 64])
 def test_the_fibre_of_a_symmetric_kernel_is_symmetric(family, n):
@@ -493,5 +525,8 @@ def test_the_fibre_of_a_symmetric_kernel_is_symmetric(family, n):
     assert kernel.symmetric
     step = ts.step_potential(grid).samples.reshape(n, n)
     for potential in (ts.Potential(grid, step), ts.Potential(grid, step.T)):  # S = (1,), (0,)
-        fibre = fibre_model(kernel, potential)[0]
-        assert fibre.grid.dimension == 1 and fibre.symmetric
+        model = ts.ReducedModel(kernel, potential)
+        generator = model.reduce(ts.assemble_generator(kernel, potential, model.axes))
+        assert model.point is not None and generator.symmetric
+        for matrix in (generator.data, model.kernel_part):
+            assert np.array_equal(matrix, matrix.T)

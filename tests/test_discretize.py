@@ -99,41 +99,46 @@ def test_convolution_generator_rank_one_spectrum():
 
 
 def test_birman_schwinger_rank_one_fixture():
+    # every entry of the whole Q is 0.25 / 1.3; the model is invariant along its one
+    # axis, so its reduced Q is one row of them, summed
     grid, kernel, potential = make_f1(n=4)
-    q = ts.assemble_birman_schwinger(kernel, potential, 0.0)
-    assert np.allclose(q.data, 0.25 / 1.3, rtol=0, atol=1e-15)
+    q = ts.assemble_birman_schwinger(ts.ReducedModel(kernel, potential), 0.0)
+    assert q.data.shape == (1, 1)
+    assert np.allclose(q.data, 4 * 0.25 / 1.3, rtol=0, atol=1e-15)
     rho = ts.perron(q.data).rho
     assert abs(rho - 1.0 / 1.3) < 1e-11
 
 
 def test_birman_schwinger_unit_radius_at_eigenvalue():
     grid, kernel, potential = make_f1(n=64)
-    rho = ts.perron(ts.assemble_birman_schwinger(kernel, potential, -0.3).data).rho
+    rho = ts.perron(ts.assemble_birman_schwinger(ts.ReducedModel(kernel, potential), -0.3).data).rho
     assert abs(rho - 1.0) < 1e-10
 
 
 def test_birman_schwinger_rejects_edge_shift():
     grid, kernel, potential = make_f1(n=16)
     with pytest.raises(ts.MuBelowEdge):
-        ts.assemble_birman_schwinger(kernel, potential, -1.3)
+        ts.assemble_birman_schwinger(ts.ReducedModel(kernel, potential), -1.3)
 
 
 def test_birman_schwinger_entries_are_scaled_kernel_rows():
     grid, kernel, potential = make_f2(n=16)
     mu = -0.4
-    q = ts.assemble_birman_schwinger(kernel, potential, mu)
+    model = ts.ReducedModel(kernel, potential)
+    q = ts.assemble_birman_schwinger(model, mu)
     rates = ts.jump_rate(kernel)
     denom = -potential.samples + rates + mu
-    recomputed = grid.weight * kernel.samples / denom[:, None]
-    assert np.array_equal(q.data, recomputed)
+    # the even sector of the reflection x -> 7/16 - x, folded from the whole kernel
+    recomputed = model.fold(grid.weight * kernel.samples) / denom[model.nodes, None]
+    assert q.data.shape == (8, 8) and np.array_equal(q.data, recomputed)
 
 
 def test_birman_schwinger_adjoint_spectrum_matches():
     grid = ts.TorusGrid(1, 32)
     kernel = ts.convolution_kernel(sine_wound(grid))
     potential = ts.constant_potential(grid, 0.3)
-    q = ts.assemble_birman_schwinger(kernel, potential, -0.1)
-    q_star = ts.assemble_birman_schwinger(kernel, potential, -0.1, adjoint=True)
+    q = ts.assemble_birman_schwinger(ts.ReducedModel(kernel, potential), -0.1)
+    q_star = ts.assemble_birman_schwinger(ts.ReducedModel(kernel, potential), -0.1, adjoint=True)
     rho = ts.perron(q.data).rho
     rho_star = ts.perron(q_star.data).rho
     assert abs(rho - rho_star) < 1e-10
@@ -146,9 +151,11 @@ def test_birman_schwinger_assembly_holds_one_matrix(adjoint):
     potential = ts.step_potential(grid, 1.0, 0.5)
     samples = kernel.samples.T if adjoint else kernel.samples
     expected = grid.weight * samples / (kernel.w - potential.samples - 0.2)[:, None]
+    model = ts.ReducedModel(kernel, potential)
+    assert model.order == grid.size and model.kernel_part.shape == samples.shape  # formed before the trace
     tracemalloc.start()
     try:
-        q = ts.assemble_birman_schwinger(kernel, potential, -0.2, adjoint=adjoint)
+        q = ts.assemble_birman_schwinger(model, -0.2, adjoint=adjoint)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -258,7 +265,7 @@ def test_grid_mismatch_reported_alike_wherever_kernel_meets_potential():
     messages = set()
     for build in (
         lambda: ts.assemble_generator(kernel, potential),
-        lambda: ts.assemble_birman_schwinger(kernel, potential, 0.0),
+        lambda: ts.assemble_birman_schwinger(ts.ReducedModel(kernel, potential), 0.0),
         lambda: ts.essential_spectrum(kernel, potential),
         lambda: ts.analyze(kernel, potential),
     ):

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 import torspec as ts
 from torspec.eigen import ROUNDING_ULPS, _start_vector
-from conftest import make_f1, make_f2, make_f3, make_f4, sine_wound, two_level_eigenvalue_oracle
+from conftest import make_f1, make_f2, make_f3, make_f4, sine_wound, two_level_eigenvalue_oracle, whole_ratio_operator
 
 _MASK = 2**64 - 1
 
@@ -37,8 +37,7 @@ def test_perron_rank_one_doubly_stochastic():
 
 def test_perron_ratio_operator_closed_form():
     grid, kernel, potential = make_f1(n=64)
-    q = ts.assemble_birman_schwinger(kernel, potential, 0.0)
-    result = ts.perron(q.data)
+    result = ts.perron(whole_ratio_operator(kernel, potential, 0.0))
     assert abs(result.rho - 1.0 / 1.3) < 1e-11
     assert result.vector.min() > 0
 
@@ -166,7 +165,7 @@ def test_adjoint_perron_nonsymmetric_same_radius():
     # eigenvector genuinely differs while the radius coincides
     grid = ts.TorusGrid(1, 32)
     kernel = ts.convolution_kernel(sine_wound(grid))
-    q = ts.assemble_birman_schwinger(kernel, ts.step_potential(grid), 0.0)
+    q = ts.assemble_birman_schwinger(ts.ReducedModel(kernel, ts.step_potential(grid)), 0.0)
     forward = ts.perron(q.data)
     backward = ts.perron(q.data.T)
     assert abs(forward.rho - backward.rho) < 1e-10
@@ -190,8 +189,7 @@ def test_collatz_wielandt_bounds():
     result = ts.perron(mat, start=np.ones(4))
     assert result.cw_lower == result.cw_upper == 1.0
     grid, kernel, potential = make_f1(n=16)
-    q = ts.assemble_birman_schwinger(kernel, potential, 0.0)
-    result = ts.perron(q.data, start=np.ones(16))
+    result = ts.perron(whole_ratio_operator(kernel, potential, 0.0), start=np.ones(16))
     assert abs(result.cw_lower - 1 / 1.3) < 1e-14 and abs(result.cw_upper - 1 / 1.3) < 1e-14
     with pytest.raises(ts.NonPositiveVector):
         ts.perron(mat, start=np.array([1.0, 0.0, 1.0, 1.0]))
@@ -206,7 +204,7 @@ def test_perron_root_lies_in_its_certificate(make, n, shift):
     # cold solves on Q at a root-find shift, where the Rayleigh ratio alone
     # rounds one float spacing outside the Collatz-Wielandt bracket
     grid, kernel, potential = make(n=n)
-    result = ts.perron(ts.assemble_birman_schwinger(kernel, potential, shift).data)
+    result = ts.perron(whole_ratio_operator(kernel, potential, shift))
     assert result.cw_lower <= result.rho <= result.cw_upper
 
 

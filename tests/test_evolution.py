@@ -168,6 +168,16 @@ def test_evolve_input_validation():
         ts.evolve(bare, np.ones(16), t_max=1.0)  # zero diagonal, no default dt
 
 
+@pytest.mark.parametrize("snapshots", [0, 1])
+def test_evolve_refuses_fewer_than_two_snapshots(snapshots):
+    # 0 indexed an empty time array, 1 returned t = 0 alone and ignored t_max
+    grid, kernel, potential = make_f3(n=16)
+    gen = ts.assemble_generator(kernel, potential)
+    for method in ("rk4", "eigenexpansion"):
+        with pytest.raises(ValueError, match="snapshots must be at least 2"):
+            ts.evolve(gen, np.ones(grid.size), t_max=5.0, method=method, snapshots=snapshots)
+
+
 def test_default_step_from_edge_metadata():
     grid, kernel, potential = make_f1(n=32)
     gen = ts.assemble_generator(kernel, potential)

@@ -1,4 +1,4 @@
-"""The even sector of a point reflection: ``evolve`` on mirror-symmetric models.
+"""The even sector of a point reflection: the reduced model of mirror-symmetric models.
 
 A symmetric convolution kernel with a potential that equals its mirror under
 r(x) = (s - x) mod n commutes with r bit for bit, and the CLI's start u0 = 1
@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 import torspec as ts
 from torspec.cli import run_command
-from torspec.discretize import even_sector, fibre_model, model_reflection
 from conftest import make_f1, make_f3
 
 
@@ -30,28 +29,30 @@ def _mirror(a, s):
 
 def _sector(kernel, potential):
     generator = ts.assemble_generator(kernel, potential)
-    return generator, even_sector(generator, model_reflection(kernel, potential))
+    return generator, ts.ReducedModel(kernel, potential).reduce(generator)
 
 
 def test_a_point_that_fixes_no_node_comes_first():
-    assert model_reflection(*make_f3(n=512)[1:]) == (255,)
-    assert model_reflection(*make_f1(n=16)[1:]) == (1,)  # any s fits a constant: the first odd one
+    assert ts.ReducedModel(*make_f3(n=512)[1:]).point == (255,)
     grid = ts.TorusGrid(1, 8)
     kernel = make_f3(n=8)[1]
-    assert model_reflection(kernel, ts.step_potential(grid, 1.0, 3 / 8)) == (2,)  # only s = 2 fits
+    assert ts.ReducedModel(kernel, ts.step_potential(grid, 1.0, 3 / 8)).point == (2,)  # only s = 2 fits
     odd = ts.TorusGrid(1, 9)  # every s fixes one node
-    assert model_reflection(make_f3(n=9)[1], ts.step_potential(odd, 1.0, 0.5)) == (4,)
+    assert ts.ReducedModel(make_f3(n=9)[1], ts.step_potential(odd, 1.0, 0.5)).point == (4,)
     plane = ts.TorusGrid(2, 8)
     gaussian = ts.convolution_kernel(ts.wind_kernel(ts.gaussian_kernel(2, 0.2), 8))
-    assert model_reflection(gaussian, ts.constant_potential(plane, 0.3)) == (0, 1)
-    assert model_reflection(*fibre_model(gaussian, ts.step_potential(plane))) == (3,)
+    model = ts.ReducedModel(gaussian, ts.step_potential(plane))
+    assert (model.axes, model.point, model.order) == ((1,), (3,), 4)  # on the fibre x_1 = 0
+    for whole in (ts.constant_potential(plane, 0.3), make_f1(n=16)[2]):  # invariant along every axis
+        model = ts.ReducedModel(ts.constant_kernel(whole.grid), whole)
+        assert (model.point, model.order) == (None, 1)
 
 
 @pytest.mark.parametrize("n, width", [(16, 0.5), (16, 5 / 16), (15, 0.4)])
 def test_the_sector_is_symmetric_and_holds_the_maximum_eigenvalue(n, width):
     grid, kernel, _ = make_f3(n=n)
     potential = ts.step_potential(grid, 1.0, width)
-    s = model_reflection(kernel, potential)
+    s = ts.ReducedModel(kernel, potential).point
     generator, sector = _sector(kernel, potential)
     m = generator.data
     mirror = _mirror(np.arange(n), s)
@@ -120,7 +121,7 @@ def _table(grid, header, values, pairs=False):
     st.floats(0.5, 3.0),
     st.integers(0, 2**32 - 1),
 )
-def test_cli_evolve_on_the_sector_matches_the_whole_fibre(shape, kind, method, cut, depth, seed):
+def test_cli_evolve_on_the_sector_matches_the_whole_model(shape, kind, method, cut, depth, seed):
     dimension, n = shape
     grid = ts.TorusGrid(dimension, n)
     rng = np.random.default_rng(seed)
@@ -141,15 +142,14 @@ def test_cli_evolve_on_the_sector_matches_the_whole_fibre(shape, kind, method, c
         raw["potential"] = {"family": "csv", "path": "potential.csv"}
     with _propagators() as formed:
         config, summary, trace, model = _evolve_cli(raw, tables)
-        fibre = fibre_model(*model)
-        generator = ts.assemble_generator(*fibre)
-        whole = ts.evolve(generator, np.ones(generator.grid.size), t_max=summary["t_max"], method=method)
-    assert model_reflection(*fibre) is not None and summary["order"] < generator.grid.size
+        generator = ts.assemble_generator(*model)
+        whole = ts.evolve(generator, np.ones(grid.size), t_max=summary["t_max"], method=method)
+    assert ts.ReducedModel(*model).point is not None and summary["order"] < grid.size
     for column, norms in zip(trace.T[1:], (whole.l2_norms, whole.sup_norms, whole.masses)):
         assert np.max(np.abs(column - norms) / np.abs(norms)) <= 1e-10
     if method == "rk4":
         (sector_order, substeps), (whole_order, whole_substeps) = formed
-        assert (sector_order, whole_order) == (summary["order"], generator.grid.size)
+        assert (sector_order, whole_order) == (summary["order"], grid.size)
         assert substeps == whole_substeps
     estimate = ts.max_eigenvalue_shifted_power(generator, config.analysis).rho
     assert abs(summary["lambda_estimate"] - estimate) <= config.analysis.cross_tol
@@ -171,7 +171,7 @@ def test_models_without_an_exact_reflection_keep_the_whole_order(kernel, potenti
     with _propagators() as formed:
         summary, model = (_evolve_cli(raw, tables)[i] for i in (1, 3))
     assert summary["order"] == 16 and formed[0][0] == 16
-    assert model_reflection(*model) is None
+    assert ts.ReducedModel(*model).point is None
 
 
 def test_cli_evolve_holds_rk4_buffers_of_half_the_order(tmp_path):

@@ -49,7 +49,7 @@ def test_essential_spectrum_zero_potential_edge_bounds():
 def test_radius_closed_forms_constant_fixture():
     grid, kernel, potential = make_f1(n=64)
     for mu, expected in ((0.0, 1 / 1.3), (-0.3, 1.0), (10.0, 1 / 11.3)):
-        rho = ts.perron(ts.assemble_birman_schwinger(kernel, potential, mu).data).rho
+        rho = ts.perron(ts.assemble_birman_schwinger(ts.ReducedModel(kernel, potential), mu).data).rho
         assert abs(rho - expected) < 1e-10
 
 
@@ -62,7 +62,7 @@ def test_radius_monotone_and_decaying():
         alpha0 = float((u + rates).max())
         gamma2 = float(rates.max())
         mus = np.linspace(-alpha1 + 0.05 * (alpha0 - alpha1 + 1.0), 10.0 * gamma2, 25)
-        radii = [ts.perron(ts.assemble_birman_schwinger(kernel, potential, m).data).rho for m in mus]
+        radii = [ts.perron(ts.assemble_birman_schwinger(ts.ReducedModel(kernel, potential), m).data).rho for m in mus]
         for nxt, prev in zip(radii[1:], radii[:-1]):
             assert nxt <= prev + 1e-9
         assert radii[-1] < 0.1
@@ -74,7 +74,7 @@ def test_radius_monotone_and_decaying():
 
 def test_bisection_constant_fixture_exact():
     grid, kernel, potential = make_f1()
-    result = ts.max_eigenvalue_bisection(kernel, potential, ts.AnalysisOptions(bisection_tol=1e-12))
+    result = ts.max_eigenvalue_bisection(ts.ReducedModel(kernel, potential), ts.AnalysisOptions(bisection_tol=1e-12))
     assert abs(result.lam + 0.3) < 1e-11
     assert result.ground_state.min() > 0
     assert result.adjoint_state.min() > 0
@@ -84,7 +84,7 @@ def test_bisection_constant_fixture_exact():
 def test_bisection_two_level_fixture_against_oracle():
     lam_oracle = two_level_eigenvalue_oracle((-0.999, -1e-6))
     grid, kernel, potential = make_f2()
-    result = ts.max_eigenvalue_bisection(kernel, potential, ts.AnalysisOptions(bisection_tol=1e-12))
+    result = ts.max_eigenvalue_bisection(ts.ReducedModel(kernel, potential), ts.AnalysisOptions(bisection_tol=1e-12))
     assert abs(result.lam - lam_oracle) < 1e-10
     # two-level ground state profile: proportional to 1/(lam + 1 - V)
     profile = 1.0 / (result.lam + 1.0 - potential.samples)
@@ -95,14 +95,14 @@ def test_bisection_two_level_fixture_against_oracle():
 def test_root_find_work_count_on_gaussian_step_fixture():
     # 40 plain bisection steps would be needed for a 1e-12 bracket
     grid, kernel, potential = make_f3(n=256)
-    result = ts.max_eigenvalue_bisection(kernel, potential)
+    result = ts.max_eigenvalue_bisection(ts.ReducedModel(kernel, potential))
     assert result.iterations <= 20
     assert result.bracket[1] - result.bracket[0] <= 1e-12
 
 
 def test_root_find_stops_at_floating_point_resolution():
     grid, kernel, potential = make_f1(n=32)
-    result = ts.max_eigenvalue_bisection(kernel, potential, ts.AnalysisOptions(bisection_tol=1e-300))
+    result = ts.max_eigenvalue_bisection(ts.ReducedModel(kernel, potential), ts.AnalysisOptions(bisection_tol=1e-300))
     lo, hi = result.bracket
     assert 0.0 < hi - lo <= 4 * np.spacing(abs(lo))
     assert abs(result.lam + 0.3) < 1e-12
@@ -113,7 +113,7 @@ def test_root_find_brackets_deep_step_potentials(depth):
     # rank-one kernel: half(1/a + 1/(a + D)) = 1 with a = lambda + 1, whose
     # positive root is 2D / ((2D - 2) + sqrt((2D - 2)^2 + 8D)) without cancellation
     grid = ts.TorusGrid(1, 16)
-    result = ts.max_eigenvalue_bisection(ts.constant_kernel(grid), ts.step_potential(grid, depth))
+    result = ts.max_eigenvalue_bisection(ts.ReducedModel(ts.constant_kernel(grid), ts.step_potential(grid, depth)))
     a = 2 * depth / ((2 * depth - 2) + math.sqrt((2 * depth - 2) ** 2 + 8 * depth))
     assert abs(result.lam - (a - 1.0)) <= ts.AnalysisOptions().bisection_tol
 
@@ -122,7 +122,7 @@ def test_bisection_zero_potential_modes():
     grid = ts.TorusGrid(1, 32)
     kernel = ts.constant_kernel(grid)
     potential = ts.zero_potential(grid)
-    boundary = ts.max_eigenvalue_bisection(kernel, potential)
+    boundary = ts.max_eigenvalue_bisection(ts.ReducedModel(kernel, potential))
     assert boundary.lam == 0.0
     assert boundary.ground_state.min() > 0
 
@@ -139,8 +139,7 @@ def test_fixed_point_radius_at_returned_eigenvalue():
     # measure the radius with a sharper certificate than the bisection tol
     for seed in (0, 1, 2):
         grid, kernel, potential = random_fixture(seed)
-        result = ts.max_eigenvalue_bisection(
-            kernel, potential, ts.AnalysisOptions(bisection_tol=1e-12, power_tol=1e-13)
+        result = ts.max_eigenvalue_bisection(ts.ReducedModel(kernel, potential), ts.AnalysisOptions(bisection_tol=1e-12, power_tol=1e-13)
         )
         assert abs(result.radius_at_lambda - 1.0) <= 1e-11
 
@@ -268,7 +267,7 @@ def test_analyze_propagates_not_primitive():
 
 
 def test_analyze_not_converged_exit():
-    grid, kernel, potential = make_f1(n=16)
+    grid, kernel, potential = make_f2(n=16)  # a constant potential reduces to one mode, solved at once
     with pytest.raises(ts.NotConverged):
         ts.analyze(kernel, potential, ts.AnalysisOptions(max_iter=1))
 
@@ -292,6 +291,29 @@ def test_analyze_evaluates_no_jump_rate_once_the_kernel_is_built(monkeypatch):
     assert report.essential.alpha1 == float((kernel.w - potential.samples).min())
 
 
+def _gaussian_step_2d(n):
+    grid = ts.TorusGrid(2, n)
+    return grid, ts.convolution_kernel(ts.wind_kernel(ts.gaussian_kernel(2, 0.2), n)), ts.step_potential(grid)
+
+
+@pytest.mark.parametrize("make, n, gathers", [
+    (make_f3, 256, [()]),  # the generator and the ratio operator from one gather of every row
+    (_gaussian_step_2d, 8, [(1,)]),  # of the slab rows x_1 = 0 only
+    (make_f1, 64, [(0,)]),  # of one row
+], ids=["f3", "gauss2d", "f1"])
+def test_analyze_gathers_the_kernel_rows_once(make, n, gathers, monkeypatch):
+    grid, kernel, potential = make(n)
+    calls, real = [], ts.GenericKernel.rows
+
+    def rows(self, axes=()):
+        calls.append(axes)
+        return real(self, axes)
+
+    monkeypatch.setattr(ts.GenericKernel, "rows", rows)
+    ts.analyze(kernel, potential)
+    assert calls == gathers
+
+
 def test_analyze_order_above_cap_is_typed_error():
     grid, kernel, potential = make_f2(n=16)
     with pytest.raises(ts.DimensionMismatch, match="exceeds the cap 8"):
@@ -309,7 +331,7 @@ def test_adjoint_state_is_solved_only_for_a_nonsymmetric_kernel(make, symmetric,
 
     monkeypatch.setattr(ts.spectral, "assemble_birman_schwinger", recorded)
     grid, kernel, potential = make(n=64)
-    result = ts.max_eigenvalue_bisection(kernel, potential)
+    result = ts.max_eigenvalue_bisection(ts.ReducedModel(kernel, potential))
     assert adjoint_calls == ([False] if symmetric else [False, True])
     assert (result.adjoint_state is result.ground_state) == symmetric
     generator = ts.assemble_generator(kernel, potential)
@@ -322,12 +344,13 @@ NON_DEFAULT = ts.AnalysisOptions(seed=7, power_tol=1e-13, bisection_tol=1e-10, m
 
 
 def test_analyze_hands_its_options_to_both_solvers():
-    grid, kernel, potential = make_f4(n=64)  # nonsymmetric: the bisection solves the adjoint too
+    grid, kernel, _ = make_f4(n=64)  # nonsymmetric: the bisection solves the adjoint too
+    potential = make_f2(n=64)[2]  # a constant one would reduce the model to one mode
     generator = ts.assemble_generator(kernel, potential)
     records = []
     for options in (NON_DEFAULT, ts.AnalysisOptions()):
         report = ts.analyze(kernel, potential, options)
-        bisected = ts.max_eigenvalue_bisection(kernel, potential, options)
+        bisected = ts.max_eigenvalue_bisection(ts.ReducedModel(kernel, potential), options)
         shifted = ts.max_eigenvalue_shifted_power(generator, options)
         assert report.lambda_by_method["q_bisection"] == bisected.lam
         assert report.lambda_by_method["perron_shift"] == shifted.rho
