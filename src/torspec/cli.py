@@ -80,7 +80,7 @@ def _run_evolve(
     config: RunConfig, wound: WoundKernel | None, kernel: GenericKernel, potential: Potential, out_dir: str
 ) -> tuple[dict, int]:
     model = ReducedModel(kernel, potential)  # u0 = 1 lies in its range
-    generator = assemble_generator(kernel, potential, model.axes)
+    generator = assemble_generator(kernel, potential, model.axes)  # not model.generator: freed once reduced
     dt = default_dt(generator) if config.evolution["dt"] is None else config.evolution["dt"]
     generator = model.reduce(generator)
     estimate = max_eigenvalue_shifted_power(generator, config.analysis)

@@ -106,9 +106,12 @@ def _reflect(a: np.ndarray, s: tuple[int, ...]) -> np.ndarray:
 
 def assemble_generator(b: GenericKernel, potential: Potential, axes: tuple[int, ...] = ()) -> OperatorMatrix:
     """Jump generator, kernel part plus (V - W) on the diagonal, at its rows x_S = 0 for S = ``axes``
-    (() for every row, or the model's invariant axes, ``model_axes``, which the matrix takes): h^d
-    times ``b.rows(S)``, scaled in place, with V minus ``slab_row_sums`` of it on the diagonal."""
+    (() for every row, or the model's invariant axes, ``model_axes``, which the matrix takes as its
+    ``invariant_axes``; any other S raises DimensionMismatch): h^d times ``b.rows(S)``, scaled in
+    place, with V minus ``slab_row_sums`` of it on the diagonal."""
     grid, nodes, invariant = b.grid, b.grid.slab_nodes(axes), model_axes(b, potential)
+    if axes not in ((), invariant):
+        raise DimensionMismatch(f"the generator's rows x_S = 0 need S = () or {invariant}, got {axes}")
     rows = b.rows(axes)
     rows *= grid.weight
     diagonal = (np.arange(nodes.size), nodes)
@@ -192,30 +195,29 @@ class ReducedModel:
             return c
         return (c if self.scale is None else c / self.scale)[self.orbit]
 
+    @cached_property
+    def generator(self) -> OperatorMatrix:
+        """The generator at its rows x_S = 0, ``assemble_generator(kernel, potential, axes)``: the one
+        gather of the kernel's rows that ``kernel_part`` folds."""
+        return assemble_generator(self.kernel, self.potential, self.axes)
+
     def reduce(self, generator: OperatorMatrix) -> OperatorMatrix:
         """The generator on the reduced model: its rows x_S = 0 with the diagonal off, folded once, plus
-        that diagonal per orbit (unreduced, the rows), kept with the fold's diagonal for ``kernel_part``."""
-        data, off = generator.data, None
+        that diagonal per orbit; unreduced, its rows."""
+        data = generator.data
         if self.order < generator.grid.size:
             data = self.fold(data, np.zeros(len(data)))
-            off = np.diagonal(data).copy()
             data[np.diag_indices(self.order)] += generator.diagonal[self._sector[0]]
-        self._folded = data, off
         return OperatorMatrix(data, generator.grid, generator.symmetric, reduction=self)
 
     @cached_property
     def kernel_part(self) -> np.ndarray:
-        """The folded kernel part h^d B: the off-diagonal entries ``reduce`` folded (from a generator of
-        its own if none), their diagonal plus h^d b(x, x) per orbit, no diagonal formed from another."""
-        b, grid = self.kernel, self.kernel.grid
-        if not hasattr(self, "_folded"):
-            self.reduce(assemble_generator(b, self.potential, self.axes))
-        (data, off), held = self._folded, b.invariant_axes
-        del self._folded
+        """The folded kernel part h^d B: the off-diagonal part of ``generator`` folded once, plus
+        h^d b(x, x) per orbit, so no diagonal is formed by subtracting another."""
+        b, grid, rows, held = self.kernel, self.kernel.grid, self.generator.data, self.kernel.invariant_axes
         own = b.slab[np.arange(len(b.slab)), grid.slab_nodes(held)].reshape(grid.slab_shape(held))
-        own = grid.weight * np.broadcast_to(own, grid.slab_shape(())).flat[self.nodes]  # h^d b(x, x) per orbit
-        kernel = data.copy()
-        np.fill_diagonal(kernel, own if off is None else off + own)
+        kernel = self.fold(rows, np.zeros(len(rows)))
+        kernel[np.diag_indices(self.order)] += grid.weight * np.broadcast_to(own, grid.slab_shape(())).flat[self.nodes]
         kernel.flags.writeable = False
         return kernel
 

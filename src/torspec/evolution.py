@@ -199,7 +199,16 @@ def evolve(
         rate = _log_slope(times, l2, window)
     except ZeroNorm:
         rate = math.nan
-    return EvolutionTrace(times, l2, sup, masses, rate, window, min_seen, step_min)
+    return EvolutionTrace(
+        times=times,
+        l2_norms=l2,
+        sup_norms=sup,
+        masses=masses,
+        decay_rate_fit=rate,
+        fit_window=window,
+        min_value_seen=min_seen,
+        rk4_step_min=step_min,
+    )
 
 
 def fit_decay_rate(trace: EvolutionTrace, window: tuple[float, float]) -> float:

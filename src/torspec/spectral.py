@@ -22,7 +22,6 @@ from .discretize import (
     OperatorMatrix,
     ReducedModel,
     assemble_birman_schwinger,
-    assemble_generator,
     check_shift,
     shift_denominator,
 )
@@ -108,7 +107,10 @@ BRACKET_HALVINGS = 20
 STALL_STEPS = 3
 
 
-def max_eigenvalue_bisection(model: ReducedModel, options: AnalysisOptions = AnalysisOptions()) -> BisectionResult:
+def max_eigenvalue_bisection(
+    model: ReducedModel,
+    options: AnalysisOptions = AnalysisOptions(),
+) -> BisectionResult:
     """Find the shift at which the ratio operator has unit spectral radius.
 
     The left bracket starts a small offset above the essential edge (where
@@ -201,7 +203,9 @@ def max_eigenvalue_bisection(model: ReducedModel, options: AnalysisOptions = Ana
     lam = 0.5 * (lo + hi)
     at_lam = _perron(assemble_birman_schwinger(model, lam).data, options, start=vector)
     if not eligible and abs(at_lam.rho - 1.0) > 100 * options.power_tol:
-        raise BracketFailure(f"vanishing potential should give unit radius at zero shift, got {at_lam.rho!r}")
+        raise BracketFailure(
+            f"vanishing potential should give unit radius at zero shift, got {at_lam.rho!r}"
+        )
 
     def lifted(c: np.ndarray) -> np.ndarray:  # a Perron vector already has unit norm
         u = model.lift(c)
@@ -211,7 +215,9 @@ def max_eigenvalue_bisection(model: ReducedModel, options: AnalysisOptions = Ana
     if not model.kernel.symmetric:  # else the adjoint ratio operator is the assembled one
         adjoint = assemble_birman_schwinger(model, lam, adjoint=True)
         adjoint_state = lifted(_perron(adjoint.data, options, start=at_lam.vector).vector)
-    return BisectionResult(lam, ground_state, adjoint_state, iterations, at_lam.rho, (lo, hi), perron_iterations)
+    return BisectionResult(
+        lam, ground_state, adjoint_state, iterations, at_lam.rho, (lo, hi), perron_iterations,
+    )
 
 
 def max_eigenvalue_shifted_power(
@@ -287,7 +293,7 @@ def analyze(
     essential = essential_spectrum(b, potential)
     eligible = potential.diagnostics.eligible
     model = ReducedModel(b, potential)
-    generator = assemble_generator(b, potential, model.axes)
+    generator = model.generator
     eigenvalues = full_spectrum(generator, options.spectrum_order_cap)
     lam_qr = float(eigenvalues[0].real)
 
@@ -305,7 +311,9 @@ def analyze(
             f"eigenvalue methods spread {spread:.3e} beyond {options.cross_tol:.0e}: {lambda_by_method}"
         )
 
-    lam, psi, phi = bisected.lam, bisected.ground_state, bisected.adjoint_state
+    lam = bisected.lam
+    psi = bisected.ground_state
+    phi = bisected.adjoint_state
     rows, held, nodes = generator.data, generator.slab_axes, b.grid.slab_shape(())
     psi_slab, phi_slab = (u[b.grid.slab_nodes(held)] for u in (psi, phi))
     summed = (rows.reshape(rows.shape[:1] + nodes).sum(tuple(1 + a for a in held)).reshape(len(rows), -1)
@@ -344,4 +352,12 @@ def analyze(
         "kernel_stats": stats,
         "potential": potential.diagnostics.as_dict(),
     }
-    return SpectrumReport(essential, lam, psi, phi, lambda_by_method, discrete, diagnostics)
+    return SpectrumReport(
+        essential=essential,
+        max_eigenvalue=lam,
+        ground_state=psi,
+        adjoint_ground_state=phi,
+        lambda_by_method=lambda_by_method,
+        discrete_eigenvalues=discrete,
+        diagnostics=diagnostics,
+    )

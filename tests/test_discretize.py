@@ -128,17 +128,21 @@ def test_birman_schwinger_entries_are_scaled_kernel_rows():
     q = ts.assemble_birman_schwinger(model, mu)
     rates = ts.jump_rate(kernel)
     denom = -potential.samples + rates + mu
-    # the even sector of the reflection x -> 7/16 - x, folded from the whole kernel
-    recomputed = model.fold(grid.weight * kernel.samples) / denom[model.nodes, None]
+    # the even sector of the reflection x -> 7/16 - x, which fixes no node: K(x, y) + K(x, 7 - y)
+    least, whole = model.nodes, grid.weight * kernel.samples
+    assert (model.point, model.scale) == ((7,), None) and np.array_equal(least, np.r_[0:4, 8:12])
+    recomputed = (whole[np.ix_(least, least)] + whole[np.ix_(least, (7 - least) % 16)]) / denom[least, None]
     assert q.data.shape == (8, 8) and np.array_equal(q.data, recomputed)
 
 
 def test_birman_schwinger_adjoint_spectrum_matches():
     grid = ts.TorusGrid(1, 32)
     kernel = ts.convolution_kernel(sine_wound(grid))
-    potential = ts.constant_potential(grid, 0.3)
+    potential = ts.step_potential(grid)  # a constant one would reduce the model to one mode
     q = ts.assemble_birman_schwinger(ts.ReducedModel(kernel, potential), -0.1)
     q_star = ts.assemble_birman_schwinger(ts.ReducedModel(kernel, potential), -0.1, adjoint=True)
+    assert q.data.shape == (32, 32) and not np.array_equal(q.data, q.data.T)
+    assert not np.array_equal(q_star.data, q.data)  # the adjoint is another matrix
     rho = ts.perron(q.data).rho
     rho_star = ts.perron(q_star.data).rho
     assert abs(rho - rho_star) < 1e-10
@@ -247,6 +251,17 @@ def test_grid_mismatch_rejected():
     other = ts.TorusGrid(1, 32)
     with pytest.raises(ts.GridMismatch):
         ts.assemble_generator(kernel, ts.constant_potential(other, 0.3))
+
+
+def test_generator_rows_lie_on_none_or_all_of_the_models_invariant_axes():
+    grid = ts.TorusGrid(2, 8)
+    kernel = ts.constant_kernel(grid)  # invariant along both axes
+    potential = ts.Potential(grid, np.repeat(-np.linspace(0.0, 1.0, 8), 8))  # along axis 1 only
+    assert ts.assemble_generator(kernel, potential, (1,)).slab_axes == (1,)
+    assert ts.assemble_generator(kernel, potential).data.shape == (64, 64)
+    for axes in [(0,), (0, 1)]:  # rows the matrix could not label with its invariant axes
+        with pytest.raises(ts.DimensionMismatch, match=r"need S = \(\) or \(1,\)"):
+            ts.assemble_generator(kernel, potential, axes)
 
 
 def test_edge_sup_metadata():
