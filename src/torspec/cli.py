@@ -196,11 +196,7 @@ def run_command(command: str, config: RunConfig, out_dir: str | None = None) -> 
 def _exit_code_for(exc: Exception) -> int:
     if isinstance(exc, ConfigError):
         return 1
-    if isinstance(exc, HYPOTHESIS_ERRORS):
-        return 2
-    if isinstance(exc, TorspecError):
-        return 3
-    raise exc
+    return 2 if isinstance(exc, HYPOTHESIS_ERRORS) else 3
 
 
 def _load_with_overrides(path: str, seed: int | None, grid_n: int | None) -> RunConfig:

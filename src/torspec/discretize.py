@@ -1,17 +1,18 @@
 """Dense collocation matrices for the torus operators, the reduced model, and the Fourier symbol.
 
 Assembly convention: off-diagonal entries hold h^d b(x_i, y_j); the diagonal
-of a generator carries V(x_i) minus the serial sum of the off-diagonal row,
+of a generator carries V(x_i) minus numpy's sum of the off-diagonal row,
 so the kernel's own diagonal sample never enters, as in b(x,y)(u(y) - u(x)).
 ``assemble_generator`` forms the rows x_S = 0 over a slab of invariant axes
 S, or every row, and sums only the kernel's slab rows x_a = 0 along its
 invariant axes, broadcast as for W (``kernels.slab_row_sums``): the
 generator is exactly invariant along those axes, diagonal included, and
-with V = 0 each row sums to exactly zero in the column order of its slab
-representative.  Kernel and potential must carry one grid wherever they
-meet.  The generator takes the kernel's ``symmetric`` flag and its
-invariant axes along which the potential samples are bit-equal too; it is
-Metzler, so its diagonal alone gives the shift that makes it nonnegative.
+with V = 0 each diagonal entry is minus numpy's sum of its slab
+representative's off-diagonal row, bit for bit.  Kernel and potential must
+carry one grid wherever they meet.  The generator takes the kernel's
+``symmetric`` flag and its invariant axes along which the potential samples
+are bit-equal too; it is Metzler, so its diagonal alone gives the shift
+that makes it nonnegative.
 ``ReducedModel`` decides once the block that holds a model's ground state
 and the start u0 = 1: the Bloch fibre k = 0 along the invariant axes, and
 in it the even sector of a point reflection.  The shifted power, the ratio

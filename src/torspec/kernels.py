@@ -9,7 +9,8 @@ record carries the ``TorusGrid`` it is sampled on, and every sample must be
 finite.  A generic kernel decides once, when it is built, whether its
 samples are exactly symmetric and along which axes they are exactly
 translation-invariant: a convolution kernel reads both off its wound
-samples, any other kernel tests its (n^d, n^d) array bit for bit.
+samples, any other kernel tests its (n^d, n^d) array bit for bit.  Row and
+column integrals are numpy's sums of the unrepeated rows, broadcast to the rest.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ from .grid import TorusGrid
 
 WIND_CAP = 64  # largest one-sided shift radius tried while winding
 SYMMETRY_TILE = 256  # side of the symmetry test's square tiles; its square caps a shift-test run
-ROW_SUM_CHUNK = 16384  # entries in one chunk of serial_row_sums
-ROW_SUM_MIN_COLUMNS = 64  # chunks of fewer columns are slower than the column loop
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -53,30 +52,6 @@ def _finite_range(a: np.ndarray, what: str) -> tuple[float, float]:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValidationError(f"{what} samples must be finite")
     return lo, hi
-
-
-def serial_row_sums(a: np.ndarray, weight: float | None = None) -> np.ndarray:
-    """Left-to-right serial sum along the last axis, of ``weight * a`` when
-    a weight is given: the bits equal ``np.cumsum``'s last column, and no
-    array of ``a``'s size is built, not even for a transposed view.  Chunks
-    of columns, after one that carries the running sum, are accumulated in
-    place by the sequential ``np.cumsum``; columns of too tall an ``a`` are
-    added one at a time."""
-    columns = a.shape[-1]
-    width = min(columns - 1, ROW_SUM_CHUNK // max(1, math.prod(a.shape[:-1])))
-    if width < min(ROW_SUM_MIN_COLUMNS, columns - 1) or columns == 1:
-        acc = a[..., 0].copy() if weight is None else a[..., 0] * weight
-        for j in range(1, columns):
-            acc += a[..., j] if weight is None else a[..., j] * weight
-        return acc
-    buffer = np.empty(a.shape[:-1] + (width + 1,))
-    buffer[..., 0] = a[..., 0] if weight is None else a[..., 0] * weight
-    for j in range(1, columns, width):
-        part, chunk = buffer[..., : min(width, columns - j) + 1], a[..., j : j + width]
-        part[..., 1:] = chunk if weight is None else chunk * weight
-        np.cumsum(part, axis=-1, out=part)
-        part[..., 0] = part[..., -1]
-    return buffer[..., 0].copy()
 
 
 def _is_symmetric(a: np.ndarray) -> bool:
@@ -501,25 +476,23 @@ def slab_rows(a: np.ndarray, b: GenericKernel, axes: tuple[int, ...] = ()) -> np
     return a.reshape(b.grid.slab_shape(axes) + (b.grid.size,))[b.grid.origin_slab(b.invariant_axes)]
 
 
-def slab_row_sums(
-    a: np.ndarray, b: GenericKernel, weight: float | None = None, axes: tuple[int, ...] = ()
-) -> np.ndarray:
-    """Serial row sums (``serial_row_sums``) of an (N, N) array that is
-    invariant along the kernel's invariant axes, as b is, at the rows ``a`` holds.
+def slab_row_sums(a: np.ndarray, b: GenericKernel, axes: tuple[int, ...] = ()) -> np.ndarray:
+    """Row sums, by numpy's ``sum``, of an (N, N) array that is invariant along the
+    kernel's invariant axes, as b is, at the rows ``a`` holds.
 
-    Along those axes rows are permutations of the ``slab_rows``, whose serial sums are
+    Along those axes rows are permutations of the ``slab_rows``, whose sums are
     broadcast: permuted sums can differ in the last bits, these are exactly invariant.
     """
-    return np.broadcast_to(serial_row_sums(slab_rows(a, b, axes), weight), b.grid.slab_shape(axes)).ravel()
+    return np.broadcast_to(slab_rows(a, b, axes).sum(-1), b.grid.slab_shape(axes)).ravel()
 
 
 def jump_rate(b: GenericKernel) -> np.ndarray:
-    """Row quadrature of the kernel: W(x_i) = h^d * sum_j b(x_i, y_j), by
-    the rule of ``slab_row_sums`` on ``b.slab``, so W is exactly invariant
+    """Row quadrature of the kernel: W(x_i) = h^d * sum_j b(x_i, y_j), scaled after
+    summing, by the rule of ``slab_row_sums`` on ``b.slab``, so W is exactly invariant
     along the kernel's invariant axes.  ``GenericKernel`` calls this once at
     construction and keeps the result as ``w``; read that field instead.
     """
-    sums = serial_row_sums(slab_rows(b.slab, b, b.invariant_axes), b.grid.weight)
+    sums = b.grid.weight * slab_rows(b.slab, b, b.invariant_axes).sum(-1)
     return np.broadcast_to(sums, b.grid.slab_shape(())).ravel()
 
 
@@ -543,7 +516,7 @@ def kernel_stats(b: GenericKernel, n_max: int = 16) -> dict:
     ys, cols = tuple(d + a for a in axes), b.slab.reshape(grid.slab_shape(axes) + (n,) * d)
     cols = np.roll(np.flip(cols, ys), 1, ys) if axes else cols
     swap = [a if a in axes else d + a for a in range(d)] + [d + a if a in axes else a for a in range(d)]
-    cols = serial_row_sums(cols.transpose(swap).reshape(grid.slab_shape(axes) + (-1,)), grid.weight)
+    cols = grid.weight * slab_rows(cols.transpose(swap), b, axes).sum(-1)
     gamma1 = float(rows.min())
     if gamma1 <= 0:
         raise DegenerateKernel("kernel row integral vanishes somewhere")

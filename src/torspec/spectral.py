@@ -161,11 +161,10 @@ def max_eigenvalue_bisection(
             eps *= 0.5
         for _ in range(BRACKET_HALVINGS + 1):
             candidate = -alpha1 + eps
-            if candidate < 0.0:
-                rho_lo = radius(candidate)
-                if rho_lo > 1.0:
-                    lo = candidate
-                    break
+            rho_lo = radius(candidate)
+            if rho_lo > 1.0:
+                lo = candidate
+                break
             eps *= 0.5
         else:
             raise BracketFailure(

@@ -76,7 +76,7 @@ def test_block_spectrum_matches_the_whole_matrix(shape, symmetric, axes, depth, 
     st.integers(0, 2**32 - 1),
 )
 def test_assembled_generators_are_exactly_invariant(shape, axes, seed):
-    # samples over twelve orders of magnitude, so that serial sums of
+    # samples over twelve orders of magnitude, so that sums of
     # permuted rows differ in their last bits unless one row is summed
     dimension, n = shape
     axes = tuple(a for a in axes if a < dimension)
@@ -197,11 +197,12 @@ def test_row_sums_of_an_invariant_kernel_take_one_slab(monkeypatch):
     wound = ts.wind_kernel(ts.gaussian_kernel(2, 0.2), grid.n)
     shapes = []
 
-    def recorded(a, *args, _real=ts.kernels.serial_row_sums):
-        shapes.append(a.shape)
-        return _real(a, *args)
+    def recorded(*args, _real=ts.kernels.slab_rows):
+        rows = _real(*args)
+        shapes.append(rows.shape)
+        return rows
 
-    monkeypatch.setattr(ts.kernels, "serial_row_sums", recorded)
+    monkeypatch.setattr(ts.kernels, "slab_rows", recorded)
     kernel = ts.convolution_kernel(wound)
     ts.assemble_generator(kernel, ts.step_potential(grid))
     ts.kernel_stats(kernel)

@@ -13,21 +13,18 @@ from conftest import make_f1, make_f2, sine_wound
 
 
 def _assert_conservative(kernel, grid):
-    # with V = 0 the diagonal is minus the serial off-diagonal row sum of the
-    # row's slab representative (x_a = 0 on each invariant axis a), bit for
-    # bit, so each row adds up to exactly zero in that representative's
-    # column order, translated with the row: left to right when the kernel
-    # has no invariant axes
+    # with V = 0 the diagonal is minus numpy's sum of the off-diagonal row of
+    # the row's slab representative (x_a = 0 on each invariant axis a), bit
+    # for bit: the row in that representative's column order, translated
+    # with the row (its own order when the kernel has no invariant axes),
+    # with its diagonal zeroed
     data = ts.assemble_generator(kernel, ts.zero_potential(grid)).data
     n, d = grid.n, grid.dimension
     nodes = np.indices((n,) * d).reshape(d, -1)
     along = np.isin(np.arange(d), kernel.invariant_axes)[:, None]
-    for i, row in enumerate(data.tolist()):
+    for i, row in enumerate(data):
         order = np.ravel_multi_index((nodes + along * nodes[:, i:i + 1]) % n, (n,) * d)
-        off_sum = 0.0
-        for j in order.tolist():
-            if j != i:
-                off_sum += row[j]
+        off_sum = np.where(order == i, 0.0, row[order]).sum()
         assert row[i] == -off_sum
         assert off_sum + row[i] == 0.0
 
