@@ -30,28 +30,20 @@ from .errors import (
 from .evolution import check_extinction, default_dt, evolve
 from .gapbound import gap_constants, verify_gap
 from .jsonio import dump, write_trace_csv
-from .kernels import GenericKernel, Potential, WoundKernel, kernel_stats
+from .kernels import GenericKernel, Potential, kernel_stats
 from .spectral import analyze, max_eigenvalue_shifted_power
 
 
-def _prepare(config: RunConfig) -> tuple[WoundKernel | None, GenericKernel, Potential]:
-    """What every command builds from its config before it does its own
-    work: the convolution form (or None), the kernel and the potential."""
-    grid = config.build_grid()
-    wound, kernel = config.build_kernel(grid)
-    return wound, kernel, config.build_potential(grid)
-
-
 def _run_analyze(
-    config: RunConfig, wound: WoundKernel | None, kernel: GenericKernel, potential: Potential, out_dir: str
+    config: RunConfig, kernel: GenericKernel, potential: Potential, paths: list[str]
 ) -> tuple[dict, int]:
     report = analyze(kernel, potential, config.analysis)
     document = report.to_dict()
     diagnostics = document.pop("diagnostics")
     document["gap_bound"] = None
-    if wound is not None:
+    if kernel.wound is not None:
         try:
-            bound = gap_constants(potential, wound)
+            bound = gap_constants(potential, kernel.wound)
         except TorspecError:
             pass
         else:
@@ -63,11 +55,11 @@ def _run_analyze(
 
 
 def _run_bound(
-    config: RunConfig, wound: WoundKernel | None, kernel: GenericKernel, potential: Potential, out_dir: str
+    config: RunConfig, kernel: GenericKernel, potential: Potential, paths: list[str]
 ) -> tuple[dict, int]:
-    if wound is None:
+    if kernel.wound is None:
         raise ValidationError("the gap bound applies only to convolution-form kernels")
-    bound = gap_constants(potential, wound)  # its hypotheses, checked before the solve
+    bound = gap_constants(potential, kernel.wound)  # its hypotheses, checked before the solve
     report = analyze(kernel, potential, config.analysis)
     document = {
         "gap_bound": {**bound, **verify_gap(report, bound)},
@@ -77,7 +69,7 @@ def _run_bound(
 
 
 def _run_evolve(
-    config: RunConfig, wound: WoundKernel | None, kernel: GenericKernel, potential: Potential, out_dir: str
+    config: RunConfig, kernel: GenericKernel, potential: Potential, paths: list[str]
 ) -> tuple[dict, int]:
     model = ReducedModel(kernel, potential)  # u0 = 1 lies in its range
     generator = assemble_generator(kernel, potential, model.axes)  # not model.generator: freed once reduced
@@ -97,9 +89,8 @@ def _run_evolve(
         dt=dt,
         method=config.evolution["method"],
     )
-    trace_path = os.path.join(out_dir, "trace.csv")
-    write_trace_csv(trace, trace_path)
-    print(trace_path)
+    write_trace_csv(trace, paths[1])
+    print(paths[1])
     document = {
         "t_max": t_max,
         "method": config.evolution["method"],
@@ -115,9 +106,9 @@ def _run_evolve(
 
 
 def _run_check_kernel(
-    config: RunConfig, wound: WoundKernel | None, kernel: GenericKernel, potential: Potential, out_dir: str
+    config: RunConfig, kernel: GenericKernel, potential: Potential, paths: list[str]
 ) -> tuple[dict, int]:
-    rates = kernel.w
+    rates, wound = kernel.w, kernel.wound
     stats_section = None
     error_section = None
     code = 0
@@ -154,8 +145,9 @@ _RUNNERS = {
 def run_command(command: str, config: RunConfig, out_dir: str | None = None) -> int:
     """Dispatch one command against a validated config; returns the exit code.
 
-    Every command writes one JSON document: the config echo, the command's
-    own sections, then run metadata.  The command runs with numpy's
+    Its runner gets the config's kernel and potential and the paths that
+    ``_RUNNERS`` names, the first one JSON document: the config echo, the
+    command's own sections, then run metadata.  The command runs with numpy's
     overflow, invalid-value and division traps raised, so a non-finite
     intermediate ends the run with a typed error instead of a warning:
     FloatingPointFailure, or Unstable for an evolve trajectory.  A file
@@ -176,7 +168,8 @@ def run_command(command: str, config: RunConfig, out_dir: str | None = None) -> 
             if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            body, code = runner(config, *_prepare(config), out_dir)
+            grid = config.build_grid()
+            body, code = runner(config, config.build_kernel(grid), config.build_potential(grid), paths)
         metadata = {
             "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "tool": f"torspec {__version__}",

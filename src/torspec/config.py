@@ -20,7 +20,7 @@ from .grid import TorusGrid
 from .kernels import (
     GenericKernel,
     Potential,
-    WoundKernel,
+    constant_kernel,
     constant_potential,
     convolution_kernel,
     cosine_potential,
@@ -89,9 +89,9 @@ def _string(*choices):
 
 
 def _winding(continuous, key: str):
-    """Wound constructor of a kernel family on R^d with the one parameter ``key``."""
-    return lambda spec, grid, config: wind_kernel(
-        continuous(grid.dimension, spec[key]), grid.n, config.wind_tail_tol
+    """Constructor of the kernel that a family on R^d with the one parameter ``key`` winds to."""
+    return lambda spec, grid, config: convolution_kernel(
+        wind_kernel(continuous(grid.dimension, spec[key]), grid.n, config.wind_tail_tol)
     )
 
 
@@ -103,38 +103,32 @@ _AT_LEAST_ONE = (lambda x: x >= 1, "must be at least 1")
 _DEPTH = (_number, 1.0, lambda x: x >= 0, "must be nonnegative")
 _PATH = (_string(), None, None, None)
 
-# Each kernel family: (keys, wound constructor, kernel constructor), each taking
-# (spec, grid, config); a convolution family is one with a wound constructor.
+# Each kernel family: (keys, constructor taking (spec, grid, config)); the
+# constructor of a convolution family sets the kernel's wound.
 KERNEL_FAMILIES = {
-    "constant": (
-        {"value": (_number, 1.0, *_POSITIVE)},
-        lambda spec, grid, config: WoundKernel(grid, np.full((grid.n,) * grid.dimension, spec["value"])),
-        None,
-    ),
-    "tophat": ({"width": (_number, 1.0, *_POSITIVE)}, _winding(tophat_kernel, "width"), None),
-    "gaussian": ({"sigma": (_number, 0.2, *_POSITIVE)}, _winding(gaussian_kernel, "sigma"), None),
-    "exponential": ({"scale": (_number, 0.2, *_POSITIVE)}, _winding(exponential_kernel, "scale"), None),
+    "constant": ({"value": (_number, 1.0, *_POSITIVE)},
+                 lambda spec, grid, config: constant_kernel(grid, spec["value"])),
+    "tophat": ({"width": (_number, 1.0, *_POSITIVE)}, _winding(tophat_kernel, "width")),
+    "gaussian": ({"sigma": (_number, 0.2, *_POSITIVE)}, _winding(gaussian_kernel, "sigma")),
+    "exponential": ({"scale": (_number, 0.2, *_POSITIVE)}, _winding(exponential_kernel, "scale")),
     "sine": (
         {"amplitude": (_number, 0.5, lambda x: abs(x) <= 1, "must lie in [-1, 1]")},
-        lambda spec, grid, config: wound_from_function(
+        lambda spec, grid, config: convolution_kernel(wound_from_function(
             lambda mesh: 1.0 + spec["amplitude"] * np.sin(2.0 * np.pi * mesh[..., 0]), grid
-        ),
-        None,
+        )),
     ),
     "modulated": (
         {
-            "base": (None, None, lambda base: KERNEL_FAMILIES[base["family"]][1] is not None,
+            "base": (None, None, lambda base: base["family"] not in ("modulated", "csv"),
                      "must be a convolution-form family"),
             "epsilon": (_number, 0.2, lambda x: -1.0 < x < 1.0, "must lie in (-1, 1)"),
         },
-        None,
         lambda spec, grid, config: modulated_convolution(
-            KERNEL_FAMILIES[spec["base"]["family"]][1](spec["base"], grid, config), spec["epsilon"]
+            KERNEL_FAMILIES[spec["base"]["family"]][1](spec["base"], grid, config).wound, spec["epsilon"]
         ),
     ),
     "csv": (
         {"path": _PATH},
-        None,
         lambda spec, grid, config: kernel_from_csv(os.path.join(config.base_dir, spec["path"]), grid),
     ),
 }
@@ -194,14 +188,9 @@ class RunConfig:
     def build_grid(self) -> TorusGrid:
         return TorusGrid(self.dimension, self.grid_n)
 
-    def build_kernel(self, grid: TorusGrid) -> tuple[WoundKernel | None, GenericKernel]:
-        """Construct the kernel; the first element is its convolution form
-        when one exists (used by the gap bound), else None."""
-        _, wind, build = KERNEL_FAMILIES[self.kernel["family"]]
-        if wind is None:
-            return None, build(self.kernel, grid, self)
-        wound = wind(self.kernel, grid, self)
-        return wound, convolution_kernel(wound)
+    def build_kernel(self, grid: TorusGrid) -> GenericKernel:
+        """The kernel; its ``wound`` is set for every family but ``modulated`` and ``csv``."""
+        return KERNEL_FAMILIES[self.kernel["family"]][1](self.kernel, grid, self)
 
     def build_potential(self, grid: TorusGrid) -> Potential:
         return POTENTIAL_FAMILIES[self.potential["family"]][1](self.potential, grid, self)

@@ -227,13 +227,8 @@ def check_extinction(trace: EvolutionTrace) -> dict:
     Extinct when the norms are eventually non-increasing and the final
     norm has dropped below ``EXTINCTION_THRESHOLD`` times the initial one."""
     l2 = trace.l2_norms
-    decreasing = l2[1:] <= l2[:-1] * (1.0 + 1e-12)
-    onset = len(l2) - 1
-    for k in range(len(l2) - 2, -1, -1):
-        if decreasing[k]:
-            onset = k
-        else:
-            break
+    rising = np.flatnonzero(~(l2[1:] <= l2[:-1] * (1.0 + 1e-12)))  # a NaN step counts as a rise
+    onset = rising[-1] + 1 if rising.size else 0  # one past the last rise
     monotone_tail = onset < len(l2) - 1
     ratio = float(l2[-1] / l2[0]) if l2[0] > 0 else math.inf
     return {

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import InitVar, asdict, dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import product
 from typing import Callable
@@ -293,34 +293,40 @@ class GenericKernel:
     read by every consumer.  Every row translates one of the rows x_K = 0,
     so ``slab`` keeps only those: one row b(0, y) for a convolution kernel.
     ``samples``, the (n^d, n^d) array, is gathered on first read and kept.
+    ``wound`` is the convolution form a, b(x, y) = a(x - y), or None.
     ``GenericKernel(grid, samples)`` bit-tests every row for both flags;
-    ``convolution_kernel`` passes its row and the flags read off the wound
-    samples, ``_structure`` = (symmetric, invariant_axes), taken as given.
+    ``GenericKernel(grid, row, wound)`` (``convolution_kernel``) takes the row
+    b(0, y) = a(-y) on ``grid``, refusing any other with ValueError, and reads them off a.
     """
 
     grid: TorusGrid
     slab: np.ndarray
-    _structure: InitVar[tuple[bool, tuple[int, ...]] | None] = None
+    wound: WoundKernel | None = None
     w: np.ndarray = field(init=False, repr=False, compare=False)
     symmetric: bool = field(init=False, repr=False, compare=False)
     invariant_axes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, _structure: tuple[bool, tuple[int, ...]] | None) -> None:
-        grid = self.grid
+    def __post_init__(self) -> None:
+        grid, wound = self.grid, self.wound
         slab = _freeze(np.asarray(self.slab, dtype=float))
-        if _structure is None and slab.shape != (grid.size, grid.size):
+        if wound is None and slab.shape != (grid.size, grid.size):
             raise ValueError("samples must be an (n^d, n^d) array")
         lo, hi = _finite_range(slab, "kernel")
         if lo < 0:
             raise DegenerateKernel("kernel samples must be nonnegative")
         if not hi > 0:
             raise DegenerateKernel("kernel is identically zero")
-        if _structure is None:
-            _structure = (_is_symmetric(slab), _invariant_axes(slab, grid))
-            slab = _freeze(slab.reshape(grid.slab_shape(()) + (-1,))[grid.origin_slab(_structure[1])])
+        if wound is None:
+            symmetric, axes = _is_symmetric(slab), _invariant_axes(slab, grid)
+            slab = _freeze(slab.reshape(grid.slab_shape(()) + (-1,))[grid.origin_slab(axes)])
+        else:
+            a, axes = wound.samples, tuple(range(grid.dimension))
+            if wound.grid != grid or not np.array_equal(slab.ravel(), np.roll(np.flip(a), 1, axis=axes).ravel()):
+                raise ValueError("a convolution kernel's row must be its wound samples a(-y), on its grid")
+            symmetric = np.array_equal(a.ravel(), slab.ravel())
         object.__setattr__(self, "slab", slab.reshape(-1, grid.size))
-        object.__setattr__(self, "symmetric", _structure[0])
-        object.__setattr__(self, "invariant_axes", _structure[1])
+        object.__setattr__(self, "symmetric", symmetric)
+        object.__setattr__(self, "invariant_axes", axes)
         object.__setattr__(self, "w", _freeze(jump_rate(self)))
 
     def rows(self, axes: tuple[int, ...] = ()) -> np.ndarray:
@@ -355,7 +361,7 @@ def constant_kernel(grid: TorusGrid, value: float = 1.0) -> GenericKernel:
 
 def convolution_kernel(wound: WoundKernel) -> GenericKernel:
     """Generic form b(x, y) = a(x - y) of a convolution kernel, kept as its
-    row b(0, y) = a(-y), of which every row is a translate.
+    row b(0, y) = a(-y), of which every row is a translate, and its ``wound`` a.
 
     Its structure is read off the n^d wound samples, not bit-tested on the
     (n^d, n^d) array: b is exactly invariant along every axis, and it
@@ -363,9 +369,7 @@ def convolution_kernel(wound: WoundKernel) -> GenericKernel:
     every k, the samples being finite.
     """
     a = wound.samples
-    axes = tuple(range(a.ndim))
-    row = np.roll(np.flip(a), 1, axis=axes)  # a[-k mod n]
-    return GenericKernel(wound.grid, row, _structure=(np.array_equal(a, row), axes))
+    return GenericKernel(wound.grid, np.roll(np.flip(a), 1, axis=tuple(range(a.ndim))), wound)  # a[-k mod n]
 
 
 def modulated_convolution(wound: WoundKernel, epsilon: float) -> GenericKernel:

@@ -3,8 +3,14 @@
 from pathlib import Path
 
 import numpy as np
+from hypothesis import settings
 
 import torspec as ts
+
+# One policy for every property test, loaded before any test module is
+# imported: no deadline, the same draws on every run, no example database.
+settings.register_profile("tier1", deadline=None, derandomize=True, database=None)
+settings.load_profile("tier1")
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURE_DIR = REPO_ROOT / "fixtures"

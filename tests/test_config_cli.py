@@ -108,11 +108,31 @@ def test_builtin_fixture_configs_load():
     for name in ("f1", "f2", "f3", "f4"):
         config = ts.load_config(str(FIXTURE_DIR / f"{name}.json"))
         grid = config.build_grid()
-        wound, kernel = config.build_kernel(grid)
+        kernel = config.build_kernel(grid)
         potential = config.build_potential(grid)
         assert kernel.samples.shape == (grid.size, grid.size)
         assert potential.samples.size == grid.size
-        assert wound is not None  # all builtin fixtures are convolution form
+        assert kernel.wound is not None  # all builtin fixtures are convolution form
+
+
+WOUND_BY_KERNEL_FAMILY = {"constant": True, "tophat": True, "gaussian": True, "exponential": True,
+                          "sine": True, "modulated": False, "csv": False}
+
+
+def test_build_kernel_returns_one_kernel_that_keeps_its_wound(tmp_path):
+    assert set(WOUND_BY_KERNEL_FAMILY) == set(KERNEL_FAMILIES)
+    n = 8
+    with open(tmp_path / "kernel.csv", "w") as handle:
+        handle.write("x,y,value\n" + "".join(f"{i / n},{j / n},1.0\n" for i in range(n) for j in range(n)))
+    for family, wound in WOUND_BY_KERNEL_FAMILY.items():
+        spec = {"family": family, **{"csv": {"path": "kernel.csv"},
+                                     "modulated": {"base": {"family": "gaussian"}}}.get(family, {})}
+        config = ts.config_from_dict(minimal_config(grid_n=n, kernel=spec), base_dir=str(tmp_path))
+        kernel = config.build_kernel(config.build_grid())
+        assert isinstance(kernel, ts.GenericKernel)
+        assert (kernel.wound is not None) is wound, family
+        if wound:
+            assert np.array_equal(kernel.samples, ts.convolution_kernel(kernel.wound).samples)
 
 
 def test_run_analyze_writes_report(tmp_path):
@@ -265,8 +285,8 @@ def test_csv_kernel_config_end_to_end(tmp_path):
         "potential": {"family": "constant", "depth": 0.3},
     }
     config = ts.config_from_dict(raw, base_dir=str(tmp_path))
-    wound, kernel = config.build_kernel(grid)
-    assert wound is None
+    kernel = config.build_kernel(grid)
+    assert kernel.wound is None
     assert np.all(kernel.samples == 1.0)
     code = run_command("analyze", config, str(tmp_path))
     assert code == 0
@@ -284,8 +304,8 @@ def test_modulated_kernel_config_analyzes():
     }
     config = ts.config_from_dict(raw)
     grid = config.build_grid()
-    wound, kernel = config.build_kernel(grid)
-    assert wound is None
+    kernel = config.build_kernel(grid)
+    assert kernel.wound is None
     assert np.allclose(kernel.samples, kernel.samples.T)  # symmetric modulation of ones
     report = ts.analyze(kernel, config.build_potential(grid))
     assert -report.essential.alpha1 < report.max_eigenvalue < 0
@@ -783,7 +803,7 @@ _JSON_VALUES = st.recursive(
 )
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400)
 @given(st.sampled_from(_FUZZ_CASES), _JSON_VALUES, st.sampled_from(_FUZZ_KEYS), st.booleans())
 def test_config_fuzz_gives_run_config_or_config_error(case, value, extra_key, add_key):
     """Random JSON at any key, optionally also under a second, known key name."""

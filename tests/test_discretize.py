@@ -41,7 +41,7 @@ def test_generator_conservative_exactly():
             _assert_conservative(kernel, grid)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(st.sampled_from([(1, 2), (1, 7), (1, 16), (1, 33), (2, 3), (2, 6)]), st.integers(0, 2**32 - 1))
 def test_generator_conservative_exactly_on_random_kernels(shape, seed):
     # nonnegative samples spread over twelve orders of magnitude, some zero

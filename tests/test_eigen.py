@@ -133,7 +133,7 @@ def positive_matrices(draw):
     return draw(hnp.arrays(float, (order, order), elements=st.floats(0.01, 1.0)))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(positive_matrices())
 def test_perron_bounds_bracket_the_root_and_lapack(mat):
     """The Collatz-Wielandt bounds bracket the Rayleigh root and LAPACK's

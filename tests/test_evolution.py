@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import torspec as ts
-from torspec.evolution import RK4_SUBSTEP_CAP
+from torspec.evolution import EXTINCTION_THRESHOLD, RK4_SUBSTEP_CAP
 from conftest import make_f1, make_f2, make_f3, two_level_eigenvalue_oracle
 
 
@@ -143,6 +143,35 @@ def test_extinction_verdicts():
     summary_flat = ts.check_extinction(flat)
     assert not summary_flat["extinct"]
     assert abs(summary_flat["ratio"] - 1.0) < 1e-9
+
+
+def _extinction_by_index_loop(l2, times):
+    """The onset of the non-increasing tail found by walking back from the last step."""
+    decreasing = l2[1:] <= l2[:-1] * (1.0 + 1e-12)
+    onset = len(l2) - 1
+    for k in range(len(l2) - 2, -1, -1):
+        if decreasing[k]:
+            onset = k
+        else:
+            break
+    ratio = l2[-1] / l2[0]
+    return float(times[onset]), bool(onset < len(l2) - 1 and ratio < EXTINCTION_THRESHOLD)
+
+
+@pytest.mark.parametrize("l2", [
+    [1.0, 1.2, 0.5, 0.8, 0.1, 1e-4, 1e-5],  # rises twice, the last mid-way
+    [1.0, 0.1, 1e-4, 1e-5, 2e-5],  # the last step rises
+    [1.0, 1.0 + 5e-13, 1.0 + 9e-13, 1.0 + 9e-13],  # flat within 1e-12
+    [1.0, 1e-4, 1e-5],  # non-increasing throughout
+    [1.0, np.nan, 1e-4, 1e-5],  # a NaN step counts as a rise
+    [1.0],
+])
+def test_extinction_onset_is_one_past_the_last_rise(l2):
+    l2 = np.array(l2)
+    times = np.arange(l2.size) * 0.5
+    trace = ts.EvolutionTrace(times, l2, l2, l2, 0.0, (0.0, 0.0), 0.0)
+    summary = ts.check_extinction(trace)
+    assert (summary["monotone_from"], summary["extinct"]) == _extinction_by_index_loop(l2, times)
 
 
 def test_unstable_step_size_detected():

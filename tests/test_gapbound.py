@@ -152,7 +152,7 @@ def test_nyquist_mode_enters_the_contraction():
     assert verdict["verdict"] == "pass", f"margin {verdict['margin']}"
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(
     st.sampled_from([(1, n) for n in range(2, 13)] + [(2, n) for n in range(2, 6)]),
     st.booleans(),
@@ -178,7 +178,7 @@ def test_gap_bound_holds_for_random_unit_mass_wounds(shape, damp_odd, depth, see
     assert verdict["verdict"] == "pass", f"margin {verdict['margin']}"
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(
     st.integers(1, 32),
     st.floats(-2.0, 2.0),

@@ -18,7 +18,7 @@ CROSS_TOL = ts.AnalysisOptions().cross_tol
 BISECTION_TOL = ts.AnalysisOptions().bisection_tol
 POWER_TOL = ts.AnalysisOptions().power_tol
 
-PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=20)
 
 models = st.tuples(
     st.integers(0, 2**32 - 1),

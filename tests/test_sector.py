@@ -101,7 +101,7 @@ def _evolve_cli(raw, tables):
             summary = json.load(handle)
         trace = np.loadtxt(os.path.join(out, "trace.csv"), delimiter=",", skiprows=1)
         grid = config.build_grid()
-        model = config.build_kernel(grid)[1], config.build_potential(grid)
+        model = config.build_kernel(grid), config.build_potential(grid)
     return config, summary, trace, model
 
 
@@ -112,7 +112,7 @@ def _table(grid, header, values, pairs=False):
     return "\n".join([header, *(f"{k},{float(v)!r}" for k, v in zip(keys, np.ravel(values)))]) + "\n"
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(
     st.sampled_from([(1, n) for n in range(4, 25, 2)] + [(2, 4), (2, 6)]),
     st.sampled_from(["step", "csv"]),

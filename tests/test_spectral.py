@@ -368,7 +368,7 @@ def test_evolve_estimate_takes_the_analysis_options(tmp_path):
     assert run_command("evolve", config, str(tmp_path)) == 0
     summary = json.loads((tmp_path / "evolution.json").read_text())
     grid = config.build_grid()
-    generator = ts.assemble_generator(config.build_kernel(grid)[1], config.build_potential(grid))
+    generator = ts.assemble_generator(config.build_kernel(grid), config.build_potential(grid))
     assert summary["lambda_estimate"] == ts.max_eigenvalue_shifted_power(generator, config.analysis).rho
 
 
