@@ -41,15 +41,14 @@ def _run_analyze(
     document = report.to_dict()
     diagnostics = document.pop("diagnostics")
     document["gap_bound"] = None
-    if kernel.wound is not None:
-        try:
-            bound = gap_constants(potential, kernel.wound)
-        except TorspecError:
-            pass
-        else:
-            gap = {**bound, **verify_gap(report, bound)}
-            del gap["lambda"], gap["slack"]  # the report states lambda at top level
-            document["gap_bound"] = gap
+    try:
+        bound = gap_constants(potential, kernel)
+    except (TorspecError, ValidationError):
+        pass
+    else:
+        gap = {**bound, **verify_gap(report, bound)}
+        del gap["lambda"], gap["slack"]  # the report states lambda at top level
+        document["gap_bound"] = gap
     document["diagnostics"] = diagnostics
     return document, 0 if report.diagnostics["conforming"] else 2
 
@@ -57,9 +56,7 @@ def _run_analyze(
 def _run_bound(
     config: RunConfig, kernel: GenericKernel, potential: Potential, paths: list[str]
 ) -> tuple[dict, int]:
-    if kernel.wound is None:
-        raise ValidationError("the gap bound applies only to convolution-form kernels")
-    bound = gap_constants(potential, kernel.wound)  # its hypotheses, checked before the solve
+    bound = gap_constants(potential, kernel)  # its hypotheses, checked before the solve
     report = analyze(kernel, potential, config.analysis)
     document = {
         "gap_bound": {**bound, **verify_gap(report, bound)},

@@ -232,7 +232,7 @@ def shift_denominator(b: GenericKernel, potential: Potential) -> np.ndarray:
 def check_shift(mu: float, denominator: np.ndarray) -> None:
     """Reject a shift at or below the admissible edge -min(U + W)."""
     alpha1 = float(denominator.min())
-    if mu <= -alpha1 + MU_EDGE_MARGIN:
+    if not mu > -alpha1 + MU_EDGE_MARGIN:
         raise MuBelowEdge(f"shift {mu!r} at or below admissible edge {-alpha1!r}")
 
 

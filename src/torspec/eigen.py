@@ -94,6 +94,8 @@ def perron(
     vector; a positive row ``scale`` makes the iterated operator
     diag(scale) A without forming it.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol!r}")
     if a.min() < 0:
         raise NegativeEntry("matrix has a negative entry")
     if scale is not None and not scale.min() > 0:

@@ -132,17 +132,19 @@ def evolve(
     u0 = np.asarray(u0, dtype=float).ravel()
     if u0.size != generator.grid.size:
         raise DimensionMismatch(f"initial vector length {u0.size} against order {generator.grid.size}")
+    if not np.isfinite(u0).all():
+        raise ValueError("initial density must be finite")
     if not np.any(u0 != 0.0):
         raise ValueError("initial density is identically zero")
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    if not 0 < t_max < math.inf:
+        raise ValueError("t_max must be positive and finite")
     if snapshots < 2:
         raise ValueError(f"snapshots must be at least 2, got {snapshots!r}")
     if method not in ("rk4", "eigenexpansion"):
         raise ValueError(f"unknown method {method!r}")
     if dt is None:
         dt = default_dt(generator)
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
 
     weight = generator.grid.weight
@@ -215,7 +217,7 @@ def fit_decay_rate(trace: EvolutionTrace, window: tuple[float, float]) -> float:
     """Least-squares slope of log L2 norm over the window (NaN when it holds
     fewer than two snapshots)."""
     t0, t1 = window
-    if t0 < trace.times[0] - 1e-12 or t1 > trace.times[-1] + 1e-12 or t1 <= t0:
+    if not trace.times[0] - 1e-12 <= t0 < t1 <= trace.times[-1] + 1e-12:
         raise ValueError("window outside the trace")
     return _log_slope(trace.times, trace.l2_norms, window)
 

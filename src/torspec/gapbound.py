@@ -1,4 +1,5 @@
-"""Explicit lower bound on the spectral gap of the convolution-kernel generator.
+"""Explicit lower bound on the spectral gap of a convolution-kernel generator;
+``gap_constants`` alone decides that a kernel has one (``kernel.wound``).
 
 The bound combines potential norms with the contraction of the kernel symbol
 away from the zero mode: with m = a_0 the quadrature mass of the kernel, c1
@@ -15,20 +16,23 @@ from __future__ import annotations
 import numpy as np
 
 from .discretize import fourier_symbol
-from .errors import DegenerateSymbol, IneligiblePotential
-from .kernels import Potential, WoundKernel
+from .errors import DegenerateSymbol, IneligiblePotential, ValidationError
+from .kernels import GenericKernel, Potential
 from .spectral import SpectrumReport
 
 GAP_SLACK = 1e-9  # solver slack the verdict allows on lambda <= -kappa
 
 
-def gap_constants(potential: Potential, wound: WoundKernel) -> dict:
+def gap_constants(potential: Potential, kernel: GenericKernel) -> dict:
     """The bound constants ``c1``, ``norm_v2``, ``gamma0``, ``c2`` and
-    ``kappa``, by grid quadrature and the kernel symbol.
+    ``kappa``, by grid quadrature and the symbol of ``kernel.wound``.
 
-    Requires a potential on the kernel's grid that is strictly negative
-    somewhere (otherwise c1 vanishes and the bound is void).
+    Requires a convolution-form kernel (else ValidationError) and a potential
+    on its grid, strictly negative somewhere (else c1 vanishes: no bound).
     """
+    wound = kernel.wound
+    if wound is None:
+        raise ValidationError("the gap bound applies only to convolution-form kernels")
     wound.grid.require_match(potential.grid)
     diag = potential.diagnostics
     if not diag.eligible:

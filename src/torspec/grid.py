@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -22,6 +23,8 @@ class TorusGrid:
     n: int
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.dimension, Integral) and isinstance(self.n, Integral)):
+            raise ValueError("dimension and grid resolution must be integers")
         if self.dimension not in (1, 2):
             raise ValueError("only dimensions 1 and 2 are supported")
         if self.n < 2:

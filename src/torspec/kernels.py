@@ -70,36 +70,22 @@ def _is_symmetric(a: np.ndarray) -> bool:
     return True
 
 
+def _runs_equal(x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether x == y bit for bit, compared in runs along the first axis of at most
+    ``SYMMETRY_TILE**2`` entries, or one slice; the first mismatching run ends it."""
+    run = max(1, SYMMETRY_TILE**2 * len(x) // x.size)
+    return all(np.array_equal(x[i:i + run], y[i:i + run]) for i in range(0, len(x), run))
+
+
 def _invariant_axes(samples: np.ndarray, grid: TorusGrid) -> tuple[int, ...]:
-    """Axes a along which b(x + e_a, y + e_a) == b(x, y) bit for bit.
-
-    A run of slabs x_a = i + 1, ..., i + r is compared with the slabs
-    x_a = i, ..., i + r - 1 one node back along y_a, in two views of each.
-    A run holds one slab, or as many as fit in ``SYMMETRY_TILE**2``
-    entries when slabs are smaller (a 1-D slab is one row), so no
-    temporary of the kernel's size is built, and the first mismatching run
-    ends that axis's test.  The slabs i < n - 1 suffice: n shifts along
-    y_a close the cycle.
-    """
-    n, d = grid.n, grid.dimension
-    b = samples.reshape((n,) * (2 * d))
-    run = max(1, SYMMETRY_TILE**2 * n // samples.size)  # a slab holds samples.size / n entries
-
-    def view(axis: int, xs: slice, ys: int | slice) -> np.ndarray:
-        index: list = [slice(None)] * (2 * d)
-        index[axis], index[d + axis] = xs, ys
-        return b[tuple(index)]
-
-    def shifted_run_matches(axis: int, i: int) -> bool:
-        stop = min(i + run, n - 1)
-        ahead, here = slice(i + 1, stop + 1), slice(i, stop)
-        return (np.array_equal(view(axis, ahead, slice(1, None)), view(axis, here, slice(None, -1)))
-                and np.array_equal(view(axis, ahead, 0), view(axis, here, -1)))
-
-    return tuple(
-        axis for axis in range(d)
-        if all(shifted_run_matches(axis, i) for i in range(0, n - 1, run))
-    )
+    """Axes a along which b(x + e_a, y + e_a) == b(x, y) bit for bit: with x_a first
+    and y_a second, t[i + 1, j + 1] == t[i, j] and the wrap t[i + 1, 0] == t[i, n - 1]
+    for i < n - 1, as n shifts along y_a close the cycle, compared by ``_runs_equal``."""
+    d = grid.dimension
+    b = samples.reshape((grid.n,) * (2 * d))
+    views = [np.moveaxis(b, (axis, d + axis), (0, 1)) for axis in range(d)]
+    return tuple(axis for axis, t in enumerate(views)
+                 if _runs_equal(t[1:, 1:], t[:-1, :-1]) and _runs_equal(t[1:, 0], t[:-1, -1]))
 
 
 def _peak_density(base: float, exponent: float, tag: str) -> float:
@@ -145,7 +131,7 @@ def tophat_kernel(dimension: int = 1, width: float = 1.0) -> ContinuousKernel:
     unit quadrature mass.  Unless 2w is an integer those samples are not
     symmetric: the node at -w lies in the box, the one at w does not.
     """
-    if width <= 0:
+    if not width > 0:
         raise ValueError("width must be positive")
     value = _peak_density(2.0 * width, -dimension, "tophat")
 
@@ -162,7 +148,7 @@ def tophat_kernel(dimension: int = 1, width: float = 1.0) -> ContinuousKernel:
 
 def gaussian_kernel(dimension: int = 1, sigma: float = 0.2) -> ContinuousKernel:
     """Product Gaussian density with per-axis standard deviation sigma."""
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError("sigma must be positive")
     try:
         variance = sigma**2
@@ -184,7 +170,7 @@ def gaussian_kernel(dimension: int = 1, sigma: float = 0.2) -> ContinuousKernel:
 
 def exponential_kernel(dimension: int = 1, scale: float = 0.2) -> ContinuousKernel:
     """Product Laplace density with per-axis scale parameter."""
-    if scale <= 0:
+    if not scale > 0:
         raise ValueError("scale must be positive")
     norm = _peak_density(2.0 * scale, -dimension, "exponential")
 
@@ -252,7 +238,7 @@ def wind_kernel(a: ContinuousKernel, n: int, tail_tol: float = 1e-12) -> WoundKe
     samples, ``a[k] == a[-k mod n]`` bit for bit: the sums at t and -t take
     the same terms in the same order.
     """
-    if tail_tol <= 0:
+    if not tail_tol > 0:
         raise ValueError("tail_tol must be positive")
     if a.tail_mass_bound is None:
         raise TailNotResolved("kernel supplies no tail mass bound; cannot wind")
@@ -458,6 +444,8 @@ def zero_potential(grid: TorusGrid) -> Potential:
 
 def step_potential(grid: TorusGrid, depth: float = 1.0, width: float = 0.5) -> Potential:
     """-depth where the first coordinate lies in [0, width), zero elsewhere."""
+    if not width > 0:
+        raise ValueError("width must be positive")
     x0 = grid.coordinates()[:, 0]
     return Potential(grid, np.where(x0 < width, -float(depth), 0.0))
 

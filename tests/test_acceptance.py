@@ -66,7 +66,7 @@ def test_criterion_03_gap_bound_two_level_fixture():
     grid, kernel, potential = make_f2(n=256)
     wound = ts.wound_from_function(lambda mesh: np.ones(mesh.shape[:-1]), grid)
     report = ts.analyze(kernel, potential)
-    bound = ts.gap_constants(potential, wound)
+    bound = ts.gap_constants(potential, ts.convolution_kernel(wound))
     verdict = ts.verify_gap(report, bound)
     ok = (
         abs(bound["kappa"] - 0.0246914) <= 1e-6

@@ -155,8 +155,8 @@ def test_hand_built_matrix_stays_dense():
     assert bare.invariant_axes == ()
 
 
-# one run of slabs; runs of 114 rows, the last of them one row long
-@pytest.mark.parametrize("dimension, n", [(2, 6), (1, 572)])
+# the smallest grids; one run of slabs; runs of 114 rows, the last of them one row long
+@pytest.mark.parametrize("dimension, n", [(1, 2), (2, 2), (1, 3), (2, 6), (1, 572)])
 def test_shift_test_finds_one_ulp_in_any_slab(dimension, n):
     grid = ts.TorusGrid(dimension, n)
     samples = _gaussian(grid).samples

@@ -118,6 +118,13 @@ def test_birman_schwinger_rejects_edge_shift():
         ts.assemble_birman_schwinger(ts.ReducedModel(kernel, potential), -1.3)
 
 
+@pytest.mark.parametrize("mu", [math.nan, -math.inf])
+def test_birman_schwinger_refuses_a_shift_that_is_not_above_the_edge(mu):
+    grid, kernel, potential = make_f2(n=16)
+    with pytest.raises(ts.MuBelowEdge):
+        ts.assemble_birman_schwinger(ts.ReducedModel(kernel, potential), mu)
+
+
 def test_birman_schwinger_entries_are_scaled_kernel_rows():
     grid, kernel, potential = make_f2(n=16)
     mu = -0.4
@@ -176,7 +183,8 @@ def test_fourier_symbol_constant():
     assert abs(symbol[0] - 1.0) == 0.0
     for k in range(1, 8):
         assert abs(symbol[k]) < 1e-15
-    assert 1.0 - ts.gap_constants(ts.constant_potential(grid, 0.3), wound)["c2"] < 1e-15
+    bound = ts.gap_constants(ts.constant_potential(grid, 0.3), ts.convolution_kernel(wound))
+    assert 1.0 - bound["c2"] < 1e-15
 
 
 def test_fourier_symbol_sine_modes():
@@ -186,7 +194,8 @@ def test_fourier_symbol_sine_modes():
     # analytic expansion: the sine contributes -+ i/4 at the first modes
     assert abs(symbol[1] - (-0.25j)) < 1e-14
     assert abs(symbol[-1] - (0.25j)) < 1e-14
-    assert abs((1.0 - ts.gap_constants(ts.constant_potential(grid, 0.3), wound)["c2"]) - 0.25) < 1e-14
+    bound = ts.gap_constants(ts.constant_potential(grid, 0.3), ts.convolution_kernel(wound))
+    assert abs((1.0 - bound["c2"]) - 0.25) < 1e-14
     for k in (2, 3, 5, 11):
         assert abs(symbol[k]) < 1e-14
 

@@ -1,5 +1,7 @@
 """Perron iteration, certificates, dense spectra."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +101,12 @@ def test_perron_rejects_non_positive_start_and_scale():
         ts.perron(mat, start=np.array([1.0, 0.0, 1.0]))
     with pytest.raises(ts.NegativeEntry):
         ts.perron(mat, scale=np.array([1.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0])
+def test_perron_refuses_a_tolerance_that_is_not_nonnegative(tol):
+    with pytest.raises(ValueError, match="tol must be nonnegative"):
+        ts.perron(np.ones((3, 3)), tol=tol, max_iter=50)
 
 
 def test_perron_zero_row_does_not_certify():

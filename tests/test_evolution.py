@@ -1,5 +1,6 @@
 """Time integration, decay-rate fits, positivity, extinction."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -197,6 +198,23 @@ def test_evolve_input_validation():
         ts.evolve(bare, np.ones(16), t_max=1.0)  # zero diagonal, no default dt
 
 
+@pytest.mark.parametrize("method", ["rk4", "eigenexpansion"])
+@pytest.mark.parametrize("t_max, dt, entry, message", [
+    (math.nan, None, 1.0, "t_max must be positive and finite"),
+    (math.inf, None, 1.0, "t_max must be positive and finite"),
+    (1.0, math.nan, 1.0, "dt must be positive"),
+    (1.0, None, math.nan, "initial density must be finite"),
+    (1.0, None, math.inf, "initial density must be finite"),
+], ids=["t_max-nan", "t_max-inf", "dt-nan", "u0-nan", "u0-inf"])
+def test_evolve_refuses_non_finite_arguments(method, t_max, dt, entry, message):
+    grid, kernel, potential = make_f2(n=16)
+    gen = ts.assemble_generator(kernel, potential)
+    u0 = np.ones(grid.size)
+    u0[3] = entry
+    with pytest.raises(ValueError, match=message):
+        ts.evolve(gen, u0, t_max=t_max, dt=dt, method=method)
+
+
 @pytest.mark.parametrize("snapshots", [0, 1])
 def test_evolve_refuses_fewer_than_two_snapshots(snapshots):
     # 0 indexed an empty time array, 1 returned t = 0 alone and ignored t_max
@@ -213,6 +231,14 @@ def test_default_step_from_edge_metadata():
     trace = ts.evolve(gen, np.ones(32), t_max=2.0)
     assert trace.times[0] == 0.0 and trace.times[-1] == 2.0
     assert len(trace.times) == 200
+
+
+@pytest.mark.parametrize("window", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)])
+def test_fit_refuses_a_non_finite_window(window):
+    times = np.linspace(0.0, 4.0, 20)
+    trace = ts.EvolutionTrace(times, np.ones(20), np.ones(20), np.ones(20), 0.0, (0.0, 4.0), 0.0)
+    with pytest.raises(ValueError, match="window outside the trace"):
+        ts.fit_decay_rate(trace, window)
 
 
 def test_fit_window_with_one_snapshot_is_nan():

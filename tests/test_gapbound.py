@@ -18,7 +18,7 @@ def unit_wound(grid):
 
 def test_constants_two_level_fixture():
     grid, _, potential = make_f2()
-    bound = ts.gap_constants(potential, unit_wound(grid))
+    bound = ts.gap_constants(potential, ts.convolution_kernel(unit_wound(grid)))
     assert bound["c1"] == 0.5
     assert bound["norm_v2"] == math.sqrt(0.5)
     assert abs(bound["gamma0"] - 0.157135) < 1e-6
@@ -28,7 +28,7 @@ def test_constants_two_level_fixture():
 
 def test_constants_constant_potential():
     grid = ts.TorusGrid(1, 64)
-    bound = ts.gap_constants(ts.constant_potential(grid, 0.3), unit_wound(grid))
+    bound = ts.gap_constants(ts.constant_potential(grid, 0.3), ts.convolution_kernel(unit_wound(grid)))
     assert abs(bound["c1"] - 0.3) < 1e-15
     assert abs(bound["gamma0"] - 2.0 / 9.0) < 1e-14
     assert abs(bound["kappa"] - (2.0 / 9.0) ** 2) < 1e-14  # the quadratic branch wins
@@ -36,18 +36,18 @@ def test_constants_constant_potential():
 
 def test_constants_sine_kernel_contraction():
     grid = ts.TorusGrid(1, 128)
-    bound = ts.gap_constants(ts.constant_potential(grid, 0.3), sine_wound(grid))
+    bound = ts.gap_constants(ts.constant_potential(grid, 0.3), ts.convolution_kernel(sine_wound(grid)))
     assert abs(bound["c2"] - 0.75) < 1e-12
     assert abs(bound["kappa"] - 0.75 * (2.0 / 9.0) ** 2) < 1e-12
 
 
 def test_potential_scaling_identities():
     grid, _, potential = make_f2(n=64)
-    wound = unit_wound(grid)
-    reference = ts.gap_constants(potential, wound)
+    kernel = ts.convolution_kernel(unit_wound(grid))
+    reference = ts.gap_constants(potential, kernel)
     for t in (0.25, 0.5, 0.75, 1.0):
         scaled = ts.Potential(ts.TorusGrid(1, 64), t * potential.samples)
-        bound = ts.gap_constants(scaled, wound)
+        bound = ts.gap_constants(scaled, kernel)
         assert abs(bound["c1"] - t * reference["c1"]) < 1e-14
         assert abs(bound["norm_v2"] - t * reference["norm_v2"]) < 1e-14
         assert abs(bound["gamma0"] - reference["gamma0"]) < 1e-13  # scale invariant
@@ -58,8 +58,9 @@ def test_contraction_matches_circulant_second_modulus():
     grid = ts.TorusGrid(1, 64)
     potential = ts.constant_potential(grid, 0.3)
     for wound in (sine_wound(grid), random_convolution_fixture(3, n=64)[1]):
-        bound_c2 = ts.gap_constants(potential, wound)["c2"]
-        b_part = grid.weight * ts.convolution_kernel(wound).samples
+        kernel = ts.convolution_kernel(wound)
+        bound_c2 = ts.gap_constants(potential, kernel)["c2"]
+        b_part = grid.weight * kernel.samples
         moduli = np.sort(np.abs(np.linalg.eigvals(b_part)))[::-1]
         assert abs(bound_c2 - (1.0 - moduli[1])) < 1e-10
 
@@ -70,11 +71,12 @@ def test_doubled_kernel_scales_the_bound_by_its_mass():
     potential = ts.step_potential(grid)
     mass = doubled.quadrature_mass()
     assert mass == 2.0
-    bound = ts.gap_constants(potential, doubled)
+    kernel = ts.convolution_kernel(doubled)
+    bound = ts.gap_constants(potential, kernel)
     assert bound["c2"] == 1.0  # every nonzero mode of a constant vanishes
     assert bound["kappa"] == min(mass * bound["c2"] * bound["gamma0"] ** 2, 0.5 * bound["c1"])
-    assert bound["kappa"] > ts.gap_constants(potential, unit_wound(grid))["kappa"]
-    verdict = ts.verify_gap(ts.analyze(ts.convolution_kernel(doubled), potential), bound)
+    assert bound["kappa"] > ts.gap_constants(potential, ts.convolution_kernel(unit_wound(grid)))["kappa"]
+    verdict = ts.verify_gap(ts.analyze(kernel, potential), bound)
     assert verdict["verdict"] == "pass", f"margin {verdict['margin']}"
 
 
@@ -88,7 +90,7 @@ def test_unit_mass_kernels_keep_the_unscaled_constants_bit_for_bit(wound):
     assert wound.quadrature_mass() == 1.0
     moduli = np.abs(ts.fourier_symbol(wound))
     moduli.flat[0] = 0.0
-    bound = ts.gap_constants(ts.step_potential(wound.grid), wound)
+    bound = ts.gap_constants(ts.step_potential(wound.grid), ts.convolution_kernel(wound))
     assert bound["c2"] == 1.0 - float(moduli.max())
     assert bound["kappa"] == min(bound["c2"] * bound["gamma0"] ** 2, 0.5 * bound["c1"])
 
@@ -96,13 +98,24 @@ def test_unit_mass_kernels_keep_the_unscaled_constants_bit_for_bit(wound):
 def test_requires_kernel_and_potential_on_one_grid():
     wound = ts.wind_kernel(ts.gaussian_kernel(1, 0.2), 64)
     with pytest.raises(ts.GridMismatch):
-        ts.gap_constants(ts.step_potential(ts.TorusGrid(2, 8)), wound)
+        ts.gap_constants(ts.step_potential(ts.TorusGrid(2, 8)), ts.convolution_kernel(wound))
+
+
+@pytest.mark.parametrize("build", [
+    lambda wound: ts.GenericKernel(wound.grid, ts.convolution_kernel(wound).samples),
+    lambda wound: ts.modulated_convolution(wound, 0.5),
+], ids=["hand-built", "modulated"])
+def test_requires_a_convolution_form_kernel(build):
+    kernel = build(ts.wind_kernel(ts.gaussian_kernel(1, 0.2), 16))
+    assert kernel.wound is None
+    with pytest.raises(ts.ValidationError, match="^the gap bound applies only to convolution-form kernels$"):
+        ts.gap_constants(ts.step_potential(kernel.grid), kernel)
 
 
 def test_requires_negative_somewhere():
     grid = ts.TorusGrid(1, 32)
     with pytest.raises(ts.IneligiblePotential):
-        ts.gap_constants(ts.zero_potential(grid), unit_wound(grid))
+        ts.gap_constants(ts.zero_potential(grid), ts.convolution_kernel(unit_wound(grid)))
 
 
 def test_concentrated_kernel_degenerate_symbol():
@@ -112,13 +125,13 @@ def test_concentrated_kernel_degenerate_symbol():
     wound = ts.WoundKernel(ts.TorusGrid(1, n), samples)
     grid = ts.TorusGrid(1, n)
     with pytest.raises(ts.DegenerateSymbol):
-        ts.gap_constants(ts.constant_potential(grid, 0.3), wound)
+        ts.gap_constants(ts.constant_potential(grid, 0.3), ts.convolution_kernel(wound))
 
 
 def test_verdicts_including_adversarial_report():
     grid, kernel, potential = make_f2()
     report = ts.analyze(kernel, potential)
-    bound = ts.gap_constants(potential, unit_wound(grid))
+    bound = ts.gap_constants(potential, ts.convolution_kernel(unit_wound(grid)))
     verdict = ts.verify_gap(report, bound)
     assert verdict["verdict"] == "pass"
     assert abs(verdict["margin"] - (report.max_eigenvalue + bound["kappa"])) < 1e-15
@@ -131,7 +144,7 @@ def test_gap_bound_holds_on_random_convolution_fixtures():
         grid, wound, potential = random_convolution_fixture(seed)
         kernel = ts.convolution_kernel(wound)
         report = ts.analyze(kernel, potential)
-        bound = ts.gap_constants(potential, wound)
+        bound = ts.gap_constants(potential, kernel)
         verdict = ts.verify_gap(report, bound)
         assert verdict["verdict"] == "pass", f"seed {seed}: margin {verdict['margin']}"
 
@@ -145,9 +158,10 @@ def test_nyquist_mode_enters_the_contraction():
     grid = ts.TorusGrid(1, 8)
     wound = unit_mass(grid, np.where(np.arange(8) % 2 == 0, 1.0, 0.01))
     potential = ts.Potential(grid, np.where(np.isin(np.arange(8), (0, 2)), -1.0, 0.0))
-    bound = ts.gap_constants(potential, wound)
+    kernel = ts.convolution_kernel(wound)
+    bound = ts.gap_constants(potential, kernel)
     assert abs(bound["c2"] - 0.02 / 1.01) < 1e-12  # 1 - |a_4| = 1 - 0.99/1.01
-    report = ts.analyze(ts.convolution_kernel(wound), potential)
+    report = ts.analyze(kernel, potential)
     verdict = ts.verify_gap(report, bound)
     assert verdict["verdict"] == "pass", f"margin {verdict['margin']}"
 
@@ -170,8 +184,9 @@ def test_gap_bound_holds_for_random_unit_mass_wounds(shape, damp_odd, depth, see
     values[rng.integers(grid.size)] = -depth
     wound, potential = unit_mass(grid, samples), ts.Potential(grid, values)
     try:
-        bound = ts.gap_constants(potential, wound)
-        report = ts.analyze(ts.convolution_kernel(wound), potential)
+        kernel = ts.convolution_kernel(wound)
+        bound = ts.gap_constants(potential, kernel)
+        report = ts.analyze(kernel, potential)
     except ts.TorspecError:
         return
     verdict = ts.verify_gap(report, bound)
@@ -197,8 +212,9 @@ def test_gap_bound_holds_for_wounds_of_any_mass(half_n, log_mass, log_depth, pea
     values[rng.integers(n)] = -depth
     potential = ts.Potential(grid, values)
     try:
-        bound = ts.gap_constants(potential, wound)
-        report = ts.analyze(ts.convolution_kernel(wound), potential)
+        kernel = ts.convolution_kernel(wound)
+        bound = ts.gap_constants(potential, kernel)
+        report = ts.analyze(kernel, potential)
     except (ts.NotPrimitive, ts.DegenerateSymbol, ts.NotConverged):
         assume(False)
     verdict = ts.verify_gap(report, bound)

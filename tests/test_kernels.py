@@ -84,6 +84,32 @@ def test_wind_rejects_bad_tolerance():
         ts.wind_kernel(ts.tophat_kernel(), 16, 0.0)
 
 
+@pytest.mark.parametrize("tail_tol", [math.nan, -math.inf])
+def test_wind_refuses_a_tolerance_that_is_not_positive(tail_tol):
+    with pytest.raises(ValueError, match="tail_tol must be positive"):
+        ts.wind_kernel(ts.gaussian_kernel(1, 0.2), 16, tail_tol=tail_tol)
+
+
+@pytest.mark.parametrize("family, parameter", [
+    (ts.tophat_kernel, "width"), (ts.gaussian_kernel, "sigma"), (ts.exponential_kernel, "scale"),
+])
+def test_kernel_families_refuse_a_nan_parameter(family, parameter):
+    with pytest.raises(ValueError, match=f"{parameter} must be positive"):
+        family(1, math.nan)
+
+
+@pytest.mark.parametrize("dimension, n", [(1, 4.0), (2.0, 4), (1.0, 4.0), (1, "4")])
+def test_grid_refuses_a_dimension_or_resolution_that_is_not_an_integer(dimension, n):
+    with pytest.raises(ValueError, match="must be integers"):
+        ts.TorusGrid(dimension, n)
+
+
+def test_grid_accepts_numpy_integers():
+    grid = ts.TorusGrid(np.int64(1), np.int64(4))
+    assert grid == ts.TorusGrid(1, 4)
+    assert np.array_equal(ts.constant_kernel(grid).samples, np.ones((4, 4)))
+
+
 def _shift_loop(kernel, n, radius):
     """Reference winding: the plain loop over the nodes i/n and every shift.
 
@@ -413,6 +439,12 @@ def test_potential_norms_of_extreme_depths(depth):
         diag = ts.step_potential(grid, depth, 0.5).diagnostics
     assert diag.norm_l1 == 0.5 * depth
     assert diag.norm_l2 == depth * math.sqrt(0.5)
+
+
+@pytest.mark.parametrize("width", [math.nan, 0.0, -0.5])
+def test_step_potential_refuses_a_width_that_is_not_positive(width):
+    with pytest.raises(ValueError, match="width must be positive"):
+        ts.step_potential(ts.TorusGrid(1, 16), 1.0, width=width)
 
 
 def test_positive_potential_rejected():

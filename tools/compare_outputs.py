@@ -1,0 +1,160 @@
+"""Diff the CLI outputs of two torspec checkouts, command by command.
+
+    python3 tools/compare_outputs.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are the roots of two checkouts.  Both run the same 47
+commands, each in a fresh ``python -m torspec`` with that
+checkout's sources alone on ``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=1``:
+
+- the commands of the benchmark's workloads ``analyze-2d``, ``evolve-rk4``
+  and ``sweep-1d`` at seed 1, from ``perfbench/workloads.build_plan``;
+- ``analyze``, ``bound``, ``evolve`` and ``check-kernel`` on six more
+  configs (``EXTRA_CONFIGS``): a 1-D CSV kernel table, 1-D and 2-D
+  ``modulated`` kernels, ``exponential`` kernels with a ``step`` and a
+  ``cosine``, and a Gaussian with a ``zero`` potential.
+
+Every artifact is compared byte for byte, a JSON report up to its
+``metadata`` block (``perfbench/checks.without_metadata``), and so are
+stdout, stderr and the exit code.  Both sides write to the same output
+path, so the paths they print agree.  Exit status 0 means every output is
+identical and the temporary work directory is removed; 1 lists each
+differing file and keeps that directory, with each side's outputs under
+``old/`` and ``new/``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+from checks import without_metadata  # noqa: E402
+from workloads import build_plan  # noqa: E402
+
+SEED = 1
+WORKLOADS = ("analyze-2d", "evolve-rk4", "sweep-1d")
+COMMANDS = ("analyze", "bound", "evolve", "check-kernel")
+GAUSSIAN = {"family": "gaussian", "sigma": 0.2}
+STEP = {"family": "step", "depth": 1.0, "width": 0.5}
+CSV_N = 16
+EXTRA_CONFIGS = {
+    "csv-1d": {"dimension": 1, "grid_n": CSV_N, "kernel": {"family": "csv", "path": "kernel.csv"},
+               "potential": STEP},
+    "modulated-1d": {"dimension": 1, "grid_n": 64,
+                     "kernel": {"family": "modulated", "base": GAUSSIAN, "epsilon": 0.3},
+                     "potential": STEP},
+    "modulated-2d": {"dimension": 2, "grid_n": 16,
+                     "kernel": {"family": "modulated", "base": GAUSSIAN, "epsilon": 0.3},
+                     "potential": STEP},
+    "exponential-1d": {"dimension": 1, "grid_n": 64, "kernel": {"family": "exponential", "scale": 0.2},
+                       "potential": STEP},
+    "exponential-2d": {"dimension": 2, "grid_n": 16, "kernel": {"family": "exponential", "scale": 0.2},
+                       "potential": {"family": "cosine", "depth": 1.0}},
+    "gaussian-zero": {"dimension": 1, "grid_n": 32, "kernel": GAUSSIAN, "potential": {"family": "zero"}},
+}
+
+
+def _sources(checkout: str) -> str:
+    """The checkout's ``src`` directory, which holds the ``torspec`` package."""
+    src = os.path.abspath(os.path.join(checkout, "src"))
+    if not os.path.isdir(os.path.join(src, "torspec")):
+        sys.exit(f"no src/torspec under {checkout}")
+    return src
+
+
+def _write_kernel_table(path: str) -> None:
+    """A positive kernel table with neither symmetry nor invariant axes."""
+    rows = []
+    for i in range(CSV_N):
+        for j in range(CSV_N):
+            x, y = i / CSV_N, j / CSV_N
+            z = (x - y + 0.5) % 1.0 - 0.5
+            value = math.exp(-z * z / 0.08) * (1.0 + 0.3 * math.sin(2.0 * math.pi * x))
+            rows.append(f"{x!r},{y!r},{value!r}\n")
+    with open(path, "w") as handle:
+        handle.write("x,y,value\n" + "".join(rows))
+
+
+def _plan(work: str) -> list[tuple[str, list[str]]]:
+    """Every command as (name, argv without ``--out``)."""
+    plan = []
+    for workload in WORKLOADS:
+        for entry in build_plan(workload, SEED, os.path.join(work, "plans", workload)):
+            argv = entry["argv"]
+            at = argv.index("--out")
+            name = f"{workload}/{os.path.basename(argv[at + 1])}"
+            plan.append((name, argv[:at] + argv[at + 2:]))
+    config_dir = os.path.join(work, "plans", "extra")
+    os.makedirs(config_dir, exist_ok=True)
+    _write_kernel_table(os.path.join(config_dir, "kernel.csv"))
+    for config_name, config in EXTRA_CONFIGS.items():
+        path = os.path.join(config_dir, f"{config_name}.json")
+        with open(path, "w") as handle:
+            json.dump(config, handle, indent=2)
+        for command in COMMANDS:
+            plan.append((f"extra/{command}-{config_name}", [command, "--config", path, "--seed", str(SEED)]))
+    return plan
+
+
+def _run(src: str, argv: list[str], out: str, keep: str) -> None:
+    """Run one command into ``out``, then move its artifacts, stdout, stderr
+    and exit code to ``keep``."""
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-m", "torspec", *argv, "--out", out],
+                          env=env, capture_output=True, text=True)
+    os.makedirs(out, exist_ok=True)
+    for name, text in (("stdout", done.stdout), ("stderr", done.stderr), ("exit_code", f"{done.returncode}\n")):
+        with open(os.path.join(out, name), "w") as handle:
+            handle.write(text)
+    os.makedirs(os.path.dirname(keep), exist_ok=True)
+    shutil.move(out, keep)
+
+
+def _comparable(path: str) -> str:
+    with open(path) as handle:
+        text = handle.read()
+    return without_metadata(text) if path.endswith(".json") else text
+
+
+def _differences(old: str, new: str) -> list[str]:
+    names = sorted(set(os.listdir(old)) | set(os.listdir(new)))
+    return [name for name in names
+            if not (os.path.isfile(os.path.join(old, name)) and os.path.isfile(os.path.join(new, name)))
+            or _comparable(os.path.join(old, name)) != _comparable(os.path.join(new, name))]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Diff the CLI outputs of two torspec checkouts.")
+    parser.add_argument("old", help="root of the checkout to compare against")
+    parser.add_argument("new", help="root of the checkout under test")
+    args = parser.parse_args(argv)
+    sides = {"old": _sources(args.old), "new": _sources(args.new)}
+    work = tempfile.mkdtemp(prefix="compare-outputs-")
+
+    differing = []
+    plan = _plan(work)
+    for name, command in plan:
+        out = os.path.join(work, "out")  # one path for both sides, so their stdout agrees
+        for side, src in sides.items():
+            _run(src, command, out, os.path.join(work, side, name))
+        differing += [f"{name}/{file}" for file in
+                      _differences(os.path.join(work, "old", name), os.path.join(work, "new", name))]
+    if differing:
+        print("\n".join(differing))
+        print(f"{len(differing)} files differ; outputs kept under {work}")
+        return 1
+    shutil.rmtree(work)
+    print(f"{len(plan)} commands: all outputs identical")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
