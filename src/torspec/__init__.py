@@ -19,6 +19,7 @@ from .errors import (
     DimensionMismatch,
     FloatingPointFailure,
     GridMismatch,
+    HypothesisViolation,
     IneligiblePotential,
     MethodDisagreement,
     MuBelowEdge,

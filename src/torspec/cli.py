@@ -1,8 +1,8 @@
 """Command-line front end: analyze, bound, evolve, check-kernel.
 
-Exit codes: 0 success, 1 configuration error, 2 model-hypothesis violation
-(including the boundary report of a vanishing potential), 3 numerical
-failure.  Every error is also emitted as a JSON diagnostic on stderr.
+Exit codes: 0 success, else the error's ``exit_code`` (1 configuration, 2
+model hypothesis, 3 numerical); a vanishing potential exits 2, any command
+but bound after its report.  Errors are also JSON diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from . import __version__
 from .config import RunConfig, config_from_dict, load_config
 from .discretize import ReducedModel, assemble_generator
 from .errors import (
-    HYPOTHESIS_ERRORS,
     ConfigError,
     FloatingPointFailure,
+    HypothesisViolation,
     NotConverged,
     TorspecError,
     ValidationError,
@@ -38,19 +38,16 @@ def _run_analyze(
     config: RunConfig, kernel: GenericKernel, potential: Potential, paths: list[str]
 ) -> tuple[dict, int]:
     report = analyze(kernel, potential, config.analysis)
-    document = report.to_dict()
-    diagnostics = document.pop("diagnostics")
-    document["gap_bound"] = None
     try:
         bound = gap_constants(potential, kernel)
     except (TorspecError, ValidationError):
-        pass
+        gap = None
     else:
         gap = {**bound, **verify_gap(report, bound)}
         del gap["lambda"], gap["slack"]  # the report states lambda at top level
-        document["gap_bound"] = gap
-    document["diagnostics"] = diagnostics
-    return document, 0 if report.diagnostics["conforming"] else 2
+    document = report.to_dict()
+    diagnostics = document.pop("diagnostics")
+    return {**document, "gap_bound": gap, "diagnostics": diagnostics}, 0
 
 
 def _run_bound(
@@ -99,7 +96,7 @@ def _run_evolve(
         "rk4_step_min": trace.rk4_step_min,
         "extinction": check_extinction(trace),
     }
-    return document, 0 if potential.diagnostics.eligible else 2
+    return document, 0
 
 
 def _run_check_kernel(
@@ -111,11 +108,9 @@ def _run_check_kernel(
     code = 0
     try:
         stats_section = kernel_stats(kernel, config.analysis.primitivity_max_power)
-    except HYPOTHESIS_ERRORS as exc:
+    except HypothesisViolation as exc:
         error_section = {"error": type(exc).__name__, "message": str(exc)}
-        code = 2
-    if not potential.diagnostics.eligible:
-        code = 2
+        code = exc.exit_code
     document = {
         "kernel_stats": stats_section,
         "kernel_error": error_section,
@@ -166,7 +161,9 @@ def run_command(command: str, config: RunConfig, out_dir: str | None = None) -> 
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             grid = config.build_grid()
-            body, code = runner(config, config.build_kernel(grid), config.build_potential(grid), paths)
+            kernel = config.build_kernel(grid)
+            potential = config.build_potential(grid)
+            body, code = runner(config, kernel, potential, paths)
         metadata = {
             "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "tool": f"torspec {__version__}",
@@ -180,13 +177,7 @@ def run_command(command: str, config: RunConfig, out_dir: str | None = None) -> 
         where = f"{exc.filename}: " if exc.filename else ""
         raise ValidationError(f"{where}{exc.strerror or exc}") from exc
     print(paths[0])
-    return code
-
-
-def _exit_code_for(exc: Exception) -> int:
-    if isinstance(exc, ConfigError):
-        return 1
-    return 2 if isinstance(exc, HYPOTHESIS_ERRORS) else 3
+    return code if potential.diagnostics.eligible else 2
 
 
 def _load_with_overrides(path: str, seed: int | None, grid_n: int | None) -> RunConfig:
@@ -218,10 +209,9 @@ def main(argv: list[str] | None = None) -> int:
         config = _load_with_overrides(args.config, args.seed, args.grid_n)
         return run_command(args.command, config, args.out)
     except (ConfigError, TorspecError) as exc:
-        code = _exit_code_for(exc)
-        diagnostic = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
+        diagnostic = {"error": type(exc).__name__, "message": str(exc), "exit_code": exc.exit_code}
         print(json.dumps(diagnostic), file=sys.stderr)
-        return code
+        return exc.exit_code
 
 
 if __name__ == "__main__":

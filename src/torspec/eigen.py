@@ -14,6 +14,7 @@ the dense solve runs block by block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -70,7 +71,7 @@ def _start_vector(order: int, seed: int) -> np.ndarray:
     Drawing the vector this way keeps ``numpy.random``, and its memory,
     out of the process.
     """
-    key = _mix64(np.array([seed % 2**64], dtype=np.uint64))
+    key = _mix64(np.array([int(seed) % 2**64], dtype=np.uint64))
     counters = np.arange(1, order + 1, dtype=np.uint64)
     return 0.5 + (_mix64(counters * _GOLDEN_GAMMA + key) >> np.uint64(12)) * 2.0**-52
 
@@ -96,6 +97,8 @@ def perron(
     """
     if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol!r}")
+    if not (isinstance(max_iter, Integral) and max_iter >= 1 and isinstance(seed, Integral)):
+        raise ValueError(f"max_iter must be a positive integer and seed an integer, got {max_iter!r}, {seed!r}")
     if a.min() < 0:
         raise NegativeEntry("matrix has a negative entry")
     if scale is not None and not scale.min() > 0:

@@ -1,34 +1,42 @@
 """Exception types shared across the toolkit.
 
-Grouped so the command-line layer can map failures to exit codes:
-model-hypothesis violations, structural mistakes, numerical failures, and
-configuration problems.
+Each type carries, as ``exit_code``, the exit code of a command-line run
+it ends: 2 for a HypothesisViolation, 1 for a ConfigError, and 3 for any
+other TorspecError (structural mistakes and numerical failures).
 """
 
 
 class TorspecError(Exception):
     """Base class for all toolkit errors."""
 
+    exit_code = 3
+
 
 # -- hypothesis violations (the analyzed model is outside the guaranteed regime)
 
-class DegenerateKernel(TorspecError):
+class HypothesisViolation(TorspecError):
+    """Base class for a model outside the hypotheses of the extinction result."""
+
+    exit_code = 2
+
+
+class DegenerateKernel(HypothesisViolation):
     """Kernel carries no usable mass (zero samples, or a vanishing row integral)."""
 
 
-class NotPrimitive(TorspecError):
+class NotPrimitive(HypothesisViolation):
     """No kernel-matrix power up to the configured cap is entrywise positive."""
 
 
-class PositivePotential(TorspecError):
+class PositivePotential(HypothesisViolation):
     """Potential has a strictly positive sample."""
 
 
-class IneligiblePotential(TorspecError):
+class IneligiblePotential(HypothesisViolation):
     """The gap bound requires a potential that is strictly negative somewhere."""
 
 
-class DegenerateSymbol(TorspecError):
+class DegenerateSymbol(HypothesisViolation):
     """All mass of the kernel symbol is concentrated: no nonzero-mode contraction."""
 
 
@@ -88,19 +96,12 @@ class FloatingPointFailure(TorspecError):
     """A floating-point operation overflowed, divided by zero, or gave an invalid result."""
 
 
-HYPOTHESIS_ERRORS = (
-    DegenerateKernel,
-    NotPrimitive,
-    PositivePotential,
-    IneligiblePotential,
-    DegenerateSymbol,
-)
-
-
 # -- configuration ------------------------------------------------------------
 
 class ConfigError(Exception):
-    """Base class for configuration problems (maps to exit code 1)."""
+    """Base class for configuration problems."""
+
+    exit_code = 1
 
 
 class ParseError(ConfigError):

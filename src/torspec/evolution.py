@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -126,8 +127,8 @@ def evolve(
     ``symmetric`` takes ``eigh``, whose orthonormal eigenvectors V give the
     coefficients V^T u0, any other ``eig`` and a linear solve.  On a reduced
     model (``generator.reduction``) u0 must lie in the model's range; each state
-    is lifted back to the grid (``ReducedModel.lift``) for its norms.  Fewer than
-    two ``snapshots`` give no interval and raise ValueError.
+    is lifted back to the grid (``ReducedModel.lift``) for its norms.  Unless
+    ``snapshots`` is an integer of at least two, it raises ValueError.
     """
     u0 = np.asarray(u0, dtype=float).ravel()
     if u0.size != generator.grid.size:
@@ -138,8 +139,8 @@ def evolve(
         raise ValueError("initial density is identically zero")
     if not 0 < t_max < math.inf:
         raise ValueError("t_max must be positive and finite")
-    if snapshots < 2:
-        raise ValueError(f"snapshots must be at least 2, got {snapshots!r}")
+    if not (isinstance(snapshots, Integral) and snapshots >= 2):
+        raise ValueError(f"snapshots must be at least 2 and an integer, got {snapshots!r}")
     if method not in ("rk4", "eigenexpansion"):
         raise ValueError(f"unknown method {method!r}")
     if dt is None:

@@ -20,6 +20,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import product
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -500,6 +501,8 @@ def kernel_stats(b: GenericKernel, n_max: int = 16) -> dict:
     Raises DegenerateKernel when some row integral vanishes, NotPrimitive
     when no power up to ``n_max`` is entrywise positive at this resolution.
     """
+    if not isinstance(n_max, Integral):
+        raise ValueError(f"n_max must be an integer, got {n_max!r}")
     grid, axes = b.grid, b.invariant_axes
     n, d = grid.n, grid.dimension
     rows = b.w
@@ -599,7 +602,7 @@ def _read_table(
             flat = flat * n + _node_index(coordinate, n, path, line)
         value = _csv_number(row[-1], path, line)
         if sign * value < 0:
-            raise ValidationError(
+            raise (DegenerateKernel if sign > 0 else PositivePotential)(
                 f"{path}:{line}: {'negative' if sign > 0 else 'positive'} {kind} value {value!r}"
             )
         if not np.isnan(samples[flat]):

@@ -205,6 +205,53 @@ def test_cli_zero_potential_exits_two_with_report(tmp_path):
     assert report["diagnostics"]["conforming"] is False
 
 
+_ERROR_TYPES = [
+    cls for cls in vars(ts.errors).values()
+    if isinstance(cls, type) and issubclass(cls, Exception) and cls.__module__ == ts.errors.__name__
+]
+
+
+def test_hypothesis_violations_are_the_five_model_errors():
+    family = {cls.__name__ for cls in _ERROR_TYPES if issubclass(cls, ts.HypothesisViolation)}
+    assert family == {"HypothesisViolation", "DegenerateKernel", "NotPrimitive", "PositivePotential",
+                      "IneligiblePotential", "DegenerateSymbol"}
+
+
+@pytest.mark.parametrize("error", _ERROR_TYPES, ids=lambda cls: cls.__name__)
+def test_main_exits_with_the_code_of_the_error_type(error, monkeypatch, tmp_path, capsys):
+    def fail(command, config, out_dir=None):
+        raise error("raised in place of the run")
+
+    monkeypatch.setattr(ts.cli, "run_command", fail)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(minimal_config(grid_n=16)))
+    expected = 1 if issubclass(error, ts.ConfigError) else 2 if issubclass(error, ts.HypothesisViolation) else 3
+    assert issubclass(error, (ts.ConfigError, ts.TorspecError))
+    assert main(["analyze", "--config", str(path), "--out", str(tmp_path)]) == expected
+    diagnostic = _single_diagnostic(capsys.readouterr().err)
+    assert diagnostic == {"error": error.__name__, "message": "raised in place of the run", "exit_code": expected}
+
+
+@pytest.mark.parametrize("command, document", [
+    ("analyze", "report.json"),
+    ("bound", None),
+    ("evolve", "evolution.json"),
+    ("check-kernel", "kernel_check.json"),
+])
+def test_every_command_exits_two_on_a_vanishing_potential(command, document, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(minimal_config(grid_n=16, potential={"family": "zero"})))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    if document is None:
+        assert _single_diagnostic(err)["error"] == "IneligiblePotential"
+        assert stdout == "" and not (out / "gap_bound.json").exists()
+    else:
+        assert err == ""
+        assert json.loads((out / document).read_text())["config_echo"]["potential"]["family"] == "zero"
+
+
 def test_cli_config_error_exit_and_diagnostic(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(minimal_config(grid_n=63)))

@@ -109,6 +109,16 @@ def test_perron_refuses_a_tolerance_that_is_not_nonnegative(tol):
         ts.perron(np.ones((3, 3)), tol=tol, max_iter=50)
 
 
+@pytest.mark.parametrize("argument", [
+    {"max_iter": 0}, {"max_iter": -3}, {"max_iter": 2.5}, {"max_iter": np.float64(50.0)}, {"seed": 1.5},
+], ids=["max_iter-0", "max_iter-negative", "max_iter-float", "max_iter-numpy-float", "seed-float"])
+def test_perron_refuses_a_cap_or_seed_that_is_not_an_integer(argument):
+    # a cap below one ended in NotConverged, a float cap in a bare TypeError,
+    # and a float seed ran silently on its integer part's stream
+    with pytest.raises(ValueError, match="max_iter must be a positive integer and seed an integer"):
+        ts.perron(np.ones((3, 3)), **argument)
+
+
 def test_perron_zero_row_does_not_certify():
     mat = np.array([[0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(ts.NotConverged):

@@ -225,6 +225,15 @@ def test_evolve_refuses_fewer_than_two_snapshots(snapshots):
             ts.evolve(gen, np.ones(grid.size), t_max=5.0, method=method, snapshots=snapshots)
 
 
+@pytest.mark.parametrize("snapshots", [2.5, 2.0, np.float64(3.0)])
+def test_evolve_refuses_snapshots_that_are_not_integers(snapshots):
+    # each raised a bare TypeError from np.linspace
+    grid, kernel, potential = make_f3(n=16)
+    gen = ts.assemble_generator(kernel, potential)
+    with pytest.raises(ValueError, match="snapshots must be at least 2 and an integer"):
+        ts.evolve(gen, np.ones(grid.size), t_max=1.0, snapshots=snapshots)
+
+
 def test_default_step_from_edge_metadata():
     grid, kernel, potential = make_f1(n=32)
     gen = ts.assemble_generator(kernel, potential)

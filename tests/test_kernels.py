@@ -331,6 +331,24 @@ def test_chain_kernel_needs_higher_power():
     assert stats["iterated_kernel_min"] > 0
 
 
+@pytest.mark.parametrize("n_max", [2.5, np.float64(8.0)])
+def test_kernel_stats_refuses_a_cap_that_is_not_an_integer(n_max):
+    # each raised a bare TypeError from range() on a kernel that needs a power
+    n = 4
+    samples = np.eye(n) + np.roll(np.eye(n), 1, axis=1)
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        ts.kernel_stats(ts.GenericKernel(ts.TorusGrid(1, n), samples), n_max=n_max)
+
+
+def test_integer_arguments_accept_numpy_integers():
+    n = 4
+    kernel = ts.GenericKernel(ts.TorusGrid(1, n), np.eye(n) + np.roll(np.eye(n), 1, axis=1))
+    assert ts.kernel_stats(kernel, n_max=np.int64(8))["primitive_power"] == n - 1
+    assert ts.perron(np.ones((3, 3)), max_iter=np.int64(50), seed=np.int64(1)).rho == 3.0
+    generator = ts.assemble_generator(kernel, ts.zero_potential(kernel.grid))
+    assert len(ts.evolve(generator, np.ones(n), t_max=1.0, snapshots=np.int64(3)).times) == 3
+
+
 def _dense_primitivity(kernel, n_max=16):
     """Primitive power and least entry of whole-matrix powers of h^d b."""
     quad = kernel.grid.weight * kernel.samples
@@ -520,7 +538,7 @@ def test_kernel_csv_off_grid_node(tmp_path):
 def test_kernel_csv_negative_value(tmp_path):
     path = tmp_path / "kernel.csv"
     path.write_text("x,y,value\n0.0,0.0,-1.0\n")
-    with pytest.raises(ts.ValidationError):
+    with pytest.raises(ts.DegenerateKernel):
         ts.kernel_from_csv(str(path), ts.TorusGrid(1, 2))
 
 
@@ -545,7 +563,7 @@ def test_potential_csv_round_trip(tmp_path):
 def test_potential_csv_positive_value(tmp_path):
     path = tmp_path / "potential.csv"
     path.write_text("x,value\n0.0,0.5\n0.5,-1.0\n")
-    with pytest.raises(ts.ValidationError):
+    with pytest.raises(ts.PositivePotential):
         ts.potential_from_csv(str(path), ts.TorusGrid(1, 2))
 
 
@@ -658,12 +676,12 @@ def test_two_dimensional_csv_tables_fill_row_major_node_order(tmp_path):
 @pytest.mark.parametrize("table, header, rows, error, message", [
     ("kernel", "x,y,value", ["0,0,1", "0,0,2"], ts.ValidationError, "k.csv:3: duplicate node pair"),
     ("kernel", "x,y,value", ["0,0,1"], ts.ValidationError, "k.csv: 3 grid node pairs missing"),
-    ("kernel", "x,y,value", ["0,0.5,-2.0"], ts.ValidationError, "k.csv:2: negative kernel value -2.0"),
+    ("kernel", "x,y,value", ["0,0.5,-2.0"], ts.DegenerateKernel, "k.csv:2: negative kernel value -2.0"),
     ("kernel", "x,y,value", ["0,0,-1", "0,0"], ts.ParseError, "k.csv:3: expected 3 fields"),
     ("kernel", "x1,x2,y1,y2,value", ["0,0,0,0,1"], ts.ParseError, "expected header 'x,y,value'"),
     ("potential", "x,value", ["0,-1", "0,-1"], ts.ValidationError, "k.csv:3: duplicate node"),
     ("potential", "x,value", ["0,-1"], ts.ValidationError, "k.csv: 1 grid nodes missing"),
-    ("potential", "x,value", ["0.5,2.0"], ts.ValidationError, "k.csv:2: positive potential value 2.0"),
+    ("potential", "x,value", ["0.5,2.0"], ts.PositivePotential, "k.csv:2: positive potential value 2.0"),
     ("potential", "x,value", ["0.25,-1"], ts.ValidationError, "k.csv:2: coordinate 0.25 is not a grid node"),
     ("kernel", "x,y,value", ["0,-1e308,1"], ts.ValidationError, "k.csv:2: coordinate -1e\\+308 is not a grid node"),
     ("potential", "x,value", ["0,-1", "1e308,-1"], ts.ValidationError, "k.csv:3: coordinate 1e\\+308 is not a grid node"),

@@ -272,6 +272,14 @@ def test_analyze_not_converged_exit():
         ts.analyze(kernel, potential, ts.AnalysisOptions(max_iter=1))
 
 
+@pytest.mark.parametrize("max_iter", [0, 2.5])
+def test_analyze_refuses_a_cap_that_is_not_a_positive_integer(max_iter):
+    # a usage error: 0 ended in NotConverged, a numerical failure, and 2.5 in a bare TypeError
+    _, kernel, potential = make_f2(n=16)
+    with pytest.raises(ValueError, match="max_iter must be a positive integer"):
+        ts.analyze(kernel, potential, ts.AnalysisOptions(max_iter=max_iter))
+
+
 def test_analyze_evaluates_no_jump_rate_once_the_kernel_is_built(monkeypatch):
     real = ts.jump_rate
     calls = []

@@ -2,16 +2,21 @@
 
     python3 tools/compare_outputs.py OLD_SRC NEW_SRC
 
-OLD_SRC and NEW_SRC are the roots of two checkouts.  Both run the same 47
+OLD_SRC and NEW_SRC are the roots of two checkouts.  Both run the same 75
 commands, each in a fresh ``python -m torspec`` with that
 checkout's sources alone on ``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=1``:
 
 - the commands of the benchmark's workloads ``analyze-2d``, ``evolve-rk4``
   and ``sweep-1d`` at seed 1, from ``perfbench/workloads.build_plan``;
-- ``analyze``, ``bound``, ``evolve`` and ``check-kernel`` on six more
+- ``analyze``, ``bound``, ``evolve`` and ``check-kernel`` on thirteen more
   configs (``EXTRA_CONFIGS``): a 1-D CSV kernel table, 1-D and 2-D
   ``modulated`` kernels, ``exponential`` kernels with a ``step`` and a
-  ``cosine``, and a Gaussian with a ``zero`` potential.
+  ``cosine``, and a Gaussian with a ``zero`` potential; the reductions no
+  workload takes (a 1-D reflection that fixes nodes, a 2-D ``constant``
+  potential, a 2-D fibre); and one config for each failure exit code: a
+  non-primitive ``tophat`` (2, or 3 where ``evolve`` does not converge), a
+  negative ``sigma`` (1), ``max_iter: 1`` (3) and a CSV potential table
+  with a positive value (2).
 
 Every artifact is compared byte for byte, a JSON report up to its
 ``metadata`` block (``perfbench/checks.without_metadata``), and so are
@@ -59,6 +64,18 @@ EXTRA_CONFIGS = {
     "exponential-2d": {"dimension": 2, "grid_n": 16, "kernel": {"family": "exponential", "scale": 0.2},
                        "potential": {"family": "cosine", "depth": 1.0}},
     "gaussian-zero": {"dimension": 1, "grid_n": 32, "kernel": GAUSSIAN, "potential": {"family": "zero"}},
+    "sector-fixed-1d": {"dimension": 1, "grid_n": 18, "kernel": GAUSSIAN, "potential": STEP},
+    "constant-2d": {"dimension": 2, "grid_n": 16, "kernel": GAUSSIAN,
+                    "potential": {"family": "constant", "depth": 1.0}},
+    "fibre-2d": {"dimension": 2, "grid_n": 16, "kernel": GAUSSIAN, "potential": STEP},
+    "nonprimitive-1d": {"dimension": 1, "grid_n": 16, "kernel": {"family": "tophat", "width": 1 / 32},
+                        "potential": STEP},
+    "bad-config": {"dimension": 1, "grid_n": 16, "kernel": {"family": "gaussian", "sigma": -1},
+                   "potential": STEP},
+    "max-iter-1": {"dimension": 1, "grid_n": 16, "kernel": GAUSSIAN, "potential": STEP,
+                   "analysis": {"max_iter": 1}},
+    "positive-csv": {"dimension": 1, "grid_n": CSV_N, "kernel": GAUSSIAN,
+                     "potential": {"family": "csv", "path": "potential.csv"}},
 }
 
 
@@ -83,6 +100,13 @@ def _write_kernel_table(path: str) -> None:
         handle.write("x,y,value\n" + "".join(rows))
 
 
+def _write_potential_table(path: str) -> None:
+    """A step potential table whose node 0 is positive, the rest nonpositive."""
+    values = [0.5] + [-1.0 if i < CSV_N // 2 else 0.0 for i in range(1, CSV_N)]
+    with open(path, "w") as handle:
+        handle.write("x,value\n" + "".join(f"{i / CSV_N!r},{v!r}\n" for i, v in enumerate(values)))
+
+
 def _plan(work: str) -> list[tuple[str, list[str]]]:
     """Every command as (name, argv without ``--out``)."""
     plan = []
@@ -95,6 +119,7 @@ def _plan(work: str) -> list[tuple[str, list[str]]]:
     config_dir = os.path.join(work, "plans", "extra")
     os.makedirs(config_dir, exist_ok=True)
     _write_kernel_table(os.path.join(config_dir, "kernel.csv"))
+    _write_potential_table(os.path.join(config_dir, "potential.csv"))
     for config_name, config in EXTRA_CONFIGS.items():
         path = os.path.join(config_dir, f"{config_name}.json")
         with open(path, "w") as handle:
