@@ -165,6 +165,8 @@ class ReducedModel:
         f, s = rows, len(self.axes)
         if rows.shape != (grid.size // grid.n**s, grid.size):
             raise DimensionMismatch(f"fold takes the {grid.size // grid.n**s} rows x_S = 0, S = {self.axes}")
+        if diagonal is not None and diagonal.shape != (len(rows),):
+            raise DimensionMismatch(f"fold takes a diagonal of {len(rows)} values, one per row")
         if self.order == grid.size and diagonal is not None:
             f = rows.copy()
             np.fill_diagonal(f, diagonal)
@@ -192,6 +194,8 @@ class ReducedModel:
 
     def lift(self, c: np.ndarray) -> np.ndarray:
         """A reduced state on the grid, c_i / q_i at every node of orbit i; unreduced, ``c``."""
+        if c.shape != (self.order,):
+            raise DimensionMismatch(f"lift takes a reduced state of length {self.order}, got shape {c.shape}")
         if self.order == self.kernel.grid.size:
             return c
         return (c if self.scale is None else c / self.scale)[self.orbit]
@@ -203,22 +207,16 @@ class ReducedModel:
         return assemble_generator(self.kernel, self.potential, self.axes)
 
     def reduce(self, generator: OperatorMatrix) -> OperatorMatrix:
-        """The generator on the reduced model: its rows x_S = 0 with the diagonal off, folded once, plus
-        that diagonal per orbit; unreduced, its rows."""
-        data = generator.data
-        if self.order < generator.grid.size:
-            data = self.fold(data, np.zeros(len(data)))
-            data[np.diag_indices(self.order)] += generator.diagonal[self._sector[0]]
-        return OperatorMatrix(data, generator.grid, generator.symmetric, reduction=self)
+        """The generator on the reduced model, ``fold`` of its rows x_S = 0, diagonal included."""
+        return OperatorMatrix(self.fold(generator.data), generator.grid, generator.symmetric, reduction=self)
 
     @cached_property
     def kernel_part(self) -> np.ndarray:
-        """The folded kernel part h^d B: the off-diagonal part of ``generator`` folded once, plus
-        h^d b(x, x) per orbit, so no diagonal is formed by subtracting another."""
-        b, grid, rows, held = self.kernel, self.kernel.grid, self.generator.data, self.kernel.invariant_axes
+        """The folded kernel part h^d B: ``fold`` of ``generator``'s rows with h^d b(x, x) in place of
+        their diagonal, so no diagonal is formed by subtracting another."""
+        b, grid, held = self.kernel, self.kernel.grid, self.kernel.invariant_axes
         own = b.slab[np.arange(len(b.slab)), grid.slab_nodes(held)].reshape(grid.slab_shape(held))
-        kernel = self.fold(rows, np.zeros(len(rows)))
-        kernel[np.diag_indices(self.order)] += grid.weight * np.broadcast_to(own, grid.slab_shape(())).flat[self.nodes]
+        kernel = self.fold(self.generator.data, grid.weight * np.broadcast_to(own, grid.slab_shape(self.axes)).ravel())
         kernel.flags.writeable = False
         return kernel
 

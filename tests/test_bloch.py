@@ -361,6 +361,54 @@ def test_the_fibre_along_a_leading_axis_is_folded_from_the_rows():
     assert np.array_equal(model.denominator, (kernel.w - potential.samples)[: n])
 
 
+FOLDED = {  # (kernel, potential), axes S, reflection point, order
+    "fibre-2d": (lambda g: (_gaussian(g), ts.step_potential(g)), (2, 16), (1,), (7,), 8),
+    "constant-2d": (lambda g: (_gaussian(g), ts.constant_potential(g, 1.0)), (2, 16), (0, 1), None, 1),
+    "sector-fixed-1d": (lambda g: (_gaussian(g), ts.step_potential(g)), (1, 18), (), (8,), 10),
+    "sector-1d": (lambda g: (_gaussian(g), ts.step_potential(g)), (1, 64), (), (31,), 32),
+    "tophat-1d": (lambda g: (ts.convolution_kernel(ts.wind_kernel(ts.tophat_kernel(1, 0.125), g.n)),
+                             ts.step_potential(g)), (1, 64), (), None, 64),
+    "modulated-2d": (lambda g: (ts.modulated_convolution(ts.wind_kernel(ts.gaussian_kernel(2, 0.2), g.n), 0.3),
+                                ts.step_potential(g)), (2, 8), (), None, 64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLDED))
+def test_the_reduced_matrices_are_folds_of_the_rows_bit_for_bit(name):
+    build, shape, axes, point, order = FOLDED[name]
+    kernel, potential = build(ts.TorusGrid(*shape))
+    model = ts.ReducedModel(kernel, potential)
+    assert (model.axes, model.point, model.order) == (axes, point, order)
+    generator = ts.assemble_generator(kernel, potential, axes)
+    assert np.array_equal(model.reduce(generator).data, model.fold(generator.data))
+    assert np.array_equal(model.kernel_part, model.fold(kernel.grid.weight * kernel.rows(axes)))
+
+
+def _wrong_length(potential):
+    grid = ts.TorusGrid(1, 8)
+    kernel = _gaussian(grid)
+    model = ts.ReducedModel(kernel, ts.Potential(grid, potential(grid)))
+    return model, ts.assemble_generator(kernel, model.potential, model.axes).data
+
+
+@pytest.mark.parametrize("potential, order", [
+    (lambda g: ts.step_potential(g).samples, 4),
+    (lambda g: -np.linspace(0.0, 1.0, g.n) ** 2, 8),  # no reflection: unreduced
+], ids=["step", "unreduced"])
+@pytest.mark.parametrize("call", [
+    lambda model, rows: model.lift(np.arange(6.0)),
+    lambda model, rows: model.lift(np.arange(5.0)),
+    lambda model, rows: model.lift(np.arange(3.0)),
+    lambda model, rows: model.fold(rows, np.array([5.0])),
+    lambda model, rows: model.fold(rows, np.array([1.0, 2.0])),
+], ids=["lift-6", "lift-5", "lift-3", "fold-1", "fold-2"])
+def test_lift_and_fold_refuse_arrays_of_the_wrong_length(potential, order, call):
+    model, rows = _wrong_length(potential)
+    assert model.order == order
+    with pytest.raises(ts.DimensionMismatch):
+        call(model, rows)
+
+
 @pytest.mark.parametrize("command", ["analyze", "check-kernel"])
 def test_an_invariant_convolution_model_forms_no_array_of_the_kernels_size(command, tmp_path):
     raw = {"dimension": 2, "grid_n": 8, "kernel": {"family": "gaussian", "sigma": 0.2},

@@ -24,7 +24,9 @@ stdout, stderr and the exit code.  Both sides write to the same output
 path, so the paths they print agree.  Exit status 0 means every output is
 identical and the temporary work directory is removed; 1 lists each
 differing file and keeps that directory, with each side's outputs under
-``old/`` and ``new/``.
+``old/`` and ``new/``.  Under a JSON report or ``trace.csv`` that differs
+in its numbers alone, the list shows each number that moved, one line
+each: its path, the old and the new value and the relative change.
 """
 
 from __future__ import annotations
@@ -156,6 +158,61 @@ def _differences(old: str, new: str) -> list[str]:
             or _comparable(os.path.join(old, name)) != _comparable(os.path.join(new, name))]
 
 
+def _numeric_leaves(old, new, path: str, changes: list) -> bool:
+    """Append (path, old, new) to ``changes`` for each number that differs between two
+    parsed documents; False where they differ otherwise (a key, a string, a length)."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        return old.keys() == new.keys() and all(
+            _numeric_leaves(old[key], new[key], f"{path}.{key}" if path else key, changes) for key in old)
+    if isinstance(old, list) and isinstance(new, list):
+        return len(old) == len(new) and all(
+            _numeric_leaves(a, b, f"{path}[{i}]", changes) for i, (a, b) in enumerate(zip(old, new)))
+    numbers = [isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new)]
+    if all(numbers) and repr(old) != repr(new):
+        changes.append((path, old, new))
+    return all(numbers) or old == new
+
+
+def _parse(name: str, text: str):
+    """A JSON report without its ``metadata``, or ``trace.csv`` as a list of rows keyed by column."""
+    if name.endswith(".json"):
+        document = json.loads(text)
+        document.pop("metadata", None)
+        return document
+    header, *rows = text.splitlines()
+    return [dict(zip(header.split(","), map(float, row.split(",")))) for row in rows]
+
+
+def numeric_changes(name: str, old: str, new: str) -> list[tuple[str, float, float]] | None:
+    """The numbers that moved between two texts of the artifact ``name``, a JSON report
+    outside its ``metadata`` or ``trace.csv``, as (path, old, new); None where the texts
+    differ in anything else, fail to parse, or are of another artifact."""
+    if not (name.endswith(".json") or name == "trace.csv"):
+        return None
+    try:
+        documents = _parse(name, old), _parse(name, new)
+    except ValueError:  # json's decode error included
+        return None
+    changes: list[tuple[str, float, float]] = []
+    return changes if _numeric_leaves(*documents, "", changes) else None
+
+
+def _moved(old: str, new: str, name: str) -> list[str]:
+    """One line per number that moved in the file ``name`` between ``old`` and ``new``."""
+    paths = [os.path.join(side, name) for side in (old, new)]
+    if not all(map(os.path.isfile, paths)):
+        return []
+    texts = []
+    for path in paths:
+        with open(path) as handle:
+            texts.append(handle.read())
+    lines = []
+    for path, a, b in numeric_changes(name, *texts) or []:
+        relative = (b - a) / abs(a) if a else math.copysign(math.inf, b - a)
+        lines.append(f"  {path}: {a!r} -> {b!r} ({relative:+.2e} relative)")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Diff the CLI outputs of two torspec checkouts.")
     parser.add_argument("old", help="root of the checkout to compare against")
@@ -164,16 +221,18 @@ def main(argv: list[str] | None = None) -> int:
     sides = {"old": _sources(args.old), "new": _sources(args.new)}
     work = tempfile.mkdtemp(prefix="compare-outputs-")
 
-    differing = []
+    differing, listing = [], []
     plan = _plan(work)
     for name, command in plan:
         out = os.path.join(work, "out")  # one path for both sides, so their stdout agrees
         for side, src in sides.items():
             _run(src, command, out, os.path.join(work, side, name))
-        differing += [f"{name}/{file}" for file in
-                      _differences(os.path.join(work, "old", name), os.path.join(work, "new", name))]
+        old, new = os.path.join(work, "old", name), os.path.join(work, "new", name)
+        for file in _differences(old, new):
+            differing.append(f"{name}/{file}")
+            listing += [differing[-1], *_moved(old, new, file)]
     if differing:
-        print("\n".join(differing))
+        print("\n".join(listing))
         print(f"{len(differing)} files differ; outputs kept under {work}")
         return 1
     shutil.rmtree(work)
