@@ -143,10 +143,11 @@ class ReducedModel:
         self.point = None
         if fibre and kernel.symmetric and len(kernel.invariant_axes) == d:  # then b(r x, r y) == b(x, y)
             c = np.argwhere(v == v.flat[0])
-            fixing = (c % 2 == 0).all(axis=1) | (n % 2 == 1)  # the points that fix a node go last
-            w = np.tile(np.flip(v), (2,) * v.ndim)  # its window at (n - 1 - s) mod n is v[(s - x) mod n]
-            self.point = next((tuple(map(int, s)) for s in np.concatenate([c[~fixing], c[fixing]])
-                               if np.array_equal(w[tuple(slice(o, o + n) for o in (n - 1 - s) % n)], v)), None)
+            c = c[np.argsort((c % 2 == 0).all(axis=1) | (n % 2 == 1), kind="stable")]  # points fixing a node last
+            w = np.lib.stride_tricks.sliding_window_view(np.tile(np.flip(v), (2,) * v.ndim), v.shape)
+            hits = (s[(w[tuple((n - 1 - s.T) % n)] == v).reshape(len(s), -1).all(axis=1)]  # windows v[(s - x) mod n]
+                    for s in np.array_split(c, -(-len(c) * v.size // 2**16)))  # about 2^16 compared elements a chunk
+            self.point = next((tuple(map(int, h[0])) for h in hits if len(h)), None)
         index = np.arange(slab.size)
         mirror = index if self.point is None else _reflect(index.reshape(fibre), self.point).ravel()
         rep = np.minimum(index, mirror)  # the least node of each node's orbit
@@ -161,8 +162,7 @@ class ReducedModel:
         ``diagonal`` (a value per row), if given, in place of its own: the rows summed over y_S in
         mirror pairs, t(y_S) + t(-y_S) first, into F, symmetric bit for bit when the matrix is; then
         q_i q_j (F_ij + F_{i,r j}) at the orbits' least nodes.  Unreduced, with no ``diagonal``, ``rows``."""
-        grid, (least, mirrored) = self.kernel.grid, self._sector
-        f, s = rows, len(self.axes)
+        grid, (least, mirrored), f, s = self.kernel.grid, self._sector, rows, len(self.axes)
         if rows.shape != (grid.size // grid.n**s, grid.size):
             raise DimensionMismatch(f"fold takes the {grid.size // grid.n**s} rows x_S = 0, S = {self.axes}")
         if diagonal is not None and diagonal.shape != (len(rows),):

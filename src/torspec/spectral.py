@@ -54,10 +54,10 @@ class EssentialSpectrum:
 
 def essential_spectrum(b: GenericKernel, potential: Potential) -> EssentialSpectrum:
     """Essential spectrum of the generator from the multiplier range of V - W."""
-    values = np.unique(shift_denominator(b, potential))
+    d = np.sort(shift_denominator(b, potential))  # np.unique would import numpy.ma
+    values = d[np.concatenate(([True], d[1:] != d[:-1]))]
     values.flags.writeable = False
-    alpha1 = float(values[0])
-    alpha0 = float(values[-1])
+    alpha1, alpha0 = float(values[0]), float(values[-1])
     if alpha1 <= 0:
         raise DegenerateKernel(f"essential edge {alpha1!r} is not positive")
     return EssentialSpectrum(alpha0, alpha1, values)

@@ -1005,6 +1005,31 @@ def test_cli_never_imports_numpy_random(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_commands_import_no_numpy_module_but_numpy_fft(tmp_path):
+    # numpy.fft is the one subpackage a command may load lazily; numpy 2.4's
+    # np.unique, for one, imports numpy.ma inside the call
+    plane = tmp_path / "plane.json"  # the step varies along axis 0 only: the Bloch/rfftn path
+    plane.write_text(json.dumps(minimal_config(dimension=2, grid_n=16, kernel={"family": "gaussian", "sigma": 0.2})))
+    script = (
+        "import sys\n"
+        "from torspec.cli import main\n"
+        "before = set(sys.modules)\n"
+        "for config in sys.argv[2:]:\n"
+        "    for command in ('analyze', 'bound', 'evolve', 'check-kernel'):\n"
+        "        assert main([command, '--config', config, '--out', sys.argv[1]]) == 0, (command, config)\n"
+        "new = sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'numpy')\n"
+        "stray = [m for m in new if m != 'numpy.fft' and not m.startswith('numpy.fft.')]\n"
+        "assert not stray, f'the commands imported {stray}'\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path), str(FIXTURE_DIR / "f3.json"), str(plane)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_run_command_maps_floating_point_traps(tmp_path):
     config = ts.config_from_dict(minimal_config(grid_n=16, kernel={"family": "exponential", "scale": 1e-300}))
     with pytest.raises(ts.FloatingPointFailure, match="overflow encountered in matmul"):

@@ -7,6 +7,7 @@ about N/2, and lifts each state back to the grid for its norms.
 """
 
 import contextlib
+import functools
 import json
 import os
 import tempfile
@@ -46,6 +47,47 @@ def test_a_point_that_fixes_no_node_comes_first():
     for whole in (ts.constant_potential(plane, 0.3), make_f1(n=16)[2]):  # invariant along every axis
         model = ts.ReducedModel(ts.constant_kernel(whole.grid), whole)
         assert (model.point, model.order) == (None, 1)
+
+
+def _reference_point(v):
+    """The first s with v[s] == v[0] and v[(s - x) mod n] == v, by one comparison per s in
+    row-major order, the points that fix no node first; None if no s fits."""
+    n = v.shape[0]
+    candidates = [s for s in np.ndindex(v.shape) if v[s] == v.flat[0]]
+    for s in sorted(candidates, key=lambda s: n % 2 == 1 or all(x % 2 == 0 for x in s)):  # stable: fixing a node last
+        if np.array_equal(_mirror(v, s), v):
+            return s
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _gaussian(dimension, n):
+    return ts.convolution_kernel(ts.wind_kernel(ts.gaussian_kernel(dimension, 0.2), n))
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from([(1, 5), (1, 8), (1, 9), (1, 64), (1, 512), (2, 6), (2, 7), (2, 16), (2, 48)]),
+    st.integers(2, 4),
+    st.sampled_from([1, 2, 4]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_the_reflection_point_is_the_first_that_fits(shape, levels, periods, mirrored, seed):
+    # many equal values, so many candidates: at 1-D n = 512 and 2-D n = 48 the search takes several
+    # chunks; a potential of several periods along each axis fits several points, so the order tells
+    (dimension, n), rng = shape, np.random.default_rng(seed)
+    grid = ts.TorusGrid(dimension, n)
+    periods = periods if n % periods == 0 else 1
+    v = np.tile(-0.5 * rng.integers(0, levels, (n // periods,) * dimension), (periods,) * dimension)
+    if mirrored:
+        v = np.minimum(v, _mirror(v, tuple(int(x) for x in rng.integers(0, n, dimension))))
+    potential = ts.Potential(grid, v.ravel())
+    model = ts.ReducedModel(_gaussian(dimension, n), potential)
+    fibre = potential.samples[grid.slab_nodes(model.axes)].reshape((n,) * (dimension - len(model.axes)))
+    assert model.point == (_reference_point(fibre) if fibre.ndim else None)
+    if mirrored and not model.axes:
+        assert model.point is not None
 
 
 @pytest.mark.parametrize("n, width", [(16, 0.5), (16, 5 / 16), (15, 0.4)])

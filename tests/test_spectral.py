@@ -8,14 +8,18 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torspec as ts
 from torspec.cli import run_command
+from torspec.discretize import shift_denominator
 from conftest import (
     make_f1,
     make_f2,
     make_f3,
     make_f4,
+    random_convolution_fixture,
     random_fixture,
     two_level_eigenvalue_oracle,
 )
@@ -44,6 +48,46 @@ def test_essential_spectrum_zero_potential_edge_bounds():
     assert list(ess.values) == [1.0]
     assert ess.alpha1 >= stats["row_integral_min"]
     assert ess.alpha0 >= stats["row_integral_max"] - 1e-15
+
+
+def _denominator_model(seed, n, family):
+    """A kernel and potential of ``family``: the random 1-D fixtures; a random positive 2-D
+    two-point kernel; or a convolution kernel, so W is one value, under a potential of four levels."""
+    if family == "generic":
+        return random_fixture(seed, n)[1:]
+    rng = np.random.default_rng(seed)
+    if family == "plane":
+        grid = ts.TorusGrid(2, n // 4)
+        kernel = ts.GenericKernel(grid, rng.uniform(0.5, 1.5, (grid.size,) * 2))
+        return kernel, ts.Potential(grid, -rng.random(grid.size))
+    grid, wound, potential = random_convolution_fixture(seed, n)
+    if family == "levels":
+        potential = ts.Potential(grid, -0.25 * rng.integers(0, 4, n))  # -0.25 * 0 is -0.0
+    return ts.convolution_kernel(wound), potential
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([8, 16, 32, 64]),
+       st.sampled_from(["generic", "convolution", "plane", "levels"]))
+def test_essential_values_are_np_unique_of_the_denominator_bit_for_bit(seed, n, family):
+    kernel, potential = _denominator_model(seed, n, family)
+    ess = ts.essential_spectrum(kernel, potential)
+    expected = np.unique(shift_denominator(kernel, potential))
+    assert ess.values.dtype == expected.dtype and ess.values.shape == expected.shape
+    assert ess.values.tobytes() == expected.tobytes()  # the same bits, so the same signbit
+    assert np.array_equal(np.signbit(ess.values), np.signbit(expected))
+    assert not ess.values.flags.writeable
+    assert (ess.alpha1, ess.alpha0) == (expected[0], expected[-1])
+
+
+def test_essential_edge_at_zero_is_degenerate():
+    grid = ts.TorusGrid(1, 8)
+    samples = np.ones((8, 8))
+    samples[3] = 0.0  # node 3 never jumps: W = 0 there, and so is V
+    kernel = ts.GenericKernel(grid, samples)
+    potential = ts.Potential(grid, np.where(np.arange(8) == 3, 0.0, -0.5))
+    with pytest.raises(ts.DegenerateKernel, match=r"^essential edge 0\.0 is not positive$"):
+        ts.essential_spectrum(kernel, potential)
 
 
 def test_radius_closed_forms_constant_fixture():
