@@ -131,7 +131,8 @@ class ReducedModel:
     turn, those that fix no node first), the block's even sector under r has one coordinate
     c = q u(x) per orbit {x, r x}, q = sqrt(|orbit| / 2) (``scale``, None when every q is 1).
     ``order`` counts the orbits, ``nodes`` holds the least grid node of each, ``orbit`` the
-    orbit of every node, ``denominator`` W - V at ``nodes``.  Unreduced, the order is n^d.
+    orbit of every node, ``mirror`` r x for every fibre index x (x itself without a point),
+    ``denominator`` W - V at ``nodes``.  Unreduced, the order is n^d.
     """
 
     def __init__(self, kernel: GenericKernel, potential: Potential) -> None:
@@ -152,7 +153,7 @@ class ReducedModel:
         mirror = index if self.point is None else _reflect(index.reshape(fibre), self.point).ravel()
         rep = np.minimum(index, mirror)  # the least node of each node's orbit
         least, orbits = np.flatnonzero(rep == index), (np.cumsum(rep == index) - 1)[rep]
-        self.order, self.nodes, self._sector = least.size, slab[least], (least, mirror[least])
+        self.order, self.nodes, self.mirror, self._sector = least.size, slab[least], mirror, (least, mirror[least])
         self.orbit = np.broadcast_to(orbits.reshape(grid.slab_shape(self.axes)), grid.slab_shape(())).ravel()
         self.scale = np.sqrt(np.bincount(orbits) / 2.0) if self.point and (mirror == index).any() else None
         self.denominator = shift_denominator(kernel, potential)[self.nodes]

@@ -8,7 +8,8 @@ must agree or the caller aborts, so neither silently wins.  A generator
 that commutes with grid translations along some axes is split by a DFT
 along them into independent blocks (the discrete Floquet-Bloch reduction;
 block-circulant diagonalization, Davis, *Circulant Matrices*, 1979), and
-the dense solve runs block by block.
+the dense solve runs block by block; with a point reflection too, on its real
+symmetric sectors (Cantoni & Butler, Linear Algebra Appl. 13, 1976).
 """
 
 from __future__ import annotations
@@ -132,14 +133,23 @@ def perron(
     raise NotConverged(f"certificate gap above {tol} after {max_iter} iterations")
 
 
-def block_shape(generator: OperatorMatrix) -> tuple[int, int]:
-    """Number and order of the generator's Bloch blocks: n^|S| blocks of
-    order n^(d - |S|), S its invariant axes; 1 and N when it has none."""
+def _mirror(generator: OperatorMatrix, even: OperatorMatrix | None) -> np.ndarray | None:
+    """The fibre reflection of ``even``'s model if it splits the symmetric generator's solve, else None."""
+    return even.reduction.mirror if generator.symmetric and even is not None and even.reduction.point else None
+
+
+def block_shape(generator: OperatorMatrix, even: OperatorMatrix | None = None) -> tuple[int, int, int]:
+    """The generator's n^|S| Bloch blocks of order n^(d - |S|), S its invariant axes (1 and N without),
+    and the largest order ``full_spectrum`` hands LAPACK: on ``even``'s sectors the block order, or the
+    even sector's, no fewer orbits than the odd one's; else twice the block order if blocks pair up."""
     blocks = generator.grid.n ** len(generator.invariant_axes)
-    return blocks, generator.grid.size // blocks
+    order = generator.grid.size // blocks
+    if _mirror(generator, even) is not None:
+        return blocks, order, order if blocks > 1 else len(even.data)
+    return blocks, order, 2 * order if blocks > 1 and generator.grid.n > 2 else order
 
 
-def _bloch_spectrum(generator: OperatorMatrix, solver) -> np.ndarray:
+def _bloch_spectrum(generator: OperatorMatrix, solver, mirror: np.ndarray | None = None) -> np.ndarray:
     """Eigenvalues of the generator, block by block along its invariant
     axes S, along which it is exactly invariant, diagonal included.
 
@@ -150,7 +160,9 @@ def _bloch_spectrum(generator: OperatorMatrix, solver) -> np.ndarray:
     [Im C_k, Re C_k]] of twice the order, whose eigenvalues are those of
     C_k and of its conjugate; a self-conjugate block (k = -k mod n) is
     real.  Every solve is real, as on the whole matrix, so complex
-    eigenvalues come in exact conjugate pairs.
+    eigenvalues come in exact conjugate pairs.  Given the fibre ``mirror`` r,
+    R C_k R = conj(C_k) and Hermitian C_k = A + iB is similar, by (I + iR)/sqrt(2),
+    to real symmetric A - BR, B's columns gathered by r: one stack, pairs twice.
     """
     grid, axes = generator.grid, generator.invariant_axes
     n, d, s = grid.n, grid.dimension, len(axes)
@@ -159,9 +171,16 @@ def _bloch_spectrum(generator: OperatorMatrix, solver) -> np.ndarray:
     y_axes = [d + a for a in axes]
     blocks = np.fft.rfftn(np.moveaxis(rows, y_axes, range(s)), axes=tuple(range(s))).reshape(-1, m, m)
     half = np.indices((n,) * (s - 1) + (n // 2 + 1,)).reshape(s, -1)  # the k rfftn keeps
-    k, mirror = (np.ravel_multi_index(q % n, (n,) * s) for q in (half, -half))
-    own = k == mirror
-    pairs = blocks[~own & ((k < mirror) | (-half[-1] % n > n // 2))]  # -k dropped, or k first
+    k, minus = (np.ravel_multi_index(q % n, (n,) * s) for q in (half, -half))
+    own = k == minus
+    paired = ~own & ((k < minus) | (-half[-1] % n > n // 2))  # -k dropped, or k first
+    if mirror is not None:
+        keep = own | paired
+        kept = blocks[keep]
+        similar = kept.imag[..., mirror]
+        values = solver(np.subtract(kept.real, similar, out=similar))
+        return np.repeat(values, 2 - own[keep], axis=0).ravel()
+    pairs = blocks[paired]
     doubled = np.empty((len(pairs), 2 * m, 2 * m))
     doubled[:, :m, :m] = doubled[:, m:, m:] = pairs.real
     doubled[:, m:, :m] = pairs.imag
@@ -169,7 +188,9 @@ def _bloch_spectrum(generator: OperatorMatrix, solver) -> np.ndarray:
     return np.concatenate([solver(blocks[own].real).ravel(), solver(doubled).ravel()])
 
 
-def full_spectrum(generator: OperatorMatrix, order_cap: int = SPECTRUM_ORDER_CAP) -> np.ndarray:
+def full_spectrum(
+    generator: OperatorMatrix, order_cap: int = SPECTRUM_ORDER_CAP, even: OperatorMatrix | None = None
+) -> np.ndarray:
     """All eigenvalues by LAPACK QR with deflation.
 
     A matrix flagged ``symmetric`` (by ``assemble_generator``, from an
@@ -178,16 +199,28 @@ def full_spectrum(generator: OperatorMatrix, order_cap: int = SPECTRUM_ORDER_CAP
     Hessenberg QR (``eigvals``).  A matrix with ``invariant_axes`` is
     exactly invariant along them and is solved block by block
     (``_bloch_spectrum``) from its rows x_S = 0, all it may hold; the order
-    cap applies to the whole matrix either way.  Ordered by descending real
-    part, ties by ascending imaginary part; complex eigenvalues of real
-    input come in conjugate pairs.  LAPACK's failure to converge raises
-    QRNotConverged.
+    cap applies to the whole matrix either way.  ``even``, the reduced matrix
+    ``ReducedModel.reduce(generator)``, splits a symmetric generator whose model
+    has a point reflection r into its sectors: Bloch blocks A - BR, or ``even``
+    and the odd sector F[l, l'] - F[l, r l'], l < r l, of the whole matrix F.
+    Ordered by descending real part, ties by ascending imaginary part;
+    complex eigenvalues of real input come in conjugate pairs.  LAPACK's
+    failure to converge raises QRNotConverged.
     """
     if generator.grid.size > order_cap:
         raise DimensionMismatch(f"matrix order {generator.grid.size} exceeds the cap {order_cap}")
     solver = np.linalg.eigvalsh if generator.symmetric else np.linalg.eigvals
+    mirror = _mirror(generator, even)
     try:
-        values = _bloch_spectrum(generator, solver) if generator.invariant_axes else solver(generator.data)
+        if generator.invariant_axes:
+            values = _bloch_spectrum(generator, solver, mirror)
+        elif mirror is not None:
+            least = np.flatnonzero(np.arange(len(mirror)) < mirror)
+            odd = generator.data[np.ix_(least, least)]
+            odd -= generator.data[np.ix_(least, mirror[least])]
+            values = np.concatenate([solver(even.data), solver(odd)])
+        else:
+            values = solver(generator.data)
     except np.linalg.LinAlgError as exc:
         raise QRNotConverged(str(exc)) from exc
     order = np.lexsort((values.imag, -values.real))

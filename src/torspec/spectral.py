@@ -84,7 +84,9 @@ class BisectionResult:
     ``ground_state`` and ``adjoint_state`` are on the grid, at unit 2-norm.
     ``iterations`` counts root-find steps after the bracket scan;
     ``perron_iterations`` totals the power iterations of every radius
-    evaluation in the search (zero shift, scan and root find).
+    evaluation in the search (zero shift, scan and root find).  ``root_find``
+    holds one entry per root-find step: its shift ``mu``, radius ``rho``, the
+    ``side`` of the bracket it moved (``lo`` or ``hi``) and the ``width`` after.
     """
 
     lam: float
@@ -94,6 +96,7 @@ class BisectionResult:
     radius_at_lambda: float
     bracket: tuple[float, float]
     perron_iterations: int
+    root_find: list
 
 
 def _perron(matrix: np.ndarray, options: AnalysisOptions, **kwargs) -> PerronResult:
@@ -150,7 +153,7 @@ def max_eigenvalue_bisection(
         return result.rho
 
     lo = hi = 0.0  # a vanishing potential skips the scan: lambda = 0, bracket (0, 0)
-    iterations = 0
+    iterations, root_find = 0, []
     if eligible:
         rho_hi = radius(0.0)
         if rho_hi >= 1.0:
@@ -198,6 +201,7 @@ def max_eigenvalue_bisection(
                 if moved == "hi":
                     f_lo *= 0.5
                 moved = "hi"
+            root_find.append({"mu": mu, "rho": rho, "side": moved, "width": hi - lo})
 
     lam = 0.5 * (lo + hi)
     at_lam = _perron(assemble_birman_schwinger(model, lam).data, options, start=vector)
@@ -215,7 +219,7 @@ def max_eigenvalue_bisection(
         adjoint = assemble_birman_schwinger(model, lam, adjoint=True)
         adjoint_state = lifted(_perron(adjoint.data, options, start=at_lam.vector).vector)
     return BisectionResult(
-        lam, ground_state, adjoint_state, iterations, at_lam.rho, (lo, hi), perron_iterations,
+        lam, ground_state, adjoint_state, iterations, at_lam.rho, (lo, hi), perron_iterations, root_find,
     )
 
 
@@ -292,11 +296,11 @@ def analyze(
     essential = essential_spectrum(b, potential)
     eligible = potential.diagnostics.eligible
     model = ReducedModel(b, potential)
-    generator = model.generator
-    eigenvalues = full_spectrum(generator, options.spectrum_order_cap)
+    generator, even = model.generator, model.reduce(model.generator)
+    eigenvalues = full_spectrum(generator, options.spectrum_order_cap, even)
     lam_qr = float(eigenvalues[0].real)
 
-    shifted = max_eigenvalue_shifted_power(model.reduce(generator), options)
+    shifted = max_eigenvalue_shifted_power(even, options)
     bisected = max_eigenvalue_bisection(model, options)
 
     lambda_by_method = {
@@ -334,19 +338,20 @@ def analyze(
     distances = np.min(np.abs(eigenvalues[:, None] - ess_points[None, :]), axis=1)
     discrete = eigenvalues[distances > tol_ess]
 
-    blocks, block_order = block_shape(generator)
+    blocks, block_order, largest_order = block_shape(generator, even)
     diagnostics = {
         "conforming": eligible,
         "ground_state_residual": residual_psi,
         "adjoint_state_residual": residual_phi,
         "method_spread": spread,
-        "qr": {"blocks": blocks, "block_order": block_order},
+        "qr": {"blocks": blocks, "block_order": block_order, "largest_order": largest_order},
         "classification_tolerance": tol_ess,
         "perron_order": model.order,
         "perron_shift_iterations": shifted.iterations,
         "bisection_iterations": bisected.iterations,
         "ratio_perron_iterations": bisected.perron_iterations,
         "bisection_bracket": [bisected.bracket[0], bisected.bracket[1]],
+        "root_find": bisected.root_find,
         "radius_at_lambda": bisected.radius_at_lambda,
         "kernel_stats": stats,
         "potential": potential.diagnostics.as_dict(),

@@ -136,15 +136,16 @@ def test_only_invariant_models_take_blocks(name, tmp_path, monkeypatch):
         monkeypatch.setattr(np.linalg, solver, recorded)
     ts.full_spectrum(generator)
     blocks, order = grid.n ** len(axes), grid.size // grid.n ** len(axes)
-    assert block_shape(generator) == (blocks, order)
     if axes:
         own = 2 ** len(axes)  # k_a in {0, n/2} on every axis, n even
         assert shapes == [(own, order, order), ((blocks - own) // 2, 2 * order, 2 * order)]
     else:
         assert shapes == [(grid.size, grid.size)]
-    report = ts.analyze(kernel, potential)
-    qr = report.diagnostics["qr"]
-    assert qr == {"blocks": blocks, "block_order": order}
+    assert block_shape(generator) == (blocks, order, max(shape[-1] for shape in shapes))
+    shapes.clear()
+    report = ts.analyze(kernel, potential)  # on the reflection's sectors where its model has a point
+    largest = max(shape[-1] for shape in shapes)
+    assert report.diagnostics["qr"] == {"blocks": blocks, "block_order": order, "largest_order": largest}
 
 
 def test_hand_built_matrix_stays_dense():
@@ -468,7 +469,9 @@ def test_slab_rows_give_the_whole_generators_spectrum_bit_for_bit(axes, kernel_k
     slab = whole.data.reshape(grid.slab_shape(()) + (grid.size,))[grid.origin_slab(axes)]
     assert rows.data.tobytes() == np.ascontiguousarray(slab).tobytes()
     assert ts.full_spectrum(rows).tobytes() == ts.full_spectrum(whole).tobytes()
-    assert block_shape(rows) == block_shape(whole) == (grid.n, grid.n)
+    assert block_shape(rows) == block_shape(whole) == (grid.n, grid.n, 2 * grid.n)
+    even = ts.ReducedModel(kernel, potential).reduce(rows)
+    assert ts.full_spectrum(rows, even=even).tobytes() == ts.full_spectrum(whole, even=even).tobytes()
 
 
 @pytest.mark.parametrize("axes, kernel_kind", SLAB_CASES)
@@ -494,7 +497,7 @@ def test_analyze_forms_only_the_slab_rows_of_an_invariant_generator():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.diagnostics["qr"] == {"blocks": grid.n, "block_order": grid.n}
+    assert report.diagnostics["qr"] == {"blocks": grid.n, "block_order": grid.n, "largest_order": grid.n}
     assert peak <= 0.25 * kernel.samples.nbytes
 
 

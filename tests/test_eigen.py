@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import torspec as ts
-from torspec.eigen import ROUNDING_ULPS, _start_vector
+from torspec.eigen import ROUNDING_ULPS, _start_vector, block_shape
 from conftest import make_f1, make_f2, make_f3, make_f4, sine_wound, two_level_eigenvalue_oracle, whole_ratio_operator
 
 _MASK = 2**64 - 1
@@ -306,15 +306,25 @@ def _wound_model(kernel, dimension, n):
     return grid, ts.convolution_kernel(wound), ts.step_potential(grid)
 
 
+def _f3_step(n, width):
+    grid, kernel, _ = make_f3(n=n)
+    return grid, kernel, ts.step_potential(grid, 1.0, width)
+
+
+# each model's solver, then the matrix shapes it takes on the route ``analyze`` takes: a
+# model with a point reflection solves its sectors, one stack of the kept Bloch blocks along
+# invariant axes or the even and the odd sector of the whole matrix
 DISPATCH_MODELS = {
-    "f1": (lambda: make_f1(n=32), "eigvalsh"),
-    "f2": (lambda: make_f2(n=32), "eigvalsh"),
-    "f3": (lambda: make_f3(n=64), "eigvalsh"),
-    "gaussian-2d": (lambda: _wound_model(ts.gaussian_kernel(2, 0.2), 2, 16), "eigvalsh"),
-    "exponential-2d": (lambda: _wound_model(ts.exponential_kernel(2, 0.2), 2, 10), "eigvalsh"),
-    "f4": (lambda: make_f4(n=32), "eigvals"),
+    "f1": (lambda: make_f1(n=32), "eigvalsh", [(2, 1, 1), (15, 2, 2)]),
+    "f2": (lambda: make_f2(n=32), "eigvalsh", [(16, 16), (16, 16)]),
+    "f3": (lambda: make_f3(n=64), "eigvalsh", [(32, 32), (32, 32)]),
+    # a step on 5 of 16 nodes: its reflection fixes two nodes, so the sectors have orders 9 and 7
+    "f3-fixing": (lambda: _f3_step(16, 5 / 16), "eigvalsh", [(9, 9), (7, 7)]),
+    "gaussian-2d": (lambda: _wound_model(ts.gaussian_kernel(2, 0.2), 2, 16), "eigvalsh", [(9, 16, 16)]),
+    "exponential-2d": (lambda: _wound_model(ts.exponential_kernel(2, 0.2), 2, 10), "eigvalsh", [(6, 10, 10)]),
+    "f4": (lambda: make_f4(n=32), "eigvals", [(2, 1, 1), (15, 2, 2)]),
     # 2 w n is an integer: the half-open box puts a node on one edge only
-    "tophat": (lambda: _wound_model(ts.tophat_kernel(1, 0.125), 1, 64), "eigvals"),
+    "tophat": (lambda: _wound_model(ts.tophat_kernel(1, 0.125), 1, 64), "eigvals", [(64, 64)]),
 }
 
 
@@ -322,7 +332,7 @@ def _record_solvers(monkeypatch):
     calls = []
     for solver in ("eigvals", "eigvalsh"):
         def recorded(a, _solver=solver, _real=getattr(np.linalg, solver)):
-            calls.append(_solver)
+            calls.append((_solver, a.shape))
             return _real(a)
 
         monkeypatch.setattr(np.linalg, solver, recorded)
@@ -331,18 +341,30 @@ def _record_solvers(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(DISPATCH_MODELS))
 def test_full_spectrum_takes_eigvalsh_only_on_exactly_symmetric_input(name, monkeypatch):
-    make, expected = DISPATCH_MODELS[name]
+    make, expected, shapes = DISPATCH_MODELS[name]
     grid, kernel, potential = make()
     generator = ts.assemble_generator(kernel, potential)
     data = generator.data
     reference = np.linalg.eigvals(data)
+    model = ts.ReducedModel(kernel, potential)
+    even = model.reduce(model.generator)
     calls = _record_solvers(monkeypatch)
     values = ts.full_spectrum(generator)
-    assert calls == [expected] * (2 if generator.invariant_axes else 1)  # self-conjugate and pair stacks
+    # the self-conjugate and the pair stacks along invariant axes, else one whole matrix
+    assert [call[0] for call in calls] == [expected] * (2 if generator.invariant_axes else 1)
+    calls.clear()
+    sectors = ts.full_spectrum(model.generator, even=even)
+    assert calls == [(expected, shape) for shape in shapes]
+    assert block_shape(model.generator, even)[2] == max(shape[-1] for shape in shapes)
+    calls.clear()
+    report = ts.analyze(kernel, potential)
+    assert calls == [(expected, shape) for shape in shapes]
+    assert report.diagnostics["qr"]["largest_order"] == max(shape[-1] for shape in shapes)
     if expected == "eigvalsh":
-        assert not np.iscomplexobj(values)
+        assert not np.iscomplexobj(values) and not np.iscomplexobj(sectors)
         scale = np.abs(data).max() * data.shape[0] * np.finfo(float).eps
-        assert np.allclose(values, np.sort(reference.real)[::-1], rtol=0.0, atol=100 * scale)
+        for spectrum in (values, sectors):
+            assert np.allclose(spectrum, np.sort(reference.real)[::-1], rtol=0.0, atol=100 * scale)
 
 
 def test_hand_built_operator_takes_the_general_solver(monkeypatch):
@@ -353,4 +375,4 @@ def test_hand_built_operator_takes_the_general_solver(monkeypatch):
     assert bare.symmetric is False
     calls = _record_solvers(monkeypatch)
     ts.full_spectrum(bare)
-    assert calls == ["eigvals"]
+    assert calls == [("eigvals", (16, 16))]

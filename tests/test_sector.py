@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import torspec as ts
 from torspec.cli import run_command
+from torspec.eigen import block_shape
 from conftest import make_f1, make_f3
 
 
@@ -105,6 +106,39 @@ def test_the_sector_is_symmetric_and_holds_the_maximum_eigenvalue(n, width):
     whole, even = np.linalg.eigvalsh(m), np.linalg.eigvalsh(sector.data)
     assert np.min(np.abs(whole[:, None] - even[None, :]), axis=0).max() <= 1e-13
     assert abs(even.max() - whole.max()) <= 1e-13
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from([(1, n, ()) for n in (5, 8, 9, 64)]
+                    + [(2, n, axes) for n in (6, 7, 16) for axes in ((), (0,), (1,))]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_the_reflections_sectors_give_the_whole_spectrum(case, fixing, seed):
+    # a random symmetric convolution kernel and a random potential equal to its mirror about s, invariant
+    # along ``axes``: QR on the sectors, Bloch blocks A - BR along the axes or the even and odd sector of
+    # the whole matrix, against eigvalsh on the whole matrix; s fixes a node at odd n, or at even s
+    dimension, n, axes = case
+    grid, rng = ts.TorusGrid(dimension, n), np.random.default_rng(seed)
+    samples = rng.uniform(0.05, 1.0, (n,) * dimension)
+    kernel = ts.convolution_kernel(ts.WoundKernel(grid, samples + _mirror(samples, (0,) * dimension)))
+    s = (2 * rng.integers(0, n, dimension) + (not fixing)) % n
+    v = np.broadcast_to(-rng.uniform(0.0, 2.0, (n,) * dimension)[grid.origin_slab(axes)], (n,) * dimension)
+    potential = ts.Potential(grid, (v + _mirror(v, s)).ravel())
+    model = ts.ReducedModel(kernel, potential)
+    assert kernel.symmetric and model.axes == axes
+    assert model.point == tuple(int(x) for a, x in enumerate(s) if a not in axes)
+    assert (model.mirror == np.arange(len(model.mirror))).any() == bool(fixing or n % 2)
+    generator, even = model.generator, model.reduce(model.generator)
+    values = ts.full_spectrum(generator, even=even)
+    assert block_shape(generator, even)[2] == (len(model.mirror) if axes else model.order)
+    whole = ts.assemble_generator(kernel, potential).data
+    scale = np.abs(whole).max() * whole.shape[0] * np.finfo(float).eps
+    assert np.abs(np.sort(values) - np.linalg.eigvalsh(whole)).max() <= 100 * scale
+    if axes:  # a Bloch pair's eigenvalues twice, bit for bit: odd counts only from self-conjugate blocks
+        counts = np.unique(values, return_counts=True)[1]
+        assert np.count_nonzero(counts % 2) <= (2 - n % 2) * len(model.mirror)
 
 
 def test_evolve_on_a_sector_needs_an_even_start():

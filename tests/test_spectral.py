@@ -229,6 +229,24 @@ def test_analyze_shallow_step_potential(depth):
     assert abs(report.lambda_by_method["q_bisection"] - oracle) <= options.bisection_tol
 
 
+@pytest.mark.parametrize("make", [lambda: make_f3(n=64)[1:], lambda: make_f4(n=32)[1:],
+                                  lambda: (ts.constant_kernel(ts.TorusGrid(1, 64)),
+                                           ts.step_potential(ts.TorusGrid(1, 64), 1e-12, 0.5))])
+def test_the_root_find_path_ends_at_the_reported_bracket(make):
+    # one entry per root-find step, the shallow step's single step included: the side it moved is
+    # where its radius falls against one, and the bracket narrows to the reported one
+    report = ts.analyze(*make())
+    diagnostics = report.diagnostics
+    path, (lo, hi) = diagnostics["root_find"], diagnostics["bisection_bracket"]
+    assert len(path) == diagnostics["bisection_iterations"] >= 1
+    assert all(step["side"] == ("lo" if step["rho"] >= 1.0 else "hi") for step in path)
+    assert all(a["width"] >= b["width"] for a, b in zip(path, path[1:]))
+    assert path[-1]["width"] == hi - lo
+    assert [step["mu"] for step in path if step["side"] == "lo"][-1:] in ([lo], [])
+    assert [step["mu"] for step in path if step["side"] == "hi"][-1:] in ([hi], [])
+    assert json.loads(ts.jsonio.dumps(report.to_dict()))["diagnostics"]["root_find"] == path
+
+
 @pytest.mark.parametrize("n, exact", [(64, -7 / 8), (256, -15 / 16)])
 def test_analyze_near_the_edge(n, exact):
     # a step of depth 1 on n - 1 of the n nodes: the ratio operator is rank
