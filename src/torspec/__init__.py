@@ -41,7 +41,6 @@ from .kernels import (
     ContinuousKernel,
     GenericKernel,
     Potential,
-    PotentialDiagnostics,
     WoundKernel,
     constant_kernel,
     constant_potential,
@@ -75,7 +74,6 @@ from .eigen import (
 from .spectral import (
     AnalysisOptions,
     BisectionResult,
-    EssentialSpectrum,
     SpectrumReport,
     analyze,
     essential_spectrum,

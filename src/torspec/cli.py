@@ -73,7 +73,7 @@ def _run_evolve(
     t_max = config.evolution["t_max"]
     if t_max is None:  # 40/|lambda|, or 40 for a vanishing potential, whose lambda is 0
         t_max = 40.0 / -estimate.rho if estimate.rho < 0 else np.inf
-        t_max = t_max if potential.diagnostics.eligible else 40.0
+        t_max = t_max if potential.diagnostics["eligible"] else 40.0
         if not np.isfinite(t_max):
             raise NotConverged(f"lambda estimate {estimate.rho!r} gives no horizon 40/|lambda|; set t_max")
     trace = evolve(
@@ -120,7 +120,7 @@ def _run_check_kernel(
             "wind_truncation": wound.wind_truncation,
             "tail_estimate": wound.tail_estimate,
         },
-        "potential": potential.diagnostics.as_dict(),
+        "potential": dict(potential.diagnostics),
     }
     return document, code
 
@@ -177,7 +177,7 @@ def run_command(command: str, config: RunConfig, out_dir: str | None = None) -> 
         where = f"{exc.filename}: " if exc.filename else ""
         raise ValidationError(f"{where}{exc.strerror or exc}") from exc
     print(paths[0])
-    return code if potential.diagnostics.eligible else 2
+    return code if potential.diagnostics["eligible"] else 2
 
 
 def _load_with_overrides(path: str, seed: int | None, grid_n: int | None) -> RunConfig:

@@ -133,18 +133,13 @@ def perron(
     raise NotConverged(f"certificate gap above {tol} after {max_iter} iterations")
 
 
-def _mirror(generator: OperatorMatrix, even: OperatorMatrix | None) -> np.ndarray | None:
-    """The fibre reflection of ``even``'s model if it splits the symmetric generator's solve, else None."""
-    return even.reduction.mirror if generator.symmetric and even is not None and even.reduction.point else None
-
-
 def block_shape(generator: OperatorMatrix, even: OperatorMatrix | None = None) -> tuple[int, int, int]:
     """The generator's n^|S| Bloch blocks of order n^(d - |S|), S its invariant axes (1 and N without),
     and the largest order ``full_spectrum`` hands LAPACK: on ``even``'s sectors the block order, or the
     even sector's, no fewer orbits than the odd one's; else twice the block order if blocks pair up."""
     blocks = generator.grid.n ** len(generator.invariant_axes)
     order = generator.grid.size // blocks
-    if _mirror(generator, even) is not None:
+    if even is not None and even.reduction.point:
         return blocks, order, order if blocks > 1 else len(even.data)
     return blocks, order, 2 * order if blocks > 1 and generator.grid.n > 2 else order
 
@@ -210,7 +205,7 @@ def full_spectrum(
     if generator.grid.size > order_cap:
         raise DimensionMismatch(f"matrix order {generator.grid.size} exceeds the cap {order_cap}")
     solver = np.linalg.eigvalsh if generator.symmetric else np.linalg.eigvals
-    mirror = _mirror(generator, even)
+    mirror = even.reduction.mirror if even is not None and even.reduction.point else None
     try:
         if generator.invariant_axes:
             values = _bloch_spectrum(generator, solver, mirror)

@@ -35,7 +35,7 @@ def gap_constants(potential: Potential, kernel: GenericKernel) -> dict:
         raise ValidationError("the gap bound applies only to convolution-form kernels")
     wound.grid.require_match(potential.grid)
     diag = potential.diagnostics
-    if not diag.eligible:
+    if not diag["eligible"]:
         raise IneligiblePotential("gap bound needs a potential negative on some node")
 
     mass = wound.quadrature_mass()
@@ -46,10 +46,10 @@ def gap_constants(potential: Potential, kernel: GenericKernel) -> dict:
         raise DegenerateSymbol(
             "kernel symbol has a nonzero mode of modulus >= the kernel's mass (mass concentrated)"
         )
-    c1 = diag.norm_l1
-    gamma0 = (2.0 / 9.0) * c1 / diag.norm_l2
+    c1, norm_v2 = diag["norm_l1"], diag["norm_l2"]
+    gamma0 = (2.0 / 9.0) * c1 / norm_v2
     kappa = min(mass * c2 * gamma0**2, 0.5 * c1)
-    return {"c1": c1, "norm_v2": diag.norm_l2, "gamma0": gamma0, "c2": c2, "kappa": kappa}
+    return {"c1": c1, "norm_v2": norm_v2, "gamma0": gamma0, "c2": c2, "kappa": kappa}
 
 
 def verify_gap(report: SpectrumReport, bound: dict) -> dict:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 from numbers import Integral
@@ -383,35 +383,20 @@ def modulated_convolution(wound: WoundKernel, epsilon: float) -> GenericKernel:
 # potentials
 
 
-@dataclass(frozen=True)
-class PotentialDiagnostics:
-    """Quadrature norms and strict-negativity eligibility of a potential.
-
-    Eligible means at least one node is strictly negative (the discrete
-    reading of negativity on a set of positive measure).
-    """
-
-    max_sample: float
-    fraction_negative: float
-    norm_l1: float
-    norm_l2: float
-    eligible: bool
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
 @dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
 class Potential:
     """Nonpositive potential samples in grid node order (flat, length n^d).
 
-    ``diagnostics`` holds the potential's norms and eligibility, evaluated
-    once at construction and read by every consumer.
+    ``diagnostics`` is the dict every report prints, evaluated once at
+    construction and read by every consumer: ``max_sample``,
+    ``fraction_negative``, the quadrature norms ``norm_l1`` and ``norm_l2``,
+    and ``eligible``, true when at least one node is strictly negative (the
+    discrete reading of negativity on a set of positive measure).
     """
 
     grid: TorusGrid
     samples: np.ndarray
-    diagnostics: PotentialDiagnostics = field(init=False, repr=False, compare=False)
+    diagnostics: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         v = _freeze(np.asarray(self.samples, dtype=float).ravel())
@@ -426,13 +411,13 @@ class Potential:
         # squared after scaling by max|V|, so no depth overflows or underflows the squares
         peak = -lo
         norm_l2 = peak * math.sqrt(float(((v / peak) ** 2).sum()) * weight) if peak > 0 else 0.0
-        object.__setattr__(self, "diagnostics", PotentialDiagnostics(
-            max_sample=hi,
-            fraction_negative=frac,
-            norm_l1=float(np.abs(v).sum() * weight),
-            norm_l2=norm_l2,
-            eligible=bool(frac > 0),
-        ))
+        object.__setattr__(self, "diagnostics", {
+            "max_sample": hi,
+            "fraction_negative": frac,
+            "norm_l1": float(np.abs(v).sum() * weight),
+            "norm_l2": norm_l2,
+            "eligible": bool(frac > 0),
+        })
 
 
 def constant_potential(grid: TorusGrid, depth: float) -> Potential:

@@ -35,32 +35,18 @@ from .errors import (
 from .kernels import GenericKernel, Potential, kernel_stats
 
 
-@dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays
-class EssentialSpectrum:
-    """Distinct grid values of W - V; the essential spectrum is their negation.
+def essential_spectrum(b: GenericKernel, potential: Potential) -> np.ndarray:
+    """The distinct grid values of the multiplier W - V, ascending, read-only and positive.
 
-    ``values`` is ascending and positive, so the essential spectrum occupies
-    [-alpha0, -alpha1] with alpha0 = values[-1], alpha1 = values[0].
+    The essential spectrum is their negation, [-alpha0, -alpha1] with
+    alpha0 = values[-1] and alpha1 = values[0].
     """
-
-    alpha0: float
-    alpha1: float
-    values: np.ndarray
-
-    @property
-    def spectrum_points(self) -> np.ndarray:
-        return -self.values
-
-
-def essential_spectrum(b: GenericKernel, potential: Potential) -> EssentialSpectrum:
-    """Essential spectrum of the generator from the multiplier range of V - W."""
     d = np.sort(shift_denominator(b, potential))  # np.unique would import numpy.ma
     values = d[np.concatenate(([True], d[1:] != d[:-1]))]
     values.flags.writeable = False
-    alpha1, alpha0 = float(values[0]), float(values[-1])
-    if alpha1 <= 0:
-        raise DegenerateKernel(f"essential edge {alpha1!r} is not positive")
-    return EssentialSpectrum(alpha0, alpha1, values)
+    if values[0] <= 0:
+        raise DegenerateKernel(f"essential edge {float(values[0])!r} is not positive")
+    return values
 
 
 @dataclass(frozen=True)
@@ -136,7 +122,7 @@ def max_eigenvalue_bisection(
     equals one at zero shift, and that boundary case is reported as a zero
     eigenvalue with bracket (0, 0).
     """
-    eligible = model.potential.diagnostics.eligible
+    eligible = model.potential.diagnostics["eligible"]
     denom = model.denominator
     alpha1 = float(denom.min())
     tol = options.bisection_tol
@@ -240,7 +226,7 @@ def max_eigenvalue_shifted_power(
 class SpectrumReport:
     """Cross-validated spectral picture of one assembled generator."""
 
-    essential: EssentialSpectrum
+    essential: np.ndarray  # essential_spectrum's values
     max_eigenvalue: float
     ground_state: np.ndarray
     adjoint_ground_state: np.ndarray
@@ -251,9 +237,9 @@ class SpectrumReport:
     def to_dict(self) -> dict:
         return {
             "essential": {
-                "alpha0": self.essential.alpha0,
-                "alpha1": self.essential.alpha1,
-                "values": list(map(float, self.essential.values)),
+                "alpha0": float(self.essential[-1]),
+                "alpha1": float(self.essential[0]),
+                "values": list(map(float, self.essential)),
             },
             "lambda": self.max_eigenvalue,
             "lambda_by_method": dict(self.lambda_by_method),
@@ -294,7 +280,7 @@ def analyze(
     """
     stats = kernel_stats(b, options.primitivity_max_power)
     essential = essential_spectrum(b, potential)
-    eligible = potential.diagnostics.eligible
+    eligible = potential.diagnostics["eligible"]
     model = ReducedModel(b, potential)
     generator, even = model.generator, model.reduce(model.generator)
     eigenvalues = full_spectrum(generator, options.spectrum_order_cap, even)
@@ -328,14 +314,13 @@ def analyze(
         raise NotConverged(
             f"ground-state residual {max(residual_psi, residual_phi):.3e} above {options.residual_tol:.0e}"
         )
-    if eligible and not (-essential.alpha1 < lam < 0.0):
+    if eligible and not (-essential[0] < lam < 0.0):
         raise NotConverged(
             f"maximum eigenvalue {lam!r} outside the open interval (-alpha1, 0)"
         )
 
     tol_ess = classification_tolerance(b.grid.n)
-    ess_points = essential.spectrum_points
-    distances = np.min(np.abs(eigenvalues[:, None] - ess_points[None, :]), axis=1)
+    distances = np.min(np.abs(eigenvalues[:, None] + essential[None, :]), axis=1)  # to each -value
     discrete = eigenvalues[distances > tol_ess]
 
     blocks, block_order, largest_order = block_shape(generator, even)
@@ -354,7 +339,7 @@ def analyze(
         "root_find": bisected.root_find,
         "radius_at_lambda": bisected.radius_at_lambda,
         "kernel_stats": stats,
-        "potential": potential.diagnostics.as_dict(),
+        "potential": dict(potential.diagnostics),
     }
     return SpectrumReport(
         essential=essential,

@@ -38,10 +38,10 @@ def test_criterion_01_constant_fixture_three_methods():
     errors = {name: abs(value + 0.3) for name, value in report.lambda_by_method.items()}
     ok = (
         all(err <= 1e-8 for err in errors.values())
-        and list(report.essential.spectrum_points) == [-1.3]
+        and list(-report.essential) == [-1.3]
         and elapsed < 5.0
     )
-    _verdict(1, ok, f"lambda errors {errors}, essential {list(report.essential.spectrum_points)}, "
+    _verdict(1, ok, f"lambda errors {errors}, essential {list(-report.essential)}, "
                     f"{elapsed:.2f}s")
 
 
@@ -56,10 +56,10 @@ def test_criterion_02_two_level_fixture_against_oracle():
         and abs(report.max_eigenvalue - (-1 + 1 / math.sqrt(2))) <= 1e-6
         and len(found) == 2
         and abs(found[0] - lam_bottom) <= 1e-6
-        and list(report.essential.values) == [1.0, 2.0]
+        and list(report.essential) == [1.0, 2.0]
     )
     _verdict(2, ok, f"lambda {report.max_eigenvalue!r} vs oracle {lam_top!r}, "
-                    f"second {found[0]!r} vs {lam_bottom!r}, essential {list(-report.essential.values)}")
+                    f"second {found[0]!r} vs {lam_bottom!r}, essential {list(-report.essential)}")
 
 
 def test_criterion_03_gap_bound_two_level_fixture():

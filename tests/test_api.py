@@ -104,7 +104,6 @@ def _records():
     return {
         "PerronResult": ts.perron(np.full((3, 3), 1.0)),
         "SpectrumReport": ts.analyze(kernel, potential),
-        "EssentialSpectrum": ts.essential_spectrum(kernel, potential),
         "BisectionResult": ts.max_eigenvalue_bisection(ts.ReducedModel(kernel, potential)),
         "EvolutionTrace": ts.evolve(generator, np.ones(grid.size), 1.0, snapshots=4),
     }

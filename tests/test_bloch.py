@@ -185,11 +185,11 @@ def test_shift_test_builds_no_array_of_the_kernel_size():
 def test_invariant_kernels_have_exactly_invariant_jump_rates():
     grid, kernel, potential = make_f3()
     assert kernel.w.min() == kernel.w.max()
-    assert len(ts.essential_spectrum(kernel, potential).values) == 2
+    assert len(ts.essential_spectrum(kernel, potential)) == 2
     grid = ts.TorusGrid(2, 48)
     kernel = _gaussian(grid)
     assert kernel.w.min() == kernel.w.max()
-    assert len(ts.essential_spectrum(kernel, ts.step_potential(grid)).values) == 2
+    assert len(ts.essential_spectrum(kernel, ts.step_potential(grid))) == 2
 
 
 def test_row_sums_of_an_invariant_kernel_take_one_slab(monkeypatch):

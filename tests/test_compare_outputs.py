@@ -46,3 +46,26 @@ def test_the_listing_shows_the_relative_change(compare, tmp_path):
         "  lambda: -0.5 -> -0.25 (+5.00e-01 relative)",
         "  diagnostics.bracket[0]: -0.5 -> -0.25 (+5.00e-01 relative)",
     ]
+
+
+def test_a_report_that_gains_a_key_still_lists_its_moved_numbers(compare, tmp_path):
+    old = json.loads(_report(-0.5))
+    new = json.loads(_report(-0.25))
+    new["diagnostics"]["root_find"] = [{"mu": -0.3}]  # a key added beside the moved numbers
+    del new["diagnostics"]["conforming"]  # and one removed
+    old, new = json.dumps(old), json.dumps(new)
+    assert compare.numeric_changes("report.json", old, new) == [
+        ("lambda", -0.5, -0.25),
+        "- diagnostics.conforming",
+        ("diagnostics.bracket[0]", -0.5, -0.25),
+        "+ diagnostics.root_find",
+    ]
+    for side, text in (("old", old), ("new", new)):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "report.json").write_text(text)
+    assert compare._moved(str(tmp_path / "old"), str(tmp_path / "new"), "report.json") == [
+        "  lambda: -0.5 -> -0.25 (+5.00e-01 relative)",
+        "  - diagnostics.conforming",
+        "  diagnostics.bracket[0]: -0.5 -> -0.25 (+5.00e-01 relative)",
+        "  + diagnostics.root_find",
+    ]

@@ -147,6 +147,30 @@ def test_run_analyze_writes_report(tmp_path):
     assert report["diagnostics"]["conforming"] is True
 
 
+def test_reports_print_the_potentials_diagnostics_and_essential_values(tmp_path):
+    """The ``potential`` section is ``potential.diagnostics``, keys in order, and the
+    ``essential`` section is (values[-1], values[0], values) of ``essential_spectrum``."""
+    f2, zero = FIXTURE_DIR / "f2.json", tmp_path / "zero.json"
+    zero.write_text(json.dumps(minimal_config(grid_n=32, potential={"family": "zero"})))
+    for command, path, code in (("analyze", f2, 0), ("check-kernel", f2, 0), ("check-kernel", zero, 2)):
+        out = tmp_path / f"{command}-{path.stem}"
+        assert main([command, "--config", str(path), "--out", str(out)]) == code
+        config = ts.load_config(str(path))
+        grid = config.build_grid()
+        kernel, potential = config.build_kernel(grid), config.build_potential(grid)
+        if command == "analyze":
+            document = json.loads((out / "report.json").read_text())
+            section = document["diagnostics"]["potential"]
+            values = ts.essential_spectrum(kernel, potential)
+            assert list(document["essential"].items()) == [
+                ("alpha0", values[-1]), ("alpha1", values[0]), ("values", list(values))]
+        else:
+            section = json.loads((out / "kernel_check.json").read_text())["potential"]
+        assert list(section) == ["max_sample", "fraction_negative", "norm_l1", "norm_l2", "eligible"]
+        assert section == potential.diagnostics
+        assert section["eligible"] is (path == f2)
+
+
 def test_run_bound_two_level(tmp_path):
     config = ts.load_config(str(FIXTURE_DIR / "f2.json"))
     code = run_command("bound", config, str(tmp_path))
@@ -355,7 +379,7 @@ def test_modulated_kernel_config_analyzes():
     assert kernel.wound is None
     assert np.allclose(kernel.samples, kernel.samples.T)  # symmetric modulation of ones
     report = ts.analyze(kernel, config.build_potential(grid))
-    assert -report.essential.alpha1 < report.max_eigenvalue < 0
+    assert -report.essential[0] < report.max_eigenvalue < 0
 
 
 @pytest.mark.parametrize("explicit_analysis", [False, True])
@@ -646,9 +670,9 @@ def test_readme_python_api_block_runs():
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
     namespace = {}
     exec(compile(block, "README.md", "exec"), namespace)
-    line = next(line for line in block.splitlines() if "spectrum_points" in line)
+    line = next(line for line in block.splitlines() if line.startswith("-report.essential"))
     stated = ast.literal_eval(line.split("#", 1)[1].strip())
-    assert namespace["report"].essential.spectrum_points.tolist() == stated
+    assert (-namespace["report"].essential).tolist() == stated
 
 
 def test_commands_agree_on_shared_sections(tmp_path):

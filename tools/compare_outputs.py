@@ -25,8 +25,10 @@ path, so the paths they print agree.  Exit status 0 means every output is
 identical and the temporary work directory is removed; 1 lists each
 differing file and keeps that directory, with each side's outputs under
 ``old/`` and ``new/``.  Under a JSON report or ``trace.csv`` that differs
-in its numbers alone, the list shows each number that moved, one line
-each: its path, the old and the new value and the relative change.
+in its numbers and keys alone, the list shows, one line each, every key
+that one side lacks (``+ path`` added, ``- path`` removed) and every
+number that moved in the keys both share: its path, the old and the new
+value and the relative change.
 """
 
 from __future__ import annotations
@@ -159,11 +161,15 @@ def _differences(old: str, new: str) -> list[str]:
 
 
 def _numeric_leaves(old, new, path: str, changes: list) -> bool:
-    """Append (path, old, new) to ``changes`` for each number that differs between two
-    parsed documents; False where they differ otherwise (a key, a string, a length)."""
+    """Append to ``changes`` (path, old, new) for each number that differs between two
+    parsed documents, and "+ path" or "- path" for each key that only the new or only
+    the old one holds; False where they differ otherwise (a string, a length, a type)."""
     if isinstance(old, dict) and isinstance(new, dict):
-        return old.keys() == new.keys() and all(
-            _numeric_leaves(old[key], new[key], f"{path}.{key}" if path else key, changes) for key in old)
+        at = lambda key: f"{path}.{key}" if path else key
+        changes += [f"- {at(key)}" for key in old if key not in new]
+        shared = all(_numeric_leaves(old[key], new[key], at(key), changes) for key in old if key in new)
+        changes += [f"+ {at(key)}" for key in new if key not in old]
+        return shared
     if isinstance(old, list) and isinstance(new, list):
         return len(old) == len(new) and all(
             _numeric_leaves(a, b, f"{path}[{i}]", changes) for i, (a, b) in enumerate(zip(old, new)))
@@ -183,22 +189,24 @@ def _parse(name: str, text: str):
     return [dict(zip(header.split(","), map(float, row.split(",")))) for row in rows]
 
 
-def numeric_changes(name: str, old: str, new: str) -> list[tuple[str, float, float]] | None:
+def numeric_changes(name: str, old: str, new: str) -> list | None:
     """The numbers that moved between two texts of the artifact ``name``, a JSON report
-    outside its ``metadata`` or ``trace.csv``, as (path, old, new); None where the texts
-    differ in anything else, fail to parse, or are of another artifact."""
+    outside its ``metadata`` or ``trace.csv``, as (path, old, new), and the keys only one
+    text holds, as "+ path" (new) or "- path" (old); None where the texts differ in
+    anything else, fail to parse, or are of another artifact."""
     if not (name.endswith(".json") or name == "trace.csv"):
         return None
     try:
         documents = _parse(name, old), _parse(name, new)
     except ValueError:  # json's decode error included
         return None
-    changes: list[tuple[str, float, float]] = []
+    changes: list = []
     return changes if _numeric_leaves(*documents, "", changes) else None
 
 
 def _moved(old: str, new: str, name: str) -> list[str]:
-    """One line per number that moved in the file ``name`` between ``old`` and ``new``."""
+    """One line per number that moved, and per key added or removed, in the file ``name``
+    between ``old`` and ``new``."""
     paths = [os.path.join(side, name) for side in (old, new)]
     if not all(map(os.path.isfile, paths)):
         return []
@@ -207,7 +215,11 @@ def _moved(old: str, new: str, name: str) -> list[str]:
         with open(path) as handle:
             texts.append(handle.read())
     lines = []
-    for path, a, b in numeric_changes(name, *texts) or []:
+    for change in numeric_changes(name, *texts) or []:
+        if isinstance(change, str):  # a key one side lacks
+            lines.append(f"  {change}")
+            continue
+        path, a, b = change
         relative = (b - a) / abs(a) if a else math.copysign(math.inf, b - a)
         lines.append(f"  {path}: {a!r} -> {b!r} ({relative:+.2e} relative)")
     return lines
