@@ -194,12 +194,14 @@ class ReducedModel:
         return f
 
     def lift(self, c: np.ndarray) -> np.ndarray:
-        """A reduced state on the grid, c_i / q_i at every node of orbit i; unreduced, ``c``."""
-        if c.shape != (self.order,):
-            raise DimensionMismatch(f"lift takes a reduced state of length {self.order}, got shape {c.shape}")
+        """Reduced states (..., order) on the grid, c_i / q_i at every node of orbit i, C-contiguous,
+        each row bit-equal to the lift of that state alone; unreduced, ``c``."""
+        if c.shape[-1:] != (self.order,):
+            raise DimensionMismatch(f"lift takes reduced states of length {self.order}, got shape {c.shape}")
         if self.order == self.kernel.grid.size:
             return c
-        return (c if self.scale is None else c / self.scale)[self.orbit]
+        # np.take, not c[..., orbit]: that result is F-ordered, and its row sums differ in the last bit
+        return np.take(c if self.scale is None else c / self.scale, self.orbit, axis=-1)
 
     @cached_property
     def generator(self) -> OperatorMatrix:

@@ -3,8 +3,8 @@
 Norms use the grid quadrature (weight h^d), so a unit initial density has
 unit L2 norm and unit mass regardless of resolution.  A generator of a
 ``ReducedModel`` (``OperatorMatrix.reduction``) evolves in the model's
-coordinates, one per orbit, and each state is lifted back to the grid for
-its norms.
+coordinates, one per orbit, and its states are lifted back to the grid in
+blocks for their norms.
 """
 
 from __future__ import annotations
@@ -75,19 +75,6 @@ def _rk4_propagator(m: np.ndarray, h: float, substeps: int) -> tuple[np.ndarray,
     return power, float(p.min())
 
 
-def _iterates(propagator: np.ndarray, u: np.ndarray, count: int):
-    """``propagator^k u`` for k = 1, ..., count, one matvec each."""
-    for _ in range(count):
-        u = propagator @ u
-        yield u
-
-
-def _norms(u: np.ndarray, weight: float) -> tuple[float, float, float]:
-    """Quadrature L2 norm, sup norm and mass of one state."""
-    l2 = np.sqrt(weight * np.sum(u**2))
-    return float(l2), float(np.max(np.abs(u))), float(weight * np.sum(u))
-
-
 def _log_slope(times: np.ndarray, l2: np.ndarray, window: tuple[float, float]) -> float:
     """Least-squares slope of log L2 over the window; ZeroNorm when a norm
     there is not positive, NaN when the window holds fewer than two samples."""
@@ -125,10 +112,12 @@ def evolve(
     snapshot.  ``eigenexpansion`` diagonalizes once and reconstructs
     exactly, serving as the oracle for the integrator: a generator flagged
     ``symmetric`` takes ``eigh``, whose orthonormal eigenvectors V give the
-    coefficients V^T u0, any other ``eig`` and a linear solve.  On a reduced
-    model (``generator.reduction``) u0 must lie in the model's range; each state
-    is lifted back to the grid (``ReducedModel.lift``) for its norms.  Unless
-    ``snapshots`` is an integer of at least two, it raises ValueError.
+    coefficients V^T u0, any other ``eig`` and a linear solve; either fills one
+    (snapshots, order) array of states.  On a reduced model (``generator.reduction``)
+    u0 must lie in the model's range.  The states are lifted to the grid (``ReducedModel.lift``)
+    in blocks of at most max(snapshots * order, 2^16) entries, or one snapshot, and each norm
+    is a row reduction, bit-equal to that of one lifted state.  Unless ``snapshots`` is an
+    integer of at least two, it raises ValueError.
     """
     u0 = np.asarray(u0, dtype=float).ravel()
     if u0.size != generator.grid.size:
@@ -159,10 +148,8 @@ def evolve(
             raise ValueError("initial density is not even under the generator's symmetries")
         c0 = c0 if model.scale is None else c0 * model.scale
 
-    unstable_message = (
-        f"trajectory norm grew beyond {GROWTH_GUARD} times its initial value; "
-        "reduce dt or check the operator"
-    )
+    unstable_message = (f"trajectory norm grew beyond {GROWTH_GUARD} times its initial value; "
+                        "reduce dt or check the operator")
     if method == "rk4":
         span = float(t_max) / (snapshots - 1)
         # Python floats, untrapped: a count beyond the float range is inf, above the cap too
@@ -174,27 +161,35 @@ def evolve(
                 f"above the cap {RK4_SUBSTEP_CAP:.0e}; raise dt or lower t_max"
             )
     try:
-        rows = [_norms(u0, weight)]
         if method == "rk4":
             propagator, step_min = _rk4_propagator(generator.data, span / substeps, int(substeps))
-            states = _iterates(propagator, c0, snapshots - 1)
         else:
             try:
                 evals, vectors = (np.linalg.eigh if generator.symmetric else np.linalg.eig)(generator.data)
             except np.linalg.LinAlgError as exc:
                 raise QRNotConverged(str(exc)) from exc
             coeff = vectors.T @ c0 if generator.symmetric else np.linalg.solve(vectors, c0.astype(complex))
-            states = ((vectors @ (coeff * np.exp(evals * t))).real for t in times[1:])
-        for u in states:
-            u = u if model is None else model.lift(u)
-            rows.append(_norms(u, weight))
+        states = np.empty((snapshots, c0.size))
+        states[0] = c0
+        for k in range(1, snapshots):
+            states[k] = (propagator @ states[k - 1] if method == "rk4"
+                         else (vectors @ (coeff * np.exp(evals * times[k]))).real)
+        rows = max(states.size, 2**16) // u0.size or 1  # lifted snapshots per block
+        l2, sup, masses = np.empty((3, snapshots))
+        for a in range(0, snapshots, rows):
+            block = slice(a, a + rows)
+            u = states[block] if model is None else model.lift(states[block])
+            if a == 0:
+                u[0] = u0  # the start itself, not the lift of its coordinates
             min_seen = min(min_seen, float(u.min()))
+            masses[block] = weight * u.sum(-1)
+            sup[block] = np.abs(u, out=u).max(-1)  # u is overwritten: |u|, then u^2
+            l2[block] = np.sqrt(weight * np.square(u, out=u).sum(-1))
+            del u  # one lifted block at a time
     except FloatingPointError as exc:  # numpy traps overflow: the trajectory left the float range
         raise Unstable(unstable_message) from exc
-    l2, sup, masses = (np.array(column) for column in zip(*rows))
 
-    initial = l2[0]
-    if initial > 0 and np.any(l2 > GROWTH_GUARD * initial):
+    if l2[0] > 0 and np.any(l2 > GROWTH_GUARD * l2[0]):
         raise Unstable(unstable_message)
 
     window = (float(times[snapshots // 2]), float(times[-1]))
@@ -202,16 +197,8 @@ def evolve(
         rate = _log_slope(times, l2, window)
     except ZeroNorm:
         rate = math.nan
-    return EvolutionTrace(
-        times=times,
-        l2_norms=l2,
-        sup_norms=sup,
-        masses=masses,
-        decay_rate_fit=rate,
-        fit_window=window,
-        min_value_seen=min_seen,
-        rk4_step_min=step_min,
-    )
+    return EvolutionTrace(times=times, l2_norms=l2, sup_norms=sup, masses=masses, decay_rate_fit=rate,
+                          fit_window=window, min_value_seen=min_seen, rk4_step_min=step_min)
 
 
 def fit_decay_rate(trace: EvolutionTrace, window: tuple[float, float]) -> float:

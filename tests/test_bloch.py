@@ -385,6 +385,23 @@ def test_the_reduced_matrices_are_folds_of_the_rows_bit_for_bit(name):
     assert np.array_equal(model.kernel_part, model.fold(kernel.grid.weight * kernel.rows(axes)))
 
 
+@pytest.mark.parametrize("name", sorted(FOLDED))
+def test_lifting_a_stack_lifts_each_state_bit_for_bit(name):
+    build, shape, _, _, order = FOLDED[name]
+    grid = ts.TorusGrid(*shape)
+    model = ts.ReducedModel(*build(grid))
+    stack = np.random.default_rng(order).uniform(0.5, 1.5, (7, order))
+    lifted = model.lift(stack)
+    if order == grid.size:  # unreduced: the stack itself
+        assert lifted is stack
+        return
+    assert lifted.shape == (7, grid.size) and lifted.flags.c_contiguous
+    for c, u in zip(stack, lifted):
+        assert u.tobytes() == model.lift(c).tobytes()
+        assert u.tobytes() == (c if model.scale is None else c / model.scale)[model.orbit].tobytes()
+    assert (name == "sector-fixed-1d") == (model.scale is not None)
+
+
 def _wrong_length(potential):
     grid = ts.TorusGrid(1, 8)
     kernel = _gaussian(grid)
@@ -400,9 +417,10 @@ def _wrong_length(potential):
     lambda model, rows: model.lift(np.arange(6.0)),
     lambda model, rows: model.lift(np.arange(5.0)),
     lambda model, rows: model.lift(np.arange(3.0)),
+    lambda model, rows: model.lift(np.zeros((model.order, 5))),  # a stack takes states along its last axis
     lambda model, rows: model.fold(rows, np.array([5.0])),
     lambda model, rows: model.fold(rows, np.array([1.0, 2.0])),
-], ids=["lift-6", "lift-5", "lift-3", "fold-1", "fold-2"])
+], ids=["lift-6", "lift-5", "lift-3", "lift-stack", "fold-1", "fold-2"])
 def test_lift_and_fold_refuse_arrays_of_the_wrong_length(potential, order, call):
     model, rows = _wrong_length(potential)
     assert model.order == order

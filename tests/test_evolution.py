@@ -1,14 +1,17 @@
 """Time integration, decay-rate fits, positivity, extinction."""
 
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torspec as ts
-from torspec.evolution import EXTINCTION_THRESHOLD, RK4_SUBSTEP_CAP
-from conftest import make_f1, make_f2, make_f3, two_level_eigenvalue_oracle
+from torspec.evolution import EXTINCTION_THRESHOLD, RK4_SUBSTEP_CAP, _rk4_propagator, default_dt
+from conftest import make_f1, make_f2, make_f3, make_f4, two_level_eigenvalue_oracle
 
 
 def _rk4_step(mat, u, dt):
@@ -316,3 +319,111 @@ def test_rk4_propagator_holds_three_matrix_buffers():
         tracemalloc.stop()
     # the step map, its power and one scratch, plus room for vectors
     assert peak <= 3.25 * gen.data.nbytes
+
+
+def _gaussian(dimension, n, potential):
+    grid = ts.TorusGrid(dimension, n)
+    return ts.convolution_kernel(ts.wind_kernel(ts.gaussian_kernel(dimension, 0.2), n)), potential(grid)
+
+
+def _fibre(n):
+    """A non-symmetric convolution kernel and a potential that varies along axis 1 alone:
+    the fibre x_0 = 0, with no reflection."""
+    grid, rng = ts.TorusGrid(2, n), np.random.default_rng(n)
+    kernel = ts.convolution_kernel(ts.WoundKernel(grid, rng.uniform(0.1, 1.0, (n, n))))
+    return kernel, ts.Potential(grid, np.broadcast_to(-rng.uniform(0.0, 2.0, n), (n, n)).ravel())
+
+
+EVOLVED = {  # (kernel, potential), and the order evolve runs at
+    "fibre-2d": (lambda: _fibre(12), 12),
+    "fibre-sector-2d": (lambda: _gaussian(2, 16, ts.step_potential), 8),
+    "sector-1d": (lambda: _gaussian(1, 32, ts.step_potential), 16),
+    "sector-fixed-1d": (lambda: _gaussian(1, 18, ts.step_potential), 10),
+    "order-1-1d": (lambda: make_f1(n=16)[1:], 1),
+    "order-1-2d": (lambda: _gaussian(2, 24, lambda g: ts.constant_potential(g, 0.3)), 1),  # 200 lifts: two blocks
+    "unreduced-1d": (lambda: _gaussian(1, 16, lambda g: ts.Potential(g, -np.linspace(0.0, 1.0, 16) ** 2)), 16),
+    "whole-1d": (lambda: make_f4(n=16)[1:], 16),  # not reduced: the generator has no ``reduction``
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _evolved_generator(name):
+    build, order = EVOLVED[name]
+    kernel, potential = build()
+    if name.startswith("whole"):
+        generator = ts.assemble_generator(kernel, potential)
+    else:
+        model = ts.ReducedModel(kernel, potential)
+        generator = model.reduce(model.generator)
+    assert generator.data.shape[1] == order
+    return generator
+
+
+def _norms_one_snapshot_at_a_time(generator, u0, t_max, method, snapshots):
+    """Reference: each state advanced (RK4) or reconstructed (eigenexpansion) alone, lifted
+    alone, and reduced by np.sum and np.max; row 0 is u0.  The norms, and the least entry."""
+    model, weight, times = generator.reduction, generator.grid.weight, np.linspace(0.0, t_max, snapshots)
+    c = u0 if model is None else u0[model.nodes] * (1.0 if model.scale is None else model.scale)
+    if method == "rk4":
+        span = float(t_max) / (snapshots - 1)
+        substeps = max(float(np.ceil(span / default_dt(generator) - 1e-12)), 1.0)
+        propagator = _rk4_propagator(generator.data, span / substeps, int(substeps))[0]
+        states = [c]
+        for _ in times[1:]:
+            states.append(propagator @ states[-1])
+    else:
+        evals, vectors = (np.linalg.eigh if generator.symmetric else np.linalg.eig)(generator.data)
+        coeff = vectors.T @ c if generator.symmetric else np.linalg.solve(vectors, c.astype(complex))
+        states = [c] + [(vectors @ (coeff * np.exp(evals * t))).real for t in times[1:]]
+    if model is not None:
+        states = [(s if model.scale is None else s / model.scale)[model.orbit] for s in states]
+    states[0] = u0
+    norms = [(np.sqrt(weight * np.sum(u**2)), np.max(np.abs(u)), weight * np.sum(u)) for u in states]
+    return np.array(norms).T, min(float(u.min()) for u in states)
+
+
+@settings(max_examples=100)
+@given(
+    st.sampled_from(sorted(EVOLVED)),
+    st.sampled_from(["rk4", "eigenexpansion"]),
+    st.sampled_from([2, 3, 57, 200]),
+    st.floats(0.5, 20.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_evolve_takes_the_norms_of_each_lifted_state_bit_for_bit(name, method, snapshots, t_max, seed):
+    generator = _evolved_generator(name)
+    model, c = generator.reduction, np.random.default_rng(seed).uniform(0.5, 1.5, generator.data.shape[1])
+    u0 = c if model is None else c[model.orbit]  # in the model's range, any value at a fixed node
+    trace = ts.evolve(generator, u0, t_max=t_max, method=method, snapshots=snapshots)
+    (l2, sup, masses), least = _norms_one_snapshot_at_a_time(generator, u0, t_max, method, snapshots)
+    for got, want in ((trace.l2_norms, l2), (trace.sup_norms, sup), (trace.masses, masses)):
+        assert got.tobytes() == want.tobytes()
+    assert trace.min_value_seen == least
+
+
+def test_the_first_snapshot_is_the_start_itself():
+    generator = _evolved_generator("sector-fixed-1d")
+    model = generator.reduction
+    fixed = np.flatnonzero(model.scale != 1.0)[0]
+    q = model.scale[fixed]
+    c = np.full(model.order, 0.5)
+    c[fixed] = next(x for x in np.linspace(1.0, 1.5, 101) if x * q / q != x)  # its coordinate lifts to another float
+    trace = ts.evolve(generator, c[model.orbit], t_max=1.0, snapshots=2)
+    assert trace.sup_norms[0] == c[fixed]
+
+
+def test_evolve_lifts_its_states_in_blocks():
+    grid = ts.TorusGrid(2, 48)
+    model = ts.ReducedModel(*_gaussian(2, 48, lambda g: ts.constant_potential(g, 0.3)))
+    generator = model.reduce(model.generator)
+    assert model.order == 1
+    u0 = np.ones(grid.size)
+    ts.evolve(generator, u0, t_max=10.0)  # loads what numpy loads lazily
+    tracemalloc.start()
+    try:
+        ts.evolve(generator, u0, t_max=10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 200 lifted snapshots of 2304 nodes are 3.7 MB; a block of at most 2^16 entries is 0.5 MB
+    assert peak < 1.5e6

@@ -2,21 +2,23 @@
 
     python3 tools/compare_outputs.py OLD_SRC NEW_SRC
 
-OLD_SRC and NEW_SRC are the roots of two checkouts.  Both run the same 75
+OLD_SRC and NEW_SRC are the roots of two checkouts.  Both run the same 87
 commands, each in a fresh ``python -m torspec`` with that
 checkout's sources alone on ``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=1``:
 
 - the commands of the benchmark's workloads ``analyze-2d``, ``evolve-rk4``
   and ``sweep-1d`` at seed 1, from ``perfbench/workloads.build_plan``;
-- ``analyze``, ``bound``, ``evolve`` and ``check-kernel`` on thirteen more
+- ``analyze``, ``bound``, ``evolve`` and ``check-kernel`` on sixteen more
   configs (``EXTRA_CONFIGS``): a 1-D CSV kernel table, 1-D and 2-D
   ``modulated`` kernels, ``exponential`` kernels with a ``step`` and a
   ``cosine``, and a Gaussian with a ``zero`` potential; the reductions no
   workload takes (a 1-D reflection that fixes nodes, a 2-D ``constant``
-  potential, a 2-D fibre); and one config for each failure exit code: a
-  non-primitive ``tophat`` (2, or 3 where ``evolve`` does not converge), a
-  negative ``sigma`` (1), ``max_iter: 1`` (3) and a CSV potential table
-  with a positive value (2).
+  potential, a 2-D fibre), the first and the last again with
+  ``eigenexpansion``, and a 2-D ``n = 48`` ``constant`` potential, whose
+  order-1 ``evolve`` lifts its snapshots in eight blocks; and one config
+  for each failure exit code: a non-primitive ``tophat`` (2, or 3 where
+  ``evolve`` does not converge), a negative ``sigma`` (1), ``max_iter: 1``
+  (3) and a CSV potential table with a positive value (2).
 
 Every artifact is compared byte for byte, a JSON report up to its
 ``metadata`` block (``perfbench/checks.without_metadata``), and so are
@@ -72,6 +74,12 @@ EXTRA_CONFIGS = {
     "constant-2d": {"dimension": 2, "grid_n": 16, "kernel": GAUSSIAN,
                     "potential": {"family": "constant", "depth": 1.0}},
     "fibre-2d": {"dimension": 2, "grid_n": 16, "kernel": GAUSSIAN, "potential": STEP},
+    "sector-fixed-1d-eigenexpansion": {"dimension": 1, "grid_n": 18, "kernel": GAUSSIAN, "potential": STEP,
+                                       "evolution": {"method": "eigenexpansion"}},
+    "fibre-2d-eigenexpansion": {"dimension": 2, "grid_n": 16, "kernel": GAUSSIAN, "potential": STEP,
+                                "evolution": {"method": "eigenexpansion"}},
+    "constant-2d-48": {"dimension": 2, "grid_n": 48, "kernel": GAUSSIAN,
+                       "potential": {"family": "constant", "depth": 1.0}},
     "nonprimitive-1d": {"dimension": 1, "grid_n": 16, "kernel": {"family": "tophat", "width": 1 / 32},
                         "potential": STEP},
     "bad-config": {"dimension": 1, "grid_n": 16, "kernel": {"family": "gaussian", "sigma": -1},
