@@ -135,13 +135,11 @@ def perron(
 
 def block_shape(generator: OperatorMatrix, even: OperatorMatrix | None = None) -> tuple[int, int, int]:
     """The generator's n^|S| Bloch blocks of order n^(d - |S|), S its invariant axes (1 and N without),
-    and the largest order ``full_spectrum`` hands LAPACK: on ``even``'s sectors the block order, or the
-    even sector's, no fewer orbits than the odd one's; else twice the block order if blocks pair up."""
+    and the largest order ``full_spectrum`` hands LAPACK: the block order, or on ``even``'s sectors of
+    the whole matrix the even sector's, no fewer orbits than the odd one's."""
     blocks = generator.grid.n ** len(generator.invariant_axes)
     order = generator.grid.size // blocks
-    if even is not None and even.reduction.point:
-        return blocks, order, order if blocks > 1 else len(even.data)
-    return blocks, order, 2 * order if blocks > 1 and generator.grid.n > 2 else order
+    return blocks, order, len(even.data) if blocks == 1 and even is not None and even.reduction.point else order
 
 
 def _bloch_spectrum(generator: OperatorMatrix, solver, mirror: np.ndarray | None = None) -> np.ndarray:
@@ -149,15 +147,13 @@ def _bloch_spectrum(generator: OperatorMatrix, solver, mirror: np.ndarray | None
     axes S, along which it is exactly invariant, diagonal included.
 
     The rows at x_S = 0 (all ``data`` may hold), transformed by a DFT along
-    the y_S column axes, give one block C_k per wavevector k on S.  Block
-    -k is the conjugate of block k, so a real DFT keeps one of each pair,
-    and the pair is solved as the real matrix [[Re C_k, -Im C_k],
-    [Im C_k, Re C_k]] of twice the order, whose eigenvalues are those of
-    C_k and of its conjugate; a self-conjugate block (k = -k mod n) is
-    real.  Every solve is real, as on the whole matrix, so complex
-    eigenvalues come in exact conjugate pairs.  Given the fibre ``mirror`` r,
-    R C_k R = conj(C_k) and Hermitian C_k = A + iB is similar, by (I + iR)/sqrt(2),
-    to real symmetric A - BR, B's columns gathered by r: one stack, pairs twice.
+    the y_S column axes, give one block C_k per wavevector k on S, each
+    solved at its own order.  A self-conjugate block (k = -k mod n) is real;
+    block -k is the conjugate of block k, so a real DFT keeps one of each
+    pair and -k's eigenvalues are the conjugates of k's, an exact pair.
+    Given the fibre ``mirror`` r, R C_k R = conj(C_k) and Hermitian C_k = A + iB
+    is similar, by (I + iR)/sqrt(2), to real symmetric A - BR, B's columns
+    gathered by r.
     """
     grid, axes = generator.grid, generator.invariant_axes
     n, d, s = grid.n, grid.dimension, len(axes)
@@ -167,20 +163,13 @@ def _bloch_spectrum(generator: OperatorMatrix, solver, mirror: np.ndarray | None
     blocks = np.fft.rfftn(np.moveaxis(rows, y_axes, range(s)), axes=tuple(range(s))).reshape(-1, m, m)
     half = np.indices((n,) * (s - 1) + (n // 2 + 1,)).reshape(s, -1)  # the k rfftn keeps
     k, minus = (np.ravel_multi_index(q % n, (n,) * s) for q in (half, -half))
-    own = k == minus
-    paired = ~own & ((k < minus) | (-half[-1] % n > n // 2))  # -k dropped, or k first
-    if mirror is not None:
-        keep = own | paired
-        kept = blocks[keep]
-        similar = kept.imag[..., mirror]
-        values = solver(np.subtract(kept.real, similar, out=similar))
-        return np.repeat(values, 2 - own[keep], axis=0).ravel()
-    pairs = blocks[paired]
-    doubled = np.empty((len(pairs), 2 * m, 2 * m))
-    doubled[:, :m, :m] = doubled[:, m:, m:] = pairs.real
-    doubled[:, m:, :m] = pairs.imag
-    np.negative(pairs.imag, out=doubled[:, :m, m:])
-    return np.concatenate([solver(blocks[own].real).ravel(), solver(doubled).ravel()])
+    paired = (k != minus) & ((k < minus) | (-half[-1] % n > n // 2))  # -k dropped, or k first
+    own, pairs = blocks[k == minus], blocks[paired]
+    if mirror is None:
+        own, pairs = solver(own.real), solver(pairs)
+    else:  # A - BR, written over the gathered B
+        own, pairs = (solver(np.subtract(b.real, similar := b.imag[..., mirror], out=similar)) for b in (own, pairs))
+    return np.concatenate([own.ravel(), pairs.ravel(), pairs.conj().ravel()])
 
 
 def full_spectrum(
@@ -193,8 +182,9 @@ def full_spectrum(
     (``eigvalsh``), whose eigenvalues are real; any other takes balanced
     Hessenberg QR (``eigvals``).  A matrix with ``invariant_axes`` is
     exactly invariant along them and is solved block by block
-    (``_bloch_spectrum``) from its rows x_S = 0, all it may hold; the order
-    cap applies to the whole matrix either way.  ``even``, the reduced matrix
+    (``_bloch_spectrum``) from its rows x_S = 0, all it may hold, each block
+    at its own order, complex where its wavevector pairs with another; the
+    order cap applies to the whole matrix either way.  ``even``, the reduced matrix
     ``ReducedModel.reduce(generator)``, splits a symmetric generator whose model
     has a point reflection r into its sectors: Bloch blocks A - BR, or ``even``
     and the odd sector F[l, l'] - F[l, r l'], l < r l, of the whole matrix F.

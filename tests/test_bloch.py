@@ -105,8 +105,15 @@ def _gaussian(grid):
     return ts.convolution_kernel(ts.wind_kernel(ts.gaussian_kernel(grid.dimension, 0.2), grid.n))
 
 
+def _sine(grid):
+    wave = lambda mesh: 1.0 + 0.5 * np.sin(2 * np.pi * mesh[..., 0])
+    return ts.convolution_kernel(ts.wound_from_function(wave, grid))
+
+
 DISPATCH = {
     "step-2d": (lambda g, tmp: (_gaussian(g), ts.step_potential(g)), 2, (1,)),
+    # non-symmetric: its +-k pairs are complex blocks of order n
+    "sine-2d": (lambda g, tmp: (_sine(g), ts.step_potential(g)), 2, (1,)),
     "constant-2d": (lambda g, tmp: (_gaussian(g), ts.constant_potential(g, 0.3)), 2, (0, 1)),
     "constant-1d": (lambda g, tmp: (_gaussian(g), ts.constant_potential(g, 0.3)), 1, (0,)),
     "step-1d": (lambda g, tmp: (_gaussian(g), ts.step_potential(g)), 1, ()),
@@ -138,7 +145,7 @@ def test_only_invariant_models_take_blocks(name, tmp_path, monkeypatch):
     blocks, order = grid.n ** len(axes), grid.size // grid.n ** len(axes)
     if axes:
         own = 2 ** len(axes)  # k_a in {0, n/2} on every axis, n even
-        assert shapes == [(own, order, order), ((blocks - own) // 2, 2 * order, 2 * order)]
+        assert shapes == [(own, order, order), ((blocks - own) // 2, order, order)]
     else:
         assert shapes == [(grid.size, grid.size)]
     assert block_shape(generator) == (blocks, order, max(shape[-1] for shape in shapes))
@@ -487,7 +494,7 @@ def test_slab_rows_give_the_whole_generators_spectrum_bit_for_bit(axes, kernel_k
     slab = whole.data.reshape(grid.slab_shape(()) + (grid.size,))[grid.origin_slab(axes)]
     assert rows.data.tobytes() == np.ascontiguousarray(slab).tobytes()
     assert ts.full_spectrum(rows).tobytes() == ts.full_spectrum(whole).tobytes()
-    assert block_shape(rows) == block_shape(whole) == (grid.n, grid.n, 2 * grid.n)
+    assert block_shape(rows) == block_shape(whole) == (grid.n, grid.n, grid.n)
     even = ts.ReducedModel(kernel, potential).reduce(rows)
     assert ts.full_spectrum(rows, even=even).tobytes() == ts.full_spectrum(whole, even=even).tobytes()
 

@@ -2,19 +2,20 @@
 
     python3 tools/compare_outputs.py OLD_SRC NEW_SRC
 
-OLD_SRC and NEW_SRC are the roots of two checkouts.  Both run the same 87
+OLD_SRC and NEW_SRC are the roots of two checkouts.  Both run the same 91
 commands, each in a fresh ``python -m torspec`` with that
 checkout's sources alone on ``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=1``:
 
 - the commands of the benchmark's workloads ``analyze-2d``, ``evolve-rk4``
   and ``sweep-1d`` at seed 1, from ``perfbench/workloads.build_plan``;
-- ``analyze``, ``bound``, ``evolve`` and ``check-kernel`` on sixteen more
+- ``analyze``, ``bound``, ``evolve`` and ``check-kernel`` on seventeen more
   configs (``EXTRA_CONFIGS``): a 1-D CSV kernel table, 1-D and 2-D
   ``modulated`` kernels, ``exponential`` kernels with a ``step`` and a
   ``cosine``, and a Gaussian with a ``zero`` potential; the reductions no
   workload takes (a 1-D reflection that fixes nodes, a 2-D ``constant``
   potential, a 2-D fibre), the first and the last again with
-  ``eigenexpansion``, and a 2-D ``n = 48`` ``constant`` potential, whose
+  ``eigenexpansion``, a 2-D ``sine`` kernel with a ``step``, whose Bloch
+  pairs are complex blocks, and a 2-D ``n = 48`` ``constant`` potential, whose
   order-1 ``evolve`` lifts its snapshots in eight blocks; and one config
   for each failure exit code: a non-primitive ``tophat`` (2, or 3 where
   ``evolve`` does not converge), a negative ``sigma`` (1), ``max_iter: 1``
@@ -78,6 +79,7 @@ EXTRA_CONFIGS = {
                                        "evolution": {"method": "eigenexpansion"}},
     "fibre-2d-eigenexpansion": {"dimension": 2, "grid_n": 16, "kernel": GAUSSIAN, "potential": STEP,
                                 "evolution": {"method": "eigenexpansion"}},
+    "sine-2d": {"dimension": 2, "grid_n": 16, "kernel": {"family": "sine"}, "potential": STEP},
     "constant-2d-48": {"dimension": 2, "grid_n": 48, "kernel": GAUSSIAN,
                        "potential": {"family": "constant", "depth": 1.0}},
     "nonprimitive-1d": {"dimension": 1, "grid_n": 16, "kernel": {"family": "tophat", "width": 1 / 32},
