@@ -61,9 +61,9 @@ class OperatorMatrix:
         slab = self.grid.size // self.grid.n ** len(self.invariant_axes)
         if data.ndim != 2 or data.shape[0] not in (data.shape[1], slab):
             raise DimensionMismatch("operator matrix must be square, or hold its slab rows")
-        order = self.grid.size if self.reduction is None else self.reduction.order
+        order, of = (self.grid.size, "grid size") if self.reduction is None else (self.reduction.order, "model order")
         if data.shape[1] != order:
-            raise DimensionMismatch(f"matrix order {data.shape[1]} does not match grid size {order}")
+            raise DimensionMismatch(f"matrix order {data.shape[1]} does not match {of} {order}")
 
     @property
     def slab_axes(self) -> tuple[int, ...]:
@@ -117,7 +117,7 @@ def assemble_generator(b: GenericKernel, potential: Potential, axes: tuple[int, 
     rows *= grid.weight
     diagonal = (np.arange(nodes.size), nodes)
     rows[diagonal] = 0.0
-    rows[diagonal] = potential.samples[nodes] - slab_row_sums(rows, b, axes=axes)
+    rows[diagonal] = potential.samples[nodes] - slab_row_sums(rows, b, axes)[nodes]
     return OperatorMatrix(rows, grid, symmetric=b.symmetric, invariant_axes=invariant)
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import product
 from numbers import Integral
 from typing import Callable
@@ -278,16 +277,17 @@ class GenericKernel:
     ``invariant_axes`` the axes K along which b(x + e_a, y + e_a) ==
     b(x, y) bit for bit; all three are evaluated once at construction and
     read by every consumer.  Every row translates one of the rows x_K = 0,
-    so ``slab`` keeps only those: one row b(0, y) for a convolution kernel.
-    ``samples``, the (n^d, n^d) array, is gathered on first read and kept.
-    ``wound`` is the convolution form a, b(x, y) = a(x - y), or None.
+    so ``slab`` keeps only those: one row b(0, y) for a convolution kernel;
+    ``rows()`` gathers the whole (n^d, n^d) array.  ``wound`` is the
+    convolution form a, b(x, y) = a(x - y), or None.
     ``GenericKernel(grid, samples)`` bit-tests every row for both flags;
-    ``GenericKernel(grid, row, wound)`` (``convolution_kernel``) takes the row
-    b(0, y) = a(-y) on ``grid``, refusing any other with ValueError, and reads them off a.
+    ``GenericKernel(grid, wound=a)`` (``convolution_kernel``) derives the row
+    b(0, y) = a(-y) and reads them off a; samples beside a wound, or a wound
+    on another grid, raise ValueError.
     """
 
     grid: TorusGrid
-    slab: np.ndarray
+    slab: np.ndarray | None = None
     wound: WoundKernel | None = None
     w: np.ndarray = field(init=False, repr=False, compare=False)
     symmetric: bool = field(init=False, repr=False, compare=False)
@@ -295,22 +295,23 @@ class GenericKernel:
 
     def __post_init__(self) -> None:
         grid, wound = self.grid, self.wound
-        slab = _freeze(np.asarray(self.slab, dtype=float))
-        if wound is None and slab.shape != (grid.size, grid.size):
-            raise ValueError("samples must be an (n^d, n^d) array")
-        lo, hi = _finite_range(slab, "kernel")
-        if lo < 0:
-            raise DegenerateKernel("kernel samples must be nonnegative")
-        if not hi > 0:
-            raise DegenerateKernel("kernel is identically zero")
         if wound is None:
+            slab = _freeze(np.asarray(self.slab, dtype=float))
+            if slab.shape != (grid.size, grid.size):
+                raise ValueError("samples must be an (n^d, n^d) array")
+            lo, hi = _finite_range(slab, "kernel")
+            if lo < 0:
+                raise DegenerateKernel("kernel samples must be nonnegative")
+            if not hi > 0:
+                raise DegenerateKernel("kernel is identically zero")
             symmetric, axes = _is_symmetric(slab), _invariant_axes(slab, grid)
             slab = _freeze(slab.reshape(grid.slab_shape(()) + (-1,))[grid.origin_slab(axes)])
         else:
+            if self.slab is not None or wound.grid != grid:
+                raise ValueError("a convolution kernel takes its wound alone, on its grid")
             a, axes = wound.samples, tuple(range(grid.dimension))
-            if wound.grid != grid or not np.array_equal(slab.ravel(), np.roll(np.flip(a), 1, axis=axes).ravel()):
-                raise ValueError("a convolution kernel's row must be its wound samples a(-y), on its grid")
-            symmetric = np.array_equal(a.ravel(), slab.ravel())
+            slab = _freeze(np.roll(np.flip(a), 1, axis=axes))  # a[-k mod n]
+            symmetric = np.array_equal(a, slab)
         object.__setattr__(self, "slab", slab.reshape(-1, grid.size))
         object.__setattr__(self, "symmetric", symmetric)
         object.__setattr__(self, "invariant_axes", axes)
@@ -336,11 +337,6 @@ class GenericKernel:
                  *(2 * d + moving.index(a) if a in moving else d + a for a in range(d))]
         return np.ascontiguousarray(windows.transpose(order)).reshape(-1, grid.size)
 
-    @cached_property
-    def samples(self) -> np.ndarray:
-        """The whole (n^d, n^d) array: ``slab`` when K is empty, else ``rows()``, kept."""
-        return _freeze(self.rows()) if self.invariant_axes else self.slab
-
 
 def constant_kernel(grid: TorusGrid, value: float = 1.0) -> GenericKernel:
     return convolution_kernel(WoundKernel(grid, np.full((grid.n,) * grid.dimension, float(value))))
@@ -353,10 +349,9 @@ def convolution_kernel(wound: WoundKernel) -> GenericKernel:
     Its structure is read off the n^d wound samples, not bit-tested on the
     (n^d, n^d) array: b is exactly invariant along every axis, and it
     equals its transpose bit for bit exactly when a[k] == a[-k mod n] for
-    every k, the samples being finite.
+    every k.
     """
-    a = wound.samples
-    return GenericKernel(wound.grid, np.roll(np.flip(a), 1, axis=tuple(range(a.ndim))), wound)  # a[-k mod n]
+    return GenericKernel(wound.grid, wound=wound)
 
 
 def modulated_convolution(wound: WoundKernel, epsilon: float) -> GenericKernel:
@@ -455,23 +450,22 @@ def slab_rows(a: np.ndarray, b: GenericKernel, axes: tuple[int, ...] = ()) -> np
 
 
 def slab_row_sums(a: np.ndarray, b: GenericKernel, axes: tuple[int, ...] = ()) -> np.ndarray:
-    """Row sums, by numpy's ``sum``, of an (N, N) array that is invariant along the
-    kernel's invariant axes, as b is, at the rows ``a`` holds.
+    """Row sums, by numpy's ``sum``, at every row of an (N, N) array that is invariant
+    along the kernel's invariant axes, as b is, from the rows ``a`` holds.
 
     Along those axes rows are permutations of the ``slab_rows``, whose sums are
     broadcast: permuted sums can differ in the last bits, these are exactly invariant.
     """
-    return np.broadcast_to(slab_rows(a, b, axes).sum(-1), b.grid.slab_shape(axes)).ravel()
+    return np.broadcast_to(slab_rows(a, b, axes).sum(-1), b.grid.slab_shape(())).ravel()
 
 
 def jump_rate(b: GenericKernel) -> np.ndarray:
     """Row quadrature of the kernel: W(x_i) = h^d * sum_j b(x_i, y_j), scaled after
-    summing, by the rule of ``slab_row_sums`` on ``b.slab``, so W is exactly invariant
-    along the kernel's invariant axes.  ``GenericKernel`` calls this once at
-    construction and keeps the result as ``w``; read that field instead.
+    summing ``b.slab`` by ``slab_row_sums``, so W is exactly invariant along the
+    kernel's invariant axes.  ``GenericKernel`` calls this once at construction
+    and keeps the result as ``w``; read that field instead.
     """
-    sums = b.grid.weight * slab_rows(b.slab, b, b.invariant_axes).sum(-1)
-    return np.broadcast_to(sums, b.grid.slab_shape(())).ravel()
+    return b.grid.weight * slab_row_sums(b.slab, b, b.invariant_axes)
 
 
 def kernel_stats(b: GenericKernel, n_max: int = 16) -> dict:

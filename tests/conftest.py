@@ -105,7 +105,7 @@ def constant_fixture(seed, n=64):
 def whole_ratio_operator(kernel, potential, mu):
     """The ratio operator Q_mu on the whole grid, without the model's reduction:
     h^d b(x, y) / (W(x) - V(x) + mu), an (N, N) array."""
-    return np.multiply(kernel.samples, kernel.grid.weight) / (kernel.w - potential.samples + mu)[:, None]
+    return np.multiply(kernel.rows(), kernel.grid.weight) / (kernel.w - potential.samples + mu)[:, None]
 
 
 def two_level_eigenvalue_oracle(bracket, weights=(0.5, 0.5), shifts=(2.0, 1.0)):

@@ -137,7 +137,7 @@ def test_criterion_06_schur_bound_all_fixtures():
     cases += [random_fixture(seed, n=64) for seed in range(N_RANDOM_FIXTURES)]
     for grid, kernel, _ in cases:
         stats = ts.kernel_stats(kernel)
-        norm = np.linalg.norm(grid.weight * kernel.samples, 2)
+        norm = np.linalg.norm(grid.weight * kernel.rows(), 2)
         bound = math.sqrt(stats["row_integral_max"] * stats["col_integral_max"])
         worst_ratio = max(worst_ratio, norm / bound)
     ok = worst_ratio <= 1.0 + 1e-8

@@ -120,7 +120,7 @@ DISPATCH = {
     "cosine-2d": (lambda g, tmp: (_gaussian(g), ts.cosine_potential(g)), 2, ()),
     "modulated-2d": (lambda g, tmp: (ts.modulated_convolution(
         ts.wind_kernel(ts.gaussian_kernel(2, 0.2), g.n), 0.3), ts.constant_potential(g, 0.3)), 2, ()),
-    "csv-convolution": (lambda g, tmp: (_csv_kernel(g, _gaussian(g).samples, tmp),
+    "csv-convolution": (lambda g, tmp: (_csv_kernel(g, _gaussian(g).rows(), tmp),
                                         ts.constant_potential(g, 0.3)), 1, (0,)),
     "csv-random": (lambda g, tmp: (_csv_kernel(g, np.random.default_rng(3).uniform(0.5, 1.5, (g.n, g.n)), tmp),
                                    ts.constant_potential(g, 0.3)), 1, ()),
@@ -167,7 +167,7 @@ def test_hand_built_matrix_stays_dense():
 @pytest.mark.parametrize("dimension, n", [(1, 2), (2, 2), (1, 3), (2, 6), (1, 572)])
 def test_shift_test_finds_one_ulp_in_any_slab(dimension, n):
     grid = ts.TorusGrid(dimension, n)
-    samples = _gaussian(grid).samples
+    samples = _gaussian(grid).rows()
     assert _invariant_axes(samples, grid) == tuple(range(dimension))
     last, run = grid.size - 1, max(1, SYMMETRY_TILE**2 * n // samples.size)
     for i, j in ((0, 0), (0, last), (last // 3, last // 2), (last, 0), (last, last),
@@ -179,7 +179,7 @@ def test_shift_test_finds_one_ulp_in_any_slab(dimension, n):
 
 def test_shift_test_builds_no_array_of_the_kernel_size():
     grid = ts.TorusGrid(2, 32)
-    samples = _gaussian(grid).samples
+    samples = _gaussian(grid).rows()
     tracemalloc.start()
     try:
         assert _invariant_axes(samples, grid) == (0, 1)
@@ -477,7 +477,7 @@ SLAB_CASES = [((1,), "gaussian"), ((1,), "random"), ((0,), "gaussian"), ((0,), "
 
 def _whole_generator(kernel, potential):
     """The reference: the whole generator filled in place, as before the slab-row routine."""
-    data = kernel.grid.weight * kernel.samples
+    data = kernel.grid.weight * kernel.rows()
     np.fill_diagonal(data, 0.0)
     np.fill_diagonal(data, potential.samples - ts.kernels.slab_row_sums(data, kernel))
     return data
@@ -523,7 +523,7 @@ def test_analyze_forms_only_the_slab_rows_of_an_invariant_generator():
     finally:
         tracemalloc.stop()
     assert report.diagnostics["qr"] == {"blocks": grid.n, "block_order": grid.n, "largest_order": grid.n}
-    assert peak <= 0.25 * kernel.samples.nbytes
+    assert peak <= 0.25 * kernel.rows().nbytes
 
 
 def test_slab_rows_of_a_non_square_matrix_need_invariant_axes():

@@ -110,7 +110,7 @@ def test_builtin_fixture_configs_load():
         grid = config.build_grid()
         kernel = config.build_kernel(grid)
         potential = config.build_potential(grid)
-        assert kernel.samples.shape == (grid.size, grid.size)
+        assert kernel.rows().shape == (grid.size, grid.size)
         assert potential.samples.size == grid.size
         assert kernel.wound is not None  # all builtin fixtures are convolution form
 
@@ -132,7 +132,7 @@ def test_build_kernel_returns_one_kernel_that_keeps_its_wound(tmp_path):
         assert isinstance(kernel, ts.GenericKernel)
         assert (kernel.wound is not None) is wound, family
         if wound:
-            assert np.array_equal(kernel.samples, ts.convolution_kernel(kernel.wound).samples)
+            assert np.array_equal(kernel.rows(), ts.convolution_kernel(kernel.wound).rows())
 
 
 def test_run_analyze_writes_report(tmp_path):
@@ -339,6 +339,9 @@ def test_json_writer_is_deterministic_and_round_trip():
     parsed = json.loads(first)
     assert parsed["a"] == 0.3 and parsed["b"][0] == 1.0 / 3.0
     assert json.loads(jsonio.dumps({"nan": float("nan")}))["nan"] is None
+    assert jsonio.dumps({}) == "{}\n" and jsonio.dumps({"a": {}, "b": []}) == '{\n  "a": {},\n  "b": []\n}\n'
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        jsonio.dumps({"a": object()})
 
 
 def test_csv_kernel_config_end_to_end(tmp_path):
@@ -358,7 +361,7 @@ def test_csv_kernel_config_end_to_end(tmp_path):
     config = ts.config_from_dict(raw, base_dir=str(tmp_path))
     kernel = config.build_kernel(grid)
     assert kernel.wound is None
-    assert np.all(kernel.samples == 1.0)
+    assert np.all(kernel.rows() == 1.0)
     code = run_command("analyze", config, str(tmp_path))
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())
@@ -377,7 +380,7 @@ def test_modulated_kernel_config_analyzes():
     grid = config.build_grid()
     kernel = config.build_kernel(grid)
     assert kernel.wound is None
-    assert np.allclose(kernel.samples, kernel.samples.T)  # symmetric modulation of ones
+    assert np.allclose(kernel.rows(), kernel.rows().T)  # symmetric modulation of ones
     report = ts.analyze(kernel, config.build_potential(grid))
     assert -report.essential[0] < report.max_eigenvalue < 0
 
@@ -798,8 +801,24 @@ def test_deeply_nested_config_is_config_error(tmp_path, capsys):
     spec = {"family": "constant"}
     for _ in range(5000):
         spec = {"family": "modulated", "base": spec}
-    with pytest.raises(ts.ConfigError):
+    with pytest.raises(ts.ParseError, match="kernel or potential nests too deeply"):
         ts.config_from_dict(minimal_config(kernel=spec))
+
+
+@pytest.mark.parametrize("overrides, error, message", [
+    ({"dimension": 3}, ts.ValidationError, "dimension must be 1 or 2"),
+    ({"kernel": {"family": "modulated", "epsilon": 0.3}}, ts.ParseError,
+     "kernel.base is required for the modulated family"),
+    ({"kernel": {"family": "gaussian", "sigma": 10**400}}, ts.ParseError, "kernel.sigma must be finite"),
+], ids=["dimension-3", "modulated-without-base", "integer-beyond-float-range"])
+def test_config_names_the_key_it_refuses(overrides, error, message):
+    with pytest.raises(error, match=message):
+        ts.config_from_dict(minimal_config(**overrides))
+
+
+def test_run_command_refuses_an_unknown_command(tmp_path):
+    with pytest.raises(ts.ValidationError, match="unknown command 'nope'"):
+        run_command("nope", ts.config_from_dict(minimal_config(grid_n=16)), str(tmp_path))
 
 
 def test_minimal_config_yields_default_settings():
@@ -1075,6 +1094,14 @@ def test_cli_method_disagreement_exits_three(tmp_path, capsys):
     diagnostic = _exit_three("analyze", raw, tmp_path, capsys)
     assert diagnostic["error"] == "MethodDisagreement"
     assert "beyond 1e-300" in diagnostic["message"]
+
+
+def test_cli_shallow_step_below_the_rounding_of_the_radius_exits_three(tmp_path, capsys):
+    # the README's shallow limit: rho at zero shift rounds to 1 + 2^-52 at depth 1e-16 and below
+    raw = minimal_config(grid_n=64, potential={"family": "step", "depth": 1e-17})
+    diagnostic = _exit_three("analyze", raw, tmp_path, capsys)
+    assert diagnostic["error"] == "BracketFailure"
+    assert diagnostic["message"] == "radius at zero shift is 1.0000000000000002, expected below one"
 
 
 @pytest.mark.parametrize("command", ["analyze", "bound"])

@@ -133,7 +133,7 @@ def test_birman_schwinger_entries_are_scaled_kernel_rows():
     rates = ts.jump_rate(kernel)
     denom = -potential.samples + rates + mu
     # the even sector of the reflection x -> 7/16 - x, which fixes no node: K(x, y) + K(x, 7 - y)
-    least, whole = model.nodes, grid.weight * kernel.samples
+    least, whole = model.nodes, grid.weight * kernel.rows()
     assert (model.point, model.scale) == ((7,), None) and np.array_equal(least, np.r_[0:4, 8:12])
     recomputed = (whole[np.ix_(least, least)] + whole[np.ix_(least, (7 - least) % 16)]) / denom[least, None]
     assert q.data.shape == (8, 8) and np.array_equal(q.data, recomputed)
@@ -157,7 +157,7 @@ def test_birman_schwinger_assembly_holds_one_matrix(adjoint):
     grid = ts.TorusGrid(1, 256)
     kernel = ts.convolution_kernel(sine_wound(grid))
     potential = ts.step_potential(grid, 1.0, 0.5)
-    samples = kernel.samples.T if adjoint else kernel.samples
+    samples = kernel.rows().T if adjoint else kernel.rows()
     expected = grid.weight * samples / (kernel.w - potential.samples - 0.2)[:, None]
     model = ts.ReducedModel(kernel, potential)
     assert model.order == grid.size and model.kernel_part.shape == samples.shape  # formed before the trace
@@ -234,7 +234,7 @@ def test_fourier_symbol_two_dimensional():
 def test_circulant_eigenvalues_match_symbol():
     grid = ts.TorusGrid(1, 64)
     wound = sine_wound(grid)
-    eigenvalues = np.linalg.eigvals(grid.weight * ts.convolution_kernel(wound).samples)
+    eigenvalues = np.linalg.eigvals(grid.weight * ts.convolution_kernel(wound).rows())
     # oracle: quadrature DFT of the kernel samples gives every circulant eigenvalue
     dft = np.fft.fft(wound.samples) / 64
     matched = sorted(eigenvalues, key=lambda z: (z.real, z.imag))
@@ -250,6 +250,16 @@ def test_circulant_eigenvalues_match_symbol():
 
 
 # -- housekeeping -------------------------------------------------------------
+
+
+def test_matrix_order_is_checked_against_the_grid_or_the_reduced_model():
+    grid = ts.TorusGrid(1, 8)
+    model = ts.ReducedModel(ts.constant_kernel(grid), ts.step_potential(grid))
+    assert model.order == 4  # the even sector of the step's mirror x -> 3 - x
+    with pytest.raises(ts.DimensionMismatch, match="matrix order 8 does not match model order 4"):
+        ts.OperatorMatrix(np.zeros((8, 8)), grid, reduction=model)
+    with pytest.raises(ts.DimensionMismatch, match="matrix order 4 does not match grid size 8"):
+        ts.OperatorMatrix(np.zeros((4, 4)), grid)
 
 
 def test_grid_mismatch_rejected():
@@ -277,7 +287,7 @@ def test_edge_sup_metadata():
     edge_sup = float((kernel.w - potential.samples).max())
     assert abs(edge_sup - 2.0) < 1e-14
     # the diagonal carries the edge less the kernel's own sample h^d b(x, x)
-    assert float(-np.diagonal(gen.data).min()) == edge_sup - grid.weight * kernel.samples[0, 0]
+    assert float(-np.diagonal(gen.data).min()) == edge_sup - grid.weight * kernel.rows()[0, 0]
 
 
 def test_grid_mismatch_reported_alike_wherever_kernel_meets_potential():

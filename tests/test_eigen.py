@@ -125,6 +125,11 @@ def test_perron_zero_row_does_not_certify():
         ts.perron(mat, max_iter=50)
 
 
+def test_perron_iterate_vanishes_on_a_nilpotent_matrix():
+    with pytest.raises(ts.NotConverged, match="iterate vanished; matrix is not primitive"):
+        ts.perron(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
 def test_perron_certificates_on_random_nonnegative_matrices():
     rng = np.random.default_rng(11)
     for _ in range(5):
@@ -295,7 +300,7 @@ def test_operator_norm_schur_bound_sine_kernel():
     grid = ts.TorusGrid(1, 64)
     kernel = ts.convolution_kernel(sine_wound(grid))
     stats = ts.kernel_stats(kernel)
-    norm = np.linalg.norm(grid.weight * kernel.samples, 2)
+    norm = np.linalg.norm(grid.weight * kernel.rows(), 2)
     bound = np.sqrt(stats["row_integral_max"] * stats["col_integral_max"])
     assert norm <= bound * (1 + 1e-8)
 

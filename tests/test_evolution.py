@@ -260,6 +260,14 @@ def test_fit_window_with_one_snapshot_is_nan():
     assert np.isnan(ts.fit_decay_rate(trace, (1.2, 1.8)))
 
 
+def test_decay_rate_fit_is_nan_once_the_norm_underflows_to_zero():
+    grid = ts.TorusGrid(1, 16)
+    gen = ts.assemble_generator(ts.constant_kernel(grid), ts.constant_potential(grid, 0.3))
+    trace = ts.evolve(gen, np.ones(grid.size), t_max=1e4, method="eigenexpansion")
+    assert trace.l2_norms[0] == 1.0 and np.all(trace.l2_norms[len(trace.times) // 2:] == 0.0)
+    assert math.isnan(trace.decay_rate_fit)
+
+
 def test_evolve_refuses_more_rk4_substeps_than_the_cap():
     grid, kernel, potential = make_f1(n=16)
     gen = ts.assemble_generator(kernel, potential)

@@ -60,7 +60,7 @@ def test_contraction_matches_circulant_second_modulus():
     for wound in (sine_wound(grid), random_convolution_fixture(3, n=64)[1]):
         kernel = ts.convolution_kernel(wound)
         bound_c2 = ts.gap_constants(potential, kernel)["c2"]
-        b_part = grid.weight * kernel.samples
+        b_part = grid.weight * kernel.rows()
         moduli = np.sort(np.abs(np.linalg.eigvals(b_part)))[::-1]
         assert abs(bound_c2 - (1.0 - moduli[1])) < 1e-10
 
@@ -102,7 +102,7 @@ def test_requires_kernel_and_potential_on_one_grid():
 
 
 @pytest.mark.parametrize("build", [
-    lambda wound: ts.GenericKernel(wound.grid, ts.convolution_kernel(wound).samples),
+    lambda wound: ts.GenericKernel(wound.grid, ts.convolution_kernel(wound).rows()),
     lambda wound: ts.modulated_convolution(wound, 0.5),
 ], ids=["hand-built", "modulated"])
 def test_requires_a_convolution_form_kernel(build):

@@ -104,10 +104,16 @@ def test_grid_refuses_a_dimension_or_resolution_that_is_not_an_integer(dimension
         ts.TorusGrid(dimension, n)
 
 
+@pytest.mark.parametrize("dimension, n, message", [(3, 4, "only dimensions 1 and 2"), (1, 1, "at least 2")])
+def test_grid_refuses_a_dimension_or_resolution_out_of_range(dimension, n, message):
+    with pytest.raises(ValueError, match=message):
+        ts.TorusGrid(dimension, n)
+
+
 def test_grid_accepts_numpy_integers():
     grid = ts.TorusGrid(np.int64(1), np.int64(4))
     assert grid == ts.TorusGrid(1, 4)
-    assert np.array_equal(ts.constant_kernel(grid).samples, np.ones((4, 4)))
+    assert np.array_equal(ts.constant_kernel(grid).rows(), np.ones((4, 4)))
 
 
 def _shift_loop(kernel, n, radius):
@@ -216,7 +222,7 @@ def test_jump_rate_of_a_random_kernel_lies_within_two_ulp_of_the_exact_sum():
     # every row summed on its own; a serial sum is 12-17 ulp off on some row
     grid, kernel, _ = random_fixture(5, n=512)
     assert kernel.invariant_axes == ()
-    exact = [grid.weight * math.fsum(row) for row in kernel.samples.tolist()]
+    exact = [grid.weight * math.fsum(row) for row in kernel.rows().tolist()]
     assert _ulps(kernel.w, exact).max() <= 2
 
 
@@ -230,9 +236,9 @@ def test_row_and_column_sums_build_no_array_of_the_kernels_size():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rows.tobytes() == (grid.weight * kernel.samples.sum(-1)).tobytes()
-    assert col_max == (grid.weight * kernel.samples.T.sum(-1)).max()
-    assert peak <= 0.05 * kernel.samples.nbytes
+    assert rows.tobytes() == (grid.weight * kernel.rows().sum(-1)).tobytes()
+    assert col_max == (grid.weight * kernel.rows().T.sum(-1)).max()
+    assert peak <= 0.05 * kernel.rows().nbytes
 
 
 @pytest.mark.parametrize("dimension, n", [(1, 64), (1, 512), (2, 12), (2, 24)])
@@ -243,7 +249,7 @@ def test_modulated_convolution_is_bit_equal_to_the_phase_product(dimension, n):
     for epsilon in (0.3, -0.7):
         reference = ts.convolution_kernel(wound).rows() * (1.0 + epsilon * np.prod(np.cos(phase), axis=-1))
         kernel = ts.modulated_convolution(wound, epsilon)
-        assert kernel.samples.tobytes() == reference.tobytes()
+        assert kernel.rows().tobytes() == reference.tobytes()
         assert kernel.symmetric and kernel.invariant_axes == ()
 
 
@@ -255,7 +261,7 @@ def test_modulated_convolution_builds_one_array_next_to_the_kernel():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.1 * kernel.samples.nbytes  # the kernel and its modulation
+    assert peak <= 2.1 * kernel.rows().nbytes  # the kernel and its modulation
 
 
 # -- kernel statistics --------------------------------------------------------
@@ -280,8 +286,8 @@ def test_kernel_stats_of_a_positive_kernel_builds_no_array_of_its_size():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= kernel.samples.nbytes / grid.n  # one slab
-    quad = grid.weight * kernel.samples
+    assert peak <= kernel.rows().nbytes / grid.n  # one slab
+    quad = grid.weight * kernel.rows()
     assert stats["primitive_power"] == 1
     assert stats["iterated_kernel_min"] == float(quad.min() / grid.weight)
 
@@ -313,7 +319,7 @@ def test_kernel_stats_block_kernel_not_primitive():
 def test_kernel_stats_transpose_swaps_row_and_column_bounds():
     _, kernel, _ = random_fixture(7, n=32)
     stats = ts.kernel_stats(kernel)
-    swapped = ts.kernel_stats(ts.GenericKernel(ts.TorusGrid(1, 32), kernel.samples.T))
+    swapped = ts.kernel_stats(ts.GenericKernel(ts.TorusGrid(1, 32), kernel.rows().T))
     assert math.isclose(stats["col_integral_max"], swapped["row_integral_max"], rel_tol=0, abs_tol=1e-14)
     assert math.isclose(stats["row_integral_max"], swapped["col_integral_max"], rel_tol=0, abs_tol=1e-14)
 
@@ -351,7 +357,7 @@ def test_integer_arguments_accept_numpy_integers():
 
 def _dense_primitivity(kernel, n_max=16):
     """Primitive power and least entry of whole-matrix powers of h^d b."""
-    quad = kernel.grid.weight * kernel.samples
+    quad = kernel.grid.weight * kernel.rows()
     power = quad
     for k in range(1, n_max + 1):
         if k > 1:
@@ -368,7 +374,7 @@ def _tophat(dimension, n, width):
 def _invariant_along_one_axis(n, width, seed=5):
     """b((x0, x1), (y0, y1)) = a(x0 - y0) c(x1, y1): a 1-D tophat along
     axis 0 times a random positive table along axis 1."""
-    a = _tophat(1, n, width).samples
+    a = _tophat(1, n, width).rows()
     c = np.random.default_rng(seed).uniform(0.5, 1.5, (n, n))
     return ts.GenericKernel(ts.TorusGrid(2, n), np.kron(a, c))
 
@@ -401,7 +407,7 @@ def test_primitivity_powers_of_an_invariant_kernel_build_one_array_of_its_size()
     finally:
         tracemalloc.stop()
     assert stats["primitive_power"] == 5
-    assert peak <= 1.5 * kernel.samples.nbytes  # h^d b, and slab rows of its powers
+    assert peak <= 1.5 * kernel.rows().nbytes  # h^d b, and slab rows of its powers
 
 
 @pytest.mark.parametrize("dimension, n", [(1, 7), (1, 8), (2, 5), (2, 6)])
@@ -411,12 +417,12 @@ def test_convolution_kernels_gather_torus_displacements(dimension, n):
     wound = ts.WoundKernel(ts.TorusGrid(dimension, n), rng.uniform(0.1, 1.0, size=(n,) * dimension))
     nodes = np.rint(grid.coordinates() * n).astype(int)
     expected = np.array([[wound.samples[tuple((x - y) % n)] for y in nodes] for x in nodes])
-    assert np.array_equal(ts.convolution_kernel(wound).samples, expected)
-    assert np.array_equal(ts.modulated_convolution(wound, 0.0).samples, expected)
+    assert np.array_equal(ts.convolution_kernel(wound).rows(), expected)
+    assert np.array_equal(ts.modulated_convolution(wound, 0.0).rows(), expected)
     coords = grid.coordinates()
     modulation = np.array([[1.0 + 0.5 * np.prod(np.cos(2.0 * np.pi * (x + y))) for y in coords] for x in coords])
     modulated = ts.modulated_convolution(wound, 0.5)
-    assert np.allclose(modulated.samples, expected * modulation, rtol=1e-15, atol=0.0)
+    assert np.allclose(modulated.rows(), expected * modulation, rtol=1e-15, atol=0.0)
     for epsilon in (1.0, -1.0, 1.5, np.nan):
         with pytest.raises(ValueError, match="epsilon"):
             ts.modulated_convolution(wound, epsilon)
@@ -503,7 +509,7 @@ def test_kernel_csv_round_trip(tmp_path):
             for j in range(n):
                 handle.write(f"{i/n},{j/n},{float(samples[i, j])!r}\n")
     kernel = ts.kernel_from_csv(str(path), grid)
-    assert np.allclose(kernel.samples, samples, rtol=0, atol=0)
+    assert np.allclose(kernel.rows(), samples, rtol=0, atol=0)
 
 
 def test_kernel_csv_two_dimensional(tmp_path):
@@ -518,7 +524,7 @@ def test_kernel_csv_two_dimensional(tmp_path):
                     for j2 in range(n):
                         handle.write(f"{i1/n},{i2/n},{j1/n},{j2/n},1.0\n")
     kernel = ts.kernel_from_csv(str(path), grid)
-    assert np.all(kernel.samples == 1.0)
+    assert np.all(kernel.rows() == 1.0)
 
 
 def test_kernel_csv_bad_header(tmp_path):
@@ -585,8 +591,22 @@ def test_kernel_stores_its_jump_rate():
     grid, kernel, _ = make_f2(n=32)
     assert np.array_equal(kernel.w, ts.jump_rate(kernel))
     assert not kernel.w.flags.writeable
-    transposed = ts.GenericKernel(ts.TorusGrid(1, 32), kernel.samples.T)
+    transposed = ts.GenericKernel(ts.TorusGrid(1, 32), kernel.rows().T)
     assert np.array_equal(transposed.w, ts.jump_rate(transposed))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ts.convolution_kernel(sine_wound(ts.TorusGrid(2, 6))),  # invariant along every axis
+    lambda: _invariant_along_one_axis(6, 0.25),  # along axis 0 only
+    lambda: ts.GenericKernel(ts.TorusGrid(1, 9), np.random.default_rng(2).uniform(0.5, 1.5, (9, 9))),  # none
+])
+def test_jump_rate_has_one_entry_per_node_summed_from_the_slab_rows(make):
+    kernel = make()
+    grid, held = kernel.grid, kernel.invariant_axes
+    slab_sums = ts.kernels.slab_rows(kernel.slab, kernel, held).sum(-1)
+    expected = np.broadcast_to(grid.weight * slab_sums, grid.slab_shape(())).ravel()
+    assert kernel.w.shape == (grid.size,) and kernel.w.tobytes() == expected.tobytes()
+    assert kernel.w.tobytes() == (grid.weight * ts.kernels.slab_row_sums(kernel.rows(), kernel)).tobytes()
 
 
 # -- huge widths, potential diagnostics, dead fields, one CSV reader ----------
@@ -638,19 +658,22 @@ def test_a_convolution_kernel_keeps_its_wound():
     wound = sine_wound(grid)
     kernel = ts.convolution_kernel(wound)
     assert kernel.wound is wound
-    assert ts.GenericKernel(grid, kernel.samples).wound is None
+    assert ts.GenericKernel(grid, kernel.rows()).wound is None
 
 
-def test_a_convolution_kernel_refuses_a_row_other_than_its_reflected_wound():
+def test_a_convolution_kernel_takes_its_wound_alone():
     grid = ts.TorusGrid(1, 8)
     wound = sine_wound(grid)  # not even, so a(y) is not the row a(-y)
-    row = ts.convolution_kernel(wound).slab.reshape(grid.n)
-    assert ts.GenericKernel(grid, row, wound).wound is wound
-    for other in (wound.samples, row * 2.0, np.tile(row, 2), row[:-1]):
-        with pytest.raises(ValueError, match="wound samples a"):
-            ts.GenericKernel(grid, other, wound)
-    with pytest.raises(ValueError, match="on its grid"):  # the row would fill two rows of n = 4
-        ts.GenericKernel(ts.TorusGrid(1, 4), row, wound)
+    kernel = ts.GenericKernel(grid, wound=wound)
+    assert kernel.wound is wound and not kernel.symmetric
+    assert kernel.slab.tobytes() == wound.samples[(-np.arange(grid.n)) % grid.n].tobytes()
+    for samples in (kernel.slab.reshape(grid.n), kernel.rows()):  # even the kernel's own samples
+        with pytest.raises(ValueError, match="wound alone"):
+            ts.GenericKernel(grid, samples, wound)
+    with pytest.raises(ValueError, match="on its grid"):
+        ts.GenericKernel(ts.TorusGrid(1, 4), wound=wound)
+    with pytest.raises(ValueError, match="on its grid"):
+        ts.GenericKernel(ts.TorusGrid(2, 8), wound=wound)
 
 
 def _write(path, header, rows):
@@ -666,7 +689,7 @@ def test_two_dimensional_csv_tables_fill_row_major_node_order(tmp_path):
     rows = [f"{x[0] / n},{x[1] / n},{y[0] / n},{y[1] / n},{float(samples[i, j])!r}"
             for i, x in enumerate(nodes) for j, y in enumerate(nodes)]
     kernel = ts.kernel_from_csv(_write(tmp_path / "k.csv", "x1,x2,y1,y2,value", rows[::-1]), grid)
-    assert np.array_equal(kernel.samples, samples)
+    assert np.array_equal(kernel.rows(), samples)
     values = -np.arange(4.0)
     rows = [f"{x[0] / n},{x[1] / n},{float(values[i])!r}" for i, x in enumerate(nodes)]
     potential = ts.potential_from_csv(_write(tmp_path / "p.csv", "x1,x2,value", rows[::-1]), grid)
@@ -691,6 +714,15 @@ def test_csv_tables_share_checks_and_messages(table, header, rows, error, messag
     read = ts.kernel_from_csv if table == "kernel" else ts.potential_from_csv
     with pytest.raises(error, match=message):
         read(_write(tmp_path / "k.csv", header, rows), ts.TorusGrid(1, 2))
+
+
+def test_csv_tables_skip_blank_lines_and_refuse_an_empty_file(tmp_path):
+    path = _write(tmp_path / "p.csv", "x,value", ["0.0,-1.0", "", "0.5,0.0"])
+    assert ts.potential_from_csv(path, ts.TorusGrid(1, 2)).samples.tolist() == [-1.0, 0.0]
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    with pytest.raises(ts.ParseError, match="empty.csv: empty file"):
+        ts.potential_from_csv(str(empty), ts.TorusGrid(1, 2))
 
 
 # -- symmetry, decided once per kernel ------------------------------------------
@@ -745,7 +777,7 @@ def test_kernel_decides_its_symmetry_at_construction(family, tmp_path):
     grid = ts.TorusGrid(1, 16)
     kernel = build(grid, tmp_path)
     assert kernel.symmetric is symmetric
-    assert kernel.symmetric == np.array_equal(kernel.samples, kernel.samples.T)
+    assert kernel.symmetric == np.array_equal(kernel.rows(), kernel.rows().T)
     assert ts.assemble_generator(kernel, ts.step_potential(grid)).symmetric is symmetric
 
 
@@ -796,7 +828,7 @@ def test_hand_built_kernel_runs_both_bit_tests(monkeypatch):
         return _invariant_axes(samples, grid)
 
     monkeypatch.setattr(ts.kernels, "_invariant_axes", counted)
-    kernel = ts.GenericKernel(wound.grid, convolution.samples)
+    kernel = ts.GenericKernel(wound.grid, convolution.rows())
     assert symmetry == shifts == [(36, 36)]
     assert (kernel.symmetric, kernel.invariant_axes) == (convolution.symmetric, convolution.invariant_axes) == (True, (0, 1))
     assert np.array_equal(kernel.w, convolution.w)
@@ -838,8 +870,8 @@ def test_strided_gather_and_wound_flags_match_the_bit_tests(dimension, n, seed, 
     assert gathered.flags.c_contiguous
     assert gathered.tobytes() == _fancy_index_gather(wound).tobytes()
     kernel = ts.convolution_kernel(wound)
-    assert kernel.symmetric is _is_symmetric(kernel.samples)
-    assert kernel.invariant_axes == _invariant_axes(kernel.samples, wound.grid) == tuple(range(dimension))
+    assert kernel.symmetric is _is_symmetric(kernel.rows())
+    assert kernel.invariant_axes == _invariant_axes(kernel.rows(), wound.grid) == tuple(range(dimension))
     if even:
         assert kernel.symmetric
 
@@ -860,13 +892,13 @@ def test_rows_of_a_convolution_kernel_are_the_rows_of_the_full_gather(dimension,
             expected = full.reshape((n,) * dimension + (-1,))[wound.grid.origin_slab(axes)]
             assert rows.flags.c_contiguous and rows.flags.writeable
             assert rows.tobytes() == expected.tobytes()
-    assert kernel.samples.tobytes() == full.tobytes() and not kernel.samples.flags.writeable
+    assert kernel.rows().tobytes() == full.tobytes() and not kernel.slab.flags.writeable
 
 
 @pytest.mark.parametrize("axes", [(), (0,)])
 def test_rows_of_a_kernel_invariant_along_one_axis_are_its_rows(axes):
     n = 7
-    a = _tophat(1, n, 0.25).samples
+    a = _tophat(1, n, 0.25).rows()
     samples = np.kron(a, np.random.default_rng(n).uniform(0.5, 1.5, (n, n)))
     kernel = ts.GenericKernel(ts.TorusGrid(2, n), samples.copy())
     assert kernel.invariant_axes == (0,) and kernel.slab.shape == (n, n * n)
@@ -881,10 +913,26 @@ def test_constant_kernel_is_bit_equal_to_the_hand_built_one(dimension, n):
         kernel = ts.constant_kernel(grid, value)
         hand_built = ts.GenericKernel(grid, np.full((grid.size, grid.size), value))
         assert kernel.slab.shape == (1, grid.size)
-        assert kernel.samples.tobytes() == hand_built.samples.tobytes()
+        assert kernel.rows().tobytes() == hand_built.rows().tobytes()
         assert kernel.w.tobytes() == hand_built.w.tobytes()
         assert kernel.symmetric is hand_built.symmetric is True
         assert kernel.invariant_axes == hand_built.invariant_axes == tuple(range(dimension))
+
+
+@pytest.mark.parametrize("build, samples, error, message", [
+    (ts.GenericKernel, np.ones((8, 4)), ValueError, r"samples must be an \(n\^d, n\^d\) array"),
+    (ts.GenericKernel, np.ones(64), ValueError, r"samples must be an \(n\^d, n\^d\) array"),
+    (ts.GenericKernel, np.eye(8) - 0.5 * np.roll(np.eye(8), 1, 1), ts.DegenerateKernel, "must be nonnegative"),
+    (ts.GenericKernel, np.zeros((8, 8)), ts.DegenerateKernel, "kernel is identically zero"),
+    (ts.WoundKernel, np.ones(4), ValueError, r"samples must be shaped \(n,\)\*d"),
+    (ts.WoundKernel, np.ones((8, 8)), ValueError, r"samples must be shaped \(n,\)\*d"),
+    (ts.WoundKernel, np.where(np.arange(8) == 5, -0.1, 1.0), ValueError, "wound kernel samples must be nonnegative"),
+    (ts.Potential, -np.ones(7), ValueError, "potential needs one sample per grid node"),
+], ids=["generic-shape", "generic-flat", "generic-negative", "generic-zero",
+        "wound-shape", "wound-2d", "wound-negative", "potential-length"])
+def test_sampled_records_refuse_samples_of_the_wrong_shape_or_sign(build, samples, error, message):
+    with pytest.raises(error, match=message):
+        build(ts.TorusGrid(1, 8), samples)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -143,7 +143,7 @@ def test_adjoint_model_has_the_same_lambda(model):
     grid, kernel, potential = build(model)
     report = ts.analyze(kernel, potential)
     if model[2] == "convolution":
-        reflected = ts.analyze(ts.GenericKernel(grid, kernel.samples.T), potential)
+        reflected = ts.analyze(ts.GenericKernel(grid, kernel.rows().T), potential)
         assert abs(reflected.max_eigenvalue - report.max_eigenvalue) <= CROSS_TOL
         for state, adjoint in ((report.ground_state, reflected.adjoint_ground_state),
                                (reflected.ground_state, report.adjoint_ground_state)):

@@ -203,7 +203,7 @@ def test_cli_evolve_on_the_sector_matches_the_whole_model(shape, kind, method, c
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.05, 1.0, (n,) * dimension)
     a = a + _mirror(a, (0,) * dimension)  # a[k] + a[-k] is bit-equal to a[-k] + a[k]
-    samples = ts.convolution_kernel(ts.WoundKernel(grid, a)).samples  # b(x, y) = a(x - y)
+    samples = ts.convolution_kernel(ts.WoundKernel(grid, a)).rows()  # b(x, y) = a(x - y)
     tables = {"kernel.csv": _table(grid, "x,y,value" if dimension == 1 else "x1,x2,y1,y2,value", samples, True)}
     raw = {"dimension": dimension, "grid_n": n, "kernel": {"family": "csv", "path": "kernel.csv"},
            "evolution": {"method": method}}

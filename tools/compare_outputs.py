@@ -2,15 +2,17 @@
 
     python3 tools/compare_outputs.py OLD_SRC NEW_SRC
 
-OLD_SRC and NEW_SRC are the roots of two checkouts.  Both run the same 91
+OLD_SRC and NEW_SRC are the roots of two checkouts.  Both run the same 95
 commands, each in a fresh ``python -m torspec`` with that
 checkout's sources alone on ``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=1``:
 
 - the commands of the benchmark's workloads ``analyze-2d``, ``evolve-rk4``
   and ``sweep-1d`` at seed 1, from ``perfbench/workloads.build_plan``;
-- ``analyze``, ``bound``, ``evolve`` and ``check-kernel`` on seventeen more
-  configs (``EXTRA_CONFIGS``): a 1-D CSV kernel table, 1-D and 2-D
-  ``modulated`` kernels, ``exponential`` kernels with a ``step`` and a
+- ``analyze``, ``bound``, ``evolve`` and ``check-kernel`` on eighteen more
+  configs (``EXTRA_CONFIGS``): a 1-D CSV kernel table, a 2-D one that is
+  translation-invariant along its second axis only (a generic kernel's
+  Bloch blocks and its fold over that axis), 1-D and 2-D ``modulated``
+  kernels, ``exponential`` kernels with a ``step`` and a
   ``cosine``, and a Gaussian with a ``zero`` potential; the reductions no
   workload takes (a 1-D reflection that fixes nodes, a 2-D ``constant``
   potential, a 2-D fibre), the first and the last again with
@@ -44,6 +46,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from itertools import product
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -57,8 +60,11 @@ COMMANDS = ("analyze", "bound", "evolve", "check-kernel")
 GAUSSIAN = {"family": "gaussian", "sigma": 0.2}
 STEP = {"family": "step", "depth": 1.0, "width": 0.5}
 CSV_N = 16
+CSV_2D_N = 8
 EXTRA_CONFIGS = {
     "csv-1d": {"dimension": 1, "grid_n": CSV_N, "kernel": {"family": "csv", "path": "kernel.csv"},
+               "potential": STEP},
+    "csv-2d": {"dimension": 2, "grid_n": CSV_2D_N, "kernel": {"family": "csv", "path": "kernel-2d.csv"},
                "potential": STEP},
     "modulated-1d": {"dimension": 1, "grid_n": 64,
                      "kernel": {"family": "modulated", "base": GAUSSIAN, "epsilon": 0.3},
@@ -101,17 +107,19 @@ def _sources(checkout: str) -> str:
     return src
 
 
-def _write_kernel_table(path: str) -> None:
-    """A positive kernel table with neither symmetry nor invariant axes."""
+def _write_kernel_table(path: str, dimension: int, n: int) -> None:
+    """The positive kernel table prod_a g(x_a - y_a) (1 + 0.3 sin 2 pi x_0), g a periodic
+    Gaussian: not symmetric, and translation-invariant along every axis but the first."""
+    header = ["x", "y"] if dimension == 1 else ["x1", "x2", "y1", "y2"]
+    nodes = list(product([i / n for i in range(n)], repeat=dimension))
     rows = []
-    for i in range(CSV_N):
-        for j in range(CSV_N):
-            x, y = i / CSV_N, j / CSV_N
-            z = (x - y + 0.5) % 1.0 - 0.5
-            value = math.exp(-z * z / 0.08) * (1.0 + 0.3 * math.sin(2.0 * math.pi * x))
-            rows.append(f"{x!r},{y!r},{value!r}\n")
+    for x in nodes:
+        for y in nodes:
+            z = [(a - b + 0.5) % 1.0 - 0.5 for a, b in zip(x, y)]
+            value = math.prod(math.exp(-t * t / 0.08) for t in z) * (1.0 + 0.3 * math.sin(2.0 * math.pi * x[0]))
+            rows.append(",".join(map(repr, (*x, *y, value))) + "\n")
     with open(path, "w") as handle:
-        handle.write("x,y,value\n" + "".join(rows))
+        handle.write(",".join(header) + ",value\n" + "".join(rows))
 
 
 def _write_potential_table(path: str) -> None:
@@ -132,7 +140,8 @@ def _plan(work: str) -> list[tuple[str, list[str]]]:
             plan.append((name, argv[:at] + argv[at + 2:]))
     config_dir = os.path.join(work, "plans", "extra")
     os.makedirs(config_dir, exist_ok=True)
-    _write_kernel_table(os.path.join(config_dir, "kernel.csv"))
+    _write_kernel_table(os.path.join(config_dir, "kernel.csv"), 1, CSV_N)
+    _write_kernel_table(os.path.join(config_dir, "kernel-2d.csv"), 2, CSV_2D_N)
     _write_potential_table(os.path.join(config_dir, "potential.csv"))
     for config_name, config in EXTRA_CONFIGS.items():
         path = os.path.join(config_dir, f"{config_name}.json")
