@@ -87,7 +87,9 @@ class OperatorMatrix:
         return self.data @ u
 
     def shifted(self, k: float) -> "OperatorMatrix":
-        """Add k to the diagonal."""
+        """Add k to the diagonal of the square matrix; DimensionMismatch on slab rows."""
+        if self.slab_axes:
+            raise DimensionMismatch("shifted takes the square matrix, not slab rows: use ReducedModel.reduce")
         data = self.data.copy()
         np.fill_diagonal(data, np.diagonal(data) + k)
         return OperatorMatrix(data, self.grid, reduction=self.reduction)

@@ -94,12 +94,18 @@ def perron(
     bracket, which rounding of the ratio alone can leave by a float spacing.
     ``start`` replaces the seeded random start with a positive warm-start
     vector; a positive row ``scale`` makes the iterated operator
-    diag(scale) A without forming it.
+    diag(scale) A without forming it.  A non-square ``a``, or a ``start`` or
+    ``scale`` not of its order, raises DimensionMismatch.
     """
     if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol!r}")
     if not (isinstance(max_iter, Integral) and max_iter >= 1 and isinstance(seed, Integral)):
         raise ValueError(f"max_iter must be a positive integer and seed an integer, got {max_iter!r}, {seed!r}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"perron takes a square matrix, got shape {a.shape}: use ReducedModel.reduce")
+    for name, x in (("start", start), ("scale", scale)):
+        if x is not None and np.shape(x) != (len(a),):
+            raise DimensionMismatch(f"{name} must have length {len(a)}, got shape {np.shape(x)}")
     if a.min() < 0:
         raise NegativeEntry("matrix has a negative entry")
     if scale is not None and not scale.min() > 0:

@@ -117,8 +117,10 @@ def evolve(
     u0 must lie in the model's range.  The states are lifted to the grid (``ReducedModel.lift``)
     in blocks of at most max(snapshots * order, 2^16) entries, or one snapshot, and each norm
     is a row reduction, bit-equal to that of one lifted state.  Unless ``snapshots`` is an
-    integer of at least two, it raises ValueError.
+    integer of at least two, it raises ValueError; on a generator's slab rows, DimensionMismatch.
     """
+    if generator.slab_axes:
+        raise DimensionMismatch("evolve takes the square generator, not slab rows: use ReducedModel.reduce")
     u0 = np.asarray(u0, dtype=float).ravel()
     if u0.size != generator.grid.size:
         raise DimensionMismatch(f"initial vector length {u0.size} against order {generator.grid.size}")

@@ -1,12 +1,13 @@
 """Kernels and potentials on the torus: winding, sampling, validation, statistics.
 
 A convolution kernel lives on the torus as samples of a single function of
-the displacement (wound from a kernel on the full space when necessary);
-every kernel, convolution or not, is a ``GenericKernel``: samples b(x_i, y_j)
-kept as the rows that its translation invariance does not repeat, one row
-for a convolution kernel.  Potentials are nonpositive node samples.  Every
-record carries the ``TorusGrid`` it is sampled on, and every sample must be
-finite.  A generic kernel decides once, when it is built, whether its
+the displacement (wound from a product kernel on the full space when
+necessary, one axis at a time: a 2-D wound kernel is the outer product of
+the 1-D one); every kernel, convolution or not, is a ``GenericKernel``:
+samples b(x_i, y_j) kept as the rows that its translation invariance does
+not repeat, one row for a convolution kernel.  Potentials are nonpositive
+node samples.  Every record carries the ``TorusGrid`` it is sampled on, and
+every sample must be finite.  A generic kernel decides once, when it is built, whether its
 samples are exactly symmetric and along which axes they are exactly
 translation-invariant: a convolution kernel reads both off its wound
 samples, any other kernel tests its (n^d, n^d) array bit for bit.  Row and
@@ -18,7 +19,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from itertools import product
 from numbers import Integral
 from typing import Callable
 
@@ -88,14 +88,15 @@ def _invariant_axes(samples: np.ndarray, grid: TorusGrid) -> tuple[int, ...]:
                  if _runs_equal(t[1:, 1:], t[:-1, :-1]) and _runs_equal(t[1:, 0], t[:-1, -1]))
 
 
-def _peak_density(base: float, exponent: float, tag: str) -> float:
-    """Normalization base**exponent of a kernel density on R^d.
+def _peak_density(base: float, exponent: float, dimension: int, tag: str) -> float:
+    """Normalization base**exponent of a one-axis factor of a kernel density on R^d.
 
-    A width so narrow that the peak leaves the float range raises
-    DegenerateKernel: on any grid such a kernel is a point mass, whose jump
-    part vanishes.
+    A width so narrow that the d-dimensional peak base**(d exponent) leaves
+    the float range raises DegenerateKernel: on any grid such a kernel is a
+    point mass, whose jump part vanishes.
     """
     try:
+        base ** (dimension * exponent)
         return base**exponent
     except (OverflowError, ZeroDivisionError):  # base underflowed to zero, or a huge peak
         raise DegenerateKernel(f"{tag} kernel too narrow: its peak density overflows") from None
@@ -107,17 +108,17 @@ def _peak_density(base: float, exponent: float, tag: str) -> float:
 
 @dataclass(frozen=True)
 class ContinuousKernel:
-    """Nonnegative integrable kernel a(z) on R^d.
+    """Nonnegative integrable product kernel a(z) = prod_a g(z_a) on R^d.
 
-    ``evaluate`` maps an array of points with trailing axis of length d to
-    kernel values.  ``tail_mass_bound(N)`` must bound the total mass omitted
-    when winding is truncated to integer shifts with |m|_inf <= N; the
-    builtin constructors supply analytic bounds, custom kernels must bring
-    their own.
+    ``factor`` is the one-axis function g, mapping an array of coordinates
+    to values elementwise.  ``tail_mass_bound(N)`` must bound the total mass
+    of a omitted when winding is truncated to integer shifts with
+    |m|_inf <= N; the builtin constructors supply analytic bounds, custom
+    kernels must bring their own.
     """
 
     dimension: int
-    evaluate: Callable[[np.ndarray], np.ndarray]
+    factor: Callable[[np.ndarray], np.ndarray]
     tail_mass_bound: Callable[[int], float] | None = None
 
 
@@ -133,17 +134,12 @@ def tophat_kernel(dimension: int = 1, width: float = 1.0) -> ContinuousKernel:
     """
     if not width > 0:
         raise ValueError("width must be positive")
-    value = _peak_density(2.0 * width, -dimension, "tophat")
-
-    def evaluate(pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        inside = np.all((pts >= -width) & (pts < width), axis=-1)
-        return np.where(inside, value, 0.0)
+    value = _peak_density(2.0 * width, -1, dimension, "tophat")
 
     def tail(n_shift: int) -> float:
         return 0.0 if n_shift >= width else math.inf
 
-    return ContinuousKernel(dimension, evaluate, tail)
+    return ContinuousKernel(dimension, lambda z: np.where((z >= -width) & (z < width), value, 0.0), tail)
 
 
 def gaussian_kernel(dimension: int = 1, sigma: float = 0.2) -> ContinuousKernel:
@@ -154,35 +150,25 @@ def gaussian_kernel(dimension: int = 1, sigma: float = 0.2) -> ContinuousKernel:
         variance = sigma**2
     except OverflowError:  # sigma beyond the square root of the float range
         variance = math.inf
-    norm = _peak_density(2.0 * math.pi * variance, -dimension / 2.0, "gaussian")
-
-    def evaluate(pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        sq = np.sum(pts**2, axis=-1)
-        return norm * np.exp(-sq / (2.0 * variance))
+    norm = _peak_density(2.0 * math.pi * variance, -0.5, dimension, "gaussian")
 
     def tail(n_shift: int) -> float:
         # union bound over axes; per-axis omitted mass beyond |t| >= N
         return dimension * math.erfc(n_shift / (sigma * math.sqrt(2.0)))
 
-    return ContinuousKernel(dimension, evaluate, tail)
+    return ContinuousKernel(dimension, lambda z: norm * np.exp(-z**2 / (2.0 * variance)), tail)
 
 
 def exponential_kernel(dimension: int = 1, scale: float = 0.2) -> ContinuousKernel:
     """Product Laplace density with per-axis scale parameter."""
     if not scale > 0:
         raise ValueError("scale must be positive")
-    norm = _peak_density(2.0 * scale, -dimension, "exponential")
-
-    def evaluate(pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        l1 = np.sum(np.abs(pts), axis=-1)
-        return norm * np.exp(-l1 / scale)
+    norm = _peak_density(2.0 * scale, -1, dimension, "exponential")
 
     def tail(n_shift: int) -> float:
         return dimension * math.exp(-n_shift / scale)
 
-    return ContinuousKernel(dimension, evaluate, tail)
+    return ContinuousKernel(dimension, lambda z: norm * np.exp(-np.abs(z) / scale), tail)
 
 
 # ---------------------------------------------------------------------------
@@ -223,20 +209,23 @@ def wound_from_function(f: Callable[[np.ndarray], np.ndarray], grid: TorusGrid) 
 
 
 def wind_kernel(a: ContinuousKernel, n: int, tail_tol: float = 1e-12) -> WoundKernel:
-    """Wind a kernel on R^d onto the torus by summing integer translates.
+    """Wind a product kernel on R^d onto the torus, one axis at a time, by summing
+    integer translates of its factor g.
 
     The truncation radius grows until the kernel's analytic tail bound drops
     below ``tail_tol``; the omitted mass estimate is recorded on the result.
 
-    The sum runs over the centred displacements t = j/n in [-1/2, 1/2]^d
-    and adds each pair of opposite translates as ``a(t + m) + a(t - m)``
-    before accumulating.  Each point t + m is evaluated as (j + m n)/n,
-    formed in integers and rounded once, so it is the float nearest the
-    exact point for every m.  Each axis is then folded back to the nodes
-    i/n; on even n, t = -1/2 and t = 1/2 are one node, which keeps the mean
-    of its two sums.  An even kernel therefore winds to exactly symmetric
-    samples, ``a[k] == a[-k mod n]`` bit for bit: the sums at t and -t take
-    the same terms in the same order.
+    The sum runs over the centred displacements t = j/n in [-1/2, 1/2] and
+    adds each pair of opposite translates as ``g(t + m) + g(t - m)`` before
+    accumulating.  Each point t + m is evaluated as (j + m n)/n, formed in
+    integers and rounded once, so it is the float nearest the exact point
+    for every m.  The sums are then folded back to the nodes i/n; on even n,
+    t = -1/2 and t = 1/2 are one node, which keeps the mean of its two sums.
+    An even factor therefore winds to exactly symmetric samples,
+    ``g[k] == g[-k mod n]`` bit for bit: the sums at t and -t take the same
+    terms in the same order.  In 2-D the samples are the outer product of the
+    wound g with itself, so an even factor's are exactly even along each axis
+    and exactly symmetric under the axis swap.
     """
     if not tail_tol > 0:
         raise ValueError("tail_tol must be positive")
@@ -251,20 +240,15 @@ def wind_kernel(a: ContinuousKernel, n: int, tail_tol: float = 1e-12) -> WoundKe
                 f"tail bound still {a.tail_mass_bound(WIND_CAP):.3e} at shift radius {WIND_CAP}"
             )
 
-    d = a.dimension
-    axis = np.arange(-(n // 2), n // 2 + 1)
-    centred = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1)  # integer j
-    acc = a.evaluate(centred / n)  # (-j)/n is exactly -(j/n)
-    for shift in product(range(-n_wind, n_wind + 1), repeat=d):
-        if shift > (0,) * d:  # one of each pair +-m
-            m = n * np.asarray(shift)
-            acc = acc + (a.evaluate((centred + m) / n) + a.evaluate((centred - m) / n))
-    for k in range(d):  # fold each axis back to the nodes i/n
-        sums = np.moveaxis(acc, k, 0)
-        if n % 2 == 0:  # t = -1/2 and t = 1/2 are one node
-            sums = np.concatenate([0.5 * (sums[:1] + sums[-1:]), sums[1:-1]])
-        acc = np.moveaxis(np.roll(sums, -(n // 2), axis=0), 0, k)
-    return WoundKernel(TorusGrid(d, n), acc, n_wind, float(a.tail_mass_bound(n_wind)))
+    j = np.arange(-(n // 2), n // 2 + 1)  # the centred integers
+    g = a.factor(j / n)  # (-j)/n is exactly -(j/n)
+    for m in range(n, n * n_wind + 1, n):  # one of each pair +-m
+        g = g + (a.factor((j + m) / n) + a.factor((j - m) / n))
+    if n % 2 == 0:  # t = -1/2 and t = 1/2 are one node
+        g = np.concatenate([0.5 * (g[:1] + g[-1:]), g[1:-1]])
+    g = np.roll(g, -(n // 2))
+    samples = g if a.dimension == 1 else np.multiply.outer(g, g)
+    return WoundKernel(TorusGrid(a.dimension, n), samples, n_wind, float(a.tail_mass_bound(n_wind)))
 
 
 @dataclass(frozen=True, eq=False)  # identity equality: fields hold arrays

@@ -537,6 +537,27 @@ def test_slab_rows_of_a_non_square_matrix_need_invariant_axes():
         ts.OperatorMatrix(rows, grid, invariant_axes=(1,)).shifted(1.0)
 
 
+def _slab_generator():
+    """The generator of a 2-D n = 8 Gaussian with a ``step``, held as its 8 slab rows of 64 columns."""
+    grid = ts.TorusGrid(2, 8)
+    generator = ts.ReducedModel(_gaussian(grid), ts.step_potential(grid)).generator
+    assert generator.data.shape == (8, 64)
+    return generator
+
+
+@pytest.mark.parametrize("method", ["rk4", "eigenexpansion"])
+def test_evolve_refuses_the_slab_rows_of_a_generator(method):
+    # rk4 ended in a raw matmul ValueError, eigenexpansion in QRNotConverged
+    with pytest.raises(ts.DimensionMismatch, match="not slab rows: use ReducedModel.reduce"):
+        ts.evolve(_slab_generator(), np.ones(64), t_max=1.0, method=method)
+
+
+def test_the_shifted_power_refuses_the_slab_rows_of_a_generator():
+    # the shift ended in "operator matrix must be square, or hold its slab rows", which these rows do
+    with pytest.raises(ts.DimensionMismatch, match="shifted takes the square matrix, not slab rows"):
+        ts.max_eigenvalue_shifted_power(_slab_generator())
+
+
 @pytest.mark.parametrize("method", ["rk4", "eigenexpansion"])
 def test_cli_evolve_runs_on_the_fibre(method, tmp_path, monkeypatch):
     raw = {"dimension": 2, "grid_n": 16, "kernel": {"family": "gaussian", "sigma": 0.2},

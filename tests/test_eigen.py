@@ -103,6 +103,19 @@ def test_perron_rejects_non_positive_start_and_scale():
         ts.perron(mat, scale=np.array([1.0, 0.0, 1.0]))
 
 
+@pytest.mark.parametrize("argument, message", [
+    ({"a": np.ones((3, 4))}, r"square matrix, got shape \(3, 4\): use ReducedModel.reduce"),
+    ({"a": np.ones(3)}, r"square matrix, got shape \(3,\)"),
+    ({"start": np.ones(4)}, r"start must have length 3, got shape \(4,\)"),
+    ({"scale": np.ones((3, 1))}, r"scale must have length 3, got shape \(3, 1\)"),
+], ids=["slab-rows", "vector", "start", "scale"])
+def test_perron_refuses_arrays_of_the_wrong_shape(argument, message):
+    # each ended in a raw numpy ValueError
+    argument = {"a": np.ones((3, 3)), **argument}
+    with pytest.raises(ts.DimensionMismatch, match=message):
+        ts.perron(argument.pop("a"), max_iter=50, **argument)
+
+
 @pytest.mark.parametrize("tol", [math.nan, -1.0])
 def test_perron_refuses_a_tolerance_that_is_not_nonnegative(tol):
     with pytest.raises(ValueError, match="tol must be nonnegative"):

@@ -4,7 +4,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -51,10 +51,10 @@ def test_winding_mass_equals_box_quadrature():
     # quadrature of the original kernel at the shifted nodes
     kernel = ts.gaussian_kernel(1, 0.2)
     wound = ts.wind_kernel(kernel, 64, 1e-12)
-    nodes = (np.arange(64) / 64)[:, None]
+    nodes = np.arange(64) / 64
     total = 0.0
     for m in range(-wound.wind_truncation, wound.wind_truncation + 1):
-        total += float(kernel.evaluate(nodes + m).sum())
+        total += float(kernel.factor(nodes + m).sum())
     assert abs(total / 64 - wound.quadrature_mass()) <= 1e-12
 
 
@@ -66,7 +66,7 @@ def test_zero_kernel_rejected():
 def test_wind_requires_resolvable_tail():
     heavy = ts.ContinuousKernel(
         dimension=1,
-        evaluate=lambda pts: np.exp(-np.abs(pts[..., 0])),
+        factor=lambda z: np.exp(-np.abs(z)),
         tail_mass_bound=lambda n_shift: 1.0,
     )
     with pytest.raises(ts.TailNotResolved):
@@ -74,7 +74,7 @@ def test_wind_requires_resolvable_tail():
 
 
 def test_wind_rejects_missing_tail_bound():
-    bare = ts.ContinuousKernel(1, lambda pts: np.zeros(pts.shape[:-1]))
+    bare = ts.ContinuousKernel(1, np.zeros_like)
     with pytest.raises(ts.TailNotResolved):
         ts.wind_kernel(bare, 16)
 
@@ -117,16 +117,16 @@ def test_grid_accepts_numpy_integers():
 
 
 def _shift_loop(kernel, n, radius):
-    """Reference winding: the plain loop over the nodes i/n and every shift.
+    """Reference winding: the plain loop over the nodes i/n and every shift of the factor,
+    and in 2-D the outer product of that 1-D loop with itself.
 
     It rounds i/n + m twice, so it can drop a node on a box edge; the
     tophats compared with it below have no node it drops.
     """
-    mesh = ts.TorusGrid(kernel.dimension, n).node_mesh()
-    acc = np.zeros((n,) * kernel.dimension)
-    for shift in product(range(-radius, radius + 1), repeat=kernel.dimension):
-        acc = acc + kernel.evaluate(mesh + np.asarray(shift, dtype=float))
-    return acc
+    acc = np.zeros(n)
+    for m in range(-radius, radius + 1):
+        acc = acc + kernel.factor(np.arange(n) / n + float(m))
+    return acc if kernel.dimension == 1 else np.multiply.outer(acc, acc)
 
 
 def _mirror(samples):
@@ -145,6 +145,20 @@ def test_even_kernels_wind_to_bit_symmetric_samples(make, dimension, n):
     # plain loop only by rounding and by the translates each one truncates
     reference = _shift_loop(kernel, n, wound.wind_truncation)
     assert np.allclose(wound.samples, reference, rtol=0.0, atol=1e-10 * reference.max())
+
+
+@pytest.mark.parametrize("make, even", [
+    (ts.gaussian_kernel, True), (ts.exponential_kernel, True), (ts.tophat_kernel, False),
+])
+@pytest.mark.parametrize("n", [7, 8, 10, 48])
+def test_two_dimensional_winding_is_the_outer_product_of_the_one_dimensional(make, even, n):
+    line = ts.wind_kernel(make(1, 0.2), n).samples
+    plane = ts.wind_kernel(make(2, 0.2), n).samples
+    assert plane.tobytes() == np.multiply.outer(line, line).tobytes()
+    if even:  # exactly even along each axis, and exactly symmetric under the axis swap
+        for axis in (0, 1):
+            assert np.array_equal(plane, np.roll(np.flip(plane, axis), 1, axis))
+        assert np.array_equal(plane, plane.T)
 
 
 @pytest.mark.parametrize("dimension, n, width", [
@@ -625,7 +639,7 @@ def test_kernel_too_wide_to_wind_is_tail_not_resolved(make, width):
 def test_gaussian_variance_is_bit_identical_to_sigma_squared():
     # sigma * sigma differs from sigma**2 in the last bit for this width
     sigma = 0.9898385602834381
-    values = ts.gaussian_kernel(1, sigma).evaluate(np.array([[0.5]]))
+    values = ts.gaussian_kernel(1, sigma).factor(np.array([0.5]))
     expected = (2.0 * math.pi * sigma**2) ** -0.5 * np.exp(-0.25 / (2.0 * sigma**2))
     assert values[0] == expected
 
@@ -649,7 +663,7 @@ def test_potential_diagnostics_are_a_field_set_at_construction():
 
 def test_kernels_carry_only_fields_that_are_read():
     names = lambda cls: [f.name for f in dataclasses.fields(cls)]
-    assert names(ts.ContinuousKernel) == ["dimension", "evaluate", "tail_mass_bound"]
+    assert names(ts.ContinuousKernel) == ["dimension", "factor", "tail_mass_bound"]
     assert names(ts.GenericKernel) == ["grid", "slab", "wound", "w", "symmetric", "invariant_axes"]
 
 

@@ -28,7 +28,7 @@ def _circulant(a, n, truncation, theta):
     each point t + m = (j + m n)/n rounded once, t centred in [-1/2, 1/2)."""
     k = np.arange(n)
     points = ((k + n // 2) % n - n // 2 + n * np.arange(-truncation, truncation + 1)[:, None]) / n
-    a_theta = (a.evaluate(points[..., None]) * np.exp(-1j * theta * points)).sum(axis=0)
+    a_theta = (a.factor(points) * np.exp(-1j * theta * points)).sum(axis=0)
     return a_theta[(k[:, None] - k) % n] / n
 
 
@@ -56,11 +56,12 @@ THETAS_2D = 2.0 * np.pi * np.stack(np.meshgrid(np.arange(4), np.arange(4), index
 
 def _circulant_2d(a, n, truncation, theta):
     """h^2 A_theta on the n x n grid, nodes in row-major order: h^2 a_theta(x - y), a_theta(t) = sum over
-    |m_1|, |m_2| <= truncation of a(t + m) e^{-i theta . (t + m)}, each coordinate of t + m formed as in 1-D."""
+    |m_1|, |m_2| <= truncation of a(t + m) e^{-i theta . (t + m)}, a(z) = g(z_1) g(z_2) for the factor g,
+    each coordinate of t + m formed as in 1-D."""
     k = np.arange(n)
     axis = ((k + n // 2) % n - n // 2 + n * np.arange(-truncation, truncation + 1)[:, None]) / n  # (translates, n)
     points = np.stack(np.broadcast_arrays(axis[:, None, :, None], axis[None, :, None, :]), axis=-1)
-    a_theta = (a.evaluate(points) * np.exp(-1j * (points @ theta))).sum(axis=(0, 1))  # at t = (k_1, k_2) / n
+    a_theta = (a.factor(points).prod(axis=-1) * np.exp(-1j * (points @ theta))).sum(axis=(0, 1))  # at t = (k_1, k_2) / n
     d = (k[:, None] - k) % n  # x_a - y_a on one axis
     return a_theta[d[:, None, :, None], d[None, :, None, :]].reshape(n * n, n * n) / n**2
 

@@ -2,13 +2,13 @@
 
     python3 tools/compare_outputs.py OLD_SRC NEW_SRC
 
-OLD_SRC and NEW_SRC are the roots of two checkouts.  Both run the same 95
+OLD_SRC and NEW_SRC are the roots of two checkouts.  Both run the same 99
 commands, each in a fresh ``python -m torspec`` with that
 checkout's sources alone on ``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=1``:
 
 - the commands of the benchmark's workloads ``analyze-2d``, ``evolve-rk4``
   and ``sweep-1d`` at seed 1, from ``perfbench/workloads.build_plan``;
-- ``analyze``, ``bound``, ``evolve`` and ``check-kernel`` on eighteen more
+- ``analyze``, ``bound``, ``evolve`` and ``check-kernel`` on nineteen more
   configs (``EXTRA_CONFIGS``): a 1-D CSV kernel table, a 2-D one that is
   translation-invariant along its second axis only (a generic kernel's
   Bloch blocks and its fold over that axis), 1-D and 2-D ``modulated``
@@ -17,7 +17,9 @@ checkout's sources alone on ``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=1``:
   workload takes (a 1-D reflection that fixes nodes, a 2-D ``constant``
   potential, a 2-D fibre), the first and the last again with
   ``eigenexpansion``, a 2-D ``sine`` kernel with a ``step``, whose Bloch
-  pairs are complex blocks, and a 2-D ``n = 48`` ``constant`` potential, whose
+  pairs are complex blocks, a 2-D ``tophat`` with a ``step``, the product of
+  a factor that is not even, so its kernel is not symmetric and its Bloch
+  blocks come in complex pairs, and a 2-D ``n = 48`` ``constant`` potential, whose
   order-1 ``evolve`` lifts its snapshots in eight blocks; and one config
   for each failure exit code: a non-primitive ``tophat`` (2, or 3 where
   ``evolve`` does not converge), a negative ``sigma`` (1), ``max_iter: 1``
@@ -86,6 +88,7 @@ EXTRA_CONFIGS = {
     "fibre-2d-eigenexpansion": {"dimension": 2, "grid_n": 16, "kernel": GAUSSIAN, "potential": STEP,
                                 "evolution": {"method": "eigenexpansion"}},
     "sine-2d": {"dimension": 2, "grid_n": 16, "kernel": {"family": "sine"}, "potential": STEP},
+    "tophat-2d": {"dimension": 2, "grid_n": 16, "kernel": {"family": "tophat", "width": 0.125}, "potential": STEP},
     "constant-2d-48": {"dimension": 2, "grid_n": 48, "kernel": GAUSSIAN,
                        "potential": {"family": "constant", "depth": 1.0}},
     "nonprimitive-1d": {"dimension": 1, "grid_n": 16, "kernel": {"family": "tophat", "width": 1 / 32},
