@@ -56,7 +56,6 @@ from .kernels import (
     step_potential,
     tophat_kernel,
     wind_kernel,
-    wound_from_function,
     zero_potential,
 )
 from .discretize import (

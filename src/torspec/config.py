@@ -20,6 +20,7 @@ from .grid import TorusGrid
 from .kernels import (
     GenericKernel,
     Potential,
+    WoundKernel,
     constant_kernel,
     constant_potential,
     convolution_kernel,
@@ -32,7 +33,6 @@ from .kernels import (
     step_potential,
     tophat_kernel,
     wind_kernel,
-    wound_from_function,
     zero_potential,
 )
 from .spectral import AnalysisOptions
@@ -113,9 +113,9 @@ KERNEL_FAMILIES = {
     "exponential": ({"scale": (_number, 0.2, *_POSITIVE)}, _winding(exponential_kernel, "scale")),
     "sine": (
         {"amplitude": (_number, 0.5, lambda x: abs(x) <= 1, "must lie in [-1, 1]")},
-        lambda spec, grid, config: convolution_kernel(wound_from_function(
-            lambda mesh: 1.0 + spec["amplitude"] * np.sin(2.0 * np.pi * mesh[..., 0]), grid
-        )),
+        lambda spec, grid, config: convolution_kernel(WoundKernel(grid, np.repeat(  # repeated along x_2
+            1.0 + spec["amplitude"] * np.sin(2.0 * np.pi * (np.arange(grid.n) / grid.n)), grid.size // grid.n
+        ).reshape((grid.n,) * grid.dimension))),
     ),
     "modulated": (
         {

@@ -103,6 +103,7 @@ def perron(
         raise ValueError(f"max_iter must be a positive integer and seed an integer, got {max_iter!r}, {seed!r}")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"perron takes a square matrix, got shape {a.shape}: use ReducedModel.reduce")
+    scale = None if scale is None else np.asarray(scale, dtype=float)
     for name, x in (("start", start), ("scale", scale)):
         if x is not None and np.shape(x) != (len(a),):
             raise DimensionMismatch(f"{name} must have length {len(a)}, got shape {np.shape(x)}")

@@ -60,12 +60,3 @@ class TorusGrid:
     def size(self) -> int:
         """Total node count n^d."""
         return self.n ** self.dimension
-
-    def node_mesh(self) -> np.ndarray:
-        """Node coordinates shaped (n,)*d + (d,), for samplers on axis grids."""
-        axes = [np.arange(self.n) / self.n] * self.dimension
-        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-
-    def coordinates(self) -> np.ndarray:
-        """Node coordinates, shape (size, dimension), in node order."""
-        return self.node_mesh().reshape(self.size, self.dimension)

@@ -1,17 +1,17 @@
 """Kernels and potentials on the torus: winding, sampling, validation, statistics.
 
-A convolution kernel lives on the torus as samples of a single function of
-the displacement (wound from a product kernel on the full space when
-necessary, one axis at a time: a 2-D wound kernel is the outer product of
-the 1-D one); every kernel, convolution or not, is a ``GenericKernel``:
-samples b(x_i, y_j) kept as the rows that its translation invariance does
-not repeat, one row for a convolution kernel.  Potentials are nonpositive
-node samples.  Every record carries the ``TorusGrid`` it is sampled on, and
-every sample must be finite.  A generic kernel decides once, when it is built, whether its
-samples are exactly symmetric and along which axes they are exactly
-translation-invariant: a convolution kernel reads both off its wound
-samples, any other kernel tests its (n^d, n^d) array bit for bit.  Row and
-column integrals are numpy's sums of the unrepeated rows, broadcast to the rest.
+A convolution kernel lives on the torus as samples of a single function of the
+displacement, wound from a product kernel on the full space when necessary; every
+kernel, convolution or not, is a ``GenericKernel``: samples b(x_i, y_j) kept as the
+rows that its translation invariance does not repeat, one row for a convolution
+kernel.  Potentials are nonpositive node samples.  Every built-in sample is built one
+axis at a time from n values: a 2-D sample repeats them along the second axis or is
+their outer product.  Every record carries the ``TorusGrid`` it is sampled on, and
+every sample must be finite.  A generic kernel decides once, when it is built, whether
+its samples are exactly symmetric and along which axes they are exactly
+translation-invariant: a convolution kernel reads both off its wound samples, any
+other kernel tests its (n^d, n^d) array bit for bit.  Row and column integrals are
+numpy's sums of the unrepeated rows, broadcast to the rest.
 """
 
 from __future__ import annotations
@@ -200,12 +200,6 @@ class WoundKernel:
 
     def quadrature_mass(self) -> float:
         return float(self.samples.sum()) * self.grid.weight
-
-
-def wound_from_function(f: Callable[[np.ndarray], np.ndarray], grid: TorusGrid) -> WoundKernel:
-    """Sample a function already periodic on the torus as a convolution kernel."""
-    values = np.asarray(f(grid.node_mesh()), dtype=float)
-    return WoundKernel(grid, values)
 
 
 def wind_kernel(a: ContinuousKernel, n: int, tail_tol: float = 1e-12) -> WoundKernel:
@@ -411,15 +405,15 @@ def step_potential(grid: TorusGrid, depth: float = 1.0, width: float = 0.5) -> P
     """-depth where the first coordinate lies in [0, width), zero elsewhere."""
     if not width > 0:
         raise ValueError("width must be positive")
-    x0 = grid.coordinates()[:, 0]
-    return Potential(grid, np.where(x0 < width, -float(depth), 0.0))
+    profile = np.where(np.arange(grid.n) / grid.n < width, -float(depth), 0.0)
+    return Potential(grid, np.repeat(profile, grid.size // grid.n))  # repeated along x_2
 
 
 def cosine_potential(grid: TorusGrid, depth: float = 1.0) -> Potential:
     """Smooth well -depth * prod_axes (1 + cos(2 pi x_a)) / 2, zero only at x_a = 1/2."""
-    coords = grid.coordinates()
-    prof = np.prod((1.0 + np.cos(2.0 * np.pi * coords)) / 2.0, axis=1)
-    return Potential(grid, -float(depth) * prof)
+    i = np.arange(grid.n)  # each factor at the folded node min(i, n - i)/n: exactly even
+    profile = (1.0 + np.cos(2.0 * np.pi * (np.minimum(i, grid.n - i) / grid.n))) / 2.0
+    return Potential(grid, -float(depth) * (profile if grid.dimension == 1 else np.multiply.outer(profile, profile)))
 
 
 # ---------------------------------------------------------------------------

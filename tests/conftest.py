@@ -35,10 +35,13 @@ def make_f3(n=256):
     return grid, ts.convolution_kernel(wound), ts.step_potential(grid, 1.0, 0.5)
 
 
+def node_mesh(grid):
+    """Node coordinates x_a = i_a/n shaped (n,)*d + (d,)."""
+    return np.stack(np.meshgrid(*[np.arange(grid.n) / grid.n] * grid.dimension, indexing="ij"), axis=-1)
+
+
 def sine_wound(grid, amplitude=0.5):
-    return ts.wound_from_function(
-        lambda mesh: 1.0 + amplitude * np.sin(2.0 * np.pi * mesh[..., 0]), grid
-    )
+    return ts.WoundKernel(grid, 1.0 + amplitude * np.sin(2.0 * np.pi * node_mesh(grid)[..., 0]))
 
 
 def make_f4(n=128):
@@ -69,7 +72,7 @@ def random_convolution_fixture(seed, n=64):
     """Random positive unit-mass convolution kernel plus an eligible potential."""
     rng = np.random.default_rng(seed)
     grid = ts.TorusGrid(1, n)
-    z = grid.coordinates()[:, 0]
+    z = np.arange(n) / n
     coef = rng.uniform(-1.0, 1.0, size=(3, 2))
     coef *= 0.9 / max(1.0, float(np.abs(coef).sum()))
     samples = np.ones(n)

@@ -64,7 +64,7 @@ def test_criterion_02_two_level_fixture_against_oracle():
 
 def test_criterion_03_gap_bound_two_level_fixture():
     grid, kernel, potential = make_f2(n=256)
-    wound = ts.wound_from_function(lambda mesh: np.ones(mesh.shape[:-1]), grid)
+    wound = ts.WoundKernel(grid, np.ones(grid.n))
     report = ts.analyze(kernel, potential)
     bound = ts.gap_constants(potential, ts.convolution_kernel(wound))
     verdict = ts.verify_gap(report, bound)

@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import os
+import subprocess
 
 import pytest
 
@@ -49,3 +51,22 @@ def test_a_pair_without_a_result_counts_as_failed_and_leaves_the_statistics(benc
     assert summary["wall_s"]["change"] == 1.0 and summary["wall_s"]["wins"] == {"old": 1, "new": 0}
     assert summary["complete"] == 1 and summary["failed"] == {"old": 1, "new": 0}
     assert bench.summarize([_pair(None, None, failed=(1, 1))]) == {"complete": 0, "failed": {"old": 1, "new": 1}}
+
+
+def test_the_probe_is_summarized_over_the_pairs_that_gave_one(bench):
+    pairs = [{**_pair(1.0, 1.0), "probe_s": probe} for probe in (0.003, None, 0.001, 0.002)]
+    assert bench.summarize(pairs)["probe_s"] == {"median": 0.002, "q1": 0.001, "q3": 0.003}
+    assert "probe_s" not in bench.summarize([{**_pair(1.0, 1.0), "probe_s": None}])
+
+
+def test_the_probe_runs_in_a_child_with_the_given_thread_variables(bench, monkeypatch):
+    assert 0.0 < bench.probe({"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": None}) < 1.0
+    seen = []
+
+    def run(args, env, **kwargs):
+        seen.append(env)
+        return subprocess.CompletedProcess(args, 0, stdout="not a time\n", stderr="")
+
+    monkeypatch.setattr(bench.subprocess, "run", run)
+    assert bench.probe({"OMP_NUM_THREADS": "1", "BLIS_NUM_THREADS": None}) is None
+    assert seen[0]["OMP_NUM_THREADS"] == "1" and seen[0].get("BLIS_NUM_THREADS") == os.environ.get("BLIS_NUM_THREADS")

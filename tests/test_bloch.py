@@ -15,7 +15,7 @@ from torspec.cli import run_command
 from torspec.discretize import model_axes
 from torspec.eigen import block_shape
 from torspec.kernels import SYMMETRY_TILE, _invariant_axes, _is_symmetric
-from conftest import FIXTURE_DIR, make_f3
+from conftest import FIXTURE_DIR, make_f3, sine_wound
 
 EPS = np.finfo(float).eps
 
@@ -106,8 +106,7 @@ def _gaussian(grid):
 
 
 def _sine(grid):
-    wave = lambda mesh: 1.0 + 0.5 * np.sin(2 * np.pi * mesh[..., 0])
-    return ts.convolution_kernel(ts.wound_from_function(wave, grid))
+    return ts.convolution_kernel(sine_wound(grid))
 
 
 DISPATCH = {
@@ -331,7 +330,7 @@ def _bloch_block(rows, axis):
 def test_the_reduced_model_folds_the_slab_rows_in_mirror_pairs():
     grid = ts.TorusGrid(2, 32)
     kernel, potential = _gaussian(grid), ts.step_potential(grid)
-    assert ts.ReducedModel(kernel, ts.cosine_potential(grid)).order == grid.size  # S = (), mirror off by ulps
+    assert ts.ReducedModel(kernel, ts.cosine_potential(grid)).order == 514  # S = (), s = 0: n^2/2 + 2
     assert ts.ReducedModel(kernel, ts.constant_potential(grid, 0.3)).order == 1  # S = (0, 1)
     model = ts.ReducedModel(kernel, potential)
     assert (model.axes, model.point, model.order) == ((1,), (15,), 16)
@@ -584,10 +583,10 @@ def test_cli_evolve_runs_on_the_fibre(method, tmp_path, monkeypatch):
     estimate = ts.max_eigenvalue_shifted_power(generator, config.analysis).rho
     assert abs(summary["lambda_estimate"] - estimate) <= config.analysis.cross_tol
 
-    raw["potential"] = {"family": "cosine"}  # no invariant axis, mirror off by ulps: the whole generator
+    raw["potential"] = {"family": "cosine"}  # no invariant axis: the even sector under x -> -x
     assert run_command("evolve", ts.config_from_dict(raw), str(tmp_path)) == 0
-    assert orders == [8, grid.size]
-    assert json.loads((tmp_path / "evolution.json").read_text())["order"] == grid.size
+    assert orders == [8, 130]
+    assert json.loads((tmp_path / "evolution.json").read_text())["order"] == 130
 
 
 ONE_MODE = {  # invariant along every axis: u0 = 1 stays constant, and the trace is exp(lambda t)

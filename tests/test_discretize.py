@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torspec as ts
-from conftest import make_f1, make_f2, sine_wound
+from conftest import make_f1, make_f2, node_mesh, sine_wound
 
 
 def _assert_conservative(kernel, grid):
@@ -78,7 +78,7 @@ def test_generator_step_diagonal_hand_evaluated():
 
 def test_convolution_generator_matches_generic_assembly():
     grid = ts.TorusGrid(1, 32)
-    ones = ts.wound_from_function(lambda mesh: np.ones(mesh.shape[:-1]), grid)
+    ones = ts.WoundKernel(grid, np.ones(grid.n))
     potential = ts.constant_potential(grid, 0.3)
     from_wound = ts.assemble_generator(ts.convolution_kernel(ones), potential)
     from_generic = ts.assemble_generator(ts.constant_kernel(grid), potential)
@@ -87,7 +87,7 @@ def test_convolution_generator_matches_generic_assembly():
 
 def test_convolution_generator_rank_one_spectrum():
     grid = ts.TorusGrid(1, 32)
-    ones = ts.wound_from_function(lambda mesh: np.ones(mesh.shape[:-1]), grid)
+    ones = ts.WoundKernel(grid, np.ones(grid.n))
     kernel = ts.convolution_kernel(ones)
     gen = ts.assemble_generator(kernel, ts.constant_potential(grid, 0.3))
     values = np.sort(np.linalg.eigvals(gen.data).real)
@@ -177,7 +177,7 @@ def test_birman_schwinger_assembly_holds_one_matrix(adjoint):
 
 def test_fourier_symbol_constant():
     grid = ts.TorusGrid(1, 16)
-    wound = ts.wound_from_function(lambda m: np.ones(m.shape[:-1]), grid)
+    wound = ts.WoundKernel(grid, np.ones(grid.n))
     symbol = ts.fourier_symbol(wound)
     assert symbol[0].real == 1.0
     assert abs(symbol[0] - 1.0) == 0.0
@@ -220,9 +220,7 @@ def test_fourier_symbol_conjugate_symmetry():
 
 def test_fourier_symbol_two_dimensional():
     grid = ts.TorusGrid(2, 8)
-    wound = ts.wound_from_function(
-        lambda mesh: 1.0 + 0.25 * np.cos(2 * np.pi * mesh[..., 0]), grid
-    )
+    wound = ts.WoundKernel(grid, 1.0 + 0.25 * np.cos(2 * np.pi * node_mesh(grid)[..., 0]))
     symbol = ts.fourier_symbol(wound)
     assert symbol.shape == (8, 8)
     assert not symbol.flags.writeable

@@ -103,6 +103,17 @@ def test_perron_rejects_non_positive_start_and_scale():
         ts.perron(mat, scale=np.array([1.0, 0.0, 1.0]))
 
 
+def test_perron_takes_a_list_scale_as_it_takes_a_list_start():
+    # a list scale ended in a raw AttributeError ("'list' object has no attribute 'min'")
+    mat = np.ones((3, 3))
+    assert ts.perron(mat, scale=[1.0, 1.0, 1.0]).rho == ts.perron(mat, start=[1.0, 1.0, 1.0]).rho == 3.0
+    with pytest.raises(ts.DimensionMismatch, match=r"scale must have length 3, got shape \(2,\)"):
+        ts.perron(mat, scale=[1.0, 1.0])
+    for bad in ([1.0, 0.0, 1.0], [1.0, -1.0, 1.0], [1.0, math.nan, 1.0]):
+        with pytest.raises(ts.NegativeEntry, match="row scale must be positive"):
+            ts.perron(mat, scale=bad)
+
+
 @pytest.mark.parametrize("argument, message", [
     ({"a": np.ones((3, 4))}, r"square matrix, got shape \(3, 4\): use ReducedModel.reduce"),
     ({"a": np.ones(3)}, r"square matrix, got shape \(3,\)"),

@@ -13,7 +13,7 @@ from conftest import make_f2, random_convolution_fixture, sine_wound
 
 
 def unit_wound(grid):
-    return ts.wound_from_function(lambda mesh: np.ones(mesh.shape[:-1]), grid)
+    return ts.WoundKernel(grid, np.ones((grid.n,) * grid.dimension))
 
 
 def test_constants_two_level_fixture():
@@ -67,7 +67,7 @@ def test_contraction_matches_circulant_second_modulus():
 
 def test_doubled_kernel_scales_the_bound_by_its_mass():
     grid = ts.TorusGrid(1, 32)
-    doubled = ts.wound_from_function(lambda mesh: np.full(mesh.shape[:-1], 2.0), grid)
+    doubled = ts.WoundKernel(grid, np.full(grid.n, 2.0))
     potential = ts.step_potential(grid)
     mass = doubled.quadrature_mass()
     assert mass == 2.0

@@ -14,7 +14,7 @@ from scipy.integrate import quad
 
 import torspec as ts
 from torspec.kernels import SYMMETRY_TILE, _invariant_axes, _is_symmetric
-from conftest import make_f2, random_fixture, sine_wound
+from conftest import make_f2, node_mesh, random_fixture, sine_wound
 
 
 # -- winding ------------------------------------------------------------------
@@ -203,14 +203,14 @@ def test_jump_rate_constant_kernel():
 
 def test_jump_rate_convolution_of_ones():
     grid = ts.TorusGrid(1, 16)
-    ones = ts.wound_from_function(lambda mesh: np.ones(mesh.shape[:-1]), grid)
+    ones = ts.WoundKernel(grid, np.ones(grid.n))
     rates = ts.jump_rate(ts.convolution_kernel(ones))
     assert np.all(rates == 1.0)
 
 
 def test_jump_rate_half_supported_rows_rejected_downstream():
     grid = ts.TorusGrid(1, 16)
-    x = grid.coordinates()[:, 0]
+    x = np.arange(grid.n) / grid.n
     kernel = ts.GenericKernel(ts.TorusGrid(1, 16), np.outer(np.where(x < 0.5, 2.0, 0.0), np.ones(grid.size)))
     rates = ts.jump_rate(kernel)
     assert np.all(rates[x < 0.5] == 2.0)
@@ -258,7 +258,7 @@ def test_row_and_column_sums_build_no_array_of_the_kernels_size():
 @pytest.mark.parametrize("dimension, n", [(1, 64), (1, 512), (2, 12), (2, 24)])
 def test_modulated_convolution_is_bit_equal_to_the_phase_product(dimension, n):
     wound = ts.wind_kernel(ts.gaussian_kernel(dimension, 0.2), n)
-    coords = wound.grid.coordinates()
+    coords = node_mesh(wound.grid).reshape(wound.grid.size, dimension)
     phase = 2.0 * np.pi * (coords[:, None, :] + coords[None, :, :])
     for epsilon in (0.3, -0.7):
         reference = ts.convolution_kernel(wound).rows() * (1.0 + epsilon * np.prod(np.cos(phase), axis=-1))
@@ -429,11 +429,11 @@ def test_convolution_kernels_gather_torus_displacements(dimension, n):
     grid = ts.TorusGrid(dimension, n)
     rng = np.random.default_rng(n)
     wound = ts.WoundKernel(ts.TorusGrid(dimension, n), rng.uniform(0.1, 1.0, size=(n,) * dimension))
-    nodes = np.rint(grid.coordinates() * n).astype(int)
+    nodes = np.rint(node_mesh(grid).reshape(grid.size, dimension) * n).astype(int)
     expected = np.array([[wound.samples[tuple((x - y) % n)] for y in nodes] for x in nodes])
     assert np.array_equal(ts.convolution_kernel(wound).rows(), expected)
     assert np.array_equal(ts.modulated_convolution(wound, 0.0).rows(), expected)
-    coords = grid.coordinates()
+    coords = node_mesh(grid).reshape(grid.size, dimension)
     modulation = np.array([[1.0 + 0.5 * np.prod(np.cos(2.0 * np.pi * (x + y))) for y in coords] for x in coords])
     modulated = ts.modulated_convolution(wound, 0.5)
     assert np.allclose(modulated.rows(), expected * modulation, rtol=1e-15, atol=0.0)
@@ -483,6 +483,30 @@ def test_potential_norms_of_extreme_depths(depth):
 def test_step_potential_refuses_a_width_that_is_not_positive(width):
     with pytest.raises(ValueError, match="width must be positive"):
         ts.step_potential(ts.TorusGrid(1, 16), 1.0, width=width)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("n", [2, 6, 8, 16, 48])
+def test_built_in_profiles_are_sampled_one_axis_at_a_time(dimension, n):
+    # step and sine: bit-equal to their formulas on the whole node mesh; cosine: exactly even
+    grid = ts.TorusGrid(dimension, n)
+    x0 = node_mesh(grid)[..., 0]
+    for width in (0.125, 0.3, 0.5, 1.0):
+        reference = np.where(x0.ravel() < width, -0.7, 0.0)
+        assert ts.step_potential(grid, 0.7, width).samples.tobytes() == reference.tobytes()
+    for amplitude in (0.5, -1.0):
+        raw = {"dimension": dimension, "grid_n": n, "kernel": {"family": "sine", "amplitude": amplitude},
+               "potential": {"family": "zero"}}
+        wound = ts.config_from_dict(raw).build_kernel(grid).wound
+        assert wound.samples.tobytes() == (1.0 + amplitude * np.sin(2.0 * np.pi * x0)).tobytes()
+    v = ts.cosine_potential(grid, 0.7).samples.reshape((n,) * dimension)
+    for axis in range(dimension):
+        assert np.array_equal(v, np.roll(np.flip(v, axis), 1, axis))  # v[i] == v[-i mod n]
+    assert np.array_equal(v, v.T)
+    gaussian = ts.convolution_kernel(ts.wind_kernel(ts.gaussian_kernel(dimension, 0.2), n))
+    model = ts.ReducedModel(gaussian, ts.cosine_potential(grid))
+    assert model.point == (0,) * dimension
+    assert model.order == (n // 2 + 1 if dimension == 1 else n * n // 2 + 2)
 
 
 def test_positive_potential_rejected():

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import torspec as ts
 from torspec.cli import run_command
 from torspec.eigen import block_shape
-from conftest import make_f1, make_f3
+from conftest import make_f1, make_f3, node_mesh
 
 
 def _mirror(a, s):
@@ -183,7 +183,7 @@ def _evolve_cli(raw, tables):
 
 def _table(grid, header, values, pairs=False):
     """A CSV table of ``values`` keyed by grid nodes (node pairs when ``pairs``)."""
-    nodes = [",".join(repr(c) for c in x) for x in grid.coordinates().tolist()]
+    nodes = [",".join(repr(c) for c in x) for x in node_mesh(grid).reshape(grid.size, -1).tolist()]
     keys = [f"{x},{y}" for x in nodes for y in nodes] if pairs else nodes
     return "\n".join([header, *(f"{k},{float(v)!r}" for k, v in zip(keys, np.ravel(values)))]) + "\n"
 

@@ -21,6 +21,7 @@ from conftest import (
     make_f4,
     random_convolution_fixture,
     random_fixture,
+    sine_wound,
     two_level_eigenvalue_oracle,
 )
 
@@ -481,7 +482,7 @@ ORACLE_BASES = {
     "exponential": lambda grid: ts.wind_kernel(ts.exponential_kernel(grid.dimension, 0.2), grid.n),
     # 2wn is an integer; the node at -w lies in the box, the one at w does not, so not even
     "tophat": lambda grid: ts.wind_kernel(ts.tophat_kernel(grid.dimension, 0.125), grid.n),
-    "sine": lambda grid: ts.wound_from_function(lambda m: 1.0 + 0.5 * np.sin(2 * np.pi * m[..., 0]), grid),
+    "sine": sine_wound,
 }
 ORACLE_C = 0.05  # measured: 0.0225 at most, on the 2-D sine kernel with the cosine well
 

@@ -21,8 +21,12 @@ and quartiles, the relative change of the medians and the pairs each side
 wins (the lower value wins: every end-to-end metric of the benchmark is
 better lower; equal values win for neither).  ``failed`` counts the commands
 that failed their checks on each side, plus one for each run that printed
-no result; ``/proc/loadavg`` is recorded before and after.  Exit status 0
-means no command failed on either side.
+no result; ``/proc/loadavg`` is recorded before and after.  After each pair
+a host-speed probe, the median time of ``PROBE_REPEATS`` products of a fixed
+``PROBE_ORDER``-square matrix with itself, runs in a child process with the
+thread variables that pair's runs saw; ``probe_s`` holds it per pair,
+summarized by its median and quartiles over the pairs that gave one.  Exit
+status 0 means no command failed on either side.
 """
 
 from __future__ import annotations
@@ -39,6 +43,18 @@ import tempfile
 WORKLOADS = ("analyze-2d", "evolve-rk4", "sweep-1d")
 SIDES = ("old", "new")
 COPIED = ("src", "perfbench")
+PROBE_ORDER, PROBE_REPEATS = 256, 21
+PROBE = f"""
+import time
+import numpy as np
+a = np.linspace(0.0, 1.0, {PROBE_ORDER}**2).reshape({PROBE_ORDER}, {PROBE_ORDER})
+times = []
+for _ in range({PROBE_REPEATS}):
+    start = time.perf_counter()
+    a @ a
+    times.append(time.perf_counter() - start)
+print(sorted(times)[len(times) // 2])
+"""
 
 
 def _loadavg() -> str | None:
@@ -81,6 +97,17 @@ def _run(root: str, workload: str, seed: int, seconds: float) -> tuple[dict | No
     return (parse_run(done.stdout) if done.returncode == 0 else None), done.stderr[-2000:]
 
 
+def probe(threads: dict | None) -> float | None:
+    """The host-speed probe's median seconds, run in a child process with the thread
+    variables ``threads`` set; None when it prints no time."""
+    threads = {name: value for name, value in (threads or {}).items() if value is not None}
+    done = subprocess.run([sys.executable, "-c", PROBE], env={**os.environ, **threads}, capture_output=True, text=True)
+    try:
+        return float(done.stdout)
+    except ValueError:
+        return None
+
+
 def _quartiles(values: list[float]) -> dict:
     if len(values) < 2:
         return {"median": values[0], "q1": values[0], "q3": values[0]}
@@ -91,8 +118,9 @@ def _quartiles(values: list[float]) -> dict:
 def summarize(pairs: list[dict]) -> dict:
     """Per metric, each side's median and quartiles over the pairs in which both sides gave
     a result, the medians' relative change and the pairs each side wins; plus those pairs'
-    count and the failures per side.  A pair is {"old": {metric: value}, "new": {...},
-    "failed": {"old": n, "new": n}}, a side without a result an empty dict."""
+    count and the failures per side, and the median and quartiles of the pairs' probes.
+    A pair is {"old": {metric: value}, "new": {...}, "failed": {"old": n, "new": n},
+    "probe_s": seconds or None}, a side without a result an empty dict."""
     complete = [p for p in pairs if p["old"] and p["new"]]
     summary = {}
     for metric in complete[0]["old"] if complete else ():
@@ -107,6 +135,9 @@ def summarize(pairs: list[dict]) -> dict:
         }
     summary["complete"] = len(complete)
     summary["failed"] = {side: sum(p["failed"][side] for p in pairs) for side in SIDES}
+    probes = [p["probe_s"] for p in pairs if p.get("probe_s") is not None]
+    if probes:
+        summary["probe_s"] = _quartiles(probes)
     return summary
 
 
@@ -126,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
     for workload in args.workloads:
         pairs = []
         for k in range(1, args.pairs + 1):
-            pair = {"seed": k, "first": "old" if k % 2 else "new", "failed": {}}
+            pair, threads = {"seed": k, "first": "old" if k % 2 else "new", "failed": {}}, None
             order = SIDES if k % 2 else SIDES[::-1]
             with tempfile.TemporaryDirectory(prefix="bench-pairs-") as work:
                 for side in order:
@@ -137,10 +168,12 @@ def main(argv: list[str] | None = None) -> int:
                         pair[side], pair["failed"][side] = {}, 1
                         continue
                     record["env"].setdefault(side, result["env"])
+                    threads = (result["env"] or {}).get("threads", threads)
                     pair[side] = {m: v["value"] for m, v in result["metrics"].items()}
                     pair["failed"][side] = result["failed"]
+            pair["probe_s"] = probe(threads)
             pairs.append(pair)
-            print(f"{workload} pair {k}: " + json.dumps({side: pair[side] for side in SIDES}), flush=True)
+            print(f"{workload} pair {k}: " + json.dumps({key: pair[key] for key in (*SIDES, "probe_s")}), flush=True)
         record["workloads"][workload] = {"summary": summarize(pairs), "pairs": pairs}
     record["loadavg"]["after"] = _loadavg()
     with open(f"BENCH_{args.label}.json", "w") as handle:

@@ -2,18 +2,19 @@
 
     python3 tools/compare_outputs.py OLD_SRC NEW_SRC
 
-OLD_SRC and NEW_SRC are the roots of two checkouts.  Both run the same 99
+OLD_SRC and NEW_SRC are the roots of two checkouts.  Both run the same 103
 commands, each in a fresh ``python -m torspec`` with that
 checkout's sources alone on ``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=1``:
 
 - the commands of the benchmark's workloads ``analyze-2d``, ``evolve-rk4``
   and ``sweep-1d`` at seed 1, from ``perfbench/workloads.build_plan``;
-- ``analyze``, ``bound``, ``evolve`` and ``check-kernel`` on nineteen more
+- ``analyze``, ``bound``, ``evolve`` and ``check-kernel`` on twenty more
   configs (``EXTRA_CONFIGS``): a 1-D CSV kernel table, a 2-D one that is
   translation-invariant along its second axis only (a generic kernel's
   Bloch blocks and its fold over that axis), 1-D and 2-D ``modulated``
   kernels, ``exponential`` kernels with a ``step`` and a
-  ``cosine``, and a Gaussian with a ``zero`` potential; the reductions no
+  ``cosine``, a 1-D Gaussian with a ``cosine``, whose reflection s = 0
+  fixes nodes, and a Gaussian with a ``zero`` potential; the reductions no
   workload takes (a 1-D reflection that fixes nodes, a 2-D ``constant``
   potential, a 2-D fibre), the first and the last again with
   ``eigenexpansion``, a 2-D ``sine`` kernel with a ``step``, whose Bloch
@@ -78,6 +79,8 @@ EXTRA_CONFIGS = {
                        "potential": STEP},
     "exponential-2d": {"dimension": 2, "grid_n": 16, "kernel": {"family": "exponential", "scale": 0.2},
                        "potential": {"family": "cosine", "depth": 1.0}},
+    "cosine-1d": {"dimension": 1, "grid_n": 64, "kernel": GAUSSIAN,
+                  "potential": {"family": "cosine", "depth": 1.0}},
     "gaussian-zero": {"dimension": 1, "grid_n": 32, "kernel": GAUSSIAN, "potential": {"family": "zero"}},
     "sector-fixed-1d": {"dimension": 1, "grid_n": 18, "kernel": GAUSSIAN, "potential": STEP},
     "constant-2d": {"dimension": 2, "grid_n": 16, "kernel": GAUSSIAN,
