@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .grid import TorusGrid
+from .grid import DIMENSION_RULE, DIMENSIONS, TorusGrid
 from .kernels import (
     GenericKernel,
     Potential,
@@ -113,7 +113,7 @@ KERNEL_FAMILIES = {
     "exponential": ({"scale": (_number, 0.2, *_POSITIVE)}, _winding(exponential_kernel, "scale")),
     "sine": (
         {"amplitude": (_number, 0.5, lambda x: abs(x) <= 1, "must lie in [-1, 1]")},
-        lambda spec, grid, config: convolution_kernel(WoundKernel(grid, np.repeat(  # repeated along x_2
+        lambda spec, grid, config: convolution_kernel(WoundKernel(grid, np.repeat(  # repeated along x_2, ..., x_d
             1.0 + spec["amplitude"] * np.sin(2.0 * np.pi * (np.arange(grid.n) / grid.n)), grid.size // grid.n
         ).reshape((grid.n,) * grid.dimension))),
     ),
@@ -248,8 +248,8 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
     grid_n = _integer(raw, "grid_n", "config")
     if grid_n is None:
         raise ParseError("config.grid_n is required")
-    if dimension not in (1, 2):
-        problems.append("dimension must be 1 or 2")
+    if dimension not in DIMENSIONS:
+        problems.append(DIMENSION_RULE)
     if grid_n < 2 or grid_n % 2 != 0:
         problems.append("grid_n must be a positive even integer")
 
@@ -266,7 +266,7 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
     wind_tail_tol = settings["analysis"].pop("wind_tail_tol")
     options = AnalysisOptions(**settings["analysis"])
 
-    if dimension in (1, 2):
+    if dimension in DIMENSIONS:
         order = grid_n**dimension
         if 8 * order**2 > sys.maxsize:
             problems.append(f"grid_n^dimension = {grid_n}^{dimension} is too large: "

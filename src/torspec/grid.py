@@ -9,6 +9,9 @@ import numpy as np
 
 from .errors import GridMismatch
 
+DIMENSIONS = (1, 2, 3)  # the torus dimensions d a grid, and so a config, admits
+DIMENSION_RULE = "dimension must be 1, 2 or 3"
+
 
 @dataclass(frozen=True)
 class TorusGrid:
@@ -25,8 +28,8 @@ class TorusGrid:
     def __post_init__(self) -> None:
         if not (isinstance(self.dimension, Integral) and isinstance(self.n, Integral)):
             raise ValueError("dimension and grid resolution must be integers")
-        if self.dimension not in (1, 2):
-            raise ValueError("only dimensions 1 and 2 are supported")
+        if self.dimension not in DIMENSIONS:
+            raise ValueError(DIMENSION_RULE)
         if self.n < 2:
             raise ValueError("grid resolution must be at least 2")
 

@@ -5,8 +5,8 @@ displacement, wound from a product kernel on the full space when necessary; ever
 kernel, convolution or not, is a ``GenericKernel``: samples b(x_i, y_j) kept as the
 rows that its translation invariance does not repeat, one row for a convolution
 kernel.  Potentials are nonpositive node samples.  Every built-in sample is built one
-axis at a time from n values: a 2-D sample repeats them along the second axis or is
-their outer product.  Every record carries the ``TorusGrid`` it is sampled on, and
+axis at a time from n values: a d-D sample repeats them along the later axes or is
+their d-fold outer product.  Every record carries the ``TorusGrid`` it is sampled on, and
 every sample must be finite.  A generic kernel decides once, when it is built, whether
 its samples are exactly symmetric and along which axes they are exactly
 translation-invariant: a convolution kernel reads both off its wound samples, any
@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from numbers import Integral
 from typing import Callable
 
@@ -217,9 +218,9 @@ def wind_kernel(a: ContinuousKernel, n: int, tail_tol: float = 1e-12) -> WoundKe
     t = -1/2 and t = 1/2 are one node, which keeps the mean of its two sums.
     An even factor therefore winds to exactly symmetric samples,
     ``g[k] == g[-k mod n]`` bit for bit: the sums at t and -t take the same
-    terms in the same order.  In 2-D the samples are the outer product of the
-    wound g with itself, so an even factor's are exactly even along each axis
-    and exactly symmetric under the axis swap.
+    terms in the same order.  In d dimensions the samples are the d-fold outer
+    product of the wound g with itself, so an even factor's are exactly even
+    along each axis and exactly symmetric under every axis swap.
     """
     if not tail_tol > 0:
         raise ValueError("tail_tol must be positive")
@@ -240,8 +241,7 @@ def wind_kernel(a: ContinuousKernel, n: int, tail_tol: float = 1e-12) -> WoundKe
         g = g + (a.factor((j + m) / n) + a.factor((j - m) / n))
     if n % 2 == 0:  # t = -1/2 and t = 1/2 are one node
         g = np.concatenate([0.5 * (g[:1] + g[-1:]), g[1:-1]])
-    g = np.roll(g, -(n // 2))
-    samples = g if a.dimension == 1 else np.multiply.outer(g, g)
+    samples = reduce(np.multiply.outer, [np.roll(g, -(n // 2))] * a.dimension)
     return WoundKernel(TorusGrid(a.dimension, n), samples, n_wind, float(a.tail_mass_bound(n_wind)))
 
 
@@ -336,20 +336,20 @@ def modulated_convolution(wound: WoundKernel, epsilon: float) -> GenericKernel:
     """b(x, y) = a(x - y) (1 + epsilon prod_a cos(2 pi (x_a + y_a))), |epsilon| < 1.
 
     The modulation is symmetric in (x, y) and, with |epsilon| < 1, positive.
-    Its factors come from one (n, n) table of a single axis, in axis order;
-    it is formed, then scaled by the displacement samples, in place.
+    Its factors, one (n, n) table of a single axis viewed along each (x_a, y_a),
+    multiply in axis order; the product is scaled by the displacement samples in place.
     """
     if not abs(epsilon) < 1.0:
         raise ValueError("modulation amplitude epsilon must satisfy |epsilon| < 1")
-    grid = wound.grid
-    nodes = np.arange(grid.n) / grid.n
+    n, d = wound.grid.n, wound.grid.dimension
+    nodes = np.arange(n) / n
     table = np.cos(2.0 * np.pi * (nodes[:, None] + nodes[None, :]))
-    samples = table if grid.dimension == 1 else table[:, None, :, None] * table[None, :, None, :]
+    samples = reduce(np.multiply, [table.reshape([n if k % d == a else 1 for k in range(2 * d)]) for a in range(d)])
     samples *= epsilon
     samples += 1.0
-    samples = samples.reshape(grid.size, grid.size)
+    samples = samples.reshape(wound.grid.size, -1)
     samples *= convolution_kernel(wound).rows()
-    return GenericKernel(grid, samples)
+    return GenericKernel(wound.grid, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -406,14 +406,14 @@ def step_potential(grid: TorusGrid, depth: float = 1.0, width: float = 0.5) -> P
     if not width > 0:
         raise ValueError("width must be positive")
     profile = np.where(np.arange(grid.n) / grid.n < width, -float(depth), 0.0)
-    return Potential(grid, np.repeat(profile, grid.size // grid.n))  # repeated along x_2
+    return Potential(grid, np.repeat(profile, grid.size // grid.n))  # repeated along x_2, ..., x_d
 
 
 def cosine_potential(grid: TorusGrid, depth: float = 1.0) -> Potential:
     """Smooth well -depth * prod_axes (1 + cos(2 pi x_a)) / 2, zero only at x_a = 1/2."""
     i = np.arange(grid.n)  # each factor at the folded node min(i, n - i)/n: exactly even
     profile = (1.0 + np.cos(2.0 * np.pi * (np.minimum(i, grid.n - i) / grid.n))) / 2.0
-    return Potential(grid, -float(depth) * (profile if grid.dimension == 1 else np.multiply.outer(profile, profile)))
+    return Potential(grid, -float(depth) * reduce(np.multiply.outer, [profile] * grid.dimension))
 
 
 # ---------------------------------------------------------------------------
@@ -520,12 +520,10 @@ def _node_index(value: str, n: int, path: str, line: int) -> int:
     return i
 
 
-def _read_table(
-    path: str, grid: TorusGrid, header: list[str], kind: str, sign: float, item: str
-) -> np.ndarray:
-    """Values of a CSV table keyed by grid nodes, in flat node order.
+def _read_table(path: str, grid: TorusGrid, points: int, kind: str, sign: float, item: str) -> np.ndarray:
+    """Values of a CSV table keyed by ``points`` grid nodes, x or x and y, in flat node order.
 
-    The coordinate columns (all but the last) fold into one flat index,
+    The coordinate columns, x1,...,xd (x in 1-D) then y1,...,yd, fold into one flat index,
     the first column most significant, so a two-point table fills the
     (n^d, n^d) kernel array in row-major order.  Every index must appear
     exactly once, and ``sign * value`` must be nonnegative; ``kind`` names
@@ -534,6 +532,8 @@ def _read_table(
     that is not UTF-8 reaches its field as a lone surrogate and fails that
     field's number check; a record the csv module refuses names its line.
     """
+    n, d = grid.n, grid.dimension
+    header = [c if d == 1 else f"{c}{a}" for c in "xy"[:points] for a in range(1, d + 1)] + ["value"]
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as handle:
         reader = csv.reader(handle)
         try:
@@ -551,7 +551,6 @@ def _read_table(
             raise ParseError(f"{path}: empty file") from None
         except csv.Error as exc:
             raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
-    n = grid.n
     samples = np.full(n ** (len(header) - 1), np.nan)
     for line, row in rows:
         flat = 0
@@ -572,13 +571,11 @@ def _read_table(
 
 def kernel_from_csv(path: str, grid: TorusGrid) -> GenericKernel:
     """Read a tabulated two-point kernel; every grid node pair must appear once."""
-    header = ["x", "y", "value"] if grid.dimension == 1 else ["x1", "x2", "y1", "y2", "value"]
-    samples = _read_table(path, grid, header, "kernel", 1.0, "node pair")
+    samples = _read_table(path, grid, 2, "kernel", 1.0, "node pair")
     return GenericKernel(grid, samples.reshape(grid.size, grid.size))
 
 
 def potential_from_csv(path: str, grid: TorusGrid) -> Potential:
     """Read a tabulated potential; every grid node must appear exactly once."""
-    header = ["x", "value"] if grid.dimension == 1 else ["x1", "x2", "value"]
-    samples = _read_table(path, grid, header, "potential", -1.0, "node")
+    samples = _read_table(path, grid, 1, "potential", -1.0, "node")
     return Potential(grid, samples)

@@ -34,7 +34,7 @@ def test_the_diff_lists_each_number_that_moved_and_nothing_else(compare):
     trace = "t,l2\n0.0,1.0\n0.5,0.75\n"
     assert compare.numeric_changes("trace.csv", trace, trace.replace("0.75", "0.7500000000000001")) == [
         ("[1].l2", 0.75, 0.7500000000000001)]
-    assert compare.numeric_changes("trace.csv", trace, trace + "1.0,0.5\n") is None  # one row more
+    assert compare.numeric_changes("trace.csv", trace, trace + "1.0,0.5\n") == ["~ (top level): length 2 -> 3"]
     assert compare.numeric_changes("stdout", "lambda -0.1\n", "lambda -0.2\n") is None
 
 
@@ -69,3 +69,26 @@ def test_a_report_that_gains_a_key_still_lists_its_moved_numbers(compare, tmp_pa
         "  diagnostics.bracket[0]: -0.5 -> -0.25 (+5.00e-01 relative)",
         "  + diagnostics.root_find",
     ]
+
+
+def test_a_list_that_changes_length_is_named_and_the_other_moves_still_listed(compare, tmp_path):
+    old = json.loads(_report(-0.5))
+    new = json.loads(_report(-0.25))
+    old["essential"], new["essential"] = {"values": [0.5, 0.75, 1.0]}, {"values": [0.5, 1.0]}
+    old["perron_order"], new["perron_order"] = 256, 130
+    old, new = json.dumps(old), json.dumps(new)
+    assert compare.numeric_changes("report.json", old, new) == [
+        ("lambda", -0.5, -0.25),
+        ("diagnostics.bracket[0]", -0.5, -0.25),
+        "~ essential.values: length 3 -> 2",
+        ("perron_order", 256, 130),
+    ]
+    for side, text in (("old", old), ("new", new)):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "report.json").write_text(text)
+    assert compare._moved(str(tmp_path / "old"), str(tmp_path / "new"), "report.json")[2:] == [
+        "  ~ essential.values: length 3 -> 2",
+        "  perron_order: 256 -> 130 (-4.92e-01 relative)",
+    ]
+    # a string that moved beside the list still makes the report incomparable
+    assert compare.numeric_changes("report.json", old, new.replace('"qr"', '"power"')) is None

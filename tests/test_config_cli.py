@@ -630,9 +630,10 @@ def test_grid_too_large_to_address_is_validation_error(grid_n, tmp_path, capsys)
     assert f"{grid_n}^1 is too large" in diagnostic["message"]
 
 
-@pytest.mark.parametrize("dimension, largest", [(1, 2**30 - 2), (2, 2**15 - 2)])
+@pytest.mark.parametrize("dimension, largest", [(1, 2**30 - 2), (2, 2**15 - 2), (3, 2**10 - 2)])
 def test_largest_addressable_grid_is_accepted(dimension, largest):
     # the dense float64 matrix of order N = n^d takes 8 N^2 bytes
+    assert 8 * largest ** (2 * dimension) <= sys.maxsize < 8 * (largest + 2) ** (2 * dimension)
     cap = {"spectrum_order_cap": 2**62}
     raw = minimal_config(dimension=dimension, grid_n=largest, analysis=cap)
     assert ts.config_from_dict(raw).grid_n == largest
@@ -676,6 +677,19 @@ def test_readme_python_api_block_runs():
     line = next(line for line in block.splitlines() if line.startswith("-report.essential"))
     stated = ast.literal_eval(line.split("#", 1)[1].strip())
     assert (-namespace["report"].essential).tolist() == stated
+
+
+@pytest.mark.parametrize("potential", [{"family": "step"}, {"family": "cosine"}])
+def test_every_command_runs_on_the_three_torus(potential, tmp_path):
+    # a 3-D n = 8 Gaussian: 64 Bloch blocks of order 8 under the step, the reflection s = 0 under the cosine
+    raw = minimal_config(dimension=3, grid_n=8, kernel={"family": "gaussian", "sigma": 0.2}, potential=potential)
+    config = ts.config_from_dict(raw)
+    for command in ("analyze", "bound", "evolve", "check-kernel"):
+        assert run_command(command, config, str(tmp_path)) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["diagnostics"]["perron_order"] == (4 if potential["family"] == "step" else 8**3 // 2 + 4)
+    assert json.loads((tmp_path / "gap_bound.json").read_text())["gap_bound"]["verdict"] == "pass"
+    assert json.loads((tmp_path / "evolution.json").read_text())["extinction"]["extinct"] is True
 
 
 def test_commands_agree_on_shared_sections(tmp_path):
@@ -806,11 +820,11 @@ def test_deeply_nested_config_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("overrides, error, message", [
-    ({"dimension": 3}, ts.ValidationError, "dimension must be 1 or 2"),
+    ({"dimension": 4}, ts.ValidationError, "dimension must be 1, 2 or 3"),
     ({"kernel": {"family": "modulated", "epsilon": 0.3}}, ts.ParseError,
      "kernel.base is required for the modulated family"),
     ({"kernel": {"family": "gaussian", "sigma": 10**400}}, ts.ParseError, "kernel.sigma must be finite"),
-], ids=["dimension-3", "modulated-without-base", "integer-beyond-float-range"])
+], ids=["dimension-4", "modulated-without-base", "integer-beyond-float-range"])
 def test_config_names_the_key_it_refuses(overrides, error, message):
     with pytest.raises(error, match=message):
         ts.config_from_dict(minimal_config(**overrides))

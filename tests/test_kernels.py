@@ -4,7 +4,8 @@ import dataclasses
 import json
 import math
 import tracemalloc
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -104,7 +105,7 @@ def test_grid_refuses_a_dimension_or_resolution_that_is_not_an_integer(dimension
         ts.TorusGrid(dimension, n)
 
 
-@pytest.mark.parametrize("dimension, n, message", [(3, 4, "only dimensions 1 and 2"), (1, 1, "at least 2")])
+@pytest.mark.parametrize("dimension, n, message", [(4, 4, "must be 1, 2 or 3"), (1, 1, "at least 2")])
 def test_grid_refuses_a_dimension_or_resolution_out_of_range(dimension, n, message):
     with pytest.raises(ValueError, match=message):
         ts.TorusGrid(dimension, n)
@@ -255,7 +256,7 @@ def test_row_and_column_sums_build_no_array_of_the_kernels_size():
     assert peak <= 0.05 * kernel.rows().nbytes
 
 
-@pytest.mark.parametrize("dimension, n", [(1, 64), (1, 512), (2, 12), (2, 24)])
+@pytest.mark.parametrize("dimension, n", [(1, 64), (1, 512), (2, 12), (2, 24), (3, 6)])
 def test_modulated_convolution_is_bit_equal_to_the_phase_product(dimension, n):
     wound = ts.wind_kernel(ts.gaussian_kernel(dimension, 0.2), n)
     coords = node_mesh(wound.grid).reshape(wound.grid.size, dimension)
@@ -509,6 +510,28 @@ def test_built_in_profiles_are_sampled_one_axis_at_a_time(dimension, n):
     assert model.order == (n // 2 + 1 if dimension == 1 else n * n // 2 + 2)
 
 
+@pytest.mark.parametrize("n", [2, 6, 8])
+def test_three_dimensional_samples_are_products_of_the_one_axis_values(n):
+    grid, line = ts.TorusGrid(3, n), ts.TorusGrid(1, n)
+    for make in (ts.gaussian_kernel, ts.exponential_kernel, ts.tophat_kernel):
+        # the 3-D tail bound is three 1-D ones, so the 1-D factor winds to a third of the tolerance
+        g, cube = ts.wind_kernel(make(1, 0.25), n, 1e-12 / 3), ts.wind_kernel(make(3, 0.25), n)
+        assert cube.wind_truncation == g.wind_truncation
+        assert cube.samples.tobytes() == reduce(np.multiply.outer, [g.samples] * 3).tobytes()
+    profile = -ts.cosine_potential(line, 1.0).samples  # the one-axis factor, exactly
+    v = ts.cosine_potential(grid, 0.7).samples.reshape((n,) * 3)
+    assert v.tobytes() == (-0.7 * reduce(np.multiply.outer, [profile] * 3)).tobytes()
+    for axis in range(3):
+        assert np.array_equal(v, np.roll(np.flip(v, axis), 1, axis))  # exactly even along each axis
+    for order in permutations(range(3)):
+        assert np.array_equal(v, v.transpose(order))
+    x0 = node_mesh(grid)[..., 0].ravel()
+    assert ts.step_potential(grid, 0.7, 0.3).samples.tobytes() == np.where(x0 < 0.3, -0.7, 0.0).tobytes()
+    gaussian = ts.convolution_kernel(ts.wind_kernel(ts.gaussian_kernel(3, 0.2), n))
+    model = ts.ReducedModel(gaussian, ts.cosine_potential(grid))
+    assert model.point == (0, 0, 0) and model.order == n**3 // 2 + 4  # the 8 fixed nodes count once
+
+
 def test_positive_potential_rejected():
     with pytest.raises(ts.PositivePotential):
         ts.Potential(ts.TorusGrid(1, 4), np.array([0.0, -1.0, 0.2, -0.5]))
@@ -732,6 +755,40 @@ def test_two_dimensional_csv_tables_fill_row_major_node_order(tmp_path):
     rows = [f"{x[0] / n},{x[1] / n},{float(values[i])!r}" for i, x in enumerate(nodes)]
     potential = ts.potential_from_csv(_write(tmp_path / "p.csv", "x1,x2,value", rows[::-1]), grid)
     assert np.array_equal(potential.samples, values)
+
+
+def test_three_dimensional_csv_tables_fill_row_major_node_order(tmp_path):
+    n = 4
+    grid = ts.TorusGrid(3, n)
+    nodes = [",".join(repr(i / n) for i in x) for x in np.ndindex(n, n, n)]
+    samples = np.arange(1.0, grid.size**2 + 1).reshape(grid.size, grid.size)
+    rows = [f"{x},{y},{float(samples[i, j])!r}" for i, x in enumerate(nodes) for j, y in enumerate(nodes)]
+    kernel = ts.kernel_from_csv(_write(tmp_path / "k.csv", "x1,x2,x3,y1,y2,y3,value", rows[::-1]), grid)
+    assert np.array_equal(kernel.rows(), samples) and kernel.invariant_axes == ()
+    # a kernel that varies along x_1 alone is found invariant along the other two axes
+    first = np.repeat(np.arange(float(n)), n * n)  # i_1 at each node
+    varying = 1.0 + first[:, None] + n * first[None, :]
+    rows = [f"{x},{y},{float(varying[i, j])!r}" for i, x in enumerate(nodes) for j, y in enumerate(nodes)]
+    kernel = ts.kernel_from_csv(_write(tmp_path / "k.csv", "x1,x2,x3,y1,y2,y3,value", rows), grid)
+    assert kernel.invariant_axes == (1, 2)
+    values = -np.arange(float(grid.size))
+    rows = [f"{x},{float(values[i])!r}" for i, x in enumerate(nodes)]
+    potential = ts.potential_from_csv(_write(tmp_path / "p.csv", "x1,x2,x3,value", rows[::-1]), grid)
+    assert np.array_equal(potential.samples, values)
+
+
+@pytest.mark.parametrize("table, header", [
+    ("kernel", "x1,x2,x3,y1,y2,y3,value"), ("potential", "x1,x2,x3,value"),
+])
+def test_a_three_dimensional_config_refuses_a_two_dimensional_table(table, header, tmp_path):
+    two_d = {"kernel": "x1,x2,y1,y2,value\n0,0,0,0,1\n", "potential": "x1,x2,value\n0,0,-1\n"}[table]
+    (tmp_path / "t.csv").write_text(two_d)
+    raw = {"dimension": 3, "grid_n": 4, "kernel": {"family": "constant"}, "potential": {"family": "zero"},
+           table: {"family": "csv", "path": "t.csv"}}
+    config = ts.config_from_dict(raw, base_dir=str(tmp_path))
+    build = config.build_kernel if table == "kernel" else config.build_potential
+    with pytest.raises(ts.ParseError, match=f"expected header '{header}', got '{two_d.splitlines()[0]}'"):
+        build(config.build_grid())
 
 
 @pytest.mark.parametrize("table, header, rows, error, message", [

@@ -5,6 +5,7 @@ import json
 import math
 import pkgutil
 from dataclasses import asdict
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -520,3 +521,25 @@ def test_every_method_matches_second_order_perturbation_at_shallow_depth(shape, 
     assert report.lambda_by_method.keys() == scales.keys()
     for method, lam in report.lambda_by_method.items():
         assert abs(lam - oracle) <= third + scales[method], (method, lam, oracle)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([4, 6, 8]), st.sampled_from([1, 2, 3]),
+       st.floats(-1.0, 1.0))
+def test_a_product_kernel_reduces_exactly_to_one_axis(seed, even, n, dimension, log_depth):
+    """On a step, which varies along x_1 alone, the d-fold product of a one-axis factor g has the
+    lambda of the 1-D kernel m^(d-1) g, m = h sum g the factor's quadrature mass: each other axis
+    integrates to m.  Raw lambdas are not compared across d, since m need not be 1."""
+    g = np.random.default_rng(seed).uniform(0.1, 1.0, n)
+    if even:
+        g = g + np.roll(np.flip(g), 1)  # g[k] == g[-k mod n] bit for bit
+    depth, mass = 10.0**log_depth, float(g.sum()) / n
+
+    def lambdas(grid, samples):
+        wound = ts.WoundKernel(grid, samples)
+        return ts.analyze(ts.convolution_kernel(wound), ts.step_potential(grid, depth, 0.5)).lambda_by_method
+
+    line = lambdas(ts.TorusGrid(1, n), mass ** (dimension - 1) * g)
+    product = lambdas(ts.TorusGrid(dimension, n), reduce(np.multiply.outer, [g] * dimension))
+    for method, lam in product.items():
+        assert lam == pytest.approx(line[method], rel=1e-10, abs=0), method

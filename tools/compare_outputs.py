@@ -2,13 +2,13 @@
 
     python3 tools/compare_outputs.py OLD_SRC NEW_SRC
 
-OLD_SRC and NEW_SRC are the roots of two checkouts.  Both run the same 103
+OLD_SRC and NEW_SRC are the roots of two checkouts.  Both run the same 111
 commands, each in a fresh ``python -m torspec`` with that
 checkout's sources alone on ``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=1``:
 
 - the commands of the benchmark's workloads ``analyze-2d``, ``evolve-rk4``
   and ``sweep-1d`` at seed 1, from ``perfbench/workloads.build_plan``;
-- ``analyze``, ``bound``, ``evolve`` and ``check-kernel`` on twenty more
+- ``analyze``, ``bound``, ``evolve`` and ``check-kernel`` on twenty-two more
   configs (``EXTRA_CONFIGS``): a 1-D CSV kernel table, a 2-D one that is
   translation-invariant along its second axis only (a generic kernel's
   Bloch blocks and its fold over that axis), 1-D and 2-D ``modulated``
@@ -20,8 +20,10 @@ checkout's sources alone on ``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=1``:
   ``eigenexpansion``, a 2-D ``sine`` kernel with a ``step``, whose Bloch
   pairs are complex blocks, a 2-D ``tophat`` with a ``step``, the product of
   a factor that is not even, so its kernel is not symmetric and its Bloch
-  blocks come in complex pairs, and a 2-D ``n = 48`` ``constant`` potential, whose
-  order-1 ``evolve`` lifts its snapshots in eight blocks; and one config
+  blocks come in complex pairs, a 2-D ``n = 48`` ``constant`` potential, whose
+  order-1 ``evolve`` lifts its snapshots in eight blocks, and a 3-D ``n = 8``
+  Gaussian with a ``step`` (Bloch blocks) and with a ``cosine`` (the
+  reflection s = 0 of the whole matrix); and one config
   for each failure exit code: a non-primitive ``tophat`` (2, or 3 where
   ``evolve`` does not converge), a negative ``sigma`` (1), ``max_iter: 1``
   (3) and a CSV potential table with a positive value (2).
@@ -33,10 +35,11 @@ path, so the paths they print agree.  Exit status 0 means every output is
 identical and the temporary work directory is removed; 1 lists each
 differing file and keeps that directory, with each side's outputs under
 ``old/`` and ``new/``.  Under a JSON report or ``trace.csv`` that differs
-in its numbers and keys alone, the list shows, one line each, every key
-that one side lacks (``+ path`` added, ``- path`` removed) and every
-number that moved in the keys both share: its path, the old and the new
-value and the relative change.
+in its numbers, keys and list lengths alone, the list shows, one line each,
+every key that one side lacks (``+ path`` added, ``- path`` removed), every
+list whose length changed (``~ path: length old -> new``; its entries are
+not paired) and every number that moved in the keys both share: its path,
+the old and the new value and the relative change.
 """
 
 from __future__ import annotations
@@ -94,6 +97,8 @@ EXTRA_CONFIGS = {
     "tophat-2d": {"dimension": 2, "grid_n": 16, "kernel": {"family": "tophat", "width": 0.125}, "potential": STEP},
     "constant-2d-48": {"dimension": 2, "grid_n": 48, "kernel": GAUSSIAN,
                        "potential": {"family": "constant", "depth": 1.0}},
+    "gaussian-3d": {"dimension": 3, "grid_n": 8, "kernel": GAUSSIAN, "potential": STEP},
+    "cosine-3d": {"dimension": 3, "grid_n": 8, "kernel": GAUSSIAN, "potential": {"family": "cosine", "depth": 1.0}},
     "nonprimitive-1d": {"dimension": 1, "grid_n": 16, "kernel": {"family": "tophat", "width": 1 / 32},
                         "potential": STEP},
     "bad-config": {"dimension": 1, "grid_n": 16, "kernel": {"family": "gaussian", "sigma": -1},
@@ -115,8 +120,9 @@ def _sources(checkout: str) -> str:
 
 def _write_kernel_table(path: str, dimension: int, n: int) -> None:
     """The positive kernel table prod_a g(x_a - y_a) (1 + 0.3 sin 2 pi x_0), g a periodic
-    Gaussian: not symmetric, and translation-invariant along every axis but the first."""
-    header = ["x", "y"] if dimension == 1 else ["x1", "x2", "y1", "y2"]
+    Gaussian: not symmetric, and translation-invariant along every axis but the first.  Its header
+    names x, y in 1-D and x1, ..., xd, y1, ..., yd otherwise, as torspec reads it."""
+    header = [c if dimension == 1 else f"{c}{a}" for c in "xy" for a in range(1, dimension + 1)]
     nodes = list(product([i / n for i in range(n)], repeat=dimension))
     rows = []
     for x in nodes:
@@ -187,8 +193,9 @@ def _differences(old: str, new: str) -> list[str]:
 
 def _numeric_leaves(old, new, path: str, changes: list) -> bool:
     """Append to ``changes`` (path, old, new) for each number that differs between two
-    parsed documents, and "+ path" or "- path" for each key that only the new or only
-    the old one holds; False where they differ otherwise (a string, a length, a type)."""
+    parsed documents, "+ path" or "- path" for each key that only the new or only the
+    old one holds, and "~ path: length old -> new" for each list whose length differs,
+    whose entries are then not paired; False where they differ otherwise (a string, a type)."""
     if isinstance(old, dict) and isinstance(new, dict):
         at = lambda key: f"{path}.{key}" if path else key
         changes += [f"- {at(key)}" for key in old if key not in new]
@@ -196,7 +203,10 @@ def _numeric_leaves(old, new, path: str, changes: list) -> bool:
         changes += [f"+ {at(key)}" for key in new if key not in old]
         return shared
     if isinstance(old, list) and isinstance(new, list):
-        return len(old) == len(new) and all(
+        if len(old) != len(new):
+            changes.append(f"~ {path or '(top level)'}: length {len(old)} -> {len(new)}")
+            return True
+        return all(
             _numeric_leaves(a, b, f"{path}[{i}]", changes) for i, (a, b) in enumerate(zip(old, new)))
     numbers = [isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new)]
     if all(numbers) and repr(old) != repr(new):
@@ -216,9 +226,10 @@ def _parse(name: str, text: str):
 
 def numeric_changes(name: str, old: str, new: str) -> list | None:
     """The numbers that moved between two texts of the artifact ``name``, a JSON report
-    outside its ``metadata`` or ``trace.csv``, as (path, old, new), and the keys only one
-    text holds, as "+ path" (new) or "- path" (old); None where the texts differ in
-    anything else, fail to parse, or are of another artifact."""
+    outside its ``metadata`` or ``trace.csv``, as (path, old, new), the keys only one
+    text holds, as "+ path" (new) or "- path" (old), and the lists that changed length,
+    as "~ path: length old -> new"; None where the texts differ in anything else, fail
+    to parse, or are of another artifact."""
     if not (name.endswith(".json") or name == "trace.csv"):
         return None
     try:
@@ -230,8 +241,8 @@ def numeric_changes(name: str, old: str, new: str) -> list | None:
 
 
 def _moved(old: str, new: str, name: str) -> list[str]:
-    """One line per number that moved, and per key added or removed, in the file ``name``
-    between ``old`` and ``new``."""
+    """One line per number that moved, per key added or removed and per list that changed
+    length, in the file ``name`` between ``old`` and ``new``."""
     paths = [os.path.join(side, name) for side in (old, new)]
     if not all(map(os.path.isfile, paths)):
         return []
@@ -241,7 +252,7 @@ def _moved(old: str, new: str, name: str) -> list[str]:
             texts.append(handle.read())
     lines = []
     for change in numeric_changes(name, *texts) or []:
-        if isinstance(change, str):  # a key one side lacks
+        if isinstance(change, str):  # a key one side lacks, or a list's lengths
             lines.append(f"  {change}")
             continue
         path, a, b = change
