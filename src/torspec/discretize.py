@@ -134,7 +134,10 @@ class ReducedModel:
     c = q u(x) per orbit {x, r x}, q = sqrt(|orbit| / 2) (``scale``, None when every q is 1).
     ``order`` counts the orbits, ``nodes`` holds the least grid node of each, ``orbit`` the
     orbit of every node, ``mirror`` r x for every fibre index x (x itself without a point),
-    ``denominator`` W - V at ``nodes``.  Unreduced, the order is n^d.
+    ``denominator`` W - V at ``nodes``.  Unreduced, the order is n^d.  ``split`` is whether
+    every Bloch block commutes with r, so ``sector`` splits it: with a point, when the kernel's
+    slab is also even along y_S, every invariant axis negated together, bit for bit (always
+    so on the whole matrix, S empty).
     """
 
     def __init__(self, kernel: GenericKernel, potential: Potential) -> None:
@@ -151,21 +154,40 @@ class ReducedModel:
             hits = (s[(w[tuple((n - 1 - s.T) % n)] == v).reshape(len(s), -1).all(axis=1)]  # windows v[(s - x) mod n]
                     for s in np.array_split(c, -(-len(c) * v.size // 2**16)))  # about 2^16 compared elements a chunk
             self.point = next((tuple(map(int, h[0])) for h in hits if len(h)), None)
+        self.split = self.point is not None and np.array_equal(  # the slab is one row a(-y) with a point
+            t := kernel.slab.reshape((n,) * d), np.roll(np.flip(t, self.axes), 1, self.axes))
         index = np.arange(slab.size)
         mirror = index if self.point is None else _reflect(index.reshape(fibre), self.point).ravel()
         rep = np.minimum(index, mirror)  # the least node of each node's orbit
         least, orbits = np.flatnonzero(rep == index), (np.cumsum(rep == index) - 1)[rep]
-        self.order, self.nodes, self.mirror, self._sector = least.size, slab[least], mirror, (least, mirror[least])
+        self.order, self.nodes, self.mirror, self._least = least.size, slab[least], mirror, least
         self.orbit = np.broadcast_to(orbits.reshape(grid.slab_shape(self.axes)), grid.slab_shape(())).ravel()
         self.scale = np.sqrt(np.bincount(orbits) / 2.0) if self.point and (mirror == index).any() else None
         self.denominator = shift_denominator(kernel, potential)[self.nodes]
+
+    def sector(self, f: np.ndarray, odd: bool = False, diagonal: np.ndarray | None = None) -> np.ndarray:
+        """The even sector q_l q_l' (F[l, l'] + F[l, r l']) over the orbits' least nodes l, or with ``odd``
+        the odd sector F[l, l'] - F[l, r l'] over l < r l, of F (..., m, m), fibre blocks that commute with
+        the mirror r, as a new array; ``diagonal`` (a value per fibre node), if given, in place of F's own."""
+        least = self._least[self._least != self.mirror[self._least]] if odd else self._least
+        f, g = f[..., least[:, None], least], f[..., least[:, None], self.mirror[least]]
+        if diagonal is not None:
+            f[..., range(len(least)), range(len(least))] = diagonal[least]
+            fixed = np.flatnonzero(least == self.mirror[least])
+            g[..., fixed, fixed] = diagonal[least[fixed]]
+        if odd:
+            return np.subtract(f, g, out=f)
+        f += g
+        if self.scale is not None:
+            f *= np.outer(self.scale, self.scale)
+        return f
 
     def fold(self, rows: np.ndarray, diagonal: np.ndarray | None = None) -> np.ndarray:
         """The reduced block of a matrix with the model's symmetries from its rows x_S = 0, with
         ``diagonal`` (a value per row), if given, in place of its own: the rows summed over y_S in
         mirror pairs, t(y_S) + t(-y_S) first, into F, symmetric bit for bit when the matrix is; then
-        q_i q_j (F_ij + F_{i,r j}) at the orbits' least nodes.  Unreduced, with no ``diagonal``, ``rows``."""
-        grid, (least, mirrored), f, s = self.kernel.grid, self._sector, rows, len(self.axes)
+        ``sector`` of F.  Unreduced, with no ``diagonal``, ``rows``."""
+        grid, f, s = self.kernel.grid, rows, len(self.axes)
         if rows.shape != (grid.size // grid.n**s, grid.size):
             raise DimensionMismatch(f"fold takes the {grid.size // grid.n**s} rows x_S = 0, S = {self.axes}")
         if diagonal is not None and diagonal.shape != (len(rows),):
@@ -185,14 +207,7 @@ class ReducedModel:
             for j in np.flatnonzero(index <= minus)[1:]:
                 f += t[j] if minus[j] == j else t[j] + t[minus[j]]
         if self.point is not None:
-            f, g = f[np.ix_(least, least)], f[np.ix_(least, mirrored)]
-            if diagonal is not None and not s:  # the whole matrix's diagonal, at the least nodes
-                np.fill_diagonal(f, diagonal[least])
-                fixed = np.flatnonzero(least == mirrored)
-                g[fixed, fixed] = diagonal[least[fixed]]
-            f += g
-            if self.scale is not None:
-                f *= np.outer(self.scale, self.scale)
+            f = self.sector(f, diagonal=None if s else diagonal)
         return f
 
     def lift(self, c: np.ndarray) -> np.ndarray:

@@ -8,12 +8,16 @@ must agree or the caller aborts, so neither silently wins.  A generator
 that commutes with grid translations along some axes is split by a DFT
 along them into independent blocks (the discrete Floquet-Bloch reduction;
 block-circulant diagonalization, Davis, *Circulant Matrices*, 1979), and
-the dense solve runs block by block; with a point reflection too, on its real
-symmetric sectors (Cantoni & Butler, Linear Algebra Appl. 13, 1976).
+the dense solve runs block by block.  With a point reflection too, it runs on
+real symmetric sectors (Cantoni & Butler, Linear Algebra Appl. 13, 1976): the
+even and the odd sector of each block where the kernel is also even along the
+invariant axes, so every block is real and commutes with the reflection, the
+whole matrix being one block; a Bloch block's A - BR otherwise.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -117,22 +121,23 @@ def perron(
         v = np.array(start, dtype=float)
         if not v.min() > 0:
             raise NonPositiveVector("start vector must be entrywise positive")
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(v.dot(v))  # np.linalg.norm's own sum, without its overhead in the loop
     for iteration in range(1, max_iter + 1):
         w = a @ v
         if scale is not None:
             w *= scale
-        if v.min() > 0.0:
+        if np.minimum.reduce(v) > 0.0:
             ratios = w / v
-            lower = float(ratios.min())
-            upper = float(ratios.max())
+            lower = float(np.minimum.reduce(ratios))
+            upper = float(np.maximum.reduce(ratios))
+            # np.spacing, not math.ulp: at an infinite ratio it is NaN, not inf, and the gap test fails
             if upper - lower <= max(tol, ROUNDING_ULPS * np.spacing(upper)):
                 rho = min(max(float(v @ w / (v @ v)), lower), upper)
                 return PerronResult(rho, v, lower, upper, iteration)
         # normalized only when iterated on: a converged step never squares
         # entries that may lie beyond the square root of the float range
-        norm_w = np.linalg.norm(w)
-        if not np.isfinite(norm_w):
+        norm_w = math.sqrt(w.dot(w))
+        if not math.isfinite(norm_w):
             raise FloatingPointFailure("power iterate overflowed; scale the matrix")
         if norm_w == 0.0:
             raise NotConverged("iterate vanished; matrix is not primitive")
@@ -142,21 +147,21 @@ def perron(
 
 def block_shape(generator: OperatorMatrix, even: OperatorMatrix | None = None) -> tuple[int, int, int]:
     """The generator's n^|S| Bloch blocks of order n^(d - |S|), S its invariant axes (1 and N without),
-    and the largest order ``full_spectrum`` hands LAPACK: the block order, or on ``even``'s sectors of
-    the whole matrix the even sector's, no fewer orbits than the odd one's."""
+    and the largest order ``full_spectrum`` hands LAPACK: the block order, or where ``even``'s model
+    ``split``s the blocks the even sector's, no fewer orbits than the odd one's."""
     blocks = generator.grid.n ** len(generator.invariant_axes)
     order = generator.grid.size // blocks
-    return blocks, order, len(even.data) if blocks == 1 and even is not None and even.reduction.point else order
+    return blocks, order, len(even.data) if even is not None and even.reduction.split else order
 
 
-def _bloch_spectrum(generator: OperatorMatrix, solver, mirror: np.ndarray | None = None) -> np.ndarray:
+def _bloch_spectrum(generator: OperatorMatrix, solve, mirror: np.ndarray | None = None) -> np.ndarray:
     """Eigenvalues of the generator, block by block along its invariant
     axes S, along which it is exactly invariant, diagonal included.
 
     The rows at x_S = 0 (all ``data`` may hold), transformed by a DFT along
     the y_S column axes, give one block C_k per wavevector k on S, each
-    solved at its own order.  A self-conjugate block (k = -k mod n) is real;
-    block -k is the conjugate of block k, so a real DFT keeps one of each
+    solved at its own order by ``solve``.  A self-conjugate block (k = -k mod n)
+    is real; block -k is the conjugate of block k, so a real DFT keeps one of each
     pair and -k's eigenvalues are the conjugates of k's, an exact pair.
     Given the fibre ``mirror`` r, R C_k R = conj(C_k) and Hermitian C_k = A + iB
     is similar, by (I + iR)/sqrt(2), to real symmetric A - BR, B's columns
@@ -173,9 +178,9 @@ def _bloch_spectrum(generator: OperatorMatrix, solver, mirror: np.ndarray | None
     paired = (k != minus) & ((k < minus) | (-half[-1] % n > n // 2))  # -k dropped, or k first
     own, pairs = blocks[k == minus], blocks[paired]
     if mirror is None:
-        own, pairs = solver(own.real), solver(pairs)
+        own, pairs = solve(own.real), solve(pairs)
     else:  # A - BR, written over the gathered B
-        own, pairs = (solver(np.subtract(b.real, similar := b.imag[..., mirror], out=similar)) for b in (own, pairs))
+        own, pairs = (solve(np.subtract(b.real, similar := b.imag[..., mirror], out=similar)) for b in (own, pairs))
     return np.concatenate([own.ravel(), pairs.ravel(), pairs.conj().ravel()])
 
 
@@ -193,26 +198,23 @@ def full_spectrum(
     at its own order, complex where its wavevector pairs with another; the
     order cap applies to the whole matrix either way.  ``even``, the reduced matrix
     ``ReducedModel.reduce(generator)``, splits a symmetric generator whose model
-    has a point reflection r into its sectors: Bloch blocks A - BR, or ``even``
-    and the odd sector F[l, l'] - F[l, r l'], l < r l, of the whole matrix F.
-    Ordered by descending real part, ties by ascending imaginary part;
+    has a point reflection r into its sectors: where the model ``split``s its
+    blocks, every block, the whole matrix F being one, is real and commutes with R,
+    and ``ReducedModel.sector`` gives its even sector q_l q_l' (F[l, l'] + F[l, r l'])
+    and its odd one F[l, l'] - F[l, r l'], l < r l; otherwise the Bloch blocks
+    take A - BR.  Ordered by descending real part, ties by ascending imaginary part;
     complex eigenvalues of real input come in conjugate pairs.  LAPACK's
     failure to converge raises QRNotConverged.
     """
     if generator.grid.size > order_cap:
         raise DimensionMismatch(f"matrix order {generator.grid.size} exceeds the cap {order_cap}")
     solver = np.linalg.eigvalsh if generator.symmetric else np.linalg.eigvals
-    mirror = even.reduction.mirror if even is not None and even.reduction.point else None
+    model = even.reduction if even is not None and even.reduction.point else None
+    solve, mirror = solver, None if model is None or model.split else model.mirror
+    if model is not None and model.split:  # every block real, solved on its two sectors
+        solve = lambda f: np.concatenate([solver(model.sector(f.real, odd)).ravel() for odd in (False, True)])
     try:
-        if generator.invariant_axes:
-            values = _bloch_spectrum(generator, solver, mirror)
-        elif mirror is not None:
-            least = np.flatnonzero(np.arange(len(mirror)) < mirror)
-            odd = generator.data[np.ix_(least, least)]
-            odd -= generator.data[np.ix_(least, mirror[least])]
-            values = np.concatenate([solver(even.data), solver(odd)])
-        else:
-            values = solver(generator.data)
+        values = _bloch_spectrum(generator, solve, mirror) if generator.invariant_axes else solve(generator.data)
     except np.linalg.LinAlgError as exc:
         raise QRNotConverged(str(exc)) from exc
     order = np.lexsort((values.imag, -values.real))

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import torspec as ts
 from conftest import REPO_ROOT
 
 
@@ -92,3 +93,18 @@ def test_a_list_that_changes_length_is_named_and_the_other_moves_still_listed(co
     ]
     # a string that moved beside the list still makes the report incomparable
     assert compare.numeric_changes("report.json", old, new.replace('"qr"', '"power"')) is None
+
+
+def test_the_docstring_counts_the_commands(compare, tmp_path):
+    assert f"Both run the same {len(compare._plan(str(tmp_path)))} commands" in " ".join(compare.__doc__.split())
+
+
+def test_the_sheared_table_keeps_the_bloch_blocks_whole(compare, tmp_path):
+    # the corpus's one model whose reflection does not split its Bloch blocks: they take A - BR
+    path = tmp_path / "sheared.csv"
+    compare._write_sheared_table(str(path))
+    grid = ts.TorusGrid(2, compare.SHEARED_N)
+    kernel = ts.kernel_from_csv(str(path), grid)
+    assert kernel.symmetric and kernel.invariant_axes == (0, 1)
+    model = ts.ReducedModel(kernel, ts.step_potential(grid))
+    assert (model.axes, model.point, model.split) == ((1,), (4,), False)

@@ -341,18 +341,21 @@ def _f3_step(n, width):
 
 
 # each model's solver, then the matrix shapes it takes on the route ``analyze`` takes: a
-# model with a point reflection solves its sectors, the self-conjugate Bloch blocks along
-# invariant axes and one block of each +-k pair, or the even and the odd sector of the whole matrix
+# model with a point reflection solves its sectors, the even and the odd sector of the
+# self-conjugate Bloch blocks along invariant axes and of one block of each +-k pair, or of
+# the whole matrix
 DISPATCH_MODELS = {
     "f1": (lambda: make_f1(n=32), "eigvalsh", [(2, 1, 1), (15, 1, 1)]),
     "f2": (lambda: make_f2(n=32), "eigvalsh", [(16, 16), (16, 16)]),
     "f3": (lambda: make_f3(n=64), "eigvalsh", [(32, 32), (32, 32)]),
     # a step on 5 of 16 nodes: its reflection fixes two nodes, so the sectors have orders 9 and 7
     "f3-fixing": (lambda: _f3_step(16, 5 / 16), "eigvalsh", [(9, 9), (7, 7)]),
+    # Bloch blocks of a kernel even along y_1 too: each block's sectors, s = 7 fixing no node of 16
     "gaussian-2d": (lambda: _wound_model(ts.gaussian_kernel(2, 0.2), 2, 16), "eigvalsh",
-                    [(2, 16, 16), (7, 16, 16)]),
+                    [(2, 8, 8), (2, 8, 8), (7, 8, 8), (7, 8, 8)]),
+    # and s = 4 fixing the nodes 2 and 7 of 10
     "exponential-2d": (lambda: _wound_model(ts.exponential_kernel(2, 0.2), 2, 10), "eigvalsh",
-                       [(2, 10, 10), (4, 10, 10)]),
+                       [(2, 6, 6), (2, 4, 4), (4, 6, 6), (4, 4, 4)]),
     "f4": (lambda: make_f4(n=32), "eigvals", [(2, 1, 1), (15, 1, 1)]),
     # 2 w n is an integer: the half-open box puts a node on one edge only
     "tophat": (lambda: _wound_model(ts.tophat_kernel(1, 0.125), 1, 64), "eigvals", [(64, 64)]),

@@ -141,6 +141,71 @@ def test_the_reflections_sectors_give_the_whole_spectrum(case, fixing, seed):
         assert np.count_nonzero(counts % 2) <= (2 - n % 2) * len(model.mirror)
 
 
+def _even_along(a, axes):
+    """a plus its mirror z_S -> -z_S mod n, S = ``axes``: even along z_S bit for bit."""
+    return a + np.roll(np.flip(a, axes), 1, axes)
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from([(2, n, axes) for n in (6, 7, 8) for axes in ((0,), (1,))]
+                    + [(3, n, axes) for n in (4, 5, 6) for axes in ((0,), (2,), (0, 2), (1, 2))]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_blocks_of_a_kernel_even_along_the_invariant_axes_split_into_sectors(case, fixing, seed):
+    # a random kernel even under z -> -z and along z_S, and a potential equal to its mirror about s and
+    # invariant along S: every Bloch block real and on its two sectors, against eigvalsh on the whole
+    # matrix; s fixes a node at odd n, or at even s
+    dimension, n, axes = case
+    grid, rng = ts.TorusGrid(dimension, n), np.random.default_rng(seed)
+    samples = _even_along(rng.uniform(0.05, 1.0, (n,) * dimension), axes)
+    kernel = ts.convolution_kernel(ts.WoundKernel(grid, samples + _mirror(samples, (0,) * dimension)))
+    s = (2 * rng.integers(0, n, dimension) + (not fixing)) % n
+    v = np.broadcast_to(-rng.uniform(0.0, 2.0, (n,) * dimension)[grid.origin_slab(axes)], (n,) * dimension)
+    potential = ts.Potential(grid, (v + _mirror(v, s)).ravel())
+    model = ts.ReducedModel(kernel, potential)
+    assert kernel.symmetric and model.axes == axes and model.split
+    assert model.point == tuple(int(x) for a, x in enumerate(s) if a not in axes)
+    assert (model.mirror == np.arange(len(model.mirror))).any() == bool(fixing or n % 2)
+    generator, even = model.generator, model.reduce(model.generator)
+    values = ts.full_spectrum(generator, even=even)
+    assert block_shape(generator, even)[2] == model.order < len(model.mirror)
+    assert values.dtype == float and len(values) == grid.size
+    whole = ts.assemble_generator(kernel, potential).data
+    scale = np.abs(whole).max() * whole.shape[0] * np.finfo(float).eps
+    assert np.abs(np.sort(values) - np.linalg.eigvalsh(whole)).max() <= 100 * scale
+
+
+def test_a_kernel_even_only_under_z_to_minus_z_keeps_whole_blocks(monkeypatch):
+    # a sheared Gaussian exp(-(z0^2 + z0 z1 + z1^2)/c) plus its mirror z -> -z: symmetric, with the
+    # reflection s = 3 of a step, but not even along y_1, so its Bloch blocks take A - BR
+    n = 8
+    grid = ts.TorusGrid(2, n)
+    z = ((np.arange(n) + n // 2) % n - n // 2) / n  # centred displacements
+    z0, z1 = np.meshgrid(z, z, indexing="ij")
+    sheared = np.exp(-(z0 * z0 + z0 * z1 + z1 * z1) / 0.08)
+    kernel = ts.convolution_kernel(ts.WoundKernel(grid, sheared + _mirror(sheared, (0, 0))))
+    potential = ts.step_potential(grid)
+    model = ts.ReducedModel(kernel, potential)
+    assert kernel.symmetric and (model.axes, model.point, model.split) == ((1,), (3,), False)
+    generator, even = model.generator, model.reduce(model.generator)
+    shapes = []
+    for solver in ("eigvals", "eigvalsh"):
+        def recorded(a, _solver=solver, _real=getattr(np.linalg, solver)):
+            shapes.append((_solver, a.shape))
+            return _real(a)
+
+        monkeypatch.setattr(np.linalg, solver, recorded)
+    values = ts.full_spectrum(generator, even=even)
+    assert shapes == [("eigvalsh", (2, n, n)), ("eigvalsh", (3, n, n))]  # k in {0, 4}, then 1, 2 and 3
+    assert block_shape(generator, even) == (n, n, n)
+    monkeypatch.undo()
+    whole = ts.assemble_generator(kernel, potential).data
+    scale = np.abs(whole).max() * whole.shape[0] * np.finfo(float).eps
+    assert np.abs(np.sort(values) - np.linalg.eigvalsh(whole)).max() <= 100 * scale
+
+
 def test_evolve_on_a_sector_needs_an_even_start():
     grid, kernel, potential = make_f3(n=16)
     sector = _sector(kernel, potential)[1]

@@ -2,16 +2,19 @@
 
     python3 tools/compare_outputs.py OLD_SRC NEW_SRC
 
-OLD_SRC and NEW_SRC are the roots of two checkouts.  Both run the same 111
+OLD_SRC and NEW_SRC are the roots of two checkouts.  Both run the same 115
 commands, each in a fresh ``python -m torspec`` with that
 checkout's sources alone on ``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=1``:
 
 - the commands of the benchmark's workloads ``analyze-2d``, ``evolve-rk4``
   and ``sweep-1d`` at seed 1, from ``perfbench/workloads.build_plan``;
-- ``analyze``, ``bound``, ``evolve`` and ``check-kernel`` on twenty-two more
+- ``analyze``, ``bound``, ``evolve`` and ``check-kernel`` on twenty-three more
   configs (``EXTRA_CONFIGS``): a 1-D CSV kernel table, a 2-D one that is
   translation-invariant along its second axis only (a generic kernel's
-  Bloch blocks and its fold over that axis), 1-D and 2-D ``modulated``
+  Bloch blocks and its fold over that axis), a 2-D sheared convolution
+  table with a ``step``, even under z -> -z but not along either axis
+  alone, so its Bloch blocks take A - BR, not the reflection's sectors,
+  1-D and 2-D ``modulated``
   kernels, ``exponential`` kernels with a ``step`` and a
   ``cosine``, a 1-D Gaussian with a ``cosine``, whose reflection s = 0
   fixes nodes, and a Gaussian with a ``zero`` potential; the reductions no
@@ -22,7 +25,8 @@ checkout's sources alone on ``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=1``:
   a factor that is not even, so its kernel is not symmetric and its Bloch
   blocks come in complex pairs, a 2-D ``n = 48`` ``constant`` potential, whose
   order-1 ``evolve`` lifts its snapshots in eight blocks, and a 3-D ``n = 8``
-  Gaussian with a ``step`` (Bloch blocks) and with a ``cosine`` (the
+  Gaussian with a ``step`` (Bloch blocks, each on the reflection's two
+  sectors) and with a ``cosine`` (the
   reflection s = 0 of the whole matrix); and one config
   for each failure exit code: a non-primitive ``tophat`` (2, or 3 where
   ``evolve`` does not converge), a negative ``sigma`` (1), ``max_iter: 1``
@@ -67,11 +71,14 @@ GAUSSIAN = {"family": "gaussian", "sigma": 0.2}
 STEP = {"family": "step", "depth": 1.0, "width": 0.5}
 CSV_N = 16
 CSV_2D_N = 8
+SHEARED_N = 9  # odd: the centred displacement of -z is exactly -z
 EXTRA_CONFIGS = {
     "csv-1d": {"dimension": 1, "grid_n": CSV_N, "kernel": {"family": "csv", "path": "kernel.csv"},
                "potential": STEP},
     "csv-2d": {"dimension": 2, "grid_n": CSV_2D_N, "kernel": {"family": "csv", "path": "kernel-2d.csv"},
                "potential": STEP},
+    "sheared-csv-2d": {"dimension": 2, "grid_n": SHEARED_N, "kernel": {"family": "csv", "path": "sheared-2d.csv"},
+                       "potential": STEP},
     "modulated-1d": {"dimension": 1, "grid_n": 64,
                      "kernel": {"family": "modulated", "base": GAUSSIAN, "epsilon": 0.3},
                      "potential": STEP},
@@ -134,6 +141,20 @@ def _write_kernel_table(path: str, dimension: int, n: int) -> None:
         handle.write(",".join(header) + ",value\n" + "".join(rows))
 
 
+def _write_sheared_table(path: str) -> None:
+    """The 2-D kernel table exp(-(z0^2 + z0 z1 + z1^2) / 0.08) of the centred displacement z of x - y,
+    formed from node indices: symmetric, invariant along both axes and even under z -> -z bit for
+    bit, but not even along either axis alone."""
+    n, rows = SHEARED_N, []
+    for x in product(range(n), repeat=2):
+        for y in product(range(n), repeat=2):
+            z0, z1 = (((a - b + n // 2) % n - n // 2) / n for a, b in zip(x, y))
+            value = math.exp(-(z0 * z0 + z0 * z1 + z1 * z1) / 0.08)
+            rows.append(",".join(map(repr, (*(a / n for a in x), *(b / n for b in y), value))) + "\n")
+    with open(path, "w") as handle:
+        handle.write("x1,x2,y1,y2,value\n" + "".join(rows))
+
+
 def _write_potential_table(path: str) -> None:
     """A step potential table whose node 0 is positive, the rest nonpositive."""
     values = [0.5] + [-1.0 if i < CSV_N // 2 else 0.0 for i in range(1, CSV_N)]
@@ -154,6 +175,7 @@ def _plan(work: str) -> list[tuple[str, list[str]]]:
     os.makedirs(config_dir, exist_ok=True)
     _write_kernel_table(os.path.join(config_dir, "kernel.csv"), 1, CSV_N)
     _write_kernel_table(os.path.join(config_dir, "kernel-2d.csv"), 2, CSV_2D_N)
+    _write_sheared_table(os.path.join(config_dir, "sheared-2d.csv"))
     _write_potential_table(os.path.join(config_dir, "potential.csv"))
     for config_name, config in EXTRA_CONFIGS.items():
         path = os.path.join(config_dir, f"{config_name}.json")
