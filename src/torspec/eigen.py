@@ -8,11 +8,11 @@ must agree or the caller aborts, so neither silently wins.  A generator
 that commutes with grid translations along some axes is split by a DFT
 along them into independent blocks (the discrete Floquet-Bloch reduction;
 block-circulant diagonalization, Davis, *Circulant Matrices*, 1979), and
-the dense solve runs block by block.  With a point reflection too, it runs on
-real symmetric sectors (Cantoni & Butler, Linear Algebra Appl. 13, 1976): the
-even and the odd sector of each block where the kernel is also even along the
-invariant axes, so every block is real and commutes with the reflection, the
-whole matrix being one block; a Bloch block's A - BR otherwise.
+the dense solve runs block by block.  With a point reflection too, where the
+kernel is also even along the invariant axes, every block is real and commutes
+with the reflection, the whole matrix being one block, and the solve runs on
+each block's even and odd sector (Cantoni & Butler, Linear Algebra Appl. 13,
+1976).
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ def block_shape(generator: OperatorMatrix, even: OperatorMatrix | None = None) -
     return blocks, order, len(even.data) if even is not None and even.reduction.split else order
 
 
-def _bloch_spectrum(generator: OperatorMatrix, solve, mirror: np.ndarray | None = None) -> np.ndarray:
+def _bloch_spectrum(generator: OperatorMatrix, solve) -> np.ndarray:
     """Eigenvalues of the generator, block by block along its invariant
     axes S, along which it is exactly invariant, diagonal included.
 
@@ -163,9 +163,6 @@ def _bloch_spectrum(generator: OperatorMatrix, solve, mirror: np.ndarray | None 
     solved at its own order by ``solve``.  A self-conjugate block (k = -k mod n)
     is real; block -k is the conjugate of block k, so a real DFT keeps one of each
     pair and -k's eigenvalues are the conjugates of k's, an exact pair.
-    Given the fibre ``mirror`` r, R C_k R = conj(C_k) and Hermitian C_k = A + iB
-    is similar, by (I + iR)/sqrt(2), to real symmetric A - BR, B's columns
-    gathered by r.
     """
     grid, axes = generator.grid, generator.invariant_axes
     n, d, s = grid.n, grid.dimension, len(axes)
@@ -176,11 +173,7 @@ def _bloch_spectrum(generator: OperatorMatrix, solve, mirror: np.ndarray | None 
     half = np.indices((n,) * (s - 1) + (n // 2 + 1,)).reshape(s, -1)  # the k rfftn keeps
     k, minus = (np.ravel_multi_index(q % n, (n,) * s) for q in (half, -half))
     paired = (k != minus) & ((k < minus) | (-half[-1] % n > n // 2))  # -k dropped, or k first
-    own, pairs = blocks[k == minus], blocks[paired]
-    if mirror is None:
-        own, pairs = solve(own.real), solve(pairs)
-    else:  # A - BR, written over the gathered B
-        own, pairs = (solve(np.subtract(b.real, similar := b.imag[..., mirror], out=similar)) for b in (own, pairs))
+    own, pairs = solve(blocks[k == minus].real), solve(blocks[paired])
     return np.concatenate([own.ravel(), pairs.ravel(), pairs.conj().ravel()])
 
 
@@ -198,23 +191,22 @@ def full_spectrum(
     at its own order, complex where its wavevector pairs with another; the
     order cap applies to the whole matrix either way.  ``even``, the reduced matrix
     ``ReducedModel.reduce(generator)``, splits a symmetric generator whose model
-    has a point reflection r into its sectors: where the model ``split``s its
-    blocks, every block, the whole matrix F being one, is real and commutes with R,
-    and ``ReducedModel.sector`` gives its even sector q_l q_l' (F[l, l'] + F[l, r l'])
-    and its odd one F[l, l'] - F[l, r l'], l < r l; otherwise the Bloch blocks
-    take A - BR.  Ordered by descending real part, ties by ascending imaginary part;
-    complex eigenvalues of real input come in conjugate pairs.  LAPACK's
-    failure to converge raises QRNotConverged.
+    ``split``s its blocks into its sectors: every block, the whole matrix F being
+    one, is real and commutes with the reflection r, and ``ReducedModel.sector``
+    gives its even sector q_l q_l' (F[l, l'] + F[l, r l']) and its odd one
+    F[l, l'] - F[l, r l'], l < r l; any other model keeps whole blocks.  Ordered
+    by descending real part, ties by ascending imaginary part; complex
+    eigenvalues of real input come in conjugate pairs.  LAPACK's failure to
+    converge raises QRNotConverged.
     """
     if generator.grid.size > order_cap:
         raise DimensionMismatch(f"matrix order {generator.grid.size} exceeds the cap {order_cap}")
-    solver = np.linalg.eigvalsh if generator.symmetric else np.linalg.eigvals
-    model = even.reduction if even is not None and even.reduction.point else None
-    solve, mirror = solver, None if model is None or model.split else model.mirror
-    if model is not None and model.split:  # every block real, solved on its two sectors
+    solve = np.linalg.eigvalsh if generator.symmetric else np.linalg.eigvals
+    if even is not None and even.reduction.split:  # every block real, solved on its two sectors
+        model, solver = even.reduction, solve
         solve = lambda f: np.concatenate([solver(model.sector(f.real, odd)).ravel() for odd in (False, True)])
     try:
-        values = _bloch_spectrum(generator, solve, mirror) if generator.invariant_axes else solve(generator.data)
+        values = _bloch_spectrum(generator, solve) if generator.invariant_axes else solve(generator.data)
     except np.linalg.LinAlgError as exc:
         raise QRNotConverged(str(exc)) from exc
     order = np.lexsort((values.imag, -values.real))

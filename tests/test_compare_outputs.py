@@ -99,12 +99,19 @@ def test_the_docstring_counts_the_commands(compare, tmp_path):
     assert f"Both run the same {len(compare._plan(str(tmp_path)))} commands" in " ".join(compare.__doc__.split())
 
 
+def test_every_extra_config_but_the_bad_one_loads(compare, tmp_path):
+    compare._plan(str(tmp_path))
+    for name in compare.EXTRA_CONFIGS:
+        if name != "bad-config":
+            ts.load_config(str(tmp_path / "plans" / "extra" / f"{name}.json"))
+
+
 def test_the_sheared_table_keeps_the_bloch_blocks_whole(compare, tmp_path):
-    # the corpus's one model whose reflection does not split its Bloch blocks: they take A - BR
+    # the corpus's one model whose reflection does not split its Bloch blocks: they take the Hermitian route
     path = tmp_path / "sheared.csv"
     compare._write_sheared_table(str(path))
     grid = ts.TorusGrid(2, compare.SHEARED_N)
     kernel = ts.kernel_from_csv(str(path), grid)
     assert kernel.symmetric and kernel.invariant_axes == (0, 1)
     model = ts.ReducedModel(kernel, ts.step_potential(grid))
-    assert (model.axes, model.point, model.split) == ((1,), (4,), False)
+    assert (model.axes, model.point, model.split) == ((1,), (3,), False)

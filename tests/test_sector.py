@@ -117,8 +117,9 @@ def test_the_sector_is_symmetric_and_holds_the_maximum_eigenvalue(n, width):
 )
 def test_the_reflections_sectors_give_the_whole_spectrum(case, fixing, seed):
     # a random symmetric convolution kernel and a random potential equal to its mirror about s, invariant
-    # along ``axes``: QR on the sectors, Bloch blocks A - BR along the axes or the even and odd sector of
-    # the whole matrix, against eigvalsh on the whole matrix; s fixes a node at odd n, or at even s
+    # along ``axes``: QR on the whole Bloch blocks along the axes, a real stack of the self-conjugate ones
+    # and a complex Hermitian block per pair, or on the even and odd sector of the whole matrix, against
+    # eigvalsh on the whole matrix; s fixes a node at odd n, or at even s
     dimension, n, axes = case
     grid, rng = ts.TorusGrid(dimension, n), np.random.default_rng(seed)
     samples = rng.uniform(0.05, 1.0, (n,) * dimension)
@@ -179,7 +180,8 @@ def test_blocks_of_a_kernel_even_along_the_invariant_axes_split_into_sectors(cas
 
 def test_a_kernel_even_only_under_z_to_minus_z_keeps_whole_blocks(monkeypatch):
     # a sheared Gaussian exp(-(z0^2 + z0 z1 + z1^2)/c) plus its mirror z -> -z: symmetric, with the
-    # reflection s = 3 of a step, but not even along y_1, so its Bloch blocks take A - BR
+    # reflection s = 3 of a step, but not even along y_1, so its Bloch blocks stay whole: the self-conjugate
+    # ones as one real stack, each pair as one complex Hermitian block
     n = 8
     grid = ts.TorusGrid(2, n)
     z = ((np.arange(n) + n // 2) % n - n // 2) / n  # centred displacements
@@ -193,12 +195,13 @@ def test_a_kernel_even_only_under_z_to_minus_z_keeps_whole_blocks(monkeypatch):
     shapes = []
     for solver in ("eigvals", "eigvalsh"):
         def recorded(a, _solver=solver, _real=getattr(np.linalg, solver)):
-            shapes.append((_solver, a.shape))
+            shapes.append((_solver, a.shape, a.dtype))
             return _real(a)
 
         monkeypatch.setattr(np.linalg, solver, recorded)
     values = ts.full_spectrum(generator, even=even)
-    assert shapes == [("eigvalsh", (2, n, n)), ("eigvalsh", (3, n, n))]  # k in {0, 4}, then 1, 2 and 3
+    # k in {0, 4} real, then 1, 2 and 3 complex
+    assert shapes == [("eigvalsh", (2, n, n), np.float64), ("eigvalsh", (3, n, n), np.complex128)]
     assert block_shape(generator, even) == (n, n, n)
     monkeypatch.undo()
     whole = ts.assemble_generator(kernel, potential).data

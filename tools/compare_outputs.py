@@ -13,8 +13,9 @@ checkout's sources alone on ``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=1``:
   translation-invariant along its second axis only (a generic kernel's
   Bloch blocks and its fold over that axis), a 2-D sheared convolution
   table with a ``step``, even under z -> -z but not along either axis
-  alone, so its Bloch blocks take A - BR, not the reflection's sectors,
-  1-D and 2-D ``modulated``
+  alone, so the reflection does not split its Bloch blocks and they take
+  the Hermitian route (the self-conjugate blocks as one real stack, one
+  complex block per +-k pair), 1-D and 2-D ``modulated``
   kernels, ``exponential`` kernels with a ``step`` and a
   ``cosine``, a 1-D Gaussian with a ``cosine``, whose reflection s = 0
   fixes nodes, and a Gaussian with a ``zero`` potential; the reductions no
@@ -71,7 +72,7 @@ GAUSSIAN = {"family": "gaussian", "sigma": 0.2}
 STEP = {"family": "step", "depth": 1.0, "width": 0.5}
 CSV_N = 16
 CSV_2D_N = 8
-SHEARED_N = 9  # odd: the centred displacement of -z is exactly -z
+SHEARED_N = 8
 EXTRA_CONFIGS = {
     "csv-1d": {"dimension": 1, "grid_n": CSV_N, "kernel": {"family": "csv", "path": "kernel.csv"},
                "potential": STEP},
@@ -142,14 +143,19 @@ def _write_kernel_table(path: str, dimension: int, n: int) -> None:
 
 
 def _write_sheared_table(path: str) -> None:
-    """The 2-D kernel table exp(-(z0^2 + z0 z1 + z1^2) / 0.08) of the centred displacement z of x - y,
-    formed from node indices: symmetric, invariant along both axes and even under z -> -z bit for
-    bit, but not even along either axis alone."""
+    """The 2-D kernel table f(z) + f(-z mod n) of the node displacement z = x - y mod n, f the sheared
+    Gaussian exp(-(z0^2 + z0 z1 + z1^2) / 0.08) of z centred and over n: symmetric, invariant along both
+    axes and even under z -> -z bit for bit, but not even along either axis alone."""
     n, rows = SHEARED_N, []
+
+    def f(z):
+        z0, z1 = (((c + n // 2) % n - n // 2) / n for c in z)
+        return math.exp(-(z0 * z0 + z0 * z1 + z1 * z1) / 0.08)
+
     for x in product(range(n), repeat=2):
         for y in product(range(n), repeat=2):
-            z0, z1 = (((a - b + n // 2) % n - n // 2) / n for a, b in zip(x, y))
-            value = math.exp(-(z0 * z0 + z0 * z1 + z1 * z1) / 0.08)
+            z = [(a - b) % n for a, b in zip(x, y)]
+            value = f(z) + f([-c % n for c in z])
             rows.append(",".join(map(repr, (*(a / n for a in x), *(b / n for b in y), value))) + "\n")
     with open(path, "w") as handle:
         handle.write("x1,x2,y1,y2,value\n" + "".join(rows))
